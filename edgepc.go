@@ -1,8 +1,8 @@
 // Package edgepc is the public API of this EdgePC reproduction — Morton-code
 // structurization of point clouds and the two approximations it enables
 // (index-stride sampling and index-window neighbor search), together with
-// the SOTA baselines (farthest point sampling, ball query, k-NN, kd-tree,
-// uniform grid), two point-cloud CNNs (PointNet++ and DGCNN) with per-layer
+// the SOTA baselines (farthest point sampling, ball query, k-NN), two
+// point-cloud CNNs (PointNet++ and DGCNN) with per-layer
 // strategy selection and retraining, and a Jetson-AGX-Xavier cost model that
 // prices pipeline traces into latency and energy.
 //

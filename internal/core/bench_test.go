@@ -8,8 +8,8 @@ import (
 )
 
 // Host wall-clock comparison of the neighbor-search design space on one
-// structurized frame: the EdgePC window approximation vs the two exact
-// Morton searchers (BigMin scan, linear octree) vs brute force.
+// structurized frame: the EdgePC window approximation vs the exact Morton
+// searcher (BigMin scan) vs brute force.
 
 func benchStructurized(b *testing.B, n int) (*Structurized, []int) {
 	b.Helper()
@@ -50,16 +50,6 @@ func BenchmarkSearchRangeBall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (RangeBall{R: 0.3}).SearchStructurized(s, pos, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchOctreeBall(b *testing.B) {
-	s, pos := benchStructurized(b, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (OctreeBall{R: 0.3}).SearchStructurized(s, pos, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

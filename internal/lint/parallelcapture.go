@@ -6,12 +6,12 @@ import (
 )
 
 // ParallelCapture guards the goroutine-parallel kernels: a closure handed to
-// parallel.For / ForChunks / ForWorkers (or launched with a bare go
-// statement) runs concurrently with its siblings, so a plain write to a
+// parallel.For / ForChunks / ForSplit / ForWorkers (or launched with a bare
+// go statement) runs concurrently with its siblings, so a plain write to a
 // variable captured from the enclosing scope is a data race. The safe idioms
 // are a worker-local variable declared inside the closure, or the per-worker
 // slot pattern (parallel.ForWorkers with writes indexed by the worker/chunk
-// parameters — see tensor.MatMulATInto and morton.radixOrderParallel).
+// parameters — see morton.radixOrderParallel).
 //
 // The check flags direct writes to captured identifiers (x = …, x += …, x++,
 // and range re-binding `for x = range`). Writes through index or pointer
@@ -34,7 +34,7 @@ func runParallelCapture(p *Pass) {
 						return true
 					}
 					switch obj.Name() {
-					case "For", "ForChunks", "ForWorkers":
+					case "For", "ForChunks", "ForSplit", "ForWorkers":
 						for _, arg := range n.Args {
 							if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 								checkCapturedWrites(p, pkg, lit, "parallel."+obj.Name())

@@ -218,7 +218,8 @@ func TestRunRetriesRecoverStalledFrames(t *testing.T) {
 
 // The retry path is deadline-budget-aware: with every attempt stalling and
 // the second watchdog firing past the deadline, each frame retries at most
-// once and nothing completes.
+// once and nothing completes; and a retry whose backoff would cross what is
+// left of the deadline is not attempted at all.
 func TestRunRetryRespectsDeadlineBudget(t *testing.T) {
 	spec := Quick()
 	spec.StallFrac = 1
@@ -238,20 +239,33 @@ func TestRunRetryRespectsDeadlineBudget(t *testing.T) {
 	if m.Retried > m.Admitted {
 		t.Fatalf("retried %d > admitted %d: budget did not stop the second retry", m.Retried, m.Admitted)
 	}
+	// The first backoff is at least half serve.RetryPolicy's 1ms base; leave
+	// less than that after the first watchdog firing.
+	spec.Deadline = spec.StallTimeout + 400*time.Microsecond
+	m, err = Run(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Retried != 0 {
+		t.Fatalf("retried %d frames whose backoff exceeds the remaining deadline", m.Retried)
+	}
 }
 
 // Hedging wins races against wedged workers, never exceeds its launch
-// budget, and hedge wins never exceed hedges launched.
+// budget, and hedge wins never exceed hedges launched. Run at half capacity:
+// hedges need headroom, and at 1× the wedged workers keep the fleet shedding,
+// where hedging disengages (TestRunNoHedgeWhileShedding).
 func TestRunHedgingWinsRaces(t *testing.T) {
+	const mult = 0.5
 	spec := Quick()
 	spec.StallFrac = 0.1
-	none, err := Run(spec, 1)
+	none, err := Run(spec, mult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.HedgeDelay = time.Millisecond
 	spec.HedgeBudget = 1
-	m, err := Run(spec, 1)
+	m, err := Run(spec, mult)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +280,98 @@ func TestRunHedgingWinsRaces(t *testing.T) {
 	}
 	capped := spec
 	capped.HedgeBudget = 0.01
-	c, err := Run(capped, 1)
+	c, err := Run(capped, mult)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if float64(c.Hedged) > 0.01*float64(c.Offered)+1 {
 		t.Fatalf("hedge budget 1%% of %d offered exceeded: %d hedges", c.Offered, c.Hedged)
+	}
+}
+
+// Hedging disengages while the fleet shed controller is engaged, like the
+// router's: at 10× the fleet sheds almost throughout, and no hedge launch
+// point reached at a non-zero shed level may launch.
+func TestRunNoHedgeWhileShedding(t *testing.T) {
+	spec := Quick()
+	spec.StallFrac = 0.1
+	spec.HedgeDelay = time.Millisecond
+	spec.HedgeBudget = 1
+	s, err := newSim(spec, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.scheduleArrival()
+	points := 0
+	for len(s.events) > 0 {
+		ev := s.events.pop()
+		shedding, hedged := s.shed.Level() > 0, s.counts.Hedged
+		s.step(ev)
+		if ev.kind != evHedge || !shedding {
+			continue
+		}
+		points++
+		if s.counts.Hedged != hedged {
+			t.Fatalf("hedge launched at %v with the shed controller at level %d", time.Duration(s.now), s.shed.Level())
+		}
+	}
+	if s.counts.ShedLevelMax == 0 || points == 0 {
+		t.Fatalf("scenario reached %d hedge launch points while shedding (max shed level %d); want some", points, s.counts.ShedLevelMax)
+	}
+}
+
+// The simulator's engines step their ladder at the queue lengths serve.Engine
+// does — the table internal/serve pins in TestLadderStepsAtPinnedQueueLengths
+// — not where a float fill comparison would: one busy worker, a burst that
+// fills the queue one arrival at a time, then a lull that drains it one
+// completion at a time.
+func TestRunLadderStepsAtEngineQueueLengths(t *testing.T) {
+	for _, tc := range []struct {
+		depth     int
+		high, low float64
+		down, up  int
+	}{
+		{3, 0.75, 0.25, 2, 0},
+		{4, 0.75, 0.25, 3, 1},
+		{7, 0.75, 0.25, 5, 1},
+		{8, 0.75, 0.25, 6, 2},
+		{11, 0.75, 0.25, 8, 2},
+		{3, 0.5, 0.25, 2, 0},
+		{7, 0.5, 0.25, 4, 1},
+		{11, 0.5, 0.25, 6, 2},
+		{7, 0, 0, 5, 1},
+	} {
+		spec := Quick()
+		spec.Engines, spec.Workers, spec.Queue = 1, 1, tc.depth
+		spec.SvcTiers = spec.SvcTiers[:2]
+		spec.LadderHigh, spec.LadderLow, spec.LadderHyst = tc.high, tc.low, 1
+		spec.ShedHigh = 1 // keep the shed controller out of the way
+		spec.Ramp = []RampPoint{{At: 0, Mult: 20}, {At: 0.1, Mult: 20}, {At: 0.1, Mult: 0}, {At: 1, Mult: 0}}
+		if m, err := Run(spec, 1); err != nil || m.StepDowns == 0 || m.StepUps == 0 {
+			t.Fatalf("depth %d: run stepped %d down %d up (err %v); want both", tc.depth, m.StepDowns, m.StepUps, err)
+		}
+		s, err := newSim(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &s.engines[0]
+		s.scheduleArrival()
+		down, up := -1, -1
+		for len(s.events) > 0 && up < 0 {
+			ev := s.events.pop()
+			tier, queued := e.ladder.Tier(), e.n
+			s.step(ev)
+			switch {
+			case e.ladder.Tier() > tier && down < 0:
+				down = e.n // the worker is busy, so the enqueued frame is still queued
+			case e.ladder.Tier() < tier:
+				up = queued // a completion observes the queue before the next pickup
+			}
+		}
+		if down != tc.down || up != tc.up {
+			t.Fatalf("depth %d high %g low %g: stepped down at %d queued and up at %d, engine steps at %d and %d",
+				tc.depth, tc.high, tc.low, down, up, tc.down, tc.up)
+		}
 	}
 }
 
@@ -496,7 +596,8 @@ func TestBuildReport(t *testing.T) {
 			t.Fatalf("retry policy bought no goodput: none %.4f retry %.4f (%d retried)",
 				none.GoodFrac, retry.GoodFrac, retry.Retried)
 		}
-		if hedge.Hedged == 0 {
+		// Hedging disengages while the fleet sheds, which past 1× is always.
+		if hedge.Mult == 1 && hedge.Hedged == 0 {
 			t.Fatalf("hedge policy launched no hedges: %+v", hedge)
 		}
 	}

@@ -3,6 +3,8 @@ package loadgen
 import (
 	"math"
 	"sort"
+
+	"repro/internal/serve"
 )
 
 // Seeded PRNG and the two samplers the harness draws from: Pareto
@@ -19,13 +21,12 @@ type RNG struct{ state uint64 }
 // NewRNG seeds a generator.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits: the SplitMix64 finalizer over a
+// Weyl sequence (serve.Mix64 adds the same increment before mixing).
 func (r *RNG) Uint64() uint64 {
+	x := serve.Mix64(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	x := r.state
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return x
 }
 
 // Float64 returns a uniform draw in [0, 1) with 53 bits of precision.

@@ -11,30 +11,32 @@ import (
 
 // The discrete-event simulator. One goroutine, virtual nanosecond clock,
 // binary event heap with (time, sequence) ordering — every tie breaks the
-// same way on every run. The fleet *control plane* is the real thing: the
-// serve package's consistent-hash Ring, token-bucket QoS (on the virtual
-// clock) and hysteresis ShedController make every admit/shed decision;
-// only frame *execution* is modelled, as a per-tier service time drawn from
-// calibration or the spec, with the engine queue/worker/degradation-ladder
-// state machine mirroring serve.Engine's (same watermarks, same hysteresis
-// rule, same reject-don't-block queue).
+// same way on every run. Every *policy decision* is made by the serve
+// package's own code: the consistent-hash Ring, token-bucket QoS (on the
+// virtual clock) and hysteresis ShedController admit and shed, each
+// engine's serve.Ladder decides when to step a tier down or up, and
+// serve.RetryPolicy / serve.HedgePolicy decide whether a retry or a hedge
+// may launch and after what backoff. What is modelled here is only frame
+// *execution*: a bounded reject-don't-block FIFO per engine, Workers service
+// slots, a per-tier service time drawn from calibration or the spec, and
+// batches of one — so Ladder.BatchDone fires per frame.
 //
-// With StallFrac > 0 the survivability layer engages (mirrors the stall
-// watchdog, serve.RetryPolicy and serve.HedgePolicy; DESIGN.md §15): a
+// With StallFrac > 0 the survivability layer engages (DESIGN.md §15): a
 // seeded per-dispatch draw wedges the attempt's worker until the modelled
 // watchdog reclaims it at StallTimeout; stalled frames are then retried on
-// the next ring candidate (deadline-budget-aware, up to Retries times) and
-// optionally hedged — a duplicate attempt launched HedgeDelay after the
-// primary stalls, first completion wins, the loser is cancelled at pickup
-// or completes without counting. The stall draw is a pure hash of (seed,
-// attempt ordinal), never the arrival RNG, so StallFrac = 0 runs are
-// bit-identical to the plain model.
+// the next ring candidate after the retry policy's backoff (never past the
+// deadline budget, up to Retries times) and optionally hedged — a duplicate
+// attempt launched HedgeDelay after the primary stalls, first completion
+// wins, the loser is cancelled at pickup or completes without counting. The
+// stall draw is a pure hash of (seed, attempt ordinal), never the arrival
+// RNG, so StallFrac = 0 runs are bit-identical to the plain model.
 
 // event kinds.
 const (
 	evArrival = iota
 	evComplete
 	evStallFree // watchdog reclaims a stalled attempt's worker
+	evRetry     // a stalled frame's retry backoff has elapsed
 	evHedge     // hedge launch point for a stalled frame
 )
 
@@ -127,18 +129,15 @@ type frameState struct {
 	hedged  bool
 }
 
-// simEngine mirrors serve.Engine's queue/worker/ladder state: a bounded
-// FIFO (reject-don't-block), Workers service slots, and the degradation
-// ladder's step-down-on-high-watermark / step-up-after-hysteresis rule.
+// simEngine models one engine's execution state: a bounded FIFO
+// (reject-don't-block) and Workers service slots. The degradation ladder
+// over that queue is the engine's own serve.Ladder.
 type simEngine struct {
-	q         []qItem // circular buffer of capacity depth
-	head, n   int
-	depth     int
-	free      int // idle workers
-	tier      int
-	calm      int
-	stepDowns uint64
-	stepUps   uint64
+	q       []qItem // circular buffer of capacity depth
+	head, n int
+	depth   int
+	free    int // idle workers
+	ladder  *serve.Ladder
 }
 
 func (e *simEngine) fill() float64 { return float64(e.n) / float64(e.depth) }
@@ -227,25 +226,22 @@ type sim struct {
 	zipf    *Zipf
 	cand    []int
 
-	// Survivability state (nil/zero unless StallFrac > 0).
-	surv        bool
-	frames      map[uint64]*frameState
-	nextFid     uint64
-	attemptSeq  uint64 // ordinal feeding the pure-hash stall draw
-	stallNs     int64  // resolved watchdog reclaim delay
-	hedgeNs     int64  // hedge launch delay; 0 disables hedging
-	hedgeBudget float64
-	wantCand    int   // ring candidates needed to cover spill + retries + hedge
-	cand2       []int // scratch for retry/hedge candidate recomputation
+	wantCand int // ring candidates needed to cover spill + retries + hedge
 
-	rateBase   float64 // spec rate × overload multiplier
-	xmCache    float64 // Pareto xm at the current effective rate
-	rateCache  float64
-	alpha      float64
-	maxTier    int
-	ladderHigh float64
-	ladderLow  float64
-	ladderHyst int
+	// Survivability state (nil/zero unless StallFrac > 0).
+	surv       bool
+	frames     map[uint64]*frameState
+	nextFid    uint64
+	attemptSeq uint64             // ordinal feeding the pure-hash stall draw
+	stallNs    int64              // resolved watchdog reclaim delay
+	retry      *serve.RetryPolicy // nil: stalled frames are not retried
+	hedge      *serve.HedgePolicy // nil: no hedging
+	cand2      []int              // scratch for retry/hedge candidate recomputation
+
+	rateBase  float64 // spec rate × overload multiplier
+	xmCache   float64 // Pareto xm at the current effective rate
+	rateCache float64
+	alpha     float64
 
 	lat      []int64
 	classLat [numPriorities][]int64
@@ -284,8 +280,7 @@ func Run(spec Spec, mult float64) (Metrics, error) {
 }
 
 func newSim(spec Spec, mult float64) (*sim, error) {
-	vn := spec.VNodes
-	ring, err := serve.NewRing(spec.Engines, vn)
+	ring, err := serve.NewRing(spec.Engines, spec.VNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -299,27 +294,17 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 		cand:     make([]int, 0, spec.Engines),
 		rateBase: spec.EffectiveRate() * mult,
 		alpha:    spec.ParetoAlpha,
-		maxTier:  len(spec.SvcTiers) - 1,
+		wantCand: 1 + spec.Spill,
 		prio:     make([]serve.Priority, spec.Tenants),
 		tOffered: make([]uint32, spec.Tenants),
 		tDone:    make([]uint32, spec.Tenants),
 	}
 	depth := spec.queueDepth()
 	for i := range s.engines {
-		s.engines[i] = simEngine{q: make([]qItem, depth), depth: depth, free: spec.Workers}
-	}
-	// Ladder parameters, defaulted exactly like serve.Config.
-	s.ladderHigh = spec.LadderHigh
-	if s.ladderHigh <= 0 {
-		s.ladderHigh = 0.75
-	}
-	s.ladderLow = spec.LadderLow
-	if s.ladderLow <= 0 || s.ladderLow >= s.ladderHigh {
-		s.ladderLow = s.ladderHigh / 3
-	}
-	s.ladderHyst = spec.LadderHyst
-	if s.ladderHyst <= 0 {
-		s.ladderHyst = 4
+		s.engines[i] = simEngine{
+			q: make([]qItem, depth), depth: depth, free: spec.Workers,
+			ladder: serve.NewLadder(len(spec.SvcTiers), depth, spec.LadderHigh, spec.LadderLow, spec.LadderHyst),
+		}
 	}
 	s.shed = serve.NewShedController(serve.ShedConfig{
 		HighWatermark: spec.ShedHigh,
@@ -339,7 +324,7 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 		cum[i] = acc
 	}
 	for t := range s.prio {
-		u := float64(hash64(spec.Seed^0x70726f9e3779b9^uint64(t))>>11) * (1.0 / (1 << 53))
+		u := float64(serve.Mix64(spec.Seed^0x70726f9e3779b9^uint64(t))>>11) * (1.0 / (1 << 53))
 		s.prio[t] = serve.PriorityLow
 		for c := 0; c < numPriorities; c++ {
 			if u < cum[c] {
@@ -375,25 +360,25 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 		if s.stallNs <= 0 {
 			s.stallNs = 4 * int64(spec.SvcTiers[0])
 		}
-		s.hedgeNs = int64(spec.HedgeDelay)
-		s.hedgeBudget = spec.HedgeBudget
-		if s.hedgeBudget <= 0 {
-			s.hedgeBudget = 0.05
+		if spec.Retries > 0 {
+			s.retry = &serve.RetryPolicy{Max: spec.Retries, Seed: spec.Seed}
+			s.retry.Normalize()
+			s.wantCand += spec.Retries // each re-attempt rotates one candidate further
 		}
-		s.wantCand = 1 + spec.Spill + spec.Retries
-		if s.hedgeNs > 0 {
-			s.wantCand++
+		if spec.HedgeDelay > 0 {
+			s.hedge = &serve.HedgePolicy{Delay: spec.HedgeDelay, MaxFraction: spec.HedgeBudget}
+			s.hedge.Normalize()
+			s.wantCand++ // the hedge starts one past its attempt's primary
 		}
 	}
 	return s, nil
 }
 
-// hash64 is the SplitMix64 finalizer as a pure hash.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// schedule pushes ev with the next tie-breaking sequence number.
+func (s *sim) schedule(ev event) {
+	s.seq++
+	ev.seq = s.seq
+	s.events.push(ev)
 }
 
 // rampMult evaluates the diurnal schedule at virtual time t (piecewise
@@ -449,8 +434,7 @@ func (s *sim) scheduleArrival() {
 	if at > s.durNs {
 		return // open-loop stream ends; completions drain
 	}
-	s.seq++
-	s.events.push(event{at: at, seq: s.seq, kind: evArrival})
+	s.schedule(event{at: at, kind: evArrival})
 }
 
 func (s *sim) fleetFill() float64 {
@@ -488,12 +472,8 @@ func (s *sim) arrive() {
 		s.classes[prio].Shed++
 		return
 	}
-	h := hash64(hash64(s.spec.Seed^0x726f757465) ^ uint64(tenant)<<10 ^ uint64(stream))
-	want := 1 + s.spec.Spill
-	if s.surv && s.wantCand > want {
-		want = s.wantCand
-	}
-	s.cand = s.ring.CandidatesHash(h, want, s.cand)
+	h := serve.Mix64(serve.Mix64(s.spec.Seed^0x726f757465) ^ uint64(tenant)<<10 ^ uint64(stream))
+	s.cand = s.ring.CandidatesHash(h, s.wantCand, s.cand)
 	// Initial admission only spills over the first 1+Spill candidates — the
 	// rest of the walk is reserved for retries and hedges, exactly like the
 	// router's wider Candidates request.
@@ -517,13 +497,7 @@ func (s *sim) arrive() {
 			}
 		}
 		e.push(qItem{arr: s.now, tenant: int32(tenant), prio: uint8(prio), fid: fid})
-		// Mirror serve.maybeStepDown: a successful enqueue past the high
-		// watermark steps the ladder down one tier.
-		if e.fill() >= s.ladderHigh && e.tier < s.maxTier {
-			e.tier++
-			e.calm = 0
-			e.stepDowns++
-		}
+		e.ladder.Enqueued(e.n)
 		s.dispatch(id)
 		return
 	}
@@ -532,21 +506,20 @@ func (s *sim) arrive() {
 }
 
 // dispatch starts service on engine id while workers are idle and frames
-// queued, mirroring serve's at-pickup deadline drop. With the survivability
-// layer on it also draws per-attempt stalls and cancels queued losers of
-// already-resolved hedge races.
+// queued, dropping at pickup a frame whose deadline passed while it waited
+// (the engine's ErrDeadline). With the survivability layer on it also draws
+// per-attempt stalls and cancels queued losers of already-resolved hedge
+// races.
 func (s *sim) dispatch(id int) {
 	e := &s.engines[id]
 	for e.free > 0 && e.n > 0 {
 		it := e.popq()
-		if it.fid != 0 {
-			if fr := s.frames[it.fid]; fr != nil && fr.done {
-				// Loser attempt of a frame another attempt already resolved:
-				// the real router cancels it at pickup; drop without service.
-				s.resolveAttempt(it.fid, &s.counts.FailedStall)
-				s.observeCalm(e)
-				continue
-			}
+		if fr := s.frames[it.fid]; fr != nil && fr.done {
+			// Loser attempt of a frame another attempt already resolved:
+			// the real router cancels it at pickup; drop without service.
+			s.resolveAttempt(it.fid, &s.counts.FailedStall)
+			e.ladder.BatchDone(e.n)
+			continue
 		}
 		if s.spec.Deadline > 0 && s.now-it.arr > int64(s.spec.Deadline) {
 			if it.fid != 0 {
@@ -555,7 +528,7 @@ func (s *sim) dispatch(id int) {
 				s.counts.FailedDeadline++
 				s.classes[it.prio].Failed++
 			}
-			s.observeCalm(e)
+			e.ladder.BatchDone(e.n)
 			continue
 		}
 		e.free--
@@ -564,24 +537,19 @@ func (s *sim) dispatch(id int) {
 			// watchdog reclaims it at StallTimeout. A stalled primary also
 			// arms the frame's hedge launch point.
 			s.counts.Stalled++
-			s.seq++
-			s.events.push(event{
-				at: s.now + s.stallNs, seq: s.seq, kind: evStallFree, prio: it.prio,
+			s.schedule(event{
+				at: s.now + s.stallNs, kind: evStallFree, prio: it.prio,
 				eng: int32(id), tenant: it.tenant, arr: it.arr, fid: it.fid, hedge: it.hedge,
 			})
-			if it.fid != 0 && s.hedgeNs > 0 && !it.hedge {
-				if fr := s.frames[it.fid]; fr != nil && !fr.hedged {
-					s.seq++
-					s.events.push(event{at: s.now + s.hedgeNs, seq: s.seq, kind: evHedge, fid: it.fid})
-				}
+			if s.hedge != nil && !it.hedge && !s.frames[it.fid].hedged {
+				s.schedule(event{at: s.now + int64(s.hedge.Delay), kind: evHedge, fid: it.fid})
 			}
 			continue
 		}
-		svc := int64(s.spec.SvcTiers[e.tier])
-		s.seq++
-		s.events.push(event{
-			at: s.now + svc, seq: s.seq, kind: evComplete, prio: it.prio,
-			tier: int16(e.tier), eng: int32(id), tenant: it.tenant, arr: it.arr,
+		tier := e.ladder.Tier()
+		s.schedule(event{
+			at: s.now + int64(s.spec.SvcTiers[tier]), kind: evComplete, prio: it.prio,
+			tier: int16(tier), eng: int32(id), tenant: it.tenant, arr: it.arr,
 			fid: it.fid, hedge: it.hedge,
 		})
 	}
@@ -592,7 +560,7 @@ func (s *sim) dispatch(id int) {
 // survivability layer does not perturb the arrival stream.
 func (s *sim) stallDraw() bool {
 	s.attemptSeq++
-	u := float64(hash64(s.spec.Seed^0x7374616c6c21^s.attemptSeq)>>11) * (1.0 / (1 << 53))
+	u := float64(serve.Mix64(s.spec.Seed^0x7374616c6c21^s.attemptSeq)>>11) * (1.0 / (1 << 53))
 	return u < s.spec.StallFrac
 }
 
@@ -628,51 +596,61 @@ func (s *sim) reenqueue(fr *frameState, fid uint64, hedge bool) int {
 		}
 		fr.candIdx = j + 1
 		e.push(qItem{arr: fr.arr, tenant: fr.tenant, prio: fr.prio, fid: fid, hedge: hedge})
-		if e.fill() >= s.ladderHigh && e.tier < s.maxTier {
-			e.tier++
-			e.calm = 0
-			e.stepDowns++
-		}
+		e.ladder.Enqueued(e.n)
 		return cand[j]
 	}
 	return -1
 }
 
 // stallFree is the modelled watchdog firing: the wedged worker comes back,
-// and the stalled frame either retries on the next candidate (primary
-// attempts only, within the retry cap and the deadline budget — mirroring
-// serve.RetryPolicy's never-retry-past-the-budget rule) or resolves,
-// terminally failing as stall-failed if it was the last attempt.
+// and the stalled frame either waits out the retry policy's backoff before
+// a re-dispatch (primary attempts only; serve.RetryPolicy decides, so never
+// past the retry cap or the deadline budget) or resolves, terminally
+// failing as stall-failed if it was the last attempt.
 func (s *sim) stallFree(ev event) {
-	e := &s.engines[ev.eng]
-	e.free++
-	fr := s.frames[ev.fid]
-	if ev.fid != 0 && fr != nil && !fr.done && !ev.hedge && fr.retries < s.spec.Retries &&
-		(s.spec.Deadline <= 0 || s.now-fr.arr < int64(s.spec.Deadline)) {
-		if id := s.reenqueue(fr, ev.fid, false); id >= 0 {
+	s.engines[ev.eng].free++
+	if fr := s.frames[ev.fid]; !fr.done && !ev.hedge {
+		budget := serve.NoDeadline
+		if s.spec.Deadline > 0 {
+			budget = s.spec.Deadline - time.Duration(s.now-fr.arr)
+		}
+		if wait, ok := s.retry.Next(fr.retries, ev.fid, budget); ok {
 			fr.retries++
-			s.counts.Retried++
-			s.dispatch(id)
+			s.schedule(event{at: s.now + int64(wait), kind: evRetry, fid: ev.fid})
 			s.dispatch(int(ev.eng))
 			return
 		}
 	}
-	if ev.fid != 0 {
-		s.resolveAttempt(ev.fid, &s.counts.FailedStall)
-	}
+	s.resolveAttempt(ev.fid, &s.counts.FailedStall)
 	s.dispatch(int(ev.eng))
 }
 
-// hedgeFire launches the frame's hedge if it is still unresolved and the
-// hedge budget (HedgeBudget × offered, mirroring serve.HedgePolicy's
-// MaxFraction) has room. The hedge is a full attempt: it can stall, be
-// deadline-dropped, or win the race.
+// retryFire launches a stalled frame's retry once its backoff has elapsed,
+// on the next ring candidate with queue room. The frame's attempt stayed
+// pending through the backoff; it resolves here if a hedge won meanwhile or
+// every candidate is full.
+func (s *sim) retryFire(ev event) {
+	fr := s.frames[ev.fid]
+	if !fr.done {
+		s.counts.Retried++
+		if id := s.reenqueue(fr, ev.fid, false); id >= 0 {
+			s.dispatch(id)
+			return
+		}
+	}
+	s.resolveAttempt(ev.fid, &s.counts.FailedStall)
+}
+
+// hedgeFire launches the frame's hedge if it is still unresolved and
+// serve.HedgePolicy allows one more (budget of offered traffic, and never
+// while the shed controller is engaged). The hedge is a full attempt: it
+// can stall, be deadline-dropped, or win the race.
 func (s *sim) hedgeFire(ev event) {
 	fr := s.frames[ev.fid]
 	if fr == nil || fr.done || fr.hedged {
 		return
 	}
-	if float64(s.counts.Hedged+1) > s.hedgeBudget*float64(s.counts.Offered) {
+	if !s.hedge.MayLaunch(s.counts.Hedged, s.counts.Offered, s.shed.Level()) {
 		return
 	}
 	id := s.reenqueue(fr, ev.fid, true)
@@ -685,82 +663,61 @@ func (s *sim) hedgeFire(ev event) {
 	s.dispatch(id)
 }
 
-// observeCalm mirrors serve.observeLoad's hysteresis step-up.
-func (s *sim) observeCalm(e *simEngine) {
-	if e.fill() > s.ladderLow {
-		e.calm = 0
-		return
-	}
-	if e.tier == 0 {
-		return
-	}
-	e.calm++
-	if e.calm < s.ladderHyst {
-		return
-	}
-	e.tier--
-	e.stepUps++
-	e.calm = 0
-}
-
-// complete finishes one attempt: latency accounting, ladder calm
-// observation, next dispatch. Under the survivability layer only the first
-// attempt of a frame to complete counts — a hedge-race loser finishes its
-// service without counting.
+// complete finishes one attempt: latency accounting, the ladder's
+// batch-done observation, next dispatch. Under the survivability layer only
+// the first attempt of a frame to complete counts — a hedge-race loser
+// finishes its service without counting.
 func (s *sim) complete(ev event) {
 	e := &s.engines[ev.eng]
 	e.free++
-	if ev.fid != 0 {
-		fr := s.frames[ev.fid]
-		if !fr.done {
-			fr.done = true
-			lat := s.now - ev.arr
-			s.lat = append(s.lat, lat)
-			s.classLat[ev.prio] = append(s.classLat[ev.prio], lat)
-			s.counts.Completed++
-			s.counts.Degraded[ev.tier]++
-			s.tDone[ev.tenant]++
-			s.classes[ev.prio].Completed++
-			if ev.hedge {
-				s.counts.HedgeWins++
-			}
+	fr := s.frames[ev.fid] // nil with the survivability layer off
+	if fr == nil || !fr.done {
+		lat := s.now - ev.arr
+		s.lat = append(s.lat, lat)
+		s.classLat[ev.prio] = append(s.classLat[ev.prio], lat)
+		s.counts.Completed++
+		s.counts.Degraded[ev.tier]++
+		s.tDone[ev.tenant]++
+		s.classes[ev.prio].Completed++
+		if ev.hedge {
+			s.counts.HedgeWins++
 		}
-		s.resolveAttempt(ev.fid, &s.counts.FailedStall)
-		s.observeCalm(e)
-		s.dispatch(int(ev.eng))
-		return
 	}
-	lat := s.now - ev.arr
-	s.lat = append(s.lat, lat)
-	s.classLat[ev.prio] = append(s.classLat[ev.prio], lat)
-	s.counts.Completed++
-	s.counts.Degraded[ev.tier]++
-	s.tDone[ev.tenant]++
-	s.classes[ev.prio].Completed++
-	s.observeCalm(e)
+	if fr != nil {
+		fr.done = true
+		s.resolveAttempt(ev.fid, &s.counts.FailedStall)
+	}
+	e.ladder.BatchDone(e.n)
 	s.dispatch(int(ev.eng))
+}
+
+// step advances the virtual clock to ev and handles it.
+func (s *sim) step(ev event) {
+	s.now = ev.at
+	switch ev.kind {
+	case evArrival:
+		s.arrive()
+		s.scheduleArrival()
+	case evComplete:
+		s.complete(ev)
+	case evStallFree:
+		s.stallFree(ev)
+	case evRetry:
+		s.retryFire(ev)
+	case evHedge:
+		s.hedgeFire(ev)
+	}
 }
 
 func (s *sim) run() (Metrics, error) {
 	s.scheduleArrival()
 	for len(s.events) > 0 {
-		ev := s.events.pop()
-		s.now = ev.at
-		switch ev.kind {
-		case evArrival:
-			s.arrive()
-			s.scheduleArrival()
-		case evComplete:
-			s.complete(ev)
-		case evStallFree:
-			s.stallFree(ev)
-		case evHedge:
-			s.hedgeFire(ev)
-		}
+		s.step(s.events.pop())
 	}
 	for i := range s.engines {
-		s.counts.StepDowns += s.engines[i].stepDowns
-		s.counts.StepUps += s.engines[i].stepUps
+		downs, ups := s.engines[i].ladder.Steps()
+		s.counts.StepDowns += downs
+		s.counts.StepUps += ups
 	}
 	st := s.shed.Stats()
 	s.counts.ShedRaises = st.Raises

@@ -1,8 +1,10 @@
 // Package loadgen is the deterministic fleet traffic harness (DESIGN.md
-// §13): an open-loop, discrete-event simulation of the serving fleet's
-// control plane — the *same* consistent-hash ring, per-tenant token buckets
-// and shed controller the live router runs (internal/serve), driven in
-// virtual time by a seeded PRNG and an injected clock. Arrivals are
+// §13): an open-loop, discrete-event simulation of the serving fleet in
+// which every policy decision is made by the live stack's own code
+// (internal/serve) — the consistent-hash ring, per-tenant token buckets and
+// shed controller, each engine's degradation Ladder, and the retry and hedge
+// policies — driven in virtual time by a seeded PRNG and an injected clock;
+// only frame execution (queue, service time, stalls) is modelled. Arrivals are
 // heavy-tailed (Pareto inter-arrival times), modulated by a diurnal ramp
 // schedule, and spread across tenants by a Zipf skew; engine service times
 // per degradation tier come from a calibration measurement or a pinned
@@ -77,10 +79,11 @@ type Spec struct {
 	// ladder depth.
 	SvcTiers []time.Duration
 
-	// Engine degradation ladder (mirrors serve.Config semantics).
-	LadderHigh float64 // queue-fill step-down watermark; default 0.75
-	LadderLow  float64 // calm watermark; default 0.25
-	LadderHyst int     // consecutive calm completions to step up; default 4
+	// Engine degradation ladder: the serve.NewLadder arguments (which also
+	// supplies the defaults: 0.75, high/3, 4).
+	LadderHigh float64 // queue-fill step-down watermark
+	LadderLow  float64 // calm watermark
+	LadderHyst int     // consecutive calm completions to step up
 
 	// Fleet shed controller (serve.ShedConfig fields).
 	ShedHigh float64
@@ -95,14 +98,14 @@ type Spec struct {
 	VNodes   int           // ring vnodes per engine
 	Spill    int           // extra ring candidates on queue-full
 
-	// Survivability model (mirrors serve.RetryPolicy / HedgePolicy and the
-	// stall watchdog; DESIGN.md §15). StallFrac > 0 injects worker stalls: a
-	// stalled attempt wedges its worker until the watchdog reclaims it at
-	// StallTimeout. Retries re-dispatches a stalled frame on the next ring
-	// candidate up to Retries times (deadline-budget-aware). HedgeDelay > 0
-	// launches a duplicate attempt on the next candidate when the primary has
-	// not resolved after the delay; first completion wins, capped at
-	// HedgeBudget × offered hedges.
+	// Survivability model (DESIGN.md §15). StallFrac > 0 injects worker
+	// stalls: a stalled attempt wedges its worker until the modelled watchdog
+	// reclaims it at StallTimeout. Retries is serve.RetryPolicy.Max: a stalled
+	// frame is re-dispatched on the next ring candidate after the policy's
+	// backoff, never past the deadline budget. HedgeDelay > 0 launches a
+	// duplicate attempt on the next candidate when the primary has not
+	// resolved after the delay; first completion wins. HedgeBudget is
+	// serve.HedgePolicy.MaxFraction, and hedging disengages while shedding.
 	StallFrac    float64       // fraction of dispatched attempts that stall, [0,1]
 	StallTimeout time.Duration // watchdog reclaim delay; 0: 4× SvcTiers[0]
 	Retries      int           // max re-dispatches of a stalled frame, [0,8]
@@ -291,7 +294,7 @@ func (s *Spec) capacity() float64 {
 }
 
 // queueDepth is the per-engine queue depth after defaulting (4× workers,
-// mirroring serve.Config).
+// serve.Config's default).
 func (s *Spec) queueDepth() int {
 	if s.Queue > 0 {
 		return s.Queue

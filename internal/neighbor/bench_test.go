@@ -21,15 +21,4 @@ func benchSearcher(b *testing.B, s Searcher, n, k int) {
 }
 
 func BenchmarkBruteKNN2048(b *testing.B)  { benchSearcher(b, BruteKNN{}, 2048, 8) }
-func BenchmarkKDTreeKNN2048(b *testing.B) { benchSearcher(b, KDTreeKNN{}, 2048, 8) }
-func BenchmarkGridKNN2048(b *testing.B)   { benchSearcher(b, GridSearch{}, 2048, 8) }
 func BenchmarkBallQuery2048(b *testing.B) { benchSearcher(b, BallQuery{R: 0.2}, 2048, 8) }
-func BenchmarkGridBall2048(b *testing.B)  { benchSearcher(b, GridSearch{R: 0.2}, 2048, 8) }
-
-func BenchmarkKDTreeBuild8192(b *testing.B) {
-	pts := benchCloud(8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewKDTree(pts)
-	}
-}

@@ -1,13 +1,10 @@
-// Package neighbor provides neighbor-search algorithms for point clouds: the
-// state-of-the-art baselines (ball query, k-NN, kd-tree, uniform grid) that
-// PointNet++ and DGCNN use to build local neighborhoods.
+// Package neighbor provides the exact neighbor-search baselines for point
+// clouds (ball query, k-NN) that PointNet++ and DGCNN use to build local
+// neighborhoods, and that every approximate searcher is tested against.
 //
 // Brute-force ball query and k-NN cost O(N) per query — O(N²) per frame —
 // which the paper identifies as the second pipeline bottleneck (§5.2.1).
-// kd-trees lower the asymptotic complexity to O(N log N) but serialize badly
-// on parallel hardware (the paper's footnote 1); uniform grids (cuNSearch /
-// FRNN style) are the strongest classical competitor. EdgePC's index-window
-// approximation lives in package core.
+// EdgePC's index-window approximation lives in package core.
 package neighbor
 
 import (

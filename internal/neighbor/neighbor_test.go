@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/geom"
 )
@@ -66,12 +65,16 @@ func TestSearchersAgreeOnKNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Searcher{KDTreeKNN{}, GridSearch{}} {
-		got, err := s.Search(cloud.Points, queries, k)
+	// A ball whose radius is the exact k-th neighbor distance holds exactly
+	// the k nearest points, so the two reference searchers must agree.
+	for q := range queries {
+		kth := cloud.Points[exact[q*k+k-1]]
+		ball := BallQuery{R: math.Sqrt(queries[q].DistSq(kth)) * (1 + 1e-12)}
+		got, err := ball.Search(cloud.Points, queries[q:q+1], k)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", ball.Name(), err)
 		}
-		assertSameNeighborSets(t, s.Name(), cloud.Points, queries, got, exact, k)
+		assertSameNeighborSets(t, ball.Name(), cloud.Points, queries[q:q+1], got, exact[q*k:(q+1)*k], k)
 	}
 }
 
@@ -157,86 +160,9 @@ func TestKNNWithKLargerThanN(t *testing.T) {
 	}
 }
 
-func TestKDTreeKNNProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		c := geom.GenerateShape(geom.ShapeTorus, geom.ShapeOptions{N: 120, Seed: seed})
-		tree := NewKDTree(c.Points)
-		q := c.Points[7]
-		got := tree.KNN(q, 4)
-		exact, _ := BruteKNN{}.Search(c.Points, []geom.Point3{q}, 4)
-		gd := distSet(c.Points, q, got)
-		wd := distSet(c.Points, q, exact)
-		for i := range gd {
-			if math.Abs(gd[i]-wd[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKDTreeRadius(t *testing.T) {
-	pts := fig10Points()
-	tree := NewKDTree(pts)
-	got := tree.Radius(pts[2], math.Sqrt(11), 0)
-	sort.Ints(got)
-	want := []int{0, 1, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("radius = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("radius = %v, want %v", got, want)
-		}
-	}
-	// maxCount truncates.
-	if got := tree.Radius(pts[2], math.Sqrt(11), 2); len(got) != 2 {
-		t.Fatalf("maxCount ignored: %v", got)
-	}
-}
-
-func TestKDTreeEmpty(t *testing.T) {
-	tree := NewKDTree(nil)
-	if got := tree.KNN(geom.Point3{}, 3); got != nil {
-		t.Fatalf("empty tree KNN = %v", got)
-	}
-	if got := tree.Radius(geom.Point3{}, 1, 0); got != nil {
-		t.Fatalf("empty tree Radius = %v", got)
-	}
-}
-
-func TestGridSearchBallSemantics(t *testing.T) {
-	pts := fig10Points()
-	out, err := GridSearch{R: math.Sqrt(11)}.Search(pts, []geom.Point3{pts[2]}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(out)
-	want := []int{0, 1, 2, 4}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("grid ball = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestGridSearchFarQueryFallsBack(t *testing.T) {
-	pts := []geom.Point3{{X: 0}, {X: 1}}
-	out, err := GridSearch{R: 0.1}.Search(pts, []geom.Point3{{X: 500}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 1 {
-		t.Fatalf("far query fallback = %v, want nearest (1)", out)
-	}
-}
-
 func TestDuplicatePointsHandled(t *testing.T) {
 	pts := []geom.Point3{{X: 1}, {X: 1}, {X: 1}, {X: 2}}
-	for _, s := range []Searcher{BruteKNN{}, KDTreeKNN{}, GridSearch{}} {
+	for _, s := range []Searcher{BruteKNN{}, BallQuery{R: 0.5}} {
 		out, err := s.Search(pts, []geom.Point3{{X: 1}}, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

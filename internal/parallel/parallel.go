@@ -37,14 +37,21 @@ func For(n int, body func(i int)) {
 // per-call overhead when the body is only a few instructions (e.g. one Morton
 // encode per point).
 func ForChunks(n int, body func(lo, hi int)) {
+	ForSplit(n, Workers(n), body)
+}
+
+// ForSplit splits [0, n) into at most workers contiguous chunks and runs
+// body(lo, hi) on each concurrently; workers <= 1 runs body(0, n) inline.
+// For callers where the work per index, not n, decides whether goroutines
+// pay (tensor.MatMulATInto: few output rows, each a long reduction).
+func ForSplit(n, workers int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || n < minParallelWork {
+	if workers <= 1 {
 		body(0, n)
 		return
 	}
@@ -68,12 +75,11 @@ func ForChunks(n int, body func(lo, hi int)) {
 // the split Workers(n) reports — and runs body(worker, lo, hi) concurrently.
 // Unlike ForChunks, the body learns which worker slot it occupies, so callers
 // can give every worker a private accumulator sized by Workers(n) and reduce
-// after the call returns (the k-split pattern of tensor.MatMulATInto and the
-// counting passes of morton.RadixOrder). Worker indexes are dense in
-// [0, Workers(n)), though for some n the trailing slots go unused (ceil
-// division can cover n with fewer chunks). For a fixed n and GOMAXPROCS the
-// chunk boundaries are deterministic, so two consecutive ForWorkers calls
-// see identical (worker, lo, hi) triples.
+// after the call returns (the counting passes of morton.RadixOrder). Worker
+// indexes are dense in [0, Workers(n)), though for some n the trailing slots
+// go unused (ceil division can cover n with fewer chunks). For a fixed n and
+// GOMAXPROCS the chunk boundaries are deterministic, so two consecutive
+// ForWorkers calls see identical (worker, lo, hi) triples.
 func ForWorkers(n int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -103,8 +103,10 @@ func TestServeRaceStress(t *testing.T) {
 	if s.Failed != 0 {
 		t.Fatalf("%d frames failed in the forward pass", s.Failed)
 	}
-	if s.Completed != ok.Load() {
-		t.Fatalf("stats completed=%d, callers saw %d", s.Completed, ok.Load())
+	// A frame whose context dies mid-forward still completes in the engine
+	// while its caller has already left with the context error.
+	if s.Completed < ok.Load() || s.Completed > ok.Load()+canceled.Load() {
+		t.Fatalf("stats completed=%d, callers saw %d ok and %d canceled", s.Completed, ok.Load(), canceled.Load())
 	}
 	if s.Completed+s.TimedOut > s.Submitted {
 		t.Fatalf("served %d+%d frames but only %d admitted", s.Completed, s.TimedOut, s.Submitted)

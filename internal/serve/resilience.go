@@ -92,14 +92,22 @@ func (e *Engine) trip(w *worker) {
 }
 
 // breakerBackoff is the park duration for a worker's trip-th consecutive
-// breaker trip: base<<trip capped at max, then deterministically jittered
-// into [d/2, d) by a SplitMix64 hash of (seed, worker, trip). Pure doubling
-// would release every worker tripped by one fault storm at the same
-// instant — a synchronized re-probe herd that re-trips in lockstep; the
-// jitter decorrelates the herd while a fixed seed keeps the exact schedule
-// reproducible in tests.
+// breaker trip: the jittered doubling of jitteredBackoff keyed by worker, so
+// workers tripped by one fault storm do not re-probe in lockstep.
 func breakerBackoff(base, max time.Duration, trip int, seed uint64, worker int) time.Duration {
-	shift := trip
+	return jitteredBackoff(base, max, trip, seed, uint64(worker+1))
+}
+
+// jitteredBackoff is the one exponential backoff of the serving stack — the
+// worker circuit breaker's park and the router's retry wait: base<<n capped
+// at max, then deterministically jittered into [d/2, d) by a SplitMix64 hash
+// of (seed, id, n). Pure doubling would release every waiter of one fault
+// storm at the same instant — a synchronized herd that fails again in
+// lockstep; the jitter decorrelates the herd (id is the worker or the
+// submission) while a fixed seed keeps the exact schedule reproducible in
+// tests.
+func jitteredBackoff(base, max time.Duration, n int, seed, id uint64) time.Duration {
+	shift := n
 	if shift > 20 {
 		shift = 20
 	}
@@ -107,7 +115,7 @@ func breakerBackoff(base, max time.Duration, trip int, seed uint64, worker int) 
 	if d <= 0 || d > max {
 		d = max
 	}
-	h := mix64(seed ^ uint64(worker+1)*0x9e3779b97f4a7c15 ^ uint64(trip+1)*0xda942042e4dd58b5)
+	h := Mix64(seed ^ id*0x9e3779b97f4a7c15 ^ uint64(n+1)*0xda942042e4dd58b5)
 	half := d / 2
 	return half + time.Duration(float64(h>>11)/(1<<53)*float64(half))
 }
@@ -147,7 +155,7 @@ func (e *Engine) lastResort(w *worker) {
 	err := fmt.Errorf("%w: worker %d (outside frame execution): %v", ErrPanic, w.id, v)
 	for i, r := range w.batch {
 		if r != nil {
-			e.failRequest(w, r, len(w.batch), int(e.tier.Load()), err)
+			e.failRequest(w, r, len(w.batch), e.ladder.Tier(), err)
 			w.batch[i] = nil
 		}
 	}
@@ -165,66 +173,4 @@ func (e *Engine) lastResort(w *worker) {
 	e.slots[w.id].Store(nw)
 	e.wg.Add(1)
 	go e.workerLoop(nw)
-}
-
-// currentTier loads the ladder position, clamped to the configured rungs.
-//
-//edgepc:hotpath
-func (e *Engine) currentTier() int {
-	t := int(e.tier.Load())
-	if t < 0 {
-		return 0
-	}
-	if t >= e.numTiers {
-		return e.numTiers - 1
-	}
-	return t
-}
-
-// maybeStepDown runs on the Submit path after every successful enqueue:
-// when the queue has filled past the high watermark the engine steps one
-// tier down so workers start draining faster, instead of letting the next
-// submitter hit ErrQueueFull. The CAS keeps concurrent submitters from
-// double-stepping past the pressure they jointly observed.
-func (e *Engine) maybeStepDown() {
-	if e.numTiers == 1 {
-		return
-	}
-	if len(e.queue) < e.highN {
-		return
-	}
-	t := e.tier.Load()
-	if int(t) >= e.numTiers-1 {
-		return
-	}
-	if e.tier.CompareAndSwap(t, t+1) {
-		e.stepDowns.Add(1)
-		e.calm.Store(0)
-	}
-}
-
-// observeLoad runs on the worker path after every batch: Hysteresis
-// consecutive observations of a queue at or below the low watermark step
-// one tier back up. The hysteresis gap (lowN well under highN plus the
-// consecutive-calm requirement) keeps the ladder from oscillating when load
-// hovers at a watermark.
-func (e *Engine) observeLoad() {
-	if e.numTiers == 1 {
-		return
-	}
-	if len(e.queue) > e.lowN {
-		e.calm.Store(0)
-		return
-	}
-	t := e.tier.Load()
-	if t == 0 {
-		return
-	}
-	if int(e.calm.Add(1)) < e.cfg.Hysteresis {
-		return
-	}
-	if e.tier.CompareAndSwap(t, t-1) {
-		e.stepUps.Add(1)
-	}
-	e.calm.Store(0)
 }

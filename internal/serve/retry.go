@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -34,7 +35,9 @@ type RetryPolicy struct {
 	Seed uint64
 }
 
-func (p *RetryPolicy) normalize() {
+// Normalize fills the documented defaults in place. NewRouter normalizes its
+// private copy; any other caller of Next normalizes first.
+func (p *RetryPolicy) Normalize() {
 	if p.Max <= 0 {
 		p.Max = 2
 	}
@@ -52,6 +55,22 @@ func (p *RetryPolicy) normalize() {
 	}
 }
 
+// NoDeadline is the remaining budget of a request that has no deadline.
+const NoDeadline = time.Duration(math.MaxInt64)
+
+// Next decides the re-attempt after `retried` earlier ones of submission seq
+// (the jitter key): whether it may start, and after what backoff. It is
+// denied once Max re-attempts are spent, and when the backoff would cross the
+// remaining deadline budget — the last failure then stands. A nil policy
+// never retries.
+func (p *RetryPolicy) Next(retried int, seq uint64, remaining time.Duration) (wait time.Duration, ok bool) {
+	if p == nil || retried >= p.Max {
+		return 0, false
+	}
+	wait = jitteredBackoff(p.BackoffBase, p.BackoffMax, retried, p.Seed, seq)
+	return wait, remaining > wait
+}
+
 // HedgePolicy duplicates a slow in-flight request on the next ring candidate
 // after Delay; the first result wins and the loser is cancelled. Hedging
 // trades bounded extra load for tail latency, so it is budgeted (MaxFraction
@@ -67,13 +86,26 @@ type HedgePolicy struct {
 	MaxFraction float64
 }
 
-func (p *HedgePolicy) normalize() {
+// Normalize fills the documented defaults in place, like
+// RetryPolicy.Normalize.
+func (p *HedgePolicy) Normalize() {
 	if p.MaxFraction <= 0 {
 		p.MaxFraction = 0.05
 	}
 	if p.MaxFraction > 1 {
 		p.MaxFraction = 1
 	}
+}
+
+// MayLaunch gates one more hedge launch, given the hedges launched and the
+// requests offered so far and the fleet shed level: never while the shed
+// controller is engaged, and never past the MaxFraction budget of offered
+// traffic.
+func (p *HedgePolicy) MayLaunch(hedges, offered uint64, shedLevel int) bool {
+	if shedLevel > 0 {
+		return false
+	}
+	return float64(hedges+1) <= p.MaxFraction*float64(offered)
 }
 
 // retryable reports whether a failed attempt may be re-routed: only
@@ -104,43 +136,40 @@ func (rt *Router) submitSurvivable(ctx context.Context, cand []int, req FleetReq
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	attempts := 1
-	if rt.retry != nil {
-		attempts += rt.retry.Max
+	budget := func() time.Duration {
+		if deadline.IsZero() {
+			return NoDeadline
+		}
+		return time.Until(deadline)
 	}
 	span := 1 + rt.cfg.Spill
 	var res Result
 	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			d := retryBackoff(rt.retry, a-1, seq)
-			if !deadline.IsZero() && time.Until(deadline) <= d {
-				return res, err // budget exhausted: the last failure stands
-			}
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return res, err
-			}
-			timer.Stop()
-			rt.retries.Add(1)
-		}
+	for a := 0; ; a++ {
 		areq := req
 		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
+			if areq.Timeout = budget(); areq.Timeout <= 0 {
 				return res, err
 			}
-			areq.Timeout = rem
 		}
 		res, err = rt.attempt(ctx, cand, a, span, areq)
 		if err == nil || !retryable(err) {
 			return res, err
 		}
+		wait, ok := rt.retry.Next(a, seq, budget())
+		if !ok {
+			return res, err // retries or budget exhausted: the last failure stands
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return res, err
+		}
+		timer.Stop()
+		rt.retries.Add(1)
 	}
-	return res, err
 }
 
 // attempt runs one (possibly hedged) attempt starting at ring candidate
@@ -226,29 +255,7 @@ func (rt *Router) hedgeDelay() time.Duration {
 	return snap.P99
 }
 
-// canHedge gates hedge launches: never while the shed controller is
-// engaged, and never past the MaxFraction budget of offered traffic.
+// canHedge asks the hedge policy whether one more hedge may launch now.
 func (rt *Router) canHedge() bool {
-	if rt.shed.Level() > 0 {
-		return false
-	}
-	return float64(rt.hedges.Load()+1) <= rt.hedge.MaxFraction*float64(rt.offered.Load())
-}
-
-// retryBackoff is the jittered exponential backoff before re-attempt
-// `attempt` (0-based) of submission seq: base<<attempt capped at max, then
-// seeded into [d/2, d) — the same decorrelation scheme as breakerBackoff,
-// keyed per-submission so concurrent retry storms spread out.
-func retryBackoff(p *RetryPolicy, attempt int, seq uint64) time.Duration {
-	shift := attempt
-	if shift > 20 {
-		shift = 20
-	}
-	d := p.BackoffBase << shift
-	if d <= 0 || d > p.BackoffMax {
-		d = p.BackoffMax
-	}
-	h := mix64(p.Seed ^ seq*0x9e3779b97f4a7c15 ^ uint64(attempt+1)*0xda942042e4dd58b5)
-	half := d / 2
-	return half + time.Duration(float64(h>>11)/(1<<53)*float64(half))
+	return rt.hedge.MayLaunch(rt.hedges.Load(), rt.offered.Load(), rt.shed.Level())
 }

@@ -160,16 +160,17 @@ func KeyHash(key string) uint64 {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	return mix64(h)
+	return Mix64(h)
 }
 
 // vnodeHash positions replica v of engine id on the ring.
 func vnodeHash(id, v int) uint64 {
-	return mix64(uint64(id)<<32 | uint64(uint32(v)) ^ 0x9e3779b97f4a7c15)
+	return Mix64(uint64(id)<<32 | uint64(uint32(v)) ^ 0x9e3779b97f4a7c15)
 }
 
-// mix64 is the SplitMix64 finalizer.
-func mix64(x uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer as a pure hash: the one mixer behind ring
+// positions, backoff jitter and the loadgen simulator's seeded draws.
+func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

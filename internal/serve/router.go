@@ -173,12 +173,12 @@ func NewRouter(engines []*Engine, cfg RouterConfig) (*Router, error) {
 	}
 	if cfg.Retry != nil {
 		p := *cfg.Retry
-		p.normalize()
+		p.Normalize()
 		rt.retry = &p
 	}
 	if cfg.Hedge != nil {
 		p := *cfg.Hedge
-		p.normalize()
+		p.Normalize()
 		rt.hedge = &p
 	}
 	rt.bufPool.New = func() any {

@@ -40,11 +40,17 @@
 //     engine steps down to cheaper approximation tiers (Config.Degrade,
 //     built from pipeline.DegradeTiers) instead of rejecting, and steps back
 //     up with hysteresis as load drains. Results carry the tier they were
-//     served at.
+//     served at. When to step is the Ladder value's decision — see ladder.go.
 //   - Graceful shutdown: Close stops admission, drains every queued frame
 //     through the workers, and returns when all in-flight work is done — a
 //     breaker-parked worker is woken immediately so Close never waits out a
 //     backoff.
+//
+// The policies — Ladder, the jittered backoff, RetryPolicy.Next,
+// HedgePolicy.MayLaunch, Ring, QoS, ShedController — hold no goroutines and
+// no clock: Engine and Router feed them queue lengths, counters and time, and
+// the loadgen simulator feeds them the same from its virtual clock, so the
+// model cannot disagree with the fleet about when to step, wait or hedge.
 package serve
 
 import (
@@ -175,15 +181,6 @@ func (c *Config) defaults(workers int) {
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = DefaultMaxPoints
 	}
-	if c.HighWatermark <= 0 || c.HighWatermark > 1 {
-		c.HighWatermark = 0.75
-	}
-	if c.LowWatermark <= 0 || c.LowWatermark >= c.HighWatermark {
-		c.LowWatermark = c.HighWatermark / 3
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 4
-	}
 	if c.PanicTrip <= 0 {
 		c.PanicTrip = 3
 	}
@@ -309,9 +306,7 @@ type Engine struct {
 	closing chan struct{} // closed when Close starts; wakes parked workers
 	faults  *faultinject.Plan
 
-	numTiers int // 1 + len(cfg.Degrade)
-	highN    int // queue length that steps the ladder down
-	lowN     int // queue length at or below which a batch counts as calm
+	ladder *Ladder // degradation ladder over the queue; 1 + len(cfg.Degrade) rungs
 
 	mu     sync.RWMutex // guards closed against concurrent queue sends
 	closed bool
@@ -328,10 +323,6 @@ type Engine struct {
 	batches   atomic.Uint64
 	frames    atomic.Uint64
 
-	tier        atomic.Int32 // current ladder rung
-	calm        atomic.Int32 // consecutive calm batches (hysteresis)
-	stepDowns   atomic.Uint64
-	stepUps     atomic.Uint64
 	degraded    []atomic.Uint64 // completed frames per tier
 	panics      atomic.Uint64
 	quarantines atomic.Uint64
@@ -377,6 +368,7 @@ func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Confi
 		}
 	}
 	cfg.defaults(len(nets))
+	numTiers := 1 + len(cfg.Degrade)
 	e := &Engine{
 		cfg:      cfg,
 		dev:      dev,
@@ -385,18 +377,13 @@ func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Confi
 		queue:    make(chan *request, cfg.QueueDepth),
 		closing:  make(chan struct{}),
 		faults:   cfg.Faults,
-		numTiers: 1 + len(cfg.Degrade),
+		ladder:   NewLadder(numTiers, cfg.QueueDepth, cfg.HighWatermark, cfg.LowWatermark, cfg.Hysteresis),
+		degraded: make([]atomic.Uint64, numTiers),
 		latency:  metrics.NewLatencyWindow(cfg.LatencyWindow),
 	}
-	e.degraded = make([]atomic.Uint64, e.numTiers)
-	e.highN = int(cfg.HighWatermark*float64(cfg.QueueDepth) + 0.5)
-	if e.highN < 1 {
-		e.highN = 1
-	}
-	e.lowN = int(cfg.LowWatermark * float64(cfg.QueueDepth))
 	e.slots = make([]atomic.Pointer[worker], len(nets))
 	for i, n := range nets {
-		tiers := make([]pipeline.Net, 1, e.numTiers)
+		tiers := make([]pipeline.Net, 1, numTiers)
 		tiers[0] = n
 		for _, t := range cfg.Degrade {
 			tiers = append(tiers, t.Nets[i])
@@ -495,7 +482,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 		return Result{}, ErrQueueFull
 	}
 	e.submitted.Add(1)
-	e.maybeStepDown()
+	e.ladder.Enqueued(len(e.queue))
 
 	select {
 	case res := <-r.reply:
@@ -604,7 +591,7 @@ func (e *Engine) runBatch(w *worker) {
 	n := len(w.batch)
 	e.batches.Add(1)
 	e.frames.Add(uint64(n))
-	tier := e.currentTier()
+	tier := e.ladder.Tier()
 	// Publish the in-flight batch and start the heartbeat so the stall
 	// watchdog can see (and fail) exactly these requests if we wedge. The
 	// publish copies into a private slice under liveMu: the worker keeps
@@ -645,7 +632,7 @@ func (e *Engine) runBatch(w *worker) {
 	w.liveMu.Lock()
 	w.live = w.live[:0]
 	w.liveMu.Unlock()
-	e.observeLoad()
+	e.ladder.BatchDone(len(e.queue))
 }
 
 // runFrame is the per-frame worker hot loop: deadline/cancellation gate,
@@ -778,14 +765,13 @@ func (e *Engine) Stats() Stats {
 		BreakerTrips: e.trips.Load(),
 		Stalls:       e.stalls.Load(),
 		Respawns:     e.respawns.Load(),
-		Tier:         int(e.tier.Load()),
-		StepDowns:    e.stepDowns.Load(),
-		StepUps:      e.stepUps.Load(),
+		Tier:         e.ladder.Tier(),
 		Batches:      e.batches.Load(),
 		Frames:       e.frames.Load(),
 		Latency:      e.latency.Snapshot(),
 	}
-	s.Degraded = make([]uint64, e.numTiers)
+	s.StepDowns, s.StepUps = e.ladder.Steps()
+	s.Degraded = make([]uint64, len(e.degraded))
 	for i := range e.degraded {
 		s.Degraded[i] = e.degraded[i].Load()
 	}

@@ -79,9 +79,9 @@ func TestShedEngagesBelowLadderWatermark(t *testing.T) {
 	if s.Level() != 1 {
 		t.Fatal("0.6 fill must engage shedding")
 	}
-	var cfg Config
-	cfg.defaults(1)
-	if cfg.HighWatermark <= 0.6 {
-		t.Fatalf("ladder watermark %.2f not above shed onset 0.6; mechanisms would fight", cfg.HighWatermark)
+	l := NewLadder(2, 100, 0, 0, 0) // default watermarks
+	l.Enqueued(60)                  // ...but not for the ladder
+	if l.Tier() != 0 {
+		t.Fatal("default ladder steps down at the shed onset 0.6; mechanisms would fight")
 	}
 }

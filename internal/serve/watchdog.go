@@ -133,7 +133,7 @@ func (e *Engine) depose(w *worker) {
 // counter moves only for requests this call actually claimed.
 func (e *Engine) failStalledBatch(w *worker) {
 	err := fmt.Errorf("%w: worker %d stuck past %v", ErrStalled, w.id, e.cfg.StallTimeout)
-	tier := e.currentTier()
+	tier := e.ladder.Tier()
 	w.liveMu.Lock()
 	n := len(w.live)
 	for _, r := range w.live {

@@ -114,8 +114,8 @@ func (naiveBackend) MatMulInto(out, a, b *Matrix) error { return MatMulInto(out,
 //edgepc:hotpath
 func (naiveBackend) MatMulBTInto(out, a, b *Matrix) error { return MatMulBTInto(out, a, b) }
 
-// MatMulATInto is the weight-gradient kernel: training-only, and its parallel
-// reduction allocates per-worker partials, so it carries no hotpath contract.
+// MatMulATInto is the weight-gradient kernel: training-only, so it carries no
+// hotpath contract.
 func (naiveBackend) MatMulATInto(out, a, b *Matrix) error { return MatMulATInto(out, a, b) }
 
 //edgepc:hotpath

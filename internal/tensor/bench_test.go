@@ -61,10 +61,10 @@ func BenchmarkMaxPoolGroups(b *testing.B) {
 }
 
 // BenchmarkMatMulAT measures the weight-gradient matmul (aᵀ·b) with the
-// k-dimension split across workers; BenchmarkMatMulATSerial pins the
-// single-worker accumulation on the same shapes. On a ≥4-core machine the
-// parallel variant should show a clear wall-clock speedup; on one core the
-// two coincide (the kernel falls back to the serial path).
+// output rows split across workers; BenchmarkMatMulATSerial pins the
+// single-goroutine accumulation on the same shapes. On a multi-core machine
+// the parallel variant should show a wall-clock speedup; on one core the two
+// coincide.
 func BenchmarkMatMulAT(b *testing.B) {
 	a := benchMatrix(8192, 32, 8)
 	x := benchMatrix(8192, 32, 9)
@@ -86,7 +86,7 @@ func BenchmarkMatMulATSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Zero()
-		matMulATAccum(out, a, x, 0, a.Rows)
+		matMulATAccum(out, a, x, 0, a.Cols)
 	}
 }
 

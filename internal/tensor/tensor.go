@@ -98,7 +98,7 @@ func MatMulBT(a, b *Matrix) (*Matrix, error) {
 }
 
 // MatMulAT computes aᵀ·b (a: k×m, b: k×n → m×n). Used for weight gradients.
-// The shared k dimension is split across workers (see MatMulATInto).
+// The output rows are split across workers (see MatMulATInto).
 func MatMulAT(a, b *Matrix) (*Matrix, error) {
 	if a.Rows != b.Rows {
 		return nil, fmt.Errorf("tensor: matmulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
