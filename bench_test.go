@@ -190,7 +190,7 @@ func benchPipeline(b *testing.B, kind edgepc.ConfigKind, arch edgepc.Arch) {
 	cfg := edgepc.NewSimConfig(w, kind, opts)
 	// One warm-up frame so the steady state (workspace buffers populated) is
 	// what gets measured, then report allocations — the per-frame allocation
-	// count is a tracked regression metric (see scripts/bench_hotpath.sh).
+	// count is a tracked regression metric (allocs_per_op in bash bench/run.sh).
 	if _, _, _, err := edgepc.RunFrame(net, frame, dev, cfg); err != nil {
 		b.Fatal(err)
 	}

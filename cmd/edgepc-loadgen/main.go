@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,6 +47,10 @@ func main() {
 		calFrames = flag.Int("cal-frames", 3, "calibration: frames measured per tier (min taken)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "edgepc-loadgen: unexpected argument %q (the command takes flags only)\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if err := run(*scenario, *seed, *quick, *mults, *crossover, *out,
 		*calibrate, *workload, *config, *calFrames); err != nil {
 		fmt.Fprintln(os.Stderr, "edgepc-loadgen:", err)
@@ -61,7 +66,7 @@ func run(scenario string, seed uint64, quick bool, multsArg, crossArg, out strin
 	}
 	var cal *loadgen.Calibration
 	if calibrate {
-		c, svc, err := calibrateSvc(workload, config, quick, calFrames, len(base.SvcTiers))
+		c, svc, err := calibrateSvc(workload, config, quick, calFrames)
 		if err != nil {
 			return err
 		}
@@ -70,6 +75,9 @@ func run(scenario string, seed uint64, quick bool, multsArg, crossArg, out strin
 	spec, err := loadgen.ParseSpec(scenario, base)
 	if err != nil {
 		return err
+	}
+	if cal != nil && !slices.Equal(spec.SvcTiers, base.SvcTiers) {
+		return fmt.Errorf("-calibrate measures the service times that -scenario svc=%v would replace: pass one or the other", spec.SvcTiers)
 	}
 	if seed != 0 {
 		spec.Seed = seed
@@ -141,10 +149,11 @@ func pct(a, b uint64) float64 {
 
 // calibrateSvc measures the per-tier service time by running frames through
 // the real pipeline at each degradation rung: tier 0 is the base config,
-// tiers 1+ the DegradeTiers presets. The minimum over cal-frames forwards
-// is taken (least-noise estimate). The measured times then become spec
-// *inputs*, so the simulation itself stays bit-reproducible.
-func calibrateSvc(workload, config string, quick bool, frames, tiers int) (*loadgen.Calibration, []time.Duration, error) {
+// tiers 1+ whatever pipeline.DegradeTiers derives for the workload (nothing
+// for DGCNN, which then simulates without a ladder). The minimum over
+// cal-frames forwards is taken (least-noise estimate). The measured times
+// then become spec *inputs*, so the simulation itself stays bit-reproducible.
+func calibrateSvc(workload, config string, quick bool, frames int) (*loadgen.Calibration, []time.Duration, error) {
 	w, err := pipeline.WorkloadByID(workload)
 	if err != nil {
 		return nil, nil, err
@@ -156,20 +165,12 @@ func calibrateSvc(workload, config string, quick bool, frames, tiers int) (*load
 	if frames < 1 {
 		return nil, nil, fmt.Errorf("cal-frames must be >= 1")
 	}
-	if tiers < 1 {
-		tiers = 1
-	}
 	opts := pipeline.Options{Seed: 1}
 	if quick {
 		w.Points, w.Batch = 256, 1
 		opts.BaseWidth, opts.Depth, opts.Modules = 8, 2, 2
 	}
-	nLadder := tiers - 1
-	if nLadder > pipeline.MaxDegradeTiers {
-		nLadder = pipeline.MaxDegradeTiers
-	}
-	tierOpts := pipeline.DegradeTiers(w, opts, nLadder)
-	rows, err := pipeline.TieredReplicas(w, kind, opts, 1, tierOpts)
+	rows, err := pipeline.TieredReplicas(w, kind, opts, 1, pipeline.DegradeTiers(w, opts, 1))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -115,6 +115,7 @@ func TestRunErrors(t *testing.T) {
 		{"bad workload", func() error { return run("", 0, true, "1", "1", "", true, "W99", "S+N", 3) }},
 		{"bad config", func() error { return run("", 0, true, "1", "1", "", true, "W1", "turbo", 3) }},
 		{"bad cal-frames", func() error { return run("", 0, true, "1", "1", "", true, "W1", "S+N", 0) }},
+		{"calibrate with svc override", func() error { return run("svc=1ms,500us", 0, true, "1", "1", "", true, "W1", "S+N", 1) }},
 		{"unwritable out", func() error {
 			return run("", 0, true, "1", "1", filepath.Join(string(os.PathSeparator), "no-such-dir", "x.json"), false, "W1", "S+N", 3)
 		}},

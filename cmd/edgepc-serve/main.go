@@ -9,7 +9,7 @@
 //
 //	edgepc-serve -workload W1 -config S+N -workers 2 -frames 64 -clients 4
 //	edgepc-serve -quick -workload W3 -frames 8          # laptop-scale smoke
-//	edgepc-serve -quick -degrade 2 -chaos-panic 0.1     # ladder + chaos drill
+//	edgepc-serve -quick -degrade -chaos-panic 0.1       # ladder + chaos drill
 //	edgepc-serve -quick -engines 4 -tenants 8 -qos-rate 50   # fleet router
 //	edgepc-serve -quick -backend int8                   # quantized inference kernels
 //	edgepc-serve -quick -chaos-stall 0.1 -stall-timeout 2ms  # watchdog drill
@@ -17,11 +17,12 @@
 //	edgepc-serve -quick -checkpoint ckpt.epck           # restore weights first
 //
 // -quick shrinks the model and cloud far below the paper's scale so the
-// command completes in seconds on a development machine. -degrade N arms an
-// N-rung degradation ladder (pipeline.DegradeTiers) that steps approximation
-// presets down under queue pressure instead of rejecting; -chaos-* thread a
-// deterministic fault-injection plan (internal/faultinject) through the
-// engine to demonstrate panic isolation and admission rejection live.
+// command completes in seconds on a development machine. -degrade arms the
+// degradation ladder (pipeline.DegradeTiers: one cheaper rung for PointNet++
+// workloads, none for DGCNN) that steps down under queue pressure instead of
+// rejecting; -chaos-* thread a deterministic fault-injection plan
+// (internal/faultinject) through the engine to demonstrate panic isolation
+// and admission rejection live.
 // -engines N (N > 1) switches to fleet mode: requests carry tenant/stream
 // identities and route through the consistent-hash fleet router
 // (serve.Router) with optional per-tenant QoS token buckets (-qos-rate,
@@ -71,7 +72,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "laptop-scale model and clouds (smoke mode)")
 		backend  = flag.String("backend", "", "compute backend for the inference kernels: naive | blocked | int8 (default naive)")
 
-		degrade      = flag.Int("degrade", 0, fmt.Sprintf("degradation-ladder depth 0..%d (0: off)", pipeline.MaxDegradeTiers))
+		degrade      = flag.Bool("degrade", false, "arm the degradation ladder (PointNet++ workloads: "+pipeline.DegradeTierName+")")
 		chaosPanic   = flag.Float64("chaos-panic", 0, "fault injection: fraction of frames that panic a worker")
 		chaosCorrupt = flag.Float64("chaos-corrupt", 0, "fault injection: fraction of frames corrupted before admission")
 		chaosStall   = flag.Float64("chaos-stall", 0, "fault injection: fraction of frames that wedge their worker")
@@ -88,6 +89,12 @@ func main() {
 		qosBurst = flag.Float64("qos-burst", 0, "fleet mode: per-tenant burst capacity (0: max(rate,1))")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// A boolean flag takes no value: "-degrade 2" would end flag parsing
+		// at "2" and silently drop every flag after it.
+		fmt.Fprintf(os.Stderr, "edgepc-serve: unexpected argument %q (the command takes flags only; -degrade takes no value)\n", flag.Arg(0))
+		os.Exit(1)
+	}
 	if err := run(*workload, *config, *backend, *workers, *queue, *batch, *window, *timeout,
 		*frames, *clients, *seed, *quick, *degrade, *chaosPanic, *chaosCorrupt, *chaosStall, *chaosSeed,
 		*stallTimeout, *retries, *hedge, *checkpoint,
@@ -109,24 +116,8 @@ func parseConfig(s string) (pipeline.ConfigKind, error) {
 	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
 }
 
-// tierName labels a DegradeTiers rung by the knob it adds.
-func tierName(i int) string {
-	switch i {
-	case 0:
-		return "W/2"
-	case 1:
-		return "W/2+int8"
-	case 2:
-		return "W/2+int8+bucketfps@0.5"
-	case 3:
-		return "W/2+int8+bucketfps@0.5+budget/2"
-	default:
-		return fmt.Sprintf("W/2+int8+bucketfps@0.5+budget/2+reuse+%d", i-3)
-	}
-}
-
 func run(workload, config, backend string, workers, queue, batch int, window, timeout time.Duration,
-	frames, clients int, seed int64, quick bool, degrade int, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
+	frames, clients int, seed int64, quick, degrade bool, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
 	stallTimeout time.Duration, retries int, hedge time.Duration, checkpoint string,
 	engines, tenants int, qosRate, qosBurst float64) error {
 	w, err := pipeline.WorkloadByID(workload)
@@ -144,9 +135,6 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 	}
 	if workers < 1 || clients < 1 || frames < 1 {
 		return fmt.Errorf("workers, clients and frames must be positive")
-	}
-	if degrade < 0 || degrade > pipeline.MaxDegradeTiers {
-		return fmt.Errorf("degrade must be 0..%d", pipeline.MaxDegradeTiers)
 	}
 	if chaosPanic < 0 || chaosPanic > 1 || chaosCorrupt < 0 || chaosCorrupt > 1 || chaosStall < 0 || chaosStall > 1 {
 		return fmt.Errorf("chaos fractions must be in [0,1]")
@@ -174,7 +162,12 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 		w.Points, w.Batch = 256, 1
 		opts.BaseWidth, opts.Depth, opts.Modules = 8, 2, 2
 	}
-	tierOpts := pipeline.DegradeTiers(w, opts, degrade)
+	var tierOpts []pipeline.Options
+	if degrade {
+		if tierOpts = pipeline.DegradeTiers(w, opts, 1); len(tierOpts) == 0 {
+			fmt.Printf("degradation ladder: no rung relieves load on %s (%s); serving without a ladder\n", w.ID, w.Model)
+		}
+	}
 	if engines > 1 {
 		return runFleet(w, kind, opts, tierOpts, engines, workers, queue, batch, window, timeout,
 			frames, clients, seed, chaosPanic, chaosCorrupt, chaosStall, chaosSeed,
@@ -204,8 +197,8 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 			return pipeline.RebuildReplica(rows[0][0], w, kind, o)
 		},
 	}
-	for i, row := range rows[1:] {
-		cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: tierName(i), Nets: row})
+	for _, row := range rows[1:] {
+		cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: pipeline.DegradeTierName, Nets: row})
 	}
 	if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
 		cfg.Faults = &faultinject.Plan{Seed: chaosSeed, PanicFrac: chaosPanic, CorruptFrac: chaosCorrupt, StallFrac: chaosStall}
@@ -233,8 +226,8 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 	if backend != "" {
 		fmt.Printf("compute backend: %s\n", backend)
 	}
-	if degrade > 0 {
-		fmt.Printf("degradation ladder: %d tiers armed\n", degrade)
+	if len(tierOpts) > 0 {
+		fmt.Printf("degradation ladder: armed (%s)\n", pipeline.DegradeTierName)
 	}
 	if cfg.Faults != nil {
 		fmt.Printf("chaos: panic %.0f%%, corrupt %.0f%%, stall %.0f%% (seed %d)\n",
@@ -355,8 +348,8 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 				return pipeline.RebuildReplica(fleet[0][0][0], w, kind, o)
 			},
 		}
-		for i, row := range fleet[e][1:] {
-			cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: tierName(i), Nets: row})
+		for _, row := range fleet[e][1:] {
+			cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: pipeline.DegradeTierName, Nets: row})
 		}
 		if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
 			cfg.Faults = &faultinject.Plan{Seed: chaosSeed + uint64(e),

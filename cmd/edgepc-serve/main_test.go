@@ -14,7 +14,7 @@ import (
 // in-process at laptop scale.
 func TestRunFleetSmoke(t *testing.T) {
 	err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
-		24, 4, 1, true, 2, 0, 0, 0, 1,
+		24, 4, 1, true, true, 0, 0, 0, 1,
 		0, 0, 0, "",
 		2, 3, 500, 0)
 	if err != nil {
@@ -27,7 +27,7 @@ func TestRunFleetSmoke(t *testing.T) {
 // complete with the router's conservation law intact (run checks it).
 func TestRunSurvivabilitySmoke(t *testing.T) {
 	err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
-		24, 4, 1, true, 0, 0, 0, 0.1, 1,
+		24, 4, 1, true, false, 0, 0, 0.1, 1,
 		250*time.Millisecond, 2, 5*time.Millisecond, "",
 		3, 3, 0, 0)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestRunCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
-		4, 1, 1, true, 0, 0, 0, 0, 1,
+		4, 1, 1, true, false, 0, 0, 0, 1,
 		0, 0, 0, path,
 		1, 4, 0, 0)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestRunFleetValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
-				1, 1, 1, true, 0, 0, 0, 0, 1,
+				1, 1, 1, true, false, 0, 0, 0, 1,
 				0, 0, 0, "",
 				tc.engines, tc.tenants, tc.qosRate, 0)
 			if err == nil {
@@ -113,7 +113,7 @@ func TestRunSurvivabilityValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
-				1, 1, 1, true, 0, 0, 0, 0, 1,
+				1, 1, 1, true, false, 0, 0, 0, 1,
 				tc.stallTimeout, tc.retries, tc.hedge, tc.checkpoint,
 				tc.engines, 4, 0, 0)
 			if err == nil {

@@ -25,7 +25,9 @@ func TestCommandSmoke(t *testing.T) {
 		{"edgepc-bench-backend", []string{"run", "./cmd/edgepc-bench", "-quick", "-backend", "blocked", "fig3"}, "W6"},
 		{"edgepc-serve-quick", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "served 6 frames"},
 		{"edgepc-serve-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "int8", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "compute backend: int8"},
-		{"edgepc-serve-chaos", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W3", "-frames", "8", "-clients", "2", "-workers", "2", "-degrade", "1", "-chaos-panic", "0.2"}, "resilience:"},
+		{"edgepc-serve-chaos", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W1", "-frames", "8", "-clients", "2", "-workers", "2", "-degrade", "-chaos-panic", "0.2"}, "degradation ladder: armed"},
+		// DGCNN has no rung that relieves load: -degrade says so and serves on.
+		{"edgepc-serve-degrade-no-rung", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W3", "-frames", "4", "-clients", "2", "-workers", "2", "-degrade"}, "serving without a ladder"},
 	}
 	for _, c := range cases {
 		c := c
@@ -55,7 +57,10 @@ func TestCommandSmokeFailures(t *testing.T) {
 		{"edgepc-serve-bad-workload", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W9"}, "unknown workload"},
 		{"edgepc-serve-bad-config", []string{"run", "./cmd/edgepc-serve", "-quick", "-config", "turbo"}, "unknown config"},
 		{"edgepc-serve-bad-flag", []string{"run", "./cmd/edgepc-serve", "-no-such-flag"}, "flag provided but not defined"},
-		{"edgepc-serve-bad-degrade", []string{"run", "./cmd/edgepc-serve", "-quick", "-degrade", "9"}, "degrade must be"},
+		// -degrade is a boolean: the old "-degrade N" spelling would end flag
+		// parsing at N and drop -chaos-panic silently.
+		{"edgepc-serve-bad-degrade", []string{"run", "./cmd/edgepc-serve", "-quick", "-degrade", "2", "-chaos-panic", "0.1"}, "unexpected argument \"2\""},
+		{"edgepc-loadgen-trailing-arg", []string{"run", "./cmd/edgepc-loadgen", "-quick", "extra"}, "unexpected argument \"extra\""},
 		// A typo'd backend name must name the registered set, mirroring the
 		// RegisterArch error style.
 		{"edgepc-serve-bad-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "fp16"}, "no backend registered for \"fp16\" (registered: blocked, int8, naive)"},

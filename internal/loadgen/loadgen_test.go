@@ -343,7 +343,6 @@ func TestRunLadderStepsAtEngineQueueLengths(t *testing.T) {
 	} {
 		spec := Quick()
 		spec.Engines, spec.Workers, spec.Queue = 1, 1, tc.depth
-		spec.SvcTiers = spec.SvcTiers[:2]
 		spec.LadderHigh, spec.LadderLow, spec.LadderHyst = tc.high, tc.low, 1
 		spec.ShedHigh = 1 // keep the shed controller out of the way
 		spec.Ramp = []RampPoint{{At: 0, Mult: 20}, {At: 0.1, Mult: 20}, {At: 0.1, Mult: 0}, {At: 1, Mult: 0}}

@@ -117,7 +117,9 @@ const numPriorities = 3
 
 // Defaults is the full-scale scenario baseline: a 4-engine fleet driven at
 // its modelled capacity with heavy-tailed arrivals and 20k Zipf-skewed
-// tenants.
+// tenants. SvcTiers has the shape of pipeline.DegradeTiers: full fidelity
+// and one rung, at 0.45× the service time (measured 0.37–0.41× on W1 at full
+// scale, 0.53× at the -quick scale; -calibrate replaces both).
 func Defaults() Spec {
 	return Spec{
 		Seed:        1,
@@ -130,7 +132,7 @@ func Defaults() Spec {
 		Mix:         [numPriorities]float64{0.2, 0.5, 0.3},
 		Engines:     4,
 		Workers:     2,
-		SvcTiers:    []time.Duration{2 * time.Millisecond, 1500 * time.Microsecond, 1100 * time.Microsecond, 850 * time.Microsecond, 700 * time.Microsecond},
+		SvcTiers:    []time.Duration{2 * time.Millisecond, 900 * time.Microsecond},
 		LadderHigh:  0.75,
 		LadderLow:   0.25,
 		LadderHyst:  4,
@@ -149,7 +151,7 @@ func Quick() Spec {
 	s.Tenants = 500
 	s.Engines = 2
 	s.Workers = 2
-	s.SvcTiers = []time.Duration{800 * time.Microsecond, 600 * time.Microsecond, 450 * time.Microsecond}
+	s.SvcTiers = []time.Duration{800 * time.Microsecond, 360 * time.Microsecond}
 	return s
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // Per-frame allocation benchmarks for the inference hot path. Run with
-// -benchmem (scripts/bench_hotpath.sh does): the allocs/op column is the
-// regression metric — steady-state frames reuse the previous frame's
+// -benchmem (scripts/ci.sh gates them; bash bench/run.sh tracks allocs_per_op
+// end to end): the allocs/op column is the regression metric — steady-state frames reuse the previous frame's
 // workspace buffers, so it must stay small and independent of network depth.
 
 func benchFrameAllocs(b *testing.B, arch Arch) {

@@ -105,7 +105,7 @@ type Options struct {
 	// SampleFrac is the per-module down-sampling ratio of the PointNet++ SA
 	// chain (the sample budget); default 0.25, the PointNet++ convention.
 	// Smaller fractions spend less compute per frame at some accuracy cost —
-	// one rung of serve's degradation ladder (DegradeTiers).
+	// the knob serve's degradation rung halves (DegradeTiers).
 	SampleFrac float64
 	// SampleArch selects the sampler for PointNet++ SA modules that run a
 	// real (non-Morton-stride) sampling stage: exact FPS (the default),
@@ -114,7 +114,7 @@ type Options struct {
 	SampleArch sample.Arch
 	// SampleQuality is the BucketFPS quality knob in [0,1]; 0 defaults to 1
 	// (exact FPS picks with pruning as a pure speedup). Lower values trade
-	// coverage for latency — one rung of serve's degradation ladder.
+	// coverage for latency; serve's degradation rung samples at 0.5.
 	SampleQuality float64
 	// PPReuseDistance is the PointNet++ SA neighbor-reuse distance in S+N
 	// configs (§5.2.3 generalized across sampled levels). Default 0: off —

@@ -2,10 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/nn"
 	"repro/internal/sample"
-	"repro/internal/tensor"
 )
 
 // Replicas constructs n networks for the same workload/configuration whose
@@ -61,69 +61,35 @@ func RebuildReplica(ref Net, w Workload, kind ConfigKind, opts Options) (Net, er
 	return net, nil
 }
 
-// MaxDegradeTiers is the depth of the ladder DegradeTiers can derive.
-const MaxDegradeTiers = 5
+// DegradeTierName is the display name of the rung DegradeTiers derives.
+const DegradeTierName = "budget/2+bucketfps@0.5"
 
-// DegradeTiers derives up to MaxDegradeTiers option presets for serve's
-// degradation ladder from a base configuration, exploiting the paper's own
-// accuracy/latency knobs (§5, Fig. 15) plus the bucketed sampler's quality
-// knob and the quantized compute backend. The steps are cumulative:
+// DegradeTiers derives the option presets for serve's degradation ladder
+// from a base configuration: for any n ≥ 1, the one rung that measures
+// cheaper than full fidelity wherever it is armed — half the PointNet++
+// sample budget (SampleFrac/2, floor 0.05), taken with bucketed pruned FPS
+// at quality 0.5 by the sites that still run exact FPS (sites already on the
+// Morton stride are untouched). n < 1 means no ladder.
 //
-//	tier 1: shrink the Morton neighbor window W to max(k, W/2)
-//	tier 2: + drop feature compute to the int8 backend (quantized matmuls,
-//	        dequantized at stage boundaries — a pure arithmetic cut that
-//	        keeps the sampling/search fidelity intact, so it slots in
-//	        before the rungs that change which points are looked at)
-//	tier 3: + step exact-FPS sampling sites onto bucketed pruned FPS at
-//	        quality 0.5 (half refinement picks, half stride seeds). Sites
-//	        already on the cheaper Morton stride are untouched, so the rung
-//	        only ever removes cost.
-//	tier 4: + halve the sample budget (PointNet++ SA SampleFrac; floor 0.05)
-//	tier 5: + raise the neighbor-reuse distance by one layer
+// The other approximation knobs are not rungs because they do not relieve
+// load (EXPERIMENTS.md, PR 13): under S+N the Morton window has already made
+// search cheap, so W/2 saves nothing; the int8 backend makes a frame slower
+// than the float32 one it replaces; a longer reuse distance is in the noise.
+// On DGCNN every one of them costs more than full fidelity and there is no
+// sample budget to cut, so DGCNN workloads get no rung at all and serve runs
+// them without a ladder.
 //
-// The knobs never change parameter shapes, so every tier's replicas share
-// weights with the base net (TieredReplicas) — the int8 rung quantizes
-// per-replica copies of the shared weights at first use, leaving the shared
-// float32 values untouched. Knobs a workload doesn't use (W under the
-// baseline config, SampleFrac on DGCNN) degrade gracefully to the previous
-// tier's cost.
+// The rung never changes parameter shapes, so its replicas share weights
+// with the base net (TieredReplicas).
 func DegradeTiers(w Workload, opts Options, n int) []Options {
-	if n < 1 {
+	if n < 1 || w.Arch != ArchPointNetPP {
 		return nil
 	}
-	if n > MaxDegradeTiers {
-		n = MaxDegradeTiers
-	}
 	opts.defaults(w)
-	tiers := make([]Options, 0, n)
-	cur := opts
-	cur.WindowW = cur.WindowW / 2
-	if cur.WindowW < w.K {
-		cur.WindowW = w.K
-	}
-	tiers = append(tiers, cur)
-	if len(tiers) < n {
-		cur.Backend = tensor.BackendInt8
-		tiers = append(tiers, cur)
-	}
-	if len(tiers) < n {
-		cur.SampleArch = sample.ArchBucketFPS
-		cur.SampleQuality = 0.5
-		tiers = append(tiers, cur)
-	}
-	if len(tiers) < n {
-		cur.SampleFrac = cur.SampleFrac / 2
-		if cur.SampleFrac < 0.05 {
-			cur.SampleFrac = 0.05
-		}
-		tiers = append(tiers, cur)
-	}
-	if len(tiers) < n {
-		cur.ReuseDistance++
-		cur.PPReuseDistance++
-		tiers = append(tiers, cur)
-	}
-	return tiers
+	opts.SampleFrac = math.Max(opts.SampleFrac/2, 0.05)
+	opts.SampleArch = sample.ArchBucketFPS
+	opts.SampleQuality = 0.5
+	return []Options{opts}
 }
 
 // FleetReplicas builds the replica tensor for a multi-engine fleet:

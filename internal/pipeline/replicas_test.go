@@ -1,15 +1,16 @@
 package pipeline
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/sample"
-	"repro/internal/tensor"
 )
 
 // tinyWorkload is a scaled-down DGCNN row: replica construction and one
-// forward stay fast while exercising every knob the ladder touches.
+// forward stay fast.
 func tinyWorkload() Workload {
 	return Workload{
 		ID: "T", Model: "DGCNN(c)", Dataset: "ModelNet40",
@@ -61,58 +62,88 @@ func TestRebuildReplicaSharesParams(t *testing.T) {
 	}
 }
 
-func TestDegradeTiersAreCumulativeAndClamped(t *testing.T) {
-	w := tinyWorkload()
-	base := Options{}
-	base.defaults(w)
-	tiers := DegradeTiers(w, Options{}, MaxDegradeTiers+5)
-	if len(tiers) != MaxDegradeTiers {
-		t.Fatalf("got %d tiers, want clamp at %d", len(tiers), MaxDegradeTiers)
+func TestDegradeTiersOneRungForPointNetPPNoneForDGCNN(t *testing.T) {
+	for _, w := range Workloads {
+		for _, in := range []Options{{}, {SampleFrac: 0.08, WindowW: 24, Backend: "blocked", PPReuseDistance: 1}} {
+			for _, n := range []int{-1, 0} {
+				if got := DegradeTiers(w, in, n); got != nil {
+					t.Fatalf("%s: n=%d produced %d tiers, want no ladder", w.ID, n, len(got))
+				}
+			}
+			for _, n := range []int{1, 2, 5, 50} {
+				tiers := DegradeTiers(w, in, n)
+				if w.Arch == ArchDGCNN {
+					if tiers != nil {
+						t.Fatalf("%s: n=%d produced %d tiers, want none for DGCNN", w.ID, n, len(tiers))
+					}
+					continue
+				}
+				if len(tiers) != 1 {
+					t.Fatalf("%s: n=%d produced %d tiers, want exactly 1", w.ID, n, len(tiers))
+				}
+				base, rung := in, tiers[0]
+				base.defaults(w)
+				if want := math.Max(base.SampleFrac/2, 0.05); rung.SampleFrac != want {
+					t.Fatalf("%s: rung sample budget %v, want %v (half of %v, floor 0.05)", w.ID, rung.SampleFrac, want, base.SampleFrac)
+				}
+				if rung.SampleArch != sample.ArchBucketFPS || rung.SampleQuality != 0.5 {
+					t.Fatalf("%s: rung sampler %v@%v, want bucketfps@0.5", w.ID, rung.SampleArch, rung.SampleQuality)
+				}
+				if rung.Backend != base.Backend || rung.WindowW != base.WindowW ||
+					rung.ReuseDistance != base.ReuseDistance || rung.PPReuseDistance != base.PPReuseDistance {
+					t.Fatalf("%s: rung moved a knob that relieves no load:\nbase %+v\nrung %+v", w.ID, base, rung)
+				}
+			}
+		}
 	}
-	if tiers[0].WindowW >= base.WindowW || tiers[0].WindowW < w.K {
-		t.Fatalf("tier 1 window %d, want < %d and ≥ k=%d", tiers[0].WindowW, base.WindowW, w.K)
+}
+
+// featureWork sums Q·CIn·COut over a frame's feature-stage records: the
+// multiply-accumulates of the shared MLPs, which own the S+N frame.
+func featureWork(t *testing.T, n Net, frame *geom.Cloud, w Workload, kind ConfigKind) int {
+	t.Helper()
+	trace := &model.Trace{}
+	if _, _, err := RunInto(n, frame, trace, nil, SimConfig(w, kind, Options{})); err != nil {
+		t.Fatal(err)
 	}
-	if tiers[0].SampleFrac != base.SampleFrac {
-		t.Fatal("tier 1 must not touch the sample budget yet")
+	work := 0
+	for _, r := range trace.Records {
+		if r.Stage == model.StageFeature {
+			work += r.Q * r.CIn * r.COut
+		}
 	}
-	if tiers[0].SampleArch != sample.ArchFPS {
-		t.Fatal("tier 1 must not touch the sampler arch yet")
+	return work
+}
+
+func TestDegradeRungCutsFeatureWork(t *testing.T) {
+	// A rung exists to relieve load. Wall-clock says so in scripts/ci.sh;
+	// this is the deterministic half: the rung must drop at least a quarter
+	// of full fidelity's feature-stage work, under the paper's design point
+	// and under the exact-FPS/exact-kNN baseline.
+	w, err := WorkloadByID("W1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tiers[0].Backend != "" {
-		t.Fatal("tier 1 must not touch the compute backend yet")
+	w.Points = 1024 // the ratio does not depend on N; keep the -race run short
+	frame, err := Frame(w, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tiers[1].Backend != tensor.BackendInt8 {
-		t.Fatalf("tier 2 backend %q, want %q", tiers[1].Backend, tensor.BackendInt8)
-	}
-	if tiers[1].SampleArch != sample.ArchFPS || tiers[1].SampleFrac != base.SampleFrac {
-		t.Fatal("tier 2 must not touch the sampler or budget yet")
-	}
-	if tiers[1].WindowW != tiers[0].WindowW {
-		t.Fatal("tier 2 must keep tier 1's window (steps are cumulative)")
-	}
-	if tiers[2].SampleArch != sample.ArchBucketFPS || tiers[2].SampleQuality != 0.5 {
-		t.Fatalf("tier 3 sampler %v@%v, want bucketfps@0.5", tiers[2].SampleArch, tiers[2].SampleQuality)
-	}
-	if tiers[2].SampleFrac != base.SampleFrac {
-		t.Fatal("tier 3 must not touch the sample budget yet")
-	}
-	if tiers[2].Backend != tensor.BackendInt8 {
-		t.Fatal("tier 3 must keep tier 2's backend (steps are cumulative)")
-	}
-	if tiers[3].SampleFrac >= base.SampleFrac || tiers[3].SampleFrac < 0.05 {
-		t.Fatalf("tier 4 sample budget %v, want < %v with floor 0.05", tiers[3].SampleFrac, base.SampleFrac)
-	}
-	if tiers[3].SampleArch != sample.ArchBucketFPS {
-		t.Fatal("tier 4 must keep tier 3's sampler arch (steps are cumulative)")
-	}
-	if tiers[4].ReuseDistance != base.ReuseDistance+1 || tiers[4].PPReuseDistance != base.PPReuseDistance+1 {
-		t.Fatalf("tier 5 reuse %d/%d, want base+1", tiers[4].ReuseDistance, tiers[4].PPReuseDistance)
-	}
-	if got := DegradeTiers(w, Options{}, 0); got != nil {
-		t.Fatalf("n=0 produced %d tiers", len(got))
-	}
-	if got := DegradeTiers(w, Options{}, 1); len(got) != 1 {
-		t.Fatalf("n=1 produced %d tiers", len(got))
+	for _, kind := range []ConfigKind{SN, Baseline} {
+		rows, err := TieredReplicas(w, kind, Options{}, 1, DegradeTiers(w, Options{}, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 {
+			t.Fatalf("%s: got %d rows, want full fidelity and one rung", kind, len(rows))
+		}
+		sharesAllParams(t, rows[0][0], rows[1][0])
+		full := featureWork(t, rows[0][0], frame, w, kind)
+		rung := featureWork(t, rows[1][0], frame, w, kind)
+		if full == 0 || float64(rung) > 0.75*float64(full) {
+			t.Fatalf("%s: rung feature work %d vs full %d (%.2fx), want ≤ 0.75x", kind, rung, full, float64(rung)/float64(full))
+		}
+		t.Logf("%s: rung feature work %.2fx of full", kind, float64(rung)/float64(full))
 	}
 }
 

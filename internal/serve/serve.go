@@ -37,10 +37,12 @@
 //     per-request CAS), counts the stall toward the circuit breaker, and
 //     respawns the pool slot with rebuilt replicas — see watchdog.go.
 //   - A degradation ladder: when queue depth crosses the high watermark the
-//     engine steps down to cheaper approximation tiers (Config.Degrade,
-//     built from pipeline.DegradeTiers) instead of rejecting, and steps back
-//     up with hysteresis as load drains. Results carry the tier they were
-//     served at. When to step is the Ladder value's decision — see ladder.go.
+//     engine steps down to a cheaper approximation tier (Config.Degrade)
+//     instead of rejecting, and steps back up with hysteresis as load
+//     drains. The engine takes any number of tiers; which approximations
+//     are worth one is pipeline.DegradeTiers' decision (today one rung for
+//     PointNet++, none for DGCNN). Results carry the tier they were served
+//     at. When to step is the Ladder value's decision — see ladder.go.
 //   - Graceful shutdown: Close stops admission, drains every queued frame
 //     through the workers, and returns when all in-flight work is done — a
 //     breaker-parked worker is woken immediately so Close never waits out a

@@ -49,6 +49,11 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/..
 echo "== go test ./... =="
 go test ./...
 
+echo "== bench driver (its own module, outside ./...) =="
+# bench/ imports repro/internal/... through a replace directive, so an API it
+# calls can change under it without `go test ./...` noticing.
+(cd bench && go vet . && go test .)
+
 echo "== numerics independent of core count (golden + tensor + train, GOMAXPROCS 1/2/4/8) =="
 # Trained weights and logits are a function of the inputs and the seed, not of
 # how many goroutines a kernel split into: the bit-exact golden fixtures must
@@ -64,6 +69,26 @@ echo "== one policy core (no ladder/backoff/hedge arithmetic in internal/loadgen
 # a hand-written copy of their rules coming back is a regression.
 if grep -nE 'ladder(High|Low|Hyst)|mirror' internal/loadgen/*.go; then
 	echo "internal/loadgen re-implements serve policy; call internal/serve instead" >&2
+	exit 1
+fi
+
+echo "== ladder (every rung relieves load; DGCNN gets none) =="
+# A rung that is not clearly cheaper than full fidelity makes overload worse.
+# Wall-clock, min of the calibration frames: each rung above tier 0 must
+# measure >= 1.5x faster on W1 under both configs, and W3 must get one tier.
+ladder_speedups() {
+	go run ./cmd/edgepc-loadgen -calibrate -workload "$1" -config "$2" -cal-frames 5 \
+		-mults 1 -crossover 1 -out .ladder_cal.json >/dev/null
+	awk '/"tier_speedup"/ { on = 1; next } on && /\]/ { exit } on { gsub(/[ ,]/, ""); print }' .ladder_cal.json
+	rm -f .ladder_cal.json
+}
+for cfg in S+N baseline; do
+	ladder_speedups W1 "$cfg" | awk -v cfg="$cfg" '
+		NR > 1 && $1 + 0 < 1.5 { printf "ladder: W1 %s tier %d is only %sx faster than tier 0\n", cfg, NR - 1, $1; bad = 1 }
+		END { if (NR < 2) { printf "ladder: W1 %s has no rung\n", cfg; exit 1 } exit bad }'
+done
+if [ "$(ladder_speedups W3 S+N | wc -l)" -ne 1 ]; then
+	echo "ladder: W3 (DGCNN) must serve without a ladder" >&2
 	exit 1
 fi
 
