@@ -45,16 +45,6 @@ func BenchmarkSearchWindowW32(b *testing.B) {
 	}
 }
 
-func BenchmarkSearchRangeBall(b *testing.B) {
-	s, pos := benchStructurized(b, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (RangeBall{R: 0.3}).SearchStructurized(s, pos, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSearchBruteBall(b *testing.B) {
 	s, pos := benchStructurized(b, 4096)
 	_ = pos

@@ -38,7 +38,7 @@ func NewStreamer(bounds geom.AABB, totalBits int) (*Streamer, error) {
 	return &Streamer{enc: enc}, nil
 }
 
-// Encoder exposes the shared encoder (e.g. for RangeBall queries against
+// Encoder exposes the shared encoder (e.g. to code query points against
 // streamed frames).
 func (st *Streamer) Encoder() *morton.Encoder { return st.enc }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
+	"repro/internal/spatial"
 	"repro/internal/tensor"
 )
 
@@ -59,6 +60,15 @@ type Exec struct {
 	// recycled across frames.
 	levels []*level
 
+	// index is the graph's one spatial index (see package spatial) and
+	// indexed the level it is bound to. The exact sites of a frame take turns
+	// with it: an SA module's FPS and neighbor search run back to back on
+	// the same level and share one build; an FP module's 3-NN binds it to
+	// its coarse level again — a rebuild (≈ 0.06 ms for 2048 points) instead
+	// of an index per level kept resident.
+	index   spatial.Index
+	indexed *level
+
 	// chain is the activation flowing from stage to stage.
 	chain *tensor.Matrix
 
@@ -100,6 +110,17 @@ func (x *Exec) LevelCount() int { return len(x.levels) }
 
 // top returns the innermost level.
 func (x *Exec) top() *level { return x.levels[len(x.levels)-1] }
+
+// exact returns the spatial index bound to lv's points. Binding does no
+// work; the first query builds, inside the timed block of the stage that
+// asked, so that stage's record carries the build.
+func (x *Exec) exact(lv *level) *spatial.Index {
+	if x.indexed != lv {
+		x.index.Reset(lv.pts)
+		x.indexed = lv
+	}
+	return &x.index
+}
 
 // pushLevel appends a zeroed level to the stack, recycling the header
 // allocated for the same position in an earlier frame when possible.
@@ -258,6 +279,7 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	x.trace = trace
 	x.train = train
 	x.levels = x.levels[:0]
+	x.indexed = nil // level headers are recycled: last frame's binding means nothing
 	x.taps = x.taps[:0]
 	x.chain = nil
 	x.reuse.Reset()

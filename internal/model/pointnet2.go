@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/neighbor"
 	"repro/internal/nn"
 	"repro/internal/sample"
 	"repro/internal/tensor"
@@ -32,8 +31,12 @@ type SAModule struct {
 	MLP    *nn.Sequential
 	Strat  ModuleStrategy
 	// Sampler selects the algorithm for the non-Morton sampling path:
-	// exact FPS (default), bucketed pruned FPS, or pure index stride. When
-	// the module's Morton strategy applies, it wins over this knob.
+	// exact FPS (default; through the graph's spatial index), bucketed
+	// pruned FPS, or pure index stride. When the module's Morton strategy
+	// applies, it wins over this knob. Bucketed FPS prunes over the parent
+	// level's order as it stands — the FPS picks of the module before, or
+	// the raw cloud — not over a Morton order; see sample.BucketFPS for what
+	// that costs.
 	Sampler sample.Arch
 	// Quality is the BucketFPS Frac knob (ignored by the other archs).
 	Quality float64
@@ -43,8 +46,9 @@ type SAModule struct {
 	// handed to the next module aliases it, which is safe because levels live
 	// at most one frame (training's cached levels never read pts in backward).
 	centersBuf []geom.Point3
-	// bucket and selBuf are the BucketFPS sampler state and its output
-	// buffer, reused across frames for a zero-allocation steady state.
+	// bucket is the BucketFPS sampler state; selBuf is the sampled-index
+	// buffer of both FPS paths, reused across frames for a zero-allocation
+	// steady state (the level that aliases it lives one frame).
 	bucket sample.BucketFPS
 	selBuf []int
 }
@@ -95,8 +99,8 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 		}
 		switch m.Sampler {
 		case sample.ArchBucketFPS:
-			// Bucketed pruned FPS (quality-adjustable): most effective when
-			// the level is Morton-sorted, but correct on any order.
+			// Bucketed pruned FPS (quality-adjustable): correct on any
+			// order, 3× cheaper on a Morton-sorted one than on this one.
 			sampleAlgo = "bucketfps"
 			m.bucket.Frac = m.Quality
 			var e error
@@ -108,9 +112,11 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 			sel = core.SamplePositions(n, nOut)
 			return nil
 		default:
+			// Exact FPS's picks, through the spatial index.
 			sampleAlgo = "fps"
 			var e error
-			sel, e = sample.FPSIndexes(parent.pts, nOut, 0)
+			sel, e = x.exact(parent).FPS(nOut, m.selBuf)
+			m.selBuf = sel
 			return e
 		}
 	})
@@ -136,7 +142,7 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	dur, err = timed(func() error {
 		if !x.reuseOn {
 			var e error
-			nbr, nsAlgo, w, e = m.searchNeighbors(parent, centers, sel, k, useMorton)
+			nbr, nsAlgo, w, e = m.searchNeighbors(x, parent, centers, sel, k, useMorton)
 			return e
 		}
 		// Reuse path: cached indexes live in the previous SA's parent level
@@ -151,7 +157,7 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 		var computed bool
 		var e error
 		nbr, computed, e = x.reuse.ForLayerIn(layer, k, layer, adapt, func() ([]int, error) {
-			res, algo, ww, e2 := m.searchNeighbors(parent, centers, sel, k, useMorton)
+			res, algo, ww, e2 := m.searchNeighbors(x, parent, centers, sel, k, useMorton)
 			nsAlgo, w = algo, ww
 			return res, e2
 		})
@@ -226,7 +232,7 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 // window size.
 //
 //edgepc:hotpath
-func (m *SAModule) searchNeighbors(parent *level, centers []geom.Point3, sel []int, k int, useMorton bool) ([]int, string, int, error) {
+func (m *SAModule) searchNeighbors(x *Exec, parent *level, centers []geom.Point3, sel []int, k int, useMorton bool) ([]int, string, int, error) {
 	if m.Strat.MortonWindow && parent.mortonSorted && useMorton {
 		searcher := core.WindowSearcher{W: m.Strat.WindowW}
 		w := m.Strat.WindowW
@@ -236,14 +242,15 @@ func (m *SAModule) searchNeighbors(parent *level, centers []geom.Point3, sel []i
 		nbr, err := searcher.SearchPositions(parent.pts, sel, k)
 		return nbr, "morton-window", w, err
 	}
-	var s neighbor.Searcher
+	// The labels name what is computed — the brute searchers' results, index
+	// for index — and are what edgesim prices; the spatial index, still
+	// bound to this level by the FPS before, is how.
 	if m.Radius > 0 {
-		s = neighbor.BallQuery{R: m.Radius}
-	} else {
-		s = neighbor.BruteKNN{}
+		nbr, err := x.exact(parent).Ball(centers, m.Radius, k)
+		return nbr, "ball-query", 0, err
 	}
-	nbr, err := s.Search(parent.pts, centers, k)
-	return nbr, s.Name(), 0, err
+	nbr, err := x.exact(parent).KNN(centers, k)
+	return nbr, "knn-brute", 0, err
 }
 
 // backward routes the gradient of this module's output features back to the
@@ -300,7 +307,7 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, laye
 			plan, e = core.MortonInterp{}.PlanStructurized(fine.pts, coarse.posInParent)
 		} else {
 			algo = "three-nn"
-			plan, e = sample.ThreeNN{}.Plan(fine.pts, coarse.pts)
+			plan, e = x.exact(coarse).ThreeNN(fine.pts)
 		}
 		return e
 	})
@@ -433,7 +440,8 @@ type PPConfig struct {
 	SampleFrac float64 // per-module down-sampling ratio; default 0.25
 	Radius     float64 // base ball-query radius (doubles per level); 0 → kNN baseline
 	// SampleArch selects the sampler for SA modules whose Morton strategy
-	// does not apply: exact FPS (default), bucketed pruned FPS, or stride.
+	// does not apply: exact FPS (default), bucketed pruned FPS, or stride
+	// (see SAModule.Sampler).
 	SampleArch sample.Arch
 	// SampleQuality is the BucketFPS quality knob in [0,1]; 0 defaults to 1
 	// (exact picks, pruning as pure speedup).

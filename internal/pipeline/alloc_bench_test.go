@@ -12,10 +12,10 @@ import (
 // end to end): the allocs/op column is the regression metric — steady-state frames reuse the previous frame's
 // workspace buffers, so it must stay small and independent of network depth.
 
-func benchFrameAllocs(b *testing.B, arch Arch) {
+func benchFrameAllocs(b *testing.B, arch Arch, points int) {
 	b.Helper()
 	w := Workload{
-		ID: "bench", Dataset: "S3DIS", Points: 512, Batch: 8,
+		ID: "bench", Dataset: "S3DIS", Points: points, Batch: 8,
 		Arch: arch, Task: model.TaskSegmentation, Classes: 8, K: 8,
 	}
 	opts := Options{BaseWidth: 8, Depth: 3, Modules: 3, Seed: 9}
@@ -43,10 +43,18 @@ func benchFrameAllocs(b *testing.B, arch Arch) {
 	}
 }
 
+// 512-point clouds: the first SA module's level is the smallest the spatial
+// index builds a grid for, every other exact site runs the linear scan.
 func BenchmarkPipelineFrameAllocsPointNetPP(b *testing.B) {
-	benchFrameAllocs(b, ArchPointNetPP)
+	benchFrameAllocs(b, ArchPointNetPP, 512)
+}
+
+// 2048-point clouds: two levels (2048, 512) go through the grid, and the
+// searches' fan-out is wide enough to start goroutines where there are cores.
+func BenchmarkPipelineFrameAllocsPointNetPP2048(b *testing.B) {
+	benchFrameAllocs(b, ArchPointNetPP, 2048)
 }
 
 func BenchmarkPipelineFrameAllocsDGCNN(b *testing.B) {
-	benchFrameAllocs(b, ArchDGCNN)
+	benchFrameAllocs(b, ArchDGCNN, 512)
 }

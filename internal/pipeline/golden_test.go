@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/spatial"
 	"repro/internal/tensor"
 )
 
@@ -98,7 +99,19 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestGoldenLogits checks eval-forward logits for every workload × config
 // against pre-refactor fixtures, bit for bit.
-func TestGoldenLogits(t *testing.T) {
+func TestGoldenLogits(t *testing.T) { goldenLogits(t) }
+
+// TestGoldenLogitsIndexForced is the same suite against the same fixtures
+// with the spatial index's scan cut-off at 0. The fixtures are 256-point
+// clouds, which at the shipped cut-off never build a grid; here every exact
+// FPS, kNN and 3-NN of every level down to two points goes through one, and
+// the logits may not move by a bit.
+func TestGoldenLogitsIndexForced(t *testing.T) {
+	defer spatial.SetScanBelow(spatial.SetScanBelow(0))
+	goldenLogits(t)
+}
+
+func goldenLogits(t *testing.T) {
 	for _, w := range Workloads {
 		for _, kind := range []ConfigKind{Baseline, SN} {
 			w, kind := goldenScale(w), kind
@@ -133,7 +146,17 @@ func TestGoldenLogits(t *testing.T) {
 
 // TestGoldenGradients checks train-path parameter gradients for one workload
 // per architecture (PointNet++ via W1, DGCNN via W3) in the S+N config.
-func TestGoldenGradients(t *testing.T) {
+func TestGoldenGradients(t *testing.T) { goldenGradients(t) }
+
+// TestGoldenGradientsIndexForced: see TestGoldenLogitsIndexForced. The
+// gradients pin the neighbor lists and the interpolation plan, not just what
+// the forward pass made of them.
+func TestGoldenGradientsIndexForced(t *testing.T) {
+	defer spatial.SetScanBelow(spatial.SetScanBelow(0))
+	goldenGradients(t)
+}
+
+func goldenGradients(t *testing.T) {
 	cases := []struct {
 		wid  string
 		kind ConfigKind

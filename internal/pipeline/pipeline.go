@@ -108,9 +108,15 @@ type Options struct {
 	// the knob serve's degradation rung halves (DegradeTiers).
 	SampleFrac float64
 	// SampleArch selects the sampler for PointNet++ SA modules that run a
-	// real (non-Morton-stride) sampling stage: exact FPS (the default),
-	// bucketed pruned FPS over the Morton order (sample.ArchBucketFPS, the
-	// 100k+-point middle ground), or pure stride.
+	// real (non-Morton-stride) sampling stage: exact FPS (the default; its
+	// picks come from the spatial index, see internal/spatial), bucketed
+	// pruned FPS (sample.ArchBucketFPS), or pure stride. ArchBucketFPS
+	// prunes over the level's order as it stands, and that order is Morton
+	// only on the first exact site of an S+N net — never under Baseline,
+	// never after an exact FPS — so at quality 1 it returns the default's
+	// picks at 2–3× the default's cost (sample.BucketFPS has the numbers);
+	// what it adds is the quality knob below 1, which the degradation rung
+	// uses.
 	SampleArch sample.Arch
 	// SampleQuality is the BucketFPS quality knob in [0,1]; 0 defaults to 1
 	// (exact FPS picks with pruning as a pure speedup). Lower values trade
@@ -124,7 +130,9 @@ type Options struct {
 	TotalBits       int // Morton code width; default 32
 	// BallRadius, when positive, makes the PointNet++ baseline use ball
 	// query with this base radius (doubling per level, the PointNet++
-	// convention); zero keeps exact kNN. Both are O(N²) SOTA searchers.
+	// convention); zero keeps exact kNN. Both are the O(N²) SOTA searchers
+	// as far as results and edgesim's pricing go; on the host both are
+	// answered by the spatial index.
 	BallRadius float64
 	// ExtraFeatDim is the per-point input feature width beyond coordinates
 	// (pair with datasets that attach features, e.g. scene intensity).

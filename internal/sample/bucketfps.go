@@ -29,6 +29,21 @@ import (
 // no-op there). Per pick this scans O(√N) bucket summaries plus a handful of
 // refreshed buckets instead of all N points.
 //
+// How much the pruning saves is a property of the order the points are in,
+// not of the points: buckets are runs of consecutive indexes, and a bound
+// over a run is only tight when the run is spatially compact. Picks and
+// correctness never depend on the order. Measured on an 8192-point W1 level,
+// 2048 picks at Frac 1 (best of 8 runs, 2-core host): FPSIndexes 34.7 ms;
+// this sampler over the level as a Baseline model holds it (raw scan order)
+// 18.0 ms, over a level that is the FPS picks of a larger one (what every SA
+// module after the first sees) 22.0 ms, shuffled 26.3 ms; over a
+// Morton-sorted copy 5.9 ms. A Baseline level is never Morton-ordered and an
+// S+N level stops being so after its first exact FPS, which is why the
+// model's exact sites go through package spatial — it sorts first (6.6 ms
+// with the sort) and calls ExactInto — and why the 3.8× this sampler reads
+// against FPS in bench/'s probe, taken on a sorted copy, is not what a caller
+// with an unsorted level gets.
+//
 // Frac is the quality knob: with m = round(Frac·n), the sampler takes n−m
 // stride seeds (UniformIndexes positions, cheap but spatially uneven) and m
 // farthest-point refinement picks on top of them. Frac=1 is exact FPS —
@@ -71,6 +86,23 @@ type bucketScratch struct {
 	applied []int       // picks already replayed into each bucket's dist
 	boxes   []geom.AABB // per-bucket bounds
 	cmax    []float64   // per-bucket max dist as of last refresh (upper bound)
+	first   []int       // per-bucket lowest index: can the bucket win an argmax tie?
+
+	// ids and picked are set per call. ids[i] is the index argmax ties are
+	// broken by (and ExactInto reports) for the point at position i; nil
+	// means the position itself. picked is the distance a selected point is
+	// left with: −1 keeps it from ever being picked again, 0 — its true
+	// distance to the selected set — is what FPSIndexes leaves it with.
+	ids    []int32
+	picked float64
+}
+
+// id is the index the point at position i competes under in an argmax tie.
+func (s *bucketScratch) id(i int) int {
+	if s.ids == nil {
+		return i
+	}
+	return int(s.ids[i])
 }
 
 // Name implements Sampler.
@@ -96,11 +128,8 @@ func (b *BucketFPS) SampleIndexes(pts []geom.Point3, n int) ([]int, error) {
 // reach zero allocations per call.
 func (b *BucketFPS) SampleInto(pts []geom.Point3, n int, out []int) ([]int, error) {
 	N := len(pts)
-	if N == 0 {
-		return nil, ErrEmptyCloud
-	}
-	if n < 1 || n > N {
-		return nil, fmt.Errorf("%w: n=%d with %d points", ErrBadCount, n, N)
+	if err := checkCount(N, n); err != nil {
+		return nil, err
 	}
 	frac := b.Frac
 	if frac < 0 {
@@ -122,7 +151,52 @@ func (b *BucketFPS) SampleInto(pts []geom.Point3, n int, out []int) ([]int, erro
 	if err := b.prepare(N); err != nil {
 		return nil, err
 	}
-	b.kernel(pts, out, n-m)
+	b.s.ids, b.s.picked = nil, -1
+	b.kernel(pts, out, n-m, b.StartIndex)
+	return out, nil
+}
+
+// ExactInto is FPSIndexes(level, n, 0) computed over a re-ordered copy of
+// the level: pts[i] is the level's point ids[i], and the result holds level
+// indexes. The pruning rate of the kernel is a property of the order pts is
+// in (see the type comment), so a caller that owns a spatial order of the
+// level — package spatial — gets exact FPS's picks at a fraction of its
+// cost. Index-identical means all of it: argmax ties go to the lowest level
+// index, and once every remaining point coincides with the selected set,
+// index 0 is picked again and again, exactly as fpsFrom does (SampleInto's
+// unique-picks sentinel is not applied). Frac and StartIndex are ignored;
+// ids == nil means pts is the level in its own order. out is reused like
+// SampleInto's.
+func (b *BucketFPS) ExactInto(pts []geom.Point3, ids []int32, n int, out []int) ([]int, error) {
+	N := len(pts)
+	if err := checkCount(N, n); err != nil {
+		return nil, err
+	}
+	if ids != nil && len(ids) != N {
+		return nil, fmt.Errorf("sample: %d ids for %d points", len(ids), N)
+	}
+	if cap(out) < n {
+		out = make([]int, n)
+	}
+	out = out[:n]
+	if err := b.prepare(N); err != nil {
+		return nil, err
+	}
+	start := 0
+	for i, id := range ids {
+		if id == 0 {
+			start = i
+			break
+		}
+	}
+	b.s.ids, b.s.picked = ids, 0
+	b.kernel(pts, out, 0, start)
+	b.s.ids = nil // the caller's slice is not ours to keep
+	if ids != nil {
+		for i, pos := range out {
+			out[i] = int(ids[pos])
+		}
+	}
 	return out, nil
 }
 
@@ -169,19 +243,22 @@ func (b *BucketFPS) prepare(N int) error {
 		s.applied = make([]int, M)
 		s.boxes = make([]geom.AABB, M)
 		s.cmax = make([]float64, M)
+		s.first = make([]int, M)
 	}
 	s.applied = s.applied[:M]
 	s.boxes = s.boxes[:M]
 	s.cmax = s.cmax[:M]
+	s.first = s.first[:M]
 	return nil
 }
 
-// kernel fills out with seeds stride picks followed by len(out)−seeds
-// farthest-point refinement picks. The scratch must already be prepared for
-// len(pts) points.
+// kernel fills out with seeds stride picks (or, with no seeds, the point at
+// position start) followed by farthest-point refinement picks, all as
+// positions into pts. The scratch must already be prepared for len(pts)
+// points, with ids and picked set.
 //
 //edgepc:hotpath
-func (b *BucketFPS) kernel(pts []geom.Point3, out []int, seeds int) {
+func (b *BucketFPS) kernel(pts []geom.Point3, out []int, seeds, start int) {
 	s := &b.s
 	n := len(out)
 	N := len(pts)
@@ -221,7 +298,6 @@ func (b *BucketFPS) kernel(pts []geom.Point3, out []int, seeds int) {
 		}
 		cnt = seeds
 	} else {
-		start := b.StartIndex
 		if start < 0 || start >= N {
 			start = 0
 		}
@@ -230,7 +306,7 @@ func (b *BucketFPS) kernel(pts []geom.Point3, out []int, seeds int) {
 		for i := 0; i < N; i++ {
 			s.dist[i] = pts[i].DistSq(p)
 		}
-		s.dist[start] = -1
+		s.dist[start] = s.picked
 		cnt = 1
 	}
 	if cnt >= n {
@@ -240,16 +316,20 @@ func (b *BucketFPS) kernel(pts []geom.Point3, out []int, seeds int) {
 	for j := 0; j < M; j++ {
 		lo, hi := s.off[j], s.off[j+1]
 		box := geom.EmptyAABB()
-		m := s.dist[lo]
+		m, first := s.dist[lo], s.id(lo)
 		for i := lo; i < hi; i++ {
 			box.Extend(pts[i])
 			if s.dist[i] > m {
 				m = s.dist[i]
 			}
+			if id := s.id(i); id < first {
+				first = id
+			}
 		}
 		s.boxes[j] = box
 		s.cmax[j] = m
 		s.applied[j] = cnt
+		s.first[j] = first
 	}
 	for cnt < n {
 		// Phase A: refresh the bucket with the largest cached bound; its
@@ -261,30 +341,31 @@ func (b *BucketFPS) kernel(pts []geom.Point3, out []int, seeds int) {
 			}
 		}
 		bestD, bestIdx := b.refresh(pts, out[:cnt], jA)
+		bestID := s.id(bestIdx)
 		// Phase B: every other bucket is either pruned by its cached upper
-		// bound or refreshed and compared. Ascending bucket order plus the
-		// first-argmax tie rules below reproduce exact FPS's "first index
-		// with maximal distance" pick. A cached max exactly equal to bestD
-		// can only matter if the bucket could win the index tiebreak, i.e.
-		// if it starts before bestIdx.
+		// bound or refreshed and compared. The lowest-index tie rules here
+		// and in refresh reproduce exact FPS's "first index with maximal
+		// distance" pick. A cached max exactly equal to bestD can only
+		// matter if the bucket could win the index tiebreak, i.e. if it
+		// holds an index below the current best's.
 		for j := 0; j < M; j++ {
 			if j == jA {
 				continue
 			}
 			cm := s.cmax[j]
-			if cm < bestD || (!(cm > bestD) && s.off[j] > bestIdx) {
+			if cm < bestD || (!(cm > bestD) && s.first[j] > bestID) {
 				continue
 			}
 			d, i := b.refresh(pts, out[:cnt], j)
-			if d > bestD || (!(d < bestD) && i < bestIdx) {
-				bestD, bestIdx = d, i
+			if id := s.id(i); d > bestD || (!(d < bestD) && id < bestID) {
+				bestD, bestIdx, bestID = d, i, id
 			}
 		}
 		out[cnt] = bestIdx
 		cnt++
-		s.dist[bestIdx] = -1
+		s.dist[bestIdx] = s.picked
 		// The winning bucket's cmax is now an over-estimate (its max just
-		// became −1); that is safe — cmax only needs to stay an upper
+		// dropped); that is safe — cmax only needs to stay an upper
 		// bound — and Phase A will refresh it on the next pick.
 	}
 }
@@ -301,9 +382,16 @@ func (b *BucketFPS) refresh(pts []geom.Point3, picks []int, j int) (float64, int
 	// cm0 is the cached bound from before this replay: every dist in the
 	// bucket is ≤ cm0, so a pick at AABB-distance ≥ cm0 lowers nothing.
 	cm0 := s.cmax[j]
+	box := s.boxes[j]
 	for k := s.applied[j]; k < len(picks); k++ {
 		p := pts[picks[k]]
-		if aabbDistSq(p, s.boxes[j]) >= cm0 {
+		// The squared distance from p to the nearest point of the box (0
+		// inside, else the per-axis overshoots), branch-free: this test runs
+		// once per pick per bucket and is most of what a far bucket costs.
+		dx := max(box.Min.X-p.X, p.X-box.Max.X, 0)
+		dy := max(box.Min.Y-p.Y, p.Y-box.Max.Y, 0)
+		dz := max(box.Min.Z-p.Z, p.Z-box.Max.Z, 0)
+		if dx*dx+dy*dy+dz*dz >= cm0 {
 			continue
 		}
 		for i := lo; i < hi; i++ {
@@ -314,33 +402,20 @@ func (b *BucketFPS) refresh(pts []geom.Point3, picks []int, j int) (float64, int
 	}
 	s.applied[j] = len(picks)
 	m, mi := s.dist[lo], lo
-	for i := lo + 1; i < hi; i++ {
-		if s.dist[i] > m {
-			m, mi = s.dist[i], i
+	if ids := s.ids; ids == nil {
+		for i := lo + 1; i < hi; i++ {
+			if s.dist[i] > m {
+				m, mi = s.dist[i], i
+			}
+		}
+	} else {
+		for i := lo + 1; i < hi; i++ {
+			//edgepc:lint-ignore floateq an argmax tie is bit-equal distances, broken by index as exact FPS's scan breaks it
+			if d := s.dist[i]; d > m || (d == m && ids[i] < ids[mi]) {
+				m, mi = d, i
+			}
 		}
 	}
 	s.cmax[j] = m
 	return m, mi
-}
-
-// aabbDistSq is the squared distance from p to the nearest point of box b:
-// 0 when p is inside, else the sum of squared per-axis overshoots.
-func aabbDistSq(p geom.Point3, b geom.AABB) float64 {
-	var s float64
-	if d := b.Min.X - p.X; d > 0 {
-		s += d * d
-	} else if d := p.X - b.Max.X; d > 0 {
-		s += d * d
-	}
-	if d := b.Min.Y - p.Y; d > 0 {
-		s += d * d
-	} else if d := p.Y - b.Max.Y; d > 0 {
-		s += d * d
-	}
-	if d := b.Min.Z - p.Z; d > 0 {
-		s += d * d
-	} else if d := p.Z - b.Max.Z; d > 0 {
-		s += d * d
-	}
-	return s
 }

@@ -255,3 +255,74 @@ func TestArchFactory(t *testing.T) {
 		t.Fatalf("ArchBucketFPS.New did not thread frac: %#v", b)
 	}
 }
+
+func TestBucketFPSExactIntoMatchesFPSIndexes(t *testing.T) {
+	// ExactInto sees the level through a permutation and must still return
+	// FPSIndexes' picks, index for index: ties (a lattice has masses of them)
+	// go to the lowest level index, not the lowest position, and a level of
+	// coincident points re-picks index 0 as fpsFrom does instead of staying
+	// duplicate-free as SampleInto does.
+	rng := rand.New(rand.NewSource(31))
+	lattice := func(n int) []geom.Point3 {
+		pts := make([]geom.Point3, n)
+		for i := range pts {
+			pts[i] = geom.Point3{X: float64(rng.Intn(4)), Y: float64(rng.Intn(4)), Z: float64(rng.Intn(3))}
+		}
+		return pts
+	}
+	b := &BucketFPS{Frac: 0.3, StartIndex: 5} // both ignored
+	var out []int
+	for _, level := range [][]geom.Point3{
+		randomCloud(1, 1).Points, randomCloud(2, 2).Points, randomCloud(333, 3).Points,
+		lattice(7), lattice(90), lattice(700), make([]geom.Point3, 40),
+	} {
+		N := len(level)
+		perm := rng.Perm(N)
+		pts, ids := make([]geom.Point3, N), make([]int32, N)
+		for pos, i := range perm {
+			pts[pos], ids[pos] = level[i], int32(i)
+		}
+		for _, n := range []int{1, (N + 1) / 2, N} {
+			want, err := FPSIndexes(level, n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bsize := range []int{0, 1, 5, N} {
+				b.BucketSize = bsize
+				for _, permuted := range []bool{true, false} {
+					if permuted {
+						out, err = b.ExactInto(pts, ids, n, out)
+					} else {
+						out, err = b.ExactInto(level, nil, n, out)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if out[i] != want[i] {
+							t.Fatalf("N=%d n=%d bucket=%d permuted=%v: pick %d = %d, want %d", N, n, bsize, permuted, i, out[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, err := b.ExactInto(nil, nil, 1, nil); err == nil {
+		t.Fatal("empty level: want error")
+	}
+	if _, err := b.ExactInto(make([]geom.Point3, 3), make([]int32, 2), 1, nil); err == nil {
+		t.Fatal("ids of the wrong length: want error")
+	}
+	// The legacy entry point is untouched by an ExactInto before it.
+	sel, err := b.SampleInto(make([]geom.Point3, 40), 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, i := range sel {
+		if seen[i] {
+			t.Fatalf("SampleInto after ExactInto duplicated %d in %v", i, sel)
+		}
+		seen[i] = true
+	}
+}

@@ -69,7 +69,7 @@ func (ThreeNN) Plan(targets, sources []geom.Point3) (*InterpPlan, error) {
 		bestD := make([]float64, k)
 		for t := lo; t < hi; t++ {
 			nearestK(targets[t], sources, bestIdx, bestD)
-			fillWeights(plan, t, bestIdx, bestD)
+			plan.FillWeights(t, bestIdx, bestD)
 		}
 	})
 	return plan, nil
@@ -102,9 +102,12 @@ func nearestK(p geom.Point3, sources []geom.Point3, idx []int, d []float64) {
 
 const inf = 1e300
 
-// fillWeights writes the inverse-distance-squared weights for target t. If a
-// source coincides with the target (d = 0) it receives all the weight.
-func fillWeights(plan *InterpPlan, t int, idx []int, d []float64) {
+// FillWeights writes target t's row of the plan: sources idx (plan.K of
+// them) weighted by the inverse of their squared distances d, normalized. If
+// a source coincides with the target (d = 0) it receives all the weight.
+// Exported so that package spatial, which finds the same sources faster,
+// produces bit-identical weights by construction.
+func (plan *InterpPlan) FillWeights(t int, idx []int, d []float64) {
 	k := plan.K
 	base := t * k
 	const eps = 1e-10

@@ -35,12 +35,15 @@ type Sampler interface {
 	Name() string
 }
 
-func checkArgs(c *geom.Cloud, n int) error {
-	if c.Len() == 0 {
+func checkArgs(c *geom.Cloud, n int) error { return checkCount(c.Len(), n) }
+
+// checkCount validates a request for n samples of total points.
+func checkCount(total, n int) error {
+	if total == 0 {
 		return ErrEmptyCloud
 	}
-	if n < 1 || n > c.Len() {
-		return fmt.Errorf("%w: n=%d with %d points", ErrBadCount, n, c.Len())
+	if n < 1 || n > total {
+		return fmt.Errorf("%w: n=%d with %d points", ErrBadCount, n, total)
 	}
 	return nil
 }
@@ -75,11 +78,8 @@ func (f FPS) Sample(c *geom.Cloud, n int) ([]int, error) {
 // starting from index start. It is the kernel behind FPS.Sample, exported for
 // callers (the CNN modules) that hold bare point slices rather than clouds.
 func FPSIndexes(pts []geom.Point3, n, start int) ([]int, error) {
-	if len(pts) == 0 {
-		return nil, ErrEmptyCloud
-	}
-	if n < 1 || n > len(pts) {
-		return nil, fmt.Errorf("%w: n=%d with %d points", ErrBadCount, n, len(pts))
+	if err := checkCount(len(pts), n); err != nil {
+		return nil, err
 	}
 	if start < 0 || start >= len(pts) {
 		start = 0
@@ -279,11 +279,4 @@ func cubeRootCeil(n int) int {
 		r++
 	}
 	return r
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -382,7 +382,9 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 		t.Fatalf("tiers %v, want one full-fidelity and two degraded", got)
 	}
 	// Draining B and C left the queue calm for two consecutive batches —
-	// hysteresis satisfied, ladder stepped back up.
+	// hysteresis satisfied, ladder stepped back up. The worker tells the
+	// ladder a batch is done after it has delivered the batch's results.
+	waitUntil(t, "ladder to step back up", func() bool { return e.Stats().StepUps == 1 })
 	s := e.Stats()
 	if s.Tier != 0 || s.StepUps != 1 {
 		t.Fatalf("tier=%d stepUps=%d after drain, want 0/1", s.Tier, s.StepUps)

@@ -260,9 +260,14 @@ type request struct {
 // watchdog fails a batch a zombie worker later finishes.
 //
 //edgepc:hotpath
-func (r *request) deliver(res Result) bool {
+func (r *request) deliver(res Result, counted ...*atomic.Uint64) bool {
 	if r == nil || !r.done.CompareAndSwap(false, true) {
 		return false
+	}
+	// Count first, then hand over: a caller that has its result can rely on
+	// Stats already showing it.
+	for _, c := range counted {
+		c.Add(1)
 	}
 	r.reply <- res
 	return true
@@ -654,9 +659,7 @@ func (e *Engine) runFrame(w *worker, r *request, batchSize, tier int) {
 		return
 	}
 	if !r.deadline.IsZero() && now.After(r.deadline) {
-		if e.finish(r, Result{Err: ErrDeadline, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}) {
-			e.timedOut.Add(1)
-		}
+		e.finish(r, Result{Err: ErrDeadline, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.timedOut)
 		return
 	}
 	if e.faults != nil {
@@ -669,31 +672,24 @@ func (e *Engine) runFrame(w *worker, r *request, batchSize, tier int) {
 	}
 	rep, out, err := pipeline.RunInto(w.nets[tier], r.cloud, &w.trace, e.dev, e.sim)
 	if err != nil {
-		if e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}) {
-			e.failed.Add(1)
-		}
+		e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.failed)
 		return
 	}
-	if e.finish(r, Result{Output: out, Report: rep, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}) {
-		e.completed.Add(1)
-		e.degraded[tier].Add(1)
-	}
+	e.finish(r, Result{Output: out, Report: rep, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.completed, &e.degraded[tier])
 }
 
 // finish stamps the end-to-end latency and delivers the result (never
-// blocking: the reply channel is buffered and read at most once). It
-// reports whether this caller won the delivery — counters must only move
-// for the winner, so a zombie worker finishing a batch the watchdog
-// already failed cannot double-count frames.
+// blocking: the reply channel is buffered and read at most once), moving
+// the given counters if this caller won the delivery — only the winner's
+// may move, so a zombie worker finishing a batch the watchdog already
+// failed cannot double-count frames.
 //
 //edgepc:hotpath
-func (e *Engine) finish(r *request, res Result) bool {
+func (e *Engine) finish(r *request, res Result, counted ...*atomic.Uint64) {
 	res.Total = time.Since(r.enq)
-	if !r.deliver(res) {
-		return false
+	if r.deliver(res, counted...) {
+		e.latency.Observe(res.Total)
 	}
-	e.latency.Observe(res.Total)
-	return true
 }
 
 // Close stops admission, wakes any breaker-parked worker, drains every

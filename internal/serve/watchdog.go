@@ -140,9 +140,7 @@ func (e *Engine) failStalledBatch(w *worker) {
 		if r == nil {
 			continue
 		}
-		if r.deliver(Result{Err: err, Worker: w.id, BatchSize: n, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)}) {
-			e.stalls.Add(1)
-		}
+		r.deliver(Result{Err: err, Worker: w.id, BatchSize: n, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)}, &e.stalls)
 	}
 	w.liveMu.Unlock()
 }

@@ -44,7 +44,7 @@ echo "== go test -race ./internal/lint/... (analyzer engine) =="
 go test -race ./internal/lint/...
 
 echo "== go test -race (parallel kernels + workspace hot path + serving) =="
-go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/pipeline/... ./internal/nn/... ./internal/model/... ./internal/serve/... ./internal/loadgen/...
+go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/spatial/... ./internal/pipeline/... ./internal/nn/... ./internal/model/... ./internal/serve/... ./internal/loadgen/...
 
 echo "== go test ./... =="
 go test ./...
@@ -54,14 +54,16 @@ echo "== bench driver (its own module, outside ./...) =="
 # calls can change under it without `go test ./...` noticing.
 (cd bench && go vet . && go test .)
 
-echo "== numerics independent of core count (golden + tensor + train, GOMAXPROCS 1/2/4/8) =="
+echo "== numerics independent of core count (golden + history + spatial + tensor + train, GOMAXPROCS 1/2/4/8) =="
 # Trained weights and logits are a function of the inputs and the seed, not of
 # how many goroutines a kernel split into: the bit-exact golden fixtures must
 # hold at every worker count (-count=1: the test cache does not key on
-# GOMAXPROCS).
+# GOMAXPROCS). TestGolden matches the suites at the shipped scan cut-off and
+# the *IndexForced ones at cut-off 0; the history test and internal/spatial
+# are where the exact stages' index is compared with the O(nN) forms.
 for procs in 1 2 4 8; do
-	GOMAXPROCS=$procs go test -count=1 -run 'TestGolden' ./internal/pipeline/
-	GOMAXPROCS=$procs go test -count=1 ./internal/tensor/ ./internal/train/
+	GOMAXPROCS=$procs go test -count=1 -run 'TestGolden|TestOutputIndependentOfServingHistory' ./internal/pipeline/
+	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/train/
 done
 
 echo "== one policy core (no ladder/backoff/hedge arithmetic in internal/loadgen) =="
@@ -96,7 +98,7 @@ echo "== fuzz smoke (seed corpus only) =="
 # Plain `go test` already runs every f.Add seed through the fuzz targets;
 # this stage just pins the targets by name so a renamed/deleted one fails
 # loudly instead of silently shrinking coverage.
-go test -run '^Fuzz' ./internal/compress/ ./internal/dataset/ ./internal/nn/ ./internal/serve/ ./internal/loadgen/
+go test -run '^Fuzz' ./internal/compress/ ./internal/dataset/ ./internal/nn/ ./internal/serve/ ./internal/loadgen/ ./internal/spatial/
 
 echo "== chaos smoke (fault injection under -race; see DESIGN.md §11, §15) =="
 # The resilience layer's promises — panics isolated and quarantined, invalid
@@ -108,6 +110,7 @@ go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerP
 go test -run '^$' -fuzz '^FuzzSubmitFrame$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
+go test -run '^$' -fuzz '^FuzzQueriesMatchOracles$' -fuzztime 5s ./internal/spatial/
 
 echo "== backend parity (golden suite under each compute backend) =="
 # The three compute backends are a contract: pin the registry by name so a
@@ -158,6 +161,10 @@ echo "== allocs/op regression gate =="
 # reviewed decision, not a drive-by. -cpu 1: the ceilings count the frame's own
 # allocations; every goroutine a parallel kernel launches on more cores adds
 # its own (DGCNN reads 106/op at GOMAXPROCS=2), which is not what is gated.
+# The PointNet++ rows are Baseline frames, every exact stage through
+# internal/spatial: at 512 points one level is large enough for its grid, at
+# 2048 two are and the rest take its linear scan. Both measure 62 (63 once in
+# a few runs; the parent's brute stages read 80 at 512 points).
 bench_out=$(go test -run '^$' -bench 'BenchmarkPipelineFrameAllocs' -benchtime=1x -benchmem -cpu 1 ./internal/pipeline/)
 serve_out=$(go test -run '^$' -bench 'BenchmarkServeSteadyState' -benchtime=1x -benchmem -cpu 1 ./internal/serve/)
 printf '%s\n%s\n' "$bench_out" "$serve_out"
@@ -165,9 +172,10 @@ printf '%s\n%s\n' "$bench_out" "$serve_out" | awk '
 	/^Benchmark/ {
 		for (i = 1; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
 		limit = -1
-		if ($1 ~ /^BenchmarkPipelineFrameAllocsPointNetPP/) limit = 80
-		if ($1 ~ /^BenchmarkPipelineFrameAllocsDGCNN/)      limit = 46
-		if ($1 ~ /^BenchmarkServeSteadyState/)              limit = 80
+		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP")     limit = 64
+		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP2048") limit = 64
+		if ($1 == "BenchmarkPipelineFrameAllocsDGCNN")          limit = 46
+		if ($1 ~ /^BenchmarkServeSteadyState/)                  limit = 80
 		if (limit >= 0) {
 			seen++
 			if (allocs + 0 > limit) {
@@ -177,7 +185,7 @@ printf '%s\n%s\n' "$bench_out" "$serve_out" | awk '
 		}
 	}
 	END {
-		if (seen < 3) { printf "allocs gate: matched %d of 3 benchmarks\n", seen; exit 1 }
+		if (seen < 4) { printf "allocs gate: matched %d of 4 benchmarks\n", seen; exit 1 }
 		exit bad
 	}
 '
