@@ -25,7 +25,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run reduced-size workloads (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "seed for all synthetic data")
-	backend := flag.String("backend", "", "tensor compute backend for model inference: naive | blocked | int8 (default naive)")
+	backend := flag.String("backend", "", "tensor compute backend for model inference: naive | blocked | int8 (default "+tensor.DefaultBackend+")")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	listBackends := flag.Bool("list-backends", false, "list available compute backends and exit")
 	stages := flag.Bool("stages", false, "print the per-stage span breakdown (shorthand for the 'stages' experiment)")

@@ -70,7 +70,7 @@ func main() {
 		clients  = flag.Int("clients", 4, "concurrent submitting clients")
 		seed     = flag.Int64("seed", 1, "model and frame seed")
 		quick    = flag.Bool("quick", false, "laptop-scale model and clouds (smoke mode)")
-		backend  = flag.String("backend", "", "compute backend for the inference kernels: naive | blocked | int8 (default naive)")
+		backend  = flag.String("backend", "", "compute backend for the inference kernels: naive | blocked | int8 (default "+tensor.DefaultBackend+")")
 
 		degrade      = flag.Bool("degrade", false, "arm the degradation ladder (PointNet++ workloads: "+pipeline.DegradeTierName+")")
 		chaosPanic   = flag.Float64("chaos-panic", 0, "fault injection: fraction of frames that panic a worker")

@@ -97,11 +97,6 @@ func (d *Device) StageLatency(r model.StageRecord, cfg Config) time.Duration {
 			gemm := 2 * b * float64(r.N) * float64(r.Q) * c / d.GEMMFLOPS
 			selection := b * float64(r.N) * float64(r.Q) / d.DistThroughput
 			sec = gemm + selection
-		case "knn-kdtree", "ball-kdtree":
-			logN := math.Log2(float64(r.N) + 1)
-			build := b * float64(r.N) * logN / d.TreeThroughput
-			query := b * float64(r.Q) * logN * float64(r.K) / d.TreeThroughput
-			sec = build + query
 		case "morton-window":
 			if r.W > r.K {
 				sec = b * float64(r.Q) * float64(r.W) / d.DistThroughput

@@ -46,9 +46,6 @@ type Device struct {
 	// GatherThroughput is gathered/scattered elements per second for
 	// index-pick kernels.
 	GatherThroughput float64
-	// TreeThroughput is kd-tree node visits per second (low parallelism —
-	// the paper's footnote 1).
-	TreeThroughput float64
 
 	// CUDAFLOPS is the effective fp32 rate of pointwise (1×1-conv style)
 	// feature kernels at saturation.
@@ -95,7 +92,6 @@ func JetsonAGXXavier() *Device {
 		MortonThroughput: 82e6,
 		SortThroughput:   150e6,
 		GatherThroughput: 20e9, // ~4-byte elements at full DRAM bandwidth
-		TreeThroughput:   0.3e9,
 
 		CUDAFLOPS:          150e9,
 		GEMMFLOPS:          500e9,
@@ -127,7 +123,6 @@ func (d *Device) scaled(name string, compute, mem, power float64) *Device {
 	out.DistThroughput *= compute
 	out.MortonThroughput *= compute
 	out.SortThroughput *= compute
-	out.TreeThroughput *= compute
 	out.CUDAFLOPS *= compute
 	out.GEMMFLOPS *= compute
 	out.TensorFLOPS *= compute

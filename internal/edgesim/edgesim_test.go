@@ -233,7 +233,6 @@ func TestStageLatencyDefaultBranches(t *testing.T) {
 		{Stage: model.StageSample, Algo: "mystery", N: 1000, Q: 100},
 		{Stage: model.StageNeighbor, Algo: "mystery", N: 1000, Q: 100, K: 4},
 		{Stage: model.StageSample, Algo: "grid", N: 1000, Q: 100},
-		{Stage: model.StageNeighbor, Algo: "knn-kdtree", N: 1000, Q: 100, K: 4},
 		{Stage: model.StageInterp, Algo: "three-nn", N: 1000, Q: 100},
 		{Stage: model.StageKind(99)},
 	} {

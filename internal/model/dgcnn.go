@@ -98,20 +98,17 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 	var argmax []int32
 	cin := grouped.Cols
 	dur, err = timed(func() error {
+		if wksp != nil {
+			// The pool rides in the MLP's last pass: only the (Q × C) result
+			// is written, and the grouped matrix is dead once consumed.
+			var e error
+			feats, e = m.MLP.ForwardPooled(grouped, k)
+			wsPut(wksp, grouped)
+			return e
+		}
 		y, e := m.MLP.Forward(grouped, train)
 		if e != nil {
 			return e
-		}
-		if wksp != nil {
-			if y != grouped {
-				wsPut(wksp, grouped)
-			}
-			feats = wksp.Get(y.Rows/k, y.Cols)
-			if e = x.be.MaxPoolGroupsInto(feats, nil, y, k); e != nil {
-				return e
-			}
-			wsPut(wksp, y)
-			return nil
 		}
 		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; backward needs the argmax this variant returns
 		feats, argmax, e = tensor.MaxPoolGroups(y, k)
@@ -126,7 +123,6 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 		m.cache = ecCache{nbr: nbr, argmax: argmax, k: k, n: n, c: lv.feats.Cols}
 	}
 	next.pts = lv.pts
-	//edgepc:lint-ignore workspacepair level fields are frame-scoped; Graph.Forward resets the workspace before reusing them
 	next.feats = feats
 	next.mortonSorted = lv.mortonSorted
 	return nil
@@ -193,7 +189,7 @@ type DGCNNConfig struct {
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
 	// Backend is the compute backend eval frames dispatch their kernels
-	// through (nil → the reference float32 kernels); see tensor.Backend.
+	// through (nil → tensor.Default()); see tensor.Backend.
 	Backend tensor.Backend
 	Seed    int64
 }

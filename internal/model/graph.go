@@ -87,7 +87,7 @@ type Exec struct {
 func (x *Exec) Workspace() *tensor.Workspace { return x.ws }
 
 // Backend returns the frame's compute backend (never nil: the reference
-// backend when none is configured or when training).
+// backend when training, tensor.Default() when none is configured).
 func (x *Exec) Backend() tensor.Backend { return x.be }
 
 // Trace returns the frame's trace (possibly nil).
@@ -175,7 +175,7 @@ type GraphSpec struct {
 	// Reuse is the neighbor-index reuse policy shared by all stages.
 	Reuse core.ReusePolicy
 	// Backend selects the compute backend eval frames dispatch their kernels
-	// through (nil → the reference kernels). Training frames always run the
+	// through (nil → tensor.Default()). Training frames always run the
 	// reference kernels regardless.
 	Backend tensor.Backend
 }
@@ -213,6 +213,9 @@ func Compile(spec GraphSpec) (*Graph, error) {
 	if len(spec.Stages) == 0 {
 		return nil, fmt.Errorf("model: graph needs at least one stage")
 	}
+	if spec.Backend == nil {
+		spec.Backend = tensor.Default()
+	}
 	g := &Graph{spec: spec}
 	for _, s := range spec.Stages {
 		g.params = append(g.params, s.Params()...)
@@ -244,7 +247,7 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 			}
 			// Same single attach site for the compute backend: stages (and
 			// their layer stacks) receive it once, at first eval use.
-			if u, ok := s.(nn.BackendUser); ok && g.spec.Backend != nil {
+			if u, ok := s.(nn.BackendUser); ok {
 				u.SetBackend(g.spec.Backend)
 			}
 		}
@@ -253,10 +256,11 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 	return g.ws
 }
 
-// backend resolves the compute backend for a frame: the configured backend on
-// eval frames, the reference kernels when training or unconfigured.
+// backend resolves the compute backend for a frame: the configured backend
+// (Compile made an unconfigured one tensor.Default) on eval frames, the
+// reference kernels when training.
 func (g *Graph) backend(train bool) tensor.Backend {
-	if train || g.spec.Backend == nil {
+	if train {
 		return tensor.Naive()
 	}
 	return g.spec.Backend

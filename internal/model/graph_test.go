@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tensor"
 )
 
 // TestGraphSpansBracketRecords checks the executor's span instrumentation:
@@ -155,5 +156,27 @@ func TestPointNetPPReuseFallsBackWithoutProjection(t *testing.T) {
 	}
 	if len(nbr) != 2 || nbr[1].Reused || nbr[1].Algo == "reuse" {
 		t.Fatalf("FPS run must search at every layer, got %+v", nbr)
+	}
+}
+
+// TestUnconfiguredGraphUsesDefaultBackend is model's third of the
+// one-default rule (internal/nn pins an unconfigured Linear, internal/pipeline
+// what Build resolves): a graph compiled without a backend serves eval frames
+// on tensor.Default — the backend NewBackend("") names — and trains on the
+// reference kernels whatever it serves with.
+func TestUnconfiguredGraphUsesDefaultBackend(t *testing.T) {
+	net, err := NewPointNetPP(tinyPPConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := tensor.NewBackend("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.graph.backend(false).Name(); got != def.Name() || got != tensor.DefaultBackend {
+		t.Fatalf("unconfigured graph serves on %q, NewBackend(\"\") is %q, DefaultBackend %q", got, def.Name(), tensor.DefaultBackend)
+	}
+	if got := net.graph.backend(true).Name(); got != tensor.BackendNaive {
+		t.Fatalf("training runs %q, want the reference kernels", got)
 	}
 }

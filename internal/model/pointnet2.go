@@ -188,23 +188,17 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	var argmax []int32
 	cin := grouped.Cols
 	dur, err = timed(func() error {
+		if ws != nil {
+			// The pool rides in the MLP's last pass: only the (Q × C) result
+			// is written, and the grouped matrix is dead once consumed.
+			var e error
+			feats, e = m.MLP.ForwardPooled(grouped, k)
+			wsPut(ws, grouped)
+			return e
+		}
 		y, e := m.MLP.Forward(grouped, train)
 		if e != nil {
 			return e
-		}
-		if ws != nil {
-			// The grouped matrix is dead once the MLP consumed it (unless the
-			// MLP was a pass-through and returned it unchanged), and the MLP
-			// output is dead once pooled.
-			if y != grouped {
-				wsPut(ws, grouped)
-			}
-			feats = ws.Get(y.Rows/k, y.Cols)
-			if e = x.be.MaxPoolGroupsInto(feats, nil, y, k); e != nil {
-				return e
-			}
-			wsPut(ws, y)
-			return nil
 		}
 		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; backward needs the argmax this variant returns
 		feats, argmax, e = tensor.MaxPoolGroups(y, k)
@@ -219,7 +213,6 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 		m.cache = saCache{parentRows: n, parentCols: parent.feats.Cols, nbr: nbr, argmax: argmax, k: k}
 	}
 	next.pts = centers
-	//edgepc:lint-ignore workspacepair level fields are frame-scoped; Graph.Forward resets the workspace before reusing them
 	next.feats = feats
 	next.mortonSorted = parent.mortonSorted && useMorton
 	next.posInParent = sel
@@ -465,7 +458,7 @@ type PPConfig struct {
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
 	// Backend is the compute backend eval frames dispatch their kernels
-	// through (nil → the reference float32 kernels); see tensor.Backend.
+	// through (nil → tensor.Default()); see tensor.Backend.
 	Backend tensor.Backend
 	Seed    int64
 }

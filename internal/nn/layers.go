@@ -1,10 +1,12 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -34,40 +36,39 @@ func (l *Linear) SetWorkspace(ws *tensor.Workspace) { l.ws = ws }
 // SetBackend implements BackendUser: eval-mode matmuls dispatch through be.
 func (l *Linear) SetBackend(be tensor.Backend) { l.be = be }
 
-// backend resolves the layer's compute backend, defaulting to the reference
-// kernels.
+// backend resolves the layer's compute backend: the one it was given, else
+// the package default every unconfigured site shares.
 func (l *Linear) backend() tensor.Backend {
 	if l.be != nil {
 		return l.be
 	}
-	return tensor.Naive()
+	return tensor.Default()
 }
 
-// Forward implements Layer. The x·W product is the layer's compute kernel and
-// the one place the backend choice matters: the eval path dispatches it
+// Forward implements Layer. The x·W + b product is the layer's compute kernel
+// and the one place the backend choice matters: the eval path dispatches it
 // through the configured tensor.Backend (blocked tiles it, int8 quantizes and
-// dequantizes on exit), while the bias add stays an exact float32 row op in
-// every backend — the dequantized stage boundary.
+// dequantizes on exit) as one MatMulBiasInto — the bias an exact float32 add
+// in every backend. Training and workspace-less calls run the reference.
 //
 //edgepc:hotpath
 func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
-	if train {
-		l.x = x
-	}
 	var y *tensor.Matrix
 	var err error
 	if !train && l.ws != nil {
 		y = l.ws.Get(x.Rows, l.W.Value.Cols)
-		err = l.backend().MatMulInto(y, x, l.W.Value)
+		err = l.backend().MatMulBiasInto(y, x, l.W.Value, l.B.Value.Data)
 	} else {
-		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above uses MatMulInto
-		y, err = tensor.MatMul(x, l.W.Value)
+		if train {
+			l.x = x
+		}
+		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above uses MatMulBiasInto
+		if y, err = tensor.MatMul(x, l.W.Value); err == nil {
+			err = tensor.AddBiasRows(y, l.B.Value.Data)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("linear %s: %w", l.W.Name, err)
-	}
-	if err := l.backend().AddBiasRows(y, l.B.Value.Data); err != nil {
-		return nil, err
 	}
 	return y, nil
 }
@@ -139,12 +140,13 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 		r.mask = r.mask[:len(out.Data)]
 	}
 	for i, v := range out.Data {
-		pass := v > 0
-		if !pass {
+		// v <= 0, not !(v > 0): a NaN passes, as in the workspace branch above
+		// and in BatchNorm's fused pass — the three agree bit for bit.
+		if v <= 0 {
 			out.Data[i] = 0
 		}
 		if train {
-			r.mask[i] = pass
+			r.mask[i] = v > 0
 		}
 	}
 	return out, nil
@@ -176,6 +178,11 @@ func (r *ReLU) Params() []*Param { return nil }
 // one row — per-cloud (instance) normalization, the consistent counterpart
 // of what training computes. A single-row input (e.g. a globally pooled
 // classification feature) falls back to the running statistics.
+//
+// With a workspace the multi-row eval path is normalize: column-owned
+// statistics, then one row-chunked pass, which inside a Sequential's Linear →
+// BatchNorm → ReLU triple also rectifies, in place on the Linear's buffer,
+// and max-pools — the layer-by-layer float32 operations, in the same order.
 type BatchNorm struct {
 	Gamma, Beta             *Param
 	RunningMean, RunningVar []float32
@@ -290,42 +297,129 @@ func (bn *BatchNorm) forwardWS(x *tensor.Matrix) (*tensor.Matrix, error) {
 		}
 		return out, nil
 	}
-	n := float32(x.Rows)
-	stats := bn.ws.Get(3, c) // rows: mean, variance, invStd
-	mean, variance, invStd := stats.Row(0), stats.Row(1), stats.Row(2)
-	for j := 0; j < c; j++ {
-		mean[j] = 0
-		variance[j] = 0
+	bn.normalize(out, x, false, 1)
+	return out, nil
+}
+
+// Fan-out of normalize's sweeps: a goroutine takes at least minSweepElems
+// elements (on the 2-core reference host starting one for fewer costs more
+// than it saves), minStatCols statistics columns and minApplyRows rows.
+const (
+	minSweepElems = 1 << 14
+	minStatCols   = 4
+	minApplyRows  = 8
+)
+
+// normalize is the multi-row eval kernel: dst row g is the per-channel
+// maximum over x rows [g·k, (g+1)·k) of γ·((x−mean)·invStd)+β, rectified
+// first when relu is set. k = 1 pools nothing, and then dst may be x itself.
+// Neither fan-out touches numerics: statistics are partitioned by column, a
+// goroutine walking all rows of its columns in index order, so each sum is
+// the serial one on any core count; the apply pass is element-wise by rows.
+//
+//edgepc:hotpath
+func (bn *BatchNorm) normalize(dst, x *tensor.Matrix, relu bool, k int) {
+	c := x.Cols
+	stats := bn.ws.Get(2, c)
+	mean, invStd := stats.Row(0), stats.Row(1)
+	fan := parallel.WorkersFor(len(x.Data), minSweepElems)
+	if w := min(fan, c/minStatCols); w > 1 {
+		parallel.ForSplit(c, w, func(lo, hi int) { bn.colStats(x, mean, invStd, lo, hi) })
+	} else {
+		bn.colStats(x, mean, invStd, 0, c)
 	}
-	for r := 0; r < x.Rows; r++ {
-		for j, v := range x.Row(r) {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= n
-	}
-	for r := 0; r < x.Rows; r++ {
-		for j, v := range x.Row(r) {
-			d := v - mean[j]
-			variance[j] += d * d
-		}
-	}
-	for j := range variance {
-		variance[j] /= n
-	}
-	for j := range invStd {
-		invStd[j] = 1 / float32(math.Sqrt(float64(variance[j]+bn.Eps)))
-	}
-	for r := 0; r < x.Rows; r++ {
-		xr, or := x.Row(r), out.Row(r)
-		for j := 0; j < c; j++ {
-			h := (xr[j] - mean[j]) * invStd[j]
-			or[j] = bn.Gamma.Value.Data[j]*h + bn.Beta.Value.Data[j]
-		}
+	if w := min(fan, dst.Rows/minApplyRows); w > 1 {
+		parallel.ForSplit(dst.Rows, w, func(lo, hi int) { bn.apply(dst, x, mean, invStd, relu, k, lo, hi) })
+	} else {
+		bn.apply(dst, x, mean, invStd, relu, k, 0, dst.Rows)
 	}
 	bn.ws.Put(stats)
-	return out, nil
+}
+
+// colStats fills mean[lo:hi] and invStd[lo:hi] from columns [lo, hi) of x:
+// mean = Σx / n, variance = Σ(x−mean)² / n, both over rows in index order,
+// invStd = 1/√(variance+ε). It sums 32 columns at a time on its own stack:
+// in the shared statistics row two goroutines' adjacent ranges would share a
+// cache line, and every add would bounce it between cores.
+//
+//edgepc:hotpath
+func (bn *BatchNorm) colStats(x *tensor.Matrix, mean, invStd []float32, lo, hi int) {
+	c, n := x.Cols, float32(x.Rows)
+	var mbuf, vbuf [32]float32
+	for b := lo; b < hi; b += len(mbuf) {
+		w := min(len(mbuf), hi-b)
+		m, v := mbuf[:w], vbuf[:w]
+		clear(m)
+		clear(v)
+		for off := b; off < len(x.Data); off += c {
+			for j, xv := range x.Data[off : off+w] {
+				m[j] += xv
+			}
+		}
+		for j := range m {
+			m[j] /= n
+		}
+		for off := b; off < len(x.Data); off += c {
+			for j, xv := range x.Data[off : off+w] {
+				d := xv - m[j]
+				v[j] += d * d
+			}
+		}
+		for j := range v {
+			v[j] /= n
+			invStd[b+j] = 1 / float32(math.Sqrt(float64(v[j]+bn.Eps)))
+		}
+		copy(mean[b:], m)
+	}
+}
+
+// apply writes dst rows [lo, hi) of normalize. A group's first row seeds the
+// maximum and a later one replaces it only when strictly greater —
+// tensor.MaxPoolGroupsInto's rule, so a NaN is kept or skipped as there.
+//
+//edgepc:hotpath
+func (bn *BatchNorm) apply(dst, x *tensor.Matrix, mean, invStd []float32, relu bool, k, lo, hi int) {
+	c := x.Cols
+	gamma, beta := bn.Gamma.Value.Data[:c], bn.Beta.Value.Data[:c]
+	mean, invStd = mean[:c], invStd[:c]
+	for r := lo * k; r < hi*k; r++ {
+		or, first := dst.Data[r/k*c:][:c], r%k == 0
+		for j, xv := range x.Data[r*c:][:c] {
+			v := gamma[j]*((xv-mean[j])*invStd[j]) + beta[j]
+			if relu {
+				v = rectify(v)
+			}
+			if !first {
+				v = greater(v, or[j])
+			}
+			or[j] = v
+		}
+	}
+}
+
+// rectify is ReLU's rule (v <= 0 → +0; a NaN passes) and greater max-pool's
+// (v replaces cur only when v > cur), each spelled as a select on the bit
+// pattern, which compiles to an integer conditional move: both go each way
+// half the time, and a branch on the float mispredicted at every other
+// element (sa0: 8.4 → 5.0 ms). Folding the two into one helper taking the
+// condition as a bool brings the branches back.
+//
+//edgepc:hotpath
+func rectify(v float32) float32 {
+	b := math.Float32bits(v)
+	if v <= 0 {
+		b = 0
+	}
+	return math.Float32frombits(b)
+}
+
+//edgepc:hotpath
+func greater(v, cur float32) float32 {
+	b := math.Float32bits(cur)
+	if v > cur {
+		b = math.Float32bits(v)
+	}
+	return math.Float32frombits(b)
 }
 
 // Backward implements Layer.
@@ -447,22 +541,94 @@ func (s *Sequential) SetBackend(be tensor.Backend) {
 //
 //edgepc:hotpath
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
-	cur := x
-	for i, l := range s.Layers {
-		y, err := l.Forward(cur, train)
+	return s.forward(x, train, 0)
+}
+
+// ForwardPooled is the workspace inference pass over a grouped (Q·k × C) input
+// followed by a max-pool of each group of k consecutive rows: bit for bit what
+// tensor.MaxPoolGroupsInto makes of Forward(x, false). When the chain ends in
+// a Linear → BatchNorm → ReLU triple, as every shared MLP does, the pool rides
+// in the triple's last pass and the normalised (Q·k × C) tensor is never
+// written, only the (Q × C) result. Training pools separately (backward wants
+// the argmax).
+//
+//edgepc:hotpath
+func (s *Sequential) ForwardPooled(x *tensor.Matrix, k int) (*tensor.Matrix, error) {
+	if s.ws == nil || k <= 0 || x.Rows%k != 0 {
+		return nil, errPooled
+	}
+	return s.forward(x, false, k)
+}
+
+// errPooled is static: formatting operands would be heap escapes on a hot path.
+var errPooled = errors.New("nn: ForwardPooled needs a workspace and rows in whole groups of k")
+
+// forward chains the layers; k > 0 max-pools the output over groups of k
+// rows. Workspace inference recycles each intermediate as it dies and runs a
+// Linear → BatchNorm → ReLU triple over more than one row as one block: the
+// GEMM stores x·W + b into a workspace buffer and BatchNorm.normalize
+// rectifies it in place — or, on the chain's last triple when pooling, into
+// the (rows/k × C) result.
+//
+//edgepc:hotpath
+func (s *Sequential) forward(x *tensor.Matrix, train bool, k int) (*tensor.Matrix, error) {
+	cur, fuse := x, !train && s.ws != nil
+	for i := 0; i < len(s.Layers); i++ {
+		y, err := s.Layers[i].Forward(cur, train)
 		if err != nil {
 			return nil, err
 		}
-		// Workspace inference: the intermediate produced by layer i-1 is
-		// dead once layer i has consumed it, so recycle it eagerly. The
-		// chain input (i == 0) belongs to the caller; layers that return
+		if bn := s.tripleAt(i, y); fuse && bn != nil {
+			if i += 2; k > 0 && i+1 == len(s.Layers) {
+				s.recycle(cur, x)
+				cur, y = y, s.ws.Get(y.Rows/k, y.Cols)
+				bn.normalize(y, cur, true, k)
+				k = 0 // pooled: nothing left for the tail
+			} else {
+				bn.normalize(y, y, true, 1)
+			}
+		}
+		// The intermediate a layer consumed is dead; layers that return
 		// their input (in-place ReLU, eval Dropout) keep it alive.
-		if !train && s.ws != nil && i > 0 && y != cur && s.ws.Owns(cur) {
-			s.ws.Put(cur)
+		if fuse && y != cur {
+			s.recycle(cur, x)
 		}
 		cur = y
 	}
+	if k > 0 {
+		out := s.ws.Get(cur.Rows/k, cur.Cols)
+		if err := tensor.MaxPoolGroupsInto(out, nil, cur, k); err != nil {
+			return nil, err
+		}
+		s.recycle(cur, x)
+		cur = out
+	}
 	return cur, nil
+}
+
+// recycle returns a dead intermediate to the workspace — unless it is the
+// chain input x, which belongs to the caller, or not a workspace buffer.
+func (s *Sequential) recycle(m, x *tensor.Matrix) {
+	if m != x && s.ws.Owns(m) {
+		s.ws.Put(m)
+	}
+}
+
+// tripleAt returns the BatchNorm of a fusable block: layer i is a Linear that
+// has just produced the workspace buffer y (more than one row: one row takes
+// BatchNorm's running-statistics form) and a BatchNorm of y's width and a
+// ReLU follow; nil otherwise.
+func (s *Sequential) tripleAt(i int, y *tensor.Matrix) *BatchNorm {
+	if s.ws == nil || i+2 >= len(s.Layers) || y.Rows == 1 || !s.ws.Owns(y) {
+		return nil
+	}
+	_, isLinear := s.Layers[i].(*Linear)
+	bn, isBN := s.Layers[i+1].(*BatchNorm)
+	_, isReLU := s.Layers[i+2].(*ReLU)
+	if !isLinear || !isBN || !isReLU || bn.ws != s.ws || len(bn.RunningMean) != y.Cols {
+		return nil
+	}
+	return bn
 }
 
 // Backward implements Layer.

@@ -43,7 +43,11 @@ func ForChunks(n int, body func(lo, hi int)) {
 // ForSplit splits [0, n) into at most workers contiguous chunks and runs
 // body(lo, hi) on each concurrently; workers <= 1 runs body(0, n) inline.
 // For callers where the work per index, not n, decides whether goroutines
-// pay (tensor.MatMulATInto: few output rows, each a long reduction).
+// pay (tensor.MatMulATInto: few output rows, each a long reduction; the
+// shared-MLP kernels: WorkersFor). Chunk 0 runs on the calling goroutine, so
+// a split over w workers starts w-1 goroutines. A hot caller should test its
+// worker count before it builds the closure: body escapes, so a capturing
+// closure is a heap allocation even when it would run inline.
 func ForSplit(n, workers int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -56,23 +60,37 @@ func ForSplit(n, workers int, body func(lo, hi int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	wg := wgPool.Get().(*sync.WaitGroup)
+	for next := chunk; next < n; next += chunk {
+		// Captured by value in an argument-less closure: one allocation per
+		// goroutine, where passing them as arguments costs a second wrapper.
+		lo, hi := next, min(next+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
 			body(lo, hi)
-		}(lo, hi)
+		}()
 	}
+	// Yield once before chunk 0. The last goroutine started sits in this P's
+	// runnext slot, and an idle P steals from there only after a sleep (3 µs
+	// asked, 50–70 µs got on Linux) while this P is busy — so a two-way split
+	// of a 200 µs kernel finished no sooner than the serial loop. Yielding
+	// lets this P start that goroutine now and puts the caller on the global
+	// queue, which an idle P polls without the sleep: the placement of
+	// starting every chunk and blocking, for one goroutine fewer.
+	runtime.Gosched()
+	body(0, chunk)
 	wg.Wait()
+	wgPool.Put(wg)
 }
 
+// wgPool recycles ForSplit's WaitGroups: one declared there would be captured
+// by the goroutine closures and so allocated on every call.
+var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
 // ForWorkers splits [0, n) into one contiguous chunk per worker — exactly
-// the split Workers(n) reports — and runs body(worker, lo, hi) concurrently.
+// the split Workers(n) reports — and runs body(worker, lo, hi) concurrently,
+// slot 0 on the calling goroutine (it is a ForSplit).
 // Unlike ForChunks, the body learns which worker slot it occupies, so callers
 // can give every worker a private accumulator sized by Workers(n) and reduce
 // after the call returns (the counting passes of morton.RadixOrder). Worker
@@ -89,22 +107,8 @@ func ForWorkers(n int, body func(worker, lo, hi int)) {
 		body(0, 0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			body(w, lo, hi)
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
+	chunk := (n + workers - 1) / workers // ForSplit's, as workers <= n
+	ForSplit(n, workers, func(lo, hi int) { body(lo/chunk, lo, hi) })
 }
 
 // Workers reports the number of workers For would use for a loop of length n.
@@ -119,4 +123,13 @@ func Workers(n int) int {
 		w = n
 	}
 	return w
+}
+
+// WorkersFor reports how many goroutines pay for a loop of work elementary
+// operations (multiply-adds of a GEMM, elements of a sweep) when each should
+// take at least grain of them: work/grain, within [1, GOMAXPROCS]. Workers
+// decides by index count alone, which leaves a 1024-row GEMM of 13 MFLOP on
+// one core. The result goes to ForSplit, which caps it at the index count.
+func WorkersFor(work, grain int) int {
+	return max(1, min(work/grain, runtime.GOMAXPROCS(0)))
 }

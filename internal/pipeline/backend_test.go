@@ -71,6 +71,26 @@ func TestBuildRejectsUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestBuildWithEmptyOptionsUsesDefaultBackend is pipeline's third of the
+// one-default rule (internal/nn pins an unconfigured Linear, internal/model an
+// unconfigured Graph): the backend Build hands a net for empty Options is
+// the one NewBackend("") and tensor.Default name — and the flags' help text is
+// built from the same constant.
+func TestBuildWithEmptyOptionsUsesDefaultBackend(t *testing.T) {
+	be, err := resolveBackend(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := tensor.NewBackend("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if be.Name() != def.Name() || be.Name() != tensor.Default().Name() || be.Name() != tensor.DefaultBackend {
+		t.Fatalf("Build resolves %q; NewBackend(\"\") %q, Default() %q, DefaultBackend %q",
+			be.Name(), def.Name(), tensor.Default().Name(), tensor.DefaultBackend)
+	}
+}
+
 // maxLogitDiff returns the largest element-wise |a−b| between two matrices of
 // identical shape.
 func maxLogitDiff(t *testing.T, a, b *tensor.Matrix) float64 {
@@ -92,11 +112,13 @@ func maxLogitDiff(t *testing.T, a, b *tensor.Matrix) float64 {
 }
 
 // TestGoldenBackendParity runs every golden workload × config under each
-// non-reference backend and compares eval logits against the naive build.
+// non-reference backend and compares eval logits against the naive build
+// (named, now that an empty Options.Backend means blocked).
 // Deterministic weight init from Options.Seed means two nets built with the
 // same options hold identical weights, so any logit difference is purely the
-// backend's kernels. Together with TestGoldenLogits (which pins the naive
-// path to fixtures bit-for-bit) this is the backend-parity gate CI runs.
+// backend's kernels. Together with TestGoldenLogits (which pins the default
+// path — blocked — to fixtures bit-for-bit) this is the backend-parity gate
+// CI runs.
 func TestGoldenBackendParity(t *testing.T) {
 	for _, w := range Workloads {
 		for _, kind := range []ConfigKind{Baseline, SN} {
@@ -110,7 +132,9 @@ func TestGoldenBackendParity(t *testing.T) {
 				tensor.BackendInt8:    int8Tol,
 			}
 			t.Run(fmt.Sprintf("%s_%s", w.ID, kind), func(t *testing.T) {
-				ref, err := Build(w, kind, goldenOptions())
+				refOpts := goldenOptions()
+				refOpts.Backend = tensor.BackendNaive
+				ref, err := Build(w, kind, refOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,8 +177,9 @@ func TestGoldenBackendParity(t *testing.T) {
 	}
 }
 
-// Per-backend frame benchmarks on the Fig. 3 hot path — the numbers
-// scripts/bench_backend.sh commits to BENCH_backend.json.
+// Per-backend frame benchmarks on the Fig. 3 hot path, for work at the
+// bench: the committed per-backend numbers are bench/'s tensor.matmul.*_ms
+// rows and its frame rates (bash bench/run.sh).
 
 func benchFrameBackend(b *testing.B, backend string) {
 	b.Helper()

@@ -138,8 +138,9 @@ type Options struct {
 	// (pair with datasets that attach features, e.g. scene intensity).
 	ExtraFeatDim int
 	// Backend names the tensor.Backend eval frames dispatch their compute
-	// kernels through: "naive" (the reference float32 loops, the default),
-	// "blocked" (cache-blocked fp32 tiles), or "int8" (quantized inference).
+	// kernels through: "blocked" (cache-blocked fp32 tiles; the default,
+	// tensor.DefaultBackend), "naive" (the reference float32 loops, which
+	// blocked matches bit for bit), or "int8" (quantized inference).
 	// Builders resolve the name per net, so every replica owns a private
 	// backend instance. Unknown names fail at Build with the registered list.
 	// Training always runs the reference kernels regardless.

@@ -7,19 +7,22 @@ import (
 )
 
 // Backend is a pluggable implementation of the destination-writing kernel set
-// the inference hot path dispatches through (the *Into family plus the
-// in-place row ops). Every implementation must honor the same contracts as
-// the package-level reference functions: identical shape/alias validation,
+// the inference hot path dispatches through (the *Into family; the Linear
+// layer's bias rides in MatMulBiasInto's store). Every implementation must
+// honor the contracts of the package-level reference functions: identical
+// shape/alias validation,
 // destinations fully overwritten, and no retained references to caller
 // buffers after the call returns — workspace buffers are recycled between
 // frames, so caching anything keyed on an *activation* matrix is a bug
 // (weights, which a backend may cache, live for the process).
 //
-// Numerics: the naive backend is the reference. blocked must stay within
-// 1e-5 of it element-wise (in practice it preserves the per-cell accumulation
-// order and is bit-identical); int8 is quantized and only promises the
-// documented logit tolerance plus the ≤2pp accuracy envelope. Training always
-// runs the reference kernels — backends are an inference-only axis.
+// Numerics: the naive backend is the reference — the oracle the others are
+// tested against, and the kernels training always runs (backends are an
+// inference-only axis). blocked, the default, must stay within 1e-5 of it
+// element-wise (in practice it preserves the per-cell accumulation order and
+// is bit-identical, which is why the golden fixtures hold under either);
+// int8 is quantized and only promises the documented logit tolerance plus
+// the ≤2pp accuracy envelope.
 //
 // Concurrency: a Backend instance follows the Graph contract — one instance
 // per replica/goroutine. Stateless backends (naive, blocked) are safe to
@@ -32,9 +35,11 @@ type Backend interface {
 	MatMulATInto(out, a, b *Matrix) error
 	GatherInto(out, src *Matrix, idx []int) error
 	ScatterAdd(dst, src *Matrix, idx []int) error
-	MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error
 	ConcatInto(out, a, b *Matrix) error
-	AddBiasRows(m *Matrix, bias []float32) error
+	// MatMulBiasInto is MatMulInto with bias[j] added to column j as each
+	// row is stored: the Linear layer's whole eval kernel. The add is an
+	// exact float32 one in every backend (int8 adds after it dequantizes).
+	MatMulBiasInto(out, a, b *Matrix, bias []float32) error
 }
 
 // Registered backend names.
@@ -44,8 +49,14 @@ const (
 	BackendInt8    = "int8"
 )
 
-// DefaultBackend is the backend an empty selection resolves to.
-const DefaultBackend = BackendNaive
+// DefaultBackend is the backend an empty selection resolves to: NewBackend("")
+// and, through Default, every layer and graph that was never given one.
+const DefaultBackend = BackendBlocked
+
+// Default returns an instance of DefaultBackend — the one place "no backend
+// configured" is decided for eval frames (nn.Linear, model.Graph). Training
+// does not ask: it runs the reference kernels whatever is configured.
+func Default() Backend { return backendFactories[DefaultBackend]() }
 
 // BackendFactory constructs a fresh Backend instance. NewBackend calls the
 // factory per request so every replica gets private state (the int8 backend
@@ -97,8 +108,7 @@ func init() {
 
 // naiveBackend adapts the package-level reference kernels to the Backend
 // interface. It is stateless; Naive returns a shared instance, so dispatching
-// through it adds no per-call allocation and the default inference path stays
-// bit-identical to the pre-backend code (the golden fixtures pin this).
+// through it adds no per-call allocation.
 type naiveBackend struct{}
 
 var naiveShared Backend = naiveBackend{}
@@ -125,12 +135,9 @@ func (naiveBackend) GatherInto(out, src *Matrix, idx []int) error { return Gathe
 func (naiveBackend) ScatterAdd(dst, src *Matrix, idx []int) error { return ScatterAdd(dst, src, idx) }
 
 //edgepc:hotpath
-func (naiveBackend) MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error {
-	return MaxPoolGroupsInto(out, argmax, grouped, k)
-}
-
-//edgepc:hotpath
 func (naiveBackend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }
 
 //edgepc:hotpath
-func (naiveBackend) AddBiasRows(m *Matrix, bias []float32) error { return AddBiasRows(m, bias) }
+func (naiveBackend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
+	return MatMulBiasInto(out, a, b, bias)
+}

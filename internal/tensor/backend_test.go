@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -307,6 +309,90 @@ func TestBackendValidationMatchesReference(t *testing.T) {
 		if err := be.MatMulInto(out, a, b); err != nil {
 			t.Fatalf("%s: valid matmul rejected: %v", name, err)
 		}
+		if err := be.MatMulBiasInto(out, a, b, make([]float32, 3)); err == nil {
+			t.Fatalf("%s: bias of the wrong length accepted", name)
+		}
+		if err := be.MatMulBiasInto(New(2, 5), a, b, make([]float32, 5)); err == nil {
+			t.Fatalf("%s: bad destination shape accepted with a bias", name)
+		}
+	}
+}
+
+// oddMatrix is a random matrix salted with the values an epilogue can get
+// wrong: NaN, ±Inf, −0, and (every fifth column) a constant or all-negative
+// column.
+func oddMatrix(rng *rand.Rand, rows, cols int) *Matrix {
+	m := randomMatrix(rows, cols, rng)
+	odd := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1)), 0}
+	for i := 0; i < len(m.Data); i += 1 + rng.Intn(97) {
+		m.Data[i] = odd[rng.Intn(len(odd))]
+	}
+	for c := 4; c < cols; c += 5 {
+		for r := 0; r < rows; r++ {
+			if c%2 == 0 {
+				m.Set(r, c, 0.75)
+			} else {
+				m.Set(r, c, -float32(math.Abs(float64(m.At(r, c))))-1)
+			}
+		}
+	}
+	return m
+}
+
+// sameBits is float32 bit equality, −0 distinct from +0, with one allowance:
+// any NaN equals any NaN. Which operand's sign and payload an add of two NaNs
+// keeps is the first one's on amd64, and Go lets the compiler commute the
+// operands, so two spellings of one sum may differ there and nowhere else.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// TestMatMulBiasIntoIsMatMulIntoPlusBias pins the fused store: on every
+// backend, at every core count, MatMulBiasInto's bits are those of the same
+// backend's MatMulInto followed by the reference bias sweep — across shapes
+// that straddle the row tile (4), the k tile (4) and the work-sized split,
+// with non-finite and signed-zero operands.
+func TestMatMulBiasIntoIsMatMulIntoPlusBias(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(21))
+	for _, procs := range []int{1, 2, 3, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		split := 1 << 20
+		if procs > 1 {
+			split = firstParallel(t, func(rows int) int { return matMulWorkers(rows, 19, 16) })
+		}
+		for _, s := range []struct{ m, k, n int }{
+			{1, 1, 1}, {2, 3, 4}, {3, 6, 16}, {5, 19, 3}, {255, 35, 6}, {256, 67, 19}, {2049, 4, 1},
+			{split - 1, 19, 16}, {split, 19, 16}, {split + 1, 19, 16},
+		} {
+			if s.m > 1<<16 {
+				continue // GOMAXPROCS 1: nothing splits, no boundary to straddle
+			}
+			a, b := oddMatrix(rng, s.m, s.k), oddMatrix(rng, s.k, s.n)
+			bias := oddMatrix(rng, 1, s.n).Data
+			for _, name := range BackendNames() {
+				be, err := NewBackend(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, got := garbageMatrix(rng, s.m, s.n), garbageMatrix(rng, s.m, s.n)
+				if err := be.MatMulInto(want, a, b); err != nil {
+					t.Fatal(err)
+				}
+				if err := AddBiasRows(want, bias); err != nil {
+					t.Fatal(err)
+				}
+				if err := be.MatMulBiasInto(got, a, b, bias); err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want.Data {
+					if g := got.Data[i]; !sameBits(g, w) {
+						t.Fatalf("%s, GOMAXPROCS %d, %dx%d·%dx%d: element %d is %x (%g), want %x (%g)",
+							name, procs, s.m, s.k, s.k, s.n, i, math.Float32bits(g), g, math.Float32bits(w), w)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -350,7 +436,8 @@ func TestBlockedBackendConcurrent(t *testing.T) {
 	}
 }
 
-// --- Fig. 3 microbenchmarks across backends (scripts/bench_backend.sh) ---
+// --- Fig. 3 microbenchmarks across backends (the committed per-backend rows
+// are bench/'s tensor.matmul.*_ms, at the shapes of a real frame) ---
 
 // benchBackendMatMul times the shared-MLP shape of the feature-compute stage:
 // many point rows through a square-ish weight panel.

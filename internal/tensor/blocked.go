@@ -10,7 +10,7 @@ import "repro/internal/parallel"
 // are distributed across workers with internal/parallel exactly like the
 // naive kernels, so the parallel split never changes numerics either.
 //
-// Data-movement kernels (gather/concat/pool/bias) and the training-only ops
+// Data-movement kernels (gather/concat) and the training-only ops
 // have nothing to block over; they delegate to the reference implementations.
 //
 // Stateless and safe for concurrent use by weight-sharing replicas.
@@ -27,20 +27,32 @@ func (blockedBackend) Name() string { return BackendBlocked }
 // the reference MatMulInto.
 //
 //edgepc:hotpath
-func (blockedBackend) MatMulInto(out, a, b *Matrix) error {
-	if err := checkMatMul(out, a, b); err != nil {
+func (be blockedBackend) MatMulInto(out, a, b *Matrix) error {
+	return be.MatMulBiasInto(out, a, b, nil)
+}
+
+// MatMulBiasInto computes a·b + bias into out with the tiled kernel; the
+// bias lands on each row tile while it is still in cache. Validation and
+// split match the reference MatMulBiasInto.
+//
+//edgepc:hotpath
+func (blockedBackend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
+	if err := checkMatMul(out, a, b, bias); err != nil {
 		return err
 	}
-	parallel.ForChunks(a.Rows, func(lo, hi int) {
-		blockedMatMulRows(out, a, b, lo, hi)
-	})
+	if workers := matMulWorkers(a.Rows, a.Cols, b.Cols); workers > 1 {
+		parallel.ForSplit(a.Rows, workers, func(lo, hi int) { blockedMatMulRows(out, a, b, bias, lo, hi) })
+	} else {
+		blockedMatMulRows(out, a, b, bias, 0, a.Rows)
+	}
 	return nil
 }
 
-// blockedMatMulRows runs the tiled a·b kernel over out rows [lo, hi).
+// blockedMatMulRows runs the tiled a·b (+ bias) kernel over out rows
+// [lo, hi).
 //
 //edgepc:hotpath
-func blockedMatMulRows(out, a, b *Matrix, lo, hi int) {
+func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 	kc := a.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {
@@ -79,6 +91,12 @@ func blockedMatMulRows(out, a, b *Matrix, lo, hi int) {
 				or3[j] += a3 * bv
 			}
 		}
+		for j, bv := range bias {
+			or0[j] += bv
+			or1[j] += bv
+			or2[j] += bv
+			or3[j] += bv
+		}
 	}
 	// Ragged row remainder: one row at a time, k still tiled by 4.
 	for ; i < hi; i++ {
@@ -100,6 +118,9 @@ func blockedMatMulRows(out, a, b *Matrix, lo, hi int) {
 			for j, bv := range b.Row(k) {
 				or[j] += av * bv
 			}
+		}
+		for j, bv := range bias {
+			or[j] += bv
 		}
 	}
 }
@@ -195,12 +216,4 @@ func (blockedBackend) ScatterAdd(dst, src *Matrix, idx []int) error {
 }
 
 //edgepc:hotpath
-func (blockedBackend) MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error {
-	return MaxPoolGroupsInto(out, argmax, grouped, k)
-}
-
-//edgepc:hotpath
 func (blockedBackend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }
-
-//edgepc:hotpath
-func (blockedBackend) AddBiasRows(m *Matrix, bias []float32) error { return AddBiasRows(m, bias) }

@@ -169,7 +169,16 @@ func (be *Int8Backend) weightsFor(b *Matrix) *int8Weights {
 //
 //edgepc:hotpath
 func (be *Int8Backend) MatMulInto(out, a, b *Matrix) error {
-	if err := checkMatMul(out, a, b); err != nil {
+	return be.MatMulBiasInto(out, a, b, nil)
+}
+
+// MatMulBiasInto is MatMulInto with the float32 bias added to each row after
+// it is dequantized: the same add, on the same value, as a separate bias
+// sweep over MatMulInto's output.
+//
+//edgepc:hotpath
+func (be *Int8Backend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
+	if err := checkMatMul(out, a, b, bias); err != nil {
 		return err
 	}
 	qb := be.weightsFor(b)
@@ -210,6 +219,9 @@ func (be *Int8Backend) MatMulInto(out, a, b *Matrix) error {
 			for j := range or {
 				or[j] *= sa * qb.scale[j]
 			}
+			for j, bv := range bias {
+				or[j] += bv
+			}
 		}
 	})
 	return nil
@@ -233,12 +245,4 @@ func (be *Int8Backend) ScatterAdd(dst, src *Matrix, idx []int) error {
 }
 
 //edgepc:hotpath
-func (be *Int8Backend) MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) error {
-	return MaxPoolGroupsInto(out, argmax, grouped, k)
-}
-
-//edgepc:hotpath
 func (be *Int8Backend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }
-
-//edgepc:hotpath
-func (be *Int8Backend) AddBiasRows(m *Matrix, bias []float32) error { return AddBiasRows(m, bias) }

@@ -30,14 +30,18 @@ func checkDst(op string, out *Matrix, rows, cols int) error {
 	return nil
 }
 
-// checkMatMul validates shapes and aliasing for out = a·b; shared by every
-// backend's MatMul kernel so the validation contract cannot drift.
-func checkMatMul(out, a, b *Matrix) error {
+// checkMatMul validates shapes and aliasing for out = a·b + bias (a nil bias
+// adds nothing); shared by every backend's MatMul kernel so the validation
+// contract cannot drift.
+func checkMatMul(out, a, b *Matrix, bias []float32) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	if err := checkDst("matmul", out, a.Rows, b.Cols); err != nil {
 		return err
+	}
+	if bias != nil && len(bias) != out.Cols {
+		return fmt.Errorf("tensor: bias length %d for %d columns", len(bias), out.Cols)
 	}
 	if sameBacking(out.Data, a.Data) || sameBacking(out.Data, b.Data) {
 		return fmt.Errorf("tensor: matmul destination aliases an input")
@@ -59,32 +63,64 @@ func checkMatMulBT(out, a, b *Matrix) error {
 	return nil
 }
 
+// minMatMulWork is the fewest multiply-adds one goroutine of a row-split a·b
+// takes, minMatMulRows the fewest rows. Measured on the 2-core reference host
+// with the blocked kernel (≈2.5 multiply-adds per ns): a two-way split breaks
+// even between 65 k and 260 k multiply-adds in all, depending on how the host
+// is loaded, and wins 1.4–1.9× from 500 k; W1's smallest layer has 1.5 M.
+const (
+	minMatMulWork = 1 << 16
+	minMatMulRows = 8
+)
+
+// matMulWorkers sizes the row split of an a·b kernel by its multiply-adds:
+// row count alone (parallel.Workers) leaves a 1024×35·35×64 layer on one
+// core. A row partition never changes numerics.
+func matMulWorkers(rows, k, cols int) int {
+	return min(parallel.WorkersFor(rows*k*cols, minMatMulWork), max(1, rows/minMatMulRows))
+}
+
 // MatMulInto computes a·b into out (a.Rows × b.Cols), overwriting its
 // contents. Same ikj loop order as MatMul, parallelized over blocks of a's
 // rows, so results are bit-identical to the allocating version.
-func MatMulInto(out, a, b *Matrix) error {
-	if err := checkMatMul(out, a, b); err != nil {
+func MatMulInto(out, a, b *Matrix) error { return MatMulBiasInto(out, a, b, nil) }
+
+// MatMulBiasInto is MatMulInto with bias[j] added to column j as each row is
+// stored: one float32 add after the row's last accumulation, so the bits are
+// those of MatMulInto followed by AddBiasRows, without the second sweep.
+func MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
+	if err := checkMatMul(out, a, b, bias); err != nil {
 		return err
 	}
-	parallel.ForChunks(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
-			or := out.Row(i)
-			for j := range or {
-				or[j] = 0
+	if workers := matMulWorkers(a.Rows, a.Cols, b.Cols); workers > 1 {
+		parallel.ForSplit(a.Rows, workers, func(lo, hi int) { matMulRows(out, a, b, bias, lo, hi) })
+	} else {
+		matMulRows(out, a, b, bias, 0, a.Rows)
+	}
+	return nil
+}
+
+// matMulRows runs the reference ikj kernel over out rows [lo, hi).
+func matMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ar := a.Row(i)
+		or := out.Row(i)
+		for j := range or {
+			or[j] = 0
+		}
+		for k, av := range ar {
+			if av == 0 {
+				continue
 			}
-			for k, av := range ar {
-				if av == 0 {
-					continue
-				}
-				br := b.Row(k)
-				for j, bv := range br {
-					or[j] += av * bv
-				}
+			br := b.Row(k)
+			for j, bv := range br {
+				or[j] += av * bv
 			}
 		}
-	})
-	return nil
+		for j, bv := range bias {
+			or[j] += bv
+		}
+	}
 }
 
 // MatMulBTInto computes a·bᵀ into out (a: m×k, b: n×k → m×n), overwriting

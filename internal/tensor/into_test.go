@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // garbageMatrix returns a rows×cols matrix prefilled with NaN and junk, the
@@ -21,27 +23,44 @@ func garbageMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// minParallelWork mirrors parallel.minParallelWork (unexported there): the
-// row count where the kernels switch from serial to goroutine execution.
-const minParallelWork = 2048
+// firstParallel returns the smallest row count at which workers reports a
+// fan-out under the current GOMAXPROCS: the serial/parallel boundary of a
+// kernel, read from the function the kernel itself calls rather than from a
+// copy of its constants. Call it after raising GOMAXPROCS.
+func firstParallel(t *testing.T, workers func(rows int) int) int {
+	t.Helper()
+	for rows := 1; rows <= 1<<20; rows++ {
+		if workers(rows) > 1 {
+			return rows
+		}
+	}
+	t.Fatal("kernel never fans out below 1M rows")
+	return 0
+}
 
-// intoShapes exercises degenerate and parallel-threshold row counts: the
-// parallel kernels switch implementation at minParallelWork rows, so shapes
-// straddling it cover both code paths.
-var intoShapes = []struct{ m, k, n int }{
-	{1, 1, 1},
-	{1, 7, 1},
-	{1, 1, 7},
-	{3, 5, 4},
-	{minParallelWork - 1, 4, 3},
-	{minParallelWork, 4, 3},
-	{minParallelWork + 1, 4, 3},
+// rowSplit is the boundary of the kernels that split by row count alone.
+func rowSplit(t *testing.T) int { return firstParallel(t, parallel.Workers) }
+
+// intoShapes exercises degenerate shapes and row counts straddling split,
+// where an m×4·4×3 kernel switches from the serial loop to goroutines, so
+// both code paths are covered.
+func intoShapes(split int) []struct{ m, k, n int } {
+	return []struct{ m, k, n int }{
+		{1, 1, 1},
+		{1, 7, 1},
+		{1, 1, 7},
+		{3, 5, 4},
+		{split - 1, 4, 3},
+		{split, 4, 3},
+		{split + 1, 4, 3},
+	}
 }
 
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(11))
-	for _, s := range intoShapes {
+	split := firstParallel(t, func(rows int) int { return matMulWorkers(rows, 4, 3) })
+	for _, s := range intoShapes(split) {
 		a := randMatrix(rng, s.m, s.k)
 		b := randMatrix(rng, s.k, s.n)
 		want, err := MatMul(a, b)
@@ -61,7 +80,7 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 func TestMatMulBTIntoMatchesMatMulBT(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(12))
-	for _, s := range intoShapes {
+	for _, s := range intoShapes(rowSplit(t)) {
 		a := randMatrix(rng, s.m, s.k)
 		b := randMatrix(rng, s.n, s.k)
 		want, err := MatMulBT(a, b)
@@ -82,7 +101,7 @@ func TestMatMulATIntoMatchesMatMulAT(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(13))
 	// The k dimension (a.Rows) drives the parallel split here.
-	for _, s := range intoShapes {
+	for _, s := range intoShapes(rowSplit(t)) {
 		a := randMatrix(rng, s.m, s.k)
 		b := randMatrix(rng, s.m, s.n)
 		want, err := MatMulAT(a, b)
@@ -108,7 +127,8 @@ func TestMatMulATIntoMatchesMatMulAT(t *testing.T) {
 func TestMatMulATParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(14))
-	k, m, n := 3*minParallelWork+17, 4*minATCols+5, 6
+	runtime.GOMAXPROCS(4)
+	k, m, n := 3*rowSplit(t)+17, 4*minATCols+5, 6
 	a := randMatrix(rng, k, m)
 	b := randMatrix(rng, k, n)
 
@@ -131,7 +151,7 @@ func TestGatherIntoMatchesGather(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(15))
 	src := randMatrix(rng, 37, 5)
-	for _, rows := range []int{1, 7, minParallelWork + 3} {
+	for _, rows := range []int{1, 7, rowSplit(t) + 3} {
 		idx := make([]int, rows)
 		for i := range idx {
 			idx[i] = rng.Intn(src.Rows)
@@ -164,7 +184,7 @@ func TestGatherIntoBadIndex(t *testing.T) {
 func TestConcatIntoMatchesConcat(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(16))
-	for _, rows := range []int{1, 5, minParallelWork + 1} {
+	for _, rows := range []int{1, 5, rowSplit(t) + 1} {
 		a := randMatrix(rng, rows, 3)
 		b := randMatrix(rng, rows, 4)
 		want, err := Concat(a, b)
@@ -185,7 +205,7 @@ func TestMaxPoolGroupsIntoMatchesMaxPoolGroups(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(17))
 	for _, c := range []struct{ n, k, cols int }{
-		{1, 1, 1}, {4, 3, 5}, {minParallelWork + 2, 4, 3},
+		{1, 1, 1}, {4, 3, 5}, {rowSplit(t) + 2, 4, 3},
 	} {
 		grouped := randMatrix(rng, c.n*c.k, c.cols)
 		want, wantArg, err := MaxPoolGroups(grouped, c.k)

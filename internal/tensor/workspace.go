@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -83,11 +84,16 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 func (w *Workspace) Put(m *Matrix) {
 	b, ok := w.lent[m]
 	if !ok {
-		panic("tensor: workspace Put of a matrix it does not lend (double Put, foreign matrix, or Put after Reset)")
+		panic(errPut)
 	}
 	delete(w.lent, m)
 	w.free[b] = append(w.free[b], m)
 }
+
+// errPut is Put's panic value, built once: Put is inlined into every
+// hot-path function that recycles a buffer, and a string converted at the
+// panic site shows up in each of them as a heap escape the gate must carry.
+var errPut = errors.New("tensor: workspace Put of a matrix it does not lend (double Put, foreign matrix, or Put after Reset)")
 
 // Owns reports whether m is currently lent out by this workspace. Callers
 // with conditional ownership (a layer that may return its input unchanged)
