@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -160,19 +161,10 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	ents, err := os.ReadDir(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return nil, &LoadError{Path: path, Kind: LoadIO, Err: err}
 	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	if len(names) == 0 {
 		return nil, &LoadError{Path: path, Kind: LoadNoFiles, Err: fmt.Errorf("no Go files in %s", dir)}
 	}
@@ -280,17 +272,33 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 }
 
 func hasGoFiles(dir string) bool {
+	names, err := goFiles(dir)
+	return err == nil && len(names) > 0
+}
+
+// goFiles lists, sorted, the non-test Go files of dir that the host platform
+// builds: a file another GOOS/GOARCH owns (name suffix or //go:build line) or
+// one marked ignore is not part of the package the compiler sees, and taking
+// it would redeclare what its counterpart for this platform declares.
+func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return false
+		return nil, err
 	}
+	var names []string
 	for _, e := range ents {
 		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			return true
+		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if ok {
+			names = append(names, n)
 		}
 	}
-	return false
+	sort.Strings(names)
+	return names, nil
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing

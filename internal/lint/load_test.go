@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -100,4 +102,25 @@ func TestLoadBrokenNeverCached(t *testing.T) {
 	if _, err := l.LoadDir(dir); err == nil {
 		t.Fatal("second load succeeded unexpectedly")
 	}
+}
+
+// TestLoadHonoursBuildConstraints loads the package the compiler would: of
+// three files declaring the same constant only the host platform's, and not
+// the //go:build ignore generator that does not type-check. The whole suite
+// then finds nothing in it — a hot path calling a body-less (assembly)
+// declaration ends at a leaf.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	l, pkg := loadFixture(t, "platform_clean")
+	lanes := "lanes_other.go"
+	if runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64" {
+		lanes = "lanes_" + runtime.GOARCH + ".go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(l.Fset.File(f.Pos()).Name()))
+	}
+	if want := []string{lanes, "platform_clean.go"}; !slices.Equal(got, want) {
+		t.Fatalf("loaded files %v, want %v", got, want)
+	}
+	runFixture(t, "platform_clean", All()...)
 }

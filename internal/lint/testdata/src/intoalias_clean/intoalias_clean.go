@@ -42,5 +42,5 @@ func BackendProduct(be tensor.Backend) error {
 
 // BackendUnknown leaves runtime-shaped backend calls to the kernels' checks.
 func BackendUnknown(be tensor.Backend, out, a, b *tensor.Matrix) error {
-	return be.MatMulBTInto(out, a, b)
+	return be.MatMulInto(out, a, b)
 }

@@ -30,7 +30,8 @@ var w1FeatureShapes = []struct {
 // BenchmarkSharedMLPEval times the eval-mode shared MLP, workspace and
 // default backend attached, at the eight shapes whose sum is a W1 frame's
 // model.stage.feature_ms. Run with -cpu 1,2: the fan-out is sized by work,
-// so the small layers show whether it pays.
+// so the small layers show whether it pays. GFLOP/s counts the GEMMs alone
+// (2·rows·in·out a layer) over the whole block's time, epilogue included.
 func BenchmarkSharedMLPEval(b *testing.B) {
 	for _, s := range w1FeatureShapes {
 		b.Run(fmt.Sprintf("%s_%dx%v", s.name, s.rows, s.dims), func(b *testing.B) {
@@ -57,6 +58,11 @@ func BenchmarkSharedMLPEval(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run()
 			}
+			flop := 0
+			for i := 1; i < len(s.dims); i++ {
+				flop += 2 * s.rows * s.dims[i-1] * s.dims[i]
+			}
+			b.ReportMetric(float64(flop)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }

@@ -142,12 +142,13 @@ func oracle(t *testing.T, be tensor.Backend, layers []Layer, x *tensor.Matrix, k
 // normalise + ReLU (+ max-pool) pass — against the oracle chain, on every
 // backend and core count, over row counts that straddle the single-row
 // branch, the 4-row GEMM tile, the fan-out thresholds and W1's largest
-// layer, and widths that straddle the 4-column floor and the 32-column
-// statistics block.
+// layer, and widths that straddle the 4-column floor, the 32-column
+// statistics block and every remainder of the vector sweeps' 8- and 16-lane
+// strips.
 func TestFusedBlockMatchesLayerByLayer(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rowCounts := []int{1, 2, 3, 5, 255, 256, 2047, 2048, 2049, 16384}
-	widths := []int{1, 3, 4, 6, 16, 19, 35, 67, 128}
+	widths := []int{1, 3, 4, 6, 7, 8, 9, 15, 16, 17, 19, 24, 35, 40, 67, 128}
 	if testing.Short() {
 		rowCounts = []int{1, 2, 5, 256, 2049}
 	}

@@ -6,9 +6,10 @@ import (
 	"strings"
 )
 
-// Backend is a pluggable implementation of the destination-writing kernel set
-// the inference hot path dispatches through (the *Into family; the Linear
-// layer's bias rides in MatMulBiasInto's store). Every implementation must
+// Backend is a pluggable implementation of the destination-writing kernels
+// the inference hot path dispatches through — only those: training and the
+// data-movement stages call the package-level functions (the Linear layer's
+// bias rides in MatMulBiasInto's store). Every implementation must
 // honor the contracts of the package-level reference functions: identical
 // shape/alias validation,
 // destinations fully overwritten, and no retained references to caller
@@ -31,10 +32,6 @@ import (
 type Backend interface {
 	Name() string
 	MatMulInto(out, a, b *Matrix) error
-	MatMulBTInto(out, a, b *Matrix) error
-	MatMulATInto(out, a, b *Matrix) error
-	GatherInto(out, src *Matrix, idx []int) error
-	ScatterAdd(dst, src *Matrix, idx []int) error
 	ConcatInto(out, a, b *Matrix) error
 	// MatMulBiasInto is MatMulInto with bias[j] added to column j as each
 	// row is stored: the Linear layer's whole eval kernel. The add is an
@@ -120,19 +117,6 @@ func (naiveBackend) Name() string { return BackendNaive }
 
 //edgepc:hotpath
 func (naiveBackend) MatMulInto(out, a, b *Matrix) error { return MatMulInto(out, a, b) }
-
-//edgepc:hotpath
-func (naiveBackend) MatMulBTInto(out, a, b *Matrix) error { return MatMulBTInto(out, a, b) }
-
-// MatMulATInto is the weight-gradient kernel: training-only, so it carries no
-// hotpath contract.
-func (naiveBackend) MatMulATInto(out, a, b *Matrix) error { return MatMulATInto(out, a, b) }
-
-//edgepc:hotpath
-func (naiveBackend) GatherInto(out, src *Matrix, idx []int) error { return GatherInto(out, src, idx) }
-
-// ScatterAdd is the grouping adjoint: training-only, no hotpath contract.
-func (naiveBackend) ScatterAdd(dst, src *Matrix, idx []int) error { return ScatterAdd(dst, src, idx) }
 
 //edgepc:hotpath
 func (naiveBackend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }

@@ -90,10 +90,10 @@ func maxAbsDiff(a, b *Matrix) float64 {
 }
 
 // TestQuickBlockedMatMulMatchesNaive is the satellite property test: across
-// random shapes — including ragged edges smaller than one 4×4 tile — the
-// blocked MatMul family stays within 1e-5 of the reference kernels. (The
-// tiled kernels preserve the per-cell accumulation order, so in practice the
-// match is bit-exact; 1e-5 is the documented contract.)
+// random shapes — including ragged edges smaller than one tile — the blocked
+// MatMul stays within 1e-5 of the reference kernel. (The tiled kernels
+// preserve the per-cell accumulation order, so in practice the match is
+// bit-exact; 1e-5 is the documented contract.)
 func TestQuickBlockedMatMulMatchesNaive(t *testing.T) {
 	be := Blocked()
 	f := func(mSeed int64, m8, k8, n8 uint8) bool {
@@ -114,18 +114,6 @@ func TestQuickBlockedMatMulMatchesNaive(t *testing.T) {
 		}
 		if d := maxAbsDiff(ref, got); d > 1e-5 {
 			t.Logf("MatMul %dx%d · %dx%d diff %g", m, k, k, n, d)
-			return false
-		}
-		// a·bᵀ with b as n×k.
-		bt := randomMatrix(n, k, rng)
-		if err := MatMulBTInto(ref, a, bt); err != nil {
-			t.Fatal(err)
-		}
-		if err := be.MatMulBTInto(got, a, bt); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(ref, got); d > 1e-5 {
-			t.Logf("MatMulBT %dx%d · (%dx%d)ᵀ diff %g", m, k, n, k, d)
 			return false
 		}
 		return true
@@ -302,9 +290,6 @@ func TestBackendValidationMatchesReference(t *testing.T) {
 		if err := be.MatMulInto(a, a, b); err == nil {
 			t.Fatalf("%s: aliased destination accepted", name)
 		}
-		if err := be.MatMulBTInto(New(2, 5), a, New(4, 3)); err == nil {
-			t.Fatalf("%s: bad BT destination shape accepted", name)
-		}
 		out := New(2, 4)
 		if err := be.MatMulInto(out, a, b); err != nil {
 			t.Fatalf("%s: valid matmul rejected: %v", name, err)
@@ -357,17 +342,18 @@ func TestMatMulBiasIntoIsMatMulIntoPlusBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, procs := range []int{1, 2, 3, 4, 8} {
 		runtime.GOMAXPROCS(procs)
-		split := 1 << 20
-		if procs > 1 {
-			split = firstParallel(t, func(rows int) int { return matMulWorkers(rows, 19, 16) })
-		}
-		for _, s := range []struct{ m, k, n int }{
+		shapes := []struct{ m, k, n int }{
 			{1, 1, 1}, {2, 3, 4}, {3, 6, 16}, {5, 19, 3}, {255, 35, 6}, {256, 67, 19}, {2049, 4, 1},
-			{split - 1, 19, 16}, {split, 19, 16}, {split + 1, 19, 16},
-		} {
-			if s.m > 1<<16 {
-				continue // GOMAXPROCS 1: nothing splits, no boundary to straddle
+		}
+		// GOMAXPROCS 1: nothing splits, no boundary to straddle. Otherwise
+		// one boundary for each grain in use: the Go kernels' and blocked's.
+		for _, grain := range []int{minMatMulWork, blockedMinWork} {
+			if procs > 1 {
+				split := firstParallel(t, func(rows int) int { return matMulWorkers(rows, 19, 16, grain) })
+				shapes = append(shapes, []struct{ m, k, n int }{{split - 1, 19, 16}, {split, 19, 16}, {split + 1, 19, 16}}...)
 			}
+		}
+		for _, s := range shapes {
 			a, b := oddMatrix(rng, s.m, s.k), oddMatrix(rng, s.k, s.n)
 			bias := oddMatrix(rng, 1, s.n).Data
 			for _, name := range BackendNames() {
@@ -461,6 +447,7 @@ func benchBackendMatMul(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(2*float64(x.Rows*x.Cols*w.Cols)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 func BenchmarkBackendMatMulNaive(b *testing.B)   { benchBackendMatMul(b, BackendNaive) }

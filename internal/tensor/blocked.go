@@ -2,16 +2,16 @@ package tensor
 
 import "repro/internal/parallel"
 
-// blockedBackend is the cache-blocked fp32 backend: the MatMul family runs a
-// register-tiled kernel (4 rows of a × 4 values of k per tile) that keeps the
-// per-cell accumulation order identical to the naive ikj loop — k strictly
-// ascending, one accumulator per output cell — so results match the reference
-// backend bit-for-bit while touching each output row a quarter as often. Rows
-// are distributed across workers with internal/parallel exactly like the
-// naive kernels, so the parallel split never changes numerics either.
-//
-// Data-movement kernels (gather/concat) and the training-only ops
-// have nothing to block over; they delegate to the reference implementations.
+// blockedBackend is the cache-blocked fp32 backend: a·b + bias runs a
+// register-tiled kernel — on amd64 with AVX2 the assembly one of
+// gemm_amd64.s, 4 rows × 16 columns a tile, elsewhere and for ragged edges the
+// Go one, 4 rows of a × 4 values of k a step. Both keep the per-cell
+// accumulation order of the naive ikj loop — k strictly ascending, one
+// accumulator per output cell, the product rounded before the add — so
+// results match the reference backend bit-for-bit while touching each output
+// row a quarter as often. Rows are distributed across workers with
+// internal/parallel exactly like the naive kernels, so the parallel split
+// never changes numerics either.
 //
 // Stateless and safe for concurrent use by weight-sharing replicas.
 type blockedBackend struct{}
@@ -22,6 +22,26 @@ var blockedShared Backend = blockedBackend{}
 func Blocked() Backend { return blockedShared }
 
 func (blockedBackend) Name() string { return BackendBlocked }
+
+// blockedMinWork is minMatMulWork for the kernel blocked runs on this host: a
+// grain is a property of the kernel, and the AVX2 one retires about 30
+// multiply-adds per ns where the Go one retires 2.5. Measured on the 2-core
+// reference host, a two-way split costs about 15 µs when the second core is
+// there and 30–50 µs when the hypervisor has taken it away, so it starts
+// where a half is worth several times that: 8 M multiply-adds in all, 280 µs
+// (EXPERIMENTS.md "Vector kernels (PR 24)"; no layer of W1 is that large).
+var blockedMinWork = minMatMulWork
+
+func init() {
+	if hasAVX2 {
+		blockedMinWork = 1 << 22
+	}
+}
+
+// HasAVX2 reports whether this process runs the AVX2 kernels: the answer of
+// the one CPUID probe (amd64 only), which internal/nn reads for BatchNorm's
+// eval sweeps instead of probing again.
+func HasAVX2() bool { return hasAVX2 }
 
 // MatMulInto computes a·b into out with the tiled kernel. Validation matches
 // the reference MatMulInto.
@@ -40,7 +60,7 @@ func (blockedBackend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
 	if err := checkMatMul(out, a, b, bias); err != nil {
 		return err
 	}
-	if workers := matMulWorkers(a.Rows, a.Cols, b.Cols); workers > 1 {
+	if workers := matMulWorkers(a.Rows, a.Cols, b.Cols, blockedMinWork); workers > 1 {
 		parallel.ForSplit(a.Rows, workers, func(lo, hi int) { blockedMatMulRows(out, a, b, bias, lo, hi) })
 	} else {
 		blockedMatMulRows(out, a, b, bias, 0, a.Rows)
@@ -48,16 +68,38 @@ func (blockedBackend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
 	return nil
 }
 
-// blockedMatMulRows runs the tiled a·b (+ bias) kernel over out rows
-// [lo, hi).
+// blockedMatMulRows computes out rows [lo, hi) of a·b + bias. With AVX2 the
+// vector kernel takes the rows up to a multiple of 4 and the columns up to a
+// multiple of 8; the ragged edges, and every other host, run the Go kernel —
+// the reference the vector code is tested against.
 //
 //edgepc:hotpath
 func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
+	if vn := b.Cols &^ 7; hasAVX2 && vn > 0 && hi-lo >= 4 && a.Cols > 0 {
+		vhi := lo + (hi-lo)&^3
+		gemmAVX2(out, a, b, bias, lo, vhi, vn)
+		blockedMatMulTile(out, a, b, bias, lo, vhi, vn, b.Cols)
+		lo = vhi
+	}
+	blockedMatMulTile(out, a, b, bias, lo, hi, 0, b.Cols)
+}
+
+// blockedMatMulTile runs the tiled Go kernel over out rows [lo, hi), columns
+// [jlo, jhi).
+//
+//edgepc:hotpath
+func blockedMatMulTile(out, a, b *Matrix, bias []float32, lo, hi, jlo, jhi int) {
+	if lo >= hi || jlo >= jhi {
+		return
+	}
+	if bias != nil {
+		bias = bias[jlo:jhi]
+	}
 	kc := a.Cols
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		or0, or1, or2, or3 := out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3)
+		or0, or1, or2, or3 := out.Row(i)[jlo:jhi], out.Row(i + 1)[jlo:jhi], out.Row(i + 2)[jlo:jhi], out.Row(i + 3)[jlo:jhi]
 		for j := range or0 {
 			or0[j] = 0
 			or1[j] = 0
@@ -66,7 +108,7 @@ func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 		}
 		k := 0
 		for ; k+4 <= kc; k += 4 {
-			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+			b0, b1, b2, b3 := b.Row(k)[jlo:jhi], b.Row(k + 1)[jlo:jhi], b.Row(k + 2)[jlo:jhi], b.Row(k + 3)[jlo:jhi]
 			a00, a01, a02, a03 := ar0[k], ar0[k+1], ar0[k+2], ar0[k+3]
 			a10, a11, a12, a13 := ar1[k], ar1[k+1], ar1[k+2], ar1[k+3]
 			a20, a21, a22, a23 := ar2[k], ar2[k+1], ar2[k+2], ar2[k+3]
@@ -82,7 +124,7 @@ func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 			}
 		}
 		for ; k < kc; k++ {
-			br := b.Row(k)
+			br := b.Row(k)[jlo:jhi]
 			a0, a1, a2, a3 := ar0[k], ar1[k], ar2[k], ar3[k]
 			for j, bv := range br {
 				or0[j] += a0 * bv
@@ -101,13 +143,13 @@ func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 	// Ragged row remainder: one row at a time, k still tiled by 4.
 	for ; i < hi; i++ {
 		ar := a.Row(i)
-		or := out.Row(i)
+		or := out.Row(i)[jlo:jhi]
 		for j := range or {
 			or[j] = 0
 		}
 		k := 0
 		for ; k+4 <= kc; k += 4 {
-			b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+			b0, b1, b2, b3 := b.Row(k)[jlo:jhi], b.Row(k + 1)[jlo:jhi], b.Row(k + 2)[jlo:jhi], b.Row(k + 3)[jlo:jhi]
 			a0, a1, a2, a3 := ar[k], ar[k+1], ar[k+2], ar[k+3]
 			for j, v0 := range b0 {
 				or[j] = or[j] + a0*v0 + a1*b1[j] + a2*b2[j] + a3*b3[j]
@@ -115,7 +157,7 @@ func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 		}
 		for ; k < kc; k++ {
 			av := ar[k]
-			for j, bv := range b.Row(k) {
+			for j, bv := range b.Row(k)[jlo:jhi] {
 				or[j] += av * bv
 			}
 		}
@@ -125,95 +167,7 @@ func blockedMatMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 	}
 }
 
-// MatMulBTInto computes a·bᵀ into out with a 4×4 output tile (16 register
-// accumulators streaming the shared k dimension once per tile). One
-// accumulator per cell, k ascending — bit-identical to the reference kernel.
+// ConcatInto is data movement: nothing to block over.
 //
-//edgepc:hotpath
-func (blockedBackend) MatMulBTInto(out, a, b *Matrix) error {
-	if err := checkMatMulBT(out, a, b); err != nil {
-		return err
-	}
-	n := b.Rows
-	parallel.ForChunks(a.Rows, func(lo, hi int) {
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			or0, or1, or2, or3 := out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3)
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				br0, br1, br2, br3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-				var s00, s01, s02, s03 float32
-				var s10, s11, s12, s13 float32
-				var s20, s21, s22, s23 float32
-				var s30, s31, s32, s33 float32
-				for k, a0 := range ar0 {
-					a1, a2, a3 := ar1[k], ar2[k], ar3[k]
-					v0, v1, v2, v3 := br0[k], br1[k], br2[k], br3[k]
-					s00 += a0 * v0
-					s01 += a0 * v1
-					s02 += a0 * v2
-					s03 += a0 * v3
-					s10 += a1 * v0
-					s11 += a1 * v1
-					s12 += a1 * v2
-					s13 += a1 * v3
-					s20 += a2 * v0
-					s21 += a2 * v1
-					s22 += a2 * v2
-					s23 += a2 * v3
-					s30 += a3 * v0
-					s31 += a3 * v1
-					s32 += a3 * v2
-					s33 += a3 * v3
-				}
-				or0[j], or0[j+1], or0[j+2], or0[j+3] = s00, s01, s02, s03
-				or1[j], or1[j+1], or1[j+2], or1[j+3] = s10, s11, s12, s13
-				or2[j], or2[j+1], or2[j+2], or2[j+3] = s20, s21, s22, s23
-				or3[j], or3[j+1], or3[j+2], or3[j+3] = s30, s31, s32, s33
-			}
-			for ; j < n; j++ {
-				br := b.Row(j)
-				var s0, s1, s2, s3 float32
-				for k, av := range ar0 {
-					bv := br[k]
-					s0 += av * bv
-					s1 += ar1[k] * bv
-					s2 += ar2[k] * bv
-					s3 += ar3[k] * bv
-				}
-				or0[j], or1[j], or2[j], or3[j] = s0, s1, s2, s3
-			}
-		}
-		for ; i < hi; i++ {
-			ar := a.Row(i)
-			or := out.Row(i)
-			for j := 0; j < n; j++ {
-				br := b.Row(j)
-				var sum float32
-				for k, av := range ar {
-					sum += av * br[k]
-				}
-				or[j] = sum
-			}
-		}
-	})
-	return nil
-}
-
-// The remaining kernels gain nothing from blocking; delegate to the
-// reference implementations (which are already row-parallel where it pays).
-
-func (blockedBackend) MatMulATInto(out, a, b *Matrix) error { return MatMulATInto(out, a, b) }
-
-//edgepc:hotpath
-func (blockedBackend) GatherInto(out, src *Matrix, idx []int) error {
-	return GatherInto(out, src, idx)
-}
-
-func (blockedBackend) ScatterAdd(dst, src *Matrix, idx []int) error {
-	return ScatterAdd(dst, src, idx)
-}
-
 //edgepc:hotpath
 func (blockedBackend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }

@@ -1,0 +1,63 @@
+package tensor
+
+import (
+	"math/rand"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded returns n float32s whose last byte (atEnd) or first byte is the
+// one next to a PROT_NONE page: a kernel that reads or writes one element
+// past that edge faults, which neither bounds checks nor the race detector
+// can see inside assembly.
+func guarded(t *testing.T, n int, atEnd bool) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	body := (n*4 + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, body+2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // nothing to do about a failed unmap
+	for _, guard := range [][]byte{mem[:page], mem[page+body:]} {
+		if err := syscall.Mprotect(guard, syscall.PROT_NONE); err != nil {
+			t.Fatal(err)
+		}
+	}
+	off := page
+	if atEnd {
+		off = page + body - n*4
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[off])), n)
+}
+
+// TestVectorGEMMStaysInsideItsOperands runs the kernel with every operand
+// flush against an unmapped page, at its end and then at its start, over
+// shapes with and without ragged edges.
+func TestVectorGEMMStaysInsideItsOperands(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(26))
+	be := Blocked()
+	for _, s := range []struct{ m, k, n int }{{4, 1, 8}, {4, 6, 16}, {8, 19, 24}, {9, 3, 17}, {255, 35, 40}, {257, 67, 33}, {516, 5, 128}} {
+		for _, atEnd := range []bool{true, false} {
+			place := func(src *Matrix) *Matrix {
+				m := &Matrix{Rows: src.Rows, Cols: src.Cols, Data: guarded(t, len(src.Data), atEnd)}
+				copy(m.Data, src.Data)
+				return m
+			}
+			a, b := place(edgeMatrix(rng, s.m, s.k)), place(edgeMatrix(rng, s.k, s.n))
+			bias := place(edgeMatrix(rng, 1, s.n)).Data
+			got, want := place(New(s.m, s.n)), New(s.m, s.n)
+			if err := be.MatMulBiasInto(got, a, b, bias); err != nil {
+				t.Fatal(err)
+			}
+			blockedMatMulTile(want, a, b, bias, 0, s.m, 0, s.n)
+			for i, w := range want.Data {
+				if !sameBits(got.Data[i], w) {
+					t.Fatalf("%dx%d·%dx%d between guard pages: cell %d is %g, want %g", s.m, s.k, s.k, s.n, i, got.Data[i], w)
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package tensor
+
+// Only amd64 has vector kernels: everywhere else blocked is its Go loops.
+const hasAVX2 = false
+
+func gemmAVX2(out, a, b *Matrix, bias []float32, lo, hi, n int) {}

@@ -227,22 +227,8 @@ func (be *Int8Backend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
 	return nil
 }
 
-// The remaining kernels run exact float32: the backward-only matmuls because
-// training never quantizes, and the data-movement/bias kernels because the
-// dequantize-at-stage-boundary contract keeps everything between matmuls in
-// float32.
-
-func (be *Int8Backend) MatMulBTInto(out, a, b *Matrix) error { return MatMulBTInto(out, a, b) }
-func (be *Int8Backend) MatMulATInto(out, a, b *Matrix) error { return MatMulATInto(out, a, b) }
-
-//edgepc:hotpath
-func (be *Int8Backend) GatherInto(out, src *Matrix, idx []int) error {
-	return GatherInto(out, src, idx)
-}
-
-func (be *Int8Backend) ScatterAdd(dst, src *Matrix, idx []int) error {
-	return ScatterAdd(dst, src, idx)
-}
-
+// ConcatInto is data movement: exact float32, as the
+// dequantize-at-stage-boundary contract keeps everything between matmuls.
+//
 //edgepc:hotpath
 func (be *Int8Backend) ConcatInto(out, a, b *Matrix) error { return ConcatInto(out, a, b) }

@@ -49,35 +49,22 @@ func checkMatMul(out, a, b *Matrix, bias []float32) error {
 	return nil
 }
 
-// checkMatMulBT validates shapes and aliasing for out = a·bᵀ.
-func checkMatMulBT(out, a, b *Matrix) error {
-	if a.Cols != b.Cols {
-		return fmt.Errorf("tensor: matmulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if err := checkDst("matmulBT", out, a.Rows, b.Rows); err != nil {
-		return err
-	}
-	if sameBacking(out.Data, a.Data) || sameBacking(out.Data, b.Data) {
-		return fmt.Errorf("tensor: matmulBT destination aliases an input")
-	}
-	return nil
-}
-
 // minMatMulWork is the fewest multiply-adds one goroutine of a row-split a·b
-// takes, minMatMulRows the fewest rows. Measured on the 2-core reference host
-// with the blocked kernel (≈2.5 multiply-adds per ns): a two-way split breaks
-// even between 65 k and 260 k multiply-adds in all, depending on how the host
-// is loaded, and wins 1.4–1.9× from 500 k; W1's smallest layer has 1.5 M.
+// takes when the kernel is a Go loop, minMatMulRows the fewest rows. Measured
+// on the 2-core reference host with the blocked Go kernel (≈2.5 multiply-adds
+// per ns): a two-way split breaks even between 65 k and 260 k multiply-adds in
+// all, depending on how the host is loaded, and wins 1.4–1.9× from 500 k; W1's
+// smallest layer has 1.5 M.
 const (
 	minMatMulWork = 1 << 16
 	minMatMulRows = 8
 )
 
-// matMulWorkers sizes the row split of an a·b kernel by its multiply-adds:
-// row count alone (parallel.Workers) leaves a 1024×35·35×64 layer on one
-// core. A row partition never changes numerics.
-func matMulWorkers(rows, k, cols int) int {
-	return min(parallel.WorkersFor(rows*k*cols, minMatMulWork), max(1, rows/minMatMulRows))
+// matMulWorkers sizes the row split of an a·b kernel by its multiply-adds,
+// grain of them to a goroutine: row count alone (parallel.Workers) leaves a
+// 1024×35·35×64 layer on one core. A row partition never changes numerics.
+func matMulWorkers(rows, k, cols, grain int) int {
+	return min(parallel.WorkersFor(rows*k*cols, grain), max(1, rows/minMatMulRows))
 }
 
 // MatMulInto computes a·b into out (a.Rows × b.Cols), overwriting its
@@ -92,7 +79,7 @@ func MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
 	if err := checkMatMul(out, a, b, bias); err != nil {
 		return err
 	}
-	if workers := matMulWorkers(a.Rows, a.Cols, b.Cols); workers > 1 {
+	if workers := matMulWorkers(a.Rows, a.Cols, b.Cols, minMatMulWork); workers > 1 {
 		parallel.ForSplit(a.Rows, workers, func(lo, hi int) { matMulRows(out, a, b, bias, lo, hi) })
 	} else {
 		matMulRows(out, a, b, bias, 0, a.Rows)
@@ -126,8 +113,14 @@ func matMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 // MatMulBTInto computes a·bᵀ into out (a: m×k, b: n×k → m×n), overwriting
 // its contents.
 func MatMulBTInto(out, a, b *Matrix) error {
-	if err := checkMatMulBT(out, a, b); err != nil {
+	if a.Cols != b.Cols {
+		return fmt.Errorf("tensor: matmulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if err := checkDst("matmulBT", out, a.Rows, b.Rows); err != nil {
 		return err
+	}
+	if sameBacking(out.Data, a.Data) || sameBacking(out.Data, b.Data) {
+		return fmt.Errorf("tensor: matmulBT destination aliases an input")
 	}
 	parallel.ForChunks(a.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

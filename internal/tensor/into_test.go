@@ -59,7 +59,7 @@ func intoShapes(split int) []struct{ m, k, n int } {
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(11))
-	split := firstParallel(t, func(rows int) int { return matMulWorkers(rows, 4, 3) })
+	split := firstParallel(t, func(rows int) int { return matMulWorkers(rows, 4, 3, minMatMulWork) })
 	for _, s := range intoShapes(split) {
 		a := randMatrix(rng, s.m, s.k)
 		b := randMatrix(rng, s.k, s.n)

@@ -24,6 +24,17 @@ go vet ./...
 echo "== go build ./... =="
 go build ./...
 
+echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
+# blocked and nn.BatchNorm have amd64 assembly behind *_amd64 files; every
+# other GOARCH must build and vet from the stubs beside them. A VFMADD would
+# round once where the Go kernels round twice and move every golden fixture.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
+if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
+	echo "assembly uses a fused multiply-add; the vector kernels must round like the Go ones" >&2
+	exit 1
+fi
+
 echo "== edgepc-lint ./... (static invariants; see DESIGN.md §7) =="
 # Pin the interprocedural analyzer pack by name so a renamed/deleted analyzer
 # fails loudly instead of silently shrinking coverage (mirrors the fuzz-target
@@ -46,8 +57,11 @@ go test -race ./internal/lint/...
 echo "== go test -race (parallel kernels + workspace hot path + serving) =="
 go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/spatial/... ./internal/pipeline/... ./internal/model/... ./internal/serve/... ./internal/loadgen/...
 # internal/nn's fused-epilogue table runs every shape at five core counts on
-# three backends: under the race detector the full table takes three minutes,
-# and the -short one (28 s) still crosses every fan-out threshold.
+# three backends: under the race detector the full table takes minutes, and
+# the -short one still crosses every fan-out threshold and every remainder of
+# the vector strips. The vector-against-Go tests (TestVectorGEMM* in tensor,
+# TestVectorSweeps* in nn) run whole in both stages and in the GOMAXPROCS sweep
+# below; they skip with a message on a host without AVX2.
 go test -race -short ./internal/nn/...
 
 echo "== go test ./... =="
@@ -134,7 +148,7 @@ for b in naive blocked int8; do
 done
 go test -run 'TestGolden' ./internal/pipeline/
 go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildRejectsUnknownBackend|TestBuildWithEmptyOptionsUsesDefaultBackend' ./internal/pipeline/
-go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias' ./internal/tensor/
+go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM' ./internal/tensor/
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
