@@ -76,21 +76,6 @@ func BenchmarkNormalsExact(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamerStructurize(b *testing.B) {
-	cloud := geom.GenerateScene(geom.SceneOptions{N: 8192, Seed: 5})
-	st, err := NewStreamer(cloud.Bounds(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Structurize(cloud); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(cloud.Len() * 24))
-}
-
 func BenchmarkOneShotStructurize(b *testing.B) {
 	cloud := geom.GenerateScene(geom.SceneOptions{N: 8192, Seed: 5})
 	b.ResetTimer()

@@ -22,20 +22,9 @@
 //     goroutine body must install a deferred recover guard before any other
 //     statement (panic isolation for the serving layer).
 //
-// Four analyzers are interprocedural, built on the shared call-graph +
-// forward-dataflow engine (callgraph.go, dataflow.go):
-//
-//   - lockpair: sync.Mutex/RWMutex Lock must be Unlocked on every return
-//     path, defer-aware, RLock/RUnlock matched separately from the write
-//     side, lock/unlock helper pairs tracked across function boundaries.
-//   - wgbalance: WaitGroup Add/Done must balance per loop iteration and
-//     across the goroutine spawn boundary (Done inside the spawned closure
-//     counts; Add inside one races with Wait and is reported).
-//   - chanlife: no send or close on a channel after a statically reachable
-//     close; no receive on a local channel nothing can send to or close.
-//   - ctxflow: serve-layer functions must thread their Context/Plan/deadline
-//     parameters to blocking callees instead of substituting
-//     context.Background()/nil or dropping them.
+// Lock pairing, WaitGroup balance, channel lifetime and context threading in
+// the serving layer have no analyzer: go vet, the -race stages and the
+// internal/serve tests cover them (DESIGN.md §7 has the mutation table).
 //
 // The escapegate subpackage adds a compiler-backed static allocation gate:
 // it parses `go build -gcflags='-m -m'` output and fails when a
@@ -100,7 +89,6 @@ type Pass struct {
 	analyzer    *Analyzer
 	targetFiles map[string]bool
 	diags       *[]Diagnostic
-	cg          *cgHolder
 }
 
 // Reportf records a finding at pos. Findings outside the target packages are
@@ -116,7 +104,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{HotPathAlloc, WorkspacePair, ParallelCapture, IntoAlias, FloatEq, GoRecover, LockPair, WGBalance, ChanLife, CtxFlow}
+	return []*Analyzer{HotPathAlloc, WorkspacePair, ParallelCapture, IntoAlias, FloatEq, GoRecover}
 }
 
 // Run executes the analyzers over the target packages and returns the
@@ -136,7 +124,6 @@ func Run(loader *Loader, targets []*Package, analyzers []*Analyzer) []Diagnostic
 		}
 	}
 	var diags []Diagnostic
-	holder := &cgHolder{} // one shared call graph across the suite
 	module := loader.Module()
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -147,7 +134,6 @@ func Run(loader *Loader, targets []*Package, analyzers []*Analyzer) []Diagnostic
 			analyzer:    a,
 			targetFiles: targetFiles,
 			diags:       &diags,
-			cg:          holder,
 		}
 		a.Run(pass)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -346,5 +348,92 @@ func TestRouterConstructionAndClose(t *testing.T) {
 	}
 	if _, err := rt.Submit(context.Background(), FleetRequest{Request: Request{Cloud: testCloud()}, Tenant: "t"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestRouterThreadsCallerContext cancels the caller's context while its frame
+// is inside a gated engine's forward pass, once for every path that hands the
+// context to Engine.Submit: the plain ring walk, a spill past a full owner,
+// fail-open through a fully quarantined candidate set, a retry after its
+// backoff, and a hedged attempt. Router.Submit must return context.Canceled
+// within seconds and every engine holding the frame must count the
+// abandonment; a path that handed the engine a context of its own would wait
+// on the gate instead.
+func TestRouterThreadsCallerContext(t *testing.T) {
+	fill := func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup) {
+		fillEngine(t, rt, stream, 2, fillers) // worker + depth-1 queue of the owner
+	}
+	quarantineAll := func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup) {
+		for i := range rt.downUntil {
+			rt.downUntil[i].Store(math.MaxInt64)
+		}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		rcfg RouterConfig
+		prep func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup)
+		busy []int                    // engines whose worker holds the frame at cancel
+		path func(RouterStats) uint64 // the counter that shows the path was taken
+	}{
+		{name: "walk", cfg: Config{MaxBatch: 1}, busy: []int{0}},
+		{name: "spill", cfg: Config{QueueDepth: 1, MaxBatch: 1}, prep: fill, busy: []int{1},
+			path: func(s RouterStats) uint64 { return s.Spills }},
+		{name: "fail-open", cfg: Config{MaxBatch: 1}, prep: quarantineAll, busy: []int{0},
+			path: func(s RouterStats) uint64 { return s.FailOpen }},
+		{name: "retry", cfg: Config{QueueDepth: 1, MaxBatch: 1}, prep: fill, busy: []int{1},
+			rcfg: RouterConfig{Spill: -1, Retry: &RetryPolicy{Max: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}},
+			path: func(s RouterStats) uint64 { return s.Retries }},
+		{name: "hedge", cfg: Config{MaxBatch: 1}, busy: []int{0, 1},
+			rcfg: RouterConfig{Spill: -1, Hedge: &HedgePolicy{Delay: 2 * time.Millisecond, MaxFraction: 1}},
+			path: func(s RouterStats) uint64 { return s.Hedges }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rt, gates := newStubFleet(t, 2, true, c.cfg, c.rcfg)
+			stream := pinStream(t, rt, 0)
+			var fillers sync.WaitGroup
+			if c.prep != nil {
+				c.prep(t, rt, stream, &fillers)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := rt.Submit(ctx, FleetRequest{Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream})
+				done <- err
+			}()
+			for _, i := range c.busy {
+				waitUntil(t, fmt.Sprintf("engine %d to hold the frame", i), func() bool {
+					return rt.Engine(i).Stats().Batches == 1
+				})
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("Router.Submit: %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Router.Submit still blocked 5s after its context was cancelled: the context did not reach Engine.Submit")
+			}
+			s := rt.Stats()
+			if c.path != nil && c.path(s) != 1 {
+				t.Fatalf("path counter = %d, want 1 (the frame did not take the %s path)", c.path(s), c.name)
+			}
+			for i, es := range s.EngineStats {
+				want := uint64(0)
+				if slices.Contains(c.busy, i) {
+					want = 1
+				}
+				if es.Canceled != want {
+					t.Errorf("engine %d counted %d cancellations, want %d", i, es.Canceled, want)
+				}
+			}
+			for _, g := range gates {
+				close(g)
+			}
+			fillers.Wait()
+		})
 	}
 }

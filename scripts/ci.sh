@@ -36,23 +36,11 @@ if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 fi
 
 echo "== edgepc-lint ./... (static invariants; see DESIGN.md §7) =="
-# Pin the interprocedural analyzer pack by name so a renamed/deleted analyzer
-# fails loudly instead of silently shrinking coverage (mirrors the fuzz-target
-# pinning below).
-lint_list=$(go run ./cmd/edgepc-lint -list)
-for a in lockpair wgbalance chanlife ctxflow; do
-	if ! printf '%s\n' "$lint_list" | grep -q "^$a "; then
-		echo "edgepc-lint: analyzer '$a' missing from -list" >&2
-		exit 1
-	fi
-done
+# The analyzer set is pinned by name in internal/lint's TestSuiteMetadata.
 go run ./cmd/edgepc-lint ./...
 
 echo "== escape gate (hotpath heap escapes vs baseline; see DESIGN.md §7) =="
 scripts/escape_gate.sh
-
-echo "== go test -race ./internal/lint/... (analyzer engine) =="
-go test -race ./internal/lint/...
 
 echo "== go test -race (parallel kernels + workspace hot path + serving) =="
 go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/spatial/... ./internal/pipeline/... ./internal/model/... ./internal/serve/... ./internal/loadgen/...
@@ -125,9 +113,10 @@ echo "== chaos smoke (fault injection under -race; see DESIGN.md §11, §15) =="
 # The resilience layer's promises — panics isolated and quarantined, invalid
 # input rejected at admission, Close never hung by a parked breaker, the
 # degradation ladder stepping both ways, stalled workers detected and
-# respawned, retries/hedges conserving the accounting under a stall storm —
-# exercised under the race detector.
-go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestHedge|TestRouterSurvivability' ./internal/serve/
+# respawned, retries/hedges conserving the accounting under a stall storm,
+# every Submit exit leaving Close clean, the caller's context reaching the
+# engine on every router path — exercised under the race detector.
+go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestHedge|TestRouterSurvivability|TestSubmitOutcomesCloseClean|TestRouterThreadsCallerContext' ./internal/serve/
 go test -run '^$' -fuzz '^FuzzSubmitFrame$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
