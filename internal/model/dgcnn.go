@@ -61,12 +61,12 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 			if layer == 0 {
 				algo = "knn-brute"
 				coords := coordMatrix(wksp, lv.pts)
-				idx := featKNN(coords, k)
+				idx := featKNN(wksp, coords, k)
 				wsPut(wksp, coords)
 				return idx, nil
 			}
 			algo = "knn-feature"
-			return featKNN(lv.feats, k), nil
+			return featKNN(wksp, lv.feats, k), nil
 		})
 		return e
 	})

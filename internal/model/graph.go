@@ -46,7 +46,7 @@ type Exec struct {
 	train bool
 
 	// be is the frame's compute backend: the graph's configured backend on
-	// eval frames, always the reference (naive) kernels when training —
+	// eval frames, always blocked — the reference bits — when training:
 	// gradients must see exact float32 numerics.
 	be tensor.Backend
 
@@ -257,11 +257,11 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 }
 
 // backend resolves the compute backend for a frame: the configured backend
-// (Compile made an unconfigured one tensor.Default) on eval frames, the
-// reference kernels when training.
+// (Compile made an unconfigured one tensor.Default) on eval frames, blocked
+// when training.
 func (g *Graph) backend(train bool) tensor.Backend {
 	if train {
-		return tensor.Naive()
+		return tensor.Blocked()
 	}
 	return g.spec.Backend
 }

@@ -162,8 +162,8 @@ func TestPointNetPPReuseFallsBackWithoutProjection(t *testing.T) {
 // TestUnconfiguredGraphUsesDefaultBackend is model's third of the
 // one-default rule (internal/nn pins an unconfigured Linear, internal/pipeline
 // what Build resolves): a graph compiled without a backend serves eval frames
-// on tensor.Default — the backend NewBackend("") names — and trains on the
-// reference kernels whatever it serves with.
+// on tensor.Default — the backend NewBackend("") names — and trains on
+// blocked, the reference bits, whatever it serves with.
 func TestUnconfiguredGraphUsesDefaultBackend(t *testing.T) {
 	net, err := NewPointNetPP(tinyPPConfig(true))
 	if err != nil {
@@ -176,7 +176,7 @@ func TestUnconfiguredGraphUsesDefaultBackend(t *testing.T) {
 	if got := net.graph.backend(false).Name(); got != def.Name() || got != tensor.DefaultBackend {
 		t.Fatalf("unconfigured graph serves on %q, NewBackend(\"\") is %q, DefaultBackend %q", got, def.Name(), tensor.DefaultBackend)
 	}
-	if got := net.graph.backend(true).Name(); got != tensor.BackendNaive {
-		t.Fatalf("training runs %q, want the reference kernels", got)
+	if got := net.graph.backend(true).Name(); got != tensor.BackendBlocked {
+		t.Fatalf("training runs %q, want blocked", got)
 	}
 }

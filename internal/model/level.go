@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -199,46 +200,107 @@ func groupedEdgeBackward(grad *tensor.Matrix, nbr []int, n, c int) (*tensor.Matr
 // "distance between points are measured using the features" (§5.2.3). The
 // query set is all rows; self is included as the first neighbor. O(N²·C).
 //
+// A candidate's distance is the float32 difference of each channel, widened,
+// squared and summed in float64 in channel order, and it replaces the current
+// k-th best only when not ≥ it (so a NaN distance gets in), ties going to the
+// lower index. With AVX2 the candidates are lanes of a channel-major copy of
+// feats, eight at a time, and a block with a survivor goes, lane by lane in
+// ascending order, through the same scalar insert as the Go loop: a block
+// tested against the threshold of its start only lets through what the insert
+// then re-checks. When every feature is finite each term is a non-negative
+// number and a partial sum never exceeds the whole one, so both forms stop
+// summing a candidate once its partial sum is ≥ the k-th best; a NaN or Inf
+// anywhere (Inf − Inf is NaN) turns that early exit off.
+//
 //edgepc:hotpath
-func featKNN(feats *tensor.Matrix, k int) []int {
-	n := feats.Rows
+func featKNN(ws *tensor.Workspace, feats *tensor.Matrix, k int) []int {
+	n, c := feats.Rows, feats.Cols
 	if k > n {
 		k = n
 	}
 	//edgepc:lint-ignore hotpathalloc known per-frame O(N·k) index buffer; candidate for future workspace management
 	out := make([]int, n*k)
+	early := true
+	for _, v := range feats.Data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			early = false
+			break
+		}
+	}
+	var ft *tensor.Matrix
+	vn := 0
+	if knnAVX2 && n >= 8 && c > 0 {
+		vn = n &^ 7
+		ft = wsGet(ws, c, n)
+		for i := 0; i < n; i++ {
+			for t, v := range feats.Row(i) {
+				ft.Data[t*n+i] = v
+			}
+		}
+	}
 	parallel.ForChunks(n, func(lo, hi int) {
 		//edgepc:lint-ignore hotpathalloc per-chunk heap scratch, O(k), a handful per frame
 		d := make([]float64, k)
 		//edgepc:lint-ignore hotpathalloc per-chunk heap scratch, O(k), a handful per frame
 		idx := make([]int, k)
+		var lanes [8]float64
 		for i := lo; i < hi; i++ {
 			fi := feats.Row(i)
 			for t := range d {
 				d[t] = 1e300
 				idx[t] = -1
 			}
-			for j := 0; j < n; j++ {
-				fj := feats.Row(j)
+			j := 0
+			for j < vn {
+				off := knnScanAVX2(&lanes, fi, ft.Data[j:], vn-j, n, d[k-1], early)
+				if j += off; j == vn {
+					break
+				}
+				for l, dist := range lanes {
+					knnInsert(d, idx, j+l, dist)
+				}
+				j += 8
+			}
+			for ; j < n; j++ {
+				fj := feats.Row(j)[:len(fi)]
+				thr := d[k-1]
 				var dist float64
 				for t, v := range fi {
 					dv := float64(v - fj[t])
 					dist += dv * dv
+					if early && dist >= thr {
+						break
+					}
 				}
-				if dist >= d[k-1] {
-					continue
-				}
-				t := k - 1
-				for t > 0 && d[t-1] > dist {
-					d[t] = d[t-1]
-					idx[t] = idx[t-1]
-					t--
-				}
-				d[t] = dist
-				idx[t] = j
+				knnInsert(d, idx, j, dist)
 			}
 			copy(out[i*k:(i+1)*k], idx)
 		}
 	})
+	wsPut(ws, ft)
 	return out
 }
+
+// knnInsert places candidate j at distance dist into the ascending top-k
+// lists d, idx unless dist ≥ the k-th best; an equal distance goes after the
+// ones already there, so ties keep the lower index.
+//
+//edgepc:hotpath
+func knnInsert(d []float64, idx []int, j int, dist float64) {
+	k := len(d)
+	if dist >= d[k-1] {
+		return
+	}
+	t := k - 1
+	for t > 0 && d[t-1] > dist {
+		d[t] = d[t-1]
+		idx[t] = idx[t-1]
+		t--
+	}
+	d[t] = dist
+	idx[t] = j
+}
+
+// knnAVX2 is the answer of tensor's one CPUID probe: whether featKNN scans
+// candidates eight lanes at a time or with the Go loop alone.
+var knnAVX2 = tensor.HasAVX2()

@@ -387,7 +387,7 @@ func TestFeatKNNMatchesBrute(t *testing.T) {
 		feats.Data[i] = float32(rng.NormFloat64())
 	}
 	k := 4
-	got := featKNN(feats, k)
+	got := featKNN(nil, feats, k)
 	// Naive reference.
 	for i := 0; i < 30; i++ {
 		type cand struct {

@@ -105,20 +105,23 @@ func oddInput(rng *rand.Rand, rows, cols int, poisoned bool) *tensor.Matrix {
 }
 
 // oracle is the layer-by-layer chain with no workspace anywhere: the Linear
-// as the backend's MatMulInto plus the reference bias sweep (for naive that
-// is Linear.Forward itself), then BatchNorm.Forward, ReLU.Forward and, for
-// k > 0, tensor.MaxPoolGroups.
+// as the backend's MatMulInto plus the reference bias sweep, a multi-row
+// BatchNorm as refBN's loops (BatchNorm.Forward otherwise), ReLU.Forward and,
+// for k > 0, tensor.MaxPoolGroups.
 func oracle(t *testing.T, be tensor.Backend, layers []Layer, x *tensor.Matrix, k int) *tensor.Matrix {
 	t.Helper()
 	cur := x
 	for _, l := range layers {
 		var err error
-		if lin, ok := l.(*Linear); ok && be.Name() != tensor.BackendNaive {
+		bn, isBN := l.(*BatchNorm)
+		if lin, ok := l.(*Linear); ok {
 			y := tensor.New(cur.Rows, lin.W.Value.Cols)
 			if err = be.MatMulInto(y, cur, lin.W.Value); err == nil {
 				err = tensor.AddBiasRows(y, lin.B.Value.Data)
 			}
 			cur = y
+		} else if isBN && cur.Rows > 1 {
+			cur, _, _ = refBN(bn, cur, false)
 		} else {
 			cur, err = l.Forward(cur, false)
 		}

@@ -49,25 +49,24 @@ func (l *Linear) backend() tensor.Backend {
 // and the one place the backend choice matters: the eval path dispatches it
 // through the configured tensor.Backend (blocked tiles it, int8 quantizes and
 // dequantizes on exit) as one MatMulBiasInto — the bias an exact float32 add
-// in every backend. Training and workspace-less calls run the reference.
+// in every backend. Training and workspace-less calls run blocked whatever is
+// configured: its bits are the reference kernel's, and a quantized forward
+// would change what the gradients are gradients of.
 //
 //edgepc:hotpath
 func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	var y *tensor.Matrix
-	var err error
+	be := tensor.Blocked()
 	if !train && l.ws != nil {
-		y = l.ws.Get(x.Rows, l.W.Value.Cols)
-		err = l.backend().MatMulBiasInto(y, x, l.W.Value, l.B.Value.Data)
+		y, be = l.ws.Get(x.Rows, l.W.Value.Cols), l.backend()
 	} else {
 		if train {
 			l.x = x
 		}
-		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above uses MatMulBiasInto
-		if y, err = tensor.MatMul(x, l.W.Value); err == nil {
-			err = tensor.AddBiasRows(y, l.B.Value.Data)
-		}
+		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above takes a workspace buffer
+		y = tensor.New(x.Rows, l.W.Value.Cols)
 	}
-	if err != nil {
+	if err := be.MatMulBiasInto(y, x, l.W.Value, l.B.Value.Data); err != nil {
 		return nil, fmt.Errorf("linear %s: %w", l.W.Name, err)
 	}
 	return y, nil
@@ -189,9 +188,12 @@ type BatchNorm struct {
 	Momentum                float32
 	Eps                     float32
 
-	// Backward caches.
-	xhat   *tensor.Matrix
-	invStd []float32
+	// Backward caches of the last train-mode Forward: its input, its
+	// statistics (mean | invStd | variance, C each) and whether a Sequential
+	// folded the ReLU after it in.
+	x     *tensor.Matrix
+	stats []float32
+	relu  bool
 
 	ws *tensor.Workspace
 }
@@ -236,48 +238,32 @@ func (bn *BatchNorm) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, erro
 		}
 		return out, nil
 	}
-	n := float32(x.Rows)
-	mean := make([]float32, c)
-	variance := make([]float32, c)
-	for r := 0; r < x.Rows; r++ {
-		for j, v := range x.Row(r) {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= n
-	}
-	for r := 0; r < x.Rows; r++ {
-		for j, v := range x.Row(r) {
-			d := v - mean[j]
-			variance[j] += d * d
-		}
-	}
-	for j := range variance {
-		variance[j] /= n
-	}
-	invStd := make([]float32, c)
-	for j := range invStd {
-		invStd[j] = 1 / float32(math.Sqrt(float64(variance[j]+bn.Eps)))
-	}
-	xhat := tensor.New(x.Rows, c)
-	for r := 0; r < x.Rows; r++ {
-		xr, hr, or := x.Row(r), xhat.Row(r), out.Row(r)
-		for j := 0; j < c; j++ {
-			h := (xr[j] - mean[j]) * invStd[j]
-			hr[j] = h
-			or[j] = bn.Gamma.Value.Data[j]*h + bn.Beta.Value.Data[j]
-		}
-	}
-	if train {
-		bn.invStd = invStd
-		bn.xhat = xhat
-		for j := 0; j < c; j++ {
-			bn.RunningMean[j] = (1-bn.Momentum)*bn.RunningMean[j] + bn.Momentum*mean[j]
-			bn.RunningVar[j] = (1-bn.Momentum)*bn.RunningVar[j] + bn.Momentum*variance[j]
-		}
-	}
+	bn.forwardBatch(out, x, train, false)
 	return out, nil
+}
+
+// forwardBatch normalizes x with its own statistics into out, rectifying when
+// relu is set: normalize's sweeps, so the bits are the workspace path's. In
+// train mode it also keeps what Backward reads — x itself, from which
+// Backward recomputes x̂ and the output with the same roundings, rather than a
+// copy of x̂ and a ReLU mask — and updates the running statistics.
+func (bn *BatchNorm) forwardBatch(out, x *tensor.Matrix, train, relu bool) {
+	c := x.Cols
+	stats := bn.stats
+	if !train || cap(stats) < 3*c {
+		stats = make([]float32, 3*c)
+	}
+	stats = stats[:3*c]
+	mean, invStd, variance := stats[:c], stats[c:2*c], stats[2*c:]
+	bn.sweep(out, x, mean, invStd, variance, relu, 1)
+	if !train {
+		return
+	}
+	bn.x, bn.stats, bn.relu = x, stats, relu
+	for j := 0; j < c; j++ {
+		bn.RunningMean[j] = (1-bn.Momentum)*bn.RunningMean[j] + bn.Momentum*mean[j]
+		bn.RunningVar[j] = (1-bn.Momentum)*bn.RunningVar[j] + bn.Momentum*variance[j]
+	}
 }
 
 // forwardWS is the inference path backed by the workspace: same statistics
@@ -326,37 +312,45 @@ func init() {
 // normalize is the multi-row eval kernel: dst row g is the per-channel
 // maximum over x rows [g·k, (g+1)·k) of γ·((x−mean)·invStd)+β, rectified
 // first when relu is set. k = 1 pools nothing, and then dst may be x itself.
-// Neither fan-out touches numerics: statistics are partitioned by column, a
-// goroutine walking all rows of its columns in index order, so each sum is
-// the serial one on any core count; the apply pass is element-wise by rows.
 //
 //edgepc:hotpath
 func (bn *BatchNorm) normalize(dst, x *tensor.Matrix, relu bool, k int) {
+	stats := bn.ws.Get(2, x.Cols)
+	bn.sweep(dst, x, stats.Row(0), stats.Row(1), nil, relu, k)
+	bn.ws.Put(stats)
+}
+
+// sweep fills mean, invStd and, when non-nil, variance from x, then writes
+// normalize's dst from them. Neither fan-out touches numerics: statistics are
+// partitioned by column, a goroutine walking all rows of its columns in index
+// order, so each sum is the serial one on any core count; the apply pass is
+// element-wise by rows.
+//
+//edgepc:hotpath
+func (bn *BatchNorm) sweep(dst, x *tensor.Matrix, mean, invStd, variance []float32, relu bool, k int) {
 	c := x.Cols
-	stats := bn.ws.Get(2, c)
-	mean, invStd := stats.Row(0), stats.Row(1)
 	fan := parallel.WorkersFor(len(x.Data), minSweepElems)
 	if w := min(fan, c/minStatCols); w > 1 {
-		parallel.ForSplit(c, w, func(lo, hi int) { bn.colStats(x, mean, invStd, lo, hi) })
+		parallel.ForSplit(c, w, func(lo, hi int) { bn.colStats(x, mean, invStd, variance, lo, hi) })
 	} else {
-		bn.colStats(x, mean, invStd, 0, c)
+		bn.colStats(x, mean, invStd, variance, 0, c)
 	}
 	if w := min(fan, dst.Rows/minApplyRows); w > 1 {
 		parallel.ForSplit(dst.Rows, w, func(lo, hi int) { bn.apply(dst, x, mean, invStd, relu, k, lo, hi) })
 	} else {
 		bn.apply(dst, x, mean, invStd, relu, k, 0, dst.Rows)
 	}
-	bn.ws.Put(stats)
 }
 
-// colStats fills mean[lo:hi] and invStd[lo:hi] from columns [lo, hi) of x:
-// mean = Σx / n, variance = Σ(x−mean)² / n, both over rows in index order,
+// colStats fills mean[lo:hi], invStd[lo:hi] and, when non-nil,
+// variance[lo:hi] from columns [lo, hi) of x: mean = Σx / n,
+// variance = Σ(x−mean)² / n, both over rows in index order,
 // invStd = 1/√(variance+ε). It sums 32 columns at a time on its own stack:
 // in the shared statistics row two goroutines' adjacent ranges would share a
 // cache line, and every add would bounce it between cores.
 //
 //edgepc:hotpath
-func (bn *BatchNorm) colStats(x *tensor.Matrix, mean, invStd []float32, lo, hi int) {
+func (bn *BatchNorm) colStats(x *tensor.Matrix, mean, invStd, variance []float32, lo, hi int) {
 	c, n := x.Cols, float32(x.Rows)
 	var mbuf, vbuf [32]float32
 	for b := lo; b < hi; b += len(mbuf) {
@@ -397,6 +391,9 @@ func (bn *BatchNorm) colStats(x *tensor.Matrix, mean, invStd []float32, lo, hi i
 			invStd[b+j] = 1 / float32(math.Sqrt(float64(v[j]+bn.Eps)))
 		}
 		copy(mean[b:], m)
+		if variance != nil {
+			copy(variance[b:], v)
+		}
 	}
 }
 
@@ -458,20 +455,30 @@ func greater(v, cur float32) float32 {
 	return math.Float32frombits(b)
 }
 
-// Backward implements Layer.
+// Backward implements Layer. x̂ is recomputed from the cached input as
+// Forward rounded it; with a folded ReLU so is the output, and the incoming
+// gradient is zeroed where that is not > 0: ReLU.Backward's mask, which a NaN
+// does not pass either.
 func (bn *BatchNorm) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
-	if bn.xhat == nil || grad.Rows != bn.xhat.Rows || grad.Cols != bn.xhat.Cols {
+	x := bn.x
+	if x == nil || grad.Rows != x.Rows || grad.Cols != x.Cols {
 		return nil, fmt.Errorf("batchnorm %s: backward before forward(train)", bn.Gamma.Name)
 	}
 	c := grad.Cols
 	n := float32(grad.Rows)
-	sumG := make([]float32, c)
-	sumGH := make([]float32, c)
+	mean, invStd := bn.stats[:c], bn.stats[c:2*c]
+	gamma, beta := bn.Gamma.Value.Data[:c], bn.Beta.Value.Data[:c]
+	sums := make([]float32, 2*c)
+	sumG, sumGH := sums[:c], sums[c:]
 	for r := 0; r < grad.Rows; r++ {
-		gr, hr := grad.Row(r), bn.xhat.Row(r)
-		for j := 0; j < c; j++ {
-			sumG[j] += gr[j]
-			sumGH[j] += gr[j] * hr[j]
+		gr, xr := grad.Row(r)[:c], x.Row(r)[:c]
+		for j, gv := range gr {
+			h := (xr[j] - mean[j]) * invStd[j]
+			if bn.relu {
+				gv = passed(gv, gamma[j]*h+beta[j])
+			}
+			sumG[j] += gv
+			sumGH[j] += gv * h
 		}
 	}
 	for j := 0; j < c; j++ {
@@ -480,13 +487,26 @@ func (bn *BatchNorm) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	}
 	out := tensor.New(grad.Rows, c)
 	for r := 0; r < grad.Rows; r++ {
-		gr, hr, or := grad.Row(r), bn.xhat.Row(r), out.Row(r)
-		for j := 0; j < c; j++ {
-			g := bn.Gamma.Value.Data[j]
-			or[j] = g * bn.invStd[j] / n * (n*gr[j] - sumG[j] - hr[j]*sumGH[j])
+		gr, xr, or := grad.Row(r)[:c], x.Row(r)[:c], out.Row(r)[:c]
+		for j, gv := range gr {
+			h := (xr[j] - mean[j]) * invStd[j]
+			if bn.relu {
+				gv = passed(gv, gamma[j]*h+beta[j])
+			}
+			or[j] = gamma[j] * invStd[j] / n * (n*gv - sumG[j] - h*sumGH[j])
 		}
 	}
 	return out, nil
+}
+
+// passed is ReLU's backward rule as a select: the gradient g where the
+// normalised value y is > 0, else +0.
+func passed(g, y float32) float32 {
+	b := math.Float32bits(g)
+	if !(y > 0) {
+		b = 0
+	}
+	return math.Float32frombits(b)
 }
 
 // Params implements Layer.
@@ -614,7 +634,16 @@ func (s *Sequential) forward(x *tensor.Matrix, train bool, k int) (*tensor.Matri
 		if err != nil {
 			return nil, err
 		}
-		if bn := s.tripleAt(i, y); fuse && bn != nil {
+		bn := s.tripleAt(i, y)
+		if train && bn != nil {
+			// Train mode folds the ReLU into the BatchNorm: one output
+			// buffer, and Backward skips the ReLU (see Sequential.Backward).
+			//edgepc:lint-ignore hotpathalloc train-mode activation, which backward reads
+			out := tensor.New(y.Rows, y.Cols)
+			bn.forwardBatch(out, y, true, true)
+			i += 2
+			y = out
+		} else if fuse && bn != nil && y.Rows > 1 && s.ws.Owns(y) && bn.ws == s.ws {
 			if i += 2; k > 0 && i+1 == len(s.Layers) {
 				s.recycle(cur, x)
 				cur, y = y, s.ws.Get(y.Rows/k, y.Cols)
@@ -650,18 +679,19 @@ func (s *Sequential) recycle(m, x *tensor.Matrix) {
 	}
 }
 
-// tripleAt returns the BatchNorm of a fusable block: layer i is a Linear that
-// has just produced the workspace buffer y (more than one row: one row takes
-// BatchNorm's running-statistics form) and a BatchNorm of y's width and a
-// ReLU follow; nil otherwise.
+// tripleAt returns the BatchNorm of a Linear → BatchNorm → ReLU block whose
+// Linear, layer i, has just produced y: nil unless the BatchNorm has y's width
+// and a ReLU follows. Training folds the ReLU into every such block; the
+// workspace eval pass fuses it when y is a workspace buffer of more than one
+// row (one row takes BatchNorm's running-statistics form).
 func (s *Sequential) tripleAt(i int, y *tensor.Matrix) *BatchNorm {
-	if s.ws == nil || i+2 >= len(s.Layers) || y.Rows == 1 || !s.ws.Owns(y) {
+	if i+2 >= len(s.Layers) {
 		return nil
 	}
 	_, isLinear := s.Layers[i].(*Linear)
 	bn, isBN := s.Layers[i+1].(*BatchNorm)
 	_, isReLU := s.Layers[i+2].(*ReLU)
-	if !isLinear || !isBN || !isReLU || bn.ws != s.ws || len(bn.RunningMean) != y.Cols {
+	if !isLinear || !isBN || !isReLU || len(bn.RunningMean) != y.Cols {
 		return nil
 	}
 	return bn
@@ -671,6 +701,11 @@ func (s *Sequential) tripleAt(i int, y *tensor.Matrix) *BatchNorm {
 func (s *Sequential) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	var err error
 	for i := len(s.Layers) - 1; i >= 0; i-- {
+		if _, isReLU := s.Layers[i].(*ReLU); isReLU && i > 0 {
+			if bn, isBN := s.Layers[i-1].(*BatchNorm); isBN && bn.relu {
+				continue // folded into the BatchNorm's Backward
+			}
+		}
 		grad, err = s.Layers[i].Backward(grad)
 		if err != nil {
 			return nil, err

@@ -143,7 +143,7 @@ type Options struct {
 	// blocked matches bit for bit), or "int8" (quantized inference).
 	// Builders resolve the name per net, so every replica owns a private
 	// backend instance. Unknown names fail at Build with the registered list.
-	// Training always runs the reference kernels regardless.
+	// Training always runs blocked, whose bits are the reference's, regardless.
 	Backend string
 	Seed    int64
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Backend is a pluggable implementation of the destination-writing kernels
-// the inference hot path dispatches through — only those: training and the
-// data-movement stages call the package-level functions (the Linear layer's
-// bias rides in MatMulBiasInto's store). Every implementation must
+// the inference hot path dispatches through — only those: training's backward
+// products and the data-movement stages call the package-level functions (the
+// Linear layer's bias rides in MatMulBiasInto's store). Every implementation must
 // honor the contracts of the package-level reference functions: identical
 // shape/alias validation,
 // destinations fully overwritten, and no retained references to caller
@@ -18,10 +18,10 @@ import (
 // (weights, which a backend may cache, live for the process).
 //
 // Numerics: the naive backend is the reference — the oracle the others are
-// tested against, and the kernels training always runs (backends are an
-// inference-only axis). blocked, the default, must stay within 1e-5 of it
+// tested against. blocked, the default, must stay within 1e-5 of it
 // element-wise (in practice it preserves the per-cell accumulation order and
-// is bit-identical, which is why the golden fixtures hold under either);
+// is bit-identical, which is why the golden fixtures hold under either, and
+// why training always runs blocked: backends are an inference-only axis);
 // int8 is quantized and only promises the documented logit tolerance plus
 // the ≤2pp accuracy envelope.
 //
@@ -52,7 +52,7 @@ const DefaultBackend = BackendBlocked
 
 // Default returns an instance of DefaultBackend — the one place "no backend
 // configured" is decided for eval frames (nn.Linear, model.Graph). Training
-// does not ask: it runs the reference kernels whatever is configured.
+// does not ask: it runs blocked whatever is configured.
 func Default() Backend { return backendFactories[DefaultBackend]() }
 
 // BackendFactory constructs a fresh Backend instance. NewBackend calls the

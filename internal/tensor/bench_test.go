@@ -86,7 +86,7 @@ func BenchmarkMatMulATSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out.Zero()
-		matMulATAccum(out, a, x, 0, a.Cols)
+		matMulATAccum(out, a, x, 0, a.Cols, 0, x.Cols)
 	}
 }
 

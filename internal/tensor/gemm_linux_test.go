@@ -61,3 +61,34 @@ func TestVectorGEMMStaysInsideItsOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorATBTStayInsideTheirOperands runs both backward products with
+// every operand flush against an unmapped page, at its end and then at its
+// start, over shapes with and without ragged edges and across the 256-row
+// block of the AT kernel.
+func TestVectorATBTStayInsideTheirOperands(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(30))
+	for _, s := range []struct{ m, k, n int }{{4, 1, 8}, {4, 6, 16}, {8, 19, 24}, {9, 3, 17}, {33, 257, 40}, {36, 513, 8}} {
+		for _, atEnd := range []bool{true, false} {
+			place := func(src *Matrix) *Matrix {
+				m := &Matrix{Rows: src.Rows, Cols: src.Cols, Data: guarded(t, len(src.Data), atEnd)}
+				copy(m.Data, src.Data)
+				return m
+			}
+			a, b, w := place(edgeMatrix(rng, s.k, s.m)), place(edgeMatrix(rng, s.k, s.n)), place(edgeMatrix(rng, s.n, s.m))
+			got, want := place(New(s.m, s.n)), New(s.m, s.n)
+			if err := MatMulATInto(got, a, b); err != nil {
+				t.Fatal(err)
+			}
+			matMulATAccum(want, a, b, 0, s.m, 0, s.n)
+			requireSameBits(t, "MatMulATInto between guard pages", got, want)
+			got, want = place(New(s.k, s.n)), New(s.k, s.n)
+			if err := MatMulBTInto(got, a, w); err != nil {
+				t.Fatal(err)
+			}
+			matMulBTRows(want, a, w, 0, s.k)
+			requireSameBits(t, "MatMulBTInto between guard pages", got, want)
+		}
+	}
+}

@@ -6,3 +6,5 @@ package tensor
 const hasAVX2 = false
 
 func gemmAVX2(out, a, b *Matrix, bias []float32, lo, hi, n int) {}
+
+func gemmATAVX2(out, a, b *Matrix, lo, hi, n int) {}

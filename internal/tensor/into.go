@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -95,10 +96,8 @@ func matMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 		for j := range or {
 			or[j] = 0
 		}
+		// No zero skip: 0·Inf is NaN here as in every other kernel.
 		for k, av := range ar {
-			if av == 0 {
-				continue
-			}
 			br := b.Row(k)
 			for j, bv := range br {
 				or[j] += av * bv
@@ -111,7 +110,11 @@ func matMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 }
 
 // MatMulBTInto computes a·bᵀ into out (a: m×k, b: n×k → m×n), overwriting
-// its contents.
+// its contents: each cell a dot product summed from +0 with k ascending. With
+// AVX2 it is blocked's a·b against a transposed copy of b, which sums every
+// cell in that order (b is a layer's weights in backprop, at most 256 × 256);
+// elsewhere the Go loop below, the oracle the vector path is tested against.
+// Rows are split like blocked's, which never changes numerics.
 func MatMulBTInto(out, a, b *Matrix) error {
 	if a.Cols != b.Cols {
 		return fmt.Errorf("tensor: matmulBT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -122,31 +125,63 @@ func MatMulBTInto(out, a, b *Matrix) error {
 	if sameBacking(out.Data, a.Data) || sameBacking(out.Data, b.Data) {
 		return fmt.Errorf("tensor: matmulBT destination aliases an input")
 	}
-	parallel.ForChunks(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
-			or := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				br := b.Row(j)
-				var sum float32
-				for k, av := range ar {
-					sum += av * br[k]
-				}
-				or[j] = sum
-			}
+	if hasAVX2 {
+		bt := transposed(b)
+		if workers := matMulWorkers(a.Rows, a.Cols, b.Rows, blockedMinWork); workers > 1 {
+			parallel.ForSplit(a.Rows, workers, func(lo, hi int) { blockedMatMulRows(out, a, bt, nil, lo, hi) })
+		} else {
+			blockedMatMulRows(out, a, bt, nil, 0, a.Rows)
 		}
-	})
+		btPool.Put(bt)
+		return nil
+	}
+	parallel.ForChunks(a.Rows, func(lo, hi int) { matMulBTRows(out, a, b, lo, hi) })
 	return nil
+}
+
+// matMulBTRows runs the reference a·bᵀ kernel over out rows [lo, hi).
+func matMulBTRows(out, a, b *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ar := a.Row(i)
+		or := out.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			br := b.Row(j)
+			var sum float32
+			for k, av := range ar {
+				sum += av * br[k]
+			}
+			or[j] = sum
+		}
+	}
+}
+
+// btPool recycles MatMulBTInto's transposed copies: one per backward
+// product, the same few weight shapes every step.
+var btPool = sync.Pool{New: func() any { return new(Matrix) }}
+
+// transposed returns bᵀ in a pooled matrix the caller puts back.
+func transposed(b *Matrix) *Matrix {
+	t := btPool.Get().(*Matrix)
+	if cap(t.Data) < len(b.Data) {
+		t.Data = make([]float32, len(b.Data))
+	}
+	t.Rows, t.Cols, t.Data = b.Cols, b.Rows, t.Data[:len(b.Data)]
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Row(j) {
+			t.Data[k*b.Rows+j] = v
+		}
+	}
+	return t
 }
 
 // MatMulATInto computes aᵀ·b into out (a: k×m, b: k×n → m×n), overwriting
 // its contents. The output rows — the columns of a — are partitioned across
-// goroutines and every goroutine walks the whole shared k dimension in index
-// order, so no two goroutines write the same cell and each cell's float32
-// summation order is the serial one on any core count: trained weights are a
-// function of the inputs, not of GOMAXPROCS. k (the point count, which dwarfs
-// m and n for weight gradients) decides whether goroutines pay at all; a
-// narrow a stays on one goroutine so the per-k loop keeps whole rows.
+// goroutines, four at a time, and every goroutine walks the whole shared k
+// dimension in index order, so no two goroutines write the same cell and each
+// cell's float32 summation order is the serial one on any core count: trained
+// weights are a function of the inputs, not of GOMAXPROCS. The fan-out is
+// sized by multiply-adds, as blocked's is, and never gives a goroutine fewer
+// than minATCols output rows.
 func MatMulATInto(out, a, b *Matrix) error {
 	if a.Rows != b.Rows {
 		return fmt.Errorf("tensor: matmulAT shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -158,13 +193,12 @@ func MatMulATInto(out, a, b *Matrix) error {
 		return fmt.Errorf("tensor: matmulAT destination aliases an input")
 	}
 	out.Zero()
-	workers := parallel.Workers(a.Rows)
-	if most := a.Cols / minATCols; workers > most {
-		workers = most
+	m := a.Cols
+	if workers := min(parallel.WorkersFor(a.Rows*m*b.Cols, blockedMinWork), m/minATCols); workers > 1 {
+		parallel.ForSplit((m+3)/4, workers, func(lo, hi int) { matMulATRows(out, a, b, 4*lo, min(4*hi, m)) })
+	} else {
+		matMulATRows(out, a, b, 0, m)
 	}
-	parallel.ForSplit(a.Cols, workers, func(lo, hi int) {
-		matMulATAccum(out, a, b, lo, hi)
-	})
 	return nil
 }
 
@@ -173,21 +207,36 @@ func MatMulATInto(out, a, b *Matrix) error {
 // saves.
 const minATCols = 8
 
+// matMulATRows adds aᵀ·b to out rows [lo, hi). With AVX2 the vector kernel
+// takes the rows up to a multiple of 4 and the columns up to a multiple of 8;
+// the ragged edges, and every other host, run matMulATAccum, the reference
+// the vector code is tested against.
+func matMulATRows(out, a, b *Matrix, lo, hi int) {
+	if vn := b.Cols &^ 7; hasAVX2 && vn > 0 && hi-lo >= 4 && a.Rows > 0 {
+		vhi := lo + (hi-lo)&^3
+		gemmATAVX2(out, a, b, lo, vhi, vn)
+		matMulATAccum(out, a, b, lo, vhi, vn, b.Cols)
+		lo = vhi
+	}
+	matMulATAccum(out, a, b, lo, hi, 0, b.Cols)
+}
+
 // matMulATAccum adds aᵀ·b restricted to columns [lo, hi) of a — output rows
-// [lo, hi) — into dst, walking the shared dimension in index order. Every
-// row is cut to the same length n up front, which keeps bounds checks out of
-// the inner loop (indexing dst.Row(lo+i) there costs 40% on 8192×32).
-func matMulATAccum(dst, a, b *Matrix, lo, hi int) {
-	n := dst.Cols
-	own := dst.Data[lo*n : hi*n]
+// [lo, hi) — and columns [jlo, jhi) of b into dst, walking the shared
+// dimension in index order. Every row is cut to the same length up front,
+// which keeps bounds checks out of the inner loop (indexing dst.Row(lo+i)
+// there costs 40% on 8192×32). No zero skip: 0·Inf is NaN here as in every
+// other kernel.
+func matMulATAccum(dst, a, b *Matrix, lo, hi, jlo, jhi int) {
+	if lo >= hi || jlo >= jhi {
+		return
+	}
+	n, w := dst.Cols, jhi-jlo
 	for k := 0; k < a.Rows; k++ {
 		ar := a.Row(k)[lo:hi]
-		br := b.Row(k)[:n]
+		br := b.Row(k)[jlo:jhi]
 		for i, av := range ar {
-			if av == 0 {
-				continue
-			}
-			dr := own[i*n:][:n]
+			dr := dst.Data[(lo+i)*n+jlo:][:w]
 			for j, bv := range br {
 				dr[j] += av * bv
 			}

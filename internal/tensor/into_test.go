@@ -133,7 +133,7 @@ func TestMatMulATParallelMatchesSerial(t *testing.T) {
 	b := randMatrix(rng, k, n)
 
 	serial := New(m, n)
-	matMulATAccum(serial, a, b, 0, m)
+	matMulATAccum(serial, a, b, 0, m, 0, n)
 
 	for _, procs := range []int{1, 2, 3, 4, 8} {
 		runtime.GOMAXPROCS(procs)

@@ -25,11 +25,12 @@ echo "== go build ./... =="
 go build ./...
 
 echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
-# blocked and nn.BatchNorm have amd64 assembly behind *_amd64 files; every
-# other GOARCH must build and vet from the stubs beside them. A VFMADD would
-# round once where the Go kernels round twice and move every golden fixture.
+# blocked, the backward products, nn.BatchNorm and model's featKNN have amd64
+# assembly behind *_amd64 files; every other GOARCH must build and vet from the
+# stubs beside them. A VFMADD would round once where the Go kernels round twice
+# and move every golden fixture; the grep covers every *.s file in the tree.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/model/
 if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 	echo "assembly uses a fused multiply-add; the vector kernels must round like the Go ones" >&2
 	exit 1
@@ -47,9 +48,11 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/..
 # internal/nn's fused-epilogue table runs every shape at five core counts on
 # three backends: under the race detector the full table takes minutes, and
 # the -short one still crosses every fan-out threshold and every remainder of
-# the vector strips. The vector-against-Go tests (TestVectorGEMM* in tensor,
-# TestVectorSweeps* in nn) run whole in both stages and in the GOMAXPROCS sweep
-# below; they skip with a message on a host without AVX2.
+# the vector strips. The vector-against-Go tests (TestVectorGEMM* and
+# TestVectorATBT* in tensor, TestVectorSweeps* and TestTrainFold* in nn,
+# TestFeatKNN* and TestKNNScan* in model) run whole in both stages and in the
+# GOMAXPROCS sweep below; the kernel-level ones skip with a message on a host
+# without AVX2.
 go test -race -short ./internal/nn/...
 
 echo "== go test ./... =="
@@ -60,7 +63,7 @@ echo "== bench driver (its own module, outside ./...) =="
 # calls can change under it without `go test ./...` noticing.
 (cd bench && go vet . && go test .)
 
-echo "== numerics independent of core count (golden + history + spatial + tensor + nn + parallel + train, GOMAXPROCS 1/2/4/8) =="
+echo "== numerics independent of core count (golden + history + spatial + tensor + nn + parallel + model + train, GOMAXPROCS 1/2/4/8) =="
 # Trained weights and logits are a function of the inputs and the seed, not of
 # how many goroutines a kernel split into: the bit-exact golden fixtures must
 # hold at every worker count (-count=1: the test cache does not key on
@@ -69,10 +72,11 @@ echo "== numerics independent of core count (golden + history + spatial + tensor
 # are where the exact stages' index is compared with the O(nN) forms;
 # internal/nn is where the fused bias/BatchNorm/ReLU/max-pool epilogue is
 # compared with the layers one by one, internal/parallel the fan-out it and
-# every other kernel split over.
+# every other kernel split over, internal/model where featKNN's lanes and early
+# exit are compared with the full scalar scan.
 for procs in 1 2 4 8; do
 	GOMAXPROCS=$procs go test -count=1 -run 'TestGolden|TestOutputIndependentOfServingHistory' ./internal/pipeline/
-	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/train/
+	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/model/ ./internal/train/
 done
 
 echo "== one policy core (no ladder/backoff/hedge arithmetic in internal/loadgen) =="
@@ -137,7 +141,11 @@ for b in naive blocked int8; do
 done
 go test -run 'TestGolden' ./internal/pipeline/
 go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildRejectsUnknownBackend|TestBuildWithEmptyOptionsUsesDefaultBackend' ./internal/pipeline/
-go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM' ./internal/tensor/
+go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere' ./internal/tensor/
+# Training runs the same kernels: the backward products above, the folded
+# train-mode BatchNorm → ReLU and the lane scan of featKNN.
+go test -race -run 'TestTrainFoldMatchesLayerByLayer' ./internal/nn/
+go test -race -run 'TestFeatKNNMatchesScalarOracle|TestKNNScan' ./internal/model/
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
@@ -178,11 +186,15 @@ echo "== allocs/op regression gate =="
 # and the serve loop 37 (62 / 62 / 46 / 62 before the shared MLP's epilogue
 # was fused: on one core every parallel.ForChunks call allocated its closure
 # even to run it inline, and each Linear, bias, BatchNorm, ReLU and max-pool
-# was one or more such calls or workspace round trips).
+# was one or more such calls or workspace round trips). A W3 training step
+# (after one warm-up step) measures 212, or 213 when a collection has emptied
+# the pool of transposed weights: 536 before training ran the vector kernels,
+# and a kernel that starts allocating per call shows here.
 bench_out=$(go test -run '^$' -bench 'BenchmarkPipelineFrameAllocs' -benchtime=1x -benchmem -cpu 1 ./internal/pipeline/)
 serve_out=$(go test -run '^$' -bench 'BenchmarkServeSteadyState' -benchtime=1x -benchmem -cpu 1 ./internal/serve/)
-printf '%s\n%s\n' "$bench_out" "$serve_out"
-printf '%s\n%s\n' "$bench_out" "$serve_out" | awk '
+train_out=$(go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime=1x -benchmem -cpu 1 ./internal/train/)
+printf '%s\n%s\n%s\n' "$bench_out" "$serve_out" "$train_out"
+printf '%s\n%s\n%s\n' "$bench_out" "$serve_out" "$train_out" | awk '
 	/^Benchmark/ {
 		for (i = 1; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
 		limit = -1
@@ -190,6 +202,7 @@ printf '%s\n%s\n' "$bench_out" "$serve_out" | awk '
 		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP2048") limit = 38
 		if ($1 == "BenchmarkPipelineFrameAllocsDGCNN")          limit = 26
 		if ($1 ~ /^BenchmarkServeSteadyState/)                  limit = 40
+		if ($1 == "BenchmarkTrainStep")                         limit = 214
 		if (limit >= 0) {
 			seen++
 			if (allocs + 0 > limit) {
@@ -199,7 +212,7 @@ printf '%s\n%s\n' "$bench_out" "$serve_out" | awk '
 		}
 	}
 	END {
-		if (seen < 4) { printf "allocs gate: matched %d of 4 benchmarks\n", seen; exit 1 }
+		if (seen < 5) { printf "allocs gate: matched %d of 5 benchmarks\n", seen; exit 1 }
 		exit bad
 	}
 '
