@@ -22,12 +22,12 @@ func Covariance3(pts []Point3) Symmetric3 {
 	var m Symmetric3
 	for _, p := range pts {
 		d := p.Sub(c)
-		m.XX += d.X * d.X
-		m.XY += d.X * d.Y
-		m.XZ += d.X * d.Z
-		m.YY += d.Y * d.Y
-		m.YZ += d.Y * d.Z
-		m.ZZ += d.Z * d.Z
+		m.XX += float64(d.X * d.X)
+		m.XY += float64(d.X * d.Y)
+		m.XZ += float64(d.X * d.Z)
+		m.YY += float64(d.Y * d.Y)
+		m.YZ += float64(d.Y * d.Z)
+		m.ZZ += float64(d.Z * d.Z)
 	}
 	inv := 1 / float64(len(pts))
 	m.XX *= inv
@@ -51,7 +51,7 @@ func (m Symmetric3) EigenSmallest() Point3 {
 	}
 	v := [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	for sweep := 0; sweep < 32; sweep++ {
-		off := a[0][1]*a[0][1] + a[0][2]*a[0][2] + a[1][2]*a[1][2]
+		off := float64(a[0][1]*a[0][1]) + float64(a[0][2]*a[0][2]) + float64(a[1][2]*a[1][2])
 		if off < 1e-24 {
 			break
 		}
@@ -61,26 +61,26 @@ func (m Symmetric3) EigenSmallest() Point3 {
 					continue
 				}
 				theta := (a[q][q] - a[p][p]) / (2 * a[p][q])
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				t := 1 / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
 				if theta < 0 {
 					t = -t
 				}
-				c := 1 / math.Sqrt(t*t+1)
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				for k := 0; k < 3; k++ {
 					akp, akq := a[k][p], a[k][q]
-					a[k][p] = c*akp - s*akq
-					a[k][q] = s*akp + c*akq
+					a[k][p] = float64(c*akp) - float64(s*akq)
+					a[k][q] = float64(s*akp) + float64(c*akq)
 				}
 				for k := 0; k < 3; k++ {
 					apk, aqk := a[p][k], a[q][k]
-					a[p][k] = c*apk - s*aqk
-					a[q][k] = s*apk + c*aqk
+					a[p][k] = float64(c*apk) - float64(s*aqk)
+					a[q][k] = float64(s*apk) + float64(c*aqk)
 				}
 				for k := 0; k < 3; k++ {
 					vkp, vkq := v[k][p], v[k][q]
-					v[k][p] = c*vkp - s*vkq
-					v[k][q] = s*vkp + c*vkq
+					v[k][p] = float64(c*vkp) - float64(s*vkq)
+					v[k][q] = float64(s*vkp) + float64(c*vkq)
 				}
 			}
 		}

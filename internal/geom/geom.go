@@ -27,10 +27,14 @@ func (p Point3) Add(q Point3) Point3 { return Point3{p.X + q.X, p.Y + q.Y, p.Z +
 func (p Point3) Sub(q Point3) Point3 { return Point3{p.X - q.X, p.Y - q.Y, p.Z - q.Z} }
 
 // Scale returns p scaled by s.
-func (p Point3) Scale(s float64) Point3 { return Point3{p.X * s, p.Y * s, p.Z * s} }
+func (p Point3) Scale(s float64) Point3 {
+	return Point3{float64(p.X * s), float64(p.Y * s), float64(p.Z * s)}
+}
 
 // Dot returns the dot product p·q.
-func (p Point3) Dot(q Point3) float64 { return p.X*q.X + p.Y*q.Y + p.Z*q.Z }
+func (p Point3) Dot(q Point3) float64 {
+	return float64(p.X*q.X) + float64(p.Y*q.Y) + float64(p.Z*q.Z)
+}
 
 // Norm returns the Euclidean length of p.
 func (p Point3) Norm() float64 { return math.Sqrt(p.Dot(p)) }
@@ -40,7 +44,7 @@ func (p Point3) Norm() float64 { return math.Sqrt(p.Dot(p)) }
 // inner loops (comparisons are order-preserving).
 func (p Point3) DistSq(q Point3) float64 {
 	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
-	return dx*dx + dy*dy + dz*dz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
 // Dist returns the Euclidean distance between p and q.

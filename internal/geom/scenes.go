@@ -105,7 +105,7 @@ func attachIntensity(c *Cloud, rng *rand.Rand) {
 	c.FeatDim = 1
 	c.Feat = make([]float32, c.Len())
 	for i, label := range c.Labels {
-		v := classReflectance[label] + float32(rng.NormFloat64())*0.05
+		v := classReflectance[label] + float32(float32(rng.NormFloat64())*0.05)
 		if v < 0 {
 			v = 0
 		}
@@ -120,7 +120,7 @@ func attachIntensity(c *Cloud, rng *rand.Rand) {
 // sensor are kept with lower probability, so near surfaces are oversampled.
 func densityKeep(rng *rand.Rand, p, sensor Point3) bool {
 	d := p.Dist(sensor)
-	keep := 1.0 / (1.0 + 0.15*d*d)
+	keep := 1.0 / (1.0 + float64(0.15*d*d))
 	return rng.Float64() < keep
 }
 
@@ -173,9 +173,9 @@ func addFurniture(c *Cloud, rng *rand.Rand, opts SceneOptions, budget int, senso
 	perPiece := budget / opts.Furniture
 	for f := 0; f < opts.Furniture; f++ {
 		spec := furnitureSpecs[rng.Intn(len(furnitureSpecs))]
-		w := spec.wMin + rng.Float64()*(spec.wMax-spec.wMin)
-		d := spec.dMin + rng.Float64()*(spec.dMax-spec.dMin)
-		h := spec.hMin + rng.Float64()*(spec.hMax-spec.hMin)
+		w := spec.wMin + float64(rng.Float64()*(spec.wMax-spec.wMin))
+		d := spec.dMin + float64(rng.Float64()*(spec.dMax-spec.dMin))
+		h := spec.hMin + float64(rng.Float64()*(spec.hMax-spec.hMin))
 		ox := rng.Float64() * (opts.RoomW - w)
 		oy := rng.Float64() * (opts.RoomD - d)
 		count := 0
@@ -211,29 +211,29 @@ func boxSurfacePoint(rng *rand.Rand, ox, oy, oz, w, d, h float64) Point3 {
 	u, v := rng.Float64(), rng.Float64()
 	switch face {
 	case 0:
-		return Point3{ox + u*w, oy + v*d, oz}
+		return Point3{ox + float64(u*w), oy + float64(v*d), oz}
 	case 1:
-		return Point3{ox + u*w, oy + v*d, oz + h}
+		return Point3{ox + float64(u*w), oy + float64(v*d), oz + h}
 	case 2:
-		return Point3{ox + u*w, oy, oz + v*h}
+		return Point3{ox + float64(u*w), oy, oz + float64(v*h)}
 	case 3:
-		return Point3{ox + u*w, oy + d, oz + v*h}
+		return Point3{ox + float64(u*w), oy + d, oz + float64(v*h)}
 	case 4:
-		return Point3{ox, oy + u*d, oz + v*h}
+		return Point3{ox, oy + float64(u*d), oz + float64(v*h)}
 	default:
-		return Point3{ox + w, oy + u*d, oz + v*h}
+		return Point3{ox + w, oy + float64(u*d), oz + float64(v*h)}
 	}
 }
 
 func addClutter(c *Cloud, rng *rand.Rand, opts SceneOptions, budget int) {
 	for i := 0; i < budget; i++ {
 		// Small dense clusters at random heights — books, lamps, bags.
-		cx := rng.Float64() * opts.RoomW
-		cy := rng.Float64() * opts.RoomD
-		cz := rng.Float64() * opts.RoomH * 0.6
+		cx := float64(rng.Float64() * opts.RoomW)
+		cy := float64(rng.Float64() * opts.RoomD)
+		cz := float64(rng.Float64() * opts.RoomH * 0.6)
 		p := Point3{
-			cx + rng.NormFloat64()*0.08,
-			cy + rng.NormFloat64()*0.08,
+			cx + float64(rng.NormFloat64()*0.08),
+			cy + float64(rng.NormFloat64()*0.08),
 			cz + math.Abs(rng.NormFloat64()*0.08),
 		}
 		appendLabeled(c, p, ClassClutter)

@@ -59,7 +59,7 @@ func GenerateShape(kind ShapeKind, opts ShapeOptions) *Cloud {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	c := NewCloud(opts.N, 0)
 	for i := 0; i < opts.N; i++ {
-		u, v := warp(rng.Float64(), opts.DensitySkew), rng.Float64()
+		u, v := warp(float64(rng.Float64()), opts.DensitySkew), float64(rng.Float64())
 		var p Point3
 		switch kind {
 		case ShapeSphere:
@@ -86,9 +86,9 @@ func GenerateShape(kind ShapeKind, opts ShapeOptions) *Cloud {
 			p = spherePoint(u, v)
 		}
 		if opts.Noise > 0 {
-			p.X += rng.NormFloat64() * opts.Noise
-			p.Y += rng.NormFloat64() * opts.Noise
-			p.Z += rng.NormFloat64() * opts.Noise
+			p.X += float64(rng.NormFloat64() * opts.Noise)
+			p.Y += float64(rng.NormFloat64() * opts.Noise)
+			p.Z += float64(rng.NormFloat64() * opts.Noise)
 		}
 		c.Points[i] = p
 	}
@@ -101,7 +101,7 @@ func warp(u, skew float64) float64 {
 	if skew <= 0 {
 		return u
 	}
-	return math.Pow(u, 1+3*skew)
+	return math.Pow(u, 1+float64(3*skew))
 }
 
 func spherePoint(u, v float64) Point3 {
@@ -117,14 +117,14 @@ func spherePoint(u, v float64) Point3 {
 func torusPoint(u, v, minor float64) Point3 {
 	theta := 2 * math.Pi * u
 	phi := 2 * math.Pi * v
-	r := 1 + minor*math.Cos(phi)
+	r := 1 + float64(minor*math.Cos(phi))
 	return Point3{r * math.Cos(theta), r * math.Sin(theta), minor * math.Sin(phi)}
 }
 
 func boxPoint(rng *rand.Rand) Point3 {
 	// Pick a face, then a point on it.
 	face := rng.Intn(6)
-	a, b := rng.Float64()*2-1, rng.Float64()*2-1
+	a, b := float64(rng.Float64())*2-1, float64(rng.Float64())*2-1
 	switch face {
 	case 0:
 		return Point3{1, a, b}
@@ -159,9 +159,9 @@ func helixPoint(u, v float64) Point3 {
 	phi := 2 * math.Pi * v
 	cx, cy := math.Cos(t), math.Sin(t)
 	return Point3{
-		cx + r*math.Cos(phi)*cx,
-		cy + r*math.Cos(phi)*cy,
-		t/(2*math.Pi) - 1 + r*math.Sin(phi),
+		cx + float64(r*math.Cos(phi)*cx),
+		cy + float64(r*math.Cos(phi)*cy),
+		t/(2*math.Pi) - 1 + float64(r*math.Sin(phi)),
 	}
 }
 
@@ -172,7 +172,7 @@ func helixPoint(u, v float64) Point3 {
 func blobPoint(u, v float64, lobes int, depth float64) Point3 {
 	theta := 2 * math.Pi * u
 	phi := math.Acos(2*v - 1)
-	r := 1 + depth*math.Sin(float64(lobes)*theta)*math.Sin(float64(lobes)*phi)
+	r := 1 + float64(depth*math.Sin(float64(lobes)*theta)*math.Sin(float64(lobes)*phi))
 	return Point3{
 		r * math.Sin(phi) * math.Cos(theta),
 		r * math.Sin(phi) * math.Sin(theta),
@@ -182,11 +182,11 @@ func blobPoint(u, v float64, lobes int, depth float64) Point3 {
 
 func crossPoint(rng *rand.Rand) Point3 {
 	// Two perpendicular slabs.
-	a, b := rng.Float64()*2-1, rng.Float64()*0.4-0.2
+	a, b := float64(rng.Float64())*2-1, float64(rng.Float64()*0.4)-0.2
 	if rng.Intn(2) == 0 {
-		return Point3{a, b, rng.Float64()*0.4 - 0.2}
+		return Point3{a, b, float64(rng.Float64()*0.4) - 0.2}
 	}
-	return Point3{b, a, rng.Float64()*0.4 - 0.2}
+	return Point3{b, a, float64(rng.Float64()*0.4) - 0.2}
 }
 
 func shellPoint(u, v float64) Point3 {
@@ -218,7 +218,7 @@ func SyntheticBunny(seed int64) *Cloud {
 		if rng.Intn(2) == 0 {
 			side = -1.0
 		}
-		ears.Points[i] = Point3{p.X*0.15 + side*0.35, p.Y * 0.15, p.Z*0.5 + 1.2}
+		ears.Points[i] = Point3{float64(p.X*0.15) + float64(side*0.35), p.Y * 0.15, float64(p.Z*0.5) + 1.2}
 	}
 	out := NewCloud(0, 0)
 	out.Points = append(out.Points, body.Points...)

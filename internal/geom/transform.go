@@ -16,8 +16,8 @@ func (c *Cloud) RotateZ(angle float64) {
 	s, cos := math.Sin(angle), math.Cos(angle)
 	for i, p := range c.Points {
 		c.Points[i] = Point3{
-			X: p.X*cos - p.Y*s,
-			Y: p.X*s + p.Y*cos,
+			X: float64(p.X*cos) - float64(p.Y*s),
+			Y: float64(p.X*s) + float64(p.Y*cos),
 			Z: p.Z,
 		}
 	}
@@ -76,10 +76,10 @@ func DefaultAugmentOptions() AugmentOptions {
 func Augment(c *Cloud, opts AugmentOptions, rng *rand.Rand) *Cloud {
 	out := c.Clone()
 	if opts.RotateZ {
-		out.RotateZ(rng.Float64() * 2 * math.Pi)
+		out.RotateZ(float64(rng.Float64()) * 2 * math.Pi)
 	}
 	if opts.ScaleHi > opts.ScaleLo && opts.ScaleLo > 0 {
-		s := opts.ScaleLo + rng.Float64()*(opts.ScaleHi-opts.ScaleLo)
+		s := opts.ScaleLo + float64(rng.Float64()*(opts.ScaleHi-opts.ScaleLo))
 		out.Scale(s, s, s)
 	}
 	out.Jitter(opts.JitterSigma, rng)

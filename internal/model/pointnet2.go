@@ -33,10 +33,9 @@ type SAModule struct {
 	// Sampler selects the algorithm for the non-Morton sampling path:
 	// exact FPS (default; through the graph's spatial index), bucketed
 	// pruned FPS, or pure index stride. When the module's Morton strategy
-	// applies, it wins over this knob. Bucketed FPS prunes over the parent
-	// level's order as it stands — the FPS picks of the module before, or
-	// the raw cloud — not over a Morton order; see sample.BucketFPS for what
-	// that costs.
+	// applies, it wins over this knob. Bucketed FPS's picks depend on the
+	// parent level's order as it stands — its stride seeds are positions in
+	// it — but they are computed through the spatial index too.
 	Sampler sample.Arch
 	// Quality is the BucketFPS Frac knob (ignored by the other archs).
 	Quality float64
@@ -46,10 +45,9 @@ type SAModule struct {
 	// handed to the next module aliases it, which is safe because levels live
 	// at most one frame (training's cached levels never read pts in backward).
 	centersBuf []geom.Point3
-	// bucket is the BucketFPS sampler state; selBuf is the sampled-index
-	// buffer of both FPS paths, reused across frames for a zero-allocation
-	// steady state (the level that aliases it lives one frame).
-	bucket sample.BucketFPS
+	// selBuf is the sampled-index buffer of both FPS paths, reused across
+	// frames for a zero-allocation steady state (the level that aliases it
+	// lives one frame).
 	selBuf []int
 }
 
@@ -99,12 +97,12 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 		}
 		switch m.Sampler {
 		case sample.ArchBucketFPS:
-			// Bucketed pruned FPS (quality-adjustable): correct on any
-			// order, 3× cheaper on a Morton-sorted one than on this one.
+			// Bucketed pruned FPS at the module's quality: the picks of
+			// sample.BucketFPS over the level as it stands, computed
+			// through the spatial index, whose order prunes better.
 			sampleAlgo = "bucketfps"
-			m.bucket.Frac = m.Quality
 			var e error
-			sel, e = m.bucket.SampleInto(parent.pts, nOut, m.selBuf)
+			sel, e = x.exact(parent).ApproxFPS(m.Quality, nOut, m.selBuf)
 			m.selBuf = sel
 			return e
 		case sample.ArchStride:
@@ -311,33 +309,22 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, laye
 
 	// --- Apply + concat + MLP (feature compute) ---
 	var out *tensor.Matrix
-	var interpCols, cin int
+	interpCols := coarseFeats.Cols
+	var cin int
 	dur, err = timed(func() error {
-		var dst []float32
-		var interp *tensor.Matrix
-		if ws != nil {
-			// ApplyPlan writes into the workspace buffer in place (its cap is
-			// at least fine.len()·Cols by construction).
-			interp = ws.Get(fine.len(), coarseFeats.Cols)
-			dst = interp.Data
-		}
-		interpData, e := sample.ApplyPlan(plan, coarseFeats.Data, coarseFeats.Cols, dst)
-		if e != nil {
+		// [interp | skip] is built in place: the plan writes the left
+		// columns of the fused buffer and the fine level's own features
+		// (one row per point, as every level's) are copied into the right
+		// ones.
+		fused := wsGet(ws, fine.len(), interpCols+fine.feats.Cols)
+		if _, e := sample.ApplyPlan(plan, coarseFeats.Data, interpCols, fused.Data, fused.Cols); e != nil {
 			return e
 		}
-		if interp == nil {
-			interp, e = tensor.FromSlice(fine.len(), coarseFeats.Cols, interpData)
-			if e != nil {
-				return e
-			}
+		for r := 0; r < fused.Rows; r++ {
+			copy(fused.Row(r)[interpCols:], fine.feats.Row(r))
 		}
-		interpCols = interp.Cols
-		fused := wsGet(ws, fine.len(), interp.Cols+fine.feats.Cols)
-		if e = x.be.ConcatInto(fused, interp, fine.feats); e != nil {
-			return e
-		}
-		wsPut(ws, interp)
 		cin = fused.Cols
+		var e error
 		out, e = m.MLP.Forward(fused, train)
 		if e == nil && ws != nil && out != fused {
 			wsPut(ws, fused)

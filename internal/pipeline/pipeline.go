@@ -111,12 +111,10 @@ type Options struct {
 	// real (non-Morton-stride) sampling stage: exact FPS (the default; its
 	// picks come from the spatial index, see internal/spatial), bucketed
 	// pruned FPS (sample.ArchBucketFPS), or pure stride. ArchBucketFPS
-	// prunes over the level's order as it stands, and that order is Morton
-	// only on the first exact site of an S+N net — never under Baseline,
-	// never after an exact FPS — so at quality 1 it returns the default's
-	// picks at 2–3× the default's cost (sample.BucketFPS has the numbers);
-	// what it adds is the quality knob below 1, which the degradation rung
-	// uses.
+	// returns sample.BucketFPS's picks over the level as it stands, computed
+	// through the spatial index as the default's are, so at quality 1 it
+	// returns the default's picks at about the default's cost; what it adds
+	// is the quality knob below 1, which the degradation rung uses.
 	SampleArch sample.Arch
 	// SampleQuality is the BucketFPS quality knob in [0,1]; 0 defaults to 1
 	// (exact FPS picks with pruning as a pure speedup). Lower values trade

@@ -17,6 +17,13 @@ func randomCloud(n int, seed int64) *geom.Cloud {
 	return c
 }
 
+// columns is pts as a fresh Coords.
+func columns(pts []geom.Point3) Coords {
+	var c Coords
+	c.SetPoints(pts)
+	return c
+}
+
 func TestBucketFPSWorkedExample(t *testing.T) {
 	// At quality 1 the Fig. 8(a) worked example must come out exactly as
 	// with exact FPS: {P0, P3, P4}.
@@ -291,9 +298,9 @@ func TestBucketFPSExactIntoMatchesFPSIndexes(t *testing.T) {
 				b.BucketSize = bsize
 				for _, permuted := range []bool{true, false} {
 					if permuted {
-						out, err = b.ExactInto(pts, ids, n, out)
+						out, err = b.ExactInto(columns(pts), ids, n, out)
 					} else {
-						out, err = b.ExactInto(level, nil, n, out)
+						out, err = b.ExactInto(columns(level), nil, n, out)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -307,11 +314,14 @@ func TestBucketFPSExactIntoMatchesFPSIndexes(t *testing.T) {
 			}
 		}
 	}
-	if _, err := b.ExactInto(nil, nil, 1, nil); err == nil {
+	if _, err := b.ExactInto(Coords{}, nil, 1, nil); err == nil {
 		t.Fatal("empty level: want error")
 	}
-	if _, err := b.ExactInto(make([]geom.Point3, 3), make([]int32, 2), 1, nil); err == nil {
+	if _, err := b.ExactInto(columns(make([]geom.Point3, 3)), make([]int32, 2), 1, nil); err == nil {
 		t.Fatal("ids of the wrong length: want error")
+	}
+	if _, err := b.ExactInto(Coords{X: make([]float64, 3), Y: make([]float64, 3), Z: make([]float64, 2)}, nil, 1, nil); err == nil {
+		t.Fatal("columns of different lengths: want error")
 	}
 	// The legacy entry point is untouched by an ExactInto before it.
 	sel, err := b.SampleInto(make([]geom.Point3, 40), 10, nil)
@@ -324,5 +334,61 @@ func TestBucketFPSExactIntoMatchesFPSIndexes(t *testing.T) {
 			t.Fatalf("SampleInto after ExactInto duplicated %d in %v", i, sel)
 		}
 		seen[i] = true
+	}
+}
+
+func TestBucketFPSOrderedIntoMatchesSampleInto(t *testing.T) {
+	// OrderedInto sees the level through a permutation and must still return
+	// SampleInto's picks over the level, index for index, at every quality:
+	// stride seeds are positions of the level's own order, ties go to the
+	// lowest level index, and selected points stay unique.
+	rng := rand.New(rand.NewSource(37))
+	lattice := func(n int) []geom.Point3 {
+		pts := make([]geom.Point3, n)
+		for i := range pts {
+			pts[i] = geom.Point3{X: float64(rng.Intn(4)), Y: float64(rng.Intn(4)), Z: float64(rng.Intn(3))}
+		}
+		return pts
+	}
+	var ordered, plain BucketFPS
+	var got []int
+	for _, level := range [][]geom.Point3{
+		randomCloud(1, 1).Points, randomCloud(3, 2).Points, randomCloud(333, 3).Points,
+		lattice(9), lattice(500), make([]geom.Point3, 40),
+	} {
+		N := len(level)
+		perm := rng.Perm(N)
+		pts, ids := make([]geom.Point3, N), make([]int32, N)
+		for pos, i := range perm {
+			pts[pos], ids[pos] = level[i], int32(i)
+		}
+		for _, q := range []float64{0, 0.25, 0.5, 1} {
+			for _, n := range []int{1, 2, (N + 2) / 3, N} {
+				if n > N {
+					continue
+				}
+				for _, bsize := range []int{0, 1, 7, N} {
+					plain.Frac, plain.StartIndex = q, N/2
+					ordered.Frac, ordered.StartIndex, ordered.BucketSize = q, N/2, bsize
+					want, err := plain.SampleInto(level, n, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err = ordered.OrderedInto(columns(pts), ids, n, got); err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("N=%d q=%v n=%d bucket=%d: pick %d = %d, want %d", N, q, n, bsize, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	bad := []int32{0, 1, 5}
+	ordered.Frac = 0.5
+	if _, err := ordered.OrderedInto(columns(make([]geom.Point3, 3)), bad, 2, nil); err == nil {
+		t.Fatal("an id outside the level: want error")
 	}
 }

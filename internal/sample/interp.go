@@ -124,21 +124,27 @@ func (plan *InterpPlan) FillWeights(t int, idx []int, d []float64) {
 }
 
 // ApplyPlan interpolates source features into target features according to
-// the plan: dst[t] = Σ_i w[t,i] · src[idx[t,i]]. dst is allocated if too
-// small. featDim is the feature width of src rows.
-func ApplyPlan(plan *InterpPlan, src []float32, featDim int, dst []float32) ([]float32, error) {
+// the plan: row t of dst is Σ_i w[t,i] · src[idx[t,i]]. featDim is the
+// feature width of src rows; ld ≥ featDim is the row stride of dst, whose
+// row t is dst[t·ld : t·ld+featDim] — columns past featDim are left as they
+// are, so a caller can interpolate into the left columns of a wider matrix.
+// dst is allocated, t·ld long, if it is shorter.
+func ApplyPlan(plan *InterpPlan, src []float32, featDim int, dst []float32, ld int) ([]float32, error) {
 	t := plan.Targets()
-	need := t * featDim
-	if len(src)%featDim != 0 {
+	if featDim < 1 || len(src)%featDim != 0 {
 		return nil, fmt.Errorf("sample: src length %d not divisible by featDim %d", len(src), featDim)
 	}
+	if ld < featDim {
+		return nil, fmt.Errorf("sample: destination stride %d below featDim %d", ld, featDim)
+	}
+	need := t * ld
 	if cap(dst) < need {
 		dst = make([]float32, need)
 	}
 	dst = dst[:need]
 	parallel.ForChunks(t, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out := dst[i*featDim : (i+1)*featDim]
+			out := dst[i*ld : i*ld+featDim]
 			for c := range out {
 				out[c] = 0
 			}
@@ -147,7 +153,7 @@ func ApplyPlan(plan *InterpPlan, src []float32, featDim int, dst []float32) ([]f
 				w := float32(plan.Weights[i*plan.K+j])
 				row := src[s*featDim : (s+1)*featDim]
 				for c, v := range row {
-					out[c] += w * v
+					out[c] += float32(w * v)
 				}
 			}
 		}

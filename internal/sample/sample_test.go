@@ -288,7 +288,7 @@ func TestApplyPlan(t *testing.T) {
 	// Two targets, two sources, K=1: pure gather.
 	plan := &InterpPlan{K: 1, Indexes: []int{1, 0}, Weights: []float64{1, 1}}
 	src := []float32{1, 2, 3, 4} // 2×2
-	dst, err := ApplyPlan(plan, src, 2, nil)
+	dst, err := ApplyPlan(plan, src, 2, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +298,23 @@ func TestApplyPlan(t *testing.T) {
 			t.Fatalf("dst = %v, want %v", dst, want)
 		}
 	}
+	// With a row stride of 3 the rows land in the left two columns and the
+	// third is left as it was.
+	wide := []float32{9, 9, 7, 9, 9, 8}
+	if _, err := ApplyPlan(plan, src, 2, wide, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range []float32{3, 4, 7, 1, 2, 8} {
+		if wide[i] != w {
+			t.Fatalf("strided dst = %v", wide)
+		}
+	}
 }
 
 func TestApplyPlanBlends(t *testing.T) {
 	plan := &InterpPlan{K: 2, Indexes: []int{0, 1}, Weights: []float64{0.25, 0.75}}
 	src := []float32{0, 4} // 2×1
-	dst, err := ApplyPlan(plan, src, 1, nil)
+	dst, err := ApplyPlan(plan, src, 1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +325,11 @@ func TestApplyPlanBlends(t *testing.T) {
 
 func TestApplyPlanBadShape(t *testing.T) {
 	plan := &InterpPlan{K: 1, Indexes: []int{0}, Weights: []float64{1}}
-	if _, err := ApplyPlan(plan, []float32{1, 2, 3}, 2, nil); err == nil {
+	if _, err := ApplyPlan(plan, []float32{1, 2, 3}, 2, nil, 2); err == nil {
 		t.Fatal("odd src length: want error")
+	}
+	if _, err := ApplyPlan(plan, []float32{1, 2}, 2, nil, 1); err == nil {
+		t.Fatal("stride below the feature width: want error")
 	}
 }
 

@@ -115,7 +115,7 @@ func BenchmarkFPSOrder(b *testing.B) {
 	var ix Index
 	ix.Reset(raw)
 	ix.build()
-	sorted := append([]geom.Point3(nil), ix.sorted...)
+	sorted := cellOrder(&ix)
 	rng := rand.New(rand.NewSource(1))
 	shuffled := append([]geom.Point3(nil), raw...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })

@@ -3,21 +3,23 @@
 // k-nearest-neighbor and ball queries and the 3-NN interpolation plan, each
 // index-identical to the O(nN) form it replaces —
 //
-//	FPS     sample.FPSIndexes(pts, n, 0)
-//	KNN     neighbor.BruteKNN{}.Search
-//	Ball    neighbor.BallQuery{R: r}.Search
-//	ThreeNN sample.ThreeNN{}.Plan
+//	FPS        sample.FPSIndexes(pts, n, 0)
+//	ApproxFPS  sample.BucketFPS{Frac: q}.SampleInto(pts, n, nil)
+//	KNN        neighbor.BruteKNN{}.Search
+//	Ball       neighbor.BallQuery{R: r}.Search
+//	ThreeNN    sample.ThreeNN{}.Plan
 //
 // — which stay where they are as the references the tests compare against
 // and as the SOTA kernels the experiments time.
 //
 // The index is an O(N) build: a grid of cubic cells over the level's
 // bounding box, the points copied in Morton order of their cells (a counting
-// sort, so level order survives inside a cell), the int32 permutation back
-// to level indexes, and a cell-start table. FPS runs sample.BucketFPS's
-// pruning kernel over that order, where consecutive runs are compact boxes;
-// the searches walk the cells around a query in growing shells and stop when
-// nothing outside the shells can beat what they hold.
+// sort, so level order survives inside a cell) as three coordinate columns,
+// the int32 permutation back to level indexes, and a cell-start table. FPS
+// runs sample.BucketFPS's pruning kernel over that order, where consecutive
+// runs are compact boxes; the searches walk the cells around a query in
+// growing shells and stop when nothing outside the shells can beat what they
+// hold.
 //
 // Identity rests on two things. Ties: the oracles scan in level order, so
 // among equal distances the lowest level index wins; the searches here meet
@@ -101,12 +103,14 @@ type Index struct {
 	built bool
 	scan  bool // level too small, or not finite: every query runs the linear scan
 
-	min    geom.Point3
-	inv    float64       // cells per unit length (cells are cubes); 0 when the level is a single site
-	n      [3]int        // slabs in use along each axis, 1 on an axis of zero extent
-	perm   []int32       // position in cell order → level index
-	sorted []geom.Point3 // the level's points in cell order
-	start  []int32       // cell c (Morton id) holds positions start[c]..start[c+1]
+	min  geom.Point3
+	inv  float64 // cells per unit length (cells are cubes); 0 when the level is a single site
+	n    [3]int  // slabs in use along each axis, 1 on an axis of zero extent
+	perm []int32 // position in cell order → level index
+	// cols is the level's points in cell order, or in level order when scan
+	// is set (only FPS reads them then).
+	cols  sample.Coords
+	start []int32 // cell c (Morton id) holds positions start[c]..start[c+1]
 	// lo[a][c] is the smallest coordinate on axis a of any point in a cell
 	// slab ≥ c, hi[a][c] the largest of any in a slab ≤ c. A point in slab c
 	// lies in [lo[a][c], hi[a][c]], and a query below slab c is at least
@@ -142,17 +146,22 @@ func (ix *Index) build() {
 	ix.built = true
 	pts := ix.pts
 	n := len(pts)
-	if ix.scan = n < scanBelow || n < 2; ix.scan {
-		return
+	ix.scan = n < scanBelow || n < 2
+	var box geom.AABB
+	if !ix.scan {
+		// The builtin min and max carry a NaN through, as AABB.Extend does,
+		// so one bad coordinate shows in the box.
+		box = geom.AABB{Min: pts[0], Max: pts[0]}
+		for _, p := range pts[1:] {
+			box.Min = geom.Point3{X: min(box.Min.X, p.X), Y: min(box.Min.Y, p.Y), Z: min(box.Min.Z, p.Z)}
+			box.Max = geom.Point3{X: max(box.Max.X, p.X), Y: max(box.Max.Y, p.Y), Z: max(box.Max.Z, p.Z)}
+		}
+		ix.scan = !box.Min.IsFinite() || !box.Max.IsFinite()
 	}
-	// The builtin min and max carry a NaN through, as AABB.Extend does, so
-	// one bad coordinate shows in the box.
-	box := geom.AABB{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		box.Min = geom.Point3{X: min(box.Min.X, p.X), Y: min(box.Min.Y, p.Y), Z: min(box.Min.Z, p.Z)}
-		box.Max = geom.Point3{X: max(box.Max.X, p.X), Y: max(box.Max.Y, p.Y), Z: max(box.Max.Z, p.Z)}
-	}
-	if ix.scan = !box.Min.IsFinite() || !box.Max.IsFinite(); ix.scan {
+	if ix.scan {
+		// The searches scan pts itself; FPS runs over the columns, which
+		// learn whether the level is finite in the same pass.
+		ix.cols.SetPoints(pts)
 		return
 	}
 	// Between N/2 and 4N cells. Scenes are surfaces, so most of them are
@@ -216,8 +225,9 @@ func (ix *Index) fill() {
 		pos := start[c]
 		start[c] = pos + 1
 		ix.perm[pos] = int32(i)
-		ix.sorted[pos] = p
+		ix.cols.X[pos], ix.cols.Y[pos], ix.cols.Z[pos] = p.X, p.Y, p.Z
 	}
+	ix.cols.Finite = true // a level with a non-finite coordinate gets no grid
 	copy(start[1:], start[:cells])
 	start[0] = 0
 	for a := 0; a < 3; a++ {
@@ -239,9 +249,9 @@ func (ix *Index) reserve(n, cells int) {
 	ix.start = ix.start[:cells+1]
 	if cap(ix.perm) < n {
 		ix.perm = make([]int32, n)
-		ix.sorted = make([]geom.Point3, n)
 	}
-	ix.perm, ix.sorted = ix.perm[:n], ix.sorted[:n]
+	ix.perm = ix.perm[:n]
+	ix.cols.Resize(n)
 }
 
 // slab maps a coordinate to its cell slab along one axis of n slabs. It is
@@ -395,7 +405,7 @@ func (ix *Index) offer(p *probe, s, e int32) float64 {
 			if len(p.found) == k && id > p.found[k-1] {
 				break // a cell holds its points in level order
 			}
-			if p.q.DistSq(ix.sorted[pos]) <= p.r2 {
+			if p.q.DistSq(ix.cols.At(int(pos))) <= p.r2 {
 				p.found = insertID(p.found, id)
 			}
 		}
@@ -404,7 +414,7 @@ func (ix *Index) offer(p *probe, s, e int32) float64 {
 	idx, d := p.idx, p.d
 	last := len(d) - 1
 	for pos := s; pos < e; pos++ {
-		if dist := p.q.DistSq(ix.sorted[pos]); !(dist > d[last]) {
+		if dist := p.q.DistSq(ix.cols.At(int(pos))); !(dist > d[last]) {
 			insert(idx, d, int(ix.perm[pos]), dist)
 		}
 	}
@@ -555,10 +565,26 @@ func (ix *Index) FPS(n int, out []int) ([]int, error) {
 		// One bucket holding the whole level: the kernel's refresh is then
 		// exact FPS's two linear passes per pick.
 		ix.fps.BucketSize = len(ix.pts)
-		return ix.fps.ExactInto(ix.pts, nil, n, out)
+		return ix.fps.ExactInto(ix.cols, nil, n, out)
 	}
 	ix.fps.BucketSize = 0
-	return ix.fps.ExactInto(ix.sorted, ix.perm, n, out)
+	return ix.fps.ExactInto(ix.cols, ix.perm, n, out)
+}
+
+// ApproxFPS returns the picks sample.BucketFPS{Frac: quality}.SampleInto(pts,
+// n, out) returns — stride seeds over the level's order, then
+// farthest-point refinements — computed over the cell order, whose compact
+// buckets prune far better than the level's own order. out is reused like
+// append.
+//
+//edgepc:hotpath
+func (ix *Index) ApproxFPS(quality float64, n int, out []int) ([]int, error) {
+	ix.build()
+	ix.fps.Frac, ix.fps.BucketSize = quality, 0
+	if ix.scan {
+		return ix.fps.OrderedInto(ix.cols, nil, n, out)
+	}
+	return ix.fps.OrderedInto(ix.cols, ix.perm, n, out)
 }
 
 // KNN returns, for every query, the k nearest level points under (DistSq,
@@ -611,7 +637,7 @@ func (ix *Index) Ball(queries []geom.Point3, r float64, k int) ([]int, error) {
 func (ix *Index) ballCells(r float64) float64 {
 	cells := 1.0
 	for _, n := range ix.n {
-		cells *= min(2*r*ix.inv+1, float64(n))
+		cells *= min(float64(2*r*ix.inv)+1, float64(n))
 	}
 	return cells
 }

@@ -192,6 +192,15 @@ func compare(t testing.TB, ix *Index, pts []geom.Point3, rng *rand.Rand) {
 	fail(diffThreeNN(ix, pts, queriesFor(pts, 257, rng)))
 }
 
+// cellOrder is a copy of the built index's level in its cell order.
+func cellOrder(ix *Index) []geom.Point3 {
+	pts := make([]geom.Point3, len(ix.perm))
+	for pos, i := range ix.perm {
+		pts[pos] = ix.pts[i]
+	}
+	return pts
+}
+
 func firstDiff(a, b []int) int {
 	for i := range a {
 		if i >= len(b) || a[i] != b[i] {
@@ -249,7 +258,39 @@ func TestSortedLevelsMatchOracles(t *testing.T) {
 	if _, err := ix.FPS(8, nil); err != nil { // builds the grid
 		t.Fatal(err)
 	}
-	compare(t, &ix, append([]geom.Point3(nil), ix.sorted...), rng)
+	compare(t, &ix, cellOrder(&ix), rng)
+}
+
+// TestApproxFPSMatchesBucketFPS is the degradation rung's sampler through the
+// index against sample.BucketFPS over the level as it stands, pick for pick,
+// on every cloud shape at sizes on both sides of the scan cut-off and with
+// the grid forced, one Index across sizes.
+func TestApproxFPSMatchesBucketFPS(t *testing.T) {
+	for _, forced := range []bool{false, true} {
+		if forced {
+			forceGrid(t)
+		}
+		for _, c := range clouds {
+			rng := rand.New(rand.NewSource(19))
+			var ix Index
+			var got []int
+			for _, N := range []int{2048, 513, 100, 7, 1} {
+				pts := c.gen(N, rng)
+				ix.Reset(pts)
+				for _, q := range []float64{0.5, 0.25, 1} {
+					for _, n := range []int{1, (N + 3) / 4, (N + 1) / 2} {
+						want, err1 := (&sample.BucketFPS{Frac: q}).SampleInto(pts, n, nil)
+						var err2 error
+						got, err2 = ix.ApproxFPS(q, n, got)
+						if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s forced=%v: ApproxFPS(%v, %d) of %d: errors %v / %v, first difference at pick %d",
+								c.name, forced, q, n, N, err1, err2, firstDiff(got, want))
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestFanOutMatchesOracles asks enough queries at once for the searches to

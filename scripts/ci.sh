@@ -25,14 +25,30 @@ echo "== go build ./... =="
 go build ./...
 
 echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
-# blocked, the backward products, nn.BatchNorm and model's featKNN have amd64
-# assembly behind *_amd64 files; every other GOARCH must build and vet from the
-# stubs beside them. A VFMADD would round once where the Go kernels round twice
-# and move every golden fixture; the grep covers every *.s file in the tree.
+# blocked, the backward products, nn.BatchNorm, model's featKNN and
+# sample.BucketFPS's refresh have amd64 assembly behind *_amd64 files; every
+# other GOARCH must build and vet from the stubs beside them. A VFMADD would
+# round once where the Go kernels round twice and move every golden fixture;
+# the grep covers every *.s file in the tree.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/model/
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/sample/ ./internal/spatial/
 if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 	echo "assembly uses a fused multiply-add; the vector kernels must round like the Go ones" >&2
+	exit 1
+fi
+
+echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial) =="
+# The Go spec lets a compiler fuse x*y + z, and the arm64 one does. The
+# geometry the exact stages run on rounds every product with an explicit
+# float64(...) or float32(...) conversion, which the spec says prevents that:
+# one FMADD in these packages and the spatial index's pruning bounds, the
+# FPS picks and the golden fixtures would differ between amd64 and arm64.
+# A warm build cache replays the compiler output, so no -a is needed.
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/geom/ ./internal/sample/ ./internal/spatial/ 2>&1 |
+	grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
+if [ -n "$fused" ]; then
+	printf '%s\n' "$fused" >&2
+	echo "the arm64 compiler fused a multiply-add in geom, sample or spatial; round the product with an explicit conversion" >&2
 	exit 1
 fi
 
@@ -143,9 +159,11 @@ go test -run 'TestGolden' ./internal/pipeline/
 go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildRejectsUnknownBackend|TestBuildWithEmptyOptionsUsesDefaultBackend' ./internal/pipeline/
 go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere' ./internal/tensor/
 # Training runs the same kernels: the backward products above, the folded
-# train-mode BatchNorm → ReLU and the lane scan of featKNN.
+# train-mode BatchNorm → ReLU and the lane scan of featKNN. Exact FPS's vector
+# refresh is compared with its Go loops, whole samplings and kernel by kernel.
 go test -race -run 'TestTrainFoldMatchesLayerByLayer' ./internal/nn/
 go test -race -run 'TestFeatKNNMatchesScalarOracle|TestKNNScan' ./internal/model/
+go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS' ./internal/sample/
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
