@@ -32,12 +32,13 @@ type ecCache struct {
 }
 
 // forward runs one EdgeConv block over lv and fills next with the result
-// level. Execution context (trace, train flag, workspace, reuse cache) comes
-// from the Graph's Exec; train and x.ws != nil are mutually exclusive.
+// level. Execution context (trace, train flag, workspace or training arena,
+// reuse cache) comes from the Graph's Exec; train and x.ws != nil are
+// mutually exclusive.
 //
 //edgepc:hotpath
 func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
-	reuse, trace, train, wksp := x.reuse, x.trace, x.train, x.ws
+	reuse, trace, train, wksp, buf := x.reuse, x.trace, x.train, x.ws, x.scratch()
 	n := lv.len()
 	k := clampK(m.K, n)
 
@@ -60,13 +61,13 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 			}
 			if layer == 0 {
 				algo = "knn-brute"
-				coords := coordMatrix(wksp, lv.pts)
-				idx := featKNN(wksp, coords, k)
-				wsPut(wksp, coords)
+				coords := coordMatrix(buf, lv.pts)
+				idx := featKNN(buf, coords, k)
+				wsPut(buf, coords)
 				return idx, nil
 			}
 			algo = "knn-feature"
-			return featKNN(wksp, lv.feats, k), nil
+			return featKNN(buf, lv.feats, k), nil
 		})
 		return e
 	})
@@ -85,7 +86,7 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 	var grouped *tensor.Matrix
 	dur, err = timed(func() error {
 		var e error
-		grouped, e = buildGroupedEdge(wksp, lv.feats, nbr, k)
+		grouped, e = buildGroupedEdge(buf, lv.feats, nbr, k)
 		return e
 	})
 	if err != nil {
@@ -106,13 +107,14 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 			wsPut(wksp, grouped)
 			return e
 		}
+		// Training: the pool keeps its argmax for backward.
 		y, e := m.MLP.Forward(grouped, train)
 		if e != nil {
 			return e
 		}
-		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; backward needs the argmax this variant returns
-		feats, argmax, e = tensor.MaxPoolGroups(y, k)
-		return e
+		feats = wsGet(buf, n, y.Cols)
+		argmax = wsGet(buf, n, y.Cols).Int32s()
+		return tensor.MaxPoolGroupsInto(feats, argmax, y, k)
 	})
 	if err != nil {
 		return fmt.Errorf("model: EC%d feature: %w", layer, err)
@@ -128,20 +130,25 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 	return nil
 }
 
-func (m *EdgeConvModule) backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
+// backward routes the gradient of this module's output features back to the
+// input level's, every buffer from the training arena a; grad is consumed.
+func (m *EdgeConvModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.Matrix, error) {
 	c := &m.cache
 	if c.nbr == nil {
 		return nil, fmt.Errorf("model: EC backward before forward(train)")
 	}
-	g, err := tensor.MaxPoolBackward(grad, c.argmax, c.k)
+	g := wsGet(a, grad.Rows*c.k, grad.Cols)
+	if err := tensor.MaxPoolBackwardInto(g, grad, c.argmax, c.k); err != nil {
+		return nil, err
+	}
+	wsPut(a, grad)
+	g, err := m.MLP.Backward(g)
 	if err != nil {
 		return nil, err
 	}
-	g, err = m.MLP.Backward(g)
-	if err != nil {
-		return nil, err
-	}
-	return groupedEdgeBackward(g, c.nbr, c.n, c.c)
+	d, err := groupedEdgeBackward(a, g, c.nbr, c.n, c.c)
+	wsPut(a, g)
+	return d, err
 }
 
 // Task selects the DGCNN head.

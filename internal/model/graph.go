@@ -29,7 +29,9 @@ import (
 //
 // A Stage that serves eval activations from the shared workspace should also
 // implement nn.WorkspaceUser; the Graph attaches its workspace to every such
-// stage exactly once, at first eval use.
+// stage exactly once, at first eval use. A Stage with layers or backward
+// caches implements nn.TrainArenaUser: the Graph attaches its training arena
+// at the start of a training session and nil at its end.
 type Stage interface {
 	Name() string
 	Forward(x *Exec) error
@@ -44,6 +46,11 @@ type Exec struct {
 	ws    *tensor.Workspace
 	trace *Trace
 	train bool
+
+	// arena is the graph's training arena on train frames (nil on eval
+	// ones): every activation the forward keeps for backward, and every
+	// gradient, comes from it.
+	arena *tensor.Workspace
 
 	// be is the frame's compute backend: the graph's configured backend on
 	// eval frames, always blocked — the reference bits — when training:
@@ -85,6 +92,15 @@ type Exec struct {
 
 // Workspace returns the frame's inference workspace (nil when training).
 func (x *Exec) Workspace() *tensor.Workspace { return x.ws }
+
+// scratch returns where the frame's buffers come from: the inference
+// workspace on eval frames, the training arena on train frames.
+func (x *Exec) scratch() *tensor.Workspace {
+	if x.train {
+		return x.arena
+	}
+	return x.ws
+}
 
 // Backend returns the frame's compute backend (never nil: the reference
 // backend when training, tensor.Default() when none is configured).
@@ -148,7 +164,7 @@ func (x *Exec) setLevelGrad(i int, g *tensor.Matrix) {
 	x.dlevel[i] = g
 }
 
-// addLevelGrad accumulates g into level i's feature gradient.
+// addLevelGrad accumulates g into level i's feature gradient; g is consumed.
 func (x *Exec) addLevelGrad(i int, g *tensor.Matrix) {
 	for len(x.dlevel) <= i {
 		x.dlevel = append(x.dlevel, nil)
@@ -161,6 +177,7 @@ func (x *Exec) addLevelGrad(i int, g *tensor.Matrix) {
 	for j, v := range g.Data {
 		dst[j] += v
 	}
+	wsPut(x.arena, g)
 }
 
 // GraphSpec declares a model graph ahead of compilation.
@@ -201,10 +218,18 @@ type Graph struct {
 	// path never touches it.
 	ws *tensor.Workspace
 
+	// arena is the training arena, kept apart from ws because an eval frame
+	// recycles an intermediate as soon as it is consumed and a training step
+	// keeps it for backward: created at the first train Forward of a session
+	// and attached to every stage, Reset at each train Forward, and dropped
+	// with every backward cache by the eval Forward that ends the session.
+	arena *tensor.Workspace
+
 	x Exec
 
-	// trained latches after a training forward so Backward can verify its
-	// precondition (stage caches carry everything else it needs).
+	// trained is set by a completed training forward and cleared by the
+	// next Forward's start, so Backward can verify its precondition (stage
+	// caches carry everything else it needs).
 	trained bool
 }
 
@@ -256,6 +281,38 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 	return g.ws
 }
 
+// trainArena returns the training arena on train frames, creating and
+// attaching it at the first of a session and Resetting it at each, so that a
+// step reuses the last one's buffers. An eval frame ends the session: every
+// stage drops the arena and its backward caches, and so does the graph (the
+// frame itself overwrites the activations Exec still points at), so the
+// trained net keeps no training state and Backward fails until the next
+// train Forward.
+func (g *Graph) trainArena(train bool) *tensor.Workspace {
+	if !train {
+		if g.arena != nil {
+			g.attachArena(nil)
+			g.arena = nil
+		}
+		return nil
+	}
+	if g.arena == nil {
+		g.arena = tensor.NewWorkspace()
+		g.attachArena(g.arena)
+	}
+	g.arena.Reset()
+	return g.arena
+}
+
+// attachArena sets a on every stage that takes an arena.
+func (g *Graph) attachArena(a *tensor.Workspace) {
+	for _, s := range g.spec.Stages {
+		if u, ok := s.(nn.TrainArenaUser); ok {
+			u.SetTrainArena(a)
+		}
+	}
+}
+
 // backend resolves the compute backend for a frame: the configured backend
 // (Compile made an unconfigured one tensor.Default) on eval frames, blocked
 // when training.
@@ -278,7 +335,9 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		return nil, fmt.Errorf("model: empty cloud")
 	}
 	x := &g.x
+	g.trained = false
 	x.ws = g.workspace(train)
+	x.arena = g.trainArena(train)
 	x.be = g.backend(train)
 	x.trace = trace
 	x.train = train
@@ -310,7 +369,7 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		perm = s.Perm
 		sorted = true
 	}
-	feats, err := inputFeatures(x.ws, x.be, pts, feat, featDim, g.spec.ExtraFeatDim)
+	feats, err := inputFeatures(x.scratch(), x.be, pts, feat, featDim, g.spec.ExtraFeatDim)
 	if err != nil {
 		return nil, err
 	}
@@ -333,15 +392,13 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	}
 
 	logits := x.chain
-	if x.ws != nil && x.ws.Owns(logits) {
-		// Detach the result from the workspace so the Output survives the
-		// next frame's Reset.
+	if ws := x.scratch(); ws != nil && ws.Owns(logits) {
+		// Detach the result from the workspace or arena so the Output
+		// survives the next frame's Reset.
 		//edgepc:lint-ignore hotpathalloc deliberate: the Output contract requires logits to outlive the frame
 		logits = logits.Clone()
 	}
-	if train {
-		g.trained = true
-	}
+	g.trained = train
 	return &Output{Logits: logits, Labels: labels, Perm: perm}, nil
 }
 
@@ -367,11 +424,14 @@ func (g *Graph) Backward(gradLogits *tensor.Matrix) error {
 	x.grad = gradLogits
 	x.dlevel = x.dlevel[:0]
 	x.tapGrads = x.tapGrads[:0]
-	for i := len(g.spec.Stages) - 1; i >= 0; i-- {
-		if err := g.spec.Stages[i].Backward(x); err != nil {
-			return err
-		}
+	var err error
+	for i := len(g.spec.Stages) - 1; i >= 0 && err == nil; i-- {
+		err = g.spec.Stages[i].Backward(x)
 	}
+	// The gradients still held are arena buffers: let go of them, so that
+	// ending the session frees the arena.
 	x.grad = nil
-	return nil
+	clear(x.dlevel)
+	clear(x.tapGrads)
+	return err
 }

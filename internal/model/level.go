@@ -30,16 +30,16 @@ type level struct {
 
 func (l *level) len() int { return len(l.pts) }
 
-// wsGet serves a rows×cols matrix from ws when inference runs in workspace
-// mode, falling back to a fresh allocation (ws == nil: training, or a network
-// without a workspace attached).
+// wsGet serves a rows×cols matrix from ws — the inference workspace or the
+// training arena — falling back to a fresh allocation (ws == nil: a network
+// run outside a Graph).
 //
 //edgepc:hotpath
 func wsGet(ws *tensor.Workspace, rows, cols int) *tensor.Matrix {
 	if ws != nil {
 		return ws.Get(rows, cols)
 	}
-	//edgepc:lint-ignore hotpathalloc deliberate fallback when no workspace is attached (training mode)
+	//edgepc:lint-ignore hotpathalloc deliberate fallback when no workspace or arena is attached
 	return tensor.New(rows, cols)
 }
 
@@ -124,13 +124,14 @@ func buildGroupedSA(ws *tensor.Workspace, parentPts []geom.Point3, parentFeats *
 }
 
 // groupedSABackward routes the gradient of the grouped matrix back to the
-// parent feature matrix (the relative-coordinate columns carry no trainable
-// gradient and are dropped).
-func groupedSABackward(grad *tensor.Matrix, nbr []int, parentRows, parentCols int) (*tensor.Matrix, error) {
+// parent feature matrix, taken from ws (the relative-coordinate columns carry
+// no trainable gradient and are dropped).
+func groupedSABackward(ws *tensor.Workspace, grad *tensor.Matrix, nbr []int, parentRows, parentCols int) (*tensor.Matrix, error) {
 	if grad.Cols != 3+parentCols {
 		return nil, fmt.Errorf("model: grouped grad has %d cols, expected %d", grad.Cols, 3+parentCols)
 	}
-	d := tensor.New(parentRows, parentCols)
+	d := wsGet(ws, parentRows, parentCols)
+	d.Zero()
 	for r := 0; r < grad.Rows; r++ {
 		n := nbr[r]
 		src := grad.Row(r)[3:]
@@ -172,13 +173,14 @@ func buildGroupedEdge(ws *tensor.Workspace, feats *tensor.Matrix, nbr []int, k i
 }
 
 // groupedEdgeBackward routes the gradient of the edge-grouped matrix back to
-// the level features: the left half accumulates on i, the right half adds to
-// j and subtracts from i.
-func groupedEdgeBackward(grad *tensor.Matrix, nbr []int, n, c int) (*tensor.Matrix, error) {
+// the level features, taken from ws: the left half accumulates on i, the
+// right half adds to j and subtracts from i.
+func groupedEdgeBackward(ws *tensor.Workspace, grad *tensor.Matrix, nbr []int, n, c int) (*tensor.Matrix, error) {
 	if grad.Cols != 2*c {
 		return nil, fmt.Errorf("model: edge grad has %d cols, expected %d", grad.Cols, 2*c)
 	}
-	d := tensor.New(n, c)
+	d := wsGet(ws, n, c)
+	d.Zero()
 	k := grad.Rows / n
 	for i := 0; i < n; i++ {
 		di := d.Row(i)
@@ -267,7 +269,7 @@ func featKNN(ws *tensor.Workspace, feats *tensor.Matrix, k int) []int {
 				var dist float64
 				for t, v := range fi {
 					dv := float64(v - fj[t])
-					dist += dv * dv
+					dist += float64(dv * dv)
 					if early && dist >= thr {
 						break
 					}

@@ -66,14 +66,15 @@ func clampK(k, n int) int {
 }
 
 // forward consumes the parent level and fills next with the sampled level.
-// Execution context (trace, train flag, workspace, reuse cache) comes from
-// the Graph's Exec; train and x.ws != nil are mutually exclusive.
+// Execution context (trace, train flag, workspace or training arena, reuse
+// cache) comes from the Graph's Exec; train and x.ws != nil are mutually
+// exclusive.
 //
 //edgepc:hotpath
 func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	trace, train, ws := x.trace, x.train, x.ws
 	n := parent.len()
-	nOut := int(float64(n)*m.Frac + 0.5)
+	nOut := int(float64(float64(n)*m.Frac) + 0.5)
 	if nOut < 1 {
 		nOut = 1
 	}
@@ -173,7 +174,7 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	var grouped *tensor.Matrix
 	dur, err = timed(func() error {
 		var e error
-		grouped, e = buildGroupedSA(ws, parent.pts, parent.feats, centers, nbr, k)
+		grouped, e = buildGroupedSA(x.scratch(), parent.pts, parent.feats, centers, nbr, k)
 		return e
 	})
 	if err != nil {
@@ -194,13 +195,14 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 			wsPut(ws, grouped)
 			return e
 		}
+		// Training: the pool keeps its argmax for backward.
 		y, e := m.MLP.Forward(grouped, train)
 		if e != nil {
 			return e
 		}
-		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; backward needs the argmax this variant returns
-		feats, argmax, e = tensor.MaxPoolGroups(y, k)
-		return e
+		feats = wsGet(x.arena, nOut, y.Cols)
+		argmax = wsGet(x.arena, nOut, y.Cols).Int32s()
+		return tensor.MaxPoolGroupsInto(feats, argmax, y, k)
 	})
 	if err != nil {
 		return fmt.Errorf("model: SA%d feature: %w", layer, err)
@@ -245,21 +247,25 @@ func (m *SAModule) searchNeighbors(x *Exec, parent *level, centers []geom.Point3
 }
 
 // backward routes the gradient of this module's output features back to the
-// parent level's features.
-func (m *SAModule) backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
+// parent level's features, every buffer from the training arena a; grad is
+// consumed.
+func (m *SAModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.Matrix, error) {
 	c := &m.cache
 	if c.nbr == nil {
 		return nil, fmt.Errorf("model: SA backward before forward(train)")
 	}
-	g, err := tensor.MaxPoolBackward(grad, c.argmax, c.k)
+	g := wsGet(a, grad.Rows*c.k, grad.Cols)
+	if err := tensor.MaxPoolBackwardInto(g, grad, c.argmax, c.k); err != nil {
+		return nil, err
+	}
+	wsPut(a, grad)
+	g, err := m.MLP.Backward(g)
 	if err != nil {
 		return nil, err
 	}
-	g, err = m.MLP.Backward(g)
-	if err != nil {
-		return nil, err
-	}
-	return groupedSABackward(g, c.nbr, c.parentRows, c.parentCols)
+	d, err := groupedSABackward(a, g, c.nbr, c.parentRows, c.parentCols)
+	wsPut(a, g)
+	return d, err
 }
 
 // FPModule is a PointNet++ FeaturePropagation module: interpolate coarse
@@ -281,8 +287,8 @@ type fpCache struct {
 
 // forward interpolates coarseFeats (features at the coarse level) onto the
 // fine level and fuses them with the fine level's own features. Execution
-// context (trace, train flag, workspace, compute backend) comes from the
-// Graph's Exec, the same contract as SAModule.forward.
+// context (trace, train flag, workspace or training arena, compute backend)
+// comes from the Graph's Exec, the same contract as SAModule.forward.
 //
 //edgepc:hotpath
 func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, layer int, x *Exec) (*tensor.Matrix, error) {
@@ -316,7 +322,7 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, laye
 		// columns of the fused buffer and the fine level's own features
 		// (one row per point, as every level's) are copied into the right
 		// ones.
-		fused := wsGet(ws, fine.len(), interpCols+fine.feats.Cols)
+		fused := wsGet(x.scratch(), fine.len(), interpCols+fine.feats.Cols)
 		if _, e := sample.ApplyPlan(plan, coarseFeats.Data, interpCols, fused.Data, fused.Cols); e != nil {
 			return e
 		}
@@ -342,8 +348,9 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, laye
 	return out, nil
 }
 
-// backward returns (gradSkip, gradCoarseFeats).
-func (m *FPModule) backward(grad *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix, error) {
+// backward returns (gradSkip, gradCoarseFeats), every buffer from the
+// training arena a; grad is consumed.
+func (m *FPModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix, error) {
 	c := &m.cache
 	if c.plan == nil {
 		return nil, nil, fmt.Errorf("model: FP backward before forward(train)")
@@ -352,24 +359,28 @@ func (m *FPModule) backward(grad *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix
 	if err != nil {
 		return nil, nil, err
 	}
-	gInterp, gSkip, err := tensor.SplitCols(g, c.interpCols)
-	if err != nil {
-		return nil, nil, err
+	// g is [dInterp | dSkip]: the skip part is the fine level's gradient, the
+	// interpolated part goes back through the plan.
+	gSkip := wsGet(a, g.Rows, c.skipCols)
+	for r := 0; r < g.Rows; r++ {
+		copy(gSkip.Row(r), g.Row(r)[c.interpCols:])
 	}
 	// Adjoint of ApplyPlan: dCoarse[src] += w · dInterp[target].
-	gCoarse := tensor.New(c.coarseRows, c.interpCols)
+	gCoarse := wsGet(a, c.coarseRows, c.interpCols)
+	gCoarse.Zero()
 	k := c.plan.K
-	for t := 0; t < gInterp.Rows; t++ {
-		row := gInterp.Row(t)
+	for t := 0; t < g.Rows; t++ {
+		row := g.Row(t)[:c.interpCols]
 		for j := 0; j < k; j++ {
 			s := c.plan.Indexes[t*k+j]
 			w := float32(c.plan.Weights[t*k+j])
 			dst := gCoarse.Row(s)
 			for col, v := range row {
-				dst[col] += w * v
+				dst[col] += float32(w * v)
 			}
 		}
 	}
+	wsPut(a, g)
 	return gSkip, gCoarse, nil
 }
 

@@ -29,6 +29,11 @@ func (s *saStage) Params() []*nn.Param               { return s.m.MLP.Params() }
 func (s *saStage) SetWorkspace(ws *tensor.Workspace) { s.m.MLP.SetWorkspace(ws) }
 func (s *saStage) SetBackend(be tensor.Backend)      { s.m.MLP.SetBackend(be) }
 
+func (s *saStage) SetTrainArena(a *tensor.Workspace) {
+	s.m.MLP.SetTrainArena(a)
+	s.m.cache = saCache{}
+}
+
 //edgepc:hotpath
 func (s *saStage) Forward(x *Exec) error {
 	parent := x.top()
@@ -41,10 +46,11 @@ func (s *saStage) Forward(x *Exec) error {
 }
 
 func (s *saStage) Backward(x *Exec) error {
-	dParent, err := s.m.backward(x.dlevel[s.idx+1])
+	dParent, err := s.m.backward(x.arena, x.dlevel[s.idx+1])
 	if err != nil {
 		return err
 	}
+	x.dlevel[s.idx+1] = nil // consumed
 	x.addLevelGrad(s.idx, dParent)
 	return nil
 }
@@ -64,6 +70,11 @@ func (s *fpStage) layer() int                        { return s.idx }
 func (s *fpStage) Params() []*nn.Param               { return s.m.MLP.Params() }
 func (s *fpStage) SetWorkspace(ws *tensor.Workspace) { s.m.MLP.SetWorkspace(ws) }
 func (s *fpStage) SetBackend(be tensor.Backend)      { s.m.MLP.SetBackend(be) }
+
+func (s *fpStage) SetTrainArena(a *tensor.Workspace) {
+	s.m.MLP.SetTrainArena(a)
+	s.m.cache = fpCache{}
+}
 
 //edgepc:hotpath
 func (s *fpStage) Forward(x *Exec) error {
@@ -92,7 +103,7 @@ func (s *fpStage) Forward(x *Exec) error {
 }
 
 func (s *fpStage) Backward(x *Exec) error {
-	dSkip, dCoarse, err := s.m.backward(x.grad)
+	dSkip, dCoarse, err := s.m.backward(x.arena, x.grad)
 	if err != nil {
 		return err
 	}
@@ -122,6 +133,11 @@ func (s *ecStage) Params() []*nn.Param               { return s.m.MLP.Params() }
 func (s *ecStage) SetWorkspace(ws *tensor.Workspace) { s.m.MLP.SetWorkspace(ws) }
 func (s *ecStage) SetBackend(be tensor.Backend)      { s.m.MLP.SetBackend(be) }
 
+func (s *ecStage) SetTrainArena(a *tensor.Workspace) {
+	s.m.MLP.SetTrainArena(a)
+	s.m.cache = ecCache{}
+}
+
 //edgepc:hotpath
 func (s *ecStage) Forward(x *Exec) error {
 	lv := x.top()
@@ -142,12 +158,14 @@ func (s *ecStage) Forward(x *Exec) error {
 
 func (s *ecStage) Backward(x *Exec) error {
 	total := x.tapGrads[s.idx]
+	x.tapGrads[s.idx] = nil // consumed below
 	if x.grad != nil {
 		for j, v := range x.grad.Data {
 			total.Data[j] += v
 		}
+		wsPut(x.arena, x.grad)
 	}
-	g, err := s.m.backward(total)
+	g, err := s.m.backward(x.arena, total)
 	if err != nil {
 		return err
 	}
@@ -165,18 +183,19 @@ type fuseStage struct {
 func (s *fuseStage) Name() string        { return s.name }
 func (s *fuseStage) Params() []*nn.Param { return nil }
 
+func (s *fuseStage) SetTrainArena(*tensor.Workspace) { s.cols = nil }
+
 //edgepc:hotpath
 func (s *fuseStage) Forward(x *Exec) error {
 	outs := x.taps
-	var fused *tensor.Matrix
-	if x.ws != nil && len(outs) > 1 {
-		// Fill the concatenation directly instead of chaining pairwise
-		// Concats: one buffer, one copy per tap.
+	fused := outs[0]
+	if len(outs) > 1 {
+		// Fill the concatenation directly: one buffer, one copy per tap.
 		total := 0
 		for _, o := range outs {
 			total += o.Cols
 		}
-		fused = x.ws.Get(outs[0].Rows, total)
+		fused = wsGet(x.scratch(), outs[0].Rows, total)
 		off := 0
 		for _, o := range outs {
 			for r := 0; r < o.Rows; r++ {
@@ -187,16 +206,6 @@ func (s *fuseStage) Forward(x *Exec) error {
 		for _, o := range outs {
 			wsPut(x.ws, o)
 		}
-	} else {
-		fused = outs[0]
-		var err error
-		for _, o := range outs[1:] {
-			//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above fills one workspace buffer
-			fused, err = tensor.Concat(fused, o)
-			if err != nil {
-				return err
-			}
-		}
 	}
 	if x.train {
 		s.cols = s.cols[:0]
@@ -205,7 +214,6 @@ func (s *fuseStage) Forward(x *Exec) error {
 			s.cols = append(s.cols, o.Cols)
 		}
 	}
-	//edgepc:lint-ignore workspacepair Exec.chain is frame-scoped; the next stage consumes and releases it
 	x.chain = fused
 	return nil
 }
@@ -219,13 +227,14 @@ func (s *fuseStage) Backward(x *Exec) error {
 	x.tapGrads = x.tapGrads[:0]
 	off := 0
 	for _, c := range s.cols {
-		part := tensor.New(g.Rows, c)
+		part := wsGet(x.arena, g.Rows, c)
 		for r := 0; r < g.Rows; r++ {
 			copy(part.Row(r), g.Row(r)[off:off+c])
 		}
 		x.tapGrads = append(x.tapGrads, part)
 		off += c
 	}
+	wsPut(x.arena, g)
 	x.grad = nil
 	return nil
 }
@@ -246,6 +255,7 @@ func (s *mlpStage) Name() string                      { return s.name }
 func (s *mlpStage) Params() []*nn.Param               { return s.mlp.Params() }
 func (s *mlpStage) SetWorkspace(ws *tensor.Workspace) { s.mlp.SetWorkspace(ws) }
 func (s *mlpStage) SetBackend(be tensor.Backend)      { s.mlp.SetBackend(be) }
+func (s *mlpStage) SetTrainArena(a *tensor.Workspace) { s.mlp.SetTrainArena(a) }
 
 //edgepc:hotpath
 func (s *mlpStage) Forward(x *Exec) error {
@@ -298,18 +308,19 @@ type globalPoolStage struct {
 func (s *globalPoolStage) Name() string        { return s.name }
 func (s *globalPoolStage) Params() []*nn.Param { return nil }
 
+func (s *globalPoolStage) SetTrainArena(*tensor.Workspace) { s.argmax = nil }
+
 //edgepc:hotpath
 func (s *globalPoolStage) Forward(x *Exec) error {
 	in := x.chain
-	vals, argmax := tensor.ColMax(in)
-	wsPut(x.ws, in)
-	pooled, err := tensor.FromSlice(1, len(vals), vals)
-	if err != nil {
-		return err
-	}
+	pooled := wsGet(x.scratch(), 1, in.Cols)
+	var argmax []int32
 	if x.train {
+		argmax = wsGet(x.arena, 1, in.Cols).Int32s()
 		s.rows, s.cols, s.argmax = in.Rows, in.Cols, argmax
 	}
+	tensor.ColMaxInto(pooled.Data, argmax, in)
+	wsPut(x.ws, in)
 	x.chain = pooled
 	return nil
 }
@@ -319,10 +330,12 @@ func (s *globalPoolStage) Backward(x *Exec) error {
 	if s.argmax == nil {
 		return fmt.Errorf("model: pool backward before forward(train)")
 	}
-	full := tensor.New(s.rows, s.cols)
+	full := wsGet(x.arena, s.rows, s.cols)
+	full.Zero()
 	for c, v := range x.grad.Row(0) {
 		full.Data[int(s.argmax[c])*s.cols+c] += v
 	}
+	wsPut(x.arena, x.grad)
 	x.grad = full
 	return nil
 }

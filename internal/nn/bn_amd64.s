@@ -1,8 +1,8 @@
 #include "textflag.h"
 
-// AVX2 kernels of BatchNorm's eval sweeps (see bn_amd64.go): one lane per
-// column, rows in index order, every operation the one the Go loops round —
-// no fused multiply-add anywhere.
+// AVX2 kernels of BatchNorm's sweeps, forward and backward, and of Linear's
+// gradient adds (see bn_amd64.go): one lane per column, rows in index order,
+// every operation the one the Go loops round — no fused multiply-add anywhere.
 
 // func colSums16(sum, x *float32, rows, stride int)
 //
@@ -189,5 +189,198 @@ pooled:
 	ADDQ    DX, DI
 	DECQ    groups+48(FP)
 	JNZ     group
+	VZEROUPPER
+	RET
+
+// GRADTERM adds one row's terms of BatchNorm.Backward's first pass for the 8
+// columns at xs, gs: x̂ = (x−mean)·invStd with mean, invStd in m, s, then the
+// gradient g, zeroed where γ·x̂+β (γ, β in gm, bt) is not > 0 — VCMPPS GT_OQ,
+// false on a NaN, which passed's !(y > 0) zeroes too — unless Y13 (all ones
+// without ReLU) keeps every lane; then sg += g and sgh += g·x̂. Y12 is zero;
+// Y14 and Y15 are scratch. Each operation is the Go loop's, operands in its
+// order.
+#define GRADTERM(xs, gs, m, s, gm, bt, sg, sgh) \
+	VMOVUPS xs, Y14;                 \
+	VSUBPS  m, Y14, Y14;             \
+	VMULPS  s, Y14, Y14;             \
+	VMULPS  Y14, gm, Y15;            \
+	VADDPS  bt, Y15, Y15;            \
+	VCMPPS  $0x1e, Y12, Y15, Y15;    \
+	VORPS   Y13, Y15, Y15;           \
+	VANDPS  gs, Y15, Y15;            \
+	VADDPS  Y15, sg, sg;             \
+	VMULPS  Y14, Y15, Y15;           \
+	VADDPS  Y15, sgh, sgh
+
+// func bnGradSums16(sumG, sumGH, x, grad, mean, invStd, gamma, beta *float32, rows, stride int, relu bool)
+//
+// sumG[0:16] += g and sumGH[0:16] += g·x̂ over rows r = 0 … rows−1 of x and
+// grad, in that order (GRADTERM; both matrices have a row stride of stride
+// floats): BatchNorm.Backward's first pass, a lane per column, as four chains.
+TEXT ·bnGradSums16(SB), NOSPLIT, $0-81
+	MOVBQZX      relu+80(FP), AX
+	DECQ         AX                 // 0 with ReLU, all ones without
+	VMOVQ        AX, X13
+	VPBROADCASTQ X13, Y13
+	VXORPS       Y12, Y12, Y12
+	MOVQ         mean+32(FP), AX
+	VMOVUPS      (AX), Y4
+	VMOVUPS      32(AX), Y5
+	MOVQ         invStd+40(FP), AX
+	VMOVUPS      (AX), Y6
+	VMOVUPS      32(AX), Y7
+	MOVQ         gamma+48(FP), AX
+	VMOVUPS      (AX), Y8
+	VMOVUPS      32(AX), Y9
+	MOVQ         beta+56(FP), AX
+	VMOVUPS      (AX), Y10
+	VMOVUPS      32(AX), Y11
+	MOVQ         sumG+0(FP), DI
+	MOVQ         sumGH+8(FP), R8
+	MOVQ         x+16(FP), SI
+	MOVQ         grad+24(FP), DX
+	MOVQ         rows+64(FP), CX
+	MOVQ         stride+72(FP), BX
+	SHLQ         $2, BX
+	VMOVUPS      (DI), Y0
+	VMOVUPS      32(DI), Y1
+	VMOVUPS      (R8), Y2
+	VMOVUPS      32(R8), Y3
+	TESTQ        CX, CX
+	JZ           gsums16done
+
+gsums16:
+	GRADTERM((SI), (DX), Y4, Y6, Y8, Y10, Y0, Y2)
+	GRADTERM(32(SI), 32(DX), Y5, Y7, Y9, Y11, Y1, Y3)
+	ADDQ BX, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNZ  gsums16
+
+gsums16done:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (R8)
+	VMOVUPS Y3, 32(R8)
+	VZEROUPPER
+	RET
+
+// func bnGradSums8(sumG, sumGH, x, grad, mean, invStd, gamma, beta *float32, rows, stride int, relu bool)
+TEXT ·bnGradSums8(SB), NOSPLIT, $0-81
+	MOVBQZX      relu+80(FP), AX
+	DECQ         AX
+	VMOVQ        AX, X13
+	VPBROADCASTQ X13, Y13
+	VXORPS       Y12, Y12, Y12
+	MOVQ         mean+32(FP), AX
+	VMOVUPS      (AX), Y4
+	MOVQ         invStd+40(FP), AX
+	VMOVUPS      (AX), Y6
+	MOVQ         gamma+48(FP), AX
+	VMOVUPS      (AX), Y8
+	MOVQ         beta+56(FP), AX
+	VMOVUPS      (AX), Y10
+	MOVQ         sumG+0(FP), DI
+	MOVQ         sumGH+8(FP), R8
+	MOVQ         x+16(FP), SI
+	MOVQ         grad+24(FP), DX
+	MOVQ         rows+64(FP), CX
+	MOVQ         stride+72(FP), BX
+	SHLQ         $2, BX
+	VMOVUPS      (DI), Y0
+	VMOVUPS      (R8), Y2
+	TESTQ        CX, CX
+	JZ           gsums8done
+
+gsums8:
+	GRADTERM((SI), (DX), Y4, Y6, Y8, Y10, Y0, Y2)
+	ADDQ BX, SI
+	ADDQ BX, DX
+	DECQ CX
+	JNZ  gsums8
+
+gsums8done:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, (R8)
+	VZEROUPPER
+	RET
+
+// func bnGradApply8(dst, x, grad, mean, invStd, gamma, beta, scale, sumG, sumGH *float32, n float32, rows, cols, stride int, relu bool)
+//
+// dst[r][j] = scale·((n·g − Σg) − x̂·Σg·x̂) for columns [0, cols), cols a
+// multiple of 8, of rows r in [0, rows), rows ≥ 1: BatchNorm.Backward's second
+// pass, with x̂ and the masked g as in GRADTERM and scale = (γ·invStd)/n per
+// column. VMULPS and VSUBPS only, each the Go expression's, operands in its
+// order. The three matrices have a row stride of stride floats.
+TEXT ·bnGradApply8(SB), NOSPLIT, $0-113
+	MOVBQZX      relu+112(FP), AX
+	DECQ         AX
+	VMOVQ        AX, X13
+	VPBROADCASTQ X13, Y13
+	VXORPS       Y12, Y12, Y12
+	VBROADCASTSS n+80(FP), Y14
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         grad+16(FP), DX
+	MOVQ         mean+24(FP), R8
+	MOVQ         invStd+32(FP), R9
+	MOVQ         gamma+40(FP), R10
+	MOVQ         beta+48(FP), R11
+	MOVQ         scale+56(FP), R12
+	MOVQ         sumG+64(FP), R13
+	MOVQ         sumGH+72(FP), R14
+	MOVQ         cols+96(FP), BX
+	MOVQ         stride+104(FP), AX
+	SHLQ         $2, BX
+	SHLQ         $2, AX
+
+grow:
+	XORQ CX, CX
+
+gstrip:
+	VMOVUPS (SI)(CX*1), Y0
+	VSUBPS  (R8)(CX*1), Y0, Y0      // x − mean
+	VMULPS  (R9)(CX*1), Y0, Y0      // x̂
+	VMOVUPS (R10)(CX*1), Y1
+	VMULPS  Y0, Y1, Y1              // γ·x̂
+	VADDPS  (R11)(CX*1), Y1, Y1     // + β
+	VCMPPS  $0x1e, Y12, Y1, Y1      // > 0
+	VORPS   Y13, Y1, Y1
+	VANDPS  (DX)(CX*1), Y1, Y1      // g, or +0
+	VMULPS  Y1, Y14, Y1             // n·g
+	VSUBPS  (R13)(CX*1), Y1, Y1     // − Σg
+	VMULPS  (R14)(CX*1), Y0, Y0     // x̂·Σg·x̂
+	VSUBPS  Y0, Y1, Y1
+	VMOVUPS (R12)(CX*1), Y2
+	VMULPS  Y1, Y2, Y2              // scale·(…)
+	VMOVUPS Y2, (DI)(CX*1)
+	ADDQ    $32, CX
+	CMPQ    CX, BX
+	JLT     gstrip
+	ADDQ    AX, SI
+	ADDQ    AX, DX
+	ADDQ    AX, DI
+	DECQ    rows+88(FP)
+	JNZ     grow
+	VZEROUPPER
+	RET
+
+// func addTo8(dst, src *float32, n int)
+//
+// dst[i] += src[i] for i in [0, n), n a positive multiple of 8.
+TEXT ·addTo8(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+
+add8:
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     add8
 	VZEROUPPER
 	RET

@@ -36,6 +36,69 @@ func guarded(t *testing.T, rows, cols int, atEnd bool) *tensor.Matrix {
 	return &tensor.Matrix{Rows: rows, Cols: cols, Data: unsafe.Slice((*float32)(unsafe.Pointer(&mem[off])), n)}
 }
 
+// TestVectorBackwardStaysInsideItsOperands runs BatchNorm.Backward's two
+// passes and Linear.Backward's two adds with every operand — input, incoming
+// gradient, output, statistics, γ, β and the sums — flush against an unmapped
+// page, at its end and then at its start, and requires the Go loops' bits:
+// widths with and without a ragged strip, rows across both passes' call
+// bounds.
+func TestVectorBackwardStaysInsideItsOperands(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 on this host: the backward passes run the Go loops")
+	}
+	defer func() { useAVX2 = true }()
+	rng := rand.New(rand.NewSource(47))
+	for _, s := range []struct{ rows, c int }{{1, 8}, {2, 9}, {7, 16}, {1030, 17}, {4100, 24}, {1030, 64}} {
+		bn := edgeBatchNorm(rng, s.c)
+		x := edgeActivation(rng, s.rows, s.c, false)
+		bn.forwardBatch(tensor.New(s.rows, s.c), x, true, true)
+		g := edgeGrad(rng, s.rows, s.c, true)
+		passes := func(x, g, dst *tensor.Matrix, p *gradParams) {
+			bn.gradSums(x, g, p, 0, s.c)
+			for j := range p.scale {
+				p.scale[j] = p.gamma[j] * p.invStd[j] / p.n
+			}
+			bn.gradApply(dst, x, g, p, 0, s.rows)
+		}
+		params := func(slice func([]float32) []float32) *gradParams {
+			c := s.c
+			return &gradParams{
+				mean: slice(bn.stats[:c]), invStd: slice(bn.stats[c : 2*c]),
+				gamma: slice(bn.Gamma.Value.Data), beta: slice(bn.Beta.Value.Data),
+				sumG: slice(make([]float32, c)), sumGH: slice(make([]float32, c)), scale: slice(make([]float32, c)),
+				n: float32(s.rows),
+			}
+		}
+		useAVX2 = false
+		want, wantP := tensor.New(s.rows, s.c), params(func(v []float32) []float32 { return v })
+		passes(x, g, want, wantP)
+		wantBias, wantAdd := tensor.New(1, s.c), edgeGrad(rng, 1, s.c, false)
+		addColSums(wantBias.Data, g)
+		addend := edgeGrad(rng, 1, s.c, true)
+		sum := wantAdd.Clone()
+		addInto(wantAdd.Data, addend.Data)
+		useAVX2 = true
+		for _, atEnd := range []bool{true, false} {
+			what := fmt.Sprintf("%d×%d, at end %v", s.rows, s.c, atEnd)
+			place := func(src *tensor.Matrix) *tensor.Matrix {
+				m := guarded(t, src.Rows, src.Cols, atEnd)
+				copy(m.Data, src.Data)
+				return m
+			}
+			p := params(func(v []float32) []float32 { return place(&tensor.Matrix{Rows: 1, Cols: len(v), Data: v}).Data })
+			got := guarded(t, s.rows, s.c, atEnd)
+			passes(place(x), place(g), got, p)
+			requireSameBits(t, what+", input gradient", got, want)
+			bias := place(tensor.New(1, s.c))
+			addColSums(bias.Data, place(g))
+			requireSameBits(t, what+", bias gradient", bias, wantBias)
+			acc := place(sum)
+			addInto(acc.Data, place(addend).Data)
+			requireSameBits(t, what+", dW add", acc, wantAdd)
+		}
+	}
+}
+
 // TestVectorSweepsMatchGoLoopsInsideTheirBuffers runs BatchNorm.normalize
 // with the AVX2 sweeps, input and output each flush against an unmapped page,
 // and requires the bits of the Go loops — the same functions with the probe's

@@ -14,10 +14,11 @@ import (
 // channels) activation it is the PointNet-family "shared MLP" / 1×1
 // convolution: every point row is transformed by the same weights.
 type Linear struct {
-	W, B *Param
-	x    *tensor.Matrix // cached input for backward
-	ws   *tensor.Workspace
-	be   tensor.Backend
+	W, B  *Param
+	x     *tensor.Matrix // cached input for backward
+	ws    *tensor.Workspace
+	arena *tensor.Workspace
+	be    tensor.Backend
 }
 
 // NewLinear creates a Linear layer with He initialization.
@@ -32,6 +33,9 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 
 // SetWorkspace implements WorkspaceUser.
 func (l *Linear) SetWorkspace(ws *tensor.Workspace) { l.ws = ws }
+
+// SetTrainArena implements TrainArenaUser.
+func (l *Linear) SetTrainArena(a *tensor.Workspace) { l.arena, l.x = a, nil }
 
 // SetBackend implements BackendUser: eval-mode matmuls dispatch through be.
 func (l *Linear) SetBackend(be tensor.Backend) { l.be = be }
@@ -60,11 +64,11 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	if !train && l.ws != nil {
 		y, be = l.ws.Get(x.Rows, l.W.Value.Cols), l.backend()
 	} else {
+		var a *tensor.Workspace
 		if train {
-			l.x = x
+			l.x, a = x, l.arena
 		}
-		//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above takes a workspace buffer
-		y = tensor.New(x.Rows, l.W.Value.Cols)
+		y = wsGet(a, x.Rows, l.W.Value.Cols)
 	}
 	if err := be.MatMulBiasInto(y, x, l.W.Value, l.B.Value.Data); err != nil {
 		return nil, fmt.Errorf("linear %s: %w", l.W.Name, err)
@@ -72,29 +76,59 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	return y, nil
 }
 
-// Backward implements Layer.
+// Backward implements Layer. dW = xᵀ·grad is summed from +0 on its own and
+// then added to W's gradient, which may already hold other samples' sums; the
+// bias gradient adds grad's rows onto b's in index order; dx = grad·Wᵀ.
 func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	if l.x == nil {
 		return nil, fmt.Errorf("linear %s: backward before forward(train)", l.W.Name)
 	}
-	dW, err := tensor.MatMulAT(l.x, grad)
-	if err != nil {
+	w := l.W.Value
+	dW := wsGet(l.arena, w.Rows, w.Cols)
+	if err := tensor.MatMulATInto(dW, l.x, grad); err != nil {
 		return nil, err
 	}
-	for i, v := range dW.Data {
-		l.W.Grad.Data[i] += v
+	addInto(l.W.Grad.Data, dW.Data)
+	wsPut(l.arena, dW)
+	addColSums(l.B.Grad.Data, grad)
+	dx := wsGet(l.arena, grad.Rows, w.Rows)
+	if err := tensor.MatMulBTInto(dx, grad, w); err != nil {
+		return nil, err
 	}
-	for r := 0; r < grad.Rows; r++ {
-		row := grad.Row(r)
-		for c, v := range row {
-			l.B.Grad.Data[c] += v
+	wsPut(l.arena, grad)
+	return dx, nil
+}
+
+// addInto adds src to dst element by element: whole 8-element strips on the
+// vector kernel, the rest — and everything without AVX2 — in the loop it is
+// tested against.
+func addInto(dst, src []float32) {
+	vn := 0
+	if useAVX2 {
+		vn = len(dst) &^ 7
+		addAVX2(dst[:vn], src[:vn])
+	}
+	for i, v := range src[vn:len(dst)] {
+		dst[vn+i] += v
+	}
+}
+
+// addColSums adds g's rows onto sum in index order: whole 8-column strips on
+// colStats' summing kernel, the ragged columns — and every column without
+// AVX2 — in the loop it is tested against.
+func addColSums(sum []float32, g *tensor.Matrix) {
+	vc := 0
+	if useAVX2 && g.Cols >= 8 {
+		vc = g.Cols &^ 7
+		colSumsAVX2(sum[:vc], nil, g, 0)
+	}
+	if rest := sum[vc:g.Cols]; len(rest) > 0 {
+		for off := vc; off < len(g.Data); off += g.Cols {
+			for j, v := range g.Data[off : off+len(rest)] {
+				rest[j] += v
+			}
 		}
 	}
-	dx, err := tensor.MatMulBT(grad, l.W.Value)
-	if err != nil {
-		return nil, err
-	}
-	return dx, nil
 }
 
 // Params implements Layer.
@@ -102,12 +136,16 @@ func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	mask []bool
-	ws   *tensor.Workspace
+	mask  []bool
+	ws    *tensor.Workspace
+	arena *tensor.Workspace
 }
 
 // SetWorkspace implements WorkspaceUser.
 func (r *ReLU) SetWorkspace(ws *tensor.Workspace) { r.ws = ws }
+
+// SetTrainArena implements TrainArenaUser.
+func (r *ReLU) SetTrainArena(a *tensor.Workspace) { r.arena, r.mask = a, nil }
 
 // Forward implements Layer.
 //
@@ -129,8 +167,12 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 		}
 		return out, nil
 	}
-	//edgepc:lint-ignore hotpathalloc training / no-workspace fallback; the eval branch above rectifies in place
-	out := x.Clone()
+	var a *tensor.Workspace
+	if train {
+		a = r.arena
+	}
+	out := wsGet(a, x.Rows, x.Cols)
+	copy(out.Data, x.Data)
 	if train {
 		if cap(r.mask) < len(out.Data) {
 			//edgepc:lint-ignore hotpathalloc train-only mask buffer with a cap-guarded grow
@@ -156,12 +198,14 @@ func (r *ReLU) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	if len(r.mask) != len(grad.Data) {
 		return nil, fmt.Errorf("relu: backward shape mismatch")
 	}
-	out := grad.Clone()
-	for i := range out.Data {
+	out := wsGet(r.arena, grad.Rows, grad.Cols)
+	for i, g := range grad.Data {
 		if !r.mask[i] {
-			out.Data[i] = 0
+			g = 0
 		}
+		out.Data[i] = g
 	}
+	wsPut(r.arena, grad)
 	return out, nil
 }
 
@@ -195,11 +239,16 @@ type BatchNorm struct {
 	stats []float32
 	relu  bool
 
-	ws *tensor.Workspace
+	ws, arena *tensor.Workspace
 }
 
 // SetWorkspace implements WorkspaceUser.
 func (bn *BatchNorm) SetWorkspace(ws *tensor.Workspace) { bn.ws = ws }
+
+// SetTrainArena implements TrainArenaUser.
+func (bn *BatchNorm) SetTrainArena(a *tensor.Workspace) {
+	bn.arena, bn.x, bn.stats, bn.relu = a, nil, nil, false
+}
 
 // NewBatchNorm creates a BatchNorm over `channels` columns.
 func NewBatchNorm(name string, channels int) *BatchNorm {
@@ -227,13 +276,17 @@ func (bn *BatchNorm) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, erro
 	if !train && bn.ws != nil {
 		return bn.forwardWS(x)
 	}
-	out := tensor.New(x.Rows, c)
+	var a *tensor.Workspace
+	if train {
+		a = bn.arena
+	}
+	out := wsGet(a, x.Rows, c)
 	if !train && x.Rows == 1 {
 		for r := 0; r < x.Rows; r++ {
 			xr, or := x.Row(r), out.Row(r)
 			for j := 0; j < c; j++ {
 				inv := 1 / float32(math.Sqrt(float64(bn.RunningVar[j]+bn.Eps)))
-				or[j] = bn.Gamma.Value.Data[j]*(xr[j]-bn.RunningMean[j])*inv + bn.Beta.Value.Data[j]
+				or[j] = float32(bn.Gamma.Value.Data[j]*(xr[j]-bn.RunningMean[j])*inv) + bn.Beta.Value.Data[j]
 			}
 		}
 		return out, nil
@@ -261,8 +314,8 @@ func (bn *BatchNorm) forwardBatch(out, x *tensor.Matrix, train, relu bool) {
 	}
 	bn.x, bn.stats, bn.relu = x, stats, relu
 	for j := 0; j < c; j++ {
-		bn.RunningMean[j] = (1-bn.Momentum)*bn.RunningMean[j] + bn.Momentum*mean[j]
-		bn.RunningVar[j] = (1-bn.Momentum)*bn.RunningVar[j] + bn.Momentum*variance[j]
+		bn.RunningMean[j] = float32((1-bn.Momentum)*bn.RunningMean[j]) + float32(bn.Momentum*mean[j])
+		bn.RunningVar[j] = float32((1-bn.Momentum)*bn.RunningVar[j]) + float32(bn.Momentum*variance[j])
 	}
 }
 
@@ -279,7 +332,7 @@ func (bn *BatchNorm) forwardWS(x *tensor.Matrix) (*tensor.Matrix, error) {
 		xr, or := x.Row(0), out.Row(0)
 		for j := 0; j < c; j++ {
 			inv := 1 / float32(math.Sqrt(float64(bn.RunningVar[j]+bn.Eps)))
-			or[j] = bn.Gamma.Value.Data[j]*(xr[j]-bn.RunningMean[j])*inv + bn.Beta.Value.Data[j]
+			or[j] = float32(bn.Gamma.Value.Data[j]*(xr[j]-bn.RunningMean[j])*inv) + bn.Beta.Value.Data[j]
 		}
 		return out, nil
 	}
@@ -382,7 +435,7 @@ func (bn *BatchNorm) colStats(x *tensor.Matrix, mean, invStd, variance []float32
 			for off := b + vw; off < len(x.Data); off += c {
 				for j, xv := range x.Data[off : off+len(vt)] {
 					d := xv - mt[j]
-					vt[j] += d * d
+					vt[j] += float32(d * d)
 				}
 			}
 		}
@@ -418,7 +471,7 @@ func (bn *BatchNorm) apply(dst, x *tensor.Matrix, mean, invStd []float32, relu b
 	for r := lo * k; r < hi*k; r++ {
 		or, first := dst.Data[r/k*c+vc:][:c-vc], r%k == 0
 		for j, xv := range x.Data[r*c+vc:][:c-vc] {
-			v := gamma[j]*((xv-mean[j])*invStd[j]) + beta[j]
+			v := float32(gamma[j]*((xv-mean[j])*invStd[j])) + beta[j]
 			if relu {
 				v = rectify(v)
 			}
@@ -458,45 +511,121 @@ func greater(v, cur float32) float32 {
 // Backward implements Layer. x̂ is recomputed from the cached input as
 // Forward rounded it; with a folded ReLU so is the output, and the incoming
 // gradient is zeroed where that is not > 0: ReLU.Backward's mask, which a NaN
-// does not pass either.
+// does not pass either. Two passes, neither of which changes a bit with the
+// core count: gradSums sums Σg and Σg·x̂ per column over the rows in index
+// order, fanned out by column as colStats is; gradApply writes
+// ((γ·invStd)/n)·((n·g − Σg) − x̂·Σg·x̂), fanned out by row.
 func (bn *BatchNorm) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	x := bn.x
 	if x == nil || grad.Rows != x.Rows || grad.Cols != x.Cols {
 		return nil, fmt.Errorf("batchnorm %s: backward before forward(train)", bn.Gamma.Name)
 	}
 	c := grad.Cols
-	n := float32(grad.Rows)
-	mean, invStd := bn.stats[:c], bn.stats[c:2*c]
-	gamma, beta := bn.Gamma.Value.Data[:c], bn.Beta.Value.Data[:c]
-	sums := make([]float32, 2*c)
-	sumG, sumGH := sums[:c], sums[c:]
-	for r := 0; r < grad.Rows; r++ {
-		gr, xr := grad.Row(r)[:c], x.Row(r)[:c]
-		for j, gv := range gr {
-			h := (xr[j] - mean[j]) * invStd[j]
-			if bn.relu {
-				gv = passed(gv, gamma[j]*h+beta[j])
-			}
-			sumG[j] += gv
-			sumGH[j] += gv * h
-		}
+	sums := wsGet(bn.arena, 3, c)
+	p := gradParams{
+		mean: bn.stats[:c], invStd: bn.stats[c : 2*c],
+		gamma: bn.Gamma.Value.Data[:c], beta: bn.Beta.Value.Data[:c],
+		sumG: sums.Row(0), sumGH: sums.Row(1), scale: sums.Row(2),
+		n: float32(grad.Rows),
 	}
-	for j := 0; j < c; j++ {
-		bn.Beta.Grad.Data[j] += sumG[j]
-		bn.Gamma.Grad.Data[j] += sumGH[j]
+	fan := parallel.WorkersFor(len(x.Data), minSweepElems)
+	if w := min(fan, c/minStatCols); w > 1 {
+		q := p // the closure's own copy: p stays on the stack when nothing fans out
+		parallel.ForSplit(c, w, func(lo, hi int) { bn.gradSums(x, grad, &q, lo, hi) })
+	} else {
+		bn.gradSums(x, grad, &p, 0, c)
 	}
-	out := tensor.New(grad.Rows, c)
-	for r := 0; r < grad.Rows; r++ {
-		gr, xr, or := grad.Row(r)[:c], x.Row(r)[:c], out.Row(r)[:c]
-		for j, gv := range gr {
-			h := (xr[j] - mean[j]) * invStd[j]
-			if bn.relu {
-				gv = passed(gv, gamma[j]*h+beta[j])
-			}
-			or[j] = gamma[j] * invStd[j] / n * (n*gv - sumG[j] - h*sumGH[j])
-		}
+	for j := range p.scale {
+		bn.Beta.Grad.Data[j] += p.sumG[j]
+		bn.Gamma.Grad.Data[j] += p.sumGH[j]
+		p.scale[j] = p.gamma[j] * p.invStd[j] / p.n
 	}
+	out := wsGet(bn.arena, grad.Rows, c)
+	if w := min(fan, grad.Rows/minApplyRows); w > 1 {
+		q := p
+		parallel.ForSplit(grad.Rows, w, func(lo, hi int) { bn.gradApply(out, x, grad, &q, lo, hi) })
+	} else {
+		bn.gradApply(out, x, grad, &p, 0, grad.Rows)
+	}
+	wsPut(bn.arena, sums)
+	wsPut(bn.arena, grad)
 	return out, nil
+}
+
+// gradParams are the per-column operands of BatchNorm.Backward's passes: the
+// forward statistics and parameters, what the first pass sums and the second
+// pass's scale (γ·invStd)/n, n the row count.
+type gradParams struct {
+	mean, invStd, gamma, beta []float32
+	sumG, sumGH, scale        []float32
+	n                         float32
+}
+
+// gradSums fills p.sumG and p.sumGH for columns [lo, hi): Σg and Σg·x̂ over
+// the rows in index order, g zeroed where a folded ReLU's output is not > 0.
+// Whole 8-column strips go to the vector kernel, the rest to the loop it is
+// tested against; like colStats it sums 32 columns at a time on its own
+// stack, so two goroutines' adjacent ranges never share a cache line.
+func (bn *BatchNorm) gradSums(x, g *tensor.Matrix, p *gradParams, lo, hi int) {
+	c := x.Cols
+	var gbuf, hbuf [32]float32
+	for b := lo; b < hi; b += len(gbuf) {
+		w := min(len(gbuf), hi-b)
+		sg, sgh := gbuf[:w], hbuf[:w]
+		clear(sg)
+		clear(sgh)
+		vw := 0
+		if useAVX2 && w >= 8 {
+			vw = w &^ 7
+			gradSumsAVX2(sg[:vw], sgh[:vw], x, g, p.mean[b:b+vw], p.invStd[b:b+vw], p.gamma[b:b+vw], p.beta[b:b+vw], b, bn.relu)
+		}
+		if tw := w - vw; tw > 0 {
+			b0 := b + vw
+			mean, invStd, gamma, beta := p.mean[b0:b0+tw], p.invStd[b0:b0+tw], p.gamma[b0:b0+tw], p.beta[b0:b0+tw]
+			tg, th := sg[vw:], sgh[vw:]
+			for off := b0; off < len(x.Data); off += c {
+				xr := x.Data[off : off+tw]
+				for j, gv := range g.Data[off : off+tw] {
+					h := (xr[j] - mean[j]) * invStd[j]
+					if bn.relu {
+						gv = passed(gv, float32(gamma[j]*h)+beta[j])
+					}
+					tg[j] += gv
+					th[j] += float32(gv * h)
+				}
+			}
+		}
+		copy(p.sumG[b:], sg)
+		copy(p.sumGH[b:], sgh)
+	}
+}
+
+// gradApply writes dst rows [lo, hi) of BatchNorm.Backward's second pass,
+// with g masked and x̂ recomputed as in gradSums.
+func (bn *BatchNorm) gradApply(dst, x, g *tensor.Matrix, p *gradParams, lo, hi int) {
+	c, vc := x.Cols, 0
+	if useAVX2 && c >= 8 {
+		vc = c &^ 7
+		gradApplyAVX2(dst, x, g, p, bn.relu, lo, hi, vc)
+		if vc == c {
+			return
+		}
+	}
+	// Columns [vc, c): all of them without the vector kernel.
+	tw := c - vc
+	mean, invStd, gamma, beta := p.mean[vc:c], p.invStd[vc:c], p.gamma[vc:c], p.beta[vc:c]
+	scale, sumG, sumGH := p.scale[vc:c], p.sumG[vc:c], p.sumGH[vc:c]
+	for r := lo; r < hi; r++ {
+		off := r*c + vc
+		or, xr := dst.Data[off:off+tw], x.Data[off:off+tw]
+		for j, gv := range g.Data[off : off+tw] {
+			h := (xr[j] - mean[j]) * invStd[j]
+			if bn.relu {
+				gv = passed(gv, float32(gamma[j]*h)+beta[j])
+			}
+			or[j] = scale[j] * (float32(p.n*gv) - sumG[j] - float32(h*sumGH[j]))
+		}
+	}
 }
 
 // passed is ReLU's backward rule as a select: the gradient g where the
@@ -518,7 +647,12 @@ type Dropout struct {
 	P    float64
 	Rng  *rand.Rand
 	mask []bool
+
+	arena *tensor.Workspace
 }
+
+// SetTrainArena implements TrainArenaUser.
+func (d *Dropout) SetTrainArena(a *tensor.Workspace) { d.arena, d.mask = a, nil }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
@@ -529,18 +663,18 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) 
 	if d.Rng == nil {
 		d.Rng = rand.New(rand.NewSource(1))
 	}
-	out := x.Clone()
+	out := wsGet(d.arena, x.Rows, x.Cols)
 	if cap(d.mask) < len(out.Data) {
 		d.mask = make([]bool, len(out.Data))
 	}
 	d.mask = d.mask[:len(out.Data)]
 	scale := float32(1 / (1 - d.P))
-	for i := range out.Data {
+	for i, v := range x.Data {
 		if d.Rng.Float64() < d.P {
 			out.Data[i] = 0
 			d.mask[i] = false
 		} else {
-			out.Data[i] *= scale
+			out.Data[i] = v * scale
 			d.mask[i] = true
 		}
 	}
@@ -555,15 +689,16 @@ func (d *Dropout) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 	if len(d.mask) != len(grad.Data) {
 		return nil, fmt.Errorf("dropout: backward shape mismatch")
 	}
-	out := grad.Clone()
+	out := wsGet(d.arena, grad.Rows, grad.Cols)
 	scale := float32(1 / (1 - d.P))
-	for i := range out.Data {
+	for i, g := range grad.Data {
 		if d.mask[i] {
-			out.Data[i] *= scale
+			out.Data[i] = g * scale
 		} else {
 			out.Data[i] = 0
 		}
 	}
+	wsPut(d.arena, grad)
 	return out, nil
 }
 
@@ -574,7 +709,7 @@ func (d *Dropout) Params() []*Param { return nil }
 type Sequential struct {
 	Layers []Layer
 
-	ws *tensor.Workspace
+	ws, arena *tensor.Workspace
 }
 
 // NewSequential builds a chain.
@@ -585,6 +720,13 @@ func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: lay
 func (s *Sequential) SetWorkspace(ws *tensor.Workspace) {
 	s.ws = ws
 	AttachWorkspace(ws, s.Layers...)
+}
+
+// SetTrainArena implements TrainArenaUser, recursing into every child layer
+// that takes its train-mode buffers from an arena.
+func (s *Sequential) SetTrainArena(a *tensor.Workspace) {
+	s.arena = a
+	AttachTrainArena(a, s.Layers...)
 }
 
 // SetBackend implements BackendUser, recursing into every child layer that
@@ -638,8 +780,7 @@ func (s *Sequential) forward(x *tensor.Matrix, train bool, k int) (*tensor.Matri
 		if train && bn != nil {
 			// Train mode folds the ReLU into the BatchNorm: one output
 			// buffer, and Backward skips the ReLU (see Sequential.Backward).
-			//edgepc:lint-ignore hotpathalloc train-mode activation, which backward reads
-			out := tensor.New(y.Rows, y.Cols)
+			out := wsGet(s.arena, y.Rows, y.Cols)
 			bn.forwardBatch(out, y, true, true)
 			i += 2
 			y = out

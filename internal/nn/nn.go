@@ -46,11 +46,54 @@ type Layer interface {
 // WorkspaceUser is implemented by layers that can serve inference
 // (train=false) activations from a shared tensor.Workspace instead of
 // allocating fresh matrices. Workspace mode never changes numerics and never
-// touches the training path: a layer with a workspace set still allocates in
-// Forward(x, true) because training caches activations across the whole
-// forward pass, while workspace buffers live at most one frame.
+// touches the training path: the inference workspace recycles an
+// intermediate as soon as the next layer has consumed it, while training
+// keeps every activation until Backward has read it (see TrainArenaUser).
 type WorkspaceUser interface {
 	SetWorkspace(ws *tensor.Workspace)
+}
+
+// TrainArenaUser is implemented by layers that take their train-mode
+// activations and gradients from a training arena: a tensor.Workspace the
+// graph being trained owns and Resets at each train Forward, so that a step
+// reuses the last step's buffers. Forward(x, true) Gets what Backward reads
+// and leaves it lent until that Reset; Backward Gets the gradient it returns
+// and Puts the one it was given once it has consumed it — a gradient from the
+// arena is handed over with its ownership. Setting the arena, nil included,
+// drops every backward cache: nil ends the training session, after which the
+// layer holds no training state and Backward fails until the next train
+// Forward. Without an arena the same calls allocate, as they always did.
+type TrainArenaUser interface {
+	SetTrainArena(a *tensor.Workspace)
+}
+
+// AttachTrainArena sets a on every given layer that takes its train-mode
+// buffers from an arena (Sequential recurses into its children).
+func AttachTrainArena(a *tensor.Workspace, layers ...Layer) {
+	for _, l := range layers {
+		if u, ok := l.(TrainArenaUser); ok {
+			u.SetTrainArena(a)
+		}
+	}
+}
+
+// wsGet returns a rows×cols matrix from ws, or a fresh one when there is no
+// workspace; its contents are unspecified either way, and every caller
+// overwrites all of it.
+func wsGet(ws *tensor.Workspace, rows, cols int) *tensor.Matrix {
+	if ws != nil {
+		return ws.Get(rows, cols)
+	}
+	//edgepc:lint-ignore hotpathalloc a layer without a workspace or training arena allocates
+	return tensor.New(rows, cols)
+}
+
+// wsPut returns m to ws if ws lends it; a matrix it does not lend (a caller's,
+// a view) is left alone.
+func wsPut(ws *tensor.Workspace, m *tensor.Matrix) {
+	if ws != nil && ws.Owns(m) {
+		ws.Put(m)
+	}
 }
 
 // AttachWorkspace sets ws on every given layer that supports
@@ -95,7 +138,7 @@ func InitHe(p *Param, fanIn int, rng *rand.Rand) {
 func InitXavier(p *Param, fanIn, fanOut int, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range p.Value.Data {
-		p.Value.Data[i] = float32((rng.Float64()*2 - 1) * limit)
+		p.Value.Data[i] = float32((float64(rng.Float64())*2 - 1) * limit)
 	}
 }
 

@@ -38,7 +38,7 @@ func (s *SGD) Step(params []*Param) {
 		if s.WeightDecay > 0 {
 			wd := float32(s.WeightDecay)
 			for i := range g {
-				g[i] += wd * w[i]
+				g[i] += float32(wd * w[i])
 			}
 		}
 		if s.Momentum > 0 {
@@ -49,13 +49,13 @@ func (s *SGD) Step(params []*Param) {
 			}
 			mu, lr := float32(s.Momentum), float32(s.LR)
 			for i := range w {
-				v.Data[i] = mu*v.Data[i] + g[i]
-				w[i] -= lr * v.Data[i]
+				v.Data[i] = float32(mu*v.Data[i]) + g[i]
+				w[i] -= float32(lr * v.Data[i])
 			}
 		} else {
 			lr := float32(s.LR)
 			for i := range w {
-				w[i] -= lr * g[i]
+				w[i] -= float32(lr * g[i])
 			}
 		}
 	}
@@ -96,8 +96,8 @@ func (a *Adam) Step(params []*Param) {
 		}
 		b1, b2 := float32(a.Beta1), float32(a.Beta2)
 		for i, g := range p.Grad.Data {
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			v.Data[i] = b2*v.Data[i] + (1-b2)*g*g
+			m.Data[i] = float32(b1*m.Data[i]) + float32((1-b1)*g)
+			v.Data[i] = float32(b2*v.Data[i]) + float32((1-b2)*g*g)
 			mh := float64(m.Data[i]) / bc1
 			vh := float64(v.Data[i]) / bc2
 			p.Value.Data[i] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Eps))

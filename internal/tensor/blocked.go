@@ -117,20 +117,20 @@ func blockedMatMulTile(out, a, b *Matrix, bias []float32, lo, hi, jlo, jhi int) 
 				v1, v2, v3 := b1[j], b2[j], b3[j]
 				// Left-to-right evaluation keeps each cell's partial sums in
 				// ascending-k order — the bit-identity invariant.
-				or0[j] = or0[j] + a00*v0 + a01*v1 + a02*v2 + a03*v3
-				or1[j] = or1[j] + a10*v0 + a11*v1 + a12*v2 + a13*v3
-				or2[j] = or2[j] + a20*v0 + a21*v1 + a22*v2 + a23*v3
-				or3[j] = or3[j] + a30*v0 + a31*v1 + a32*v2 + a33*v3
+				or0[j] = or0[j] + float32(a00*v0) + float32(a01*v1) + float32(a02*v2) + float32(a03*v3)
+				or1[j] = or1[j] + float32(a10*v0) + float32(a11*v1) + float32(a12*v2) + float32(a13*v3)
+				or2[j] = or2[j] + float32(a20*v0) + float32(a21*v1) + float32(a22*v2) + float32(a23*v3)
+				or3[j] = or3[j] + float32(a30*v0) + float32(a31*v1) + float32(a32*v2) + float32(a33*v3)
 			}
 		}
 		for ; k < kc; k++ {
 			br := b.Row(k)[jlo:jhi]
 			a0, a1, a2, a3 := ar0[k], ar1[k], ar2[k], ar3[k]
 			for j, bv := range br {
-				or0[j] += a0 * bv
-				or1[j] += a1 * bv
-				or2[j] += a2 * bv
-				or3[j] += a3 * bv
+				or0[j] += float32(a0 * bv)
+				or1[j] += float32(a1 * bv)
+				or2[j] += float32(a2 * bv)
+				or3[j] += float32(a3 * bv)
 			}
 		}
 		for j, bv := range bias {
@@ -152,13 +152,13 @@ func blockedMatMulTile(out, a, b *Matrix, bias []float32, lo, hi, jlo, jhi int) 
 			b0, b1, b2, b3 := b.Row(k)[jlo:jhi], b.Row(k + 1)[jlo:jhi], b.Row(k + 2)[jlo:jhi], b.Row(k + 3)[jlo:jhi]
 			a0, a1, a2, a3 := ar[k], ar[k+1], ar[k+2], ar[k+3]
 			for j, v0 := range b0 {
-				or[j] = or[j] + a0*v0 + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				or[j] = or[j] + float32(a0*v0) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; k < kc; k++ {
 			av := ar[k]
 			for j, bv := range b.Row(k)[jlo:jhi] {
-				or[j] += av * bv
+				or[j] += float32(av * bv)
 			}
 		}
 		for j, bv := range bias {

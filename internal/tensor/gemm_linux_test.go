@@ -62,6 +62,33 @@ func TestVectorGEMMStaysInsideItsOperands(t *testing.T) {
 	}
 }
 
+// TestVectorPoolStaysInsideItsOperands runs the argmax pool with the grouped
+// input, the maxima and the argmax each flush against an unmapped page, at
+// its end and then at its start, over widths with and without a ragged strip
+// and across the kernel's call bound.
+func TestVectorPoolStaysInsideItsOperands(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(31))
+	for _, s := range []struct{ n, k, c int }{{1, 1, 8}, {1, 3, 9}, {2, 8, 16}, {7, 2, 17}, {1030, 8, 24}, {300, 8, 64}} {
+		for _, atEnd := range []bool{true, false} {
+			place := func(src *Matrix) *Matrix {
+				m := &Matrix{Rows: src.Rows, Cols: src.Cols, Data: guarded(t, len(src.Data), atEnd)}
+				copy(m.Data, src.Data)
+				return m
+			}
+			grouped := place(tiedMatrix(rng, s.n*s.k, s.c))
+			got, arg := place(New(s.n, s.c)), place(New(s.n, s.c))
+			if err := MaxPoolGroupsInto(got, arg.Int32s(), grouped, s.k); err != nil {
+				t.Fatal(err)
+			}
+			want, wantArg := New(s.n, s.c), make([]int32, s.n*s.c)
+			maxPoolArgCols(want, wantArg, grouped, s.k, 0, s.n, 0, s.c)
+			requireSameBits(t, "argmax pool between guard pages", got, want)
+			requireSameArgmax(t, "argmax pool between guard pages", arg.Int32s(), wantArg, s.c)
+		}
+	}
+}
+
 // TestVectorATBTStayInsideTheirOperands runs both backward products with
 // every operand flush against an unmapped page, at its end and then at its
 // start, over shapes with and without ragged edges and across the 256-row

@@ -81,7 +81,7 @@ func quantizeRow(dst []int8, src []float32) float32 {
 	scale := maxAbs / 127
 	inv := 127 / maxAbs
 	for i, v := range src {
-		dst[i] = roundInt8(v * inv)
+		dst[i] = roundInt8(float32(v * inv))
 	}
 	return scale
 }
@@ -157,7 +157,7 @@ func (be *Int8Backend) weightsFor(b *Matrix) *int8Weights {
 		row := b.Row(r)
 		qrow := w.q[r*b.Cols : (r+1)*b.Cols]
 		for j, v := range row {
-			qrow[j] = roundInt8(v * inv[j])
+			qrow[j] = roundInt8(float32(v * inv[j]))
 		}
 	}
 	be.weights[b] = w
@@ -212,7 +212,7 @@ func (be *Int8Backend) MatMulBiasInto(out, a, b *Matrix, bias []float32) error {
 				avf := float32(av)
 				qbr := qb.q[k*out.Cols : (k+1)*out.Cols]
 				for j, bv := range qbr {
-					or[j] += avf * float32(bv)
+					or[j] += float32(avf * float32(bv))
 				}
 			}
 			sa := scaleA[i]

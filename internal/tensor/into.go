@@ -100,7 +100,7 @@ func matMulRows(out, a, b *Matrix, bias []float32, lo, hi int) {
 		for k, av := range ar {
 			br := b.Row(k)
 			for j, bv := range br {
-				or[j] += av * bv
+				or[j] += float32(av * bv)
 			}
 		}
 		for j, bv := range bias {
@@ -148,7 +148,7 @@ func matMulBTRows(out, a, b *Matrix, lo, hi int) {
 			br := b.Row(j)
 			var sum float32
 			for k, av := range ar {
-				sum += av * br[k]
+				sum += float32(av * br[k])
 			}
 			or[j] = sum
 		}
@@ -238,7 +238,7 @@ func matMulATAccum(dst, a, b *Matrix, lo, hi, jlo, jhi int) {
 		for i, av := range ar {
 			dr := dst.Data[(lo+i)*n+jlo:][:w]
 			for j, bv := range br {
-				dr[j] += av * bv
+				dr[j] += float32(av * bv)
 			}
 		}
 	}
@@ -307,35 +307,107 @@ func MaxPoolGroupsInto(out *Matrix, argmax []int32, grouped *Matrix, k int) erro
 	if argmax != nil && len(argmax) != n*grouped.Cols {
 		return fmt.Errorf("tensor: maxpool argmax length %d for %dx%d output", len(argmax), n, grouped.Cols)
 	}
-	parallel.ForChunks(n, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			or := out.Row(g)
-			copy(or, grouped.Row(g*k))
-			if argmax == nil {
-				for j := 1; j < k; j++ {
-					row := grouped.Row(g*k + j)
-					for c, v := range row {
-						if v > or[c] {
-							or[c] = v
-						}
-					}
-				}
-				continue
-			}
-			am := argmax[g*grouped.Cols : (g+1)*grouped.Cols]
-			for c := range am {
-				am[c] = int32(g * k)
-			}
-			for j := 1; j < k; j++ {
-				row := grouped.Row(g*k + j)
-				for c, v := range row {
-					if v > or[c] {
-						or[c] = v
-						am[c] = int32(g*k + j)
-					}
+	// The closure is built only for a split: on one core it would be an
+	// allocation per call for nothing.
+	if w := parallel.Workers(n); w > 1 {
+		parallel.ForSplit(n, w, func(lo, hi int) { maxPoolRows(out, argmax, grouped, k, lo, hi) })
+	} else {
+		maxPoolRows(out, argmax, grouped, k, 0, n)
+	}
+	return nil
+}
+
+// maxPoolRows pools groups [lo, hi), recording the argmax when it is non-nil.
+// There, with AVX2, the vector kernel takes the columns up to a multiple of
+// 8; the ragged ones, and every other host, run maxPoolArgCols, the loop the
+// vector code is tested against.
+func maxPoolRows(out *Matrix, argmax []int32, grouped *Matrix, k, lo, hi int) {
+	if argmax != nil {
+		vc := 0
+		if hasAVX2 && grouped.Cols >= 8 {
+			vc = grouped.Cols &^ 7
+			maxPoolArgAVX2(out, argmax, grouped, k, lo, hi, vc)
+		}
+		maxPoolArgCols(out, argmax, grouped, k, lo, hi, vc, grouped.Cols)
+		return
+	}
+	for g := lo; g < hi; g++ {
+		or := out.Row(g)
+		copy(or, grouped.Row(g*k))
+		for j := 1; j < k; j++ {
+			for c, v := range grouped.Row(g*k + j) {
+				if v > or[c] {
+					or[c] = v
 				}
 			}
 		}
-	})
+	}
+}
+
+// maxPoolArgCols pools columns [jlo, jhi) of groups [lo, hi): a group's first
+// row seeds each maximum and a later one replaces it only when strictly
+// greater, so a tie keeps the lowest row and a NaN neither replaces a maximum
+// nor is replaced.
+func maxPoolArgCols(out *Matrix, argmax []int32, grouped *Matrix, k, lo, hi, jlo, jhi int) {
+	if jlo >= jhi {
+		return
+	}
+	c, w := grouped.Cols, jhi-jlo
+	for g := lo; g < hi; g++ {
+		or, am := out.Data[g*c+jlo:][:w], argmax[g*c+jlo:][:w]
+		copy(or, grouped.Data[g*k*c+jlo:][:w])
+		for i := range am {
+			am[i] = int32(g * k)
+		}
+		for j := 1; j < k; j++ {
+			for i, v := range grouped.Data[(g*k+j)*c+jlo:][:w] {
+				if v > or[i] {
+					or[i] = v
+					am[i] = int32(g*k + j)
+				}
+			}
+		}
+	}
+}
+
+// MaxPoolBackwardInto routes grad (n × C) back into out (n·k × C) through the
+// argmax MaxPoolGroupsInto recorded, overwriting out: each routed cell is
+// +0 + its gradient, every other cell +0.
+func MaxPoolBackwardInto(out, grad *Matrix, argmax []int32, k int) error {
+	if len(argmax) != grad.Rows*grad.Cols {
+		return fmt.Errorf("tensor: argmax length %d for %dx%d grad", len(argmax), grad.Rows, grad.Cols)
+	}
+	if err := checkDst("maxpool backward", out, grad.Rows*k, grad.Cols); err != nil {
+		return err
+	}
+	if sameBacking(out.Data, grad.Data) {
+		return fmt.Errorf("tensor: maxpool backward destination aliases the gradient")
+	}
+	out.Zero()
+	for g := 0; g < grad.Rows; g++ {
+		am := argmax[g*grad.Cols : (g+1)*grad.Cols]
+		for c, v := range grad.Row(g) {
+			out.Data[int(am[c])*grad.Cols+c] += v
+		}
+	}
 	return nil
+}
+
+// ColMaxInto writes m's per-column maxima into vals and, when argmax is
+// non-nil, the row each came from into argmax: row 0 seeds them and a later
+// row replaces one only when strictly greater. vals and argmax have m.Cols
+// elements, and m has at least one row.
+func ColMaxInto(vals []float32, argmax []int32, m *Matrix) {
+	copy(vals, m.Row(0))
+	clear(argmax)
+	for r := 1; r < m.Rows; r++ {
+		for c, v := range m.Row(r) {
+			if v > vals[c] {
+				vals[c] = v
+				if argmax != nil {
+					argmax[c] = int32(r)
+				}
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/parallel"
 )
@@ -48,6 +49,13 @@ func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
+}
+
+// Int32s views m's storage as len(m.Data) int32 values: a workspace buffer
+// lent as an index array (a max-pool's argmax in training). The two views
+// share memory, and a buffer holds one kind of value at a time.
+func (m *Matrix) Int32s() []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(m.Data))), len(m.Data))
 }
 
 // Zero sets all elements to 0.
@@ -173,37 +181,21 @@ func MaxPoolGroups(grouped *Matrix, k int) (out *Matrix, argmax []int32, err err
 }
 
 // MaxPoolBackward routes grad (n × C) back to a (n·k × C) grouped gradient
-// using the argmax produced by MaxPoolGroups.
+// using the argmax produced by MaxPoolGroups; see MaxPoolBackwardInto.
 func MaxPoolBackward(grad *Matrix, argmax []int32, k int) (*Matrix, error) {
-	if len(argmax) != grad.Rows*grad.Cols {
-		return nil, fmt.Errorf("tensor: argmax length %d for %dx%d grad", len(argmax), grad.Rows, grad.Cols)
-	}
 	out := New(grad.Rows*k, grad.Cols)
-	for g := 0; g < grad.Rows; g++ {
-		gr := grad.Row(g)
-		am := argmax[g*grad.Cols : (g+1)*grad.Cols]
-		for c, v := range gr {
-			out.Data[int(am[c])*grad.Cols+c] += v
-		}
+	if err := MaxPoolBackwardInto(out, grad, argmax, k); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // ColMax reduces the matrix to a single row of per-column maxima with argmax
-// rows (global max pooling, the PointNet classifier readout).
+// rows (global max pooling, the PointNet classifier readout); see ColMaxInto.
 func ColMax(m *Matrix) (vals []float32, argmax []int32) {
 	vals = make([]float32, m.Cols)
 	argmax = make([]int32, m.Cols)
-	copy(vals, m.Row(0))
-	for r := 1; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, v := range row {
-			if v > vals[c] {
-				vals[c] = v
-				argmax[c] = int32(r)
-			}
-		}
-	}
+	ColMaxInto(vals, argmax, m)
 	return vals, argmax
 }
 

@@ -39,8 +39,10 @@ func BenchmarkTrainStep(b *testing.B) {
 		opt.Step(params)
 		nn.ZeroGrads(params)
 	}
-	// One step first: the optimizer's moments and the layers' caches are
-	// allocated once, and -benchtime 1x then counts a steady step.
+	// Two steps first: the first allocates the optimizer's moments and fills
+	// the net's training arena, the second's Reset grows the arena's free
+	// lists to hold a whole step, and -benchtime 1x then counts a steady step.
+	trainStep(len(samples) - 2)
 	trainStep(len(samples) - 1)
 	b.ReportAllocs()
 	b.ResetTimer()

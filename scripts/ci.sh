@@ -25,7 +25,8 @@ echo "== go build ./... =="
 go build ./...
 
 echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
-# blocked, the backward products, nn.BatchNorm, model's featKNN and
+# blocked, the backward products, the train-mode argmax pool, nn.BatchNorm's
+# sweeps forward and backward, Linear's gradient adds, model's featKNN and
 # sample.BucketFPS's refresh have amd64 assembly behind *_amd64 files; every
 # other GOARCH must build and vet from the stubs beside them. A VFMADD would
 # round once where the Go kernels round twice and move every golden fixture;
@@ -37,18 +38,21 @@ if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 	exit 1
 fi
 
-echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial) =="
+echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model) =="
 # The Go spec lets a compiler fuse x*y + z, and the arm64 one does. The
-# geometry the exact stages run on rounds every product with an explicit
-# float64(...) or float32(...) conversion, which the spec says prevents that:
-# one FMADD in these packages and the spatial index's pruning bounds, the
-# FPS picks and the golden fixtures would differ between amd64 and arm64.
-# A warm build cache replays the compiler output, so no -a is needed.
-fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/geom/ ./internal/sample/ ./internal/spatial/ 2>&1 |
+# geometry the exact stages run on and the network's kernels, forward,
+# backward and optimizer, round every product with an explicit float64(...)
+# or float32(...) conversion, which the spec says prevents that: one FMADD in
+# these packages and the spatial index's pruning bounds, the FPS picks, the
+# logits, the gradients and the golden fixtures would differ between amd64
+# and arm64. A warm build cache replays the compiler output, so no -a is
+# needed.
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/geom/ ./internal/sample/ ./internal/spatial/ \
+	./internal/tensor/ ./internal/nn/ ./internal/model/ 2>&1 |
 	grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
 if [ -n "$fused" ]; then
 	printf '%s\n' "$fused" >&2
-	echo "the arm64 compiler fused a multiply-add in geom, sample or spatial; round the product with an explicit conversion" >&2
+	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn or model; round the product with an explicit conversion" >&2
 	exit 1
 fi
 
@@ -64,8 +68,9 @@ go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/..
 # internal/nn's fused-epilogue table runs every shape at five core counts on
 # three backends: under the race detector the full table takes minutes, and
 # the -short one still crosses every fan-out threshold and every remainder of
-# the vector strips. The vector-against-Go tests (TestVectorGEMM* and
-# TestVectorATBT* in tensor, TestVectorSweeps* and TestTrainFold* in nn,
+# the vector strips. The vector-against-Go tests (TestVectorGEMM*,
+# TestVectorATBT* and TestVectorPool* in tensor, TestVectorSweeps*,
+# TestVectorBackward*, TestVectorLinear* and TestTrainFold* in nn,
 # TestFeatKNN* and TestKNNScan* in model) run whole in both stages and in the
 # GOMAXPROCS sweep below; the kernel-level ones skip with a message on a host
 # without AVX2.
@@ -84,14 +89,15 @@ echo "== numerics independent of core count (golden + history + spatial + tensor
 # how many goroutines a kernel split into: the bit-exact golden fixtures must
 # hold at every worker count (-count=1: the test cache does not key on
 # GOMAXPROCS). TestGolden matches the suites at the shipped scan cut-off and
-# the *IndexForced ones at cut-off 0; the history test and internal/spatial
-# are where the exact stages' index is compared with the O(nN) forms;
+# the *IndexForced ones at cut-off 0; the serving history test and
+# internal/spatial are where the exact stages' index is compared with the
+# O(nN) forms, the training one where one step's arena buffers meet the next;
 # internal/nn is where the fused bias/BatchNorm/ReLU/max-pool epilogue is
 # compared with the layers one by one, internal/parallel the fan-out it and
 # every other kernel split over, internal/model where featKNN's lanes and early
 # exit are compared with the full scalar scan.
 for procs in 1 2 4 8; do
-	GOMAXPROCS=$procs go test -count=1 -run 'TestGolden|TestOutputIndependentOfServingHistory' ./internal/pipeline/
+	GOMAXPROCS=$procs go test -count=1 -run 'TestGolden|TestOutputIndependentOfServingHistory|TestGradientsIndependentOfTrainingHistory' ./internal/pipeline/
 	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/model/ ./internal/train/
 done
 
@@ -157,11 +163,15 @@ for b in naive blocked int8; do
 done
 go test -run 'TestGolden' ./internal/pipeline/
 go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildRejectsUnknownBackend|TestBuildWithEmptyOptionsUsesDefaultBackend' ./internal/pipeline/
-go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere' ./internal/tensor/
-# Training runs the same kernels: the backward products above, the folded
-# train-mode BatchNorm → ReLU and the lane scan of featKNN. Exact FPS's vector
-# refresh is compared with its Go loops, whole samplings and kernel by kernel.
-go test -race -run 'TestTrainFoldMatchesLayerByLayer' ./internal/nn/
+go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere|TestVectorPool|TestPoolTiesKeepTheLowestRow' ./internal/tensor/
+# Training runs the same kernels: the backward products above, the argmax
+# pool, the folded train-mode BatchNorm → ReLU forward and backward, Linear's
+# gradient adds and the lane scan of featKNN, all of it from the training
+# arena, whose recycled buffers must not leak one step into the next. Exact
+# FPS's vector refresh is compared with its Go loops, whole samplings and
+# kernel by kernel.
+go test -race -run 'TestTrainFoldMatchesLayerByLayer|TestVectorBackward|TestVectorLinearGradientsMatchReference' ./internal/nn/
+go test -race -run 'TestGradientsIndependentOfTrainingHistory|TestBackwardAfterEvalForwardFails' ./internal/pipeline/
 go test -race -run 'TestFeatKNNMatchesScalarOracle|TestKNNScan' ./internal/model/
 go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS' ./internal/sample/
 
@@ -205,9 +215,10 @@ echo "== allocs/op regression gate =="
 # was fused: on one core every parallel.ForChunks call allocated its closure
 # even to run it inline, and each Linear, bias, BatchNorm, ReLU and max-pool
 # was one or more such calls or workspace round trips). A W3 training step
-# (after one warm-up step) measures 212, or 213 when a collection has emptied
+# (after two warm-up steps) measures 25, or 27 when a collection has emptied
 # the pool of transposed weights: 536 before training ran the vector kernels,
-# and a kernel that starts allocating per call shows here.
+# 212 before its activations and gradients came from the net's training
+# arena, and a kernel that starts allocating per call shows here.
 bench_out=$(go test -run '^$' -bench 'BenchmarkPipelineFrameAllocs' -benchtime=1x -benchmem -cpu 1 ./internal/pipeline/)
 serve_out=$(go test -run '^$' -bench 'BenchmarkServeSteadyState' -benchtime=1x -benchmem -cpu 1 ./internal/serve/)
 train_out=$(go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime=1x -benchmem -cpu 1 ./internal/train/)
@@ -220,7 +231,7 @@ printf '%s\n%s\n%s\n' "$bench_out" "$serve_out" "$train_out" | awk '
 		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP2048") limit = 38
 		if ($1 == "BenchmarkPipelineFrameAllocsDGCNN")          limit = 26
 		if ($1 ~ /^BenchmarkServeSteadyState/)                  limit = 40
-		if ($1 == "BenchmarkTrainStep")                         limit = 214
+		if ($1 == "BenchmarkTrainStep")                         limit = 28
 		if (limit >= 0) {
 			seen++
 			if (allocs + 0 > limit) {
