@@ -26,3 +26,29 @@ func knnScanAVX2(lanes *[8]float64, q, ft []float32, n, ld int, thr float64, ear
 	}
 	return n
 }
+
+//go:noescape
+func knnSym8(dist *float64, q, ft *float32, thr *float64, n, c, ld int, qthr float64) (off, mask int)
+
+// knnSymAVX2 is the symmetric join's scan of one query q against the
+// len(thr) candidates of ft (channel-major, row stride ld), a multiple of 8:
+// lane l of a block is bounded by max(qthr, thr[l]). It returns the offset
+// of the first block with a lane not past its bound, those lanes as a mask
+// (bit l for lane l) and the block's 8 distances in lanes; len(thr) and 0
+// when there is none. Only finite features come here: a partial sum past
+// the bound ends a block.
+//
+//edgepc:hotpath
+func knnSymAVX2(lanes *[8]float64, q, ft []float32, thr []float64, ld int, qthr float64) (int, int) {
+	c, n := len(q), len(thr)
+	// The assembly checks no bound; this does, for the last address it reads.
+	_ = ft[(c-1)*ld+n-1]
+	step := max(8, knnSpan/c&^7)
+	for j := 0; j < n; j += step {
+		span := min(step, n-j)
+		if off, mask := knnSym8(&lanes[0], &q[0], &ft[j], &thr[j], span, c, ld, qthr); off < span {
+			return j + off, mask
+		}
+	}
+	return n, 0
+}

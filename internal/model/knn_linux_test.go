@@ -57,3 +57,32 @@ func TestKNNScanStaysInsideItsOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNSymStaysInsideItsOperands is TestKNNScanStaysInsideItsOperands for
+// the join's kernel, whose bounds are a third operand.
+func TestKNNSymStaysInsideItsOperands(t *testing.T) {
+	if !knnAVX2 {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(34))
+	for _, s := range []struct{ n, c int }{{8, 1}, {8, 5}, {16, 4}, {24, 9}, {1024, 16}} {
+		for _, atEnd := range []bool{true, false} {
+			m := knnCase(rng, "normal", s.n+1, s.c)
+			q, ft := guarded(t, s.c, atEnd), guarded(t, s.c*s.n, atEnd)
+			thr := unsafe.Slice((*float64)(unsafe.Pointer(&guarded(t, 2*s.n, atEnd)[0])), s.n)
+			copy(q, m.Row(s.n))
+			for j := 0; j < s.n; j++ {
+				for c, v := range m.Row(j) {
+					ft[c*s.n+j] = v
+				}
+			}
+			// Bounds of −Inf admit nothing, so the scan walks every block
+			// to the end of ft and thr; then one of 1e300 stops at the first.
+			for j := range thr {
+				thr[j] = math.Inf(-1)
+			}
+			checkSym(t, "between guard pages", q, ft, thr, s.n, math.Inf(-1))
+			checkSym(t, "between guard pages", q, ft, thr, s.n, 1e300)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/morton"
 	"repro/internal/tensor"
 )
 
@@ -72,6 +73,27 @@ func knnCase(rng *rand.Rand, kind string, n, c int) *tensor.Matrix {
 		for i := range m.Data {
 			m.Data[i] *= 1e-39
 		}
+	case "local": // a smooth function of Morton-ordered points plus noise: a real level's locality
+		pts := make([][3]float64, n)
+		codes := make([]uint64, n)
+		for i := range pts {
+			for a := range pts[i] {
+				pts[i][a] = rng.Float64()
+			}
+			codes[i] = morton.Encode3(uint32(pts[i][0]*1023), uint32(pts[i][1]*1023), uint32(pts[i][2]*1023))
+		}
+		w := make([][4]float64, c) // a direction and a phase per channel
+		for t := range w {
+			for a := range w[t] {
+				w[t][a] = 4 * rng.NormFloat64()
+			}
+		}
+		for i, src := range morton.Order(codes) {
+			p := pts[src]
+			for t, wt := range w {
+				m.Data[i*c+t] = float32(math.Sin(wt[0]*p[0]+wt[1]*p[1]+wt[2]*p[2]+wt[3]) + 0.05*rng.NormFloat64())
+			}
+		}
 	}
 	return m
 }
@@ -81,8 +103,9 @@ func knnCase(rng *rand.Rand, kind string, n, c int) *tensor.Matrix {
 // that sums every candidate in full, index for index — ties to the lowest
 // index, duplicate points, NaN and Inf features (which turn the early exit
 // off), denormals, k ≥ n, channel counts around 8 and point counts that leave
-// a ragged tail of lanes, at GOMAXPROCS 1, 2 and 4 (the query split starts at
-// 2048 points).
+// a ragged tail of lanes, at GOMAXPROCS 1, 2 and 4 for its largest cases
+// (where a query split started before the fan-out was sized by work;
+// TestFeatKNNScheduleIndependent sweeps core counts at W3's size).
 func TestFeatKNNMatchesScalarOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	vector := knnAVX2
@@ -125,6 +148,35 @@ func TestFeatKNNMatchesScalarOracle(t *testing.T) {
 							t.Fatalf("%+v lanes %v GOMAXPROCS %d: query %d slot %d is %d, oracle %d",
 								c, lanes, p, i/min(c.k, c.n), i%min(c.k, c.n), got[i], want[i])
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFeatKNNScheduleIndependent pins the symmetric join's schedule: which
+// worker runs which tile, and in which order the pairs reach a list, must
+// not show in a pick. Every knnCase kind at W3's level size, on coordinates
+// (3 channels) and layer-2 features (16), and at a size that is a multiple
+// of neither the row block nor a lane block, against the oracle at
+// GOMAXPROCS 1, 2, 3, 4 and 8.
+func TestFeatKNNScheduleIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(32))
+	ws := tensor.NewWorkspace()
+	for _, kind := range []string{"normal", "ties", "duplicates", "nan", "inf", "tiny", "local"} {
+		for _, s := range []struct{ n, c int }{{1024, 3}, {1024, 16}, {1029, 16}} {
+			feats := knnCase(rng, kind, s.n, s.c)
+			want := featKNNOracle(feats, 8)
+			for _, p := range []int{1, 2, 3, 4, 8} {
+				runtime.GOMAXPROCS(p)
+				ws.Reset()
+				got := featKNN(ws, feats, 8)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d c=%d GOMAXPROCS %d: query %d slot %d is %d, oracle %d",
+							kind, s.n, s.c, p, i/8, i%8, got[i], want[i])
 					}
 				}
 			}
@@ -219,15 +271,112 @@ func TestKNNScanLanesMatchGo(t *testing.T) {
 	}
 }
 
+// symModel is knnSymAVX2's contract in Go: the offset of the first block of
+// 8 candidates with a lane whose full distance is not > max(qthr, its
+// thr), those lanes as mask bits, and the block's distances; n and 0 when
+// there is none.
+func symModel(q, ft []float32, thr []float64, ld int, qthr float64) (int, int, [8]float64) {
+	n := len(thr)
+	for b := 0; b < n; b += 8 {
+		var lanes [8]float64
+		mask := 0
+		for l := range lanes {
+			for t, v := range q {
+				dv := float64(v - ft[t*ld+b+l])
+				lanes[l] += dv * dv
+			}
+			if !(lanes[l] > max(qthr, thr[b+l])) {
+				mask |= 1 << l
+			}
+		}
+		if mask != 0 {
+			return b, mask, lanes
+		}
+	}
+	return n, 0, [8]float64{}
+}
+
+// checkSym runs knnSymAVX2 on one query and compares it with symModel.
+func checkSym(t *testing.T, what string, q, ft []float32, thr []float64, ld int, qthr float64) {
+	t.Helper()
+	wantOff, wantMask, wantLanes := symModel(q, ft, thr, ld, qthr)
+	var lanes [8]float64
+	off, mask := knnSymAVX2(&lanes, q, ft, thr, ld, qthr)
+	if off != wantOff || mask != wantMask {
+		t.Fatalf("%s: qthr %v: first block with a survivor at %d mask %08b, want %d mask %08b", what, qthr, off, mask, wantOff, wantMask)
+	}
+	if off == len(thr) {
+		return
+	}
+	for l, w := range wantLanes {
+		if !sameDist(lanes[l], w) {
+			t.Fatalf("%s: block %d lane %d distance %x (%g), want %x (%g)", what, off, l, math.Float64bits(lanes[l]), lanes[l], math.Float64bits(w), w)
+		}
+	}
+}
+
+// TestKNNSymLanesMatchGo pins the join's kernel: the block it stops at, its
+// survivor mask and its eight distances, bit for bit, on finite features
+// (the only ones it gets), with per-lane bounds that are the query's, the
+// candidate's, equal to a lane's distance (a survivor: the insert breaks
+// that tie by index), just below it, −Inf (the padding) and past every
+// distance, at channel counts on each side of the every-4-channels exit.
+func TestKNNSymLanesMatchGo(t *testing.T) {
+	if !knnAVX2 {
+		t.Skip("no AVX2 on this host: featKNN runs the Go loop the vector one is compared with")
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, kind := range []string{"normal", "ties", "tiny", "local"} {
+		for _, c := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 35} {
+			for _, n := range []int{8, 16, 64, 136} {
+				m := knnCase(rng, kind, n+1, c)
+				q, ft := m.Row(n), make([]float32, c*n)
+				for j := 0; j < n; j++ {
+					for tt, v := range m.Row(j) {
+						ft[tt*n+j] = v
+					}
+				}
+				_, _, all := symModel(q, ft, make([]float64, n), n, math.Inf(1))
+				what := fmt.Sprintf("%s c=%d n=%d", kind, c, n)
+				thr := make([]float64, n)
+				for trial := 0; trial < 8; trial++ {
+					for j := range thr {
+						switch rng.Intn(5) {
+						case 0:
+							thr[j] = math.Inf(-1)
+						case 1:
+							thr[j] = all[rng.Intn(8)]
+						case 2:
+							thr[j] = math.Nextafter(all[rng.Intn(8)], 0)
+						default:
+							thr[j] = 0
+						}
+					}
+					for _, qthr := range []float64{math.Inf(-1), 0, all[rng.Intn(8)], math.Nextafter(all[rng.Intn(8)], 0), 1e300} {
+						checkSym(t, what, q, ft, thr, n, qthr)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFeatKNN is the feature-space search of a dgcnn_train EdgeConv
-// module: 1024 points of 16 and 32 channels, K 8.
+// module: 1024 points of 16 and 32 channels, K 8. The rows of /16 and /32
+// are i.i.d. normal, with no locality for the join's diagonal tiles to
+// exploit; /local is 16 channels of the "local" kind, Morton-ordered as a
+// real level is. The workspace is Reset every search, as a frame does.
 func BenchmarkFeatKNN(b *testing.B) {
-	for _, c := range []int{16, 32} {
-		b.Run(fmt.Sprint(c), func(b *testing.B) {
-			feats := knnCase(rand.New(rand.NewSource(1)), "normal", 1024, c)
+	for _, s := range []struct {
+		name, kind string
+		c          int
+	}{{"16", "normal", 16}, {"32", "normal", 32}, {"local", "local", 16}} {
+		b.Run(s.name, func(b *testing.B) {
+			feats := knnCase(rand.New(rand.NewSource(1)), s.kind, 1024, s.c)
 			ws := tensor.NewWorkspace()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				ws.Reset()
 				featKNN(ws, feats, 8)
 			}
 		})

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -145,6 +145,8 @@ func groupedSABackward(ws *tensor.Workspace, grad *tensor.Matrix, nbr []int, par
 
 // buildGroupedEdge materializes the DGCNN EdgeConv grouping: row i*k+j holds
 // [f_i | f_j − f_i] for neighbor j of point i. nbr indexes the same level.
+// Rows fan out by the elements they write: each is copies and one float32
+// subtraction per channel, so the split cannot show in a bit.
 //
 //edgepc:hotpath
 func buildGroupedEdge(ws *tensor.Workspace, feats *tensor.Matrix, nbr []int, k int) (*tensor.Matrix, error) {
@@ -152,24 +154,49 @@ func buildGroupedEdge(ws *tensor.Workspace, feats *tensor.Matrix, nbr []int, k i
 	if len(nbr) != n*k {
 		return nil, fmt.Errorf("model: %d neighbor entries for %d points × k=%d", len(nbr), n, k)
 	}
+	for _, nj := range nbr {
+		if nj < 0 || nj >= n {
+			return nil, fmt.Errorf("model: edge neighbor %d out of %d points", nj, n)
+		}
+	}
 	c := feats.Cols
 	out := wsGet(ws, n*k, 2*c)
-	for i := 0; i < n; i++ {
-		fi := feats.Row(i)
-		for j := 0; j < k; j++ {
-			nj := nbr[i*k+j]
-			if nj < 0 || nj >= n {
-				return nil, fmt.Errorf("model: edge neighbor %d out of %d points", nj, n)
-			}
-			row := out.Row(i*k + j)
-			copy(row[:c], fi)
-			fj := feats.Row(nj)
-			for t := 0; t < c; t++ {
-				row[c+t] = fj[t] - fi[t]
+	e := edgeJobs.Get().(*edgeJob)
+	e.feats, e.nbr, e.k, e.out = feats, nbr, k, out
+	parallel.Split(n, parallel.WorkersFor(n*k*2*c, minGroupElems), e)
+	*e = edgeJob{}
+	edgeJobs.Put(e)
+	return out, nil
+}
+
+// minGroupElems is the output elements that pay for a goroutine of
+// buildGroupedEdge.
+const minGroupElems = 1 << 16
+
+// edgeJob is one buildGroupedEdge fan-out, pooled so that it allocates
+// nothing.
+type edgeJob struct {
+	feats, out *tensor.Matrix
+	nbr        []int
+	k          int
+}
+
+var edgeJobs = sync.Pool{New: func() any { return new(edgeJob) }}
+
+// Chunk writes the rows of points [lo, hi).
+func (e *edgeJob) Chunk(lo, hi int) {
+	c, k, f, out := e.feats.Cols, e.k, e.feats.Data, e.out.Data
+	for i := lo; i < hi; i++ {
+		fi := f[i*c : i*c+c]
+		for j, nj := range e.nbr[i*k : i*k+k] {
+			r := (i*k + j) * 2 * c
+			left, right, fj := out[r:r+c], out[r+c:r+2*c], f[nj*c:nj*c+c]
+			for t, v := range fi {
+				left[t] = v
+				right[t] = fj[t] - v
 			}
 		}
 	}
-	return out, nil
 }
 
 // groupedEdgeBackward routes the gradient of the edge-grouped matrix back to
@@ -183,126 +210,15 @@ func groupedEdgeBackward(ws *tensor.Workspace, grad *tensor.Matrix, nbr []int, n
 	d.Zero()
 	k := grad.Rows / n
 	for i := 0; i < n; i++ {
-		di := d.Row(i)
-		for j := 0; j < k; j++ {
-			row := grad.Row(i*k + j)
-			nj := nbr[i*k+j]
-			dj := d.Row(nj)
-			for t := 0; t < c; t++ {
-				di[t] += row[t] - row[c+t]
-				dj[t] += row[c+t]
+		di := d.Data[i*c : i*c+c]
+		for j, nj := range nbr[i*k : i*k+k] {
+			r := (i*k + j) * 2 * c
+			left, right, dj := grad.Data[r:r+c], grad.Data[r+c:r+2*c], d.Data[nj*c:nj*c+c]
+			for t, v := range right {
+				di[t] += left[t] - v
+				dj[t] += v
 			}
 		}
 	}
 	return d, nil
 }
-
-// featKNN performs exact k-nearest-neighbor search in feature space (rows of
-// feats), the SOTA searcher of DGCNN's deeper EdgeConv modules where
-// "distance between points are measured using the features" (§5.2.3). The
-// query set is all rows; self is included as the first neighbor. O(N²·C).
-//
-// A candidate's distance is the float32 difference of each channel, widened,
-// squared and summed in float64 in channel order, and it replaces the current
-// k-th best only when not ≥ it (so a NaN distance gets in), ties going to the
-// lower index. With AVX2 the candidates are lanes of a channel-major copy of
-// feats, eight at a time, and a block with a survivor goes, lane by lane in
-// ascending order, through the same scalar insert as the Go loop: a block
-// tested against the threshold of its start only lets through what the insert
-// then re-checks. When every feature is finite each term is a non-negative
-// number and a partial sum never exceeds the whole one, so both forms stop
-// summing a candidate once its partial sum is ≥ the k-th best; a NaN or Inf
-// anywhere (Inf − Inf is NaN) turns that early exit off.
-//
-//edgepc:hotpath
-func featKNN(ws *tensor.Workspace, feats *tensor.Matrix, k int) []int {
-	n, c := feats.Rows, feats.Cols
-	if k > n {
-		k = n
-	}
-	//edgepc:lint-ignore hotpathalloc known per-frame O(N·k) index buffer; candidate for future workspace management
-	out := make([]int, n*k)
-	early := true
-	for _, v := range feats.Data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			early = false
-			break
-		}
-	}
-	var ft *tensor.Matrix
-	vn := 0
-	if knnAVX2 && n >= 8 && c > 0 {
-		vn = n &^ 7
-		ft = wsGet(ws, c, n)
-		for i := 0; i < n; i++ {
-			for t, v := range feats.Row(i) {
-				ft.Data[t*n+i] = v
-			}
-		}
-	}
-	parallel.ForChunks(n, func(lo, hi int) {
-		//edgepc:lint-ignore hotpathalloc per-chunk heap scratch, O(k), a handful per frame
-		d := make([]float64, k)
-		//edgepc:lint-ignore hotpathalloc per-chunk heap scratch, O(k), a handful per frame
-		idx := make([]int, k)
-		var lanes [8]float64
-		for i := lo; i < hi; i++ {
-			fi := feats.Row(i)
-			for t := range d {
-				d[t] = 1e300
-				idx[t] = -1
-			}
-			j := 0
-			for j < vn {
-				off := knnScanAVX2(&lanes, fi, ft.Data[j:], vn-j, n, d[k-1], early)
-				if j += off; j == vn {
-					break
-				}
-				for l, dist := range lanes {
-					knnInsert(d, idx, j+l, dist)
-				}
-				j += 8
-			}
-			for ; j < n; j++ {
-				fj := feats.Row(j)[:len(fi)]
-				thr := d[k-1]
-				var dist float64
-				for t, v := range fi {
-					dv := float64(v - fj[t])
-					dist += float64(dv * dv)
-					if early && dist >= thr {
-						break
-					}
-				}
-				knnInsert(d, idx, j, dist)
-			}
-			copy(out[i*k:(i+1)*k], idx)
-		}
-	})
-	wsPut(ws, ft)
-	return out
-}
-
-// knnInsert places candidate j at distance dist into the ascending top-k
-// lists d, idx unless dist ≥ the k-th best; an equal distance goes after the
-// ones already there, so ties keep the lower index.
-//
-//edgepc:hotpath
-func knnInsert(d []float64, idx []int, j int, dist float64) {
-	k := len(d)
-	if dist >= d[k-1] {
-		return
-	}
-	t := k - 1
-	for t > 0 && d[t-1] > dist {
-		d[t] = d[t-1]
-		idx[t] = idx[t-1]
-		t--
-	}
-	d[t] = dist
-	idx[t] = j
-}
-
-// knnAVX2 is the answer of tensor's one CPUID probe: whether featKNN scans
-// candidates eight lanes at a time or with the Go loop alone.
-var knnAVX2 = tensor.HasAVX2()

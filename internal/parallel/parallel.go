@@ -9,6 +9,7 @@ package parallel
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // minParallelWork is the smallest slice length worth spawning goroutines for.
@@ -47,8 +48,28 @@ func ForChunks(n int, body func(lo, hi int)) {
 // shared-MLP kernels: WorkersFor). Chunk 0 runs on the calling goroutine, so
 // a split over w workers starts w-1 goroutines. A hot caller should test its
 // worker count before it builds the closure: body escapes, so a capturing
-// closure is a heap allocation even when it would run inline.
+// closure is a heap allocation even when it would run inline — or keep a
+// Chunker and call Split.
 func ForSplit(n, workers int, body func(lo, hi int)) {
+	Split(n, workers, chunkFunc(body))
+}
+
+// Chunker is a fan-out body: Chunk(lo, hi) handles the indexes [lo, hi).
+// A caller that keeps one (a pointer to a reused struct) fans out through
+// Split without allocating.
+type Chunker interface{ Chunk(lo, hi int) }
+
+// chunkFunc makes ForSplit's body a Chunker. A func value is one pointer, so
+// the conversion to the interface allocates nothing.
+type chunkFunc func(lo, hi int)
+
+func (f chunkFunc) Chunk(lo, hi int) { f(lo, hi) }
+
+// Split is ForSplit over a Chunker, and it allocates nothing itself: the
+// goroutines start from a pooled team whose start function is bound once,
+// and each claims the next chunk. Which goroutine runs a chunk is a matter of
+// scheduling; the chunk boundaries are ForSplit's.
+func Split(n, workers int, c Chunker) {
 	if n <= 0 {
 		return
 	}
@@ -56,20 +77,15 @@ func ForSplit(n, workers int, body func(lo, hi int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		body(0, n)
+		c.Chunk(0, n)
 		return
 	}
-	chunk := (n + workers - 1) / workers
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for next := chunk; next < n; next += chunk {
-		// Captured by value in an argument-less closure: one allocation per
-		// goroutine, where passing them as arguments costs a second wrapper.
-		lo, hi := next, min(next+chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body(lo, hi)
-		}()
+	t := teams.Get().(*team)
+	t.c, t.n, t.chunk = c, n, (n+workers-1)/workers
+	t.claimed.Store(0)
+	for lo := t.chunk; lo < n; lo += t.chunk {
+		t.wg.Add(1)
+		go t.start()
 	}
 	// Yield once before chunk 0. The last goroutine started sits in this P's
 	// runnext slot, and an idle P steals from there only after a sleep (3 µs
@@ -79,14 +95,34 @@ func ForSplit(n, workers int, body func(lo, hi int)) {
 	// queue, which an idle P polls without the sleep: the placement of
 	// starting every chunk and blocking, for one goroutine fewer.
 	runtime.Gosched()
-	body(0, chunk)
-	wg.Wait()
-	wgPool.Put(wg)
+	c.Chunk(0, t.chunk)
+	t.wg.Wait()
+	t.c = nil
+	teams.Put(t)
 }
 
-// wgPool recycles ForSplit's WaitGroups: one declared there would be captured
-// by the goroutine closures and so allocated on every call.
-var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+// team is one Split in flight. A `go` statement with arguments, or with a
+// capturing closure, allocates the closure it starts; `go t.start()` calls a
+// func value bound at the team's creation and passes nothing.
+type team struct {
+	c        Chunker
+	n, chunk int
+	claimed  atomic.Int64 // chunks after chunk 0 handed to goroutines
+	wg       sync.WaitGroup
+	start    func() // t.run
+}
+
+func (t *team) run() {
+	defer t.wg.Done()
+	lo := int(t.claimed.Add(1)) * t.chunk
+	t.c.Chunk(lo, min(lo+t.chunk, t.n))
+}
+
+var teams = sync.Pool{New: func() any {
+	t := new(team)
+	t.start = t.run
+	return t
+}}
 
 // ForWorkers splits [0, n) into one contiguous chunk per worker — exactly
 // the split Workers(n) reports — and runs body(worker, lo, hi) concurrently,

@@ -304,3 +304,32 @@ func TestFanOutSteadyStateAllocations(t *testing.T) {
 		t.Fatalf("ForSplit inline: %v allocations", got)
 	}
 }
+
+// counter is a kept Chunker: it counts the visits of every index.
+type counter struct{ seen []int32 }
+
+func (c *counter) Chunk(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&c.seen[i], 1)
+	}
+}
+
+// TestSplitCoversRangeWithoutAllocating is Split's contract: ForSplit's
+// chunks, each index once, and no allocation of its own once its team is
+// pooled — the goroutines included.
+func TestSplitCoversRangeWithoutAllocating(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, s := range []struct{ n, workers int }{{0, 4}, {1, 4}, {5, 1}, {7, 3}, {64, 4}, {1000, 8}} {
+		c := &counter{seen: make([]int32, s.n)}
+		Split(s.n, s.workers, c)
+		for i, v := range c.seen {
+			if v != 1 {
+				t.Fatalf("Split(%d, %d): index %d visited %d times", s.n, s.workers, i, v)
+			}
+		}
+	}
+	c := &counter{seen: make([]int32, 64)}
+	if got := testing.AllocsPerRun(200, func() { Split(64, 4, c) }); got != 0 {
+		t.Fatalf("Split over 4 workers: %v allocations, want 0", got)
+	}
+}

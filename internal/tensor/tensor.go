@@ -9,6 +9,7 @@
 package tensor
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"unsafe"
@@ -57,6 +58,29 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Int32s() []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(m.Data))), len(m.Data))
 }
+
+// Float64s and Ints view m's storage as 8-byte values, as many as fit: a
+// workspace buffer lent as float64 or int scratch (featKNN's lists). Go's
+// allocator aligns a buffer of two or more float32s to 8 bytes, which is
+// what New and a Workspace hand out; a view of anything else panics.
+func (m *Matrix) Float64s() []float64 {
+	return unsafe.Slice((*float64)(wide(m.Data)), len(m.Data)/2)
+}
+
+// Ints is Float64s for ints (of unsafe.Sizeof(int(0)) bytes each).
+func (m *Matrix) Ints() []int {
+	return unsafe.Slice((*int)(wide(m.Data)), len(m.Data)*4/int(unsafe.Sizeof(int(0))))
+}
+
+func wide(d []float32) unsafe.Pointer {
+	p := unsafe.Pointer(unsafe.SliceData(d))
+	if uintptr(p)%8 != 0 {
+		panic(errUnaligned)
+	}
+	return p
+}
+
+var errUnaligned = errors.New("tensor: an 8-byte view of a buffer that is not 8-byte aligned")
 
 // Zero sets all elements to 0.
 func (m *Matrix) Zero() {

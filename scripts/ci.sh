@@ -166,13 +166,14 @@ go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildReje
 go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere|TestVectorPool|TestPoolTiesKeepTheLowestRow' ./internal/tensor/
 # Training runs the same kernels: the backward products above, the argmax
 # pool, the folded train-mode BatchNorm → ReLU forward and backward, Linear's
-# gradient adds and the lane scan of featKNN, all of it from the training
+# gradient adds and featKNN's two lane scans and its tile schedule, all of it
+# from the training
 # arena, whose recycled buffers must not leak one step into the next. Exact
 # FPS's vector refresh is compared with its Go loops, whole samplings and
 # kernel by kernel.
 go test -race -run 'TestTrainFoldMatchesLayerByLayer|TestVectorBackward|TestVectorLinearGradientsMatchReference' ./internal/nn/
 go test -race -run 'TestGradientsIndependentOfTrainingHistory|TestBackwardAfterEvalForwardFails' ./internal/pipeline/
-go test -race -run 'TestFeatKNNMatchesScalarOracle|TestKNNScan' ./internal/model/
+go test -race -run 'TestFeatKNNMatchesScalarOracle|TestFeatKNNScheduleIndependent|TestKNNScan|TestKNNSym' ./internal/model/
 go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS' ./internal/sample/
 
 echo "== bench smoke (1 iteration) =="
@@ -206,17 +207,21 @@ echo "== allocs/op regression gate =="
 # The zero-allocation hot path (DESIGN.md §6) must not regress: steady-state
 # frame allocation counts are capped per benchmark. Raising a ceiling is a
 # reviewed decision, not a drive-by. -cpu 1: the ceilings count the frame's own
-# allocations; every goroutine a parallel kernel launches on more cores adds
-# its own (DGCNN reads 106/op at GOMAXPROCS=2), which is not what is gated.
+# allocations; a fan-out on more cores adds its body closure where it has one
+# (goroutine starts allocate nothing since parallel.Split; DGCNN reads 15-16/op
+# and PointNet++ at 2048 points 35-37 at GOMAXPROCS=2), which is not what is
+# gated.
 # The PointNet++ rows are Baseline frames, every exact stage through
 # internal/spatial: at 512 points one level is large enough for its grid, at
-# 2048 two are and the rest take its linear scan. Both measure 37, DGCNN 25
-# and the serve loop 37 (62 / 62 / 46 / 62 before the shared MLP's epilogue
+# 2048 two are and the rest take its linear scan. Both measure 34, DGCNN 15
+# (25 before featKNN's lists came from the workspace) and the serve loop 34
+# (62 / 62 / 46 / 62 before the shared MLP's epilogue
 # was fused: on one core every parallel.ForChunks call allocated its closure
 # even to run it inline, and each Linear, bias, BatchNorm, ReLU and max-pool
 # was one or more such calls or workspace round trips). A W3 training step
-# (after two warm-up steps) measures 25, or 27 when a collection has emptied
-# the pool of transposed weights: 536 before training ran the vector kernels,
+# (after two warm-up steps) measures 21, a few more when a collection has
+# emptied a sync.Pool (25 before featKNN's lists came from the training
+# arena): 536 before training ran the vector kernels,
 # 212 before its activations and gradients came from the net's training
 # arena, and a kernel that starts allocating per call shows here.
 bench_out=$(go test -run '^$' -bench 'BenchmarkPipelineFrameAllocs' -benchtime=1x -benchmem -cpu 1 ./internal/pipeline/)
