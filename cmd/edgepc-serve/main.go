@@ -13,7 +13,7 @@
 //	edgepc-serve -quick -engines 4 -tenants 8 -qos-rate 50   # fleet router
 //	edgepc-serve -quick -backend int8                   # quantized inference kernels
 //	edgepc-serve -quick -chaos-stall 0.1 -stall-timeout 2ms  # watchdog drill
-//	edgepc-serve -quick -engines 3 -retries 2 -hedge 5ms     # survivable fleet
+//	edgepc-serve -quick -engines 3 -retries 2           # survivable fleet
 //	edgepc-serve -quick -checkpoint ckpt.epck           # restore weights first
 //
 // -quick shrinks the model and cloud far below the paper's scale so the
@@ -31,10 +31,9 @@
 // Survivability knobs (DESIGN.md §15): -stall-timeout arms the per-worker
 // stall watchdog (wedged frames fail with ErrStalled and the slot is
 // respawned); -chaos-stall injects deterministic worker stalls to drill it;
-// -retries and -hedge (fleet mode) arm deadline-budgeted retries and
-// tail-latency hedging on the router; -checkpoint restores weights from a
-// crash-safe checkpoint (edgepc-train -checkpoint) into the shared
-// parameters before serving.
+// -retries (fleet mode) arms deadline-budgeted retries on the router;
+// -checkpoint restores weights from a crash-safe checkpoint (edgepc-train
+// -checkpoint) into the shared parameters before serving.
 package main
 
 import (
@@ -80,7 +79,6 @@ func main() {
 
 		stallTimeout = flag.Duration("stall-timeout", 0, "stall watchdog: fail a worker wedged past this on one frame (0: off)")
 		retries      = flag.Int("retries", 0, "fleet mode: deadline-budgeted retry attempts for transient failures (0: off)")
-		hedge        = flag.Duration("hedge", 0, "fleet mode: duplicate in-flight requests slower than this on the next engine (0: off)")
 		checkpoint   = flag.String("checkpoint", "", "restore weights from this crash-safe checkpoint before serving")
 
 		engines  = flag.Int("engines", 1, "fleet size; >1 routes via the consistent-hash fleet router")
@@ -97,7 +95,7 @@ func main() {
 	}
 	if err := run(*workload, *config, *backend, *workers, *queue, *batch, *window, *timeout,
 		*frames, *clients, *seed, *quick, *degrade, *chaosPanic, *chaosCorrupt, *chaosStall, *chaosSeed,
-		*stallTimeout, *retries, *hedge, *checkpoint,
+		*stallTimeout, *retries, *checkpoint,
 		*engines, *tenants, *qosRate, *qosBurst); err != nil {
 		fmt.Fprintln(os.Stderr, "edgepc-serve:", err)
 		os.Exit(1)
@@ -118,7 +116,7 @@ func parseConfig(s string) (pipeline.ConfigKind, error) {
 
 func run(workload, config, backend string, workers, queue, batch int, window, timeout time.Duration,
 	frames, clients int, seed int64, quick, degrade bool, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
-	stallTimeout time.Duration, retries int, hedge time.Duration, checkpoint string,
+	stallTimeout time.Duration, retries int, checkpoint string,
 	engines, tenants int, qosRate, qosBurst float64) error {
 	w, err := pipeline.WorkloadByID(workload)
 	if err != nil {
@@ -148,11 +146,8 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 	if retries < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d (0 disables retries)", retries)
 	}
-	if hedge < 0 {
-		return fmt.Errorf("-hedge must be non-negative, got %v (0 disables hedging)", hedge)
-	}
-	if engines == 1 && (retries > 0 || hedge > 0) {
-		return fmt.Errorf("-retries and -hedge re-route across a fleet: set -engines > 1 to use them")
+	if engines == 1 && retries > 0 {
+		return fmt.Errorf("-retries re-routes across a fleet: set -engines > 1 to use it")
 	}
 	if tenants < 1 || qosRate < 0 || qosBurst < 0 {
 		return fmt.Errorf("tenants must be positive, qos-rate/qos-burst non-negative")
@@ -171,7 +166,7 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 	if engines > 1 {
 		return runFleet(w, kind, opts, tierOpts, engines, workers, queue, batch, window, timeout,
 			frames, clients, seed, chaosPanic, chaosCorrupt, chaosStall, chaosSeed,
-			stallTimeout, retries, hedge, checkpoint, tenants, qosRate, qosBurst)
+			stallTimeout, retries, checkpoint, tenants, qosRate, qosBurst)
 	}
 	rows, err := pipeline.TieredReplicas(w, kind, opts, workers, tierOpts)
 	if err != nil {
@@ -319,7 +314,7 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Options, tierOpts []pipeline.Options,
 	engines, workers, queue, batch int, window, timeout time.Duration,
 	frames, clients int, seed int64, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
-	stallTimeout time.Duration, retryMax int, hedge time.Duration, checkpoint string,
+	stallTimeout time.Duration, retryMax int, checkpoint string,
 	tenants int, qosRate, qosBurst float64) error {
 	fleet, err := pipeline.FleetReplicas(w, kind, opts, engines, workers, tierOpts)
 	if err != nil {
@@ -368,9 +363,6 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 	if retryMax > 0 {
 		rcfg.Retry = &serve.RetryPolicy{Max: retryMax}
 	}
-	if hedge > 0 {
-		rcfg.Hedge = &serve.HedgePolicy{Delay: hedge}
-	}
 	router, err := serve.NewRouter(pool, rcfg)
 	if err != nil {
 		return err
@@ -395,8 +387,8 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 	if checkpoint != "" {
 		fmt.Printf("restored weights from checkpoint %s\n", checkpoint)
 	}
-	if retryMax > 0 || hedge > 0 {
-		fmt.Printf("survivability: %d retries, hedge after %v (stall watchdog %v)\n", retryMax, hedge, stallTimeout)
+	if retryMax > 0 {
+		fmt.Printf("survivability: %d retries (stall watchdog %v)\n", retryMax, stallTimeout)
 	}
 
 	var next, okCount, shedCount, failCount, retries atomic.Int64
@@ -453,9 +445,8 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 
 	fmt.Printf("fleet: %d offered, %d completed, %d failed, shed %d/%d/%d (throttle/overload/queue), %d spills, %d quarantines\n",
 		s.Offered, s.Completed, s.Failed, s.ShedThrottled, s.ShedOverload, s.ShedQueueFull, s.Spills, s.Quarantines)
-	if s.Retries > 0 || s.Hedges > 0 || s.Stalls > 0 {
-		fmt.Printf("survivability: %d retries, %d hedges (%d wins), %d stalled attempts\n",
-			s.Retries, s.Hedges, s.HedgeWins, s.Stalls)
+	if s.Retries > 0 || s.Stalls > 0 {
+		fmt.Printf("survivability: %d retries, %d stalled attempts\n", s.Retries, s.Stalls)
 	}
 	if err := s.Conservation(); err != nil {
 		return err

@@ -15,7 +15,7 @@ import (
 func TestRunFleetSmoke(t *testing.T) {
 	err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
 		24, 4, 1, true, true, 0, 0, 0, 1,
-		0, 0, 0, "",
+		0, 0, "",
 		2, 3, 500, 0)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
@@ -23,12 +23,12 @@ func TestRunFleetSmoke(t *testing.T) {
 }
 
 // The survivability path: stall chaos injected into every engine with the
-// watchdog armed, retries and hedging live on the router. The command must
+// watchdog armed, retries live on the router. The command must
 // complete with the router's conservation law intact (run checks it).
 func TestRunSurvivabilitySmoke(t *testing.T) {
 	err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
 		24, 4, 1, true, false, 0, 0, 0.1, 1,
-		250*time.Millisecond, 2, 5*time.Millisecond, "",
+		250*time.Millisecond, 2, "",
 		3, 3, 0, 0)
 	if err != nil {
 		t.Fatalf("survivability run: %v", err)
@@ -61,7 +61,7 @@ func TestRunCheckpointRestore(t *testing.T) {
 	}
 	err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
 		4, 1, 1, true, false, 0, 0, 0, 1,
-		0, 0, 0, path,
+		0, 0, path,
 		1, 4, 0, 0)
 	if err != nil {
 		t.Fatalf("checkpoint run: %v", err)
@@ -82,7 +82,7 @@ func TestRunFleetValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
 				1, 1, 1, true, false, 0, 0, 0, 1,
-				0, 0, 0, "",
+				0, 0, "",
 				tc.engines, tc.tenants, tc.qosRate, 0)
 			if err == nil {
 				t.Fatal("run accepted bad fleet flags")
@@ -98,23 +98,20 @@ func TestRunSurvivabilityValidation(t *testing.T) {
 		name         string
 		stallTimeout time.Duration
 		retries      int
-		hedge        time.Duration
 		checkpoint   string
 		engines      int
 		wantSubstr   string
 	}{
-		{"negative stall-timeout", -time.Millisecond, 0, 0, "", 1, "stall-timeout"},
-		{"negative retries", 0, -1, 0, "", 2, "retries"},
-		{"negative hedge", 0, 0, -time.Millisecond, "", 2, "hedge"},
-		{"retries without fleet", 0, 2, 0, "", 1, "-engines"},
-		{"hedge without fleet", 0, 0, time.Millisecond, "", 1, "-engines"},
-		{"missing checkpoint", 0, 0, 0, "/definitely/not/a/file.epck", 1, "checkpoint"},
+		{"negative stall-timeout", -time.Millisecond, 0, "", 1, "stall-timeout"},
+		{"negative retries", 0, -1, "", 2, "retries"},
+		{"retries without fleet", 0, 2, "", 1, "-engines"},
+		{"missing checkpoint", 0, 0, "/definitely/not/a/file.epck", 1, "checkpoint"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run("W1", "S+N", "", 1, 0, 1, 100*time.Microsecond, 0,
 				1, 1, 1, true, false, 0, 0, 0, 1,
-				tc.stallTimeout, tc.retries, tc.hedge, tc.checkpoint,
+				tc.stallTimeout, tc.retries, tc.checkpoint,
 				tc.engines, 4, 0, 0)
 			if err == nil {
 				t.Fatal("run accepted a bad survivability flag")

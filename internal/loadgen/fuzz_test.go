@@ -26,9 +26,9 @@ func FuzzLoadgenConfig(f *testing.F) {
 		"svc=9999999h",
 		"rate=1e7;duration=1h",
 		"mix=1e308,1e308,1e308",
-		"stall-frac=0.1;stall-timeout=3ms;retries=2;hedge-delay=1ms;hedge-budget=0.2",
+		"stall-frac=0.1;stall-timeout=3ms;retries=2",
 		"stall-frac=2;retries=-1",
-		"hedge-budget=NaN;stall-timeout=99h",
+		"stall-frac=NaN;stall-timeout=99h",
 	} {
 		f.Add(s, "1,10,100")
 	}

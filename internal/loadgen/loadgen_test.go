@@ -46,9 +46,8 @@ func TestRunConservationAndClassTotals(t *testing.T) {
 	spec.QoSRate = 20 // exercise all three shed causes
 	spec.QoSBurst = 5
 	spec.Deadline = 2 * time.Millisecond
-	spec.StallFrac = 0.1 // and the survivability layer, all recovery paths on
+	spec.StallFrac = 0.1 // and the survivability layer, retries on
 	spec.Retries = 1
-	spec.HedgeDelay = time.Millisecond
 	for _, mult := range []float64{1, 20} {
 		m, err := Run(spec, mult)
 		if err != nil {
@@ -150,7 +149,7 @@ func TestRunQoSThrottles(t *testing.T) {
 // A stall storm with no recovery policy: every stalled frame terminally
 // fails, the counters stay conserved, and two same-seed runs agree bit for
 // bit. Survivability counters must stay zero when StallFrac is zero — even
-// with retries/hedging configured — so plain runs are unchanged.
+// with retries configured — so plain runs are unchanged.
 func TestRunStallStormConservation(t *testing.T) {
 	spec := Quick()
 	spec.StallFrac = 0.1
@@ -180,12 +179,11 @@ func TestRunStallStormConservation(t *testing.T) {
 
 	off := Quick()
 	off.Retries = 2
-	off.HedgeDelay = time.Millisecond
 	m, err := Run(off, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Stalled+m.FailedStall+m.Retried+m.Hedged+m.HedgeWins != 0 {
+	if m.Stalled+m.FailedStall+m.Retried != 0 {
 		t.Fatalf("StallFrac=0 run has survivability counters: %+v", m.Counts)
 	}
 }
@@ -248,75 +246,6 @@ func TestRunRetryRespectsDeadlineBudget(t *testing.T) {
 	}
 	if m.Retried != 0 {
 		t.Fatalf("retried %d frames whose backoff exceeds the remaining deadline", m.Retried)
-	}
-}
-
-// Hedging wins races against wedged workers, never exceeds its launch
-// budget, and hedge wins never exceed hedges launched. Run at half capacity:
-// hedges need headroom, and at 1× the wedged workers keep the fleet shedding,
-// where hedging disengages (TestRunNoHedgeWhileShedding).
-func TestRunHedgingWinsRaces(t *testing.T) {
-	const mult = 0.5
-	spec := Quick()
-	spec.StallFrac = 0.1
-	none, err := Run(spec, mult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.HedgeDelay = time.Millisecond
-	spec.HedgeBudget = 1
-	m, err := Run(spec, mult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hedged == 0 || m.HedgeWins == 0 {
-		t.Fatalf("hedging launched %d won %d; expected both > 0", m.Hedged, m.HedgeWins)
-	}
-	if m.HedgeWins > m.Hedged {
-		t.Fatalf("hedge wins %d > hedges %d", m.HedgeWins, m.Hedged)
-	}
-	if m.Completed <= none.Completed {
-		t.Fatalf("hedging did not buy goodput: completed %d -> %d", none.Completed, m.Completed)
-	}
-	capped := spec
-	capped.HedgeBudget = 0.01
-	c, err := Run(capped, mult)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(c.Hedged) > 0.01*float64(c.Offered)+1 {
-		t.Fatalf("hedge budget 1%% of %d offered exceeded: %d hedges", c.Offered, c.Hedged)
-	}
-}
-
-// Hedging disengages while the fleet shed controller is engaged, like the
-// router's: at 10× the fleet sheds almost throughout, and no hedge launch
-// point reached at a non-zero shed level may launch.
-func TestRunNoHedgeWhileShedding(t *testing.T) {
-	spec := Quick()
-	spec.StallFrac = 0.1
-	spec.HedgeDelay = time.Millisecond
-	spec.HedgeBudget = 1
-	s, err := newSim(spec, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.scheduleArrival()
-	points := 0
-	for len(s.events) > 0 {
-		ev := s.events.pop()
-		shedding, hedged := s.shed.Level() > 0, s.counts.Hedged
-		s.step(ev)
-		if ev.kind != evHedge || !shedding {
-			continue
-		}
-		points++
-		if s.counts.Hedged != hedged {
-			t.Fatalf("hedge launched at %v with the shed controller at level %d", time.Duration(s.now), s.shed.Level())
-		}
-	}
-	if s.counts.ShedLevelMax == 0 || points == 0 {
-		t.Fatalf("scenario reached %d hedge launch points while shedding (max shed level %d); want some", points, s.counts.ShedLevelMax)
 	}
 }
 
@@ -470,7 +399,7 @@ func TestRNGDeterminism(t *testing.T) {
 }
 
 func TestParseSpecTable(t *testing.T) {
-	good, err := ParseSpec("seed=9;engines=8;workers=4;rate=500;alpha=2;zipf=0.9;mix=0.1,0.6,0.3;svc=2ms,1ms;ramp=0:1,1:2;deadline=5ms;stall-frac=0.1;stall-timeout=3ms;retries=2;hedge-delay=1ms;hedge-budget=0.2", Quick())
+	good, err := ParseSpec("seed=9;engines=8;workers=4;rate=500;alpha=2;zipf=0.9;mix=0.1,0.6,0.3;svc=2ms,1ms;ramp=0:1,1:2;deadline=5ms;stall-frac=0.1;stall-timeout=3ms;retries=2", Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +407,7 @@ func TestParseSpecTable(t *testing.T) {
 		len(good.SvcTiers) != 2 || good.SvcTiers[1] != time.Millisecond ||
 		len(good.Ramp) != 2 || good.Deadline != 5*time.Millisecond ||
 		good.StallFrac != 0.1 || good.StallTimeout != 3*time.Millisecond ||
-		good.Retries != 2 || good.HedgeDelay != time.Millisecond || good.HedgeBudget != 0.2 {
+		good.Retries != 2 {
 		t.Fatalf("parsed spec wrong: %+v", good)
 	}
 	if got, _ := ParseSpec("", Quick()); !reflect.DeepEqual(got, Quick()) {
@@ -509,8 +438,6 @@ func TestParseSpecTable(t *testing.T) {
 		{"stall-frac=NaN", "stall-frac"},
 		{"stall-timeout=-1ms", "stall-timeout"},
 		{"retries=9", "retries"},
-		{"hedge-delay=2h", "hedge-delay"},
-		{"hedge-budget=-0.1", "hedge-budget"},
 	}
 	for _, tc := range bad {
 		_, err := ParseSpec(tc.in, Quick())
@@ -578,15 +505,15 @@ func TestBuildReport(t *testing.T) {
 	if rep.Crossover[0].GoodputFPS != rep.Scenarios[0].GoodputFPS {
 		t.Fatal("crossover and grid disagree at mult 1")
 	}
-	// The survivability sweep: one row per (multiplier, policy), retries and
-	// hedging buying goodput back at every multiplier.
-	if len(rep.Survivability) != 2*3 {
-		t.Fatalf("survivability rows: %d, want 6", len(rep.Survivability))
+	// The survivability sweep: one row per (multiplier, policy), retries
+	// buying goodput back at every multiplier.
+	if len(rep.Survivability) != 2*2 {
+		t.Fatalf("survivability rows: %d, want 4", len(rep.Survivability))
 	}
-	for i := 0; i < len(rep.Survivability); i += 3 {
-		none, retry, hedge := rep.Survivability[i], rep.Survivability[i+1], rep.Survivability[i+2]
-		if none.Policy != "none" || retry.Policy != "retry2" || hedge.Policy != "retry2+hedge" {
-			t.Fatalf("policy order at %d: %s/%s/%s", i, none.Policy, retry.Policy, hedge.Policy)
+	for i := 0; i < len(rep.Survivability); i += 2 {
+		none, retry := rep.Survivability[i], rep.Survivability[i+1]
+		if none.Policy != "none" || retry.Policy != "retry2" {
+			t.Fatalf("policy order at %d: %s/%s", i, none.Policy, retry.Policy)
 		}
 		if none.Stalled == 0 || none.FailedStall == 0 {
 			t.Fatalf("storm row stalled nothing: %+v", none)
@@ -595,16 +522,12 @@ func TestBuildReport(t *testing.T) {
 			t.Fatalf("retry policy bought no goodput: none %.4f retry %.4f (%d retried)",
 				none.GoodFrac, retry.GoodFrac, retry.Retried)
 		}
-		// Hedging disengages while the fleet sheds, which past 1× is always.
-		if hedge.Mult == 1 && hedge.Hedged == 0 {
-			t.Fatalf("hedge policy launched no hedges: %+v", hedge)
-		}
 	}
 	var sb strings.Builder
 	if err := rep.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"bench": "serve_fleet"`, `"crossover"`, `"scenarios"`, `"p99_ms"`, `"fairness_jain"`, `"survivability"`, `"hedge_wins"`} {
+	for _, key := range []string{`"bench": "serve_fleet"`, `"crossover"`, `"scenarios"`, `"p99_ms"`, `"fairness_jain"`, `"survivability"`, `"retried"`} {
 		if !strings.Contains(sb.String(), key) {
 			t.Fatalf("report JSON missing %s", key)
 		}

@@ -56,8 +56,6 @@ type SpecSummary struct {
 	StallFrac      float64 `json:"stall_frac"`
 	StallTimeoutMs float64 `json:"stall_timeout_ms"`
 	Retries        int     `json:"retries"`
-	HedgeDelayMs   float64 `json:"hedge_delay_ms"`
-	HedgeBudget    float64 `json:"hedge_budget"`
 }
 
 // CrossoverPoint is one sample of the shed-vs-degrade curve: at overload
@@ -73,8 +71,8 @@ type CrossoverPoint struct {
 }
 
 // SurvivabilityPoint is one goodput-under-stall-storm row: the overload
-// multiplier, the recovery policy (none / retries / retries+hedging), and
-// what survived the storm.
+// multiplier, the recovery policy (none / retries), and what survived the
+// storm.
 type SurvivabilityPoint struct {
 	Mult        float64 `json:"mult"`
 	Policy      string  `json:"policy"`
@@ -84,8 +82,6 @@ type SurvivabilityPoint struct {
 	Stalled     uint64  `json:"stalled"`
 	FailedStall uint64  `json:"failed_stall"`
 	Retried     uint64  `json:"retried"`
-	Hedged      uint64  `json:"hedged"`
-	HedgeWins   uint64  `json:"hedge_wins"`
 	P99Ms       float64 `json:"p99_ms"`
 }
 
@@ -135,8 +131,6 @@ func Summarize(spec Spec) SpecSummary {
 		StallFrac:      spec.StallFrac,
 		StallTimeoutMs: float64(spec.StallTimeout) / float64(time.Millisecond),
 		Retries:        spec.Retries,
-		HedgeDelayMs:   float64(spec.HedgeDelay) / float64(time.Millisecond),
-		HedgeBudget:    spec.HedgeBudget,
 	}
 }
 
@@ -173,8 +167,8 @@ func BuildReport(spec Spec, mults, crossover []float64, cal *Calibration) (*Repo
 
 // buildSurvivability runs the stall-storm sweep: the base spec with 10%
 // of dispatched attempts stalling (or the spec's own StallFrac when set),
-// once per recovery policy — no recovery, two retries, two retries plus
-// hedging — at every grid multiplier. The rows quantify how much goodput
+// once per recovery policy — no recovery, two retries — at every grid
+// multiplier. The rows quantify how much goodput
 // each layer of DESIGN.md §15 buys back under a stall storm.
 func buildSurvivability(spec Spec, mults []float64) ([]SurvivabilityPoint, error) {
 	storm := spec
@@ -185,20 +179,17 @@ func buildSurvivability(spec Spec, mults []float64) ([]SurvivabilityPoint, error
 		// A snappy watchdog (one tier-0 service time) so the rows measure
 		// what the recovery policies buy, not watchdog detection latency:
 		// with the sim's laxer 4× default the wedged-worker capacity loss
-		// saturates the fleet and drowns the retry/hedge signal.
+		// saturates the fleet and drowns the retry signal.
 		storm.StallTimeout = spec.SvcTiers[0]
 	}
 	none := storm
-	none.Retries, none.HedgeDelay, none.HedgeBudget = 0, 0, 0
+	none.Retries = 0
 	retry := none
 	retry.Retries = 2
-	hedged := retry
-	hedged.HedgeDelay = 2 * spec.SvcTiers[0]
-	hedged.HedgeBudget = 0.1
 	policies := []struct {
 		name string
 		spec Spec
-	}{{"none", none}, {"retry2", retry}, {"retry2+hedge", hedged}}
+	}{{"none", none}, {"retry2", retry}}
 	out := make([]SurvivabilityPoint, 0, len(policies)*len(mults))
 	for _, mult := range mults {
 		for _, p := range policies {
@@ -209,7 +200,7 @@ func buildSurvivability(spec Spec, mults []float64) ([]SurvivabilityPoint, error
 			pt := SurvivabilityPoint{
 				Mult: mult, Policy: p.name, StallFrac: p.spec.StallFrac,
 				GoodputFPS: m.GoodputFPS, Stalled: m.Stalled, FailedStall: m.FailedStall,
-				Retried: m.Retried, Hedged: m.Hedged, HedgeWins: m.HedgeWins, P99Ms: m.P99Ms,
+				Retried: m.Retried, P99Ms: m.P99Ms,
 			}
 			if m.Offered > 0 {
 				pt.GoodFrac = float64(m.Completed) / float64(m.Offered)
@@ -250,16 +241,16 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // CountLine renders a scenario's outcome counters as one stable line —
 // what the CI determinism check diffs across two same-seed runs.
 func CountLine(sc Scenario) string {
-	return fmt.Sprintf("scenario mult=%g offered=%d admitted=%d completed=%d shed_throttle=%d shed_overload=%d shed_queue=%d failed_deadline=%d failed_stall=%d stalled=%d retried=%d hedged=%d hedge_wins=%d step_downs=%d step_ups=%d shed_level_max=%d",
+	return fmt.Sprintf("scenario mult=%g offered=%d admitted=%d completed=%d shed_throttle=%d shed_overload=%d shed_queue=%d failed_deadline=%d failed_stall=%d stalled=%d retried=%d step_downs=%d step_ups=%d shed_level_max=%d",
 		sc.Mult, sc.Offered, sc.Admitted, sc.Completed, sc.ShedThrottled,
 		sc.ShedOverload, sc.ShedQueueFull, sc.FailedDeadline,
-		sc.FailedStall, sc.Stalled, sc.Retried, sc.Hedged, sc.HedgeWins,
+		sc.FailedStall, sc.Stalled, sc.Retried,
 		sc.StepDowns, sc.StepUps, sc.ShedLevelMax)
 }
 
 // SurvLine renders one survivability row as a stable count line, diffed by
 // the CI determinism check alongside CountLine.
 func SurvLine(p SurvivabilityPoint) string {
-	return fmt.Sprintf("survivability mult=%g policy=%s stalled=%d failed_stall=%d retried=%d hedged=%d hedge_wins=%d goodput_frac=%.4f",
-		p.Mult, p.Policy, p.Stalled, p.FailedStall, p.Retried, p.Hedged, p.HedgeWins, p.GoodFrac)
+	return fmt.Sprintf("survivability mult=%g policy=%s stalled=%d failed_stall=%d retried=%d goodput_frac=%.4f",
+		p.Mult, p.Policy, p.Stalled, p.FailedStall, p.Retried, p.GoodFrac)
 }

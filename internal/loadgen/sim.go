@@ -15,21 +15,21 @@ import (
 // package's own code: the consistent-hash Ring, token-bucket QoS (on the
 // virtual clock) and hysteresis ShedController admit and shed, each
 // engine's serve.Ladder decides when to step a tier down or up, and
-// serve.RetryPolicy / serve.HedgePolicy decide whether a retry or a hedge
-// may launch and after what backoff. What is modelled here is only frame
-// *execution*: a bounded reject-don't-block FIFO per engine, Workers service
-// slots, a per-tier service time drawn from calibration or the spec, and
-// batches of one — so Ladder.BatchDone fires per frame.
+// serve.RetryPolicy decides whether a retry may launch and after what
+// backoff. What is modelled here is only frame *execution*: a bounded
+// reject-don't-block FIFO per engine, Workers service slots, a per-tier
+// service time drawn from calibration or the spec, and batches of one — so
+// Ladder.BatchDone fires per frame.
 //
 // With StallFrac > 0 the survivability layer engages (DESIGN.md §15): a
 // seeded per-dispatch draw wedges the attempt's worker until the modelled
 // watchdog reclaims it at StallTimeout; stalled frames are then retried on
 // the next ring candidate after the retry policy's backoff (never past the
-// deadline budget, up to Retries times) and optionally hedged — a duplicate
-// attempt launched HedgeDelay after the primary stalls, first completion
-// wins, the loser is cancelled at pickup or completes without counting. The
-// stall draw is a pure hash of (seed, attempt ordinal), never the arrival
-// RNG, so StallFrac = 0 runs are bit-identical to the plain model.
+// deadline budget, up to Retries times). A frame's attempts are strictly
+// sequential, like Router.Submit's attempt loop: a retry starts only after
+// the stalled attempt was reclaimed and its backoff elapsed. The stall draw
+// is a pure hash of (seed, attempt ordinal), never the arrival RNG, so
+// StallFrac = 0 runs are bit-identical to the plain model.
 
 // event kinds.
 const (
@@ -37,12 +37,10 @@ const (
 	evComplete
 	evStallFree // watchdog reclaims a stalled attempt's worker
 	evRetry     // a stalled frame's retry backoff has elapsed
-	evHedge     // hedge launch point for a stalled frame
 )
 
 // event is one heap entry. Completion events carry the frame's provenance;
-// survivability events additionally carry the frame id and whether the
-// attempt was a hedge.
+// survivability events additionally carry the frame id.
 type event struct {
 	at     int64 // virtual ns
 	seq    uint64
@@ -53,7 +51,6 @@ type event struct {
 	tenant int32
 	arr    int64  // arrival time of the completing frame
 	fid    uint64 // frame id; 0 when the survivability layer is off
-	hedge  bool   // this attempt is the frame's hedge
 }
 
 // eventHeap is a binary min-heap over (at, seq).
@@ -110,23 +107,18 @@ type qItem struct {
 	tenant int32
 	prio   uint8
 	fid    uint64 // frame id; 0 when the survivability layer is off
-	hedge  bool
 }
 
-// frameState tracks one admitted frame's attempts while the survivability
-// layer is on: the primary dispatch plus any retries and the optional hedge
-// all point back here, so the first completion wins exactly once and a
-// frame terminally fails only when its last in-flight attempt resolves.
+// frameState tracks one admitted frame while the survivability layer is on:
+// its one attempt in flight and the retries it has spent. The frame leaves
+// the tracking map when it completes or terminally fails.
 type frameState struct {
 	arr     int64
-	h       uint64 // route hash; retry/hedge candidates recomputed from it
+	h       uint64 // route hash; retry candidates recomputed from it
 	tenant  int32
 	prio    uint8
-	candIdx int // next ring candidate for a retry or hedge dispatch
+	candIdx int // next ring candidate for a retry dispatch
 	retries int
-	pending int // attempts queued or in service
-	done    bool
-	hedged  bool
 }
 
 // simEngine models one engine's execution state: a bounded FIFO
@@ -164,11 +156,9 @@ type Counts struct {
 	ShedOverload   uint64   `json:"shed_overload"`
 	ShedQueueFull  uint64   `json:"shed_queue"`
 	FailedDeadline uint64   `json:"failed_deadline"`
-	FailedStall    uint64   `json:"failed_stall"` // stalled with retries/hedge exhausted
+	FailedStall    uint64   `json:"failed_stall"` // stalled with retries exhausted
 	Stalled        uint64   `json:"stalled"`      // attempts wedged until the watchdog reclaimed them
 	Retried        uint64   `json:"retried"`      // re-dispatches of stalled frames (attempts, not offers)
-	Hedged         uint64   `json:"hedged"`       // hedge attempts launched
-	HedgeWins      uint64   `json:"hedge_wins"`   // frames whose hedge completed first
 	Degraded       []uint64 `json:"degraded"`     // completed per tier; [0] is full fidelity
 	StepDowns      uint64   `json:"step_downs"`
 	StepUps        uint64   `json:"step_ups"`
@@ -226,7 +216,7 @@ type sim struct {
 	zipf    *Zipf
 	cand    []int
 
-	wantCand int // ring candidates needed to cover spill + retries + hedge
+	wantCand int // ring candidates needed to cover spill + retries
 
 	// Survivability state (nil/zero unless StallFrac > 0).
 	surv       bool
@@ -235,8 +225,7 @@ type sim struct {
 	attemptSeq uint64             // ordinal feeding the pure-hash stall draw
 	stallNs    int64              // resolved watchdog reclaim delay
 	retry      *serve.RetryPolicy // nil: stalled frames are not retried
-	hedge      *serve.HedgePolicy // nil: no hedging
-	cand2      []int              // scratch for retry/hedge candidate recomputation
+	cand2      []int              // scratch for retry candidate recomputation
 
 	rateBase  float64 // spec rate × overload multiplier
 	xmCache   float64 // Pareto xm at the current effective rate
@@ -263,7 +252,7 @@ func (s *Spec) EffectiveRate() float64 {
 // Run simulates one scenario at the given overload multiplier and returns
 // its metrics. The spec is validated first; the conservation laws
 // (offered = admitted + shed, admitted = completed + deadline-failed +
-// stall-failed, hedge wins ≤ hedges launched) are checked before returning
+// stall-failed, retried ≤ Retries × admitted) are checked before returning
 // and violate loudly, never silently.
 func Run(spec Spec, mult float64) (Metrics, error) {
 	if err := spec.Validate(); err != nil {
@@ -364,11 +353,6 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 			s.retry = &serve.RetryPolicy{Max: spec.Retries, Seed: spec.Seed}
 			s.retry.Normalize()
 			s.wantCand += spec.Retries // each re-attempt rotates one candidate further
-		}
-		if spec.HedgeDelay > 0 {
-			s.hedge = &serve.HedgePolicy{Delay: spec.HedgeDelay, MaxFraction: spec.HedgeBudget}
-			s.hedge.Normalize()
-			s.wantCand++ // the hedge starts one past its attempt's primary
 		}
 	}
 	return s, nil
@@ -475,7 +459,7 @@ func (s *sim) arrive() {
 	h := serve.Mix64(serve.Mix64(s.spec.Seed^0x726f757465) ^ uint64(tenant)<<10 ^ uint64(stream))
 	s.cand = s.ring.CandidatesHash(h, s.wantCand, s.cand)
 	// Initial admission only spills over the first 1+Spill candidates — the
-	// rest of the walk is reserved for retries and hedges, exactly like the
+	// rest of the walk is reserved for retries, exactly like the
 	// router's wider Candidates request.
 	adm := s.cand
 	if spill := 1 + s.spec.Spill; len(adm) > spill {
@@ -493,7 +477,7 @@ func (s *sim) arrive() {
 			fid = s.nextFid
 			s.frames[fid] = &frameState{
 				arr: s.now, h: h, tenant: int32(tenant), prio: uint8(prio),
-				candIdx: i + 1, pending: 1,
+				candIdx: i + 1,
 			}
 		}
 		e.push(qItem{arr: s.now, tenant: int32(tenant), prio: uint8(prio), fid: fid})
@@ -508,49 +492,32 @@ func (s *sim) arrive() {
 // dispatch starts service on engine id while workers are idle and frames
 // queued, dropping at pickup a frame whose deadline passed while it waited
 // (the engine's ErrDeadline). With the survivability layer on it also draws
-// per-attempt stalls and cancels queued losers of already-resolved hedge
-// races.
+// per-attempt stalls.
 func (s *sim) dispatch(id int) {
 	e := &s.engines[id]
 	for e.free > 0 && e.n > 0 {
 		it := e.popq()
-		if fr := s.frames[it.fid]; fr != nil && fr.done {
-			// Loser attempt of a frame another attempt already resolved:
-			// the real router cancels it at pickup; drop without service.
-			s.resolveAttempt(it.fid, &s.counts.FailedStall)
-			e.ladder.BatchDone(e.n)
-			continue
-		}
 		if s.spec.Deadline > 0 && s.now-it.arr > int64(s.spec.Deadline) {
-			if it.fid != 0 {
-				s.resolveAttempt(it.fid, &s.counts.FailedDeadline)
-			} else {
-				s.counts.FailedDeadline++
-				s.classes[it.prio].Failed++
-			}
+			s.failFrame(it.fid, it.prio, &s.counts.FailedDeadline)
 			e.ladder.BatchDone(e.n)
 			continue
 		}
 		e.free--
 		if s.surv && s.stallDraw() {
 			// Stalled attempt: the worker stays wedged until the modelled
-			// watchdog reclaims it at StallTimeout. A stalled primary also
-			// arms the frame's hedge launch point.
+			// watchdog reclaims it at StallTimeout.
 			s.counts.Stalled++
 			s.schedule(event{
 				at: s.now + s.stallNs, kind: evStallFree, prio: it.prio,
-				eng: int32(id), tenant: it.tenant, arr: it.arr, fid: it.fid, hedge: it.hedge,
+				eng: int32(id), tenant: it.tenant, arr: it.arr, fid: it.fid,
 			})
-			if s.hedge != nil && !it.hedge && !s.frames[it.fid].hedged {
-				s.schedule(event{at: s.now + int64(s.hedge.Delay), kind: evHedge, fid: it.fid})
-			}
 			continue
 		}
 		tier := e.ladder.Tier()
 		s.schedule(event{
 			at: s.now + int64(s.spec.SvcTiers[tier]), kind: evComplete, prio: it.prio,
 			tier: int16(tier), eng: int32(id), tenant: it.tenant, arr: it.arr,
-			fid: it.fid, hedge: it.hedge,
+			fid: it.fid,
 		})
 	}
 }
@@ -564,20 +531,12 @@ func (s *sim) stallDraw() bool {
 	return u < s.spec.StallFrac
 }
 
-// resolveAttempt retires one in-flight attempt of frame fid. When the last
-// attempt resolves without any attempt having won, the frame terminally
-// fails into *failed; resolved frames are dropped from the tracking map.
-func (s *sim) resolveAttempt(fid uint64, failed *uint64) {
-	fr := s.frames[fid]
-	fr.pending--
-	if fr.pending > 0 {
-		return
-	}
-	if !fr.done {
-		fr.done = true
-		*failed++
-		s.classes[fr.prio].Failed++
-	}
+// failFrame is the one place an admitted frame terminally fails: it counts
+// the failure into *failed and its priority class, and drops the frame from
+// the tracking map (a no-op for fid 0, the survivability layer off).
+func (s *sim) failFrame(fid uint64, prio uint8, failed *uint64) {
+	*failed++
+	s.classes[prio].Failed++
 	delete(s.frames, fid)
 }
 
@@ -585,7 +544,7 @@ func (s *sim) resolveAttempt(fid uint64, failed *uint64) {
 // queue room, wrapping over the candidate walk like the router's
 // trySubmitFrom. Returns the target engine (not yet dispatched) or -1 when
 // every candidate's queue is full.
-func (s *sim) reenqueue(fr *frameState, fid uint64, hedge bool) int {
+func (s *sim) reenqueue(fr *frameState, fid uint64) int {
 	s.cand2 = s.ring.CandidatesHash(fr.h, s.wantCand, s.cand2)
 	cand := s.cand2
 	for i := 0; i < len(cand); i++ {
@@ -595,7 +554,7 @@ func (s *sim) reenqueue(fr *frameState, fid uint64, hedge bool) int {
 			continue
 		}
 		fr.candIdx = j + 1
-		e.push(qItem{arr: fr.arr, tenant: fr.tenant, prio: fr.prio, fid: fid, hedge: hedge})
+		e.push(qItem{arr: fr.arr, tenant: fr.tenant, prio: fr.prio, fid: fid})
 		e.ladder.Enqueued(e.n)
 		return cand[j]
 	}
@@ -604,89 +563,51 @@ func (s *sim) reenqueue(fr *frameState, fid uint64, hedge bool) int {
 
 // stallFree is the modelled watchdog firing: the wedged worker comes back,
 // and the stalled frame either waits out the retry policy's backoff before
-// a re-dispatch (primary attempts only; serve.RetryPolicy decides, so never
-// past the retry cap or the deadline budget) or resolves, terminally
-// failing as stall-failed if it was the last attempt.
+// a re-dispatch (serve.RetryPolicy decides, so never past the retry cap or
+// the deadline budget) or terminally fails as stall-failed.
 func (s *sim) stallFree(ev event) {
 	s.engines[ev.eng].free++
-	if fr := s.frames[ev.fid]; !fr.done && !ev.hedge {
-		budget := serve.NoDeadline
-		if s.spec.Deadline > 0 {
-			budget = s.spec.Deadline - time.Duration(s.now-fr.arr)
-		}
-		if wait, ok := s.retry.Next(fr.retries, ev.fid, budget); ok {
-			fr.retries++
-			s.schedule(event{at: s.now + int64(wait), kind: evRetry, fid: ev.fid})
-			s.dispatch(int(ev.eng))
-			return
-		}
+	fr := s.frames[ev.fid]
+	budget := serve.NoDeadline
+	if s.spec.Deadline > 0 {
+		budget = s.spec.Deadline - time.Duration(s.now-fr.arr)
 	}
-	s.resolveAttempt(ev.fid, &s.counts.FailedStall)
+	if wait, ok := s.retry.Next(fr.retries, ev.fid, budget); ok {
+		fr.retries++
+		s.schedule(event{at: s.now + int64(wait), kind: evRetry, fid: ev.fid})
+	} else {
+		s.failFrame(ev.fid, fr.prio, &s.counts.FailedStall)
+	}
 	s.dispatch(int(ev.eng))
 }
 
 // retryFire launches a stalled frame's retry once its backoff has elapsed,
-// on the next ring candidate with queue room. The frame's attempt stayed
-// pending through the backoff; it resolves here if a hedge won meanwhile or
+// on the next ring candidate with queue room. The frame stall-fails here if
 // every candidate is full.
 func (s *sim) retryFire(ev event) {
 	fr := s.frames[ev.fid]
-	if !fr.done {
-		s.counts.Retried++
-		if id := s.reenqueue(fr, ev.fid, false); id >= 0 {
-			s.dispatch(id)
-			return
-		}
-	}
-	s.resolveAttempt(ev.fid, &s.counts.FailedStall)
-}
-
-// hedgeFire launches the frame's hedge if it is still unresolved and
-// serve.HedgePolicy allows one more (budget of offered traffic, and never
-// while the shed controller is engaged). The hedge is a full attempt: it
-// can stall, be deadline-dropped, or win the race.
-func (s *sim) hedgeFire(ev event) {
-	fr := s.frames[ev.fid]
-	if fr == nil || fr.done || fr.hedged {
+	s.counts.Retried++
+	if id := s.reenqueue(fr, ev.fid); id >= 0 {
+		s.dispatch(id)
 		return
 	}
-	if !s.hedge.MayLaunch(s.counts.Hedged, s.counts.Offered, s.shed.Level()) {
-		return
-	}
-	id := s.reenqueue(fr, ev.fid, true)
-	if id < 0 {
-		return
-	}
-	fr.hedged = true
-	fr.pending++
-	s.counts.Hedged++
-	s.dispatch(id)
+	s.failFrame(ev.fid, fr.prio, &s.counts.FailedStall)
 }
 
 // complete finishes one attempt: latency accounting, the ladder's
-// batch-done observation, next dispatch. Under the survivability layer only
-// the first attempt of a frame to complete counts — a hedge-race loser
-// finishes its service without counting.
+// batch-done observation, next dispatch. A frame's one attempt in flight is
+// the only one that can complete it, so every completion counts.
 func (s *sim) complete(ev event) {
 	e := &s.engines[ev.eng]
 	e.free++
-	fr := s.frames[ev.fid] // nil with the survivability layer off
-	if fr == nil || !fr.done {
-		lat := s.now - ev.arr
-		s.lat = append(s.lat, lat)
-		s.classLat[ev.prio] = append(s.classLat[ev.prio], lat)
-		s.counts.Completed++
-		s.counts.Degraded[ev.tier]++
-		s.tDone[ev.tenant]++
-		s.classes[ev.prio].Completed++
-		if ev.hedge {
-			s.counts.HedgeWins++
-		}
-	}
-	if fr != nil {
-		fr.done = true
-		s.resolveAttempt(ev.fid, &s.counts.FailedStall)
-	}
+	lat := s.now - ev.arr
+	s.lat = append(s.lat, lat)
+	s.classLat[ev.prio] = append(s.classLat[ev.prio], lat)
+	s.counts.Completed++
+	s.counts.Degraded[ev.tier]++
+	s.tDone[ev.tenant]++
+	s.classes[ev.prio].Completed++
+	delete(s.frames, ev.fid) // a no-op with the survivability layer off
 	e.ladder.BatchDone(e.n)
 	s.dispatch(int(ev.eng))
 }
@@ -704,8 +625,6 @@ func (s *sim) step(ev event) {
 		s.stallFree(ev)
 	case evRetry:
 		s.retryFire(ev)
-	case evHedge:
-		s.hedgeFire(ev)
 	}
 }
 
@@ -730,8 +649,8 @@ func (s *sim) run() (Metrics, error) {
 	if c.Admitted != c.Completed+c.FailedDeadline+c.FailedStall {
 		return Metrics{}, fmt.Errorf("loadgen: accounting violated: admitted %d != completed %d + deadline-failed %d + stall-failed %d", c.Admitted, c.Completed, c.FailedDeadline, c.FailedStall)
 	}
-	if c.HedgeWins > c.Hedged {
-		return Metrics{}, fmt.Errorf("loadgen: accounting violated: hedge wins %d > hedges launched %d", c.HedgeWins, c.Hedged)
+	if c.Retried > uint64(s.spec.Retries)*c.Admitted {
+		return Metrics{}, fmt.Errorf("loadgen: accounting violated: retried %d > %d retries × admitted %d", c.Retried, s.spec.Retries, c.Admitted)
 	}
 	if len(s.frames) > 0 {
 		return Metrics{}, fmt.Errorf("loadgen: accounting violated: %d frames leaked unresolved", len(s.frames))

@@ -2,8 +2,8 @@
 // §13): an open-loop, discrete-event simulation of the serving fleet in
 // which every policy decision is made by the live stack's own code
 // (internal/serve) — the consistent-hash ring, per-tenant token buckets and
-// shed controller, each engine's degradation Ladder, and the retry and hedge
-// policies — driven in virtual time by a seeded PRNG and an injected clock;
+// shed controller, each engine's degradation Ladder, and the retry policy —
+// driven in virtual time by a seeded PRNG and an injected clock;
 // only frame execution (queue, service time, stalls) is modelled. Arrivals are
 // heavy-tailed (Pareto inter-arrival times), modulated by a diurnal ramp
 // schedule, and spread across tenants by a Zipf skew; engine service times
@@ -102,15 +102,10 @@ type Spec struct {
 	// stalls: a stalled attempt wedges its worker until the modelled watchdog
 	// reclaims it at StallTimeout. Retries is serve.RetryPolicy.Max: a stalled
 	// frame is re-dispatched on the next ring candidate after the policy's
-	// backoff, never past the deadline budget. HedgeDelay > 0 launches a
-	// duplicate attempt on the next candidate when the primary has not
-	// resolved after the delay; first completion wins. HedgeBudget is
-	// serve.HedgePolicy.MaxFraction, and hedging disengages while shedding.
+	// backoff, never past the deadline budget.
 	StallFrac    float64       // fraction of dispatched attempts that stall, [0,1]
 	StallTimeout time.Duration // watchdog reclaim delay; 0: 4× SvcTiers[0]
 	Retries      int           // max re-dispatches of a stalled frame, [0,8]
-	HedgeDelay   time.Duration // hedge launch delay; 0 disables hedging
-	HedgeBudget  float64       // max hedges / offered, (0,1]; 0: 0.05
 }
 
 const numPriorities = 3
@@ -262,12 +257,6 @@ func (s *Spec) Validate() error {
 	if s.Retries < 0 || s.Retries > 8 {
 		return specErr("retries", fmt.Sprint(s.Retries), "must be in [0, 8]")
 	}
-	if s.HedgeDelay < 0 || s.HedgeDelay > time.Minute {
-		return specErr("hedge-delay", s.HedgeDelay.String(), "must be in [0, 1m] (0 disables hedging)")
-	}
-	if !(s.HedgeBudget >= 0) || s.HedgeBudget > 1 {
-		return specErr("hedge-budget", fmt.Sprint(s.HedgeBudget), "hedge fraction of offered must be in [0, 1] (0: 0.05)")
-	}
 	// Bound total modelled arrivals so a spec cannot ask for an unrunnable
 	// simulation (CI runs attacker-shaped fuzz corpora through here).
 	rate := s.Rate
@@ -313,8 +302,8 @@ func (s *Spec) queueDepth() int {
 // Recognized keys: seed, duration, rate, alpha, ramp, tenants, zipf,
 // streams, mix, engines, workers, queue, svc, ladder-high, ladder-low,
 // ladder-hyst, shed-high, shed-low, shed-hyst, qos-rate, qos-burst,
-// deadline, vnodes, spill, stall-frac, stall-timeout, retries,
-// hedge-delay, hedge-budget. Every failure is a *SpecError.
+// deadline, vnodes, spill, stall-frac, stall-timeout, retries. Every failure
+// is a *SpecError.
 func ParseSpec(s string, base Spec) (Spec, error) {
 	out := base
 	for _, pair := range strings.Split(s, ";") {
@@ -410,10 +399,6 @@ func (s *Spec) set(k, v string) error {
 		return parseDurField(k, v, &s.StallTimeout)
 	case "retries":
 		return parseIntField(k, v, &s.Retries)
-	case "hedge-delay":
-		return parseDurField(k, v, &s.HedgeDelay)
-	case "hedge-budget":
-		return parseFloatField(k, v, &s.HedgeBudget)
 	default:
 		return specErr(k, v, "unknown key")
 	}

@@ -3,17 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"time"
 )
 
 // This file is the router's survivability layer (DESIGN.md §15): deadline-
-// budgeted retries and tail-latency hedging. Both are *attempt* multipliers —
-// one offered request still terminates in exactly one accounting class, so
-// the conservation law Offered = Completed + Failed + Sheds is untouched;
-// Retries/Hedges/HedgeWins are separate attempt counters bounded by it
-// (HedgeWins <= Hedges, and hedges are capped to a fraction of Offered).
+// budgeted retries. A retry multiplies *attempts*, not offers — one offered
+// request still terminates in exactly one accounting class, so the
+// conservation law Offered = Completed + Failed + Sheds is untouched, and
+// Retries is a separate attempt counter bounded by Max per request that
+// reached an engine.
 
 // RetryPolicy re-routes transient failures (ErrPanic, ErrStalled, and
 // ErrQueueFull after spill exhaustion) to the next ring candidate after a
@@ -71,43 +70,6 @@ func (p *RetryPolicy) Next(retried int, seq uint64, remaining time.Duration) (wa
 	return wait, remaining > wait
 }
 
-// HedgePolicy duplicates a slow in-flight request on the next ring candidate
-// after Delay; the first result wins and the loser is cancelled. Hedging
-// trades bounded extra load for tail latency, so it is budgeted (MaxFraction
-// of offered traffic) and disengages entirely while the fleet shed
-// controller is shedding — a hedge under overload is fuel on the fire.
-type HedgePolicy struct {
-	// Delay is how long the primary attempt may run before a hedge launches.
-	// Zero derives it from the router's observed p99 completion latency; a
-	// cold window (no samples yet) hedges nothing.
-	Delay time.Duration
-	// MaxFraction caps launched hedges as a fraction of offered requests
-	// (default 0.05, clamped to [0, 1]).
-	MaxFraction float64
-}
-
-// Normalize fills the documented defaults in place, like
-// RetryPolicy.Normalize.
-func (p *HedgePolicy) Normalize() {
-	if p.MaxFraction <= 0 {
-		p.MaxFraction = 0.05
-	}
-	if p.MaxFraction > 1 {
-		p.MaxFraction = 1
-	}
-}
-
-// MayLaunch gates one more hedge launch, given the hedges launched and the
-// requests offered so far and the fleet shed level: never while the shed
-// controller is engaged, and never past the MaxFraction budget of offered
-// traffic.
-func (p *HedgePolicy) MayLaunch(hedges, offered uint64, shedLevel int) bool {
-	if shedLevel > 0 {
-		return false
-	}
-	return float64(hedges+1) <= p.MaxFraction*float64(offered)
-}
-
 // retryable reports whether a failed attempt may be re-routed: only
 // failures that say "this engine, right now" — a panicked or stalled worker,
 // or a full queue — can succeed elsewhere. Everything else is terminal.
@@ -115,48 +77,37 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrPanic) || errors.Is(err, ErrStalled) || errors.Is(err, ErrQueueFull)
 }
 
-// attemptOutcome is one attempt's terminal result, raced over a buffered
-// channel when hedging is live.
-type attemptOutcome struct {
-	res    Result
-	err    error
-	hedged bool
-}
-
-// submitSurvivable is Submit's slow path, taken only when a RetryPolicy or
-// HedgePolicy is configured: up to 1+Retry.Max attempts, each rotated one
+// attempts is Submit's one attempt loop. The first attempt always runs, with
+// the request as given. Each re-attempt needs a retryable failure and a grant
+// from RetryPolicy.Next (a nil policy never grants one), rotates one
 // candidate further along the ring than the last so a retry never hammers
-// the engine that just failed it, each spanning the usual 1+Spill spillover
-// window, each individually hedgeable. seq is the per-submission jitter key.
-func (rt *Router) submitSurvivable(ctx context.Context, cand []int, req FleetRequest, seq uint64) (Result, error) {
-	var deadline time.Time
-	if req.Timeout > 0 {
-		deadline = time.Now().Add(req.Timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	budget := func() time.Duration {
-		if deadline.IsZero() {
-			return NoDeadline
+// the engine that just failed it, and gets its engine timeout clipped to the
+// request's remaining deadline budget. Every attempt spans the usual 1+Spill
+// spillover window. The loop is synchronous: the router starts no goroutines
+// of its own.
+func (rt *Router) attempts(ctx context.Context, cand []int, req FleetRequest) (Result, error) {
+	var seq uint64         // the jitter key
+	var deadline time.Time // the request's budget; only re-attempts read it
+	if rt.retry != nil {
+		seq = rt.seq.Add(1)
+		if req.Timeout > 0 {
+			deadline = time.Now().Add(req.Timeout)
 		}
-		return time.Until(deadline)
+		if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+			deadline = d
+		}
 	}
 	span := 1 + rt.cfg.Spill
-	var res Result
-	var err error
 	for a := 0; ; a++ {
-		areq := req
-		if !deadline.IsZero() {
-			if areq.Timeout = budget(); areq.Timeout <= 0 {
-				return res, err
-			}
-		}
-		res, err = rt.attempt(ctx, cand, a, span, areq)
+		res, err := rt.trySubmitFrom(ctx, cand, a, span, req)
 		if err == nil || !retryable(err) {
 			return res, err
 		}
-		wait, ok := rt.retry.Next(a, seq, budget())
+		remaining := NoDeadline
+		if !deadline.IsZero() {
+			remaining = time.Until(deadline)
+		}
+		wait, ok := rt.retry.Next(a, seq, remaining)
 		if !ok {
 			return res, err // retries or budget exhausted: the last failure stands
 		}
@@ -167,95 +118,11 @@ func (rt *Router) submitSurvivable(ctx context.Context, cand []int, req FleetReq
 			timer.Stop()
 			return res, err
 		}
-		timer.Stop()
-		rt.retries.Add(1)
-	}
-}
-
-// attempt runs one (possibly hedged) attempt starting at ring candidate
-// `start`. Without a live hedge window this is a plain synchronous walk —
-// no goroutines, no channel.
-func (rt *Router) attempt(ctx context.Context, cand []int, start, span int, req FleetRequest) (Result, error) {
-	delay := rt.hedgeDelay()
-	if delay <= 0 || len(cand) < 2 || !rt.canHedge() {
-		return rt.trySubmitFrom(ctx, cand, start, span, req)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // the loser is cancelled the moment a winner returns
-	ch := make(chan attemptOutcome, 2)
-	go rt.runAttempt(cctx, cand, start, span, req, ch, false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	pending := 1
-	var firstRes Result
-	var firstErr error
-	haveErr := false
-	for {
-		select {
-		case out := <-ch:
-			pending--
-			if out.err == nil {
-				if out.hedged {
-					rt.hedgeWins.Add(1)
-				}
-				return out.res, nil
-			}
-			if !haveErr {
-				firstRes, firstErr, haveErr = out.res, out.err, true
-			}
-			if pending == 0 {
-				return firstRes, firstErr
-			}
-		case <-timer.C:
-			// The primary is slow: duplicate it one candidate further along,
-			// re-checking the budget at launch time (shed level and the
-			// hedge-fraction cap may have moved since Submit admitted us).
-			if pending == 1 && rt.canHedge() {
-				rt.hedges.Add(1)
-				pending++
-				go rt.runAttempt(cctx, cand, start+1, span, req, ch, true)
+		if !deadline.IsZero() {
+			if req.Timeout = time.Until(deadline); req.Timeout <= 0 {
+				return res, err
 			}
 		}
+		rt.retries.Add(1)
 	}
-}
-
-// runAttempt is the goroutine body for one raced attempt. The leading
-// deferred guard keeps a panicking attempt from taking the process down
-// (package invariant, enforced by the gorecover analyzer); the buffered
-// channel (cap 2 for 2 attempts) means the send never blocks, so a loser
-// finishing after the winner just parks its outcome and exits.
-func (rt *Router) runAttempt(ctx context.Context, cand []int, start, span int, req FleetRequest, ch chan<- attemptOutcome, hedged bool) {
-	defer rt.recoverAttempt(ch, hedged)
-	res, err := rt.trySubmitFrom(ctx, cand, start, span, req)
-	ch <- attemptOutcome{res: res, err: err, hedged: hedged}
-}
-
-// recoverAttempt converts a panicking attempt into an ErrPanic outcome so
-// the racing side of attempt() always hears back.
-func (rt *Router) recoverAttempt(ch chan<- attemptOutcome, hedged bool) {
-	if v := recover(); v != nil {
-		ch <- attemptOutcome{err: fmt.Errorf("%w: router attempt: %v", ErrPanic, v), hedged: hedged}
-	}
-}
-
-// hedgeDelay resolves the hedge trigger: the configured delay, or the
-// fleet's observed p99 completion latency when unset. Zero (hedging off, or
-// a cold latency window) disables hedging for this attempt.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.hedge == nil {
-		return 0
-	}
-	if rt.hedge.Delay > 0 {
-		return rt.hedge.Delay
-	}
-	snap := rt.latency.Snapshot()
-	if snap.Window == 0 {
-		return 0
-	}
-	return snap.P99
-}
-
-// canHedge asks the hedge policy whether one more hedge may launch now.
-func (rt *Router) canHedge() bool {
-	return rt.hedge.MayLaunch(rt.hedges.Load(), rt.offered.Load(), rt.shed.Level())
 }

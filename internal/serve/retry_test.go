@@ -35,40 +35,88 @@ func newMixedFleet(t *testing.T, cfgs []Config, rcfg RouterConfig) *Router {
 	return rt
 }
 
-// TestRetryReRoutesPanicToNextCandidate pins a stream to an engine whose
-// every frame panics and asserts the retry policy re-routes the re-attempt
-// to the ring successor instead of hammering the failed owner: the request
-// completes, counted once, with exactly one retry.
+// TestRetryReRoutesPanicToNextCandidate pins a stream to an owner that fails
+// every frame transiently — by panicking, or by wedging until the armed
+// stall watchdog fails it with ErrStalled — and asserts the retry policy
+// re-routes the re-attempt to the ring successor instead of hammering the
+// failed owner: the request completes, counted once, with exactly one retry.
 func TestRetryReRoutesPanicToNextCandidate(t *testing.T) {
-	rt := newMixedFleet(t,
-		[]Config{
-			{MaxBatch: 1, PanicTrip: 100, Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}},
-			{MaxBatch: 1},
-		},
-		RouterConfig{
-			Spill: -1, // isolate retry re-routing from spillover
-			Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: time.Millisecond},
+	cases := []struct {
+		name   string
+		owner  Config
+		stalls uint64 // router-observed ErrStalled attempts
+	}{
+		{name: "panic", owner: Config{MaxBatch: 1, PanicTrip: 100,
+			Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}}},
+		{name: "stall", owner: Config{MaxBatch: 1, PanicTrip: 100, StallTimeout: 5 * time.Millisecond,
+			Faults: &faultinject.Plan{Seed: 3, StallFrac: 1, Stall: 50 * time.Millisecond}},
+			stalls: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rt := newMixedFleet(t, []Config{c.owner, {MaxBatch: 1}},
+				RouterConfig{
+					Spill: -1, // isolate retry re-routing from spillover
+					Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: time.Millisecond},
+				})
+			stream := pinStream(t, rt, 0)
+			res, err := rt.Submit(context.Background(), FleetRequest{
+				Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream,
+			})
+			if err != nil {
+				t.Fatalf("retried frame: %v", err)
+			}
+			if res.Output == nil {
+				t.Fatal("retried frame: no output")
+			}
+			s := rt.Stats()
+			conserve(t, s)
+			if s.Retries != 1 {
+				t.Fatalf("Retries = %d, want 1", s.Retries)
+			}
+			if s.Completed != 1 || s.Failed != 0 {
+				t.Fatalf("completed/failed = %d/%d, want 1/0", s.Completed, s.Failed)
+			}
+			if s.Stalls != c.stalls {
+				t.Fatalf("Stalls = %d, want %d", s.Stalls, c.stalls)
+			}
+			if s.EngineStats[1].Completed != 1 {
+				t.Fatal("re-attempt did not land on the ring successor")
+			}
 		})
-	stream := pinStream(t, rt, 0)
-	res, err := rt.Submit(context.Background(), FleetRequest{
-		Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream,
-	})
-	if err != nil {
-		t.Fatalf("retried frame: %v", err)
 	}
-	if res.Output == nil {
-		t.Fatal("retried frame: no output")
-	}
-	s := rt.Stats()
-	conserve(t, s)
-	if s.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", s.Retries)
-	}
-	if s.Completed != 1 || s.Failed != 0 {
-		t.Fatalf("completed/failed = %d/%d, want 1/0", s.Completed, s.Failed)
-	}
-	if s.EngineStats[1].Completed != 1 {
-		t.Fatal("re-attempt did not land on the ring successor")
+}
+
+// TestExpiredDeadlineFailsWithOrWithoutRetries submits a request whose
+// budget is already spent — an expired caller context, or a 1ns timeout — to
+// a healthy fleet. The first attempt always runs, so with or without a retry
+// policy the request must fail with a deadline error and count as Failed,
+// never as a Completed request with no output.
+func TestExpiredDeadlineFailsWithOrWithoutRetries(t *testing.T) {
+	for _, retry := range []*RetryPolicy{nil, {Max: 2}} {
+		for _, budget := range []string{"expired-ctx", "timeout-1ns"} {
+			t.Run(fmt.Sprintf("retry=%v/%s", retry != nil, budget), func(t *testing.T) {
+				rt := newMixedFleet(t, []Config{{MaxBatch: 1}, {MaxBatch: 1}}, RouterConfig{Retry: retry})
+				ctx := context.Background()
+				req := FleetRequest{Request: Request{Cloud: testCloud()}, Tenant: "t"}
+				if budget == "expired-ctx" {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithDeadline(ctx, time.Now().Add(-time.Second))
+					defer cancel()
+				} else {
+					req.Timeout = time.Nanosecond
+				}
+				_, err := rt.Submit(ctx, req)
+				if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrDeadline) {
+					t.Fatalf("err = %v, want a deadline error", err)
+				}
+				s := rt.Stats()
+				conserve(t, s)
+				if s.Completed != 0 || s.Failed != 1 || s.Retries != 0 {
+					t.Fatalf("completed/failed/retries = %d/%d/%d, want 0/1/0", s.Completed, s.Failed, s.Retries)
+				}
+			})
+		}
 	}
 }
 
@@ -119,66 +167,12 @@ func TestRetryNeverRetriesTerminalErrors(t *testing.T) {
 	}
 }
 
-// TestHedgeWinsOnWedgedOwner wedges a stream's owner (gated forward, no
-// watchdog) and asserts the hedge saves the request: after the hedge delay
-// the duplicate lands on the ring successor, its result wins, the wedged
-// primary is cancelled, and the request counts completed exactly once.
-func TestHedgeWinsOnWedgedOwner(t *testing.T) {
-	rt, gates := newStubFleet(t, 2, true, Config{MaxBatch: 1},
-		RouterConfig{Spill: -1, Hedge: &HedgePolicy{Delay: 2 * time.Millisecond, MaxFraction: 1}})
-	stream := pinStream(t, rt, 0)
-	close(gates[1]) // successor serves instantly; owner stays wedged
-	res, err := rt.Submit(context.Background(), FleetRequest{
-		Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream,
-	})
-	if err != nil {
-		t.Fatalf("hedged frame: %v", err)
-	}
-	if res.Output == nil {
-		t.Fatal("hedged frame: no output")
-	}
-	s := rt.Stats()
-	conserve(t, s)
-	if s.Hedges != 1 || s.HedgeWins != 1 {
-		t.Fatalf("hedges/wins = %d/%d, want 1/1", s.Hedges, s.HedgeWins)
-	}
-	if s.Completed != 1 {
-		t.Fatalf("Completed = %d, want exactly 1 (no double-complete)", s.Completed)
-	}
-	if s.EngineStats[1].Completed != 1 {
-		t.Fatal("hedge did not land on the ring successor")
-	}
-}
-
-// TestHedgeBudgetAndShedDisengage pins canHedge's two gates: the
-// MaxFraction budget over offered traffic, and the hard disengage while the
-// fleet shed controller is at any non-zero level.
-func TestHedgeBudgetAndShedDisengage(t *testing.T) {
-	rt, _ := newStubFleet(t, 2, false, Config{},
-		RouterConfig{Hedge: &HedgePolicy{Delay: time.Millisecond}}) // MaxFraction defaults to 0.05
-	rt.offered.Add(10) // budget 0.05*10 = 0.5 < 1: first hedge denied
-	if rt.canHedge() {
-		t.Fatal("hedge allowed past MaxFraction budget")
-	}
-	rt.offered.Add(10) // budget 0.05*20 = 1.0: first hedge allowed
-	if !rt.canHedge() {
-		t.Fatal("hedge denied within MaxFraction budget")
-	}
-	rt.shed.Observe(1.0) // crosses the high watermark: shed level 1
-	if rt.shed.Level() == 0 {
-		t.Fatal("shed controller did not engage")
-	}
-	if rt.canHedge() {
-		t.Fatal("hedge allowed while the shed controller is engaged")
-	}
-}
-
 // TestRouterSurvivabilityConcurrentConservation is the satellite accounting
-// test: concurrent tenants over a panicking fleet with retries and hedging
-// both live. Every offered request must terminate in exactly one class —
-// the conservation law plus the hedge bound, checked by
-// RouterStats.Conservation — and the caller-observed outcome tallies must
-// equal the router's own counters.
+// test: concurrent tenants over a panicking fleet with retries live. Every
+// offered request must terminate in exactly one class — the conservation
+// law, checked by RouterStats.Conservation — no request may retry more than
+// Max times, and the caller-observed outcome tallies must equal the router's
+// own counters.
 func TestRouterSurvivabilityConcurrentConservation(t *testing.T) {
 	const (
 		goroutines = 8
@@ -188,7 +182,6 @@ func TestRouterSurvivabilityConcurrentConservation(t *testing.T) {
 		Faults: &faultinject.Plan{Seed: 5, PanicFrac: 0.08}}
 	rt := newMixedFleet(t, []Config{cfg, cfg, cfg}, RouterConfig{
 		Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: 2 * time.Millisecond},
-		Hedge: &HedgePolicy{Delay: time.Millisecond, MaxFraction: 0.2},
 	})
 	var ok, failed atomic.Uint64
 	var wg sync.WaitGroup
@@ -222,5 +215,8 @@ func TestRouterSurvivabilityConcurrentConservation(t *testing.T) {
 	}
 	if terminal := s.Failed + s.ShedThrottled + s.ShedOverload + s.ShedQueueFull; terminal != failed.Load() {
 		t.Fatalf("error classes sum to %d, caller saw %d failures", terminal, failed.Load())
+	}
+	if attempted := s.Completed + s.Failed + s.ShedQueueFull; s.Retries > 2*attempted {
+		t.Fatalf("Retries = %d > Max 2 × %d requests that reached the ring", s.Retries, attempted)
 	}
 }

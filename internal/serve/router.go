@@ -16,16 +16,14 @@ import (
 // fleet-wide priority shedding *before* any engine queue is touched, spills
 // a frame to the next engines on the ring when its owner's queue is full,
 // and quarantines an engine whose frames keep panicking (or stalling) so
-// traffic re-routes around it. With a RetryPolicy/HedgePolicy (retry.go) the
-// router also re-routes transient failures and hedges tail latency — both
-// multiply *attempts*, not offers, so every Submit still terminates in
-// exactly one accounting class and
+// traffic re-routes around it. With a RetryPolicy (retry.go) the router also
+// re-routes transient failures; a retry multiplies *attempts*, not offers, so
+// every Submit still terminates in exactly one accounting class and
 //
 //	Offered = Completed + Failed + ShedThrottled + ShedOverload + ShedQueueFull
 //
 // holds at all times — the conservation law the chaos tests assert (see
-// RouterStats.Conservation). Retries/Hedges/HedgeWins ride alongside as
-// attempt counters, with HedgeWins <= Hedges as the secondary invariant.
+// RouterStats.Conservation). Retries rides alongside as an attempt counter.
 
 // RouterConfig tunes the fleet layer. The zero value selects defaults.
 type RouterConfig struct {
@@ -51,9 +49,6 @@ type RouterConfig struct {
 	// or queue-full attempts) to further ring candidates under the request's
 	// deadline budget. Nil — the default — keeps Submit single-attempt.
 	Retry *RetryPolicy
-	// Hedge, when non-nil, duplicates slow in-flight requests on the next
-	// candidate after HedgePolicy.Delay. Nil disables hedging.
-	Hedge *HedgePolicy
 	// TenantWindowSize is the per-tenant latency window capacity
 	// (metrics.DefaultLatencyWindow when zero) and TenantCardinality bounds
 	// how many tenants get private windows/counters before overflow
@@ -108,7 +103,6 @@ type Router struct {
 	shed    *ShedController
 	now     Clock
 	retry   *RetryPolicy // normalized private copy; nil when disabled
-	hedge   *HedgePolicy // normalized private copy; nil when disabled
 	seq     atomic.Uint64
 
 	consecFail []atomic.Int32 // per-engine consecutive panic failures
@@ -124,8 +118,6 @@ type Router struct {
 	quarantines   atomic.Uint64
 	failOpen      atomic.Uint64
 	retries       atomic.Uint64
-	hedges        atomic.Uint64
-	hedgeWins     atomic.Uint64
 	stalls        atomic.Uint64
 
 	latency *metrics.LatencyWindow
@@ -175,11 +167,6 @@ func NewRouter(engines []*Engine, cfg RouterConfig) (*Router, error) {
 		p := *cfg.Retry
 		p.Normalize()
 		rt.retry = &p
-	}
-	if cfg.Hedge != nil {
-		p := *cfg.Hedge
-		p.Normalize()
-		rt.hedge = &p
 	}
 	rt.bufPool.New = func() any {
 		b := make([]int, 0, len(engines))
@@ -257,32 +244,11 @@ func (rt *Router) Submit(ctx context.Context, req FleetRequest) (Result, error) 
 	if rt.retry != nil {
 		want += rt.retry.Max // each re-attempt rotates one candidate further
 	}
-	if rt.hedge != nil {
-		want++ // the hedge starts one past its attempt's primary
-	}
 	bufp := rt.bufPool.Get().(*[]int)
 	cand := rt.ring.Candidates(key, want, *bufp)
-	var res Result
-	var err error
-	if rt.retry == nil && rt.hedge == nil {
-		// Fast path: single attempt, pooled buffer, zero extra allocations.
-		res, err = rt.trySubmitFrom(ctx, cand, 0, len(cand), req)
-		*bufp = cand[:0]
-		rt.bufPool.Put(bufp)
-	} else if rt.hedge == nil {
-		// Retries are synchronous, so the pooled buffer stays ours.
-		res, err = rt.submitSurvivable(ctx, cand, req, rt.seq.Add(1))
-		*bufp = cand[:0]
-		rt.bufPool.Put(bufp)
-	} else {
-		// A hedged loser can outlive Submit (it is cancelled, not joined), so
-		// it must not share the pooled buffer with a future submission.
-		own := make([]int, len(cand))
-		copy(own, cand)
-		*bufp = cand[:0]
-		rt.bufPool.Put(bufp)
-		res, err = rt.submitSurvivable(ctx, own, req, rt.seq.Add(1))
-	}
+	res, err := rt.attempts(ctx, cand, req)
+	*bufp = cand[:0]
+	rt.bufPool.Put(bufp)
 	switch {
 	case err == nil:
 		rt.completed.Add(1)
@@ -305,8 +271,8 @@ func (rt *Router) Submit(ctx context.Context, req FleetRequest) (Result, error) 
 // the walk's first engine anyway — a fully-down fleet should surface engine
 // errors, not mask them as sheds), and a full queue spills to the next
 // candidate. The first engine that admits the frame decides the outcome.
-// The default path walks from 0 over the whole candidate set; retry
-// attempts rotate start so a re-attempt lands on fresh engines first.
+// The first attempt walks from 0; re-attempts rotate start so a retry lands
+// on fresh engines first.
 func (rt *Router) trySubmitFrom(ctx context.Context, cand []int, start, span int, req FleetRequest) (Result, error) {
 	now := rt.now().UnixNano()
 	var res Result
@@ -400,8 +366,6 @@ type RouterStats struct {
 	Quarantines   uint64 // engine quarantine events
 	FailOpen      uint64 // submissions with the whole candidate set down
 	Retries       uint64 // re-attempts launched by the retry policy
-	Hedges        uint64 // hedge attempts launched
-	HedgeWins     uint64 // requests whose hedge finished first
 	Stalls        uint64 // terminal attempts that failed with ErrStalled
 
 	Shed        ShedStats
@@ -416,17 +380,13 @@ type RouterStats struct {
 
 // Conservation checks the router's accounting invariants on a quiescent
 // snapshot (no Submit in flight): every offered request terminated in
-// exactly one class, and the hedge counters are internally consistent.
-// Retries and hedges are attempt counters — they multiply work, never
-// offers — so they appear only in the secondary bounds.
+// exactly one class. Retries is an attempt counter — it multiplies work,
+// never offers — so it does not appear in the law.
 func (s RouterStats) Conservation() error {
 	terminal := s.Completed + s.Failed + s.ShedThrottled + s.ShedOverload + s.ShedQueueFull
 	if s.Offered != terminal {
 		return fmt.Errorf("serve: conservation violated: offered %d != completed %d + failed %d + shed %d/%d/%d = %d",
 			s.Offered, s.Completed, s.Failed, s.ShedThrottled, s.ShedOverload, s.ShedQueueFull, terminal)
-	}
-	if s.HedgeWins > s.Hedges {
-		return fmt.Errorf("serve: conservation violated: hedge wins %d > hedges launched %d", s.HedgeWins, s.Hedges)
 	}
 	return nil
 }
@@ -445,8 +405,6 @@ func (rt *Router) Stats() RouterStats {
 		Quarantines:   rt.quarantines.Load(),
 		FailOpen:      rt.failOpen.Load(),
 		Retries:       rt.retries.Load(),
-		Hedges:        rt.hedges.Load(),
-		HedgeWins:     rt.hedgeWins.Load(),
 		Stalls:        rt.stalls.Load(),
 		Shed:          rt.shed.Stats(),
 		Latency:       rt.latency.Snapshot(),

@@ -354,8 +354,8 @@ func TestRouterConstructionAndClose(t *testing.T) {
 // TestRouterThreadsCallerContext cancels the caller's context while its frame
 // is inside a gated engine's forward pass, once for every path that hands the
 // context to Engine.Submit: the plain ring walk, a spill past a full owner,
-// fail-open through a fully quarantined candidate set, a retry after its
-// backoff, and a hedged attempt. Router.Submit must return context.Canceled
+// fail-open through a fully quarantined candidate set, and a retry after its
+// backoff. Router.Submit must return context.Canceled
 // within seconds and every engine holding the frame must count the
 // abandonment; a path that handed the engine a context of its own would wait
 // on the gate instead.
@@ -384,9 +384,6 @@ func TestRouterThreadsCallerContext(t *testing.T) {
 		{name: "retry", cfg: Config{QueueDepth: 1, MaxBatch: 1}, prep: fill, busy: []int{1},
 			rcfg: RouterConfig{Spill: -1, Retry: &RetryPolicy{Max: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}},
 			path: func(s RouterStats) uint64 { return s.Retries }},
-		{name: "hedge", cfg: Config{MaxBatch: 1}, busy: []int{0, 1},
-			rcfg: RouterConfig{Spill: -1, Hedge: &HedgePolicy{Delay: 2 * time.Millisecond, MaxFraction: 1}},
-			path: func(s RouterStats) uint64 { return s.Hedges }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

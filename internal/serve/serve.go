@@ -48,11 +48,11 @@
 //     breaker-parked worker is woken immediately so Close never waits out a
 //     backoff.
 //
-// The policies — Ladder, the jittered backoff, RetryPolicy.Next,
-// HedgePolicy.MayLaunch, Ring, QoS, ShedController — hold no goroutines and
-// no clock: Engine and Router feed them queue lengths, counters and time, and
-// the loadgen simulator feeds them the same from its virtual clock, so the
-// model cannot disagree with the fleet about when to step, wait or hedge.
+// The policies — Ladder, the jittered backoff, RetryPolicy.Next, Ring, QoS,
+// ShedController — hold no goroutines and no clock: Engine and Router feed
+// them queue lengths, counters and time, and the loadgen simulator feeds them
+// the same from its virtual clock, so the model cannot disagree with the
+// fleet about when to step, wait or retry.
 package serve
 
 import (

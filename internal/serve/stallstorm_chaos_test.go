@@ -97,7 +97,7 @@ func TestChaosStallStorm(t *testing.T) {
 }
 
 // TestFleetChaosStallStorm turns the same weather loose on a routed fleet
-// with retries and hedging live: the conservation law must stay exact (via
+// with retries live: the conservation law must stay exact (via
 // RouterStats.Conservation) while retries re-route around stalled and
 // panicked attempts, and stalled attempts must feed the router's stall
 // counter and quarantine streaks.
@@ -129,7 +129,6 @@ func TestFleetChaosStallStorm(t *testing.T) {
 	}
 	rt, err := NewRouter(engines, RouterConfig{
 		Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: 2 * time.Millisecond},
-		Hedge: &HedgePolicy{Delay: 2 * time.Millisecond, MaxFraction: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +182,9 @@ func TestFleetChaosStallStorm(t *testing.T) {
 	}
 	if s.Retries == 0 {
 		t.Fatal("no retries launched under the storm")
+	}
+	if attempted := s.Completed + s.Failed + s.ShedQueueFull; s.Retries > 2*attempted {
+		t.Fatalf("Retries = %d > Max 2 × %d requests that reached the ring", s.Retries, attempted)
 	}
 	var respawns uint64
 	for _, es := range s.EngineStats {

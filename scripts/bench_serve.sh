@@ -7,7 +7,7 @@
 # and writes the full report to BENCH_serve.json at the repository root:
 # latency quantiles, goodput, per-class fairness, the shed-vs-degrade
 # crossover curve, and the goodput-under-stall-storm survivability sweep
-# (none / retry2 / retry2+hedge recovery policies at 10% injected stalls).
+# (none / retry2 recovery policies at 10% injected stalls).
 # Same seed ⇒ bit-identical counts.
 #
 # The full run calibrates per-tier service times from the real pipeline

@@ -101,8 +101,8 @@ for procs in 1 2 4 8; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/model/ ./internal/train/
 done
 
-echo "== one policy core (no ladder/backoff/hedge arithmetic in internal/loadgen) =="
-# The simulator calls serve.Ladder, serve.RetryPolicy and serve.HedgePolicy;
+echo "== one policy core (no ladder/backoff arithmetic in internal/loadgen) =="
+# The simulator calls serve.Ladder and serve.RetryPolicy;
 # a hand-written copy of their rules coming back is a regression.
 if grep -nE 'ladder(High|Low|Hyst)|mirror' internal/loadgen/*.go; then
 	echo "internal/loadgen re-implements serve policy; call internal/serve instead" >&2
@@ -139,10 +139,10 @@ echo "== chaos smoke (fault injection under -race; see DESIGN.md §11, §15) =="
 # The resilience layer's promises — panics isolated and quarantined, invalid
 # input rejected at admission, Close never hung by a parked breaker, the
 # degradation ladder stepping both ways, stalled workers detected and
-# respawned, retries/hedges conserving the accounting under a stall storm,
+# respawned, retries conserving the accounting under a stall storm,
 # every Submit exit leaving Close clean, the caller's context reaching the
 # engine on every router path — exercised under the race detector.
-go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestHedge|TestRouterSurvivability|TestSubmitOutcomesCloseClean|TestRouterThreadsCallerContext' ./internal/serve/
+go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestExpiredDeadline|TestRouterSurvivability|TestSubmitOutcomesCloseClean|TestRouterThreadsCallerContext' ./internal/serve/
 go test -run '^$' -fuzz '^FuzzSubmitFrame$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
@@ -196,7 +196,7 @@ grep -q '"bench": "serve_fleet"' .bench_serve_smoke.json
 grep -q '"crossover"' .bench_serve_smoke.json
 grep -q '"fairness_jain"' .bench_serve_smoke.json
 grep -q '"survivability"' .bench_serve_smoke.json
-grep -q '"hedge_wins"' .bench_serve_smoke.json
+grep -q '"retried"' .bench_serve_smoke.json
 grep -E '^(scenario|survivability) mult=' .bench_serve_smoke.txt >.bench_serve_counts1.txt
 OUT=.bench_serve_smoke.json RAW=.bench_serve_smoke.txt scripts/bench_serve.sh -quick >/dev/null
 grep -E '^(scenario|survivability) mult=' .bench_serve_smoke.txt >.bench_serve_counts2.txt
