@@ -1,8 +1,7 @@
 // Command edgepc-lint runs the repo's static-analysis suite (internal/lint)
 // over module packages and prints file:line:col: [analyzer] diagnostics. The
-// suite is six analyzers guarding the zero-allocation hot path and the serving
-// layer's goroutines: hotpathalloc, workspacepair, parallelcapture, intoalias,
-// floateq and gorecover (-list describes each).
+// suite is three analyzers guarding the zero-allocation hot path and float
+// comparisons: hotpathalloc, workspacepair and floateq (-list describes each).
 //
 // Usage:
 //
@@ -47,7 +46,7 @@ func main() {
 	escapeBaseline := flag.String("escape-baseline", "scripts/escape_baseline.txt", "escape-gate baseline path, relative to the module root")
 	escapeWrite := flag.Bool("escape-write", false, "rewrite the escape-gate baseline from the current escapes instead of checking")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: edgepc-lint [-list] [-json] [packages]\n       edgepc-lint -escapes <file|-> [-escape-baseline path] [-escape-write]\n\npackages default to ./... relative to the module root; -list describes the six analyzers\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: edgepc-lint [-list] [-json] [packages]\n       edgepc-lint -escapes <file|-> [-escape-baseline path] [-escape-write]\n\npackages default to ./... relative to the module root; -list describes the three analyzers\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

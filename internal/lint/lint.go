@@ -12,19 +12,14 @@
 //     slices.
 //   - workspacepair: tensor.Workspace buffers must be Put back or handed to
 //     the caller, never parked in a struct field or silently dropped.
-//   - parallelcapture: closures run on goroutine workers must not write
-//     variables shared across workers.
-//   - intoalias: statically visible dst/src aliasing and constant shape
-//     mismatches in *Into kernel calls.
 //   - floateq: ==/!= on floating-point operands (exact-zero sentinel and
 //     sparsity-skip comparisons are exempt).
-//   - gorecover: in packages marked //edgepc:goroutines-must-recover, every
-//     goroutine body must install a deferred recover guard before any other
-//     statement (panic isolation for the serving layer).
 //
-// Lock pairing, WaitGroup balance, channel lifetime and context threading in
-// the serving layer have no analyzer: go vet, the -race stages and the
-// internal/serve tests cover them (DESIGN.md §7 has the mutation table).
+// Races on captured variables, *Into aliasing, panic containment on
+// goroutines, lock pairing, WaitGroup balance, channel lifetime and context
+// threading have no analyzer: the -race stages, the kernels' runtime checks,
+// go vet and the internal/serve tests cover them (DESIGN.md §7 has the
+// mutation tables).
 //
 // The escapegate subpackage adds a compiler-backed static allocation gate:
 // it parses `go build -gcflags='-m -m'` output and fails when a
@@ -104,7 +99,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{HotPathAlloc, WorkspacePair, ParallelCapture, IntoAlias, FloatEq, GoRecover}
+	return []*Analyzer{HotPathAlloc, WorkspacePair, FloatEq}
 }
 
 // Run executes the analyzers over the target packages and returns the

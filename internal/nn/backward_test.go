@@ -73,7 +73,7 @@ func edgeActivation(rng *rand.Rand, rows, cols int, poisoned bool) *tensor.Matri
 
 var (
 	backwardWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 40, 64}
-	backwardRows   = []int{1, 2, 7, 1030, 4100}
+	backwardRows   = []int{1, 2, 7, 1030, 4100, 8200}
 )
 
 // TestVectorBackwardMatchesGoLoops is the bit-identity contract of
@@ -82,8 +82,9 @@ var (
 // with the probe's answer overridden — must give the same input gradient and
 // add the same γ and β gradients onto values already there, bit for bit (any
 // NaN equal to any NaN). Widths cover every strip remainder, row counts the
-// 4096-row call bound of the first pass and, at 64 columns and four cores,
-// both passes' fan-out; the ReLU folded in and not; the inputs carry NaN,
+// 4096-row call bound of the first pass and, at 8200 rows of 64 columns and
+// four cores, both passes' fan-out (two workers: 4100 rows of 64 columns is
+// one sweep grain, not two); the ReLU folded in and not; the inputs carry NaN,
 // ±Inf, ±0 and denormals, γ = 0, a zero-variance column and outputs exactly
 // at zero.
 func TestVectorBackwardMatchesGoLoops(t *testing.T) {

@@ -46,7 +46,7 @@ func watchdogsRunning() int {
 // contained panic on record, with and without the stall watchdog armed. An
 // exit that keeps the admission read lock blocks Close; a watchdog started
 // without its WaitGroup slot drives the counter negative at shutdown, which
-// either crashes a worker or lands in Stats as a panic.
+// crashes the test binary.
 func TestSubmitOutcomesCloseClean(t *testing.T) {
 	cloud := testCloud()
 	bg := context.Background()
@@ -74,10 +74,12 @@ func TestSubmitOutcomesCloseClean(t *testing.T) {
 			return err
 		}, ErrQueueFull},
 		{"closed", func(t *testing.T, e *Engine, gate chan struct{}, park parkFunc) error {
-			if err := e.Close(); err != nil {
+			var err error
+			within(t, 5*time.Second, "closed: first Close", func() { err = e.Close() })
+			if err != nil {
 				return err
 			}
-			_, err := e.Submit(bg, Request{Cloud: cloud})
+			_, err = e.Submit(bg, Request{Cloud: cloud})
 			return err
 		}, ErrClosed},
 		{"deadline", func(t *testing.T, e *Engine, gate chan struct{}, park parkFunc) error {
@@ -132,7 +134,8 @@ func TestSubmitOutcomesCloseClean(t *testing.T) {
 				}
 				// Close returns once the WaitGroup reaches zero, which a surplus
 				// Done can make happen before the watchdog has exited: wait for
-				// it, so a panic it contains is on record before Stats is read.
+				// it, so Stats is read after every goroutine that could record
+				// a panic.
 				waitUntil(t, "stall watchdog to exit", func() bool { return watchdogsRunning() <= watchdogs })
 				if s := e.Stats(); s.Panics != 0 || s.LastPanic != "" {
 					t.Fatalf("%s: %d contained panic(s) by shutdown, last: %s", c.name, s.Panics, s.LastPanic)

@@ -212,8 +212,10 @@ type Request struct {
 	// a micro-batch (frames of the same model/config stream). Callers with a
 	// single stream leave it empty.
 	Key string
-	// Timeout, when positive, bounds this request's total time in the
-	// engine; zero inherits Config.DefaultTimeout.
+	// Timeout, when positive, is how long the frame may wait for a worker:
+	// one that picks it up later fails it with ErrDeadline instead of
+	// running it. Zero inherits Config.DefaultTimeout. It does not bound
+	// Submit's wait; ctx does.
 	Timeout time.Duration
 }
 
@@ -431,10 +433,12 @@ func (e *Engine) QueueFill() float64 {
 
 // Submit enqueues one frame and waits for its result. Admission never
 // blocks: an invalid frame returns ErrInvalidInput, a full queue
-// ErrQueueFull, and a closed engine ErrClosed, all immediately. The wait for
-// the result is bounded by the request deadline (or ctx); cancelling ctx
-// abandons the frame — a worker will still skip past it but no result is
-// delivered.
+// ErrQueueFull, and a closed engine ErrClosed, all immediately. Only ctx
+// bounds the wait for the result: the request deadline (Request.Timeout,
+// Config.DefaultTimeout or ctx's) is checked when a worker picks the frame
+// up, so while every worker is busy a frame waits past it, and once every
+// pool slot has retired it waits until ctx ends. Cancelling ctx abandons the
+// frame — a worker will still skip past it but no result is delivered.
 func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -501,11 +505,9 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 }
 
 // workerLoop is one pool goroutine: dequeue, coalesce, run, repeat until the
-// queue is closed and drained. The leading deferred guard is the package
-// invariant — no panic may escape a serve goroutine and kill the process —
-// enforced statically by the gorecover analyzer:
-//
-//edgepc:goroutines-must-recover
+// queue is closed and drained. The leading deferred guard keeps a panic from
+// escaping the goroutine and killing the process; TestLastResortRespawnsWorker
+// fails without it.
 func (e *Engine) workerLoop(w *worker) {
 	defer e.lastResort(w) // recovers; also balances the incarnation's wg slot
 	if w.pendingTrip {

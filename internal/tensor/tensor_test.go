@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -239,6 +240,27 @@ func TestLogSoftmaxRows(t *testing.T) {
 	for _, v := range big.Row(0) {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("log-softmax overflowed")
+		}
+	}
+}
+
+// TestLogSoftmaxRowsFanOut applies LogSoftmaxRows to enough rows to fan out
+// and requires the serial bits at two and four workers; scripts/ci.sh runs
+// it under the race detector.
+func TestLogSoftmaxRowsFanOut(t *testing.T) {
+	x := randMatrix(rand.New(rand.NewSource(11)), 2048, 10)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	want := x.Clone()
+	LogSoftmaxRows(want)
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := x.Clone()
+		LogSoftmaxRows(got)
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("GOMAXPROCS %d: element %d is %v, serial %v", procs, i, v, want.Data[i])
+			}
 		}
 	}
 }

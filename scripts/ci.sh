@@ -64,7 +64,12 @@ echo "== escape gate (hotpath heap escapes vs baseline; see DESIGN.md §7) =="
 scripts/escape_gate.sh
 
 echo "== go test -race (parallel kernels + workspace hot path + serving) =="
-go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/spatial/... ./internal/pipeline/... ./internal/model/... ./internal/serve/... ./internal/loadgen/...
+# Every parallel.* fan-out and every go statement runs with more than one
+# goroutine in a stage below (DESIGN.md §7 lists each site with its test); a
+# write to a variable the goroutines share is a DATA RACE there.
+# MatMulBT's fallback loop runs only on a host without AVX2.
+go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/spatial/... ./internal/core/... ./internal/neighbor/... ./internal/pipeline/... ./internal/model/... ./internal/serve/... ./internal/loadgen/... ./cmd/edgepc-serve/
+go test -race -run 'TestParCoverRadiusMatchesSerial' ./internal/experiments/
 # internal/nn's fused-epilogue table runs every shape at five core counts on
 # three backends: under the race detector the full table takes minutes, and
 # the -short one still crosses every fan-out threshold and every remainder of
@@ -82,7 +87,7 @@ go test ./...
 echo "== bench driver (its own module, outside ./...) =="
 # bench/ imports repro/internal/... through a replace directive, so an API it
 # calls can change under it without `go test ./...` noticing.
-(cd bench && go vet . && go test .)
+(cd bench && go vet . && go test -race .)
 
 echo "== numerics independent of core count (golden + history + spatial + tensor + nn + parallel + model + train, GOMAXPROCS 1/2/4/8) =="
 # Trained weights and logits are a function of the inputs and the seed, not of

@@ -1,27 +1,18 @@
 #!/usr/bin/env sh
-# Reproduce everything: tests, the full experiment suite, and the host
-# wall-clock benchmarks. Writes test_output.txt, bench_results_full.txt and
-# bench_output.txt at the repository root.
+# Reproduce the tests and the host wall-clock benchmarks. Writes
+# test_output.txt and bench_output.txt at the repository root. The paper's
+# experiment suite is `go run ./cmd/edgepc-bench` (EXPERIMENTS.md).
 #
-# Usage: scripts/reproduce.sh [-quick]
-#   -quick  run the experiment suite at reduced scale (seconds, not minutes)
+# Usage: scripts/reproduce.sh
 
 set -eu
 
 cd "$(dirname "$0")/.."
 
-QUICK=""
-if [ "${1:-}" = "-quick" ]; then
-	QUICK="-quick"
-fi
-
 echo "== go test ./... =="
 go test ./... 2>&1 | tee test_output.txt
-
-echo "== experiment suite =="
-go run ./cmd/edgepc-bench ${QUICK} 2>&1 | tee bench_results_full.txt
 
 echo "== benchmarks =="
 go test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-echo "done: test_output.txt, bench_results_full.txt, bench_output.txt"
+echo "done: test_output.txt, bench_output.txt"
