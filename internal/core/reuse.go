@@ -102,22 +102,19 @@ func (c *ReuseCache) ForLayer(layer, k int, compute func() ([]int, error)) ([]in
 // a nil adapt falls back to a real search. It reports whether a real search
 // ran (false on any reuse, projected or not).
 func (c *ReuseCache) ForLayerIn(layer, k, domain int, adapt func(ReuseEntry) ([]int, error), compute func() ([]int, error)) ([]int, bool, error) {
-	if !c.policy.Computes(layer) && c.valid {
+	if !c.WillCompute(layer, domain, adapt != nil) {
 		if c.last.Domain == domain {
 			if k != c.last.K {
 				return nil, false, fmt.Errorf("core: reuse with k=%d but cached k=%d", k, c.last.K)
 			}
 			return c.last.Nbr, false, nil
 		}
-		if adapt != nil {
-			res, err := adapt(c.last)
-			if err != nil {
-				return nil, false, fmt.Errorf("core: reuse projection: %w", err)
-			}
-			c.last = ReuseEntry{Nbr: res, K: k, Domain: domain}
-			return res, false, nil
+		res, err := adapt(c.last)
+		if err != nil {
+			return nil, false, fmt.Errorf("core: reuse projection: %w", err)
 		}
-		// No way to carry the cached result into this domain: search.
+		c.last = ReuseEntry{Nbr: res, K: k, Domain: domain}
+		return res, false, nil
 	}
 	res, err := compute()
 	if err != nil {
@@ -126,6 +123,15 @@ func (c *ReuseCache) ForLayerIn(layer, k, domain int, adapt func(ReuseEntry) ([]
 	c.last = ReuseEntry{Nbr: res, K: k, Domain: domain}
 	c.valid = true
 	return res, true, nil
+}
+
+// WillCompute reports whether ForLayerIn(layer, _, domain, adapt, compute)
+// would call compute — adapt says whether that call passes a non-nil adapt —
+// so that a caller can start the search before it asks.
+func (c *ReuseCache) WillCompute(layer, domain int, adapt bool) bool {
+	// Without a way to carry the cached result into this domain, a reusing
+	// layer searches too.
+	return c.policy.Computes(layer) || !c.valid || c.last.Domain != domain && !adapt
 }
 
 // ProjectNeighbors carries a cached neighbor result one level down a

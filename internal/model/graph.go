@@ -69,10 +69,10 @@ type Exec struct {
 
 	// index is the graph's one spatial index (see package spatial) and
 	// indexed the level it is bound to. The exact sites of a frame take turns
-	// with it: an SA module's FPS and neighbor search run back to back on
-	// the same level and share one build; an FP module's 3-NN binds it to
-	// its coarse level again — a rebuild (≈ 0.06 ms for 2048 points) instead
-	// of an index per level kept resident.
+	// with it: an SA module's FPS and neighbor search run in one
+	// SampleSearch on the same level and share one build; an FP module's
+	// 3-NN binds it to its coarse level again — a rebuild (≈ 0.06 ms for
+	// 2048 points) instead of an index per level kept resident.
 	index   spatial.Index
 	indexed *level
 

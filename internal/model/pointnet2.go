@@ -1,13 +1,16 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
 	"repro/internal/sample"
+	"repro/internal/spatial"
 	"repro/internal/tensor"
 )
 
@@ -58,6 +61,10 @@ type saCache struct {
 	k                      int
 }
 
+// errListNotComputed is a reuse cache asking for a search that
+// ReuseCache.WillCompute said it would not ask for.
+var errListNotComputed = errors.New("model: reuse searched a layer whose list was not computed")
+
 func clampK(k, n int) int {
 	if k > n {
 		return n
@@ -83,42 +90,50 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	}
 	k := clampK(m.K, n)
 
-	// --- Sample stage ---
-	var sel []int
-	var sampleAlgo string
+	// --- Sample stage, and the exact neighbor search streamed beside it ---
 	useMorton := m.Strat.MortonSample && parent.mortonSorted
-	dur, err := timed(func() error {
-		if useMorton {
-			// The level is already Morton-sorted (the encode+sort cost is
-			// the pipeline's one-time StageStructurize record), so sampling
-			// is a pure index-stride pick.
-			sampleAlgo = "morton-pick"
-			sel = core.SamplePositions(n, nOut)
-			return nil
+	window := m.Strat.MortonWindow && parent.mortonSorted && useMorton
+	// Reuse projects cached lists through the sampling map when it is
+	// ascending; otherwise a reusing layer searches like a computing one.
+	var adapt func(core.ReuseEntry) ([]int, error)
+	var sel []int
+	if x.reuseOn && parent.posInParent != nil && isAscending(parent.posInParent) {
+		adapt = func(prev core.ReuseEntry) ([]int, error) {
+			return core.ProjectNeighbors(prev, sel, parent.posInParent, k)
 		}
-		switch m.Sampler {
-		case sample.ArchBucketFPS:
-			// Bucketed pruned FPS at the module's quality: the picks of
-			// sample.BucketFPS over the level as it stands, computed
-			// through the spatial index, whose order prunes better.
-			sampleAlgo = "bucketfps"
-			var e error
-			sel, e = x.exact(parent).ApproxFPS(m.Quality, nOut, m.selBuf)
-			m.selBuf = sel
-			return e
-		case sample.ArchStride:
-			sampleAlgo = "stride"
-			sel = core.SamplePositions(n, nOut)
-			return nil
-		default:
-			// Exact FPS's picks, through the spatial index.
-			sampleAlgo = "fps"
-			var e error
-			sel, e = x.exact(parent).FPS(nOut, m.selBuf)
-			m.selBuf = sel
-			return e
+	}
+	// onIndex is whether this layer's list is computed on the spatial
+	// index: then the index searches every pick while the sampler makes the
+	// next.
+	onIndex := !window && (!x.reuseOn || x.reuse.WillCompute(layer, layer, adapt != nil))
+	arch, sampleAlgo := m.Sampler, m.Sampler.String()
+	if useMorton {
+		// The level is already Morton-sorted (the encode+sort cost is the
+		// pipeline's one-time StageStructurize record), so sampling is a
+		// pure index-stride pick.
+		arch, sampleAlgo = sample.ArchStride, "morton-pick"
+	}
+	var nbr []int
+	var dur, tail time.Duration
+	var err error
+	if arch == sample.ArchStride && !onIndex {
+		start := time.Now()
+		sel = core.SamplePositions(n, nOut)
+		dur = time.Since(start)
+	} else {
+		// Exact FPS's picks, or bucketed pruned FPS's at the module's
+		// quality — the picks of sample.BucketFPS over the level as it
+		// stands — computed through the spatial index, whose order prunes
+		// better.
+		var q spatial.Search
+		if onIndex {
+			q = spatial.Search{K: k, R: m.Radius}
 		}
-	})
+		start := time.Now()
+		sel, nbr, dur, err = x.exact(parent).SampleSearch(arch, m.Quality, nOut, q, m.selBuf)
+		tail = time.Since(start) - dur
+		m.selBuf = sel
+	}
 	if err != nil {
 		return fmt.Errorf("model: SA%d sample: %w", layer, err)
 	}
@@ -134,41 +149,45 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	}
 
 	// --- Neighbor search stage (or cross-layer reuse, §5.2.3 generalized) ---
-	var nbr []int
-	var nsAlgo string
+	// A list on the index is already computed; its record is the search the
+	// sampler did not hide. The labels name what is computed — the brute
+	// searchers' results, index for index — and are what edgesim prices.
+	nsAlgo := "knn-brute"
+	if m.Radius > 0 {
+		nsAlgo = "ball-query"
+	}
 	w := 0
+	if window {
+		nsAlgo, w = "morton-window", max(m.Strat.WindowW, k)
+	}
+	search := func() ([]int, error) {
+		if window {
+			return core.WindowSearcher{W: m.Strat.WindowW}.SearchPositions(parent.pts, sel, k)
+		}
+		if nbr == nil {
+			return nil, errListNotComputed
+		}
+		return nbr, nil
+	}
 	reused := false
 	dur, err = timed(func() error {
 		if !x.reuseOn {
 			var e error
-			nbr, nsAlgo, w, e = m.searchNeighbors(x, parent, centers, sel, k, useMorton)
+			nbr, e = search()
 			return e
-		}
-		// Reuse path: cached indexes live in the previous SA's parent level
-		// (domain layer−1); project them into this parent level when the
-		// sampling map supports it, otherwise fall back to a real search.
-		var adapt func(core.ReuseEntry) ([]int, error)
-		if parent.posInParent != nil && isAscending(parent.posInParent) {
-			adapt = func(prev core.ReuseEntry) ([]int, error) {
-				return core.ProjectNeighbors(prev, sel, parent.posInParent, k)
-			}
 		}
 		var computed bool
 		var e error
-		nbr, computed, e = x.reuse.ForLayerIn(layer, k, layer, adapt, func() ([]int, error) {
-			res, algo, ww, e2 := m.searchNeighbors(x, parent, centers, sel, k, useMorton)
-			nsAlgo, w = algo, ww
-			return res, e2
-		})
+		nbr, computed, e = x.reuse.ForLayerIn(layer, k, layer, adapt, search)
 		if e == nil && !computed {
-			nsAlgo, reused = "reuse", true
+			nsAlgo, w, reused = "reuse", 0, true
 		}
 		return e
 	})
 	if err != nil {
 		return fmt.Errorf("model: SA%d neighbor: %w", layer, err)
 	}
-	trace.Add(StageRecord{Stage: StageNeighbor, Layer: layer, Algo: nsAlgo, N: n, Q: nOut, K: k, W: w, Reused: reused, Dur: dur})
+	trace.Add(StageRecord{Stage: StageNeighbor, Layer: layer, Algo: nsAlgo, N: n, Q: nOut, K: k, W: w, Reused: reused, Dur: tail + dur})
 
 	// --- Group stage ---
 	var grouped *tensor.Matrix
@@ -217,33 +236,6 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	next.mortonSorted = parent.mortonSorted && useMorton
 	next.posInParent = sel
 	return nil
-}
-
-// searchNeighbors runs the module's configured neighbor search (Morton
-// window when enabled and applicable, else the SOTA ball query / kNN),
-// returning the flat index array, the algorithm name, and the effective
-// window size.
-//
-//edgepc:hotpath
-func (m *SAModule) searchNeighbors(x *Exec, parent *level, centers []geom.Point3, sel []int, k int, useMorton bool) ([]int, string, int, error) {
-	if m.Strat.MortonWindow && parent.mortonSorted && useMorton {
-		searcher := core.WindowSearcher{W: m.Strat.WindowW}
-		w := m.Strat.WindowW
-		if w < k {
-			w = k
-		}
-		nbr, err := searcher.SearchPositions(parent.pts, sel, k)
-		return nbr, "morton-window", w, err
-	}
-	// The labels name what is computed — the brute searchers' results, index
-	// for index — and are what edgesim prices; the spatial index, still
-	// bound to this level by the FPS before, is how.
-	if m.Radius > 0 {
-		nbr, err := x.exact(parent).Ball(centers, m.Radius, k)
-		return nbr, "ball-query", 0, err
-	}
-	nbr, err := x.exact(parent).KNN(centers, k)
-	return nbr, "knn-brute", 0, err
 }
 
 // backward routes the gradient of this module's output features back to the

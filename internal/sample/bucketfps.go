@@ -81,8 +81,21 @@ type BucketFPS struct {
 	// … < Buckets[M] = N), e.g. runs of equal Morton prefixes from
 	// core.Structurized. When set it overrides BucketSize.
 	Buckets []int
+	// Tap, when set, is told of every pick the moment it is final, on the
+	// sampling goroutine and in pick order. It observes and changes
+	// nothing: package spatial uses it to search a pick's neighbors while
+	// the sampler makes the next ones. A pure-stride call (no refinement
+	// picks) makes its picks in one step and tells Tap of none.
+	Tap Tap
 
 	s bucketScratch
+}
+
+// Tap observes a BucketFPS call's picks as they are made.
+type Tap interface {
+	// Picked reports that pick i is final and is level index id: the value
+	// the call returns at out[i].
+	Picked(i, id int)
 }
 
 // Coords is a level stored as three coordinate columns: point i is (X[i],
@@ -423,6 +436,11 @@ func (b *BucketFPS) kernel(out []int, seeds, start int) {
 		s.dist[start] = s.picked
 		cnt = 1
 	}
+	if b.Tap != nil {
+		for j, p := range out[:cnt] {
+			b.Tap.Picked(j, s.id(p))
+		}
+	}
 	if cnt >= n {
 		return
 	}
@@ -446,15 +464,17 @@ func (b *BucketFPS) kernel(out []int, seeds, start int) {
 		s.first[j] = first
 		s.arg[j] = -1
 	}
+	// jA is the first bucket with the largest cached bound. Only Phase B
+	// writes cmax, so after the first pick its own pass finds the next one.
+	jA := 0
+	for j := 1; j < M; j++ {
+		if s.cmax[j] > s.cmax[jA] {
+			jA = j
+		}
+	}
 	for cnt < n {
 		// Phase A: refresh the bucket with the largest cached bound; its
 		// exact max seeds the global best and prunes most other buckets.
-		jA := 0
-		for j := 1; j < M; j++ {
-			if s.cmax[j] > s.cmax[jA] {
-				jA = j
-			}
-		}
 		bestD, bestIdx := b.refresh(cnt, jA)
 		bestID := s.id(bestIdx)
 		// Phase B: every other bucket is either pruned by its cached upper
@@ -462,23 +482,28 @@ func (b *BucketFPS) kernel(out []int, seeds, start int) {
 		// and in refresh reproduce exact FPS's "first index with maximal
 		// distance" pick. A cached max exactly equal to bestD can only
 		// matter if the bucket could win the index tiebreak, i.e. if it
-		// holds an index below the current best's.
+		// holds an index below the current best's. The same pass takes the
+		// first argmax of the bounds as they leave it, which is the next
+		// pick's jA: nothing writes cmax between here and there.
+		next := 0
 		for j := 0; j < M; j++ {
-			if j == jA {
-				continue
+			if cm := s.cmax[j]; j != jA && !(cm < bestD || (!(cm > bestD) && s.first[j] > bestID)) {
+				d, i := b.refresh(cnt, j)
+				if id := s.id(i); d > bestD || (!(d < bestD) && id < bestID) {
+					bestD, bestIdx, bestID = d, i, id
+				}
 			}
-			cm := s.cmax[j]
-			if cm < bestD || (!(cm > bestD) && s.first[j] > bestID) {
-				continue
-			}
-			d, i := b.refresh(cnt, j)
-			if id := s.id(i); d > bestD || (!(d < bestD) && id < bestID) {
-				bestD, bestIdx, bestID = d, i, id
+			if s.cmax[j] > s.cmax[next] {
+				next = j
 			}
 		}
 		out[cnt] = bestIdx
 		s.dist[bestIdx] = s.picked
+		if b.Tap != nil {
+			b.Tap.Picked(cnt, s.id(bestIdx))
+		}
 		cnt++
+		jA = next
 		// The winning bucket's cmax is now an over-estimate (its max just
 		// dropped); that is safe — cmax only needs to stay an upper
 		// bound — and Phase A will refresh it on the next pick.

@@ -46,6 +46,39 @@ func BenchmarkFPS(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleAndSearch is an SA module's two exact sites at W1's shapes
+// (8192 → 2048 and 2048 → 512 picks, k = 8): SampleSearch, which searches
+// each pick while FPS makes the next, against FPS and then KNN over the
+// picks.
+//
+//	go test -run '^$' -bench SampleAndSearch -cpu 1,2 ./internal/spatial/
+func BenchmarkSampleAndSearch(b *testing.B) {
+	for _, n := range []int{8192, 2048} {
+		level, _ := benchScene(n)
+		b.Run(fmt.Sprintf("stream/%d", n), func(b *testing.B) {
+			var ix Index
+			var sel []int
+			for i := 0; i < b.N; i++ {
+				ix.Reset(level)
+				sel, _, _, _ = ix.SampleSearch(sample.ArchFPS, 0, n/4, Search{K: 8}, sel)
+			}
+		})
+		b.Run(fmt.Sprintf("sequence/%d", n), func(b *testing.B) {
+			var ix Index
+			var sel []int
+			centers := make([]geom.Point3, n/4)
+			for i := 0; i < b.N; i++ {
+				ix.Reset(level)
+				sel, _ = ix.FPS(n/4, sel)
+				for j, s := range sel {
+					centers[j] = level[s]
+				}
+				_, _ = ix.KNN(centers, 8)
+			}
+		})
+	}
+}
+
 func BenchmarkKNN(b *testing.B) {
 	for _, n := range benchLevels {
 		level, centers := benchScene(n)

@@ -44,7 +44,14 @@
 // replica's graph). KNN, Ball and ThreeNN fan their queries out with
 // parallel.ForWorkers; the index is frozen before the fan-out, every worker
 // writes only its own queries' output rows and its own scratch slot, so the
-// result does not depend on the worker count. FPS is serial across picks.
+// result does not depend on the worker count. SampleSearch streams an SA
+// module's search beside its sampler: the sampler stays serial across
+// picks, and it publishes the pick count with an atomic store (release)
+// after writing each pick, which a searcher loads (acquire) before it reads
+// the pick. A pick is final once published, each row of the neighbor list
+// is written once, by the worker that claimed its pick, and the level and
+// the index are frozen for the whole call — so a row is KNN's or Ball's row
+// for that pick, whichever worker computes it and whenever.
 package spatial
 
 import (
@@ -121,14 +128,19 @@ type Index struct {
 
 	fps  sample.BucketFPS
 	work []scratch // one per worker of the widest fan-out so far
+	st   stream    // SampleSearch's hand-off, kept between calls
 }
 
 // scratch is one worker's buffers: a top-k, and the per-slab squared gaps of
-// the query being walked.
+// the query being walked. Every query writes both, so no two workers'
+// scratch may share a cache line: the struct is a whole number of 64-byte
+// lines (a test holds it to that), and grow gives each top-k lines of its
+// own.
 type scratch struct {
 	idx []int
 	d   []float64
 	gap [3][maxSide]float64
+	_   [16]byte
 }
 
 // Reset binds the index to a level. It does no work; the grid is built by
@@ -531,8 +543,13 @@ func (ix *Index) grow(workers, k int) {
 	ix.work = ix.work[:cap(ix.work)]
 	for i := range ix.work[:workers] {
 		if s := &ix.work[i]; cap(s.idx) < k {
-			s.idx = make([]int, k)
-			s.d = make([]float64, k)
+			// Whole lines: the allocator's size classes of 64-byte
+			// multiples start every object on a line. At k = 3 two 24-byte
+			// lists would be neighbors, and two workers' inserts would
+			// write one line.
+			n := (k + 7) &^ 7
+			s.idx = make([]int, n)
+			s.d = make([]float64, n)
 		}
 	}
 }
@@ -561,14 +578,7 @@ func writePadded(dst, found []int) {
 //edgepc:hotpath
 func (ix *Index) FPS(n int, out []int) ([]int, error) {
 	ix.build()
-	if ix.scan {
-		// One bucket holding the whole level: the kernel's refresh is then
-		// exact FPS's two linear passes per pick.
-		ix.fps.BucketSize = len(ix.pts)
-		return ix.fps.ExactInto(ix.cols, nil, n, out)
-	}
-	ix.fps.BucketSize = 0
-	return ix.fps.ExactInto(ix.cols, ix.perm, n, out)
+	return ix.sample(sample.ArchFPS, 0, n, out)
 }
 
 // ApproxFPS returns the picks sample.BucketFPS{Frac: quality}.SampleInto(pts,
@@ -580,11 +590,7 @@ func (ix *Index) FPS(n int, out []int) ([]int, error) {
 //edgepc:hotpath
 func (ix *Index) ApproxFPS(quality float64, n int, out []int) ([]int, error) {
 	ix.build()
-	ix.fps.Frac, ix.fps.BucketSize = quality, 0
-	if ix.scan {
-		return ix.fps.OrderedInto(ix.cols, nil, n, out)
-	}
-	return ix.fps.OrderedInto(ix.cols, ix.perm, n, out)
+	return ix.sample(sample.ArchBucketFPS, quality, n, out)
 }
 
 // KNN returns, for every query, the k nearest level points under (DistSq,
