@@ -2,9 +2,8 @@
 //
 // Usage:
 //
-//	edgepc-bench [-quick] [-seed N] [-backend NAME] [experiment ...]
+//	edgepc-bench [-quick] [-seed N] [experiment ...]
 //	edgepc-bench -list
-//	edgepc-bench -list-backends
 //
 // With no experiment arguments it runs the full suite in order. Each
 // experiment prints its table plus a note comparing the measured shape with
@@ -19,15 +18,12 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/tensor"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "run reduced-size workloads (seconds instead of minutes)")
 	seed := flag.Int64("seed", 1, "seed for all synthetic data")
-	backend := flag.String("backend", "", "tensor compute backend for model inference: naive | blocked | int8 (default "+tensor.DefaultBackend+")")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	listBackends := flag.Bool("list-backends", false, "list available compute backends and exit")
 	stages := flag.Bool("stages", false, "print the per-stage span breakdown (shorthand for the 'stages' experiment)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of tables")
 	flag.Usage = func() {
@@ -42,18 +38,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", e.ID, e.Title)
 		}
 		return
-	}
-	if *listBackends {
-		for _, name := range tensor.BackendNames() {
-			fmt.Println(name)
-		}
-		return
-	}
-	// Fail a typo'd -backend before any experiment runs; the name itself is
-	// resolved per network inside pipeline.Build.
-	if _, err := tensor.NewBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 
 	var todo []experiments.Experiment
@@ -90,7 +74,7 @@ func main() {
 		}
 	}
 
-	cfg := experiments.RunConfig{Quick: *quick, Seed: *seed, Backend: *backend}
+	cfg := experiments.RunConfig{Quick: *quick, Seed: *seed}
 	type jsonResult struct {
 		ID     string `json:"id"`
 		Title  string `json:"title"`

@@ -11,7 +11,6 @@
 //	edgepc-serve -quick -workload W3 -frames 8          # laptop-scale smoke
 //	edgepc-serve -quick -degrade -chaos-panic 0.1       # ladder + chaos drill
 //	edgepc-serve -quick -engines 4 -tenants 8 -qos-rate 50   # fleet router
-//	edgepc-serve -quick -backend int8                   # quantized inference kernels
 //	edgepc-serve -quick -chaos-stall 0.1 -stall-timeout 2ms  # watchdog drill
 //	edgepc-serve -quick -engines 3 -retries 2           # survivable fleet
 //	edgepc-serve -quick -checkpoint ckpt.epck           # restore weights first
@@ -53,7 +52,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/serve"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -69,7 +67,6 @@ func main() {
 		clients  = flag.Int("clients", 4, "concurrent submitting clients")
 		seed     = flag.Int64("seed", 1, "model and frame seed")
 		quick    = flag.Bool("quick", false, "laptop-scale model and clouds (smoke mode)")
-		backend  = flag.String("backend", "", "compute backend for the inference kernels: naive | blocked | int8 (default "+tensor.DefaultBackend+")")
 
 		degrade      = flag.Bool("degrade", false, "arm the degradation ladder (PointNet++ workloads: "+pipeline.DegradeTierName+")")
 		chaosPanic   = flag.Float64("chaos-panic", 0, "fault injection: fraction of frames that panic a worker")
@@ -93,7 +90,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "edgepc-serve: unexpected argument %q (the command takes flags only; -degrade takes no value)\n", flag.Arg(0))
 		os.Exit(1)
 	}
-	if err := run(*workload, *config, *backend, *workers, *queue, *batch, *window, *timeout,
+	if err := run(*workload, *config, *workers, *queue, *batch, *window, *timeout,
 		*frames, *clients, *seed, *quick, *degrade, *chaosPanic, *chaosCorrupt, *chaosStall, *chaosSeed,
 		*stallTimeout, *retries, *checkpoint,
 		*engines, *tenants, *qosRate, *qosBurst); err != nil {
@@ -114,7 +111,7 @@ func parseConfig(s string) (pipeline.ConfigKind, error) {
 	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
 }
 
-func run(workload, config, backend string, workers, queue, batch int, window, timeout time.Duration,
+func run(workload, config string, workers, queue, batch int, window, timeout time.Duration,
 	frames, clients int, seed int64, quick, degrade bool, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
 	stallTimeout time.Duration, retries int, checkpoint string,
 	engines, tenants int, qosRate, qosBurst float64) error {
@@ -124,11 +121,6 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 	}
 	kind, err := parseConfig(config)
 	if err != nil {
-		return err
-	}
-	// Fail a typo'd -backend before any replicas are built; the name itself is
-	// resolved per replica inside pipeline.Build.
-	if _, err := tensor.NewBackend(backend); err != nil {
 		return err
 	}
 	if workers < 1 || clients < 1 || frames < 1 {
@@ -152,7 +144,7 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 	if tenants < 1 || qosRate < 0 || qosBurst < 0 {
 		return fmt.Errorf("tenants must be positive, qos-rate/qos-burst non-negative")
 	}
-	opts := pipeline.Options{Seed: seed, Backend: backend}
+	opts := pipeline.Options{Seed: seed}
 	if quick {
 		w.Points, w.Batch = 256, 1
 		opts.BaseWidth, opts.Depth, opts.Modules = 8, 2, 2
@@ -218,9 +210,6 @@ func run(workload, config, backend string, workers, queue, batch int, window, ti
 
 	fmt.Printf("edgepc-serve: %s %s, %d workers, %d clients, %d frames (%d points each)\n",
 		w.ID, kind, workers, clients, frames, w.Points)
-	if backend != "" {
-		fmt.Printf("compute backend: %s\n", backend)
-	}
 	if len(tierOpts) > 0 {
 		fmt.Printf("degradation ladder: armed (%s)\n", pipeline.DegradeTierName)
 	}

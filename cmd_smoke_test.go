@@ -20,11 +20,8 @@ func TestCommandSmoke(t *testing.T) {
 		{"edgepc-info", []string{"run", "./cmd/edgepc", "info", "-gen", "sphere", "-points", "500"}, "points: 500"},
 		{"edgepc-sample", []string{"run", "./cmd/edgepc", "sample", "-gen", "sphere", "-points", "400", "-n", "40"}, "coverage radius"},
 		{"edgepc-bench-list", []string{"run", "./cmd/edgepc-bench", "-list"}, "fig13"},
-		{"edgepc-bench-list-backends", []string{"run", "./cmd/edgepc-bench", "-list-backends"}, "int8"},
 		{"edgepc-bench-quick", []string{"run", "./cmd/edgepc-bench", "-quick", "table1"}, "W6"},
-		{"edgepc-bench-backend", []string{"run", "./cmd/edgepc-bench", "-quick", "-backend", "blocked", "fig3"}, "W6"},
 		{"edgepc-serve-quick", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "served 6 frames"},
-		{"edgepc-serve-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "int8", "-workload", "W1", "-frames", "6", "-clients", "2", "-workers", "2"}, "compute backend: int8"},
 		{"edgepc-serve-chaos", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W1", "-frames", "8", "-clients", "2", "-workers", "2", "-degrade", "-chaos-panic", "0.2"}, "degradation ladder: armed"},
 		// DGCNN has no rung that relieves load: -degrade says so and serves on.
 		{"edgepc-serve-degrade-no-rung", []string{"run", "./cmd/edgepc-serve", "-quick", "-workload", "W3", "-frames", "4", "-clients", "2", "-workers", "2", "-degrade"}, "serving without a ladder"},
@@ -61,10 +58,9 @@ func TestCommandSmokeFailures(t *testing.T) {
 		// parsing at N and drop -chaos-panic silently.
 		{"edgepc-serve-bad-degrade", []string{"run", "./cmd/edgepc-serve", "-quick", "-degrade", "2", "-chaos-panic", "0.1"}, "unexpected argument \"2\""},
 		{"edgepc-loadgen-trailing-arg", []string{"run", "./cmd/edgepc-loadgen", "-quick", "extra"}, "unexpected argument \"extra\""},
-		// A typo'd backend name must name the registered set, mirroring the
-		// RegisterArch error style.
-		{"edgepc-serve-bad-backend", []string{"run", "./cmd/edgepc-serve", "-quick", "-backend", "fp16"}, "no backend registered for \"fp16\" (registered: blocked, int8, naive)"},
-		{"edgepc-bench-bad-backend", []string{"run", "./cmd/edgepc-bench", "-quick", "-backend", "fp16", "fig3"}, "no backend registered for \"fp16\" (registered: blocked, int8, naive)"},
+		// There is one compute path and no -backend flag: a script that still
+		// passes one is refused, not served the only kernel.
+		{"edgepc-serve-removed-backend-flag", []string{"run", "./cmd/edgepc-serve", "-backend", "int8"}, "flag provided but not defined: -backend"},
 	}
 	for _, c := range cases {
 		c := c

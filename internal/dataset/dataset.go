@@ -50,7 +50,7 @@ func Split(n int, testFrac float64) (train, test []int) {
 	}
 	rng := rand.New(rand.NewSource(0x5eed))
 	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	testN := int(float64(n)*testFrac + 0.5)
+	testN := int(float64(float64(n)*testFrac) + 0.5)
 	test = append(test, order[:testN]...)
 	train = append(train, order[testN:]...)
 	sort.Ints(test)

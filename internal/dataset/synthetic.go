@@ -95,7 +95,7 @@ func (d *PartSegmentation) At(i int) (*Sample, error) {
 	addPart := func(kind geom.ShapeKind, n int, label int32, scale, dz float64) {
 		part := geom.GenerateShape(kind, geom.ShapeOptions{N: n, Noise: d.Noise, DensitySkew: 0.4, Seed: rng.Int63()})
 		for _, p := range part.Points {
-			c.Points = append(c.Points, geom.Point3{X: p.X * scale, Y: p.Y * scale, Z: p.Z*scale + dz})
+			c.Points = append(c.Points, geom.Point3{X: p.X * scale, Y: p.Y * scale, Z: float64(p.Z*scale) + dz})
 			c.Labels = append(c.Labels, label)
 		}
 	}

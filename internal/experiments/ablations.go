@@ -27,7 +27,7 @@ func runAblationReuse(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := pipeline.Options{Seed: cfg.Seed, Backend: cfg.Backend}
+	opts := pipeline.Options{Seed: cfg.Seed}
 	if cfg.Quick {
 		w.Points = 256
 		opts.BaseWidth = 4

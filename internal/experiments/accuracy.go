@@ -55,7 +55,7 @@ func runFig14(cfg RunConfig) (*Result, error) {
 	cfg.defaults()
 	ds := &fiveCls{items: 100, points: 256, seed: cfg.Seed + 100}
 	epochs := 10
-	modOpts := pipeline.Options{BaseWidth: 12, Modules: 3, Seed: cfg.Seed, Backend: cfg.Backend}
+	modOpts := pipeline.Options{BaseWidth: 12, Modules: 3, Seed: cfg.Seed}
 	if cfg.Quick {
 		ds.items, ds.points, epochs = 20, 96, 2
 		modOpts.BaseWidth = 6
@@ -140,7 +140,7 @@ func runFig15b(cfg RunConfig) (*Result, error) {
 	rows := [][]string{{"Optimized layers", "Test accuracy", "SMP+NS speedup"}}
 	var baseSN float64
 	for layers := 0; layers <= depth; layers++ {
-		opts := pipeline.Options{BaseWidth: 6, Depth: depth, MortonLayers: layers, Seed: cfg.Seed, Backend: cfg.Backend}
+		opts := pipeline.Options{BaseWidth: 6, Depth: depth, MortonLayers: layers, Seed: cfg.Seed}
 		kind := pipeline.SN
 		if layers == 0 {
 			kind = pipeline.Baseline

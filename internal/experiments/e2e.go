@@ -23,7 +23,7 @@ func workloadScale(w pipeline.Workload, cfg RunConfig) (pipeline.Workload, pipel
 	// the paper's 38–80% band (the paper's networks are wider still, but
 	// pure-Go execution has to finish; the cost model prices the actual
 	// channel widths the models run).
-	opts := pipeline.Options{Seed: 11, BaseWidth: 32, Backend: cfg.Backend}
+	opts := pipeline.Options{Seed: 11, BaseWidth: 32}
 	if cfg.Quick {
 		w.Points = 256
 		opts.BaseWidth = 4

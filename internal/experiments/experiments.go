@@ -26,12 +26,6 @@ type RunConfig struct {
 	Quick bool
 	// Seed drives all synthetic data.
 	Seed int64
-	// Backend names the tensor compute backend model-building experiments run
-	// their inference kernels on ("" or tensor.BackendNaive for the reference
-	// scalar loops; tensor.BackendBlocked / tensor.BackendInt8 for the tiled
-	// and quantized kernels). Experiments that never build a network ignore
-	// it.
-	Backend string
 }
 
 func (c *RunConfig) defaults() {

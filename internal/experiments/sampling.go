@@ -115,7 +115,7 @@ func runFig9(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := pipeline.Options{Seed: cfg.Seed, Backend: cfg.Backend}
+	opts := pipeline.Options{Seed: cfg.Seed}
 	if cfg.Quick {
 		w.Points = 512
 		opts.BaseWidth = 4

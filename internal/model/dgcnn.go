@@ -195,9 +195,6 @@ type DGCNNConfig struct {
 	// Dropout is the head dropout probability; 0 selects the default (0.3),
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
-	// Backend is the compute backend eval frames dispatch their kernels
-	// through (nil → tensor.Default()); see tensor.Backend.
-	Backend tensor.Backend
 	Seed    int64
 }
 
@@ -276,7 +273,6 @@ func NewDGCNN(cfg DGCNNConfig) (*DGCNN, error) {
 		Structurize:  cfg.Structurize,
 		ExtraFeatDim: cfg.ExtraFeatDim,
 		Reuse:        cfg.Reuse,
-		Backend:      cfg.Backend,
 	})
 	if err != nil {
 		return nil, err

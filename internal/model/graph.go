@@ -52,11 +52,6 @@ type Exec struct {
 	// gradient, comes from it.
 	arena *tensor.Workspace
 
-	// be is the frame's compute backend: the graph's configured backend on
-	// eval frames, always blocked — the reference bits — when training:
-	// gradients must see exact float32 numerics.
-	be tensor.Backend
-
 	// reuse carries neighbor indexes across stages under the graph's
 	// ReusePolicy; reset at each frame start.
 	reuse   *core.ReuseCache
@@ -101,10 +96,6 @@ func (x *Exec) scratch() *tensor.Workspace {
 	}
 	return x.ws
 }
-
-// Backend returns the frame's compute backend (never nil: the reference
-// backend when training, tensor.Default() when none is configured).
-func (x *Exec) Backend() tensor.Backend { return x.be }
 
 // Trace returns the frame's trace (possibly nil).
 func (x *Exec) Trace() *Trace { return x.trace }
@@ -191,10 +182,6 @@ type GraphSpec struct {
 	ExtraFeatDim int
 	// Reuse is the neighbor-index reuse policy shared by all stages.
 	Reuse core.ReusePolicy
-	// Backend selects the compute backend eval frames dispatch their kernels
-	// through (nil → tensor.Default()). Training frames always run the
-	// reference kernels regardless.
-	Backend tensor.Backend
 }
 
 // Graph is a compiled model: the executor for a declarative stage list. It
@@ -238,9 +225,6 @@ func Compile(spec GraphSpec) (*Graph, error) {
 	if len(spec.Stages) == 0 {
 		return nil, fmt.Errorf("model: graph needs at least one stage")
 	}
-	if spec.Backend == nil {
-		spec.Backend = tensor.Default()
-	}
 	g := &Graph{spec: spec}
 	for _, s := range spec.Stages {
 		g.params = append(g.params, s.Params()...)
@@ -269,11 +253,6 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 		for _, s := range g.spec.Stages {
 			if u, ok := s.(nn.WorkspaceUser); ok {
 				u.SetWorkspace(g.ws)
-			}
-			// Same single attach site for the compute backend: stages (and
-			// their layer stacks) receive it once, at first eval use.
-			if u, ok := s.(nn.BackendUser); ok {
-				u.SetBackend(g.spec.Backend)
 			}
 		}
 	}
@@ -313,16 +292,6 @@ func (g *Graph) attachArena(a *tensor.Workspace) {
 	}
 }
 
-// backend resolves the compute backend for a frame: the configured backend
-// (Compile made an unconfigured one tensor.Default) on eval frames, blocked
-// when training.
-func (g *Graph) backend(train bool) tensor.Backend {
-	if train {
-		return tensor.Blocked()
-	}
-	return g.spec.Backend
-}
-
 // Forward runs one cloud through the compiled graph and returns logits
 // aligned with Output.Labels. Eval frames (train=false) serve all
 // intermediate activations from the per-graph workspace; the returned logits
@@ -338,7 +307,6 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	g.trained = false
 	x.ws = g.workspace(train)
 	x.arena = g.trainArena(train)
-	x.be = g.backend(train)
 	x.trace = trace
 	x.train = train
 	x.levels = x.levels[:0]
@@ -369,7 +337,7 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		perm = s.Perm
 		sorted = true
 	}
-	feats, err := inputFeatures(x.scratch(), x.be, pts, feat, featDim, g.spec.ExtraFeatDim)
+	feats, err := inputFeatures(x.scratch(), pts, feat, featDim, g.spec.ExtraFeatDim)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/tensor"
 )
 
 // TestGraphSpansBracketRecords checks the executor's span instrumentation:
@@ -156,27 +155,5 @@ func TestPointNetPPReuseFallsBackWithoutProjection(t *testing.T) {
 	}
 	if len(nbr) != 2 || nbr[1].Reused || nbr[1].Algo == "reuse" {
 		t.Fatalf("FPS run must search at every layer, got %+v", nbr)
-	}
-}
-
-// TestUnconfiguredGraphUsesDefaultBackend is model's third of the
-// one-default rule (internal/nn pins an unconfigured Linear, internal/pipeline
-// what Build resolves): a graph compiled without a backend serves eval frames
-// on tensor.Default — the backend NewBackend("") names — and trains on
-// blocked, the reference bits, whatever it serves with.
-func TestUnconfiguredGraphUsesDefaultBackend(t *testing.T) {
-	net, err := NewPointNetPP(tinyPPConfig(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := tensor.NewBackend("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := net.graph.backend(false).Name(); got != def.Name() || got != tensor.DefaultBackend {
-		t.Fatalf("unconfigured graph serves on %q, NewBackend(\"\") is %q, DefaultBackend %q", got, def.Name(), tensor.DefaultBackend)
-	}
-	if got := net.graph.backend(true).Name(); got != tensor.BackendBlocked {
-		t.Fatalf("training runs %q, want blocked", got)
 	}
 }

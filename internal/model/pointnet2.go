@@ -279,8 +279,8 @@ type fpCache struct {
 
 // forward interpolates coarseFeats (features at the coarse level) onto the
 // fine level and fuses them with the fine level's own features. Execution
-// context (trace, train flag, workspace or training arena, compute backend)
-// comes from the Graph's Exec, the same contract as SAModule.forward.
+// context (trace, train flag, workspace or training arena) comes from the
+// Graph's Exec, the same contract as SAModule.forward.
 //
 //edgepc:hotpath
 func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, layer int, x *Exec) (*tensor.Matrix, error) {
@@ -447,9 +447,6 @@ type PPConfig struct {
 	// Dropout is the head dropout probability; 0 selects the default (0.3),
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
-	// Backend is the compute backend eval frames dispatch their kernels
-	// through (nil → tensor.Default()); see tensor.Backend.
-	Backend tensor.Backend
 	Seed    int64
 }
 
@@ -575,7 +572,6 @@ func NewPointNetPP(cfg PPConfig) (*PointNetPP, error) {
 		Structurize:  cfg.Structurize,
 		ExtraFeatDim: cfg.ExtraFeatDim,
 		Reuse:        cfg.Reuse,
-		Backend:      cfg.Backend,
 	})
 	if err != nil {
 		return nil, err

@@ -27,7 +27,6 @@ func (s *saStage) Name() string                      { return s.name }
 func (s *saStage) layer() int                        { return s.idx }
 func (s *saStage) Params() []*nn.Param               { return s.m.MLP.Params() }
 func (s *saStage) SetWorkspace(ws *tensor.Workspace) { s.m.MLP.SetWorkspace(ws) }
-func (s *saStage) SetBackend(be tensor.Backend)      { s.m.MLP.SetBackend(be) }
 
 func (s *saStage) SetTrainArena(a *tensor.Workspace) {
 	s.m.MLP.SetTrainArena(a)
@@ -69,7 +68,6 @@ func (s *fpStage) Name() string                      { return s.name }
 func (s *fpStage) layer() int                        { return s.idx }
 func (s *fpStage) Params() []*nn.Param               { return s.m.MLP.Params() }
 func (s *fpStage) SetWorkspace(ws *tensor.Workspace) { s.m.MLP.SetWorkspace(ws) }
-func (s *fpStage) SetBackend(be tensor.Backend)      { s.m.MLP.SetBackend(be) }
 
 func (s *fpStage) SetTrainArena(a *tensor.Workspace) {
 	s.m.MLP.SetTrainArena(a)
@@ -131,7 +129,6 @@ func (s *ecStage) Name() string                      { return s.name }
 func (s *ecStage) layer() int                        { return s.idx }
 func (s *ecStage) Params() []*nn.Param               { return s.m.MLP.Params() }
 func (s *ecStage) SetWorkspace(ws *tensor.Workspace) { s.m.MLP.SetWorkspace(ws) }
-func (s *ecStage) SetBackend(be tensor.Backend)      { s.m.MLP.SetBackend(be) }
 
 func (s *ecStage) SetTrainArena(a *tensor.Workspace) {
 	s.m.MLP.SetTrainArena(a)
@@ -254,7 +251,6 @@ type mlpStage struct {
 func (s *mlpStage) Name() string                      { return s.name }
 func (s *mlpStage) Params() []*nn.Param               { return s.mlp.Params() }
 func (s *mlpStage) SetWorkspace(ws *tensor.Workspace) { s.mlp.SetWorkspace(ws) }
-func (s *mlpStage) SetBackend(be tensor.Backend)      { s.mlp.SetBackend(be) }
 func (s *mlpStage) SetTrainArena(a *tensor.Workspace) { s.mlp.SetTrainArena(a) }
 
 //edgepc:hotpath

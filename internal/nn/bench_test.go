@@ -27,9 +27,8 @@ var w1FeatureShapes = []struct {
 	{"fp3", 8192, []int{19, 16}, 0},
 }
 
-// BenchmarkSharedMLPEval times the eval-mode shared MLP, workspace and
-// default backend attached, at the eight shapes whose sum is a W1 frame's
-// model.stage.feature_ms. Run with -cpu 1,2: the fan-out is sized by work,
+// BenchmarkSharedMLPEval times the eval-mode shared MLP, workspace attached,
+// at the eight shapes whose sum is a W1 frame's model.stage.feature_ms. Run with -cpu 1,2: the fan-out is sized by work,
 // so the small layers show whether it pays. GFLOP/s counts the GEMMs alone
 // (2·rows·in·out a layer) over the whole block's time, epilogue included.
 func BenchmarkSharedMLPEval(b *testing.B) {

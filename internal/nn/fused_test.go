@@ -105,10 +105,10 @@ func oddInput(rng *rand.Rand, rows, cols int, poisoned bool) *tensor.Matrix {
 }
 
 // oracle is the layer-by-layer chain with no workspace anywhere: the Linear
-// as the backend's MatMulInto plus the reference bias sweep, a multi-row
+// as the reference MatMulInto plus the reference bias sweep, a multi-row
 // BatchNorm as refBN's loops (BatchNorm.Forward otherwise), ReLU.Forward and,
 // for k > 0, tensor.MaxPoolGroups.
-func oracle(t *testing.T, be tensor.Backend, layers []Layer, x *tensor.Matrix, k int) *tensor.Matrix {
+func oracle(t *testing.T, layers []Layer, x *tensor.Matrix, k int) *tensor.Matrix {
 	t.Helper()
 	cur := x
 	for _, l := range layers {
@@ -116,7 +116,7 @@ func oracle(t *testing.T, be tensor.Backend, layers []Layer, x *tensor.Matrix, k
 		bn, isBN := l.(*BatchNorm)
 		if lin, ok := l.(*Linear); ok {
 			y := tensor.New(cur.Rows, lin.W.Value.Cols)
-			if err = be.MatMulInto(y, cur, lin.W.Value); err == nil {
+			if err = tensor.MatMulInto(y, cur, lin.W.Value); err == nil {
 				err = tensor.AddBiasRows(y, lin.B.Value.Data)
 			}
 			cur = y
@@ -143,7 +143,7 @@ func oracle(t *testing.T, be tensor.Backend, layers []Layer, x *tensor.Matrix, k
 // inference epilogue: Sequential.Forward and ForwardPooled with a workspace
 // — GEMM with the bias in its store, column-owned statistics, one fused
 // normalise + ReLU (+ max-pool) pass — against the oracle chain, on every
-// backend and core count, over row counts that straddle the single-row
+// core count, over row counts that straddle the single-row
 // branch, the 4-row GEMM tile, the fan-out thresholds and W1's largest
 // layer, and widths that straddle the 4-column floor, the 32-column
 // statistics block and every remainder of the vector sweeps' 8- and 16-lane
@@ -156,52 +156,45 @@ func TestFusedBlockMatchesLayerByLayer(t *testing.T) {
 		rowCounts = []int{1, 2, 5, 256, 2049}
 	}
 	const in = 6
-	for _, name := range tensor.BackendNames() {
-		for _, rows := range rowCounts {
-			for ci, c := range widths {
-				// One triple, and two while the second GEMM stays small, so a
-				// fused block is also checked mid-chain, feeding another.
-				for depth := 1; depth <= 2 && (depth == 1 || rows*c*c <= 1<<22); depth++ {
-					rng := rand.New(rand.NewSource(int64(rows*1000 + c)))
-					layers := oddTriple(rng, "a", in, c)
-					if depth == 2 {
-						layers = append(layers, oddTriple(rng, "b", c, c)...)
-					}
-					x := oddInput(rng, rows, in, ci%3 == 2)
-					be, err := tensor.NewBackend(name)
+	for _, rows := range rowCounts {
+		for ci, c := range widths {
+			// One triple, and two while the second GEMM stays small, so a
+			// fused block is also checked mid-chain, feeding another.
+			for depth := 1; depth <= 2 && (depth == 1 || rows*c*c <= 1<<22); depth++ {
+				rng := rand.New(rand.NewSource(int64(rows*1000 + c)))
+				layers := oddTriple(rng, "a", in, c)
+				if depth == 2 {
+					layers = append(layers, oddTriple(rng, "b", c, c)...)
+				}
+				x := oddInput(rng, rows, in, ci%3 == 2)
+				ks := []int{1, rows}
+				if rows%8 == 0 {
+					ks = append(ks, 8)
+				}
+				want := map[int]*tensor.Matrix{0: oracle(t, layers, x, 0)}
+				for _, k := range ks {
+					want[k] = oracle(t, layers, x, k)
+				}
+
+				mlp := NewSequential(layers...)
+				ws := tensor.NewWorkspace()
+				mlp.SetWorkspace(ws)
+				for _, procs := range []int{1, 2, 3, 4, 8} {
+					runtime.GOMAXPROCS(procs)
+					what := fmt.Sprintf("GOMAXPROCS %d, %d rows × %d, %d deep", procs, rows, c, depth)
+					ws.Reset()
+					got, err := mlp.Forward(x, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ks := []int{1, rows}
-					if rows%8 == 0 {
-						ks = append(ks, 8)
-					}
-					want := map[int]*tensor.Matrix{0: oracle(t, be, layers, x, 0)}
+					requireSameBits(t, what+", Forward", got, want[0])
 					for _, k := range ks {
-						want[k] = oracle(t, be, layers, x, k)
-					}
-
-					mlp := NewSequential(layers...)
-					ws := tensor.NewWorkspace()
-					mlp.SetWorkspace(ws)
-					mlp.SetBackend(be)
-					for _, procs := range []int{1, 2, 3, 4, 8} {
-						runtime.GOMAXPROCS(procs)
-						what := fmt.Sprintf("%s, GOMAXPROCS %d, %d rows × %d, %d deep", name, procs, rows, c, depth)
 						ws.Reset()
-						got, err := mlp.Forward(x, false)
+						got, err := mlp.ForwardPooled(x, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						requireSameBits(t, what+", Forward", got, want[0])
-						for _, k := range ks {
-							ws.Reset()
-							got, err := mlp.ForwardPooled(x, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							requireSameBits(t, fmt.Sprintf("%s, ForwardPooled k=%d", what, k), got, want[k])
-						}
+						requireSameBits(t, fmt.Sprintf("%s, ForwardPooled k=%d", what, k), got, want[k])
 					}
 				}
 			}
@@ -222,7 +215,7 @@ func TestForwardPooledWithoutTrailingTriple(t *testing.T) {
 		"bn alone":    {NewBatchNorm("bn", 6)},
 		"dropout":     append(oddTriple(rng, "a", 6, 16), &Dropout{P: 0.5}),
 	} {
-		want := oracle(t, tensor.Naive(), layers, x, 8)
+		want := oracle(t, layers, x, 8)
 		mlp := NewSequential(layers...)
 		ws := tensor.NewWorkspace()
 		mlp.SetWorkspace(ws)
@@ -277,21 +270,5 @@ func TestFusedBlockSteadyStateAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(50, frame); got > float64(c.ceiling) {
 			t.Fatalf("GOMAXPROCS %d: %v allocs per fused block, ceiling %d", c.procs, got, c.ceiling)
 		}
-	}
-}
-
-// TestUnconfiguredLinearUsesDefaultBackend is nn's third of the one-default
-// rule: a workspace-attached Linear nobody gave a backend resolves to
-// tensor.Default, the backend NewBackend("") names (internal/model and
-// internal/pipeline pin the same for a Graph and for Build).
-func TestUnconfiguredLinearUsesDefaultBackend(t *testing.T) {
-	l := NewLinear("l", 3, 2, rand.New(rand.NewSource(43)))
-	l.SetWorkspace(tensor.NewWorkspace())
-	def, err := tensor.NewBackend("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.backend().Name(); got != def.Name() || got != tensor.DefaultBackend {
-		t.Fatalf("unconfigured Linear runs %q, NewBackend(\"\") is %q, DefaultBackend %q", got, def.Name(), tensor.DefaultBackend)
 	}
 }

@@ -18,7 +18,6 @@ type Linear struct {
 	x     *tensor.Matrix // cached input for backward
 	ws    *tensor.Workspace
 	arena *tensor.Workspace
-	be    tensor.Backend
 }
 
 // NewLinear creates a Linear layer with He initialization.
@@ -37,32 +36,15 @@ func (l *Linear) SetWorkspace(ws *tensor.Workspace) { l.ws = ws }
 // SetTrainArena implements TrainArenaUser.
 func (l *Linear) SetTrainArena(a *tensor.Workspace) { l.arena, l.x = a, nil }
 
-// SetBackend implements BackendUser: eval-mode matmuls dispatch through be.
-func (l *Linear) SetBackend(be tensor.Backend) { l.be = be }
-
-// backend resolves the layer's compute backend: the one it was given, else
-// the package default every unconfigured site shares.
-func (l *Linear) backend() tensor.Backend {
-	if l.be != nil {
-		return l.be
-	}
-	return tensor.Default()
-}
-
-// Forward implements Layer. The x·W + b product is the layer's compute kernel
-// and the one place the backend choice matters: the eval path dispatches it
-// through the configured tensor.Backend (blocked tiles it, int8 quantizes and
-// dequantizes on exit) as one MatMulBiasInto — the bias an exact float32 add
-// in every backend. Training and workspace-less calls run blocked whatever is
-// configured: its bits are the reference kernel's, and a quantized forward
-// would change what the gradients are gradients of.
+// Forward implements Layer. The x·W + b product is the layer's compute kernel:
+// blocked's MatMulBiasInto, eval and train alike, with the bias an exact
+// float32 add in its store. Its bits are the reference kernel's.
 //
 //edgepc:hotpath
 func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	var y *tensor.Matrix
-	be := tensor.Blocked()
 	if !train && l.ws != nil {
-		y, be = l.ws.Get(x.Rows, l.W.Value.Cols), l.backend()
+		y = l.ws.Get(x.Rows, l.W.Value.Cols)
 	} else {
 		var a *tensor.Workspace
 		if train {
@@ -70,7 +52,7 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 		}
 		y = wsGet(a, x.Rows, l.W.Value.Cols)
 	}
-	if err := be.MatMulBiasInto(y, x, l.W.Value, l.B.Value.Data); err != nil {
+	if err := tensor.Blocked().MatMulBiasInto(y, x, l.W.Value, l.B.Value.Data); err != nil {
 		return nil, fmt.Errorf("linear %s: %w", l.W.Name, err)
 	}
 	return y, nil
@@ -727,12 +709,6 @@ func (s *Sequential) SetWorkspace(ws *tensor.Workspace) {
 func (s *Sequential) SetTrainArena(a *tensor.Workspace) {
 	s.arena = a
 	AttachTrainArena(a, s.Layers...)
-}
-
-// SetBackend implements BackendUser, recursing into every child layer that
-// dispatches kernels through a backend.
-func (s *Sequential) SetBackend(be tensor.Backend) {
-	AttachBackend(be, s.Layers...)
 }
 
 // Forward implements Layer.

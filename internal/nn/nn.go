@@ -106,25 +106,6 @@ func AttachWorkspace(ws *tensor.Workspace, layers ...Layer) {
 	}
 }
 
-// BackendUser is implemented by layers that dispatch their inference kernels
-// through a tensor.Backend. Like workspace mode, the backend only governs the
-// eval path: Forward(x, true) always runs the exact reference kernels, so
-// training numerics are identical whatever backend the net will serve with.
-// A nil backend means the reference (naive) kernels.
-type BackendUser interface {
-	SetBackend(be tensor.Backend)
-}
-
-// AttachBackend sets be on every given layer that supports backend-dispatched
-// inference (Sequential recurses into its children).
-func AttachBackend(be tensor.Backend, layers ...Layer) {
-	for _, l := range layers {
-		if u, ok := l.(BackendUser); ok {
-			u.SetBackend(be)
-		}
-	}
-}
-
 // InitHe fills the parameter with He-normal values scaled by the fan-in
 // (suitable ahead of ReLU).
 func InitHe(p *Param, fanIn int, rng *rand.Rand) {

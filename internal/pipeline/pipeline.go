@@ -135,15 +135,7 @@ type Options struct {
 	// ExtraFeatDim is the per-point input feature width beyond coordinates
 	// (pair with datasets that attach features, e.g. scene intensity).
 	ExtraFeatDim int
-	// Backend names the tensor.Backend eval frames dispatch their compute
-	// kernels through: "blocked" (cache-blocked fp32 tiles; the default,
-	// tensor.DefaultBackend), "naive" (the reference float32 loops, which
-	// blocked matches bit for bit), or "int8" (quantized inference).
-	// Builders resolve the name per net, so every replica owns a private
-	// backend instance. Unknown names fail at Build with the registered list.
-	// Training always runs blocked, whose bits are the reference's, regardless.
-	Backend string
-	Seed    int64
+	Seed         int64
 }
 
 func (o *Options) defaults(w Workload) {

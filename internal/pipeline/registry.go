@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/tensor"
 )
 
 // String names the architecture (Table 1 uses these in the Model column
@@ -69,23 +68,7 @@ func mortonStructurize(kind ConfigKind, opts Options) *core.StructurizeOptions {
 	return &core.StructurizeOptions{TotalBits: opts.TotalBits}
 }
 
-// resolveBackend turns Options.Backend into a fresh tensor.Backend instance
-// for one net. Fresh per net is deliberate: backends may keep per-instance
-// state (the int8 quantization cache and scratch), and serving runs one
-// replica — hence one backend — per worker goroutine.
-func resolveBackend(opts Options) (tensor.Backend, error) {
-	be, err := tensor.NewBackend(opts.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	return be, nil
-}
-
 func buildPointNetPP(w Workload, kind ConfigKind, opts Options) (Net, error) {
-	be, err := resolveBackend(opts)
-	if err != nil {
-		return nil, err
-	}
 	useMorton := kind != Baseline
 	sa := make([]model.ModuleStrategy, opts.Depth)
 	fp := make([]model.ModuleStrategy, opts.Depth)
@@ -113,16 +96,11 @@ func buildPointNetPP(w Workload, kind ConfigKind, opts Options) (Net, error) {
 		FPStrategies:  fp,
 		Reuse:         reuse,
 		Structurize:   mortonStructurize(kind, opts),
-		Backend:       be,
 		Seed:          opts.Seed,
 	})
 }
 
 func buildDGCNN(w Workload, kind ConfigKind, opts Options) (Net, error) {
-	be, err := resolveBackend(opts)
-	if err != nil {
-		return nil, err
-	}
 	useMorton := kind != Baseline
 	strat := make([]model.ModuleStrategy, opts.Modules)
 	reuse := core.ReusePolicy{}
@@ -142,7 +120,6 @@ func buildDGCNN(w Workload, kind ConfigKind, opts Options) (Net, error) {
 		Reuse:        reuse,
 		Task:         w.Task,
 		Structurize:  mortonStructurize(kind, opts),
-		Backend:      be,
 		Seed:         opts.Seed,
 	})
 }

@@ -73,8 +73,8 @@ const DegradeTierName = "budget/2+bucketfps@0.5"
 //
 // The other approximation knobs are not rungs because they do not relieve
 // load (EXPERIMENTS.md, PR 13): under S+N the Morton window has already made
-// search cheap, so W/2 saves nothing; the int8 backend makes a frame slower
-// than the float32 one it replaces; a longer reuse distance is in the noise.
+// search cheap, so W/2 saves nothing; the int8 kernel made a frame slower
+// than the float32 one it would replace; a longer reuse distance is in the noise.
 // On DGCNN every one of them costs more than full fidelity and there is no
 // sample budget to cut, so DGCNN workloads get no rung at all and serve runs
 // them without a ladder.

@@ -64,7 +64,7 @@ func TestRebuildReplicaSharesParams(t *testing.T) {
 
 func TestDegradeTiersOneRungForPointNetPPNoneForDGCNN(t *testing.T) {
 	for _, w := range Workloads {
-		for _, in := range []Options{{}, {SampleFrac: 0.08, WindowW: 24, Backend: "blocked", PPReuseDistance: 1}} {
+		for _, in := range []Options{{}, {SampleFrac: 0.08, WindowW: 24, PPReuseDistance: 1}} {
 			for _, n := range []int{-1, 0} {
 				if got := DegradeTiers(w, in, n); got != nil {
 					t.Fatalf("%s: n=%d produced %d tiers, want no ladder", w.ID, n, len(got))
@@ -89,7 +89,7 @@ func TestDegradeTiersOneRungForPointNetPPNoneForDGCNN(t *testing.T) {
 				if rung.SampleArch != sample.ArchBucketFPS || rung.SampleQuality != 0.5 {
 					t.Fatalf("%s: rung sampler %v@%v, want bucketfps@0.5", w.ID, rung.SampleArch, rung.SampleQuality)
 				}
-				if rung.Backend != base.Backend || rung.WindowW != base.WindowW ||
+				if rung.WindowW != base.WindowW ||
 					rung.ReuseDistance != base.ReuseDistance || rung.PPReuseDistance != base.PPReuseDistance {
 					t.Fatalf("%s: rung moved a knob that relieves no load:\nbase %+v\nrung %+v", w.ID, base, rung)
 				}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -30,23 +31,16 @@ func TestBackendRegistry(t *testing.T) {
 			t.Fatalf("NewBackend(%q).Name() = %q", n, be.Name())
 		}
 	}
-	// The empty name resolves to the default.
-	be, err := NewBackend("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be.Name() != DefaultBackend {
-		t.Fatalf("NewBackend(\"\").Name() = %q, want %q", be.Name(), DefaultBackend)
-	}
-	// Unknown names fail with the registered list (the RegisterArch error
-	// style the cmd flags surface to users).
-	_, err = NewBackend("tensor-core")
-	if err == nil {
-		t.Fatal("unregistered backend name accepted")
-	}
-	for _, frag := range append([]string{"tensor-core", "registered:"}, want...) {
-		if !strings.Contains(err.Error(), frag) {
-			t.Fatalf("error %q does not mention %q", err, frag)
+	// Unknown names, the empty one included, fail with the list.
+	for _, name := range []string{"tensor-core", ""} {
+		_, err := NewBackend(name)
+		if err == nil {
+			t.Fatalf("unknown backend name %q accepted", name)
+		}
+		for _, frag := range append([]string{fmt.Sprintf("%q", name), "registered:"}, want...) {
+			if !strings.Contains(err.Error(), frag) {
+				t.Fatalf("error %q does not mention %q", err, frag)
+			}
 		}
 	}
 }
@@ -384,7 +378,7 @@ func TestMatMulBiasIntoIsMatMulIntoPlusBias(t *testing.T) {
 
 // TestBlockedBackendConcurrent exercises the shared blocked instance from
 // several goroutines at once (each with private outputs) — the weight-sharing
-// replica pattern — under the race detector in CI's backend-parity stage.
+// replica pattern — under the race detector in CI's kernel-parity stage.
 func TestBlockedBackendConcurrent(t *testing.T) {
 	be := Blocked()
 	rng := rand.New(rand.NewSource(11))

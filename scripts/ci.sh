@@ -38,21 +38,21 @@ if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 	exit 1
 fi
 
-echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model) =="
+echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model, dataset) =="
 # The Go spec lets a compiler fuse x*y + z, and the arm64 one does. The
 # geometry the exact stages run on and the network's kernels, forward,
-# backward and optimizer, round every product with an explicit float64(...)
-# or float32(...) conversion, which the spec says prevents that: one FMADD in
-# these packages and the spatial index's pruning bounds, the FPS picks, the
-# logits, the gradients and the golden fixtures would differ between amd64
-# and arm64. A warm build cache replays the compiler output, so no -a is
+# backward and optimizer, and the generators behind every golden input, round
+# every product with an explicit float64(...) or float32(...) conversion,
+# which the spec says prevents that: one FMADD in these packages and the
+# spatial index's pruning bounds, the FPS picks, the logits, the gradients and
+# the golden fixtures would differ between amd64 and arm64. A warm build cache replays the compiler output, so no -a is
 # needed.
 fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/geom/ ./internal/sample/ ./internal/spatial/ \
-	./internal/tensor/ ./internal/nn/ ./internal/model/ 2>&1 |
+	./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/dataset/ 2>&1 |
 	grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
 if [ -n "$fused" ]; then
 	printf '%s\n' "$fused" >&2
-	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn or model; round the product with an explicit conversion" >&2
+	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn, model or dataset; round the product with an explicit conversion" >&2
 	exit 1
 fi
 
@@ -70,8 +70,8 @@ echo "== go test -race (parallel kernels + workspace hot path + serving) =="
 # MatMulBT's fallback loop runs only on a host without AVX2.
 go test -race ./internal/tensor/... ./internal/parallel/... ./internal/morton/... ./internal/spatial/... ./internal/core/... ./internal/neighbor/... ./internal/pipeline/... ./internal/model/... ./internal/serve/... ./internal/loadgen/... ./cmd/edgepc-serve/
 go test -race -run 'TestParCoverRadiusMatchesSerial' ./internal/experiments/
-# internal/nn's fused-epilogue table runs every shape at five core counts on
-# three backends: under the race detector the full table takes minutes, and
+# internal/nn's fused-epilogue table runs every shape at five core counts:
+# under the race detector the full table takes minutes, and
 # the -short one still crosses every fan-out threshold and every remainder of
 # the vector strips. The vector-against-Go tests (TestVectorGEMM*,
 # TestVectorATBT* and TestVectorPool* in tensor, TestVectorSweeps*,
@@ -153,21 +153,16 @@ go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzQueriesMatchOracles$' -fuzztime 5s ./internal/spatial/
 
-echo "== backend parity (golden suite under each compute backend) =="
-# The three compute backends are a contract: pin the registry by name so a
-# renamed/removed backend fails loudly, run the golden-logit suite (default
-# path — blocked — against bit-exact fixtures) plus the cross-backend parity
-# (naive as the named reference), one-default and property tests,
-# and exercise the per-block parallel MatMul under the race detector.
-backend_list=$(go run ./cmd/edgepc-bench -list-backends)
-for b in naive blocked int8; do
-	if ! printf '%s\n' "$backend_list" | grep -qx "$b"; then
-		echo "backend parity: backend '$b' missing from -list-backends" >&2
-		exit 1
-	fi
-done
+echo "== kernel parity (golden suite; blocked against the reference loops at the models' shapes) =="
+# Every layer runs blocked's kernels. Run the golden-logit suite (blocked
+# against bit-exact fixtures) and, under the race detector, the check that
+# blocked's MatMulBiasInto is bit-equal to the scalar reference loops at every
+# feature-stage GEMM shape the golden workloads trace. The tensor tests below
+# cover the blocked property and concurrency tests, the per-block parallel
+# MatMul, and the name switch and int8 kernel that bench/'s
+# tensor.matmul.*_ms probes still call.
 go test -run 'TestGolden' ./internal/pipeline/
-go test -race -run 'TestGoldenBackendParity|TestBackendNamesPinned|TestBuildRejectsUnknownBackend|TestBuildWithEmptyOptionsUsesDefaultBackend' ./internal/pipeline/
+go test -race -run 'TestGoldenBackendParity' ./internal/pipeline/
 go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere|TestVectorPool|TestPoolTiesKeepTheLowestRow' ./internal/tensor/
 # Training runs the same kernels: the backward products above, the argmax
 # pool, the folded train-mode BatchNorm → ReLU forward and backward, Linear's
