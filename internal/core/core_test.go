@@ -439,40 +439,6 @@ func TestReusePolicy(t *testing.T) {
 			}
 		}
 	}
-	if got := (ReusePolicy{Distance: 1}).ComputedLayers(4); got != 2 {
-		t.Fatalf("ComputedLayers = %d, want 2", got)
-	}
-	if b := (ReusePolicy{Distance: 1}).ReuseBufferBytes(1024, 8); b != 1024*8*4 {
-		t.Fatalf("ReuseBufferBytes = %d", b)
-	}
-	if b := (ReusePolicy{}).ReuseBufferBytes(1024, 8); b != 0 {
-		t.Fatalf("no-reuse buffer = %d, want 0", b)
-	}
-}
-
-func TestReuseCache(t *testing.T) {
-	c := NewReuseCache(ReusePolicy{Distance: 1})
-	calls := 0
-	compute := func() ([]int, error) { calls++; return []int{1, 2, 3}, nil }
-	r0, computed, err := c.ForLayer(0, 3, compute)
-	if err != nil || !computed || calls != 1 {
-		t.Fatalf("layer 0: computed=%v calls=%d err=%v", computed, calls, err)
-	}
-	r1, computed, err := c.ForLayer(1, 3, compute)
-	if err != nil || computed || calls != 1 {
-		t.Fatalf("layer 1 should reuse: computed=%v calls=%d err=%v", computed, calls, err)
-	}
-	if &r0[0] != &r1[0] {
-		t.Fatal("reuse returned a different slice")
-	}
-	_, computed, _ = c.ForLayer(2, 3, compute)
-	if !computed || calls != 2 {
-		t.Fatalf("layer 2 should recompute: calls=%d", calls)
-	}
-	// k mismatch on a reuse layer errors.
-	if _, _, err := c.ForLayer(3, 5, compute); err == nil {
-		t.Fatal("k mismatch: want error")
-	}
 }
 
 func TestSamplePositionsSubsetStaysSorted(t *testing.T) {

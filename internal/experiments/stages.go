@@ -62,7 +62,7 @@ func runStages(cfg RunConfig) (*Result, error) {
 // collectSpans runs a workload/config a few frames and summarizes the spans
 // of the warm frames.
 func collectSpans(cfg RunConfig, w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Options) ([]model.SpanSummary, error) {
-	net, err := pipeline.NewNet(w, kind, opts)
+	net, err := pipeline.Build(w, kind, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", w.ID, kind, err)
 	}

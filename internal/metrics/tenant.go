@@ -15,8 +15,9 @@ import (
 // beyond the cardinality cap.
 const OverflowTenant = "~other"
 
-// DefaultTenantCardinality is the per-tenant window cap when none is given.
-const DefaultTenantCardinality = 4096
+// DefaultMaxTenants is the cap on tenants with windows of their own when none
+// is given.
+const DefaultMaxTenants = 4096
 
 // TenantOutcome classifies one counted request outcome.
 type TenantOutcome int
@@ -50,10 +51,10 @@ type TenantWindows struct {
 
 // NewTenantWindows builds the registry. capacity sizes each tenant's latency
 // window (DefaultLatencyWindow when <= 0); maxTenants bounds cardinality
-// (DefaultTenantCardinality when <= 0).
+// (DefaultMaxTenants when <= 0).
 func NewTenantWindows(capacity, maxTenants int) *TenantWindows {
 	if maxTenants <= 0 {
-		maxTenants = DefaultTenantCardinality
+		maxTenants = DefaultMaxTenants
 	}
 	return &TenantWindows{
 		capacity: capacity,

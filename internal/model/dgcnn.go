@@ -18,9 +18,14 @@ import (
 // Morton window approximation applies); deeper modules measure it in feature
 // space, where the paper instead *reuses* earlier indexes per ReusePolicy.
 type EdgeConvModule struct {
-	K     int
-	MLP   *nn.Sequential
-	Strat ModuleStrategy
+	K   int
+	MLP *nn.Sequential
+
+	// morton selects, on a Morton-sorted cloud, the index-window search of
+	// width windowW (0 → W = k) instead of exact coordinate kNN; only the
+	// first module, the one searching in coordinate space, sets it.
+	morton  bool
+	windowW int
 
 	cache ecCache
 }
@@ -33,50 +38,45 @@ type ecCache struct {
 
 // forward runs one EdgeConv block over lv and fills next with the result
 // level. Execution context (trace, train flag, workspace or training arena,
-// reuse cache) comes from the Graph's Exec; train and x.ws != nil are
-// mutually exclusive.
+// reuse policy and the last computed list) comes from the Graph's Exec;
+// train and x.ws != nil are mutually exclusive.
 //
 //edgepc:hotpath
 func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
-	reuse, trace, train, wksp, buf := x.reuse, x.trace, x.train, x.ws, x.scratch()
+	trace, train, wksp, buf := x.trace, x.train, x.ws, x.scratch()
 	n := lv.len()
 	k := clampK(m.K, n)
 
-	// --- Neighbor search (or reuse) ---
-	var nbr []int
-	var computed bool
-	var algo string
+	// --- Neighbor search (or reuse of the last computed list) ---
+	// Every module sees the same point set and the same k, so a reusing
+	// layer takes the list as it is.
+	computed := x.reuse.Computes(layer)
+	algo := "reuse"
 	w := 0
 	dur, err := timed(func() error {
+		if !computed {
+			return nil
+		}
 		var e error
-		nbr, computed, e = reuse.ForLayer(layer, k, func() ([]int, error) {
-			if m.Strat.MortonWindow && lv.mortonSorted && layer == 0 {
-				algo = "morton-window"
-				searcher := core.WindowSearcher{W: m.Strat.WindowW}
-				w = m.Strat.WindowW
-				if w < k {
-					w = k
-				}
-				return searcher.SearchAll(lv.pts, k)
-			}
-			if layer == 0 {
-				algo = "knn-brute"
-				coords := coordMatrix(buf, lv.pts)
-				idx := featKNN(buf, coords, k)
-				wsPut(buf, coords)
-				return idx, nil
-			}
+		switch {
+		case m.morton && lv.mortonSorted:
+			algo, w = "morton-window", max(m.windowW, k)
+			x.nbr, e = core.WindowSearcher{W: m.windowW}.SearchAll(lv.pts, k)
+		case layer == 0:
+			algo = "knn-brute"
+			coords := coordMatrix(buf, lv.pts)
+			x.nbr = featKNN(buf, coords, k)
+			wsPut(buf, coords)
+		default:
 			algo = "knn-feature"
-			return featKNN(buf, lv.feats, k), nil
-		})
+			x.nbr = featKNN(buf, lv.feats, k)
+		}
 		return e
 	})
 	if err != nil {
 		return fmt.Errorf("model: EC%d neighbor: %w", layer, err)
 	}
-	if !computed {
-		algo = "reuse"
-	}
+	nbr := x.nbr
 	trace.Add(StageRecord{
 		Stage: StageNeighbor, Layer: layer, Algo: algo,
 		N: n, Q: n, K: k, W: w, CIn: lv.feats.Cols, Reused: !computed, Dur: dur,
@@ -161,9 +161,9 @@ const (
 	TaskSegmentation
 )
 
-// DGCNN is the EdgeConv network of Fig. 2b with per-layer strategy selection
-// and the paper's neighbor-index reuse across modules, compiled into a stage
-// Graph (see graph.go) that owns the shared executor machinery.
+// DGCNN is the EdgeConv network of Fig. 2b with the Morton window on its first
+// module and the paper's neighbor-index reuse across modules, compiled into a
+// stage Graph (see graph.go) that owns the shared executor machinery.
 //
 // Concurrency: see Graph — eval-mode weight-sharing replicas may run
 // concurrently, one per goroutine; training must own the weights.
@@ -188,10 +188,16 @@ type DGCNNConfig struct {
 	// ExtraFeatDim is the width of per-point input features beyond the
 	// coordinates; input clouds must carry exactly this FeatDim.
 	ExtraFeatDim int
-	Strategies   []ModuleStrategy
-	Reuse        core.ReusePolicy
-	Task         Task
-	Structurize  *core.StructurizeOptions
+	// MortonLayers ≥ 1 runs the first EdgeConv's coordinate search as the
+	// Morton index window on a structurized cloud (§5.2.3); deeper modules
+	// search in feature space, where the window does not apply, so any
+	// count above 1 means the same. 0 runs exact kNN everywhere.
+	MortonLayers int
+	// WindowW is the Morton window size W (0 → W = k, the pure index pick).
+	WindowW     int
+	Reuse       core.ReusePolicy
+	Task        Task
+	Structurize *core.StructurizeOptions
 	// Dropout is the head dropout probability; 0 selects the default (0.3),
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
@@ -211,9 +217,6 @@ func (c *DGCNNConfig) defaults() {
 	if c.EmbedWidth == 0 {
 		c.EmbedWidth = 4 * c.BaseWidth
 	}
-	if c.Strategies == nil {
-		c.Strategies = make([]ModuleStrategy, c.Modules)
-	}
 }
 
 // NewDGCNN constructs the network.
@@ -222,17 +225,15 @@ func NewDGCNN(cfg DGCNNConfig) (*DGCNN, error) {
 	if cfg.Classes < 2 {
 		return nil, fmt.Errorf("model: need ≥2 classes, got %d", cfg.Classes)
 	}
-	if len(cfg.Strategies) != cfg.Modules {
-		return nil, fmt.Errorf("model: %d strategies for %d modules", len(cfg.Strategies), cfg.Modules)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 	net := &DGCNN{Task: cfg.Task, Reuse: cfg.Reuse, Structurize: cfg.Structurize}
 	inC := 3 + cfg.ExtraFeatDim
 	for l := 0; l < cfg.Modules; l++ {
 		net.EC = append(net.EC, &EdgeConvModule{
-			K:     cfg.K,
-			MLP:   nn.NewSharedMLP(fmt.Sprintf("ec%d", l), []int{2 * inC, cfg.BaseWidth, cfg.BaseWidth}, rng),
-			Strat: cfg.Strategies[l],
+			K:       cfg.K,
+			MLP:     nn.NewSharedMLP(fmt.Sprintf("ec%d", l), []int{2 * inC, cfg.BaseWidth, cfg.BaseWidth}, rng),
+			morton:  l == 0 && cfg.MortonLayers > 0,
+			windowW: cfg.WindowW,
 		})
 		inC = cfg.BaseWidth
 	}

@@ -14,18 +14,16 @@ import (
 // This file is the stage-graph executor: the one place that owns the
 // machinery every architecture used to hand-roll — the level stack, the
 // inference workspace lifecycle, structurization, per-node trace spans, and
-// the neighbor-reuse cache. A network is a declarative list of Stages
+// DGCNN's neighbor reuse. A network is a declarative list of Stages
 // compiled into a Graph; PointNet++, DGCNN and vanilla PointNet are all
-// thin wrappers over one (see pointnet2.go, dgcnn.go, pointnet.go). New
-// sampler/searcher variants plug in as new Stage implementations without
-// touching the executor or the existing models.
+// thin wrappers over one (see pointnet2.go, dgcnn.go, pointnet.go).
 
 // Stage is one node of a compiled model graph. Forward advances the
-// execution state (typically consuming Exec.Chain and/or the level stack and
-// leaving its output in Exec.Chain); Backward runs during the reversed stage
-// walk and propagates Exec state gradients. Stages that carry trainable
-// weights expose them via Params (in forward execution order, the order
-// nn.ShareParams relies on).
+// execution state (typically consuming the chain activation and/or the level
+// stack and leaving its output as the chain); Backward runs during the
+// reversed stage walk and propagates Exec state gradients. Stages that carry
+// trainable weights expose them via Params (in forward execution order, the
+// order nn.ShareParams relies on).
 //
 // A Stage that serves eval activations from the shared workspace should also
 // implement nn.WorkspaceUser; the Graph attaches its workspace to every such
@@ -52,10 +50,11 @@ type Exec struct {
 	// gradient, comes from it.
 	arena *tensor.Workspace
 
-	// reuse carries neighbor indexes across stages under the graph's
-	// ReusePolicy; reset at each frame start.
-	reuse   *core.ReuseCache
-	reuseOn bool
+	// reuse is the graph's ReusePolicy, and nbr the neighbor list of the
+	// last layer that computed one, which the layers reusing it read
+	// (DGCNN's EdgeConv modules; cleared at each frame start).
+	reuse core.ReusePolicy
+	nbr   []int
 
 	// levels is the resolution stack: levels[0] is the (possibly
 	// structurized) input; sampling stages push, and the headers are
@@ -85,9 +84,6 @@ type Exec struct {
 	tapGrads []*tensor.Matrix
 }
 
-// Workspace returns the frame's inference workspace (nil when training).
-func (x *Exec) Workspace() *tensor.Workspace { return x.ws }
-
 // scratch returns where the frame's buffers come from: the inference
 // workspace on eval frames, the training arena on train frames.
 func (x *Exec) scratch() *tensor.Workspace {
@@ -96,24 +92,6 @@ func (x *Exec) scratch() *tensor.Workspace {
 	}
 	return x.ws
 }
-
-// Trace returns the frame's trace (possibly nil).
-func (x *Exec) Trace() *Trace { return x.trace }
-
-// Train reports whether this is a training forward.
-func (x *Exec) Train() bool { return x.train }
-
-// Reuse returns the graph's neighbor-reuse cache.
-func (x *Exec) Reuse() *core.ReuseCache { return x.reuse }
-
-// Chain returns the activation flowing out of the previous stage.
-func (x *Exec) Chain() *tensor.Matrix { return x.chain }
-
-// SetChain hands an activation to the next stage.
-func (x *Exec) SetChain(m *tensor.Matrix) { x.chain = m }
-
-// LevelCount returns the current depth of the level stack.
-func (x *Exec) LevelCount() int { return len(x.levels) }
 
 // top returns the innermost level.
 func (x *Exec) top() *level { return x.levels[len(x.levels)-1] }
@@ -180,14 +158,14 @@ type GraphSpec struct {
 	Structurize *core.StructurizeOptions
 	// ExtraFeatDim is the per-point input feature width beyond coordinates.
 	ExtraFeatDim int
-	// Reuse is the neighbor-index reuse policy shared by all stages.
+	// Reuse is the neighbor-index reuse policy of DGCNN's EdgeConv stages.
 	Reuse core.ReusePolicy
 }
 
 // Graph is a compiled model: the executor for a declarative stage list. It
 // owns the shared forward/backward machinery exactly once — input
 // structurization, the level stack, the inference workspace, per-node trace
-// spans, and the neighbor-reuse cache.
+// spans, and the neighbor list reusing layers read.
 //
 // Concurrency: a Graph is NOT safe for concurrent use — Forward mutates the
 // per-graph workspace and stage caches. Eval-mode Forward (train=false) only
@@ -229,13 +207,9 @@ func Compile(spec GraphSpec) (*Graph, error) {
 	for _, s := range spec.Stages {
 		g.params = append(g.params, s.Params()...)
 	}
-	g.x.reuse = core.NewReuseCache(spec.Reuse)
-	g.x.reuseOn = spec.Reuse.Distance > 0
+	g.x.reuse = spec.Reuse
 	return g, nil
 }
-
-// Stages returns the compiled stage list (do not mutate).
-func (g *Graph) Stages() []Stage { return g.spec.Stages }
 
 // Params returns all trainable parameters in stage order.
 func (g *Graph) Params() []*nn.Param { return g.params }
@@ -313,7 +287,7 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	x.indexed = nil // level headers are recycled: last frame's binding means nothing
 	x.taps = x.taps[:0]
 	x.chain = nil
-	x.reuse.Reset()
+	x.nbr = nil
 
 	pts := cloud.Points
 	feat, featDim := cloud.Feat, cloud.FeatDim

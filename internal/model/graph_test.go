@@ -1,10 +1,6 @@
 package model
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // TestGraphSpansBracketRecords checks the executor's span instrumentation:
 // one span per graph node in execution order, each bracketing exactly the
@@ -82,78 +78,5 @@ func TestSummarizeSpans(t *testing.T) {
 	}
 	if got := SummarizeSpans(nil); len(got) != 0 {
 		t.Fatalf("empty input: %v", got)
-	}
-}
-
-// TestPointNetPPReuseAtDistance1 exercises the generalized §5.2.3 reuse on
-// PointNet++: with distance 1, the SA1 module must serve its neighbor
-// indexes by projecting SA0's cached result through the sampling map instead
-// of searching, visible in the trace records its span brackets.
-func TestPointNetPPReuseAtDistance1(t *testing.T) {
-	cfg := tinyPPConfig(true)
-	cfg.Reuse = core.ReusePolicy{Distance: 1}
-	net, err := NewPointNetPP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud := testCloud(64, 2)
-	trace := &Trace{}
-	out, err := net.Forward(cloud, trace, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Logits.Rows != 64 || out.Logits.Cols != 3 {
-		t.Fatalf("logits %dx%d", out.Logits.Rows, out.Logits.Cols)
-	}
-
-	nbrBySpan := map[string]StageRecord{}
-	for _, sp := range trace.Spans {
-		for _, r := range trace.SpanRecords(sp) {
-			if r.Stage == StageNeighbor {
-				nbrBySpan[sp.Node] = r
-			}
-		}
-	}
-	if r := nbrBySpan["sa0"]; r.Algo != "morton-window" || r.Reused {
-		t.Fatalf("sa0 neighbor = %+v, want computed morton-window", r)
-	}
-	if r := nbrBySpan["sa1"]; r.Algo != "reuse" || !r.Reused {
-		t.Fatalf("sa1 neighbor = %+v, want projected reuse", r)
-	}
-
-	// The reused run must agree with the searched run everywhere except the
-	// neighbor sets themselves — same shapes, deterministic across frames.
-	trace2 := &Trace{}
-	out2, err := net.Forward(cloud, trace2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out2.Logits.Equal(out.Logits) {
-		t.Fatal("reuse forward is not deterministic across frames")
-	}
-}
-
-// TestPointNetPPReuseFallsBackWithoutProjection: FPS sampling does not keep
-// the parent index map ascending, so the projection is unavailable and a
-// reuse layer must transparently fall back to a real search.
-func TestPointNetPPReuseFallsBackWithoutProjection(t *testing.T) {
-	cfg := tinyPPConfig(false) // FPS everywhere
-	cfg.Reuse = core.ReusePolicy{Distance: 1}
-	net, err := NewPointNetPP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := &Trace{}
-	if _, err := net.Forward(testCloud(64, 2), trace, false); err != nil {
-		t.Fatal(err)
-	}
-	var nbr []StageRecord
-	for _, r := range trace.Records {
-		if r.Stage == StageNeighbor {
-			nbr = append(nbr, r)
-		}
-	}
-	if len(nbr) != 2 || nbr[1].Reused || nbr[1].Algo == "reuse" {
-		t.Fatalf("FPS run must search at every layer, got %+v", nbr)
 	}
 }

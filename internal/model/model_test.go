@@ -33,8 +33,8 @@ func tinyPPConfig(morton bool) PPConfig {
 		Seed:       1,
 	}
 	if morton {
-		cfg.SAStrategies = []ModuleStrategy{{MortonSample: true, MortonWindow: true, WindowW: 8}, {}}
-		cfg.FPStrategies = []ModuleStrategy{{}, {MortonInterp: true}}
+		cfg.MortonLayers = 1
+		cfg.WindowW = 8
 		cfg.Structurize = &core.StructurizeOptions{}
 	}
 	return cfg
@@ -217,7 +217,8 @@ func tinyDGCNNConfig(morton bool, task Task) DGCNNConfig {
 		Seed:      2,
 	}
 	if morton {
-		cfg.Strategies = []ModuleStrategy{{MortonWindow: true, WindowW: 8}, {}, {}}
+		cfg.MortonLayers = 1
+		cfg.WindowW = 8
 		cfg.Reuse = core.ReusePolicy{Distance: 1}
 		cfg.Structurize = &core.StructurizeOptions{}
 	}
@@ -342,9 +343,6 @@ func TestModelErrors(t *testing.T) {
 	if _, err := NewDGCNN(DGCNNConfig{Classes: 0}); err == nil {
 		t.Fatal("0 classes: want error")
 	}
-	if _, err := NewPointNetPP(PPConfig{Classes: 2, Depth: 2, SAStrategies: make([]ModuleStrategy, 1), FPStrategies: make([]ModuleStrategy, 2)}); err == nil {
-		t.Fatal("strategy length mismatch: want error")
-	}
 	net, err := NewPointNetPP(tinyPPConfig(false))
 	if err != nil {
 		t.Fatal(err)
@@ -431,10 +429,8 @@ func TestSampledSubsetStaysMortonSorted(t *testing.T) {
 	// The level produced by a Morton SA module must itself be flagged
 	// Morton-sorted (uniform stride of a sorted sequence is sorted).
 	cfg := tinyPPConfig(true)
-	cfg.SAStrategies = []ModuleStrategy{
-		{MortonSample: true, MortonWindow: true},
-		{MortonSample: true, MortonWindow: true},
-	}
+	cfg.MortonLayers = 2
+	cfg.WindowW = 0
 	net, err := NewPointNetPP(cfg)
 	if err != nil {
 		t.Fatal(err)

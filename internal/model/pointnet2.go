@@ -1,7 +1,6 @@
 package model
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -10,38 +9,30 @@ import (
 	"repro/internal/geom"
 	"repro/internal/nn"
 	"repro/internal/sample"
-	"repro/internal/spatial"
 	"repro/internal/tensor"
 )
-
-// ModuleStrategy selects, for one network module, whether its bottleneck
-// stages run the SOTA algorithm or the EdgePC Morton approximation. The
-// paper's design point (§5.1.3, §5.2.3) enables Morton only on the critical
-// modules: the first SA, the last FP, the first EdgeConv.
-type ModuleStrategy struct {
-	MortonSample bool // index-stride sampling instead of FPS
-	MortonWindow bool // index-window neighbor search instead of BQ/kNN
-	WindowW      int  // window size W (0 → W = k, the pure index pick)
-	MortonInterp bool // stride-bracket interpolation instead of ThreeNN (FP only)
-}
 
 // SAModule is a PointNet++ SetAbstraction module: down-sample, search
 // neighbors, group, and run a shared MLP with max pooling over neighbors.
 type SAModule struct {
-	Frac   float64 // output point fraction of the input level
-	K      int     // neighbors per sampled point
-	Radius float64 // >0: SOTA searcher is ball query with this radius; 0: kNN
-	MLP    *nn.Sequential
-	Strat  ModuleStrategy
+	Frac float64 // output point fraction of the input level
+	K    int     // neighbors per sampled point
+	MLP  *nn.Sequential
 	// Sampler selects the algorithm for the non-Morton sampling path:
 	// exact FPS (default; through the graph's spatial index), bucketed
-	// pruned FPS, or pure index stride. When the module's Morton strategy
-	// applies, it wins over this knob. Bucketed FPS's picks depend on the
-	// parent level's order as it stands — its stride seeds are positions in
-	// it — but they are computed through the spatial index too.
+	// pruned FPS, or pure index stride. When the module is a Morton one, it
+	// wins over this knob. Bucketed FPS's picks depend on the parent level's
+	// order as it stands — its stride seeds are positions in it — but they
+	// are computed through the spatial index too.
 	Sampler sample.Arch
 	// Quality is the BucketFPS Frac knob (ignored by the other archs).
 	Quality float64
+
+	// morton selects, on a Morton-sorted level, index-stride sampling and
+	// the index-window search of width windowW (0 → W = k, the pure index
+	// pick) instead of FPS and exact kNN.
+	morton  bool
+	windowW int
 
 	cache saCache
 	// centersBuf backs the sampled-center slice across frames; the level
@@ -61,10 +52,6 @@ type saCache struct {
 	k                      int
 }
 
-// errListNotComputed is a reuse cache asking for a search that
-// ReuseCache.WillCompute said it would not ask for.
-var errListNotComputed = errors.New("model: reuse searched a layer whose list was not computed")
-
 func clampK(k, n int) int {
 	if k > n {
 		return n
@@ -73,9 +60,8 @@ func clampK(k, n int) int {
 }
 
 // forward consumes the parent level and fills next with the sampled level.
-// Execution context (trace, train flag, workspace or training arena, reuse
-// cache) comes from the Graph's Exec; train and x.ws != nil are mutually
-// exclusive.
+// Execution context (trace, train flag, workspace or training arena) comes
+// from the Graph's Exec; train and x.ws != nil are mutually exclusive.
 //
 //edgepc:hotpath
 func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
@@ -91,47 +77,27 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	k := clampK(m.K, n)
 
 	// --- Sample stage, and the exact neighbor search streamed beside it ---
-	useMorton := m.Strat.MortonSample && parent.mortonSorted
-	window := m.Strat.MortonWindow && parent.mortonSorted && useMorton
-	// Reuse projects cached lists through the sampling map when it is
-	// ascending; otherwise a reusing layer searches like a computing one.
-	var adapt func(core.ReuseEntry) ([]int, error)
-	var sel []int
-	if x.reuseOn && parent.posInParent != nil && isAscending(parent.posInParent) {
-		adapt = func(prev core.ReuseEntry) ([]int, error) {
-			return core.ProjectNeighbors(prev, sel, parent.posInParent, k)
-		}
-	}
-	// onIndex is whether this layer's list is computed on the spatial
-	// index: then the index searches every pick while the sampler makes the
+	// A Morton module's level is already Morton-sorted (the encode+sort cost
+	// is the pipeline's one-time StageStructurize record), so sampling is a
+	// pure index-stride pick and the neighbors come from the index window.
+	// Otherwise the picks are exact FPS's, or bucketed pruned FPS's at the
+	// module's quality — the picks of sample.BucketFPS over the level as it
+	// stands — computed through the spatial index, whose order prunes
+	// better, and the index searches every pick while the sampler makes the
 	// next.
-	onIndex := !window && (!x.reuseOn || x.reuse.WillCompute(layer, layer, adapt != nil))
-	arch, sampleAlgo := m.Sampler, m.Sampler.String()
-	if useMorton {
-		// The level is already Morton-sorted (the encode+sort cost is the
-		// pipeline's one-time StageStructurize record), so sampling is a
-		// pure index-stride pick.
-		arch, sampleAlgo = sample.ArchStride, "morton-pick"
-	}
-	var nbr []int
-	var dur, tail time.Duration
+	useMorton := m.morton && parent.mortonSorted
+	sampleAlgo := m.Sampler.String()
+	var sel, nbr []int
+	var dur, nsDur time.Duration
 	var err error
-	if arch == sample.ArchStride && !onIndex {
-		start := time.Now()
+	start := time.Now()
+	if useMorton {
+		sampleAlgo = "morton-pick"
 		sel = core.SamplePositions(n, nOut)
 		dur = time.Since(start)
 	} else {
-		// Exact FPS's picks, or bucketed pruned FPS's at the module's
-		// quality — the picks of sample.BucketFPS over the level as it
-		// stands — computed through the spatial index, whose order prunes
-		// better.
-		var q spatial.Search
-		if onIndex {
-			q = spatial.Search{K: k, R: m.Radius}
-		}
-		start := time.Now()
-		sel, nbr, dur, err = x.exact(parent).SampleSearch(arch, m.Quality, nOut, q, m.selBuf)
-		tail = time.Since(start) - dur
+		sel, nbr, dur, err = x.exact(parent).SampleSearch(m.Sampler, m.Quality, nOut, k, m.selBuf)
+		nsDur = time.Since(start) - dur
 		m.selBuf = sel
 	}
 	if err != nil {
@@ -148,46 +114,21 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 		centers[i] = parent.pts[s]
 	}
 
-	// --- Neighbor search stage (or cross-layer reuse, §5.2.3 generalized) ---
+	// --- Neighbor search stage ---
 	// A list on the index is already computed; its record is the search the
 	// sampler did not hide. The labels name what is computed — the brute
-	// searchers' results, index for index — and are what edgesim prices.
-	nsAlgo := "knn-brute"
-	if m.Radius > 0 {
-		nsAlgo = "ball-query"
-	}
-	w := 0
-	if window {
-		nsAlgo, w = "morton-window", max(m.Strat.WindowW, k)
-	}
-	search := func() ([]int, error) {
-		if window {
-			return core.WindowSearcher{W: m.Strat.WindowW}.SearchPositions(parent.pts, sel, k)
+	// searcher's result, index for index — and are what edgesim prices.
+	nsAlgo, w := "knn-brute", 0
+	if useMorton {
+		nsAlgo, w = "morton-window", max(m.windowW, k)
+		start = time.Now()
+		nbr, err = core.WindowSearcher{W: m.windowW}.SearchPositions(parent.pts, sel, k)
+		nsDur = time.Since(start)
+		if err != nil {
+			return fmt.Errorf("model: SA%d neighbor: %w", layer, err)
 		}
-		if nbr == nil {
-			return nil, errListNotComputed
-		}
-		return nbr, nil
 	}
-	reused := false
-	dur, err = timed(func() error {
-		if !x.reuseOn {
-			var e error
-			nbr, e = search()
-			return e
-		}
-		var computed bool
-		var e error
-		nbr, computed, e = x.reuse.ForLayerIn(layer, k, layer, adapt, search)
-		if e == nil && !computed {
-			nsAlgo, w, reused = "reuse", 0, true
-		}
-		return e
-	})
-	if err != nil {
-		return fmt.Errorf("model: SA%d neighbor: %w", layer, err)
-	}
-	trace.Add(StageRecord{Stage: StageNeighbor, Layer: layer, Algo: nsAlgo, N: n, Q: nOut, K: k, W: w, Reused: reused, Dur: tail + dur})
+	trace.Add(StageRecord{Stage: StageNeighbor, Layer: layer, Algo: nsAlgo, N: n, Q: nOut, K: k, W: w, Dur: nsDur})
 
 	// --- Group stage ---
 	var grouped *tensor.Matrix
@@ -233,7 +174,7 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	}
 	next.pts = centers
 	next.feats = feats
-	next.mortonSorted = parent.mortonSorted && useMorton
+	next.mortonSorted = useMorton
 	next.posInParent = sel
 	return nil
 }
@@ -264,8 +205,11 @@ func (m *SAModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.M
 // features onto the finer level, concatenate the fine level's skip features,
 // and run a shared MLP.
 type FPModule struct {
-	MLP   *nn.Sequential
-	Strat ModuleStrategy
+	MLP *nn.Sequential
+
+	// morton selects stride-bracket interpolation instead of ThreeNN when
+	// the fine level is Morton-sorted.
+	morton bool
 
 	cache fpCache
 }
@@ -288,7 +232,10 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, laye
 	// --- Interpolation planning (the up-sampling stage of Fig. 9) ---
 	var plan *sample.InterpPlan
 	var algo string
-	useMorton := m.Strat.MortonInterp && fine.mortonSorted && coarse.posInParent != nil && isAscending(coarse.posInParent)
+	// A Morton FP produces the level its matching SA module sampled, so a
+	// Morton-sorted fine level had a Morton SA, whose stride picks are the
+	// ascending positions the bracket search needs.
+	useMorton := m.morton && fine.mortonSorted
 	dur, err := timed(func() error {
 		var e error
 		if useMorton {
@@ -376,15 +323,6 @@ func (m *FPModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.M
 	return gSkip, gCoarse, nil
 }
 
-func isAscending(a []int) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i-1] >= a[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // PointNetPP is the PointNet++ semantic-segmentation network of Fig. 2a:
 // Depth SetAbstraction modules followed by Depth FeaturePropagation modules
 // and a per-point classification head, compiled into a stage Graph (see
@@ -421,10 +359,9 @@ type PPConfig struct {
 	BaseWidth  int     // width of the first SA module; doubles per level; default 16
 	K          int     // neighbors per query; default 8
 	SampleFrac float64 // per-module down-sampling ratio; default 0.25
-	Radius     float64 // base ball-query radius (doubles per level); 0 → kNN baseline
-	// SampleArch selects the sampler for SA modules whose Morton strategy
-	// does not apply: exact FPS (default), bucketed pruned FPS, or stride
-	// (see SAModule.Sampler).
+	// SampleArch selects the sampler for SA modules that are not Morton
+	// ones: exact FPS (default), bucketed pruned FPS, or stride (see
+	// SAModule.Sampler).
 	SampleArch sample.Arch
 	// SampleQuality is the BucketFPS quality knob in [0,1]; 0 defaults to 1
 	// (exact picks, pruning as pure speedup).
@@ -433,17 +370,16 @@ type PPConfig struct {
 	// coordinates (e.g. 3 for RGB in S3DIS); input clouds must carry
 	// exactly this FeatDim.
 	ExtraFeatDim int
-	// SAStrategies[i] configures SA module i; FPStrategies[i] configures FP
-	// module i in execution order (i = Depth−1 is the last FP, the one
-	// producing full resolution — the paper's optimized layer).
-	SAStrategies []ModuleStrategy
-	FPStrategies []ModuleStrategy
-	Structurize  *core.StructurizeOptions
-	// Reuse carries neighbor indexes across consecutive SA modules (§5.2.3
-	// generalized to PointNet++): a reused layer skips its own search and
-	// projects the previous module's indexes through the sampling map. The
-	// zero policy (distance 0) recomputes every layer.
-	Reuse core.ReusePolicy
+	// MortonLayers is how many leading levels run the EdgePC Morton
+	// approximations on a structurized cloud (§5.1.3): SA module l samples
+	// by index stride and searches the index window, and the FP module
+	// producing level l interpolates by stride brackets, iff l <
+	// MortonLayers. 0 runs the SOTA stages everywhere; the paper's design
+	// point is 1 (the first SA and the last FP).
+	MortonLayers int
+	// WindowW is the Morton window size W (0 → W = k, the pure index pick).
+	WindowW     int
+	Structurize *core.StructurizeOptions
 	// Dropout is the head dropout probability; 0 selects the default (0.3),
 	// a negative value disables dropout (useful for gradient checking).
 	Dropout float64
@@ -466,20 +402,11 @@ func (c *PPConfig) defaults() {
 	if c.SampleQuality == 0 {
 		c.SampleQuality = 1
 	}
-	if c.SAStrategies == nil {
-		c.SAStrategies = make([]ModuleStrategy, c.Depth)
-	}
-	if c.FPStrategies == nil {
-		c.FPStrategies = make([]ModuleStrategy, c.Depth)
-	}
 }
 
 func (c *PPConfig) validate() error {
 	if c.Classes < 2 {
 		return fmt.Errorf("model: need ≥2 classes, got %d", c.Classes)
-	}
-	if len(c.SAStrategies) != c.Depth || len(c.FPStrategies) != c.Depth {
-		return fmt.Errorf("model: strategies must match depth %d", c.Depth)
 	}
 	if c.SampleFrac <= 0 || c.SampleFrac > 1 {
 		return fmt.Errorf("model: sample fraction %v out of (0, 1]", c.SampleFrac)
@@ -517,18 +444,14 @@ func NewPointNetPP(cfg PPConfig) (*PointNetPP, error) {
 	inC := 3 + cfg.ExtraFeatDim // level-0 features: coordinates ⊕ extras
 	for l := 1; l <= cfg.Depth; l++ {
 		w := saWidth(cfg.BaseWidth, l)
-		radius := 0.0
-		if cfg.Radius > 0 {
-			radius = cfg.Radius * float64(int(1)<<(l-1))
-		}
 		net.SA = append(net.SA, &SAModule{
 			Frac:    cfg.SampleFrac,
 			K:       cfg.K,
-			Radius:  radius,
 			MLP:     nn.NewSharedMLP(fmt.Sprintf("sa%d", l), []int{3 + inC, w, w}, rng),
-			Strat:   cfg.SAStrategies[l-1],
 			Sampler: cfg.SampleArch,
 			Quality: cfg.SampleQuality,
+			morton:  l-1 < cfg.MortonLayers,
+			windowW: cfg.WindowW,
 		})
 		inC = w
 	}
@@ -545,8 +468,8 @@ func NewPointNetPP(cfg PPConfig) (*PointNetPP, error) {
 			outC = saWidth(cfg.BaseWidth, l)
 		}
 		net.FP = append(net.FP, &FPModule{
-			MLP:   nn.NewSharedMLP(fmt.Sprintf("fp%d", i), []int{coarseC + skipC, outC}, rng),
-			Strat: cfg.FPStrategies[i],
+			MLP:    nn.NewSharedMLP(fmt.Sprintf("fp%d", i), []int{coarseC + skipC, outC}, rng),
+			morton: l < cfg.MortonLayers,
 		})
 		coarseC = outC
 	}
@@ -571,7 +494,6 @@ func NewPointNetPP(cfg PPConfig) (*PointNetPP, error) {
 		Stages:       stages,
 		Structurize:  cfg.Structurize,
 		ExtraFeatDim: cfg.ExtraFeatDim,
-		Reuse:        cfg.Reuse,
 	})
 	if err != nil {
 		return nil, err

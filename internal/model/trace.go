@@ -1,8 +1,8 @@
 // Package model implements the two point-cloud CNN architectures the paper
 // evaluates — PointNet++ (SetAbstraction + FeaturePropagation modules) and
 // DGCNN (EdgeConv modules) — with forward *and* backward passes, and with the
-// sample / neighbor-search stage of every module individually switchable
-// between the SOTA algorithms (FPS, ball query, k-NN) and the EdgePC
+// sample / neighbor-search / interpolation stages of the leading modules
+// switchable between the SOTA algorithms (FPS, k-NN, 3-NN) and the EdgePC
 // Morton-code approximations.
 //
 // Every stage a model executes is recorded in a Trace: which algorithm ran,
@@ -45,7 +45,7 @@ func (k StageKind) String() string {
 type StageRecord struct {
 	Stage StageKind
 	Layer int    // module index within the network (0-based)
-	Algo  string // algorithm name, e.g. "fps", "morton", "ball-query", "knn-brute", "morton-window"
+	Algo  string // algorithm name, e.g. "fps", "morton-pick", "knn-brute", "morton-window", "reuse"
 
 	N      int  // candidate point count
 	Q      int  // query / output point count

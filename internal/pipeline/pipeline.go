@@ -22,7 +22,7 @@ type ConfigKind int
 
 // The paper's three configurations.
 const (
-	// Baseline: SOTA FPS + ball query / k-NN, feature compute on CUDA cores.
+	// Baseline: SOTA FPS + k-NN, feature compute on CUDA cores.
 	Baseline ConfigKind = iota
 	// SN applies the Morton approximations to the critical sample and
 	// neighbor-search layers (step ② in Fig. 12).
@@ -120,18 +120,7 @@ type Options struct {
 	// (exact FPS picks with pruning as a pure speedup). Lower values trade
 	// coverage for latency; serve's degradation rung samples at 0.5.
 	SampleQuality float64
-	// PPReuseDistance is the PointNet++ SA neighbor-reuse distance in S+N
-	// configs (§5.2.3 generalized across sampled levels). Default 0: off —
-	// unlike DGCNN, reusing across SA levels projects indexes through the
-	// sampling map, an approximation the caller must opt into.
-	PPReuseDistance int
-	TotalBits       int // Morton code width; default 32
-	// BallRadius, when positive, makes the PointNet++ baseline use ball
-	// query with this base radius (doubling per level, the PointNet++
-	// convention); zero keeps exact kNN. Both are the O(N²) SOTA searchers
-	// as far as results and edgesim's pricing go; on the host both are
-	// answered by the spatial index.
-	BallRadius float64
+	TotalBits     int // Morton code width; default 32
 	// ExtraFeatDim is the per-point input feature width beyond coordinates
 	// (pair with datasets that attach features, e.g. scene intensity).
 	ExtraFeatDim int
@@ -168,13 +157,6 @@ func (o *Options) defaults(w Workload) {
 	}
 }
 
-// Build constructs the network for a workload under a configuration. It is
-// the historical name for NewNet; both dispatch through the ArchBuilder
-// registry (see registry.go).
-func Build(w Workload, kind ConfigKind, opts Options) (Net, error) {
-	return NewNet(w, kind, opts)
-}
-
 // Frame generates one input cloud for a workload (deterministic in seed).
 func Frame(w Workload, seed int64) (*geom.Cloud, error) {
 	var s *dataset.Sample
@@ -208,9 +190,7 @@ func SimConfig(w Workload, kind ConfigKind, opts Options) edgesim.Config {
 	return edgesim.Config{
 		Batch:       w.Batch,
 		TensorCores: kind == SNF,
-		Reuse: kind != Baseline &&
-			(w.Arch == ArchDGCNN && opts.ReuseDistance > 0 ||
-				w.Arch == ArchPointNetPP && opts.PPReuseDistance > 0),
+		Reuse:       kind != Baseline && w.Arch == ArchDGCNN && opts.ReuseDistance > 0,
 	}
 }
 

@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -21,46 +19,22 @@ func (a Arch) String() string {
 	return fmt.Sprintf("arch(%d)", int(a))
 }
 
-// ArchBuilder constructs a network for a workload under a configuration.
-// Builders receive Options with defaults already applied.
-type ArchBuilder func(w Workload, kind ConfigKind, opts Options) (Net, error)
-
-var archBuilders = map[Arch]ArchBuilder{}
-
-// RegisterArch installs the builder for an architecture, replacing any
-// previous registration. New architectures plug into the harness by
-// registering here; every workload whose Arch matches then builds through
-// NewNet without touching the pipeline package.
-func RegisterArch(a Arch, b ArchBuilder) {
-	if b == nil {
-		panic(fmt.Sprintf("pipeline: RegisterArch(%v) with nil builder", a))
-	}
-	archBuilders[a] = b
-}
-
-// NewNet constructs the network for a workload under a configuration by
-// dispatching to the registered ArchBuilder.
-func NewNet(w Workload, kind ConfigKind, opts Options) (Net, error) {
-	b, ok := archBuilders[w.Arch]
-	if !ok {
-		names := make([]string, 0, len(archBuilders))
-		for a := range archBuilders {
-			names = append(names, a.String())
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("pipeline: no builder registered for architecture %v (registered: %s)", w.Arch, strings.Join(names, ", "))
-	}
+// Build constructs the network for a workload under a configuration.
+func Build(w Workload, kind ConfigKind, opts Options) (Net, error) {
 	opts.defaults(w)
-	return b(w, kind, opts)
-}
-
-func init() {
-	RegisterArch(ArchPointNetPP, buildPointNetPP)
-	RegisterArch(ArchDGCNN, buildDGCNN)
+	switch w.Arch {
+	case ArchPointNetPP:
+		return buildPointNetPP(w, kind, opts)
+	case ArchDGCNN:
+		return buildDGCNN(w, kind, opts)
+	}
+	return nil, fmt.Errorf("pipeline: no network for architecture %v (known: %v, %v)", w.Arch, ArchDGCNN, ArchPointNetPP)
 }
 
 // mortonStructurize returns the structurization options for a configuration:
-// nil for the baseline, Morton ordering for S+N and S+N+F.
+// nil for the baseline, Morton ordering for S+N and S+N+F. The models run
+// their Morton approximations only on a structurized cloud, so the baseline
+// ignores MortonLayers.
 func mortonStructurize(kind ConfigKind, opts Options) *core.StructurizeOptions {
 	if kind == Baseline {
 		return nil
@@ -69,45 +43,25 @@ func mortonStructurize(kind ConfigKind, opts Options) *core.StructurizeOptions {
 }
 
 func buildPointNetPP(w Workload, kind ConfigKind, opts Options) (Net, error) {
-	useMorton := kind != Baseline
-	sa := make([]model.ModuleStrategy, opts.Depth)
-	fp := make([]model.ModuleStrategy, opts.Depth)
-	reuse := core.ReusePolicy{}
-	if useMorton {
-		for l := 0; l < opts.MortonLayers && l < opts.Depth; l++ {
-			sa[l] = model.ModuleStrategy{MortonSample: true, MortonWindow: true, WindowW: opts.WindowW}
-			// The matching FP module is the one that *produces* level l:
-			// execution index Depth−1−l (§5.1.3 optimizes the last FP).
-			fp[opts.Depth-1-l] = model.ModuleStrategy{MortonInterp: true}
-		}
-		reuse = core.ReusePolicy{Distance: opts.PPReuseDistance}
-	}
 	return model.NewPointNetPP(model.PPConfig{
 		Classes:       w.Classes,
 		Depth:         opts.Depth,
 		BaseWidth:     opts.BaseWidth,
 		K:             w.K,
 		SampleFrac:    opts.SampleFrac,
-		Radius:        opts.BallRadius,
 		SampleArch:    opts.SampleArch,
 		SampleQuality: opts.SampleQuality,
 		ExtraFeatDim:  opts.ExtraFeatDim,
-		SAStrategies:  sa,
-		FPStrategies:  fp,
-		Reuse:         reuse,
+		MortonLayers:  opts.MortonLayers,
+		WindowW:       opts.WindowW,
 		Structurize:   mortonStructurize(kind, opts),
 		Seed:          opts.Seed,
 	})
 }
 
 func buildDGCNN(w Workload, kind ConfigKind, opts Options) (Net, error) {
-	useMorton := kind != Baseline
-	strat := make([]model.ModuleStrategy, opts.Modules)
 	reuse := core.ReusePolicy{}
-	if useMorton {
-		for l := 0; l < opts.MortonLayers && l < opts.Modules; l++ {
-			strat[l] = model.ModuleStrategy{MortonWindow: true, WindowW: opts.WindowW}
-		}
+	if kind != Baseline {
 		reuse = core.ReusePolicy{Distance: opts.ReuseDistance}
 	}
 	return model.NewDGCNN(model.DGCNNConfig{
@@ -116,7 +70,8 @@ func buildDGCNN(w Workload, kind ConfigKind, opts Options) (Net, error) {
 		BaseWidth:    opts.BaseWidth,
 		K:            w.K,
 		ExtraFeatDim: opts.ExtraFeatDim,
-		Strategies:   strat,
+		MortonLayers: opts.MortonLayers,
+		WindowW:      opts.WindowW,
 		Reuse:        reuse,
 		Task:         w.Task,
 		Structurize:  mortonStructurize(kind, opts),

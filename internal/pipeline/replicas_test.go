@@ -64,7 +64,7 @@ func TestRebuildReplicaSharesParams(t *testing.T) {
 
 func TestDegradeTiersOneRungForPointNetPPNoneForDGCNN(t *testing.T) {
 	for _, w := range Workloads {
-		for _, in := range []Options{{}, {SampleFrac: 0.08, WindowW: 24, PPReuseDistance: 1}} {
+		for _, in := range []Options{{}, {SampleFrac: 0.08, WindowW: 24, MortonLayers: 2}} {
 			for _, n := range []int{-1, 0} {
 				if got := DegradeTiers(w, in, n); got != nil {
 					t.Fatalf("%s: n=%d produced %d tiers, want no ladder", w.ID, n, len(got))
@@ -90,7 +90,7 @@ func TestDegradeTiersOneRungForPointNetPPNoneForDGCNN(t *testing.T) {
 					t.Fatalf("%s: rung sampler %v@%v, want bucketfps@0.5", w.ID, rung.SampleArch, rung.SampleQuality)
 				}
 				if rung.WindowW != base.WindowW ||
-					rung.ReuseDistance != base.ReuseDistance || rung.PPReuseDistance != base.PPReuseDistance {
+					rung.ReuseDistance != base.ReuseDistance || rung.MortonLayers != base.MortonLayers {
 					t.Fatalf("%s: rung moved a knob that relieves no load:\nbase %+v\nrung %+v", w.ID, base, rung)
 				}
 			}
@@ -148,7 +148,7 @@ func TestDegradeRungCutsFeatureWork(t *testing.T) {
 }
 
 func TestSampleArchReachesBucketFPS(t *testing.T) {
-	// Options.SampleArch must flow through the ArchBuilder registry into the
+	// Options.SampleArch must flow through Build into the
 	// SA modules: under the baseline config (no Morton stride) every SA
 	// sample stage should report the bucketed sampler in its trace.
 	w := Workload{

@@ -49,12 +49,6 @@ type RouterConfig struct {
 	// or queue-full attempts) to further ring candidates under the request's
 	// deadline budget. Nil — the default — keeps Submit single-attempt.
 	Retry *RetryPolicy
-	// TenantWindowSize is the per-tenant latency window capacity
-	// (metrics.DefaultLatencyWindow when zero) and TenantCardinality bounds
-	// how many tenants get private windows/counters before overflow
-	// aggregation (metrics.DefaultTenantCardinality when zero).
-	TenantWindowSize  int
-	TenantCardinality int
 	// Clock injects a time source for quarantine bookkeeping; nil: time.Now.
 	Clock Clock
 }
@@ -160,8 +154,8 @@ func NewRouter(engines []*Engine, cfg RouterConfig) (*Router, error) {
 		now:        cfg.Clock,
 		consecFail: make([]atomic.Int32, len(engines)),
 		downUntil:  make([]atomic.Int64, len(engines)),
-		latency:    metrics.NewLatencyWindow(cfg.TenantWindowSize),
-		tenants:    metrics.NewTenantWindows(cfg.TenantWindowSize, cfg.TenantCardinality),
+		latency:    metrics.NewLatencyWindow(metrics.DefaultLatencyWindow),
+		tenants:    metrics.NewTenantWindows(metrics.DefaultLatencyWindow, metrics.DefaultMaxTenants),
 	}
 	if cfg.Retry != nil {
 		p := *cfg.Retry

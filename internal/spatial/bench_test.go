@@ -60,7 +60,7 @@ func BenchmarkSampleAndSearch(b *testing.B) {
 			var sel []int
 			for i := 0; i < b.N; i++ {
 				ix.Reset(level)
-				sel, _, _, _ = ix.SampleSearch(sample.ArchFPS, 0, n/4, Search{K: 8}, sel)
+				sel, _, _, _ = ix.SampleSearch(sample.ArchFPS, 0, n/4, 8, sel)
 			}
 		})
 		b.Run(fmt.Sprintf("sequence/%d", n), func(b *testing.B) {
@@ -92,24 +92,6 @@ func BenchmarkKNN(b *testing.B) {
 		b.Run(fmt.Sprintf("oracle/%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _ = neighbor.BruteKNN{}.Search(level, centers, 8)
-			}
-		})
-	}
-}
-
-func BenchmarkBall(b *testing.B) {
-	level, centers := benchScene(8192)
-	for _, r := range []float64{0.05, 0.2, 0.8} {
-		b.Run(fmt.Sprintf("index/r=%v", r), func(b *testing.B) {
-			var ix Index
-			for i := 0; i < b.N; i++ {
-				ix.Reset(level)
-				_, _ = ix.Ball(centers, r, 8)
-			}
-		})
-		b.Run(fmt.Sprintf("oracle/r=%v", r), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _ = neighbor.BallQuery{R: r}.Search(level, centers, 8)
 			}
 		})
 	}

@@ -1,12 +1,11 @@
 // Package spatial is the exact spatial index the model's exact stages run
 // over: an Index bound to a level's points answers farthest point sampling,
-// k-nearest-neighbor and ball queries and the 3-NN interpolation plan, each
+// k-nearest-neighbor queries and the 3-NN interpolation plan, each
 // index-identical to the O(nN) form it replaces —
 //
 //	FPS        sample.FPSIndexes(pts, n, 0)
 //	ApproxFPS  sample.BucketFPS{Frac: q}.SampleInto(pts, n, nil)
 //	KNN        neighbor.BruteKNN{}.Search
-//	Ball       neighbor.BallQuery{R: r}.Search
 //	ThreeNN    sample.ThreeNN{}.Plan
 //
 // — which stay where they are as the references the tests compare against
@@ -41,7 +40,7 @@
 // scan as well.
 //
 // Concurrency and determinism: an Index is owned by one goroutine (one
-// replica's graph). KNN, Ball and ThreeNN fan their queries out with
+// replica's graph). KNN and ThreeNN fan their queries out with
 // parallel.ForWorkers; the index is frozen before the fan-out, every worker
 // writes only its own queries' output rows and its own scratch slot, so the
 // result does not depend on the worker count. SampleSearch streams an SA
@@ -50,8 +49,8 @@
 // after writing each pick, which a searcher loads (acquire) before it reads
 // the pick. A pick is final once published, each row of the neighbor list
 // is written once, by the worker that claimed its pick, and the level and
-// the index are frozen for the whole call — so a row is KNN's or Ball's row
-// for that pick, whichever worker computes it and whenever.
+// the index are frozen for the whole call — so a row is KNN's row for that
+// pick, whichever worker computes it and whenever.
 package spatial
 
 import (
@@ -74,13 +73,6 @@ const (
 	// far is the oracles' "no candidate yet" distance: a point at DistSq ≥
 	// far is never a neighbor, here as there.
 	far = 1e300
-
-	// maxBallCells is the largest cell box a ball query walks. The brute
-	// ball query stops at its k-th hit in level order, so it gets cheaper as
-	// the ball grows while a grid walk gets dearer; measured on W1 levels of
-	// 8192 and 2048 points the two cross where the ball's box is five to
-	// seven cells on a side (there the ball holds a tenth of the level).
-	maxBallCells = 6 * 6 * 6
 )
 
 // scanBelow is the level size under which queries run the linear scan.
@@ -294,28 +286,13 @@ func sq(t float64) float64 {
 	return t * t
 }
 
-// probe is one query's state while it walks the grid: either a top-k under
-// (DistSq, level index), or the k lowest level indexes within r2.
+// probe is one query's state while it walks the grid: a top-k under
+// (DistSq, level index), ascending, far / −1 where nothing was found yet.
 type probe struct {
-	q geom.Point3
-	s *scratch
-	// top-k: ascending, far / −1 where nothing was found yet.
+	q   geom.Point3
+	s   *scratch
 	idx []int
 	d   []float64
-	// ball: found holds the lowest level indexes seen inside r2, ascending,
-	// at most cap(found) of them.
-	ball  bool
-	r2    float64
-	found []int
-}
-
-// limit is the distance a cell's or shell's lower bound has to exceed for it
-// to be skipped.
-func (p *probe) limit() float64 {
-	if p.ball {
-		return p.r2
-	}
-	return p.d[len(p.d)-1]
 }
 
 // walk visits the cells around p.q in growing shells — shell r is the cells
@@ -336,7 +313,9 @@ func (ix *Index) walk(p *probe) {
 	gz[cz] = sq(max(ix.lo[2][cz]-q.Z, q.Z-ix.hi[2][cz]))
 	start := ix.start
 	codeX, codeY, codeZ := &ix.code[0], &ix.code[1], &ix.code[2]
-	lim := p.limit()
+	// lim is the distance a cell's or shell's lower bound has to exceed for
+	// it to be skipped.
+	lim := p.d[len(p.d)-1]
 	for r := 0; ; r++ {
 		x0, x1 := max(cx-r, 0), min(cx+r, ix.n[0]-1)
 		y0, y1 := max(cy-r, 0), min(cy+r, ix.n[1]-1)
@@ -406,23 +385,10 @@ func (ix *Index) walk(p *probe) {
 }
 
 // offer shows the points at positions s..e of the cell order, one cell's, to
-// p, and returns p's limit afterwards.
+// p, and returns the distance to beat afterwards.
 //
 //edgepc:hotpath
 func (ix *Index) offer(p *probe, s, e int32) float64 {
-	if p.ball {
-		k := cap(p.found)
-		for pos := s; pos < e; pos++ {
-			id := int(ix.perm[pos])
-			if len(p.found) == k && id > p.found[k-1] {
-				break // a cell holds its points in level order
-			}
-			if p.q.DistSq(ix.cols.At(int(pos))) <= p.r2 {
-				p.found = insertID(p.found, id)
-			}
-		}
-		return p.r2
-	}
 	idx, d := p.idx, p.d
 	last := len(d) - 1
 	for pos := s; pos < e; pos++ {
@@ -451,23 +417,6 @@ func insert(idx []int, d []float64, id int, dist float64) {
 	d[j], idx[j] = dist, id
 }
 
-// insertID adds id to found, kept ascending and at most cap(found) long; the
-// largest falls off a full slice.
-func insertID(found []int, id int) []int {
-	if len(found) < cap(found) {
-		found = found[:len(found)+1]
-	} else if id > found[len(found)-1] {
-		return found
-	}
-	j := len(found) - 1
-	for j > 0 && found[j-1] > id {
-		found[j] = found[j-1]
-		j--
-	}
-	found[j] = id
-	return found
-}
-
 // nearest fills idx and d (same length, at most the level's) with the nearest
 // points to q under (DistSq, level index), ascending.
 //
@@ -486,49 +435,6 @@ func (ix *Index) nearest(q geom.Point3, s *scratch, idx []int, d []float64) {
 		return
 	}
 	ix.walk(&probe{q: q, s: s, idx: idx, d: d})
-}
-
-// inBall returns the lowest level indexes within r2 of q, ascending, at most
-// k of them; the nearest point when the ball is empty. grid is whether a
-// ball of this radius is small enough to walk the grid for. The result
-// aliases s.idx.
-//
-//edgepc:hotpath
-func (ix *Index) inBall(q geom.Point3, r2 float64, grid bool, s *scratch, k int) []int {
-	found := s.idx[:0:k]
-	if !grid || !q.IsFinite() {
-		// The brute query's own loop: it stops at the k-th hit in level
-		// order, which for a large ball is a handful of points in.
-		nearest, nearestD := 0, far
-		for i, p := range ix.pts {
-			dist := q.DistSq(p)
-			if dist < nearestD {
-				nearest, nearestD = i, dist
-			}
-			if dist <= r2 {
-				found = found[:len(found)+1]
-				found[len(found)-1] = i
-				if len(found) == k {
-					return found
-				}
-			}
-		}
-		if len(found) == 0 {
-			found = found[:1]
-			found[0] = nearest
-		}
-		return found
-	}
-	p := probe{q: q, s: s, ball: true, r2: r2, found: found}
-	ix.walk(&p)
-	if found = p.found; len(found) == 0 {
-		found = found[:1]
-		ix.nearest(q, s, found, s.d[:1])
-		if found[0] < 0 {
-			found[0] = 0 // nothing nearer than far: the brute query's nearest stays at its initial 0
-		}
-	}
-	return found
 }
 
 // grow makes sure there are scratch slots for workers workers, each with
@@ -613,39 +519,6 @@ func (ix *Index) KNN(queries []geom.Point3, k int) ([]int, error) {
 		}
 	})
 	return out, nil
-}
-
-// Ball returns, for every query, the k lowest level indexes within r of it
-// (the nearest point when there is none), flat and padded as
-// neighbor.BallQuery{R: r}.Search returns them.
-func (ix *Index) Ball(queries []geom.Point3, r float64, k int) ([]int, error) {
-	if err := ix.check(k); err != nil {
-		return nil, err
-	}
-	if r <= 0 {
-		return nil, fmt.Errorf("neighbor: ball query needs positive radius, got %v", r)
-	}
-	ix.build()
-	grid := !ix.scan && ix.ballCells(r) <= maxBallCells
-	r2 := r * r
-	out := make([]int, len(queries)*k)
-	ix.grow(parallel.Workers(len(queries)), k)
-	parallel.ForWorkers(len(queries), func(w, lo, hi int) {
-		for q := lo; q < hi; q++ {
-			writePadded(out[q*k:(q+1)*k], ix.inBall(queries[q], r2, grid, &ix.work[w], k))
-		}
-	})
-	return out, nil
-}
-
-// ballCells estimates how many cells the box around a ball of radius r
-// covers.
-func (ix *Index) ballCells(r float64) float64 {
-	cells := 1.0
-	for _, n := range ix.n {
-		cells *= min(float64(2*r*ix.inv)+1, float64(n))
-	}
-	return cells
 }
 
 // ThreeNN returns the inverse-distance interpolation plan from the level

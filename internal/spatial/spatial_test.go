@@ -105,7 +105,7 @@ func queriesFor(pts []geom.Point3, n int, rng *rand.Rand) []geom.Point3 {
 	return qs
 }
 
-// The four differs run one query against its oracle and say what differed,
+// The three differs run one query against its oracle and say what differed,
 // "" when nothing did.
 
 func diffFPS(ix *Index, pts []geom.Point3, n int) string {
@@ -127,16 +127,6 @@ func diffKNN(ix *Index, pts, qs []geom.Point3, k int) string {
 	return ""
 }
 
-func diffBall(ix *Index, pts, qs []geom.Point3, r float64, k int) string {
-	want, err1 := neighbor.BallQuery{R: r}.Search(pts, qs, k)
-	got, err2 := ix.Ball(qs, r, k)
-	if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
-		i := firstDiff(got, want)
-		return fmt.Sprintf("Ball(r=%v, k=%d) of %d: errors %v / %v, first difference at query %d slot %d", r, k, len(pts), err1, err2, i/k, i%k)
-	}
-	return ""
-}
-
 func diffThreeNN(ix *Index, pts, targets []geom.Point3) string {
 	want, err1 := sample.ThreeNN{}.Plan(targets, pts)
 	got, err2 := ix.ThreeNN(targets)
@@ -154,8 +144,8 @@ func diffThreeNN(ix *Index, pts, targets []geom.Point3) string {
 	return ""
 }
 
-// compare runs all four queries on one level against the oracles, over pick
-// counts, k and radii; it trims the counts where the oracle itself is the
+// compare runs all three queries on one level against the oracles, over pick
+// counts and k; it trims the counts where the oracle itself is the
 // cost.
 func compare(t testing.TB, ix *Index, pts []geom.Point3, rng *rand.Rand) {
 	t.Helper()
@@ -183,11 +173,6 @@ func compare(t testing.TB, ix *Index, pts []geom.Point3, rng *rand.Rand) {
 		}
 		qs := queriesFor(pts, nq, rng)
 		fail(diffKNN(ix, pts, qs, k))
-		// Radii from "holds nothing" to "holds everything": both sides of
-		// the grid-or-scan choice, and the empty-ball fallback.
-		for _, r := range []float64{1e-9, 0.03, 0.2, 1, 50} {
-			fail(diffBall(ix, pts, qs, r, k))
-		}
 	}
 	fail(diffThreeNN(ix, pts, queriesFor(pts, 257, rng)))
 }
@@ -302,46 +287,44 @@ func TestFanOutMatchesOracles(t *testing.T) {
 	pts := clouds[0].gen(3000, rng)
 	qs := queriesFor(pts, 5000, rng)
 	wantN, _ := neighbor.BruteKNN{}.Search(pts, qs, 8)
-	wantB, _ := neighbor.BallQuery{R: 0.15}.Search(pts, qs, 8)
 	wantP, _ := sample.ThreeNN{}.Plan(qs, pts)
 	var ix Index
 	for _, procs := range []int{1, 2, 3, 8} {
 		old := runtime.GOMAXPROCS(procs)
 		ix.Reset(pts)
 		gotN, err1 := ix.KNN(qs, 8)
-		gotB, err2 := ix.Ball(qs, 0.15, 8)
 		gotP, err3 := ix.ThreeNN(qs)
 		runtime.GOMAXPROCS(old)
-		if err1 != nil || err2 != nil || err3 != nil {
-			t.Fatal(err1, err2, err3)
+		if err1 != nil || err3 != nil {
+			t.Fatal(err1, err3)
 		}
-		if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotB, wantB) || !reflect.DeepEqual(gotP, wantP) {
-			t.Fatalf("GOMAXPROCS=%d: KNN %d, Ball %d, ThreeNN %d (first differing entry)", procs,
-				firstDiff(gotN, wantN), firstDiff(gotB, wantB), firstDiff(gotP.Indexes, wantP.Indexes))
+		if !reflect.DeepEqual(gotN, wantN) || !reflect.DeepEqual(gotP, wantP) {
+			t.Fatalf("GOMAXPROCS=%d: KNN %d, ThreeNN %d (first differing entry)", procs,
+				firstDiff(gotN, wantN), firstDiff(gotP.Indexes, wantP.Indexes))
 		}
 	}
 }
 
-// TestQuickQueriesMatchOracles draws level size, shape, k and radius at
-// random, grid forced, one Index across all draws.
+// TestQuickQueriesMatchOracles draws level size, shape and k at random,
+// grid forced, one Index across all draws.
 func TestQuickQueriesMatchOracles(t *testing.T) {
 	forceGrid(t)
 	var ix Index
-	prop := func(seed int64, size uint16, shape, kk uint8, rr uint16) bool {
+	prop := func(seed int64, size uint16, shape, kk uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		N := 1 + int(size)%700
 		pts := clouds[int(shape)%len(clouds)].gen(N, rng)
-		return agrees(&ix, pts, queriesFor(pts, 16, rng), 1+int(kk)%(N+6), 1+N/3, float64(rr%2000+1)/1000) == ""
+		return agrees(&ix, pts, queriesFor(pts, 16, rng), 1+int(kk)%(N+6), 1+N/3) == ""
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// agrees is compare for one (k, n, r) draw, returning what differed.
-func agrees(ix *Index, pts, qs []geom.Point3, k, n int, r float64) string {
+// agrees is compare for one (k, n) draw, returning what differed.
+func agrees(ix *Index, pts, qs []geom.Point3, k, n int) string {
 	ix.Reset(pts)
-	for _, msg := range []string{diffFPS(ix, pts, n), diffKNN(ix, pts, qs, k), diffBall(ix, pts, qs, r, k), diffThreeNN(ix, pts, qs)} {
+	for _, msg := range []string{diffFPS(ix, pts, n), diffKNN(ix, pts, qs, k), diffThreeNN(ix, pts, qs)} {
 		if msg != "" {
 			return msg
 		}
@@ -353,11 +336,11 @@ func agrees(ix *Index, pts, qs []geom.Point3, k, n int, r float64) string {
 // coordinates on a coarse lattice, so that ties, duplicates and degenerate
 // axes are the common case rather than the rare one.
 func FuzzQueriesMatchOracles(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2, 9, 9, 9}, uint8(3), uint8(40))
-	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(8), uint8(1))
-	f.Add([]byte{1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 200, 0, 0}, uint8(2), uint8(255))
-	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(5), uint8(90))
-	f.Fuzz(func(t *testing.T, raw []byte, k, r uint8) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2, 9, 9, 9}, uint8(3))
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(8))
+	f.Add([]byte{1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 200, 0, 0}, uint8(2))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(5))
+	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
 		if len(raw) < 3 || len(raw) > 3*400 {
 			return
 		}
@@ -371,7 +354,7 @@ func FuzzQueriesMatchOracles(f *testing.F) {
 			qs = append(qs, p, p.Add(geom.Point3{X: float64(i%5) - 2.5, Y: 0.5, Z: float64(raw[i]) / 64}))
 		}
 		var ix Index
-		if msg := agrees(&ix, pts, qs, 1+int(k)%12, 1+len(pts)/2, float64(r)/16+0.01); msg != "" {
+		if msg := agrees(&ix, pts, qs, 1+int(k)%12, 1+len(pts)/2); msg != "" {
 			t.Fatal(msg)
 		}
 	})
@@ -397,9 +380,6 @@ func TestOddInputs(t *testing.T) {
 	if _, err := ix.KNN(pts[:1], 0); err == nil {
 		t.Fatal("k=0: want error")
 	}
-	if _, err := ix.Ball(pts[:1], 0, 4); err == nil {
-		t.Fatal("r=0: want error")
-	}
 	if _, err := ix.FPS(601, nil); err == nil {
 		t.Fatal("more picks than points: want error")
 	}
@@ -410,11 +390,6 @@ func TestOddInputs(t *testing.T) {
 	got, err := ix.KNN(qs, 4)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("non-finite queries: %v\n got %v\nwant %v", err, got, want)
-	}
-	wantB, _ := neighbor.BallQuery{R: 0.1}.Search(pts, qs, 4)
-	gotB, err := ix.Ball(qs, 0.1, 4)
-	if err != nil || !reflect.DeepEqual(gotB, wantB) {
-		t.Fatalf("non-finite ball queries: %v\n got %v\nwant %v", err, gotB, wantB)
 	}
 
 	// A level with a non-finite point gets no grid at all.
@@ -446,17 +421,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if _, err = ix.KNN(qs, 8); err != nil {
 			t.Fatal(err)
 		}
-		if _, err = ix.Ball(qs, 0.05, 8); err != nil {
-			t.Fatal(err)
-		}
 		if _, err = ix.ThreeNN(qs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	frame()
-	// KNN and Ball: the result and the fan-out closure each; ThreeNN: the
-	// plan, its two arrays and the closure.
-	if got := testing.AllocsPerRun(5, frame); got > 8 {
-		t.Fatalf("steady-state frame allocates %v times, want ≤ 8 (results and closures only)", got)
+	// KNN: the result and the fan-out closure; ThreeNN: the plan, its two
+	// arrays and the closure.
+	if got := testing.AllocsPerRun(5, frame); got > 6 {
+		t.Fatalf("steady-state frame allocates %v times, want ≤ 6 (results and closures only)", got)
 	}
 }

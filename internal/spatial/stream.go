@@ -9,14 +9,6 @@ import (
 	"repro/internal/sample"
 )
 
-// Search is the neighbor query SampleSearch runs on every pick: the K
-// lowest level indexes within R of it when R > 0 (Ball), else its K nearest
-// level points (KNN). The zero value searches nothing.
-type Search struct {
-	K int
-	R float64
-}
-
 const (
 	// wakeEvery is how many picks a searcher that has caught up with the
 	// sampler sleeps through: waking it costs the sampler a futex call, and
@@ -51,12 +43,8 @@ type stream struct {
 	sampled time.Duration
 	err     error
 
-	// The search: K, the top-k length (K capped at the level size), the
-	// squared radius and whether the ball walks the grid.
+	// The search: k, and the top-k length (k capped at the level size).
 	k, kk int
-	ball  bool
-	r2    float64
-	grid  bool
 	nbr   []int
 
 	// picks[i] is pick i's level index. The sampler writes it before it
@@ -70,43 +58,37 @@ type stream struct {
 	wake      sync.Cond
 }
 
-// SampleSearch picks n points of the level and searches each pick's
-// neighbors, overlapping the two: a second worker searches every pick as
-// soon as the sampler has made it, and once the sampler ends the picks not
-// yet searched fan out over all workers. The picks are FPS's for
+// SampleSearch picks n points of the level and searches each pick's k
+// nearest neighbors, overlapping the two: a second worker searches every
+// pick as soon as the sampler has made it, and once the sampler ends the
+// picks not yet searched fan out over all workers. The picks are FPS's for
 // sample.ArchFPS, ApproxFPS's at quality for sample.ArchBucketFPS, and the
 // stride sampler's (ApproxFPS at quality 0) for sample.ArchStride; nbr is
-// what KNN (q.R ≤ 0) or Ball (q.R > 0) with q.K returns for the picked
-// points as queries, nil when q is the zero Search. Both are
-// index-identical to those calls in sequence, whatever the worker count:
-// a pick is final once published, and a pick's row depends only on that
-// pick and the frozen index.
+// what KNN with k returns for the picked points as queries, nil when k is
+// 0. Both are index-identical to those calls in sequence, whatever the
+// worker count: a pick is final once published, and a pick's row depends
+// only on that pick and the frozen index.
 //
 // out is reused for the picks like append; nbr is the call's one
-// allocation of its own, as KNN's and Ball's result is theirs. sampled is
-// the sampler's wall time, the grid's build included; what the call took
-// beyond it is the search the sampler did not hide.
-func (ix *Index) SampleSearch(arch sample.Arch, quality float64, n int, q Search, out []int) (picks, nbr []int, sampled time.Duration, err error) {
+// allocation of its own, as KNN's result is its. sampled is the sampler's
+// wall time, the grid's build included; what the call took beyond it is
+// the search the sampler did not hide.
+func (ix *Index) SampleSearch(arch sample.Arch, quality float64, n, k int, out []int) (picks, nbr []int, sampled time.Duration, err error) {
 	st := &ix.st
 	st.t0 = time.Now()
-	if q.K != 0 {
-		if err := ix.check(q.K); err != nil {
+	if k != 0 {
+		if err := ix.check(k); err != nil {
 			return nil, nil, 0, err
 		}
 	}
 	ix.build()
 	st.ix, st.arch, st.quality, st.n, st.out = ix, arch, quality, n, out
-	st.k, st.ball = 0, q.R > 0
+	st.k = 0
 	workers := 1
-	if q.K > 0 && n >= 1 && n <= len(ix.pts) {
+	if k > 0 && n >= 1 && n <= len(ix.pts) {
 		// An n the sampler rejects gets no search: it reports the error.
-		st.k, st.kk = q.K, min(q.K, len(ix.pts))
-		if st.ball {
-			st.kk = q.K
-			st.r2 = q.R * q.R
-			st.grid = !ix.scan && ix.ballCells(q.R) <= maxBallCells
-		}
-		st.nbr = make([]int, n*q.K)
+		st.k, st.kk = k, min(k, len(ix.pts))
+		st.nbr = make([]int, n*k)
 		if cap(st.picks) < n {
 			st.picks = make([]int, n)
 		}
@@ -228,18 +210,13 @@ func (st *stream) await(i int) {
 	st.mu.Unlock()
 }
 
-// row writes pick i's neighbor list: KNN's or Ball's row for that pick as
-// the query.
+// row writes pick i's neighbor list: KNN's row for that pick as the query.
 //
 //edgepc:hotpath
 func (st *stream) row(i int, s *scratch) {
 	ix := st.ix
 	q := ix.pts[st.picks[i]]
 	dst := st.nbr[i*st.k : (i+1)*st.k]
-	if st.ball {
-		writePadded(dst, ix.inBall(q, st.r2, st.grid, s, st.k))
-		return
-	}
 	idx, d := s.idx[:st.kk], s.d[:st.kk]
 	ix.nearest(q, s, idx, d)
 	writePadded(dst, idx)

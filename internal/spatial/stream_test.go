@@ -14,7 +14,7 @@ import (
 )
 
 // TestSampleSearchIndependentOfSchedule holds SampleSearch to the two calls
-// it overlaps — the sampler, then KNN or Ball over the picked points — at
+// it overlaps — the sampler, then KNN over the picked points — at
 // every worker count: the searchers race the sampler, and under -race this
 // is the check that they read only published picks and the frozen index.
 // The level with a NaN takes the scan path.
@@ -36,7 +36,7 @@ func TestSampleSearchIndependentOfSchedule(t *testing.T) {
 		arch    sample.Arch
 		quality float64
 	}{{sample.ArchFPS, 0}, {sample.ArchBucketFPS, 0.5}, {sample.ArchStride, 0}}
-	searches := []Search{{K: 1}, {K: 8}, {K: 16}, {K: 8, R: 0.1}}
+	searches := []int{1, 8, 16}
 
 	var ix Index
 	for _, lv := range levels {
@@ -63,12 +63,8 @@ func TestSampleSearchIndependentOfSchedule(t *testing.T) {
 				centers[i] = lv.pts[p]
 			}
 			wantNbr := make([][]int, len(searches))
-			for j, q := range searches {
-				if q.R > 0 {
-					wantNbr[j], err = ix.Ball(centers, q.R, q.K)
-				} else {
-					wantNbr[j], err = ix.KNN(centers, q.K)
-				}
+			for j, k := range searches {
+				wantNbr[j], err = ix.KNN(centers, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,14 +74,14 @@ func TestSampleSearchIndependentOfSchedule(t *testing.T) {
 			var picks []int
 			for _, procs := range []int{1, 2, 3, 4, 8} {
 				old := runtime.GOMAXPROCS(procs)
-				for j, q := range searches {
+				for j, k := range searches {
 					ix.Reset(lv.pts)
 					var nbr []int
-					picks, nbr, _, err = ix.SampleSearch(sm.arch, sm.quality, n, q, picks)
+					picks, nbr, _, err = ix.SampleSearch(sm.arch, sm.quality, n, k, picks)
 					if err != nil || !reflect.DeepEqual(picks, want) || !reflect.DeepEqual(nbr, wantNbr[j]) {
 						runtime.GOMAXPROCS(old)
-						t.Fatalf("%s %v@%v %+v GOMAXPROCS=%d: err %v, first pick difference %d, first list difference %d",
-							lv.name, sm.arch, sm.quality, q, procs, err, firstDiff(picks, want), firstDiff(nbr, wantNbr[j]))
+						t.Fatalf("%s %v@%v k=%d GOMAXPROCS=%d: err %v, first pick difference %d, first list difference %d",
+							lv.name, sm.arch, sm.quality, k, procs, err, firstDiff(picks, want), firstDiff(nbr, wantNbr[j]))
 					}
 				}
 				runtime.GOMAXPROCS(old)
@@ -94,7 +90,7 @@ func TestSampleSearchIndependentOfSchedule(t *testing.T) {
 	}
 }
 
-// TestSampleSearchEdges: the zero Search samples only, and a bad request
+// TestSampleSearchEdges: k = 0 samples only, and a bad request
 // reports the error the sequential calls report, and leaves the index ready
 // for the next call.
 func TestSampleSearchEdges(t *testing.T) {
@@ -105,22 +101,22 @@ func TestSampleSearchEdges(t *testing.T) {
 	var ix Index
 	ix.Reset(pts)
 	want, _ := ix.FPS(1024, nil)
-	picks, nbr, sampled, err := ix.SampleSearch(sample.ArchFPS, 0, 1024, Search{}, nil)
+	picks, nbr, sampled, err := ix.SampleSearch(sample.ArchFPS, 0, 1024, 0, nil)
 	if err != nil || nbr != nil || sampled <= 0 || !reflect.DeepEqual(picks, want) {
 		t.Fatalf("sample only: err %v, nbr %v, sampled %v, first pick difference %d", err, nbr != nil, sampled, firstDiff(picks, want))
 	}
-	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 4097, Search{K: 8}, nil); err == nil {
+	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 4097, 8, nil); err == nil {
 		t.Fatal("more picks than points: want error")
 	}
-	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 8, Search{K: -1}, nil); err == nil {
+	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 8, -1, nil); err == nil {
 		t.Fatal("k=-1: want error")
 	}
 	var empty Index
-	if _, _, _, err := empty.SampleSearch(sample.ArchFPS, 0, 1, Search{K: 1}, nil); err == nil {
+	if _, _, _, err := empty.SampleSearch(sample.ArchFPS, 0, 1, 1, nil); err == nil {
 		t.Fatal("unbound index: want error")
 	}
 	wantNbr, _ := ix.KNN(centersOf(pts, want), 8)
-	picks, nbr, _, err = ix.SampleSearch(sample.ArchFPS, 0, 1024, Search{K: 8}, picks)
+	picks, nbr, _, err = ix.SampleSearch(sample.ArchFPS, 0, 1024, 8, picks)
 	if err != nil || !reflect.DeepEqual(picks, want) || !reflect.DeepEqual(nbr, wantNbr) {
 		t.Fatalf("after the errors: err %v, first pick difference %d, first list difference %d", err, firstDiff(picks, want), firstDiff(nbr, wantNbr))
 	}
