@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/neighbor"
+	"repro/internal/sample"
 )
 
 // Host wall-clock comparison of the neighbor-search design space on one
@@ -85,4 +86,19 @@ func BenchmarkOneShotStructurize(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(cloud.Len() * 24))
+}
+
+// BenchmarkMortonInterp is the last FP module's plan under S+N at W1's size:
+// 8192 targets from 2048 stride samples, into a plan kept across calls.
+func BenchmarkMortonInterp(b *testing.B) {
+	s, _ := benchStructurized(b, 8192)
+	samplePos := SamplePositions(s.Len(), s.Len()/4)
+	var plan sample.InterpPlan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := (MortonInterp{}).PlanStructurizedInto(&plan, s.Cloud.Points, samplePos); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/neighbor"
+	"repro/internal/sample"
 )
 
 // fig8Cloud is the paper's 5-point worked example (Fig. 8 / Fig. 10).
@@ -376,27 +377,22 @@ func TestMortonInterpPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	samplePos := SamplePositions(s.Len(), 32)
-	plan, err := MortonInterp{}.PlanStructurized(s.Cloud.Points, samplePos)
-	if err != nil {
+	plan := &sample.InterpPlan{}
+	if err := (MortonInterp{}).PlanStructurizedInto(plan, s.Cloud.Points, samplePos); err != nil {
 		t.Fatal(err)
 	}
 	if plan.K != 3 || plan.Targets() != s.Len() {
 		t.Fatalf("plan shape K=%d targets=%d", plan.K, plan.Targets())
 	}
+	source := func(r int) geom.Point3 { return s.Cloud.Points[samplePos[r]] }
 	for ti := 0; ti < plan.Targets(); ti++ {
-		var sum float64
 		for j := 0; j < plan.K; j++ {
-			w := plan.Weights[ti*plan.K+j]
-			if w < 0 {
-				t.Fatalf("negative weight")
-			}
-			sum += w
-			if r := plan.Indexes[ti*plan.K+j]; r < 0 || r >= len(samplePos) {
+			if r := int(plan.Indexes[ti*plan.K+j]); r < 0 || r >= len(samplePos) {
 				t.Fatalf("sample rank %d out of range", r)
 			}
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("weights sum %v", sum)
+		if !weightsExact(plan, ti, s.Cloud.Points[ti], source) {
+			t.Fatalf("target %d: weights %v are not their normalized inverse squared distances", ti, plan.Weights[ti*plan.K:(ti+1)*plan.K])
 		}
 	}
 	// A sampled point interpolates (almost) purely from itself.
@@ -414,12 +410,35 @@ func TestMortonInterpPlan(t *testing.T) {
 
 func TestMortonInterpErrors(t *testing.T) {
 	pts := fig8Cloud().Points
-	if _, err := (MortonInterp{}).PlanStructurized(pts, nil); err == nil {
+	var plan sample.InterpPlan
+	if err := (MortonInterp{}).PlanStructurizedInto(&plan, pts, nil); err == nil {
 		t.Fatal("no samples: want error")
 	}
-	if _, err := (MortonInterp{}).PlanStructurized(pts, []int{3, 1}); err == nil {
+	if err := (MortonInterp{}).PlanStructurizedInto(&plan, pts, []int{3, 1}); err == nil {
 		t.Fatal("unsorted positions: want error")
 	}
+}
+
+// weightsExact reports whether target t's row of plan holds, bit for bit,
+// the float32 of each source's normalized inverse squared distance,
+// computed here in float64 from the row's own sources in the row's order
+// (with FillWeights' 1e-10 guard against a coincident source). It is
+// stronger than a check that the weights sum to 1: a normalization off by
+// less than float32's rounding fails it too.
+func weightsExact(plan *sample.InterpPlan, t int, target geom.Point3, source func(i int) geom.Point3) bool {
+	k := plan.K
+	w := make([]float64, k)
+	total := 0.0
+	for i := range w {
+		w[i] = 1 / (target.DistSq(source(int(plan.Indexes[t*k+i]))) + 1e-10)
+		total += w[i]
+	}
+	for i, wi := range w {
+		if plan.Weights[t*k+i] != float32(wi/total) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestReusePolicy(t *testing.T) {

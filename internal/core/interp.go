@@ -34,18 +34,19 @@ type MortonInterp struct {
 // Name identifies the interpolator in reports.
 func (MortonInterp) Name() string { return "morton-interp" }
 
-// PlanStructurized builds an interpolation plan for every point of the
-// structurized cloud (targets = positions 0…N−1) from the samples at
-// samplePos (ascending structurized positions, as produced by
+// PlanStructurizedInto writes into plan an interpolation plan for every
+// point of the structurized cloud (targets = positions 0…N−1) from the
+// samples at samplePos (ascending structurized positions, as produced by
 // SamplePositions). Plan indexes refer to sample *ranks* (0…n−1), matching
-// the row order of the sampled feature matrix.
-func (mi MortonInterp) PlanStructurized(points []geom.Point3, samplePos []int) (*sample.InterpPlan, error) {
+// the row order of the sampled feature matrix. It reuses plan's storage: a
+// caller that keeps the plan across frames allocates nothing.
+func (mi MortonInterp) PlanStructurizedInto(plan *sample.InterpPlan, points []geom.Point3, samplePos []int) error {
 	n := len(samplePos)
 	if n == 0 {
-		return nil, sample.ErrNoSources
+		return sample.ErrNoSources
 	}
 	if !sort.IntsAreSorted(samplePos) {
-		return nil, fmt.Errorf("core: sample positions must be ascending")
+		return fmt.Errorf("core: sample positions must be ascending")
 	}
 	cand := mi.Candidates
 	if cand <= 0 {
@@ -54,21 +55,18 @@ func (mi MortonInterp) PlanStructurized(points []geom.Point3, samplePos []int) (
 	if cand > n {
 		cand = n
 	}
-	k := 3
-	if k > cand {
-		k = cand
-	}
-	plan := &sample.InterpPlan{
-		K:       k,
-		Indexes: make([]int, len(points)*k),
-		Weights: make([]float64, len(points)*k),
-	}
-	N := len(points)
-	idx := make([]int, k)
-	d := make([]float64, k)
-	for j := 0; j < N; j++ {
-		// Rank of the last sample at or below position j.
-		m := sort.SearchInts(samplePos, j+1) - 1
+	k := min(3, cand)
+	plan.Resize(len(points), k)
+	var idxBuf [3]int
+	var dBuf [3]float64
+	idx, d := idxBuf[:k], dBuf[:k]
+	// m is the rank of the last sample at or below position j (−1 before
+	// the first). Targets ascend, so it only ever moves forward.
+	m := -1
+	for j := range points {
+		for m+1 < n && samplePos[m+1] <= j {
+			m++
+		}
 		lo := m - (cand-1)/2
 		if lo < 0 {
 			lo = 0
@@ -77,9 +75,9 @@ func (mi MortonInterp) PlanStructurized(points []geom.Point3, samplePos []int) (
 			lo = n - cand
 		}
 		bestOfCandidates(points[j], points, samplePos, lo, lo+cand, idx, d)
-		fillPlanWeights(plan, j, idx, d)
+		plan.FillWeights(j, idx, d)
 	}
-	return plan, nil
+	return nil
 }
 
 // bestOfCandidates fills idx/d with the k nearest samples (by true distance)
@@ -104,23 +102,5 @@ func bestOfCandidates(p geom.Point3, points []geom.Point3, samplePos []int, lo, 
 		}
 		d[j] = dist
 		idx[j] = r
-	}
-}
-
-// fillPlanWeights writes normalized inverse-distance weights (the PointNet++
-// FP convention) for target t.
-func fillPlanWeights(plan *sample.InterpPlan, t int, idx []int, d []float64) {
-	k := plan.K
-	base := t * k
-	const eps = 1e-10
-	total := 0.0
-	for i := 0; i < k; i++ {
-		plan.Indexes[base+i] = idx[i]
-		w := 1.0 / (d[i] + eps)
-		plan.Weights[base+i] = w
-		total += w
-	}
-	for i := 0; i < k; i++ {
-		plan.Weights[base+i] /= total
 	}
 }

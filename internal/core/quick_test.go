@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -92,27 +91,22 @@ func TestQuickMortonInterpWeights(t *testing.T) {
 			return false
 		}
 		samplePos := sample.UniformIndexes(n, m)
-		plan, err := MortonInterp{Candidates: cand}.PlanStructurized(s.Cloud.Points, samplePos)
-		if err != nil {
+		plan := &sample.InterpPlan{}
+		if err := (MortonInterp{Candidates: cand}).PlanStructurizedInto(plan, s.Cloud.Points, samplePos); err != nil {
 			return false
 		}
 		k := plan.K
 		if k < 1 || k > 3 || len(plan.Indexes) != n*k || len(plan.Weights) != n*k {
 			return false
 		}
+		source := func(r int) geom.Point3 { return s.Cloud.Points[samplePos[r]] }
 		for tgt := 0; tgt < n; tgt++ {
-			total := 0.0
 			for i := 0; i < k; i++ {
-				w := plan.Weights[tgt*k+i]
-				if w < 0 || math.IsNaN(w) {
-					return false
-				}
-				total += w
-				if idx := plan.Indexes[tgt*k+i]; idx < 0 || idx >= m {
+				if idx := int(plan.Indexes[tgt*k+i]); idx < 0 || idx >= m {
 					return false
 				}
 			}
-			if math.Abs(total-1) > 1e-9 {
+			if !weightsExact(plan, tgt, s.Cloud.Points[tgt], source) {
 				return false
 			}
 		}

@@ -31,6 +31,12 @@ func (w WindowSearcher) Name() string { return "morton-window" }
 // (query-major) and holds positions into points — the same index space the
 // grouping stage consumes.
 func (w WindowSearcher) SearchPositions(points []geom.Point3, queryPos []int, k int) ([]int, error) {
+	return w.SearchPositionsInto(nil, points, queryPos, k)
+}
+
+// SearchPositionsInto is SearchPositions writing the list into out, which it
+// reuses like append.
+func (w WindowSearcher) SearchPositionsInto(out []int, points []geom.Point3, queryPos []int, k int) ([]int, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, neighbor.ErrNoPoints
@@ -45,7 +51,10 @@ func (w WindowSearcher) SearchPositions(points []geom.Point3, queryPos []int, k 
 	if win > n {
 		win = n
 	}
-	out := make([]int, len(queryPos)*k)
+	if cap(out) < len(queryPos)*k {
+		out = make([]int, len(queryPos)*k)
+	}
+	out = out[:len(queryPos)*k]
 	if win == k {
 		// Pure index pick: the k consecutive positions centered on the query.
 		parallel.ForChunks(len(queryPos), func(lo, hi int) {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/nn"
-	"repro/internal/spatial"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -61,14 +61,10 @@ type Exec struct {
 	// recycled across frames.
 	levels []*level
 
-	// index is the graph's one spatial index (see package spatial) and
-	// indexed the level it is bound to. The exact sites of a frame take turns
-	// with it: an SA module's FPS and neighbor search run in one
-	// SampleSearch on the same level and share one build; an FP module's
-	// 3-NN binds it to its coarse level again — a rebuild (≈ 0.06 ms for
-	// 2048 points) instead of an index per level kept resident.
-	index   spatial.Index
-	indexed *level
+	// plan is the graph's coordinate chain (PointNet++'s, set by its
+	// constructor; nil for the other architectures): Forward runs it beside
+	// the feature pass, which waits on its entries.
+	plan *plan
 
 	// chain is the activation flowing from stage to stage.
 	chain *tensor.Matrix
@@ -95,17 +91,6 @@ func (x *Exec) scratch() *tensor.Workspace {
 
 // top returns the innermost level.
 func (x *Exec) top() *level { return x.levels[len(x.levels)-1] }
-
-// exact returns the spatial index bound to lv's points. Binding does no
-// work; the first query builds, inside the timed block of the stage that
-// asked, so that stage's record carries the build.
-func (x *Exec) exact(lv *level) *spatial.Index {
-	if x.indexed != lv {
-		x.index.Reset(lv.pts)
-		x.indexed = lv
-	}
-	return &x.index
-}
 
 // pushLevel appends a zeroed level to the stack, recycling the header
 // allocated for the same position in an earlier frame when possible.
@@ -191,6 +176,8 @@ type Graph struct {
 	arena *tensor.Workspace
 
 	x Exec
+	// run is the body of a planned frame's two-chain fan-out.
+	run chains
 
 	// trained is set by a completed training forward and cleared by the
 	// next Forward's start, so Backward can verify its precondition (stage
@@ -208,6 +195,7 @@ func Compile(spec GraphSpec) (*Graph, error) {
 		g.params = append(g.params, s.Params()...)
 	}
 	g.x.reuse = spec.Reuse
+	g.run.g = g
 	return g, nil
 }
 
@@ -284,7 +272,6 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	x.trace = trace
 	x.train = train
 	x.levels = x.levels[:0]
-	x.indexed = nil // level headers are recycled: last frame's binding means nothing
 	x.taps = x.taps[:0]
 	x.chain = nil
 	x.nbr = nil
@@ -319,18 +306,18 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	lv.pts, lv.feats, lv.mortonSorted = pts, feats, sorted
 	x.chain = feats
 
-	for _, s := range g.spec.Stages {
-		rec0 := 0
-		if trace != nil {
-			rec0 = len(trace.Records)
-		}
-		start := time.Now()
-		if err := s.Forward(x); err != nil {
-			return nil, err
-		}
-		if trace != nil {
-			trace.AddSpan(Span{Node: s.Name(), Layer: stageLayer(s), Dur: time.Since(start), Rec0: rec0, Rec1: len(trace.Records)})
-		}
+	if p := x.plan; p != nil {
+		// The coordinate chain and the feature pass: side by side on two
+		// cores, or the planner first and then the pass on one.
+		p.reset(pts, sorted)
+		parallel.Split(2, chainWorkers(len(pts)), &g.run)
+		g.run.repanic()
+		err = g.run.err
+	} else {
+		err = g.features()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	logits := x.chain
@@ -342,6 +329,29 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	}
 	g.trained = train
 	return &Output{Logits: logits, Labels: labels, Perm: perm}, nil
+}
+
+// features runs the stage list, one span per stage. On a planned frame
+// that is the feature pass, and a span covers its stage's waits on the plan
+// too: the spans stay the feature pass's timeline.
+//
+//edgepc:hotpath
+func (g *Graph) features() error {
+	x, trace := &g.x, g.x.trace
+	for _, s := range g.spec.Stages {
+		rec0 := 0
+		if trace != nil {
+			rec0 = len(trace.Records)
+		}
+		start := time.Now()
+		if err := s.Forward(x); err != nil {
+			return err
+		}
+		if trace != nil {
+			trace.AddSpan(Span{Node: s.Name(), Layer: stageLayer(s), Dur: time.Since(start), Rec0: rec0, Rec1: len(trace.Records)})
+		}
+	}
+	return nil
 }
 
 // layered is implemented by stages tied to a module index; other stages

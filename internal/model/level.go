@@ -10,9 +10,10 @@ import (
 )
 
 // level is the per-resolution state flowing through a hierarchical
-// point-cloud network: the points at this resolution, their feature matrix,
-// and whether the point order is Morton-sorted (index-based operations are
-// only valid on sorted levels).
+// point-cloud network's feature pass: the points at this resolution, their
+// feature matrix, and whether the point order is Morton-sorted (index-based
+// operations are only valid on sorted levels). A PointNet++ level's points
+// are its plan's (planLevel), which also carries the sampling indexes.
 //
 // A key property the EdgePC design exploits: uniform-stride sampling of a
 // Morton-sorted level yields positions in ascending order, so the *sampled
@@ -22,10 +23,6 @@ type level struct {
 	pts          []geom.Point3
 	feats        *tensor.Matrix // len(pts) × C
 	mortonSorted bool
-	// posInParent holds, for each point of this level, its index in the
-	// parent level's order (ascending when both levels are Morton-sorted).
-	// nil for the input level.
-	posInParent []int
 }
 
 func (l *level) len() int { return len(l.pts) }

@@ -13,13 +13,15 @@ import (
 )
 
 // SAModule is a PointNet++ SetAbstraction module: down-sample, search
-// neighbors, group, and run a shared MLP with max pooling over neighbors.
+// neighbors, group, and run a shared MLP with max pooling over neighbors. The
+// first two are its coordinate half (plan), the last two its feature half
+// (forward).
 type SAModule struct {
 	Frac float64 // output point fraction of the input level
 	K    int     // neighbors per sampled point
 	MLP  *nn.Sequential
 	// Sampler selects the algorithm for the non-Morton sampling path:
-	// exact FPS (default; through the graph's spatial index), bucketed
+	// exact FPS (default; through the level's spatial index), bucketed
 	// pruned FPS, or pure index stride. When the module is a Morton one, it
 	// wins over this knob. Bucketed FPS's picks depend on the parent level's
 	// order as it stands — its stride seeds are positions in it — but they
@@ -35,19 +37,11 @@ type SAModule struct {
 	windowW int
 
 	cache saCache
-	// centersBuf backs the sampled-center slice across frames; the level
-	// handed to the next module aliases it, which is safe because levels live
-	// at most one frame (training's cached levels never read pts in backward).
-	centersBuf []geom.Point3
-	// selBuf is the sampled-index buffer of both FPS paths, reused across
-	// frames for a zero-allocation steady state (the level that aliases it
-	// lives one frame).
-	selBuf []int
 }
 
 type saCache struct {
 	parentRows, parentCols int
-	nbr                    []int
+	nbr                    []int // the plan's: Backward runs before the next Forward
 	argmax                 []int32
 	k                      int
 }
@@ -59,14 +53,14 @@ func clampK(k, n int) int {
 	return k
 }
 
-// forward consumes the parent level and fills next with the sampled level.
-// Execution context (trace, train flag, workspace or training arena) comes
-// from the Graph's Exec; train and x.ws != nil are mutually exclusive.
+// plan is the module's coordinate half: it samples level l of p into level
+// l+1 and fills entry l with the neighbor list and the sample and neighbor
+// records. Every buffer is the plan's, reused across frames.
 //
 //edgepc:hotpath
-func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
-	trace, train, ws := x.trace, x.train, x.ws
-	n := parent.len()
+func (m *SAModule) plan(p *plan, l int) error {
+	parent, next, e := &p.levels[l], &p.levels[l+1], &p.saPlans[l]
+	n := len(parent.pts)
 	nOut := int(float64(float64(n)*m.Frac) + 0.5)
 	if nOut < 1 {
 		nOut = 1
@@ -82,37 +76,27 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	// pure index-stride pick and the neighbors come from the index window.
 	// Otherwise the picks are exact FPS's, or bucketed pruned FPS's at the
 	// module's quality — the picks of sample.BucketFPS over the level as it
-	// stands — computed through the spatial index, whose order prunes
-	// better, and the index searches every pick while the sampler makes the
-	// next.
+	// stands — computed through the level's spatial index, whose order
+	// prunes better, and the index searches every pick while the sampler
+	// makes the next.
 	useMorton := m.morton && parent.mortonSorted
 	sampleAlgo := m.Sampler.String()
-	var sel, nbr []int
+	sel, nbr := next.posInParent, e.nbr
 	var dur, nsDur time.Duration
 	var err error
 	start := time.Now()
 	if useMorton {
 		sampleAlgo = "morton-pick"
-		sel = core.SamplePositions(n, nOut)
+		sel = sample.UniformIndexesInto(sel, n, nOut) // core.SamplePositions, into sel
 		dur = time.Since(start)
 	} else {
-		sel, nbr, dur, err = x.exact(parent).SampleSearch(m.Sampler, m.Quality, nOut, k, m.selBuf)
+		sel, nbr, dur, err = parent.index.SampleSearch(m.Sampler, m.Quality, nOut, k, sel, nbr)
 		nsDur = time.Since(start) - dur
-		m.selBuf = sel
 	}
 	if err != nil {
-		return fmt.Errorf("model: SA%d sample: %w", layer, err)
+		return fmt.Errorf("model: SA%d sample: %w", l, err)
 	}
-	trace.Add(StageRecord{Stage: StageSample, Layer: layer, Algo: sampleAlgo, N: n, Q: nOut, Dur: dur})
-
-	if cap(m.centersBuf) < nOut {
-		//edgepc:lint-ignore hotpathalloc cap-guarded grow; steady-state frames reuse the buffer
-		m.centersBuf = make([]geom.Point3, nOut)
-	}
-	centers := m.centersBuf[:nOut]
-	for i, s := range sel {
-		centers[i] = parent.pts[s]
-	}
+	e.sample = StageRecord{Stage: StageSample, Layer: l, Algo: sampleAlgo, N: n, Q: nOut, Dur: dur}
 
 	// --- Neighbor search stage ---
 	// A list on the index is already computed; its record is the search the
@@ -122,19 +106,44 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	if useMorton {
 		nsAlgo, w = "morton-window", max(m.windowW, k)
 		start = time.Now()
-		nbr, err = core.WindowSearcher{W: m.windowW}.SearchPositions(parent.pts, sel, k)
+		nbr, err = core.WindowSearcher{W: m.windowW}.SearchPositionsInto(nbr, parent.pts, sel, k)
 		nsDur = time.Since(start)
 		if err != nil {
-			return fmt.Errorf("model: SA%d neighbor: %w", layer, err)
+			return fmt.Errorf("model: SA%d neighbor: %w", l, err)
 		}
 	}
-	trace.Add(StageRecord{Stage: StageNeighbor, Layer: layer, Algo: nsAlgo, N: n, Q: nOut, K: k, W: w, Dur: nsDur})
+	e.neighbor = StageRecord{Stage: StageNeighbor, Layer: l, Algo: nsAlgo, N: n, Q: nOut, K: k, W: w, Dur: nsDur}
+	e.nbr, e.k = nbr, k
+
+	if cap(next.ptsBuf) < nOut {
+		//edgepc:lint-ignore hotpathalloc cap-guarded grow; steady-state frames reuse the buffer
+		next.ptsBuf = make([]geom.Point3, nOut)
+	}
+	centers := next.ptsBuf[:nOut]
+	for i, s := range sel {
+		centers[i] = parent.pts[s]
+	}
+	next.pts, next.mortonSorted, next.posInParent = centers, useMorton, sel
+	next.index.Reset(centers)
+	return nil
+}
+
+// forward is the module's feature half: it groups the parent level's
+// features by entry pl's neighbor list and fills next with the sampled
+// level's features. Execution context (trace, train flag, workspace or
+// training arena) comes from the Graph's Exec; train and x.ws != nil are
+// mutually exclusive.
+//
+//edgepc:hotpath
+func (m *SAModule) forward(parent, next *level, pl *saPlan, layer int, x *Exec) error {
+	trace, train, ws := x.trace, x.train, x.ws
+	n, nOut, k := parent.len(), next.len(), pl.k
 
 	// --- Group stage ---
 	var grouped *tensor.Matrix
-	dur, err = timed(func() error {
+	dur, err := timed(func() error {
 		var e error
-		grouped, e = buildGroupedSA(x.scratch(), parent.pts, parent.feats, centers, nbr, k)
+		grouped, e = buildGroupedSA(x.scratch(), parent.pts, parent.feats, next.pts, pl.nbr, k)
 		return e
 	})
 	if err != nil {
@@ -170,12 +179,9 @@ func (m *SAModule) forward(parent, next *level, layer int, x *Exec) error {
 	trace.Add(StageRecord{Stage: StageFeature, Layer: layer, Algo: "shared-mlp", Q: nOut * k, CIn: cin, COut: feats.Cols, Dur: dur})
 
 	if train {
-		m.cache = saCache{parentRows: n, parentCols: parent.feats.Cols, nbr: nbr, argmax: argmax, k: k}
+		m.cache = saCache{parentRows: n, parentCols: parent.feats.Cols, nbr: pl.nbr, argmax: argmax, k: k}
 	}
-	next.pts = centers
 	next.feats = feats
-	next.mortonSorted = useMorton
-	next.posInParent = sel
 	return nil
 }
 
@@ -203,7 +209,8 @@ func (m *SAModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.M
 
 // FPModule is a PointNet++ FeaturePropagation module: interpolate coarse
 // features onto the finer level, concatenate the fine level's skip features,
-// and run a shared MLP.
+// and run a shared MLP. The interpolation plan is its coordinate half
+// (plan), the rest its feature half (forward).
 type FPModule struct {
 	MLP *nn.Sequential
 
@@ -215,48 +222,54 @@ type FPModule struct {
 }
 
 type fpCache struct {
-	plan       *sample.InterpPlan
+	plan       *sample.InterpPlan // the plan's: Backward runs before the next Forward
 	coarseRows int
 	interpCols int
 	skipCols   int
 }
 
-// forward interpolates coarseFeats (features at the coarse level) onto the
-// fine level and fuses them with the fine level's own features. Execution
-// context (trace, train flag, workspace or training arena) comes from the
+// plan is the module's coordinate half: FP module i of p's graph refines
+// level D−i to level D−1−i, and this fills entry i with that interpolation
+// plan (the up-sampling stage of Fig. 9) and its record.
+//
+//edgepc:hotpath
+func (m *FPModule) plan(p *plan, i int) error {
+	depth := len(p.sa)
+	fine, coarse, e := &p.levels[depth-1-i], &p.levels[depth-i], &p.fpPlans[i]
+	// A Morton FP produces the level its matching SA module sampled, so a
+	// Morton-sorted fine level had a Morton SA, whose stride picks are the
+	// ascending positions the bracket search needs. Otherwise the coarse
+	// level's index answers the 3-NN; its SA module built the grid already
+	// (the deepest level's is built here).
+	algo := "three-nn"
+	start := time.Now()
+	var err error
+	if m.morton && fine.mortonSorted {
+		algo = "morton-interp"
+		err = core.MortonInterp{}.PlanStructurizedInto(&e.interp, fine.pts, coarse.posInParent)
+	} else {
+		err = coarse.index.ThreeNNInto(&e.interp, fine.pts)
+	}
+	dur := time.Since(start)
+	if err != nil {
+		return fmt.Errorf("model: FP%d interp plan: %w", i, err)
+	}
+	e.rec = StageRecord{Stage: StageInterp, Layer: i, Algo: algo, N: len(fine.pts), Q: len(coarse.pts), K: e.interp.K, Dur: dur}
+	return nil
+}
+
+// forward is the module's feature half: it interpolates coarseFeats
+// (features at the coarse level) onto the fine level by plan and fuses them
+// with the fine level's own features. Execution context comes from the
 // Graph's Exec, the same contract as SAModule.forward.
 //
 //edgepc:hotpath
-func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, layer int, x *Exec) (*tensor.Matrix, error) {
+func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, plan *sample.InterpPlan, layer int, x *Exec) (*tensor.Matrix, error) {
 	trace, train, ws := x.trace, x.train, x.ws
-	// --- Interpolation planning (the up-sampling stage of Fig. 9) ---
-	var plan *sample.InterpPlan
-	var algo string
-	// A Morton FP produces the level its matching SA module sampled, so a
-	// Morton-sorted fine level had a Morton SA, whose stride picks are the
-	// ascending positions the bracket search needs.
-	useMorton := m.morton && fine.mortonSorted
-	dur, err := timed(func() error {
-		var e error
-		if useMorton {
-			algo = "morton-interp"
-			plan, e = core.MortonInterp{}.PlanStructurized(fine.pts, coarse.posInParent)
-		} else {
-			algo = "three-nn"
-			plan, e = x.exact(coarse).ThreeNN(fine.pts)
-		}
-		return e
-	})
-	if err != nil {
-		return nil, fmt.Errorf("model: FP%d interp plan: %w", layer, err)
-	}
-	trace.Add(StageRecord{Stage: StageInterp, Layer: layer, Algo: algo, N: fine.len(), Q: coarse.len(), K: plan.K, Dur: dur})
-
-	// --- Apply + concat + MLP (feature compute) ---
 	var out *tensor.Matrix
 	interpCols := coarseFeats.Cols
 	var cin int
-	dur, err = timed(func() error {
+	dur, err := timed(func() error {
 		// [interp | skip] is built in place: the plan writes the left
 		// columns of the fused buffer and the fine level's own features
 		// (one row per point, as every level's) are copied into the right
@@ -311,8 +324,8 @@ func (m *FPModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.M
 	for t := 0; t < g.Rows; t++ {
 		row := g.Row(t)[:c.interpCols]
 		for j := 0; j < k; j++ {
-			s := c.plan.Indexes[t*k+j]
-			w := float32(c.plan.Weights[t*k+j])
+			s := int(c.plan.Indexes[t*k+j])
+			w := c.plan.Weights[t*k+j]
 			dst := gCoarse.Row(s)
 			for col, v := range row {
 				dst[col] += float32(w * v)
@@ -498,6 +511,7 @@ func NewPointNetPP(cfg PPConfig) (*PointNetPP, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.x.plan = newPlan(net.SA, net.FP)
 	net.graph = g
 	return net, nil
 }

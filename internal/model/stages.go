@@ -35,9 +35,18 @@ func (s *saStage) SetTrainArena(a *tensor.Workspace) {
 
 //edgepc:hotpath
 func (s *saStage) Forward(x *Exec) error {
+	pl, err := x.plan.saEntry(s.idx)
+	if err != nil {
+		return err
+	}
+	// The planner's records of this module go first: the trace keeps each
+	// module's records in stage order whichever chain made them.
+	x.trace.Add(pl.sample)
+	x.trace.Add(pl.neighbor)
 	parent := x.top()
 	next := x.pushLevel()
-	if err := s.m.forward(parent, next, s.idx, x); err != nil {
+	next.pts = x.plan.levels[s.idx+1].pts
+	if err := s.m.forward(parent, next, pl, s.idx, x); err != nil {
 		return err
 	}
 	x.chain = next.feats
@@ -76,10 +85,15 @@ func (s *fpStage) SetTrainArena(a *tensor.Workspace) {
 
 //edgepc:hotpath
 func (s *fpStage) Forward(x *Exec) error {
+	pl, err := x.plan.fpEntry(s.idx)
+	if err != nil {
+		return err
+	}
+	x.trace.Add(pl.rec)
 	fine := x.levels[s.depth-1-s.idx]
 	coarse := x.levels[s.depth-s.idx]
 	prev := x.chain
-	out, err := s.m.forward(fine, coarse, prev, s.idx, x)
+	out, err := s.m.forward(fine, coarse, prev, &pl.interp, s.idx, x)
 	if err != nil {
 		return err
 	}

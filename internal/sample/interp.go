@@ -20,11 +20,28 @@ var ErrNoSources = errors.New("sample: interpolation needs at least one source p
 
 // InterpPlan holds, for each target point, the indexes of its interpolation
 // sources and their normalized weights. Weights are ≥ 0 and sum to 1 per
-// target (exactly-coincident points receive weight 1).
+// target (exactly-coincident points receive weight 1). They are computed in
+// float64 and stored as the float32 the features are weighted with, and the
+// indexes as int32: a plan is 8 bytes a source, half of what int and float64
+// took, and it is kept across frames.
 type InterpPlan struct {
 	K       int       // sources per target
-	Indexes []int     // len = targets × K
-	Weights []float64 // len = targets × K
+	Indexes []int32   // len = targets × K
+	Weights []float32 // len = targets × K
+}
+
+// Resize makes p a plan of k sources for each of targets targets, reusing
+// its storage like append; the rows' contents are left to the caller.
+func (p *InterpPlan) Resize(targets, k int) {
+	p.K = k
+	n := targets * k
+	if cap(p.Indexes) < n {
+		p.Indexes = make([]int32, n)
+	}
+	if cap(p.Weights) < n {
+		p.Weights = make([]float32, n)
+	}
+	p.Indexes, p.Weights = p.Indexes[:n], p.Weights[:n]
 }
 
 // Targets returns the number of target points in the plan.
@@ -59,11 +76,8 @@ func (ThreeNN) Plan(targets, sources []geom.Point3) (*InterpPlan, error) {
 	if len(sources) < k {
 		k = len(sources)
 	}
-	plan := &InterpPlan{
-		K:       k,
-		Indexes: make([]int, len(targets)*k),
-		Weights: make([]float64, len(targets)*k),
-	}
+	plan := &InterpPlan{}
+	plan.Resize(len(targets), k)
 	parallel.ForChunks(len(targets), func(lo, hi int) {
 		bestIdx := make([]int, k)
 		bestD := make([]float64, k)
@@ -111,15 +125,19 @@ func (plan *InterpPlan) FillWeights(t int, idx []int, d []float64) {
 	k := plan.K
 	base := t * k
 	const eps = 1e-10
+	var buf [4]float64
+	w := buf[:0]
+	if k > len(buf) {
+		w = make([]float64, 0, k)
+	}
 	total := 0.0
 	for i := 0; i < k; i++ {
-		plan.Indexes[base+i] = idx[i]
-		w := 1.0 / (d[i] + eps)
-		plan.Weights[base+i] = w
-		total += w
+		plan.Indexes[base+i] = int32(idx[i])
+		w = append(w, 1.0/(d[i]+eps))
+		total += w[i]
 	}
 	for i := 0; i < k; i++ {
-		plan.Weights[base+i] /= total
+		plan.Weights[base+i] = float32(w[i] / total)
 	}
 }
 
@@ -149,8 +167,8 @@ func ApplyPlan(plan *InterpPlan, src []float32, featDim int, dst []float32, ld i
 				out[c] = 0
 			}
 			for j := 0; j < plan.K; j++ {
-				s := plan.Indexes[i*plan.K+j]
-				w := float32(plan.Weights[i*plan.K+j])
+				s := int(plan.Indexes[i*plan.K+j])
+				w := plan.Weights[i*plan.K+j]
 				row := src[s*featDim : (s+1)*featDim]
 				for c, v := range row {
 					out[c] += float32(w * v)

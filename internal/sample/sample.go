@@ -175,7 +175,16 @@ func (Uniform) Sample(c *geom.Cloud, n int) ([]int, error) {
 // n ≥ 2), matching the paper's Fig. 8(b) worked example, where sampling 3 of
 // 5 points picks positions {0, 2, 4}.
 func UniformIndexes(total, n int) []int {
-	out := make([]int, n)
+	return UniformIndexesInto(nil, total, n)
+}
+
+// UniformIndexesInto is UniformIndexes writing into out, which it reuses
+// like append.
+func UniformIndexesInto(out []int, total, n int) []int {
+	if cap(out) < n {
+		out = make([]int, n)
+	}
+	out = out[:n]
 	writeUniformIndexes(out, total)
 	return out
 }

@@ -230,19 +230,23 @@ func TestThreeNNPlanWeights(t *testing.T) {
 		t.Fatalf("plan shape K=%d targets=%d", plan.K, plan.Targets())
 	}
 	for ti := 0; ti < plan.Targets(); ti++ {
-		var sum float64
-		for j := 0; j < plan.K; j++ {
-			w := plan.Weights[ti*plan.K+j]
-			if w < 0 {
-				t.Fatalf("negative weight %v", w)
-			}
-			sum += w
-			if s := plan.Indexes[ti*plan.K+j]; s < 0 || s >= len(sources) {
+		w := make([]float64, plan.K)
+		total := 0.0
+		for j := range w {
+			s := int(plan.Indexes[ti*plan.K+j])
+			if s < 0 || s >= len(sources) {
 				t.Fatalf("bad source index %d", s)
 			}
+			w[j] = 1 / (targets[ti].DistSq(sources[s]) + 1e-10)
+			total += w[j]
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("weights sum to %v", sum)
+		// Each weight is, bit for bit, the float32 of its normalized inverse
+		// squared distance computed here in float64: stronger than a check
+		// that the weights sum to 1, which float32 rounding would blur.
+		for j, wj := range w {
+			if got := plan.Weights[ti*plan.K+j]; got != float32(wj/total) {
+				t.Fatalf("target %d weight %d = %v, want %v", ti, j, got, float32(wj/total))
+			}
 		}
 	}
 }
@@ -255,7 +259,7 @@ func TestThreeNNPicksNearestSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nearest three to x=1 are sources 0, 1, 2 in that order.
-	want := []int{0, 1, 2}
+	want := []int32{0, 1, 2}
 	for j, s := range want {
 		if plan.Indexes[j] != s {
 			t.Fatalf("indexes = %v, want %v", plan.Indexes[:3], want)
@@ -286,7 +290,7 @@ func TestThreeNNFewSources(t *testing.T) {
 
 func TestApplyPlan(t *testing.T) {
 	// Two targets, two sources, K=1: pure gather.
-	plan := &InterpPlan{K: 1, Indexes: []int{1, 0}, Weights: []float64{1, 1}}
+	plan := &InterpPlan{K: 1, Indexes: []int32{1, 0}, Weights: []float32{1, 1}}
 	src := []float32{1, 2, 3, 4} // 2×2
 	dst, err := ApplyPlan(plan, src, 2, nil, 2)
 	if err != nil {
@@ -312,7 +316,7 @@ func TestApplyPlan(t *testing.T) {
 }
 
 func TestApplyPlanBlends(t *testing.T) {
-	plan := &InterpPlan{K: 2, Indexes: []int{0, 1}, Weights: []float64{0.25, 0.75}}
+	plan := &InterpPlan{K: 2, Indexes: []int32{0, 1}, Weights: []float32{0.25, 0.75}}
 	src := []float32{0, 4} // 2×1
 	dst, err := ApplyPlan(plan, src, 1, nil, 1)
 	if err != nil {
@@ -324,7 +328,7 @@ func TestApplyPlanBlends(t *testing.T) {
 }
 
 func TestApplyPlanBadShape(t *testing.T) {
-	plan := &InterpPlan{K: 1, Indexes: []int{0}, Weights: []float64{1}}
+	plan := &InterpPlan{K: 1, Indexes: []int32{0}, Weights: []float32{1}}
 	if _, err := ApplyPlan(plan, []float32{1, 2, 3}, 2, nil, 2); err == nil {
 		t.Fatal("odd src length: want error")
 	}

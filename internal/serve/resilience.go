@@ -45,9 +45,13 @@ func (e *Engine) failRequest(w *worker, r *request, batchSize, tier int, err err
 
 // notePanic records the most recent panic's worker, value and stack for
 // Stats. Only the latest is kept: the counter says how many, the capture
-// says what the last one looked like.
+// says what the last one looked like. A panic a forward pass recovered on
+// another goroutine and raised again carries the stack it was recovered on.
 func (e *Engine) notePanic(workerID int, v any) {
 	stack := debug.Stack()
+	if s, ok := v.(interface{ Stack() []byte }); ok {
+		stack = s.Stack()
+	}
 	e.panicMu.Lock()
 	e.lastPanic = fmt.Sprintf("worker %d: %v\n%s", workerID, v, stack)
 	e.panicMu.Unlock()

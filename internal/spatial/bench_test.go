@@ -60,7 +60,7 @@ func BenchmarkSampleAndSearch(b *testing.B) {
 			var sel []int
 			for i := 0; i < b.N; i++ {
 				ix.Reset(level)
-				sel, _, _, _ = ix.SampleSearch(sample.ArchFPS, 0, n/4, 8, sel)
+				sel, _, _, _ = ix.SampleSearch(sample.ArchFPS, 0, n/4, 8, sel, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("sequence/%d", n), func(b *testing.B) {
@@ -102,9 +102,10 @@ func BenchmarkThreeNN(b *testing.B) {
 		level, centers := benchScene(n) // FP: from the n/4 centers back onto the level
 		b.Run(fmt.Sprintf("index/%d", n), func(b *testing.B) {
 			var ix Index
+			var plan sample.InterpPlan
 			for i := 0; i < b.N; i++ {
 				ix.Reset(centers)
-				_, _ = ix.ThreeNN(level)
+				_ = ix.ThreeNNInto(&plan, level)
 			}
 		})
 		b.Run(fmt.Sprintf("oracle/%d", n), func(b *testing.B) {

@@ -39,9 +39,9 @@
 // size alone. A level or a query with a non-finite coordinate takes the
 // scan as well.
 //
-// Concurrency and determinism: an Index is owned by one goroutine (one
-// replica's graph). KNN and ThreeNN fan their queries out with
-// parallel.ForWorkers; the index is frozen before the fan-out, every worker
+// Concurrency and determinism: an Index is owned by one goroutine (a
+// replica's coordinate planner). KNN and ThreeNN fan their queries out in
+// ForWorkers' chunks; the index is frozen before the fan-out, every worker
 // writes only its own queries' output rows and its own scratch slot, so the
 // result does not depend on the worker count. SampleSearch streams an SA
 // module's search beside its sampler: the sampler stays serial across
@@ -121,6 +121,7 @@ type Index struct {
 	fps  sample.BucketFPS
 	work []scratch // one per worker of the widest fan-out so far
 	st   stream    // SampleSearch's hand-off, kept between calls
+	nn   threeNN   // ThreeNNInto's fan-out, kept between calls
 }
 
 // scratch is one worker's buffers: a top-k, and the per-slab squared gaps of
@@ -521,28 +522,44 @@ func (ix *Index) KNN(queries []geom.Point3, k int) ([]int, error) {
 	return out, nil
 }
 
-// ThreeNN returns the inverse-distance interpolation plan from the level
-// (the sources) onto targets, with the indexes and weights
-// sample.ThreeNN{}.Plan(targets, pts) computes.
-func (ix *Index) ThreeNN(targets []geom.Point3) (*sample.InterpPlan, error) {
+// ThreeNNInto writes into plan the inverse-distance interpolation plan from
+// the level (the sources) onto targets, with the indexes and weights
+// sample.ThreeNN{}.Plan(targets, pts) computes. It reuses plan's storage: a
+// caller that keeps the plan across calls allocates nothing once the index's
+// scratch has grown to the fan-out.
+func (ix *Index) ThreeNNInto(plan *sample.InterpPlan, targets []geom.Point3) error {
 	if len(ix.pts) == 0 {
-		return nil, sample.ErrNoSources
+		return sample.ErrNoSources
 	}
 	ix.build()
-	k := min(3, len(ix.pts))
-	plan := &sample.InterpPlan{
-		K:       k,
-		Indexes: make([]int, len(targets)*k),
-		Weights: make([]float64, len(targets)*k),
+	plan.Resize(len(targets), min(3, len(ix.pts)))
+	workers := parallel.Workers(len(targets))
+	ix.grow(workers, plan.K)
+	j := &ix.nn
+	j.ix, j.targets, j.plan = ix, targets, plan
+	j.chunk = (len(targets) + workers - 1) / workers
+	parallel.Split(len(targets), workers, j)
+	j.targets, j.plan = nil, nil // the caller's, not ours to keep
+	return nil
+}
+
+// threeNN is ThreeNNInto's fan-out, kept in the Index so that it allocates
+// nothing: worker lo/chunk writes the plan rows of targets [lo, hi) from its
+// own scratch slot (Split's chunks are chunk targets wide).
+type threeNN struct {
+	ix      *Index
+	targets []geom.Point3
+	plan    *sample.InterpPlan
+	chunk   int
+}
+
+//edgepc:hotpath
+func (j *threeNN) Chunk(lo, hi int) {
+	s := &j.ix.work[lo/j.chunk]
+	k := j.plan.K
+	idx, d := s.idx[:k], s.d[:k]
+	for t := lo; t < hi; t++ {
+		j.ix.nearest(j.targets[t], s, idx, d)
+		j.plan.FillWeights(t, idx, d)
 	}
-	ix.grow(parallel.Workers(len(targets)), k)
-	parallel.ForWorkers(len(targets), func(w, lo, hi int) {
-		s := &ix.work[w]
-		idx, d := s.idx[:k], s.d[:k]
-		for t := lo; t < hi; t++ {
-			ix.nearest(targets[t], s, idx, d)
-			plan.FillWeights(t, idx, d)
-		}
-	})
-	return plan, nil
 }

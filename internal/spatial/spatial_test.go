@@ -129,7 +129,8 @@ func diffKNN(ix *Index, pts, qs []geom.Point3, k int) string {
 
 func diffThreeNN(ix *Index, pts, targets []geom.Point3) string {
 	want, err1 := sample.ThreeNN{}.Plan(targets, pts)
-	got, err2 := ix.ThreeNN(targets)
+	got := &sample.InterpPlan{}
+	err2 := ix.ThreeNNInto(got, targets)
 	if err1 != nil || err2 != nil {
 		return fmt.Sprintf("ThreeNN of %d: errors %v / %v", len(pts), err1, err2)
 	}
@@ -186,7 +187,7 @@ func cellOrder(ix *Index) []geom.Point3 {
 	return pts
 }
 
-func firstDiff(a, b []int) int {
+func firstDiff[T comparable](a, b []T) int {
 	for i := range a {
 		if i >= len(b) || a[i] != b[i] {
 			return i
@@ -293,7 +294,8 @@ func TestFanOutMatchesOracles(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		ix.Reset(pts)
 		gotN, err1 := ix.KNN(qs, 8)
-		gotP, err3 := ix.ThreeNN(qs)
+		gotP := &sample.InterpPlan{}
+		err3 := ix.ThreeNNInto(gotP, qs)
 		runtime.GOMAXPROCS(old)
 		if err1 != nil || err3 != nil {
 			t.Fatal(err1, err3)
@@ -368,7 +370,7 @@ func TestOddInputs(t *testing.T) {
 	if _, err := ix.KNN([]geom.Point3{{}}, 1); err != neighbor.ErrNoPoints {
 		t.Fatalf("KNN on an unbound index: %v", err)
 	}
-	if _, err := ix.ThreeNN([]geom.Point3{{}}); err != sample.ErrNoSources {
+	if err := ix.ThreeNNInto(&sample.InterpPlan{}, []geom.Point3{{}}); err != sample.ErrNoSources {
 		t.Fatalf("ThreeNN on an unbound index: %v", err)
 	}
 	if _, err := ix.FPS(1, nil); err == nil {
@@ -412,6 +414,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	qs := queriesFor(pts, 512, rng) // below the fan-out threshold: one worker, no goroutines
 	var ix Index
 	var sel []int
+	var plan sample.InterpPlan
 	frame := func() {
 		ix.Reset(pts)
 		var err error
@@ -421,14 +424,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if _, err = ix.KNN(qs, 8); err != nil {
 			t.Fatal(err)
 		}
-		if _, err = ix.ThreeNN(qs); err != nil {
+		if err = ix.ThreeNNInto(&plan, qs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	frame()
-	// KNN: the result and the fan-out closure; ThreeNN: the plan, its two
-	// arrays and the closure.
-	if got := testing.AllocsPerRun(5, frame); got > 6 {
-		t.Fatalf("steady-state frame allocates %v times, want ≤ 6 (results and closures only)", got)
+	// KNN: the result and the fan-out closure; ThreeNNInto: nothing, the
+	// plan is the caller's and the fan-out is kept in the index.
+	if got := testing.AllocsPerRun(5, frame); got > 2 {
+		t.Fatalf("steady-state frame allocates %v times, want ≤ 2 (KNN's result and closure only)", got)
 	}
 }

@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,8 +30,9 @@ const (
 //
 // Worker 0 runs the sampler, which publishes the pick count after every
 // pick; the other workers claim picks in order and search each one as soon
-// as it is published, sleeping on wake when they catch up. When the sampler
-// ends, worker 0 joins them on what is left.
+// as it is published, sleeping when they catch up. When the sampler ends,
+// worker 0 joins them on what is left; when it fails, it stops the count and
+// the searchers return.
 type stream struct {
 	ix      *Index
 	arch    sample.Arch
@@ -49,13 +49,9 @@ type stream struct {
 
 	// picks[i] is pick i's level index. The sampler writes it before it
 	// publishes a count past i, and nobody writes it again in the call.
-	picks     []int
-	published atomic.Int64 // picks [0, published) are final
-	claimed   atomic.Int64 // picks handed to searchers so far
-	failed    atomic.Bool  // the sampler returned an error: search nothing more
-	waiting   atomic.Int32 // searchers asleep on wake
-	mu        sync.Mutex
-	wake      sync.Cond
+	picks   []int
+	ready   parallel.Ready // picks final so far
+	claimed atomic.Int64   // picks handed to searchers so far
 }
 
 // SampleSearch picks n points of the level and searches each pick's k
@@ -69,11 +65,10 @@ type stream struct {
 // worker count: a pick is final once published, and a pick's row depends
 // only on that pick and the frozen index.
 //
-// out is reused for the picks like append; nbr is the call's one
-// allocation of its own, as KNN's result is its. sampled is the sampler's
-// wall time, the grid's build included; what the call took beyond it is
-// the search the sampler did not hide.
-func (ix *Index) SampleSearch(arch sample.Arch, quality float64, n, k int, out []int) (picks, nbr []int, sampled time.Duration, err error) {
+// out is reused for the picks and nbrOut for the list, each like append.
+// sampled is the sampler's wall time, the grid's build included; what the
+// call took beyond it is the search the sampler did not hide.
+func (ix *Index) SampleSearch(arch sample.Arch, quality float64, n, k int, out, nbrOut []int) (picks, nbr []int, sampled time.Duration, err error) {
 	st := &ix.st
 	st.t0 = time.Now()
 	if k != 0 {
@@ -88,19 +83,18 @@ func (ix *Index) SampleSearch(arch sample.Arch, quality float64, n, k int, out [
 	if k > 0 && n >= 1 && n <= len(ix.pts) {
 		// An n the sampler rejects gets no search: it reports the error.
 		st.k, st.kk = k, min(k, len(ix.pts))
-		st.nbr = make([]int, n*k)
+		if cap(nbrOut) < n*k {
+			nbrOut = make([]int, n*k)
+		}
+		st.nbr = nbrOut[:n*k]
 		if cap(st.picks) < n {
 			st.picks = make([]int, n)
 		}
 		st.picks = st.picks[:n]
 		workers = min(parallel.WorkersFor(len(ix.pts), streamGrain), n)
 		ix.grow(workers, st.kk)
-		if st.wake.L == nil {
-			st.wake.L = &st.mu
-		}
-		st.published.Store(0)
+		st.ready.Reset()
 		st.claimed.Store(0)
-		st.failed.Store(false)
 		ix.fps.Tap = st
 	}
 	parallel.Split(workers, workers, st)
@@ -149,15 +143,15 @@ func (st *stream) Chunk(w, _ int) {
 			return
 		}
 		if st.err != nil {
-			st.failed.Store(true)
-		} else {
-			// A pure-stride call taps nothing: its picks are all made at
-			// once, and no searcher has read past the published count.
-			for i := int(st.published.Load()); i < st.n; i++ {
-				st.picks[i] = st.out[i]
-			}
+			st.ready.Stop()
+			return
 		}
-		st.publish(st.n)
+		// A pure-stride call taps nothing: its picks are all made at once,
+		// and no searcher has read past the published count.
+		for i := st.ready.Count(); i < st.n; i++ {
+			st.picks[i] = st.out[i]
+		}
+		st.ready.Publish(st.n)
 	}
 	if st.k == 0 {
 		return
@@ -168,11 +162,8 @@ func (st *stream) Chunk(w, _ int) {
 		if i >= st.n {
 			return
 		}
-		if int(st.published.Load()) <= i {
-			st.await(i)
-		}
-		if st.failed.Load() {
-			return
+		if !st.ready.Await(i) {
+			return // the sampler failed
 		}
 		st.row(i, s)
 	}
@@ -188,26 +179,10 @@ func (st *stream) Picked(i, id int) {
 // publish makes picks [0, c) visible to the searchers, and wakes the ones
 // asleep every wakeEvery picks and at the last.
 func (st *stream) publish(c int) {
-	st.published.Store(int64(c))
-	// A searcher counts itself in waiting before it reads published, and
-	// this reads waiting after the store, so either it sees the new count or
-	// this sees it waiting (the atomics are sequentially consistent).
-	if (c%wakeEvery == 0 || c == st.n) && st.waiting.Load() > 0 {
-		st.mu.Lock()
-		st.wake.Broadcast()
-		st.mu.Unlock()
+	st.ready.Store(c)
+	if c%wakeEvery == 0 || c == st.n {
+		st.ready.Wake()
 	}
-}
-
-// await blocks until pick i is published.
-func (st *stream) await(i int) {
-	st.mu.Lock()
-	st.waiting.Add(1)
-	for int(st.published.Load()) <= i {
-		st.wake.Wait()
-	}
-	st.waiting.Add(-1)
-	st.mu.Unlock()
 }
 
 // row writes pick i's neighbor list: KNN's row for that pick as the query.

@@ -71,13 +71,12 @@ func TestSampleSearchIndependentOfSchedule(t *testing.T) {
 			}
 			runtime.GOMAXPROCS(old)
 
-			var picks []int
+			var picks, nbr []int // reused across calls, as the model's planner does
 			for _, procs := range []int{1, 2, 3, 4, 8} {
 				old := runtime.GOMAXPROCS(procs)
 				for j, k := range searches {
 					ix.Reset(lv.pts)
-					var nbr []int
-					picks, nbr, _, err = ix.SampleSearch(sm.arch, sm.quality, n, k, picks)
+					picks, nbr, _, err = ix.SampleSearch(sm.arch, sm.quality, n, k, picks, nbr)
 					if err != nil || !reflect.DeepEqual(picks, want) || !reflect.DeepEqual(nbr, wantNbr[j]) {
 						runtime.GOMAXPROCS(old)
 						t.Fatalf("%s %v@%v k=%d GOMAXPROCS=%d: err %v, first pick difference %d, first list difference %d",
@@ -101,22 +100,22 @@ func TestSampleSearchEdges(t *testing.T) {
 	var ix Index
 	ix.Reset(pts)
 	want, _ := ix.FPS(1024, nil)
-	picks, nbr, sampled, err := ix.SampleSearch(sample.ArchFPS, 0, 1024, 0, nil)
+	picks, nbr, sampled, err := ix.SampleSearch(sample.ArchFPS, 0, 1024, 0, nil, nil)
 	if err != nil || nbr != nil || sampled <= 0 || !reflect.DeepEqual(picks, want) {
 		t.Fatalf("sample only: err %v, nbr %v, sampled %v, first pick difference %d", err, nbr != nil, sampled, firstDiff(picks, want))
 	}
-	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 4097, 8, nil); err == nil {
+	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 4097, 8, nil, nil); err == nil {
 		t.Fatal("more picks than points: want error")
 	}
-	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 8, -1, nil); err == nil {
+	if _, _, _, err := ix.SampleSearch(sample.ArchFPS, 0, 8, -1, nil, nil); err == nil {
 		t.Fatal("k=-1: want error")
 	}
 	var empty Index
-	if _, _, _, err := empty.SampleSearch(sample.ArchFPS, 0, 1, 1, nil); err == nil {
+	if _, _, _, err := empty.SampleSearch(sample.ArchFPS, 0, 1, 1, nil, nil); err == nil {
 		t.Fatal("unbound index: want error")
 	}
 	wantNbr, _ := ix.KNN(centersOf(pts, want), 8)
-	picks, nbr, _, err = ix.SampleSearch(sample.ArchFPS, 0, 1024, 8, picks)
+	picks, nbr, _, err = ix.SampleSearch(sample.ArchFPS, 0, 1024, 8, picks, nil)
 	if err != nil || !reflect.DeepEqual(picks, want) || !reflect.DeepEqual(nbr, wantNbr) {
 		t.Fatalf("after the errors: err %v, first pick difference %d, first list difference %d", err, firstDiff(picks, want), firstDiff(nbr, wantNbr))
 	}
