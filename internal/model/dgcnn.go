@@ -132,7 +132,9 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 
 // backward routes the gradient of this module's output features back to the
 // input level's, every buffer from the training arena a; grad is consumed.
-func (m *EdgeConvModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.Matrix, error) {
+// Without input it accumulates the parameter gradients only and returns nil:
+// nobody reads the cloud's own features' gradient.
+func (m *EdgeConvModule) backward(a *tensor.Workspace, grad *tensor.Matrix, input bool) (*tensor.Matrix, error) {
 	c := &m.cache
 	if c.nbr == nil {
 		return nil, fmt.Errorf("model: EC backward before forward(train)")
@@ -142,6 +144,9 @@ func (m *EdgeConvModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*te
 		return nil, err
 	}
 	wsPut(a, grad)
+	if !input {
+		return nil, m.MLP.BackwardParams(g)
+	}
 	g, err := m.MLP.Backward(g)
 	if err != nil {
 		return nil, err

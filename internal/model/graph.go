@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -74,10 +75,14 @@ type Exec struct {
 	taps []*tensor.Matrix
 
 	// Backward state: grad is the chain gradient, dlevel accumulates
-	// per-level feature gradients, tapGrads the per-tap gradients.
+	// per-level feature gradients, tapGrads the per-tap gradients. first is
+	// set while the first stage's Backward runs: its input is the cloud's
+	// own features, whose gradient no stage reads, so it computes none (nor
+	// does any stage the gradient of level 0).
 	grad     *tensor.Matrix
 	dlevel   []*tensor.Matrix
 	tapGrads []*tensor.Matrix
+	first    bool
 }
 
 // scratch returns where the frame's buffers come from: the inference
@@ -174,10 +179,17 @@ type Graph struct {
 	// and attached to every stage, Reset at each train Forward, and dropped
 	// with every backward cache by the eval Forward that ends the session.
 	arena *tensor.Workspace
+	// grads is the training session's weight-gradient queue, made and
+	// attached with the arena: on a step from gradGrain points up on more
+	// than one core, every Linear's dW and bias sums run on its worker
+	// beside the stage walk.
+	grads *nn.GradQueue
 
 	x Exec
-	// run is the body of a planned frame's two-chain fan-out.
-	run chains
+	// run is the body of a planned frame's two-chain fan-out, back that of
+	// a training step's backward.
+	run  chains
+	back backChains
 
 	// trained is set by a completed training forward and cleared by the
 	// next Forward's start, so Backward can verify its precondition (stage
@@ -196,6 +208,7 @@ func Compile(spec GraphSpec) (*Graph, error) {
 	}
 	g.x.reuse = spec.Reuse
 	g.run.g = g
+	g.back.g = g
 	return g, nil
 }
 
@@ -232,24 +245,28 @@ func (g *Graph) workspace(train bool) *tensor.Workspace {
 func (g *Graph) trainArena(train bool) *tensor.Workspace {
 	if !train {
 		if g.arena != nil {
-			g.attachArena(nil)
-			g.arena = nil
+			g.attachArena(nil, nil)
+			g.arena, g.grads = nil, nil
 		}
 		return nil
 	}
 	if g.arena == nil {
-		g.arena = tensor.NewWorkspace()
-		g.attachArena(g.arena)
+		// A Linear posts at most one task a step, and has two parameters.
+		g.arena, g.grads = tensor.NewWorkspace(), nn.NewGradQueue(len(g.params))
+		g.attachArena(g.arena, g.grads)
 	}
 	g.arena.Reset()
 	return g.arena
 }
 
-// attachArena sets a on every stage that takes an arena.
-func (g *Graph) attachArena(a *tensor.Workspace) {
+// attachArena sets a and q on every stage that takes them.
+func (g *Graph) attachArena(a *tensor.Workspace, q *nn.GradQueue) {
 	for _, s := range g.spec.Stages {
 		if u, ok := s.(nn.TrainArenaUser); ok {
 			u.SetTrainArena(a)
+		}
+		if u, ok := s.(nn.GradQueueUser); ok {
+			u.SetGradQueue(q)
 		}
 	}
 }
@@ -311,7 +328,7 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		// cores, or the planner first and then the pass on one.
 		p.reset(pts, sorted)
 		parallel.Split(2, chainWorkers(len(pts)), &g.run)
-		g.run.repanic()
+		g.run.panicked.repanic()
 		err = g.run.err
 	} else {
 		err = g.features()
@@ -367,7 +384,10 @@ func stageLayer(s Stage) int {
 
 // Backward propagates the loss gradient (w.r.t. Forward's logits) through
 // the graph by walking the stage list in reverse, accumulating parameter
-// gradients.
+// gradients. From gradGrain points up on more than one core the walk (the dx
+// chain) and the weight-gradient worker run side by side, and Backward
+// returns only once both are done, on every path: every Param.Grad write has
+// landed and the arena has every gradient back.
 func (g *Graph) Backward(gradLogits *tensor.Matrix) error {
 	if !g.trained {
 		return fmt.Errorf("model: backward before forward(train)")
@@ -377,13 +397,81 @@ func (g *Graph) Backward(gradLogits *tensor.Matrix) error {
 	x.dlevel = x.dlevel[:0]
 	x.tapGrads = x.tapGrads[:0]
 	var err error
-	for i := len(g.spec.Stages) - 1; i >= 0 && err == nil; i-- {
-		err = g.spec.Stages[i].Backward(x)
+	if gradWorkers(len(x.levels[0].pts)) > 1 {
+		g.grads.Start()
+		parallel.Split(2, 2, &g.back)
+		err = g.back.err
+		if qerr := g.grads.Finish(); err == nil {
+			err = qerr
+		}
+	} else {
+		err = g.walk()
 	}
 	// The gradients still held are arena buffers: let go of them, so that
 	// ending the session frees the arena.
 	x.grad = nil
 	clear(x.dlevel)
 	clear(x.tapGrads)
+	g.back.panicked.repanic()
 	return err
+}
+
+// walk runs the stages' Backwards in reverse order.
+func (g *Graph) walk() error {
+	x := &g.x
+	for i := len(g.spec.Stages) - 1; i >= 0; i-- {
+		x.first = i == 0
+		if err := g.spec.Stages[i].Backward(x); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gradGrain is the cloud size from which a training step's weight gradients
+// run on a second core. Measured on a 2-core Xeon (go1.24.0, a W3 S+N step
+// at width 16, medians of six alternating runs of 400 steps, inline →
+// worker): 64 points 0.87 → 0.92 ms, 128 points 1.74 → 1.70 ms (2 of 6
+// pairs won), 256 points 3.27 → 3.07 ms (4 of 6), 512 points 6.77 →
+// 5.67 ms (6 of 6). Below 256 points a task is too small to pay for the
+// worker's wake-ups.
+const gradGrain = 256
+
+// gradWorkers is how many goroutines a training step of n points runs its
+// backward on: two, the weight-gradient worker beside the walk, or one.
+func gradWorkers(n int) int {
+	if n >= gradGrain && runtime.GOMAXPROCS(0) > 1 {
+		return 2
+	}
+	return 1
+}
+
+// backChains is a training step's fan-out body, kept by the Graph so that
+// the hand-off allocates nothing: index 0 is the stage walk, index 1 the
+// weight-gradient worker.
+type backChains struct {
+	g        *Graph
+	err      error // the walk's
+	panicked chainPanics
+}
+
+func (c *backChains) Chunk(lo, _ int) {
+	defer c.guard(lo)
+	q := c.g.grads
+	if lo == 1 {
+		q.Work()
+		return
+	}
+	// Closing the queue on every way out, a panic's included, lets the
+	// worker return once it has run what was posted.
+	defer q.Close()
+	c.err = c.g.walk()
+}
+
+// guard recovers a chain's panic, to be raised again on Backward's caller.
+// The walk's has closed the queue on its way out.
+func (c *backChains) guard(slot int) {
+	if v := recover(); v != nil {
+		c.panicked.keep(slot, v)
+	}
 }

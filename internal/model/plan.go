@@ -159,12 +159,30 @@ func (p *plan) fpEntry(i int) (*fpPlan, error) {
 // hand-off allocates nothing: index 0 is the planner, index 1 the feature
 // pass. Over two workers they run side by side; over one, in that order.
 type chains struct {
-	g   *Graph
-	err error // the feature pass's
-	// panicked holds a panic a chain recovered when the two ran side by
-	// side, by chunk start, to be raised again on Forward's caller once both
-	// are done.
-	panicked [2]*chainPanic
+	g        *Graph
+	err      error // the feature pass's
+	panicked chainPanics
+}
+
+// chainPanics holds a panic each of two chains recovered when they ran side
+// by side, by chunk start, to be raised again on the caller once both are
+// done.
+type chainPanics [2]*chainPanic
+
+// keep records v, recovered on chain slot, with the stack it was recovered
+// on.
+func (p *chainPanics) keep(slot int, v any) {
+	p[slot] = &chainPanic{value: v, stack: debug.Stack()}
+}
+
+// repanic raises a panic a chain recovered, on the caller.
+func (p *chainPanics) repanic() {
+	for i, c := range p {
+		if c != nil {
+			p[i] = nil
+			panic(c)
+		}
+	}
 }
 
 // chainPanic is a panic recovered on one chain of a run-ahead frame, with
@@ -207,19 +225,9 @@ func (c *chains) Chunk(lo, hi int) {
 // waits on nothing.
 func (c *chains) guard(slot int) {
 	if v := recover(); v != nil {
-		c.panicked[slot] = &chainPanic{value: v, stack: debug.Stack()}
+		c.panicked.keep(slot, v)
 		if slot == 0 {
 			c.g.x.plan.stop(errChainPanicked)
-		}
-	}
-}
-
-// repanic raises a panic a chain recovered, on the caller.
-func (c *chains) repanic() {
-	for i, p := range c.panicked {
-		if p != nil {
-			c.panicked[i] = nil
-			panic(p)
 		}
 	}
 }

@@ -187,8 +187,9 @@ func (m *SAModule) forward(parent, next *level, pl *saPlan, layer int, x *Exec) 
 
 // backward routes the gradient of this module's output features back to the
 // parent level's features, every buffer from the training arena a; grad is
-// consumed.
-func (m *SAModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.Matrix, error) {
+// consumed. Without input (the parent is the input level) it accumulates the
+// parameter gradients only and returns nil.
+func (m *SAModule) backward(a *tensor.Workspace, grad *tensor.Matrix, input bool) (*tensor.Matrix, error) {
 	c := &m.cache
 	if c.nbr == nil {
 		return nil, fmt.Errorf("model: SA backward before forward(train)")
@@ -198,6 +199,9 @@ func (m *SAModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.M
 		return nil, err
 	}
 	wsPut(a, grad)
+	if !input {
+		return nil, m.MLP.BackwardParams(g)
+	}
 	g, err := m.MLP.Backward(g)
 	if err != nil {
 		return nil, err
@@ -301,8 +305,9 @@ func (m *FPModule) forward(fine, coarse *level, coarseFeats *tensor.Matrix, plan
 }
 
 // backward returns (gradSkip, gradCoarseFeats), every buffer from the
-// training arena a; grad is consumed.
-func (m *FPModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix, error) {
+// training arena a; grad is consumed. Without skip (the fine level is the
+// input level) gradSkip is nil.
+func (m *FPModule) backward(a *tensor.Workspace, grad *tensor.Matrix, skip bool) (*tensor.Matrix, *tensor.Matrix, error) {
 	c := &m.cache
 	if c.plan == nil {
 		return nil, nil, fmt.Errorf("model: FP backward before forward(train)")
@@ -313,9 +318,12 @@ func (m *FPModule) backward(a *tensor.Workspace, grad *tensor.Matrix) (*tensor.M
 	}
 	// g is [dInterp | dSkip]: the skip part is the fine level's gradient, the
 	// interpolated part goes back through the plan.
-	gSkip := wsGet(a, g.Rows, c.skipCols)
-	for r := 0; r < g.Rows; r++ {
-		copy(gSkip.Row(r), g.Row(r)[c.interpCols:])
+	var gSkip *tensor.Matrix
+	if skip {
+		gSkip = wsGet(a, g.Rows, c.skipCols)
+		for r := 0; r < g.Rows; r++ {
+			copy(gSkip.Row(r), g.Row(r)[c.interpCols:])
+		}
 	}
 	// Adjoint of ApplyPlan: dCoarse[src] += w · dInterp[target].
 	gCoarse := wsGet(a, c.coarseRows, c.interpCols)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -276,6 +277,168 @@ func TestChainPanicReachesCaller(t *testing.T) {
 		}
 		if n := runtime.NumGoroutine(); n > before {
 			t.Fatalf("GOMAXPROCS %d: %d goroutines after the panic, %d before", procs, n, before)
+		}
+	}
+}
+
+// backwardPanicLayer is a bug in a backward pass: its Forward passes the
+// activation on, its Backward panics.
+type backwardPanicLayer struct{}
+
+func (backwardPanicLayer) Forward(x *tensor.Matrix, _ bool) (*tensor.Matrix, error) { return x, nil }
+func (backwardPanicLayer) Backward(*tensor.Matrix) (*tensor.Matrix, error) {
+	panic("backward bug")
+}
+func (backwardPanicLayer) Params() []*nn.Param { return nil }
+
+// trainStep runs a train Forward of cloud, then mid when it is non-nil, and a
+// Backward of a fixed loss gradient from zeroed gradients, failing the test
+// if Backward has not returned within a few seconds (a worker left waiting
+// on its queue hangs it). It returns Backward's error, or the panic it
+// raised.
+func trainStep(t *testing.T, net *DGCNN, cloud *geom.Cloud, mid func()) (err error, panicked any) {
+	t.Helper()
+	nn.ZeroGrads(net.Params())
+	out, err := net.Forward(cloud, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid != nil {
+		mid()
+	}
+	g := out.Logits.Clone()
+	for i := range g.Data {
+		g.Data[i] = float32(i%5+1) * 0.1
+	}
+	type result struct {
+		err error
+		v   any
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		defer func() {
+			r.v = recover()
+			done <- r
+		}()
+		r.err = net.Backward(g)
+	}()
+	select {
+	case r := <-done:
+		return r.err, r.v
+	case <-time.After(10 * time.Second):
+		t.Fatal("Backward did not return")
+		return nil, nil
+	}
+}
+
+// gradBits returns every parameter gradient's bits.
+func gradBits(net *DGCNN) [][]uint32 {
+	var out [][]uint32
+	for _, p := range net.Params() {
+		b := make([]uint32, len(p.Grad.Data))
+		for i, v := range p.Grad.Data {
+			b[i] = math.Float32bits(v)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// settle waits for the goroutines a failed step may still be ending and
+// fails the test if more than before remain.
+func settle(t *testing.T, what string, before int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%s: %d goroutines after the step, %d before", what, n, before)
+	}
+}
+
+// TestBackwardFailureJoinsGradWorker: a training step's Backward that fails
+// or panics after Linear layers have queued their weight gradients returns
+// only once the worker is joined — no Param.Grad write lands after it (the
+// race detector sees the reads below), no goroutine or waiter is left — and
+// the next step on the same net has a fresh net's bits. A panic on the
+// worker reaches the caller printing as it does inline, on one core.
+func TestBackwardFailureJoinsGradWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cloud := randomCloud(2*gradGrain, 4)
+	fresh, err := NewDGCNN(tinyDGCNNConfig(false, TaskClassification))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err, v := trainStep(t, fresh, cloud, nil); err != nil || v != nil {
+		t.Fatalf("fresh net: %v %v", err, v)
+	}
+	want := gradBits(fresh)
+
+	for _, tc := range []struct {
+		name string
+		// breakIt runs between the failing step's Forward and Backward and
+		// returns what undoes it.
+		breakIt func(net *DGCNN) (restore func())
+		wantErr string // or the panic's text, when known
+		panics  bool
+	}{
+		{"walk error", func(net *DGCNN) func() {
+			// EC1's Backward fails after the head, the embedding and EC2
+			// have queued theirs; the next Forward refills the cache.
+			net.EC[1].cache.nbr = nil
+			return func() {}
+		}, "model: EC backward before forward(train)", false},
+		{"walk panic", func(net *DGCNN) func() {
+			// Between the head's Linears: head.1 has queued its task.
+			layers := net.Head.Layers
+			n := len(layers)
+			net.Head.Layers = append(append(append([]nn.Layer(nil), layers[:n-1]...), backwardPanicLayer{}), layers[n-1])
+			return func() { net.Head.Layers = layers }
+		}, "backward bug", true},
+		{"worker panic", func(net *DGCNN) func() {
+			// The embedding's bias sums, queued, overrun a gradient too
+			// short for them.
+			b := net.Embed.Layers[0].(*nn.Linear).B
+			grad := b.Grad
+			b.Grad = tensor.New(1, 1)
+			return func() { b.Grad = grad }
+		}, "", true},
+	} {
+		var texts []string
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			what := fmt.Sprintf("%s at GOMAXPROCS %d", tc.name, procs)
+			net, err := NewDGCNN(tinyDGCNNConfig(false, TaskClassification))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			var restore func()
+			err, v := trainStep(t, net, cloud, func() { restore = tc.breakIt(net) })
+			restore()
+			switch {
+			case tc.panics && v == nil:
+				t.Fatalf("%s: Backward returned %v, want a panic", what, err)
+			case !tc.panics && (err == nil || err.Error() != tc.wantErr):
+				t.Fatalf("%s: Backward returned %v (panic %v), want %q", what, err, v, tc.wantErr)
+			}
+			if tc.panics {
+				texts = append(texts, fmt.Sprint(v))
+			}
+			gradBits(net) // every write has landed: the race detector checks
+			settle(t, what, before)
+
+			if err, v := trainStep(t, net, cloud, nil); err != nil || v != nil {
+				t.Fatalf("%s: the next step failed: %v %v", what, err, v)
+			}
+			if !reflect.DeepEqual(gradBits(net), want) {
+				t.Fatalf("%s: the next step's gradients differ from a fresh net's", what)
+			}
+		}
+		if tc.panics && (texts[0] != texts[1] || (tc.wantErr != "" && texts[0] != tc.wantErr)) {
+			t.Fatalf("%s: the caller recovered %q on one core and %q on four", tc.name, texts[0], texts[1])
 		}
 	}
 }

@@ -33,6 +33,8 @@ func (s *saStage) SetTrainArena(a *tensor.Workspace) {
 	s.m.cache = saCache{}
 }
 
+func (s *saStage) SetGradQueue(q *nn.GradQueue) { s.m.MLP.SetGradQueue(q) }
+
 //edgepc:hotpath
 func (s *saStage) Forward(x *Exec) error {
 	pl, err := x.plan.saEntry(s.idx)
@@ -54,12 +56,14 @@ func (s *saStage) Forward(x *Exec) error {
 }
 
 func (s *saStage) Backward(x *Exec) error {
-	dParent, err := s.m.backward(x.arena, x.dlevel[s.idx+1])
+	dParent, err := s.m.backward(x.arena, x.dlevel[s.idx+1], s.idx > 0)
 	if err != nil {
 		return err
 	}
 	x.dlevel[s.idx+1] = nil // consumed
-	x.addLevelGrad(s.idx, dParent)
+	if dParent != nil {
+		x.addLevelGrad(s.idx, dParent)
+	}
 	return nil
 }
 
@@ -82,6 +86,8 @@ func (s *fpStage) SetTrainArena(a *tensor.Workspace) {
 	s.m.MLP.SetTrainArena(a)
 	s.m.cache = fpCache{}
 }
+
+func (s *fpStage) SetGradQueue(q *nn.GradQueue) { s.m.MLP.SetGradQueue(q) }
 
 //edgepc:hotpath
 func (s *fpStage) Forward(x *Exec) error {
@@ -115,11 +121,14 @@ func (s *fpStage) Forward(x *Exec) error {
 }
 
 func (s *fpStage) Backward(x *Exec) error {
-	dSkip, dCoarse, err := s.m.backward(x.arena, x.grad)
+	// The fine level is the input's at the last FP, whose skip gradient
+	// nobody reads.
+	fine := s.depth - 1 - s.idx
+	dSkip, dCoarse, err := s.m.backward(x.arena, x.grad, fine > 0)
 	if err != nil {
 		return err
 	}
-	x.setLevelGrad(s.depth-1-s.idx, dSkip)
+	x.setLevelGrad(fine, dSkip)
 	if s.idx == 0 {
 		// The first-executed FP consumed the deepest SA output directly; its
 		// coarse gradient belongs to that level, not to an earlier FP.
@@ -149,6 +158,8 @@ func (s *ecStage) SetTrainArena(a *tensor.Workspace) {
 	s.m.cache = ecCache{}
 }
 
+func (s *ecStage) SetGradQueue(q *nn.GradQueue) { s.m.MLP.SetGradQueue(q) }
+
 //edgepc:hotpath
 func (s *ecStage) Forward(x *Exec) error {
 	lv := x.top()
@@ -176,7 +187,7 @@ func (s *ecStage) Backward(x *Exec) error {
 		}
 		wsPut(x.arena, x.grad)
 	}
-	g, err := s.m.backward(x.arena, total)
+	g, err := s.m.backward(x.arena, total, !x.first)
 	if err != nil {
 		return err
 	}
@@ -266,6 +277,7 @@ func (s *mlpStage) Name() string                      { return s.name }
 func (s *mlpStage) Params() []*nn.Param               { return s.mlp.Params() }
 func (s *mlpStage) SetWorkspace(ws *tensor.Workspace) { s.mlp.SetWorkspace(ws) }
 func (s *mlpStage) SetTrainArena(a *tensor.Workspace) { s.mlp.SetTrainArena(a) }
+func (s *mlpStage) SetGradQueue(q *nn.GradQueue)      { s.mlp.SetGradQueue(q) }
 
 //edgepc:hotpath
 func (s *mlpStage) Forward(x *Exec) error {
@@ -297,6 +309,11 @@ func (s *mlpStage) Forward(x *Exec) error {
 }
 
 func (s *mlpStage) Backward(x *Exec) error {
+	if x.first {
+		g := x.grad
+		x.grad = nil
+		return s.mlp.BackwardParams(g)
+	}
 	g, err := s.mlp.Backward(x.grad)
 	if err != nil {
 		return err

@@ -18,6 +18,7 @@ type Linear struct {
 	x     *tensor.Matrix // cached input for backward
 	ws    *tensor.Workspace
 	arena *tensor.Workspace
+	grads *GradQueue // where Backward posts dW and the bias sums, when running
 }
 
 // NewLinear creates a Linear layer with He initialization.
@@ -35,6 +36,9 @@ func (l *Linear) SetWorkspace(ws *tensor.Workspace) { l.ws = ws }
 
 // SetTrainArena implements TrainArenaUser.
 func (l *Linear) SetTrainArena(a *tensor.Workspace) { l.arena, l.x = a, nil }
+
+// SetGradQueue implements GradQueueUser.
+func (l *Linear) SetGradQueue(q *GradQueue) { l.grads = q }
 
 // Forward implements Layer. The x·W + b product is the layer's compute kernel:
 // blocked's MatMulBiasInto, eval and train alike, with the bias an exact
@@ -58,27 +62,53 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) (*tensor.Matrix, error) {
 	return y, nil
 }
 
-// Backward implements Layer. dW = xᵀ·grad is summed from +0 on its own and
-// then added to W's gradient, which may already hold other samples' sums; the
-// bias gradient adds grad's rows onto b's in index order; dx = grad·Wᵀ.
+// Backward implements Layer: dx = grad·Wᵀ, and the parameter gradients
+// (paramGrads) — posted to the attached GradQueue when it is running, inline
+// otherwise.
 func (l *Linear) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
+	return l.backward(grad, true)
+}
+
+// backward is Backward, computing dx only when input is set: the caller of a
+// network's first layer reads no gradient of the network's input.
+func (l *Linear) backward(grad *tensor.Matrix, input bool) (*tensor.Matrix, error) {
 	if l.x == nil {
 		return nil, fmt.Errorf("linear %s: backward before forward(train)", l.W.Name)
 	}
-	w := l.W.Value
-	dW := wsGet(l.arena, w.Rows, w.Cols)
-	if err := tensor.MatMulATInto(dW, l.x, grad); err != nil {
-		return nil, err
+	posted := l.grads.post(l, grad)
+	if !posted {
+		w := l.W.Value
+		dW := wsGet(l.arena, w.Rows, w.Cols)
+		err := l.paramGrads(dW, l.x, grad)
+		wsPut(l.arena, dW)
+		if err != nil {
+			return nil, err
+		}
+	}
+	var dx *tensor.Matrix
+	if input {
+		dx = wsGet(l.arena, grad.Rows, l.W.Value.Rows)
+		if err := tensor.MatMulBTInto(dx, grad, l.W.Value); err != nil {
+			return nil, err
+		}
+	}
+	if !posted {
+		wsPut(l.arena, grad)
+	}
+	return dx, nil
+}
+
+// paramGrads adds the layer's parameter gradients for input x and output
+// gradient g: dW = xᵀ·g is summed from +0 into dW on its own and then added
+// to W's gradient, which may already hold other samples' sums; the bias
+// gradient adds g's rows onto b's in index order.
+func (l *Linear) paramGrads(dW, x, g *tensor.Matrix) error {
+	if err := tensor.MatMulATInto(dW, x, g); err != nil {
+		return err
 	}
 	addInto(l.W.Grad.Data, dW.Data)
-	wsPut(l.arena, dW)
-	addColSums(l.B.Grad.Data, grad)
-	dx := wsGet(l.arena, grad.Rows, w.Rows)
-	if err := tensor.MatMulBTInto(dx, grad, w); err != nil {
-		return nil, err
-	}
-	wsPut(l.arena, grad)
-	return dx, nil
+	addColSums(l.B.Grad.Data, g)
+	return nil
 }
 
 // addInto adds src to dst element by element: whole 8-element strips on the
@@ -711,6 +741,10 @@ func (s *Sequential) SetTrainArena(a *tensor.Workspace) {
 	AttachTrainArena(a, s.Layers...)
 }
 
+// SetGradQueue implements GradQueueUser, recursing into every child layer
+// that takes one.
+func (s *Sequential) SetGradQueue(q *GradQueue) { AttachGradQueue(q, s.Layers...) }
+
 // Forward implements Layer.
 //
 //edgepc:hotpath
@@ -816,6 +850,23 @@ func (s *Sequential) tripleAt(i int, y *tensor.Matrix) *BatchNorm {
 
 // Backward implements Layer.
 func (s *Sequential) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
+	return s.backward(grad, true)
+}
+
+// BackwardParams is Backward for a chain whose input gradient nobody reads
+// (a network's first layers, over the cloud's own features): every parameter
+// gradient accumulates as Backward's would, and a first Linear layer computes
+// no dx. It returns nothing; any input gradient a first layer of another kind
+// returns goes back to the arena.
+func (s *Sequential) BackwardParams(grad *tensor.Matrix) error {
+	g, err := s.backward(grad, false)
+	if err == nil {
+		wsPut(s.arena, g)
+	}
+	return err
+}
+
+func (s *Sequential) backward(grad *tensor.Matrix, input bool) (*tensor.Matrix, error) {
 	var err error
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		if _, isReLU := s.Layers[i].(*ReLU); isReLU && i > 0 {
@@ -823,7 +874,11 @@ func (s *Sequential) Backward(grad *tensor.Matrix) (*tensor.Matrix, error) {
 				continue // folded into the BatchNorm's Backward
 			}
 		}
-		grad, err = s.Layers[i].Backward(grad)
+		if l, isLinear := s.Layers[i].(*Linear); isLinear && i == 0 {
+			grad, err = l.backward(grad, input)
+		} else {
+			grad, err = s.Layers[i].Backward(grad)
+		}
 		if err != nil {
 			return nil, err
 		}

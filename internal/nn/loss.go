@@ -16,6 +16,12 @@ func CrossEntropy(logits *tensor.Matrix, labels []int32) (float64, *tensor.Matri
 		return 0, nil, fmt.Errorf("nn: %d logit rows for %d labels", logits.Rows, len(labels))
 	}
 	grad := tensor.New(logits.Rows, logits.Cols)
+	// A row's exponentials, each evaluated once for the sum and for p.
+	var buf [64]float64
+	exps := buf[:0]
+	if logits.Cols > len(buf) {
+		exps = make([]float64, 0, logits.Cols)
+	}
 	var loss float64
 	counted := 0
 	for r := 0; r < logits.Rows; r++ {
@@ -35,16 +41,17 @@ func CrossEntropy(logits *tensor.Matrix, labels []int32) (float64, *tensor.Matri
 			}
 		}
 		var sum float64
+		exps = exps[:0]
 		for _, v := range row {
-			sum += math.Exp(float64(v - maxV))
+			e := math.Exp(float64(v - maxV))
+			exps = append(exps, e)
+			sum += e
 		}
 		logSum := math.Log(sum) + float64(maxV)
 		loss += logSum - float64(row[lab])
 		gr := grad.Row(r)
-		for c, v := range row {
-			p := math.Exp(float64(v-maxV)) / sum
-			gr[c] = float32(p)
-			_ = v
+		for c, e := range exps {
+			gr[c] = float32(e / sum)
 		}
 		gr[lab] -= 1
 	}

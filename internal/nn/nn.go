@@ -59,10 +59,12 @@ type WorkspaceUser interface {
 // reuses the last step's buffers. Forward(x, true) Gets what Backward reads
 // and leaves it lent until that Reset; Backward Gets the gradient it returns
 // and Puts the one it was given once it has consumed it — a gradient from the
-// arena is handed over with its ownership. Setting the arena, nil included,
-// drops every backward cache: nil ends the training session, after which the
-// layer holds no training state and Backward fails until the next train
-// Forward. Without an arena the same calls allocate, as they always did.
+// arena is handed over with its ownership (a Linear posting to a running
+// GradQueue lends it to the queue, which Puts it). Setting the arena, nil
+// included, drops every backward cache: nil ends the training session, after
+// which the layer holds no training state and Backward fails until the next
+// train Forward. Without an arena the same calls allocate, as they always
+// did.
 type TrainArenaUser interface {
 	SetTrainArena(a *tensor.Workspace)
 }
