@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -100,5 +101,26 @@ func BenchmarkMortonInterp(b *testing.B) {
 		if err := (MortonInterp{}).PlanStructurizedInto(&plan, s.Cloud.Points, samplePos); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStructurizerInto is a model graph's per-frame structurization
+// into kept buffers (the Output's permutation and labels included), at a W1
+// frame's 8192 points and at a LiDAR-sized 65536.
+func BenchmarkStructurizerInto(b *testing.B) {
+	for _, n := range []int{8192, 65536} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			cloud := geom.GenerateScene(geom.SceneOptions{N: n, Seed: 5})
+			cloud.Labels = make([]int32, cloud.Len())
+			var s Structurizer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				perm, labels := make([]int, cloud.Len()), make([]int32, cloud.Len())
+				if _, _, err := s.Into(cloud, StructurizeOptions{}, perm, labels); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

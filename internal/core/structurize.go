@@ -133,49 +133,140 @@ func (s *Structurized) MemoryOverheadBytes() int {
 }
 
 // Structurize re-orders a copy of the cloud by Morton code. The input cloud
-// is not modified. Complexity: O(N) fully parallel encoding + O(N log N)
-// sorting (Algorithm 1 without the final sampling step).
+// is not modified. Complexity: O(N) encoding + O(N) radix sorting
+// (Algorithm 1 without the final sampling step). It is a Structurizer's
+// pass into buffers of its own, with the sorted codes and the encoder kept
+// beside the result.
 func Structurize(c *geom.Cloud, opts StructurizeOptions) (*Structurized, error) {
-	if err := c.Validate(); err != nil {
+	if err := checkCloud(c); err != nil {
 		return nil, err
 	}
-	if c.Len() == 0 {
-		return nil, fmt.Errorf("core: cannot structurize empty cloud")
+	n := c.Len()
+	perm := make([]int, n)
+	var labels []int32
+	if c.Labels != nil {
+		labels = make([]int32, n)
 	}
-	enc, err := newEncoder(c, opts)
+	var s Structurizer
+	pts, feat, err := s.Into(c, opts, perm, labels)
 	if err != nil {
 		return nil, err
 	}
-	codes := enc.EncodeCloud(c, nil)
-	var perm []int
-	if opts.UseStdSort {
-		perm = morton.StdOrder(codes)
-	} else {
-		perm = morton.Order(codes)
-	}
-	out := c.Clone()
-	if err := out.Permute(perm); err != nil {
-		return nil, err
-	}
+	enc := s.enc
 	return &Structurized{
-		Cloud:   out,
+		Cloud:   &geom.Cloud{Points: pts, Feat: feat, FeatDim: c.FeatDim, Labels: labels},
 		Perm:    perm,
-		Codes:   morton.SortedCodes(codes, perm),
-		Encoder: enc,
+		Codes:   morton.SortedCodes(s.codes, perm),
+		Encoder: &enc,
 	}, nil
 }
 
-func newEncoder(c *geom.Cloud, opts StructurizeOptions) (*morton.Encoder, error) {
+func checkCloud(c *geom.Cloud) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.Len() == 0 {
+		return fmt.Errorf("core: cannot structurize empty cloud")
+	}
+	return nil
+}
+
+// Structurizer is the structurization pass into buffers it keeps across
+// calls, which a model graph runs on every frame: bounds, Morton encode,
+// stable radix order and one gather of points, features and labels, all on
+// the calling goroutine. Once its buffers have grown, Into allocates
+// nothing. The zero value is ready to use; it is not safe for concurrent
+// use.
+type Structurizer struct {
+	pts     []geom.Point3
+	feat    []float32
+	codes   []uint64 // in the input's order
+	order   []int32  // structurized position → original index
+	scratch []int32  // the radix sort's second buffer
+	enc     morton.Encoder
+}
+
+// Into structurizes c as Structurize does. It returns the cloud's points and
+// features in Morton order (nil features when c has none), which stay in
+// s's buffers and are valid until the next Into, and writes the
+// permutation into perm and the reordered labels into labels, which must
+// each hold c.Len() elements; labels is nil when c has none.
+//
+//edgepc:hotpath
+func (s *Structurizer) Into(c *geom.Cloud, opts StructurizeOptions, perm []int, labels []int32) ([]geom.Point3, []float32, error) {
+	if err := checkCloud(c); err != nil {
+		return nil, nil, err
+	}
+	n := c.Len()
+	if len(perm) != n || (c.Labels == nil) != (labels == nil) || (labels != nil && len(labels) != n) {
+		return nil, nil, fmt.Errorf("core: %d points, a permutation of %d and %d labels", n, len(perm), len(labels))
+	}
+	var bounds geom.AABB
+	if opts.Bounds != nil {
+		bounds = *opts.Bounds
+	} else {
+		bounds = geom.BoundsOf(c.Points)
+	}
+	if err := s.setEncoder(bounds, opts); err != nil {
+		return nil, nil, err
+	}
+
+	s.codes = grow(s.codes, n)
+	s.enc.EncodeInto(s.codes, c.Points)
+	s.scratch = grow(s.scratch, n)
+	if opts.UseStdSort {
+		s.order = grow(s.order, n)
+		for j, i := range morton.StdOrder(s.codes) {
+			s.order[j] = int32(i)
+		}
+	} else {
+		s.order = morton.OrderInto(s.order, s.scratch, s.codes)
+	}
+
+	s.pts = grow(s.pts, n)
+	s.feat = grow(s.feat, len(c.Feat))
+	d := c.FeatDim
+	for j, i := range s.order {
+		s.pts[j] = c.Points[i]
+		perm[j] = int(i)
+		if d > 0 {
+			copy(s.feat[j*d:j*d+d], c.Feat[int(i)*d:int(i)*d+d])
+		}
+		if labels != nil {
+			labels[j] = c.Labels[i]
+		}
+	}
+	var feat []float32
+	if d > 0 {
+		feat = s.feat
+	}
+	return s.pts, feat, nil
+}
+
+// setEncoder makes s.enc the encoder for bounds under opts.
+func (s *Structurizer) setEncoder(bounds geom.AABB, opts StructurizeOptions) error {
 	bits := opts.TotalBits
 	if bits == 0 {
 		bits = morton.DefaultTotalBits
 	}
-	bounds := c.Bounds()
-	if opts.Bounds != nil {
-		bounds = *opts.Bounds
-	}
+	var enc *morton.Encoder
+	var err error
 	if opts.GridSize > 0 {
-		return morton.NewEncoderWithGrid(bounds.Min, opts.GridSize, bits/3)
+		enc, err = morton.NewEncoderWithGrid(bounds.Min, opts.GridSize, bits/3)
+	} else {
+		enc, err = morton.NewEncoder(bounds, bits)
 	}
-	return morton.NewEncoder(bounds, bits)
+	if err != nil {
+		return err
+	}
+	s.enc = *enc
+	return nil
+}
+
+// grow returns buf resized to n, reallocated only when it is too short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/neighbor"
@@ -35,8 +36,14 @@ func (w WindowSearcher) SearchPositions(points []geom.Point3, queryPos []int, k 
 }
 
 // SearchPositionsInto is SearchPositions writing the list into out, which it
-// reuses like append.
+// reuses like append. It allocates nothing else for k ≤ maxStackK.
 func (w WindowSearcher) SearchPositionsInto(out []int, points []geom.Point3, queryPos []int, k int) ([]int, error) {
+	return w.searchInto(out, points, queryPos, len(queryPos), k)
+}
+
+// searchInto answers nq queries, query q at position queryPos[q], or at
+// position q when queryPos is nil.
+func (w WindowSearcher) searchInto(out []int, points []geom.Point3, queryPos []int, nq, k int) ([]int, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, neighbor.ErrNoPoints
@@ -51,38 +58,69 @@ func (w WindowSearcher) SearchPositionsInto(out []int, points []geom.Point3, que
 	if win > n {
 		win = n
 	}
-	if cap(out) < len(queryPos)*k {
-		out = make([]int, len(queryPos)*k)
+	if cap(out) < nq*k {
+		out = make([]int, nq*k)
 	}
-	out = out[:len(queryPos)*k]
+	out = out[:nq*k]
+	j := windowJobs.Get().(*windowJob)
+	*j = windowJob{points: points, queryPos: queryPos, out: out, k: k, win: win}
+	parallel.Split(nq, parallel.Workers(nq), j)
+	*j = windowJob{}
+	windowJobs.Put(j)
+	return out, nil
+}
+
+// maxStackK is the largest k whose ranked-window scratch lives on the stack.
+const maxStackK = 64
+
+// windowJob is one window search fanned out over its queries, pooled so
+// that a search allocates nothing once warm.
+type windowJob struct {
+	points   []geom.Point3
+	queryPos []int // nil: query q is at position q
+	out      []int
+	k, win   int
+}
+
+var windowJobs = sync.Pool{New: func() any { return new(windowJob) }}
+
+// Chunk answers queries [lo, hi).
+func (j *windowJob) Chunk(lo, hi int) {
+	k, win, n := j.k, j.win, len(j.points)
+	pos := func(q int) int {
+		if j.queryPos == nil {
+			return q
+		}
+		return j.queryPos[q]
+	}
 	if win == k {
 		// Pure index pick: the k consecutive positions centered on the query.
-		parallel.ForChunks(len(queryPos), func(lo, hi int) {
-			for q := lo; q < hi; q++ {
-				start := clampWindow(queryPos[q], k, n)
-				row := out[q*k : (q+1)*k]
-				for j := range row {
-					row[j] = start + j
-				}
+		for q := lo; q < hi; q++ {
+			start := clampWindow(pos(q), k, n)
+			row := j.out[q*k : (q+1)*k]
+			for i := range row {
+				row[i] = start + i
 			}
-		})
-		return out, nil
+		}
+		return
 	}
 	// Windowed exact-within-window: rank the W candidates by distance. The
 	// query point itself is excluded, matching the paper's Fig. 10(b)
 	// worked example (W = k+1 around P2 selects P1, P4 and P0, not P2) —
 	// spending a neighbor slot on the zero-distance self would waste it.
-	parallel.ForChunks(len(queryPos), func(lo, hi int) {
-		idx := make([]int, k)
-		d := make([]float64, k)
-		for q := lo; q < hi; q++ {
-			pos := queryPos[q]
-			start := clampWindow(pos, win, n)
-			topKWindow(points[pos], points, start, start+win, pos, idx, d)
-			copy(out[q*k:(q+1)*k], idx)
-		}
-	})
-	return out, nil
+	var idxBuf [maxStackK]int
+	var dBuf [maxStackK]float64
+	idx, d := idxBuf[:], dBuf[:]
+	if k > maxStackK {
+		idx, d = make([]int, k), make([]float64, k)
+	}
+	idx, d = idx[:k], d[:k]
+	for q := lo; q < hi; q++ {
+		p := pos(q)
+		start := clampWindow(p, win, n)
+		topKWindow(j.points[p], j.points, start, start+win, p, idx, d)
+		copy(j.out[q*k:(q+1)*k], idx)
+	}
 }
 
 // clampWindow returns the start of a window of the given size centered on pos
@@ -129,11 +167,13 @@ func topKWindow(p geom.Point3, points []geom.Point3, lo, hi, self int, idx []int
 // SearchAll finds k neighbors for every point of the structurized cloud (the
 // DGCNN case, where every point is a query).
 func (w WindowSearcher) SearchAll(points []geom.Point3, k int) ([]int, error) {
-	pos := make([]int, len(points))
-	for i := range pos {
-		pos[i] = i
-	}
-	return w.SearchPositions(points, pos, k)
+	return w.SearchAllInto(nil, points, k)
+}
+
+// SearchAllInto is SearchAll writing the list into out, which it reuses like
+// append: a caller that keeps out allocates nothing.
+func (w WindowSearcher) SearchAllInto(out []int, points []geom.Point3, k int) ([]int, error) {
+	return w.searchInto(out, points, nil, len(points), k)
 }
 
 // StructurizedSearcher adapts WindowSearcher to the neighbor.Searcher

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +184,90 @@ func TestBoundsEmptyCloud(t *testing.T) {
 	c := NewCloud(0, 0)
 	if c.Bounds().IsValid() {
 		t.Fatal("empty cloud bounds should be invalid")
+	}
+}
+
+// TestAABBExtendMatchesMathMinMax pins Extend to the math.Min / math.Max
+// formula it replaced, bit for bit, with every special value as the old
+// bound and as the coordinate, on every axis: NaNs of three payloads and
+// signs, ±0, ±Inf and ordinary numbers.
+func TestAABBExtendMatchesMathMinMax(t *testing.T) {
+	vals := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000abc), math.Float64frombits(0xfff8000000000000),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1,
+	}
+	bits := func(b AABB) [6]uint64 {
+		return [6]uint64{
+			math.Float64bits(b.Min.X), math.Float64bits(b.Min.Y), math.Float64bits(b.Min.Z),
+			math.Float64bits(b.Max.X), math.Float64bits(b.Max.Y), math.Float64bits(b.Max.Z),
+		}
+	}
+	axis := func(p *Point3, a int) *float64 { return [3]*float64{&p.X, &p.Y, &p.Z}[a] }
+	for a := 0; a < 3; a++ {
+		for _, lo := range vals {
+			for _, hi := range vals {
+				for _, v := range vals {
+					box := AABB{Min: Point3{-2, -2, -2}, Max: Point3{2, 2, 2}}
+					*axis(&box.Min, a), *axis(&box.Max, a) = lo, hi
+					p := Point3{0.5, 0.5, 0.5}
+					*axis(&p, a) = v
+					want := box
+					want.Min.X, want.Max.X = math.Min(want.Min.X, p.X), math.Max(want.Max.X, p.X)
+					want.Min.Y, want.Max.Y = math.Min(want.Min.Y, p.Y), math.Max(want.Max.Y, p.Y)
+					want.Min.Z, want.Max.Z = math.Min(want.Min.Z, p.Z), math.Max(want.Max.Z, p.Z)
+					box.Extend(p)
+					if bits(box) != bits(want) {
+						t.Fatalf("axis %d, box [%v, %v], point %v: got %x, want %x", a, lo, hi, v, bits(box), bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBoundsOfMatchesMathFold checks BoundsOf, with its two register folds
+// and its NaN fallback, against the sequential math.Min / math.Max fold,
+// bit for bit: clouds of every length up to 9 whose coordinates are drawn
+// from special values, and longer ones with a special value now and then.
+func TestBoundsOfMatchesMathFold(t *testing.T) {
+	vals := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000000), 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), 1, -1, 2.5,
+	}
+	fold := func(pts []Point3) AABB {
+		inf := math.Inf(1)
+		b := AABB{Min: Point3{inf, inf, inf}, Max: Point3{-inf, -inf, -inf}}
+		for _, p := range pts {
+			b.Min = Point3{math.Min(b.Min.X, p.X), math.Min(b.Min.Y, p.Y), math.Min(b.Min.Z, p.Z)}
+			b.Max = Point3{math.Max(b.Max.X, p.X), math.Max(b.Max.Y, p.Y), math.Max(b.Max.Z, p.Z)}
+		}
+		return b
+	}
+	bits := func(b AABB) [6]uint64 {
+		return [6]uint64{
+			math.Float64bits(b.Min.X), math.Float64bits(b.Min.Y), math.Float64bits(b.Min.Z),
+			math.Float64bits(b.Max.X), math.Float64bits(b.Max.Y), math.Float64bits(b.Max.Z),
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20000; trial++ {
+		n := trial % 10
+		if trial%7 == 0 {
+			n = 10 + rng.Intn(300)
+		}
+		pts := make([]Point3, n)
+		for i := range pts {
+			c := [3]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			for a := range c {
+				if n < 10 || rng.Intn(40) == 0 {
+					c[a] = vals[rng.Intn(len(vals))]
+				}
+			}
+			pts[i] = Point3{c[0], c[1], c[2]}
+		}
+		want := fold(pts)
+		if got := BoundsOf(pts); bits(got) != bits(want) {
+			t.Fatalf("BoundsOf(%v) = %v, want %v", pts, got, want)
+		}
 	}
 }

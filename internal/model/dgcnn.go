@@ -26,6 +26,9 @@ type EdgeConvModule struct {
 	// first module, the one searching in coordinate space, sets it.
 	morton  bool
 	windowW int
+	// window is the index-window list, kept across frames: the layers
+	// reusing it and Backward read it before the next Forward.
+	window []int
 
 	cache ecCache
 }
@@ -61,7 +64,8 @@ func (m *EdgeConvModule) forward(lv, next *level, layer int, x *Exec) error {
 		switch {
 		case m.morton && lv.mortonSorted:
 			algo, w = "morton-window", max(m.windowW, k)
-			x.nbr, e = core.WindowSearcher{W: m.windowW}.SearchAll(lv.pts, k)
+			m.window, e = core.WindowSearcher{W: m.windowW}.SearchAllInto(m.window, lv.pts, k)
+			x.nbr = m.window
 		case layer == 0:
 			algo = "knn-brute"
 			coords := coordMatrix(buf, lv.pts)

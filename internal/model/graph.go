@@ -185,6 +185,10 @@ type Graph struct {
 	// beside the stage walk.
 	grads *nn.GradQueue
 
+	// st structurizes each frame into buffers kept across frames (the
+	// EdgePC configurations).
+	st core.Structurizer
+
 	x Exec
 	// run is the body of a planned frame's two-chain fan-out, back that of
 	// a training step's backward.
@@ -300,7 +304,17 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	sorted := false
 	if g.spec.Structurize != nil {
 		start := time.Now()
-		s, err := core.Structurize(cloud, *g.spec.Structurize)
+		// The sorted points and features live in the graph's buffers until
+		// the next frame; the permutation and the labels are the Output's,
+		// which outlives it.
+		//edgepc:lint-ignore hotpathalloc deliberate: the Output contract requires Perm to outlive the frame
+		perm = make([]int, cloud.Len())
+		if labels != nil {
+			//edgepc:lint-ignore hotpathalloc deliberate: the Output contract requires Labels to outlive the frame
+			labels = make([]int32, cloud.Len())
+		}
+		var err error
+		pts, feat, err = g.st.Into(cloud, *g.spec.Structurize, perm, labels)
 		if err != nil {
 			return nil, err
 		}
@@ -309,10 +323,6 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		if trace != nil {
 			trace.AddSpan(Span{Node: "structurize", Layer: -1, Dur: dur, Rec0: len(trace.Records) - 1, Rec1: len(trace.Records)})
 		}
-		pts = s.Cloud.Points
-		feat, featDim = s.Cloud.Feat, s.Cloud.FeatDim
-		labels = s.Cloud.Labels
-		perm = s.Perm
 		sorted = true
 	}
 	feats, err := inputFeatures(x.scratch(), pts, feat, featDim, g.spec.ExtraFeatDim)

@@ -1,8 +1,11 @@
 package model
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 )
@@ -111,5 +114,49 @@ func TestWorkspaceEvalMatchesTrainForward(t *testing.T) {
 	}
 	if !evalOut.Logits.Equal(want) {
 		t.Fatal("workspace eval forward differs from training forward")
+	}
+}
+
+// TestStructurizedOutputOutlivesNextForward checks the two buffers a
+// structurized frame still allocates: an Output's Perm and Labels, which the
+// graph writes fresh while the sorted points and features stay in its kept
+// buffers, must survive the next frames untouched along with the logits,
+// and equal core.Structurize's — at one core and at two, where the pass
+// fans out.
+func TestStructurizedOutputOutlivesNextForward(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	first, next := wsTestCloud(t, 2500), wsTestCloud(t, 2300)
+	for i := range next.Points {
+		next.Points[i].X = -next.Points[i].X
+	}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		net, err := NewPointNetPP(PPConfig{
+			Classes: 5, Depth: 2, BaseWidth: 4, K: 4, SampleFrac: 0.25, Seed: 3,
+			Structurize: &core.StructurizeOptions{}, MortonLayers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := net.Forward(first, &Trace{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Structurize(first, core.StructurizeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(out.Perm, want.Perm) || !slices.Equal(out.Labels, want.Cloud.Labels) {
+			t.Fatalf("GOMAXPROCS %d: the frame's permutation or labels differ from core.Structurize's", procs)
+		}
+		logits := out.Logits.Clone()
+		for _, train := range []bool{false, true, false} {
+			if _, err := net.Forward(next, &Trace{}, train); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(out.Perm, want.Perm) || !slices.Equal(out.Labels, want.Cloud.Labels) || !out.Logits.Equal(logits) {
+			t.Fatalf("GOMAXPROCS %d: later frames overwrote an Output", procs)
+		}
 	}
 }

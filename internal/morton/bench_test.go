@@ -64,3 +64,15 @@ func BenchmarkAblationSortRadix65536(b *testing.B) {
 		RadixOrder(codes)
 	}
 }
+
+// BenchmarkOrderInto8192 is the radix order into kept buffers, as a model
+// graph's structurization runs it.
+func BenchmarkOrderInto8192(b *testing.B) {
+	codes := benchCodes(8192, 2)
+	dst, scratch := make([]int32, 8192), make([]int32, 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = OrderInto(dst, scratch, codes)
+	}
+}

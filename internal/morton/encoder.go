@@ -34,29 +34,47 @@ type Encoder struct {
 // r = D / 2^⌊a/3⌋ where D is the box's longest extent (§5.1.3). A degenerate
 // (zero-extent or invalid) box gets a unit grid so encoding stays total.
 func NewEncoder(bounds geom.AABB, totalBits int) (*Encoder, error) {
+	// The constructors are small enough to inline, so a caller that copies
+	// the encoder out keeps it off the heap.
+	e, err := encoderFor(bounds, totalBits)
+	if err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+func encoderFor(bounds geom.AABB, totalBits int) (Encoder, error) {
 	if totalBits < 3 || totalBits > 63 {
-		return nil, fmt.Errorf("%w: got %d", ErrBits, totalBits)
+		return Encoder{}, fmt.Errorf("%w: got %d", ErrBits, totalBits)
 	}
 	bpa := totalBits / 3
 	d := bounds.MaxDim()
 	if !bounds.IsValid() || d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		return &Encoder{Min: geom.Point3{}, R: 1, BitsPerAxis: bpa}, nil
+		return Encoder{Min: geom.Point3{}, R: 1, BitsPerAxis: bpa}, nil
 	}
 	r := d / float64(uint64(1)<<uint(bpa))
-	return &Encoder{Min: bounds.Min, R: r, BitsPerAxis: bpa}, nil
+	return Encoder{Min: bounds.Min, R: r, BitsPerAxis: bpa}, nil
 }
 
 // NewEncoderWithGrid builds an encoder with an explicit grid size r and
 // minimum corner, as in the paper's Algorithm 1 inputs. bitsPerAxis bounds
 // the representable voxel index range.
 func NewEncoderWithGrid(min geom.Point3, r float64, bitsPerAxis int) (*Encoder, error) {
+	e, err := encoderWithGrid(min, r, bitsPerAxis)
+	if err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+func encoderWithGrid(min geom.Point3, r float64, bitsPerAxis int) (Encoder, error) {
 	if bitsPerAxis < 1 || bitsPerAxis > MaxBitsPerAxis {
-		return nil, fmt.Errorf("%w: %d bits per axis", ErrBits, bitsPerAxis)
+		return Encoder{}, fmt.Errorf("%w: %d bits per axis", ErrBits, bitsPerAxis)
 	}
 	if r <= 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-		return nil, fmt.Errorf("morton: grid size must be positive and finite, got %v", r)
+		return Encoder{}, fmt.Errorf("morton: grid size must be positive and finite, got %v", r)
 	}
-	return &Encoder{Min: min, R: r, BitsPerAxis: bitsPerAxis}, nil
+	return Encoder{Min: min, R: r, BitsPerAxis: bitsPerAxis}, nil
 }
 
 // TotalBits returns the code width 3 × BitsPerAxis.
@@ -69,17 +87,24 @@ func (e *Encoder) MemoryBytes(n int) int {
 	return n * ((e.TotalBits() + 7) / 8)
 }
 
-// voxel returns the clamped integer voxel index of a scalar coordinate.
+// voxel returns the clamped integer voxel index of a scalar coordinate:
+// ⌊(v − min)/R⌋ clamped to [0, 2^BitsPerAxis), and 0 for a NaN.
 func (e *Encoder) voxel(v, min float64) uint32 {
-	idx := math.Floor((v - min) / e.R)
-	limit := float64(uint64(1)<<uint(e.BitsPerAxis) - 1)
-	if math.IsNaN(idx) || idx < 0 {
+	n := uint64(1) << uint(e.BitsPerAxis)
+	return clampVoxel((v-min)/e.R, float64(n), uint32(n-1))
+}
+
+// clampVoxel is voxel's clamp of the quotient f to [0, top), last = top − 1
+// and top a power of two. On the range left after the two clamps f is
+// non-negative and below 2^21, where the truncating conversion is the floor.
+func clampVoxel(f, top float64, last uint32) uint32 {
+	if !(f >= 0) {
 		return 0
 	}
-	if idx > limit {
-		return uint32(limit)
+	if f >= top {
+		return last
 	}
-	return uint32(idx)
+	return uint32(f)
 }
 
 // Code returns the Morton code of a single point.
@@ -87,6 +112,23 @@ func (e *Encoder) voxel(v, min float64) uint32 {
 //edgepc:hotpath
 func (e *Encoder) Code(p geom.Point3) uint64 {
 	return Encode3(e.voxel(p.X, e.Min.X), e.voxel(p.Y, e.Min.Y), e.voxel(p.Z, e.Min.Z))
+}
+
+// EncodeInto writes the Morton code of pts[i] into dst[i]; dst must be at
+// least as long as pts. The grid's constants are loaded once, not per point.
+//
+//edgepc:hotpath
+func (e *Encoder) EncodeInto(dst []uint64, pts []geom.Point3) {
+	dst = dst[:len(pts)]
+	min, r := e.Min, e.R
+	n := uint64(1) << uint(e.BitsPerAxis)
+	top, last := float64(n), uint32(n-1)
+	for i, p := range pts {
+		dst[i] = Encode3(
+			clampVoxel((p.X-min.X)/r, top, last),
+			clampVoxel((p.Y-min.Y)/r, top, last),
+			clampVoxel((p.Z-min.Z)/r, top, last))
+	}
 }
 
 // EncodeCloud computes the Morton code of every point. This is the paper's
@@ -103,9 +145,7 @@ func (e *Encoder) EncodeCloud(c *geom.Cloud, dst []uint64) []uint64 {
 	dst = dst[:n]
 	pts := c.Points
 	parallel.ForChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = e.Code(pts[i])
-		}
+		e.EncodeInto(dst[lo:hi], pts[lo:hi])
 	})
 	return dst
 }

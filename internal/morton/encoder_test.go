@@ -185,3 +185,46 @@ func TestEncodeCloudReusesBuffer(t *testing.T) {
 		t.Fatal("EncodeCloud did not reuse the provided buffer")
 	}
 }
+
+// floorVoxel is the voxel formula through math.Floor that Encoder.voxel
+// replaced, kept as its oracle.
+func floorVoxel(e *Encoder, v, min float64) uint32 {
+	idx := math.Floor((v - min) / e.R)
+	limit := float64(uint64(1)<<uint(e.BitsPerAxis) - 1)
+	if math.IsNaN(idx) || idx < 0 {
+		return 0
+	}
+	if idx > limit {
+		return uint32(limit)
+	}
+	return uint32(idx)
+}
+
+// FuzzVoxelMatchesFloor checks voxel against floorVoxel on every input: NaN
+// and ±Inf coordinates, corners and grid sizes, −0, coordinates exactly on a
+// voxel boundary and just below it, and coordinates past either end of the
+// grid.
+func FuzzVoxelMatchesFloor(f *testing.F) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	below := func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	for _, s := range []struct {
+		v, min, r float64
+		bits      uint8 // per axis
+	}{
+		{0, 0, 1, 10}, {negZero, 0, 1, 10}, {0, negZero, 1, 10}, {negZero, negZero, 0.5, 3},
+		{nan, 0, 1, 10}, {1, nan, 1, 10}, {1, 0, nan, 10},
+		{inf, 0, 1, 10}, {-inf, 0, 1, 10}, {inf, inf, 1, 10}, {1, -inf, 1, 10}, {1, 0, inf, 10},
+		{3, 0, 1, 10}, {below(3), 0, 1, 10}, {0.3, 0.1, 0.1, 10}, {below(0), 0, 1, 10},
+		{1023, 0, 1, 10}, {below(1024), 0, 1, 10}, {1024, 0, 1, 10}, {1e300, 0, 1, 10},
+		{-1e300, 0, 1, 10}, {7.9999, 0, 1, 3}, {8, 0, 1, 3}, {1 << 21, 0, 1, 21},
+		{below(1 << 21), 0, 1, 21}, {2.5, 1, 1e-300, 21}, {1, 0, 5e-324, 1},
+	} {
+		f.Add(s.v, s.min, s.r, s.bits-1)
+	}
+	f.Fuzz(func(t *testing.T, v, min, r float64, bits uint8) {
+		e := &Encoder{R: r, BitsPerAxis: int(bits)%MaxBitsPerAxis + 1}
+		if got, want := e.voxel(v, min), floorVoxel(e, v, min); got != want {
+			t.Fatalf("voxel(%v, %v) with R=%v, %d bits = %d, want %d", v, min, r, e.BitsPerAxis, got, want)
+		}
+	})
+}

@@ -42,11 +42,25 @@ func compact3(x uint64) uint64 {
 	return x
 }
 
+// spreadLUT[x] is spread3(x) for the 11-bit x: two lookups spread 21 bits.
+var spreadLUT = func() (t [1 << 11]uint32) {
+	for x := range t {
+		t[x] = uint32(spread3(uint64(x)))
+	}
+	return t
+}()
+
+// spreadFast is spread3 by table: the low 11 bits, then the high 10 from
+// code bit 33.
+func spreadFast(x uint32) uint64 {
+	return uint64(spreadLUT[x&(1<<11-1)]) | uint64(spreadLUT[(x>>11)&(1<<10-1)])<<33
+}
+
 // Encode3 interleaves the low 21 bits of x, y and z into a 63-bit Morton
 // code. Following the paper's convention, x occupies the least-significant
 // position of each 3-bit group.
 func Encode3(x, y, z uint32) uint64 {
-	return spread3(uint64(x)) | spread3(uint64(y))<<1 | spread3(uint64(z))<<2
+	return spreadFast(x) | spreadFast(y)<<1 | spreadFast(z)<<2
 }
 
 // Decode3 recovers the three axis indexes from a Morton code produced by

@@ -161,3 +161,18 @@ func TestSortedCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestSpreadFastMatchesSpread3 checks the table spread against the shifts
+// on every 21-bit value and on values with bits above the 21.
+func TestSpreadFastMatchesSpread3(t *testing.T) {
+	for x := uint32(0); x < 1<<21; x++ {
+		if got, want := spreadFast(x), spread3(uint64(x)); got != want {
+			t.Fatalf("spreadFast(%#x) = %#x, want %#x", x, got, want)
+		}
+	}
+	for _, x := range []uint32{1 << 21, 1<<32 - 1, 0xdeadbeef} {
+		if got, want := spreadFast(x), spread3(uint64(x)); got != want {
+			t.Fatalf("spreadFast(%#x) = %#x, want %#x", x, got, want)
+		}
+	}
+}

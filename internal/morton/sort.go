@@ -1,10 +1,6 @@
 package morton
 
-import (
-	"sort"
-
-	"repro/internal/parallel"
-)
+import "sort"
 
 // Sorting Morton codes is Algorithm 1, line 10: it produces the new index
 // array I' = [i_0, ..., i_{N-1}] such that codes[I'[0]] ≤ codes[I'[1]] ≤ ….
@@ -16,116 +12,107 @@ import (
 // Order returns the stable sorted order of codes: a permutation perm such
 // that codes[perm[j]] is non-decreasing in j, with ties broken by original
 // index. It is the package's default (radix) implementation.
-//
-//edgepc:hotpath
 func Order(codes []uint64) []int {
 	return RadixOrder(codes)
 }
 
-// RadixOrder computes the sorted order with an LSD radix sort over 8-bit
-// digits. Passes whose digit is constant across all keys are skipped, so a
-// 32-bit code pays only four passes. Above the parallel threshold the
-// counting and scatter passes split the keys across workers (see
-// radixOrderParallel); the result is identical to the serial sort.
+// RadixOrder is OrderInto into fresh buffers, widened to int.
+func RadixOrder(codes []uint64) []int {
+	order := OrderInto(nil, nil, codes)
+	perm := make([]int, len(order))
+	for j, i := range order {
+		perm[j] = int(i)
+	}
+	return perm
+}
+
+// digitBits is the radix sort's digit: the paper's a = 32 makes 30-bit
+// codes (10 bits an axis), which three passes sort (four at 8 bits), and a
+// 1024-entry histogram stays in L1. On a W1 frame's codes 11-bit digits,
+// also three passes, took 10–20 % longer.
+const (
+	digitBits = 10
+	digitMask = 1<<digitBits - 1
+)
+
+// OrderInto writes the stable sorted order of codes (Order's permutation,
+// as int32) into dst, reused like append, with an LSD radix sort over
+// 10-bit digits. Digits that are equal in every code are skipped, so a
+// 30-bit code pays at most three passes. scratch is the sort's second
+// buffer when it holds len(codes) elements, and is allocated otherwise; a
+// caller that keeps both allocates nothing. Each pass counts its digit over
+// codes in their original order and scatters the previous pass's order, so
+// ties keep their order and the sort is stable.
 //
 //edgepc:hotpath
-func RadixOrder(codes []uint64) []int {
+func OrderInto(dst, scratch []int32, codes []uint64) []int32 {
 	n := len(codes)
-	//edgepc:lint-ignore hotpathalloc the permutation is the result and must be fresh per call; candidate for a caller-provided buffer
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	if cap(dst) < n {
+		//edgepc:lint-ignore hotpathalloc cap-guarded grow; a caller that keeps dst passes it back
+		dst = make([]int32, n)
 	}
-	if n < 2 {
-		return perm
-	}
-	// Determine which byte positions vary.
-	var orAll, andAll uint64
-	andAll = ^uint64(0)
+	dst = dst[:n]
+	orAll, andAll := uint64(0), ^uint64(0)
 	for _, c := range codes {
 		orAll |= c
 		andAll &= c
 	}
 	varying := orAll ^ andAll
-
-	//edgepc:lint-ignore hotpathalloc O(N) scatter scratch, one per sort; candidate for a caller-provided buffer
-	buf := make([]int, n)
-	if workers := parallel.Workers(n); workers > 1 {
-		return radixOrderParallel(codes, perm, buf, varying, workers)
+	passes := 0
+	for shift := 0; shift < 64; shift += digitBits {
+		if (varying>>shift)&digitMask != 0 {
+			passes++
+		}
 	}
-	var count [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		if (varying>>shift)&0xff == 0 {
+	if passes == 0 {
+		for i := range dst {
+			dst[i] = int32(i)
+		}
+		return dst
+	}
+	if len(scratch) < n && passes > 1 {
+		//edgepc:lint-ignore hotpathalloc a caller that keeps its scratch passes one that fits
+		scratch = make([]int32, n)
+	}
+	// The passes alternate between the two buffers; the first reads the
+	// identity order from nowhere, and starts in whichever buffer makes the
+	// last one write dst.
+	out, other := dst, scratch
+	if passes%2 == 0 {
+		out, other = scratch, dst
+	}
+	var count [1 << digitBits]int32
+	var prev []int32
+	for shift := 0; shift < 64; shift += digitBits {
+		if (varying>>shift)&digitMask == 0 {
 			continue
 		}
-		for i := range count {
-			count[i] = 0
+		clear(count[:])
+		for _, c := range codes {
+			count[(c>>shift)&digitMask]++
 		}
-		for _, p := range perm {
-			count[(codes[p]>>shift)&0xff]++
-		}
-		sum := 0
-		for i := 0; i < 256; i++ {
-			c := count[i]
-			count[i] = sum
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
 			sum += c
 		}
-		for _, p := range perm {
-			d := (codes[p] >> shift) & 0xff
-			buf[count[d]] = p
-			count[d]++
+		out = out[:n]
+		if prev == nil {
+			for i, c := range codes {
+				d := (c >> shift) & digitMask
+				out[count[d]] = int32(i)
+				count[d]++
+			}
+		} else {
+			for _, p := range prev {
+				d := (codes[p] >> shift) & digitMask
+				out[count[d]] = p
+				count[d]++
+			}
 		}
-		perm, buf = buf, perm
+		prev, out, other = out, other, out
 	}
-	return perm
-}
-
-// radixOrderParallel runs each radix pass with a per-worker histogram: every
-// worker counts the digits of its contiguous key chunk, a serial exclusive
-// prefix over (digit, worker) — 256·workers integers, negligible next to the
-// O(n) passes — turns the histograms into private write cursors, and each
-// worker scatters its chunk using only its own cursors. Output slots are
-// therefore written exactly once (no races) and chunks are processed in
-// worker order within each digit, preserving the LSD sort's stability.
-//
-//edgepc:hotpath
-func radixOrderParallel(codes []uint64, perm, buf []int, varying uint64, workers int) []int {
-	//edgepc:lint-ignore hotpathalloc one 1KiB histogram per worker per sort, negligible next to the O(N) passes
-	counts := make([][256]int, workers)
-	for shift := uint(0); shift < 64; shift += 8 {
-		if (varying>>shift)&0xff == 0 {
-			continue
-		}
-		// Zero all slots serially: ceil division may leave trailing worker
-		// slots unused, and stale counts would corrupt the prefix sums.
-		for i := range counts {
-			counts[i] = [256]int{}
-		}
-		parallel.ForWorkers(len(perm), func(w, lo, hi int) {
-			c := &counts[w]
-			for _, p := range perm[lo:hi] {
-				c[(codes[p]>>shift)&0xff]++
-			}
-		})
-		sum := 0
-		for d := 0; d < 256; d++ {
-			for w := range counts {
-				c := counts[w][d]
-				counts[w][d] = sum
-				sum += c
-			}
-		}
-		parallel.ForWorkers(len(perm), func(w, lo, hi int) {
-			off := &counts[w]
-			for _, p := range perm[lo:hi] {
-				d := (codes[p] >> shift) & 0xff
-				buf[off[d]] = p
-				off[d]++
-			}
-		})
-		perm, buf = buf, perm
-	}
-	return perm
+	return dst
 }
 
 // StdOrder computes the sorted order with the standard library's stable

@@ -129,7 +129,7 @@ var teams = sync.Pool{New: func() any {
 // slot 0 on the calling goroutine (it is a ForSplit).
 // Unlike ForChunks, the body learns which worker slot it occupies, so callers
 // can give every worker a private accumulator sized by Workers(n) and reduce
-// after the call returns (the counting passes of morton.RadixOrder). Worker
+// after the call returns (experiments.parCoverRadius's maxima). Worker
 // indexes are dense in [0, Workers(n)), though for some n the trailing slots
 // go unused (ceil division can cover n with fewer chunks). For a fixed n and
 // GOMAXPROCS the chunk boundaries are deterministic, so two consecutive

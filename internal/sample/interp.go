@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
 // Up-sampling (feature propagation) interpolates features of the original N
@@ -125,6 +126,15 @@ func (plan *InterpPlan) FillWeights(t int, idx []int, d []float64) {
 	k := plan.K
 	base := t * k
 	const eps = 1e-10
+	if k == 3 {
+		// The loop below, unrolled for the model's plans.
+		w0, w1, w2 := 1.0/(d[0]+eps), 1.0/(d[1]+eps), 1.0/(d[2]+eps)
+		total := 0.0 + w0 + w1 + w2
+		ix, ws := plan.Indexes[base:base+3], plan.Weights[base:base+3]
+		ix[0], ix[1], ix[2] = int32(idx[0]), int32(idx[1]), int32(idx[2])
+		ws[0], ws[1], ws[2] = float32(w0/total), float32(w1/total), float32(w2/total)
+		return
+	}
 	var buf [4]float64
 	w := buf[:0]
 	if k > len(buf) {
@@ -142,11 +152,16 @@ func (plan *InterpPlan) FillWeights(t int, idx []int, d []float64) {
 }
 
 // ApplyPlan interpolates source features into target features according to
-// the plan: row t of dst is Σ_i w[t,i] · src[idx[t,i]]. featDim is the
-// feature width of src rows; ld ≥ featDim is the row stride of dst, whose
-// row t is dst[t·ld : t·ld+featDim] — columns past featDim are left as they
-// are, so a caller can interpolate into the left columns of a wider matrix.
-// dst is allocated, t·ld long, if it is shorter.
+// the plan: row t of dst is Σ_i w[t,i] · src[idx[t,i]], summed from 0 in
+// source order with each product rounded on its own, so a −0 sum comes out
+// +0. featDim is the feature width of src rows; ld ≥ featDim is the row
+// stride of dst, whose row t is dst[t·ld : t·ld+featDim] — columns past
+// featDim are left as they are, so a caller can interpolate into the left
+// columns of a wider matrix. dst is allocated, t·ld long, if it is shorter.
+// A plan of three sources (PointNet++'s) runs applyPlan3's AVX2 kernel where
+// the host has it; every other runs applyPlanGo.
+//
+//edgepc:hotpath
 func ApplyPlan(plan *InterpPlan, src []float32, featDim int, dst []float32, ld int) ([]float32, error) {
 	t := plan.Targets()
 	if featDim < 1 || len(src)%featDim != 0 {
@@ -155,26 +170,62 @@ func ApplyPlan(plan *InterpPlan, src []float32, featDim int, dst []float32, ld i
 	if ld < featDim {
 		return nil, fmt.Errorf("sample: destination stride %d below featDim %d", ld, featDim)
 	}
+	if len(plan.Weights) != len(plan.Indexes) {
+		return nil, fmt.Errorf("sample: plan has %d indexes and %d weights", len(plan.Indexes), len(plan.Weights))
+	}
+	rows := uint32(len(src) / featDim)
+	for _, s := range plan.Indexes {
+		if uint32(s) >= rows {
+			return nil, fmt.Errorf("sample: plan source %d outside %d source rows", s, rows)
+		}
+	}
 	need := t * ld
 	if cap(dst) < need {
+		//edgepc:lint-ignore hotpathalloc cap-guarded grow; the model passes a destination that fits
 		dst = make([]float32, need)
 	}
 	dst = dst[:need]
-	parallel.ForChunks(t, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out := dst[i*ld : i*ld+featDim]
+	if t == 0 {
+		return dst, nil
+	}
+	if applyAVX2 && plan.K == 3 {
+		applyPlan3(&dst[0], ld, &src[0], featDim, &plan.Indexes[0], &plan.Weights[0], t)
+	} else {
+		applyPlanGo(plan, src, featDim, dst, ld)
+	}
+	return dst, nil
+}
+
+// applyAVX2 is the answer of tensor's one CPUID probe; a test turns it off
+// to run the Go loops.
+var applyAVX2 = tensor.HasAVX2()
+
+// applyPlanGo is ApplyPlan's loop over a checked plan, and the oracle of
+// applyPlan3. Three sources, the model's plans, take an unrolled form that
+// writes each output once.
+func applyPlanGo(plan *InterpPlan, src []float32, featDim int, dst []float32, ld int) {
+	k := plan.K
+	for i := 0; i < plan.Targets(); i++ {
+		out := dst[i*ld : i*ld+featDim]
+		idx, w := plan.Indexes[i*k:i*k+k], plan.Weights[i*k:i*k+k]
+		if k == 3 {
+			r0 := src[int(idx[0])*featDim:][:len(out)]
+			r1 := src[int(idx[1])*featDim:][:len(out)]
+			r2 := src[int(idx[2])*featDim:][:len(out)]
+			w0, w1, w2 := w[0], w[1], w[2]
 			for c := range out {
-				out[c] = 0
+				out[c] = 0 + float32(w0*r0[c]) + float32(w1*r1[c]) + float32(w2*r2[c])
 			}
-			for j := 0; j < plan.K; j++ {
-				s := int(plan.Indexes[i*plan.K+j])
-				w := plan.Weights[i*plan.K+j]
-				row := src[s*featDim : (s+1)*featDim]
-				for c, v := range row {
-					out[c] += float32(w * v)
-				}
+			continue
+		}
+		for c := range out {
+			out[c] = 0
+		}
+		for j, s := range idx {
+			row := src[int(s)*featDim:][:len(out)]
+			for c, v := range row {
+				out[c] += float32(w[j] * v)
 			}
 		}
-	})
-	return dst, nil
+	}
 }

@@ -26,8 +26,8 @@ go build ./...
 
 echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
 # blocked, the backward products, the train-mode argmax pool, nn.BatchNorm's
-# sweeps forward and backward, Linear's gradient adds, model's featKNN and
-# sample.BucketFPS's refresh have amd64 assembly behind *_amd64 files; every
+# sweeps forward and backward, Linear's gradient adds, model's featKNN,
+# sample.BucketFPS's refresh and sample.ApplyPlan have amd64 assembly behind *_amd64 files; every
 # other GOARCH must build and vet from the stubs beside them. A VFMADD would
 # round once where the Go kernels round twice and move every golden fixture;
 # the grep covers every *.s file in the tree.
@@ -38,21 +38,23 @@ if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 	exit 1
 fi
 
-echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model, dataset) =="
+echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model, dataset, morton, core) =="
 # The Go spec lets a compiler fuse x*y + z, and the arm64 one does. The
 # geometry the exact stages run on and the network's kernels, forward,
 # backward and optimizer, and the generators behind every golden input, round
 # every product with an explicit float64(...) or float32(...) conversion,
 # which the spec says prevents that: one FMADD in these packages and the
 # spatial index's pruning bounds, the FPS picks, the logits, the gradients and
-# the golden fixtures would differ between amd64 and arm64. A warm build cache replays the compiler output, so no -a is
+# the golden fixtures would differ between amd64 and arm64. The Morton
+# encoder and the structurization decide the order every S+N logit is
+# computed in. A warm build cache replays the compiler output, so no -a is
 # needed.
 fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/geom/ ./internal/sample/ ./internal/spatial/ \
-	./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/dataset/ 2>&1 |
+	./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/dataset/ ./internal/morton/ ./internal/core/ 2>&1 |
 	grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
 if [ -n "$fused" ]; then
 	printf '%s\n' "$fused" >&2
-	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn, model or dataset; round the product with an explicit conversion" >&2
+	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn, model, dataset, morton or core; round the product with an explicit conversion" >&2
 	exit 1
 fi
 
@@ -170,11 +172,11 @@ go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|Te
 # from the training
 # arena, whose recycled buffers must not leak one step into the next. Exact
 # FPS's vector refresh is compared with its Go loops, whole samplings and
-# kernel by kernel.
+# kernel by kernel, and so is ApplyPlan's interpolation kernel.
 go test -race -run 'TestTrainFoldMatchesLayerByLayer|TestVectorBackward|TestVectorLinearGradientsMatchReference' ./internal/nn/
 go test -race -run 'TestGradientsIndependentOfTrainingHistory|TestBackwardAfterEvalForwardFails' ./internal/pipeline/
 go test -race -run 'TestFeatKNNMatchesScalarOracle|TestFeatKNNScheduleIndependent|TestKNNScan|TestKNNSym' ./internal/model/
-go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS' ./internal/sample/
+go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS|TestApplyPlan' ./internal/sample/
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
@@ -213,25 +215,30 @@ echo "== allocs/op regression gate =="
 # not what is gated.
 # The first two PointNet++ rows are Baseline frames, every exact stage through
 # internal/spatial: at 512 points one level is large enough for its grid, at
-# 2048 two are and the rest take its linear scan. Both measure 16 (31 before
-# the coordinate plan kept its samples, neighbor lists, interpolation plans
-# and per-level indexes across frames), the S+N row 33 (structurization's
-# copies and the Morton window's fan-out are most of it), DGCNN 15
-# (25 before featKNN's lists came from the workspace) and the serve loop 16
-# (31 before the coordinate plan; 62 / 62 / 46 / 62 before the shared MLP's epilogue
-# was fused: on one core every parallel.ForChunks call allocated its closure
-# even to run it inline, and each Linear, bias, BatchNorm, ReLU and max-pool
-# was one or more such calls or workspace round trips). A W3 training step
-# (after two warm-up steps) measures 21, a few more when a collection has
-# emptied a sync.Pool (25 before featKNN's lists came from the training
-# arena): 536 before training ran the vector kernels,
-# 212 before its activations and gradients came from the net's training
-# arena, and a kernel that starts allocating per call shows here. At -cpu 2 a
-# step's Linear weight gradients run on a worker beside the backward walk, a
-# fan-out this row gates (a per-step go, channel or closure would show): the
-# mean over 50 steps reads 21-22 at the change that added the worker and at
-# its parent (a single step, 21-49: the first steps grow sync.Pools and the
-# arena on a schedule of their own).
+# 2048 two are and the rest take its linear scan. Both measure 13 (16 before
+# sample.ApplyPlan's kernel replaced its fan-out closure, 31 before the
+# coordinate plan kept its samples, neighbor lists, interpolation plans and
+# per-level indexes across frames). The S+N row measures 16: the Baseline
+# frame's 13, the Output's permutation and labels, which must outlive the
+# frame, and one more (33 before the graph structurized into kept buffers and
+# the Morton window search drew its fan-out from a pool). DGCNN measures 15
+# (25 before featKNN's lists came from the workspace) and the serve loop 13
+# (16 before the ApplyPlan kernel, 31 before the coordinate plan; 62 / 62 / 46
+# / 62 before the shared MLP's epilogue was fused: on one core every
+# parallel.ForChunks call allocated its closure even to run it inline, and
+# each Linear, bias, BatchNorm, ReLU and max-pool was one or more such calls
+# or workspace round trips). A W3 S+N training step (after two warm-up steps)
+# measures 6, 8 when a collection has emptied a sync.Pool (21 before the
+# graph structurized into kept buffers and DGCNN's window list was kept: the
+# clone, the permutation's copies and the sort's buffers; 25 before featKNN's
+# lists came from the training arena, 536 before training ran the vector
+# kernels, 212 before its activations and gradients came from the net's
+# training arena), and a kernel that starts allocating per call shows here.
+# At -cpu 2 a step's Linear weight gradients run on a worker beside the
+# backward walk, a fan-out this row gates (a per-step go, channel or closure
+# would show): the mean over 50 steps reads 6-7 (21-22 before the kept
+# structurization; a single step reads more: the first steps grow sync.Pools
+# and the arena on a schedule of their own).
 bench_out=$(go test -run '^$' -bench 'BenchmarkPipelineFrameAllocs' -benchtime=1x -benchmem -cpu 1 ./internal/pipeline/)
 serve_out=$(go test -run '^$' -bench 'BenchmarkServeSteadyState' -benchtime=1x -benchmem -cpu 1 ./internal/serve/)
 train_out=$(go test -run '^$' -bench 'BenchmarkTrainStep' -benchtime=1x -benchmem -cpu 1 ./internal/train/)
@@ -241,13 +248,13 @@ printf '%s\n%s\n%s\n%s\n' "$bench_out" "$serve_out" "$train_out" "$train2_out" |
 	/^Benchmark/ {
 		for (i = 1; i <= NF; i++) if ($i == "allocs/op") allocs = $(i-1)
 		limit = -1
-		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP")     limit = 18
-		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP2048") limit = 18
-		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPPSN")   limit = 33
+		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP")     limit = 15
+		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPP2048") limit = 15
+		if ($1 == "BenchmarkPipelineFrameAllocsPointNetPPSN")   limit = 16
 		if ($1 == "BenchmarkPipelineFrameAllocsDGCNN")          limit = 26
-		if ($1 ~ /^BenchmarkServeSteadyState/)                  limit = 18
-		if ($1 == "BenchmarkTrainStep")                         limit = 28
-		if ($1 == "BenchmarkTrainStep-2")                       limit = 22
+		if ($1 ~ /^BenchmarkServeSteadyState/)                  limit = 15
+		if ($1 == "BenchmarkTrainStep")                         limit = 13
+		if ($1 == "BenchmarkTrainStep-2")                       limit = 8
 		if (limit >= 0) {
 			seen++
 			if (allocs + 0 > limit) {
