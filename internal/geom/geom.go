@@ -204,6 +204,37 @@ func BoundsOf(pts []Point3) AABB {
 	return a
 }
 
+// MaxSpanSq is the bound a cloud's squared bounding-box diagonal must stay
+// under. The nearest-neighbor searches, exact and approximate, start their
+// top-k lists at a finite 1e300 "nothing found yet" distance and never take
+// a candidate at or beyond it; below the bound no two points of the cloud
+// are that far apart, so every list fills. (Finite coordinates overflow a
+// squared distance to +Inf from about 1e154 apart.)
+const MaxSpanSq = 1e300
+
+// CheckSpan returns the bounding box of pts and an error when the cloud is
+// outside what the searches compare: a non-finite coordinate, or a squared
+// diagonal box.Max.DistSq(box.Min) not below MaxSpanSq. DistSq is monotone
+// in each coordinate difference, so no pair of points is farther apart
+// than the diagonal.
+func CheckSpan(pts []Point3) (AABB, error) {
+	box := BoundsOf(pts)
+	if len(pts) == 0 {
+		return box, nil
+	}
+	if !box.Min.IsFinite() || !box.Max.IsFinite() {
+		for i, p := range pts {
+			if !p.IsFinite() {
+				return box, fmt.Errorf("geom: point %d has a non-finite coordinate", i)
+			}
+		}
+	}
+	if d := box.Max.DistSq(box.Min); !(d < MaxSpanSq) {
+		return box, fmt.Errorf("geom: squared bounding-box diagonal %g is not below %g", d, float64(MaxSpanSq))
+	}
+	return box, nil
+}
+
 func (b AABB) hasNaN() bool {
 	return math.IsNaN(b.Min.X) || math.IsNaN(b.Min.Y) || math.IsNaN(b.Min.Z) ||
 		math.IsNaN(b.Max.X) || math.IsNaN(b.Max.Y) || math.IsNaN(b.Max.Z)

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -268,6 +269,46 @@ func TestBoundsOfMatchesMathFold(t *testing.T) {
 		want := fold(pts)
 		if got := BoundsOf(pts); bits(got) != bits(want) {
 			t.Fatalf("BoundsOf(%v) = %v, want %v", pts, got, want)
+		}
+	}
+}
+
+// TestCheckSpan: the span check passes a cloud whose squared diagonal is
+// below MaxSpanSq, however large its coordinates, and names the first
+// non-finite point or the diagonal otherwise.
+func TestCheckSpan(t *testing.T) {
+	line := func(step float64) []Point3 {
+		pts := make([]Point3, 64)
+		for i := range pts {
+			pts[i] = Point3{X: float64(i) * step, Y: 1, Z: -2}
+		}
+		return pts
+	}
+	shifted := line(1)
+	for i := range shifted {
+		shifted[i].Y = 1e200 // far from the origin, but a narrow cloud
+	}
+	for _, tc := range []struct {
+		name string
+		pts  []Point3
+		want string // "" for no error
+	}{
+		{"empty", nil, ""},
+		{"one point", []Point3{{X: 1e300}}, ""},
+		{"unit line", line(1), ""},
+		{"far but narrow", shifted, ""},
+		{"just under", line(1.5e148), ""}, // diagonal² ≈ 8.9e299
+		{"just over", line(1.6e148), "diagonal"},
+		{"overflowing", line(1e155), "diagonal"},
+		{"nan", append(line(1), Point3{Y: math.NaN()}), "point 64 has a non-finite"},
+		{"inf", append([]Point3{{Z: math.Inf(-1)}}, line(1)...), "point 0 has a non-finite"},
+	} {
+		box, err := CheckSpan(tc.pts)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Fatalf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+		if want := BoundsOf(tc.pts); err == nil && box != want {
+			t.Fatalf("%s: box %v, want BoundsOf's %v", tc.name, box, want)
 		}
 	}
 }

@@ -99,13 +99,13 @@ func (p *plan) reset(pts []geom.Point3, sorted bool) {
 // run is the planner: every module's coordinate half, in the feature pass's
 // order, each entry published as soon as it is final.
 func (p *plan) run() {
-	// A non-finite coordinate poisons every distance the chain compares:
-	// 3-NN would find no source for such a point.
-	for i, q := range p.levels[0].pts {
-		if !q.IsFinite() {
-			p.stop(fmt.Errorf("model: cloud point %d (in the order the modules see) has a non-finite coordinate", i))
-			return
-		}
+	// A non-finite coordinate poisons every distance the chain compares,
+	// and a squared distance at the searches' 1e300 sentinel is never
+	// taken: 3-NN and the neighbor lists would keep index −1 for such a
+	// point. Point indexes are in the order the modules see.
+	if _, err := geom.CheckSpan(p.levels[0].pts); err != nil {
+		p.stop(fmt.Errorf("model: cloud: %w", err))
+		return
 	}
 	for l, m := range p.sa {
 		if err := m.plan(p, l); err != nil {

@@ -442,3 +442,44 @@ func TestBackwardFailureJoinsGradWorker(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannerRejectsOverflowingSpan: a finite cloud so wide that its squared
+// distances reach the searches' 1e300 sentinel used to reach the SA grouping
+// with neighbor index −1; the planner's span check stops it first, under
+// Baseline and S+N, inline and run ahead, and the next frame is served as a
+// fresh net serves it.
+func TestPlannerRejectsOverflowingSpan(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	good := randomCloud(2*planGrain, 7)
+	wide := good.Clone()
+	for i := range wide.Points {
+		wide.Points[i] = wide.Points[i].Scale(1e150)
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, morton := range []bool{false, true} {
+			fresh, err := NewPointNetPP(tinyPPConfig(morton))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Forward(good, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := NewPointNetPP(tinyPPConfig(morton))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := forwardWithin(t, net, wide, 30*time.Second); err == nil || !strings.Contains(err.Error(), "diagonal") {
+				t.Fatalf("GOMAXPROCS %d morton=%v: got %v, want the planner's span error", procs, morton, err)
+			}
+			got, err := net.Forward(good, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Logits.Equal(want.Logits) {
+				t.Fatalf("GOMAXPROCS %d morton=%v: the frame after the error differs from a fresh net's", procs, morton)
+			}
+		}
+	}
+}

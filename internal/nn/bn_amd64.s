@@ -155,7 +155,7 @@ TEXT ·bnApply8(SB), NOSPLIT, $0-81
 	IMULQ        DX, R13          // bytes of x in one group
 	MOVBQZX      relu+80(FP), AX
 	NEGQ         AX
-	MOVQ         AX, X14
+	VMOVQ        AX, X14
 	VPBROADCASTQ X14, Y14
 	VXORPS       Y15, Y15, Y15
 

@@ -41,19 +41,13 @@ func validateFrame(c *geom.Cloud, maxPoints int) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
-	min, max := c.Points[0], c.Points[0]
-	for i, p := range c.Points {
-		if !p.IsFinite() {
-			return fmt.Errorf("%w: non-finite coordinates at point %d", ErrInvalidInput, i)
-		}
-		min.X = math.Min(min.X, p.X)
-		min.Y = math.Min(min.Y, p.Y)
-		min.Z = math.Min(min.Z, p.Z)
-		max.X = math.Max(max.X, p.X)
-		max.Y = math.Max(max.Y, p.Y)
-		max.Z = math.Max(max.Z, p.Z)
+	// Non-finite coordinates, and a cloud so wide that its distances reach
+	// the searches' "nothing found" sentinel: the planner's own check.
+	box, err := geom.CheckSpan(c.Points)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidInput, err)
 	}
-	if n > 1 && !(max.X > min.X || max.Y > min.Y || max.Z > min.Z) {
+	if min, max := box.Min, box.Max; n > 1 && !(max.X > min.X || max.Y > min.Y || max.Z > min.Z) {
 		return fmt.Errorf("%w: degenerate bounding box (%d coincident points)", ErrInvalidInput, n)
 	}
 	for i, f := range c.Feat {

@@ -474,3 +474,28 @@ func (s *strictStubNet) Forward(cloud *geom.Cloud, trace *model.Trace, train boo
 
 func (s *strictStubNet) Backward(grad *tensor.Matrix) error { return nil }
 func (s *strictStubNet) Params() []*nn.Param                { return nil }
+
+// TestAdmissionRejectsOverflowingSpan: a finite cloud so wide that its
+// squared distances reach the searches' 1e300 "nothing found" sentinel is
+// invalid input, rejected at admission with the planner's own check; one
+// just inside the bound is admitted.
+func TestAdmissionRejectsOverflowingSpan(t *testing.T) {
+	e := newStubEngine(t, nil, Config{MaxPoints: 64})
+	defer e.Close()
+	scaled := func(s float64) *geom.Cloud {
+		c := testCloud()
+		for i := range c.Points {
+			c.Points[i] = c.Points[i].Scale(s)
+		}
+		return c
+	}
+	if _, err := e.Submit(context.Background(), Request{Cloud: scaled(1e150)}); !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "diagonal") {
+		t.Fatalf("cloud scaled by 1e150: got %v, want ErrInvalidInput naming the diagonal", err)
+	}
+	if _, err := e.Submit(context.Background(), Request{Cloud: scaled(1e148)}); err != nil {
+		t.Fatalf("cloud scaled by 1e148: %v", err)
+	}
+	if s := e.Stats(); s.Invalid != 1 {
+		t.Fatalf("Invalid = %d, want 1", s.Invalid)
+	}
+}

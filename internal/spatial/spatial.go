@@ -16,9 +16,16 @@
 // sort, so level order survives inside a cell) as three coordinate columns,
 // the int32 permutation back to level indexes, and a cell-start table. FPS
 // runs sample.BucketFPS's pruning kernel over that order, where consecutive
-// runs are compact boxes; the searches walk the cells around a query in
-// growing shells and stop when nothing outside the shells can beat what they
-// hold.
+// runs are compact boxes; KNN walks the cells around a query in growing
+// shells and stops when nothing outside the shells can beat what it holds.
+// ThreeNNInto joins its targets with the grid instead: targets binned into
+// the cells, the sources of the 3×3×3 block around each occupied cell
+// gathered once, and each target's best three picked from every distance to
+// the block in one branch-free pass (an AVX2 kernel where the host has it,
+// whose Go loop is the test oracle). A target keeps that answer when its
+// third distance is strictly below the block's fence — the smallest gap to
+// the slabs just outside, built as the walk's bounds are — and takes the
+// walk otherwise.
 //
 // Identity rests on two things. Ties: the oracles scan in level order, so
 // among equal distances the lowest level index wins; the searches here meet
@@ -36,18 +43,19 @@
 // Below scanBelow points a level is not worth a grid and the same entry
 // points run the linear scan in place — the same comparisons in level
 // order, which is what the oracles are; the choice is made from the level
-// size alone. A level or a query with a non-finite coordinate takes the
-// scan as well.
+// size alone. The 3-NN scans with the join's kernel, the whole level one
+// block. A level or a query with a non-finite coordinate takes the plain
+// scan.
 //
 // Concurrency and determinism: an Index is owned by one goroutine (a
-// replica's coordinate planner). KNN and ThreeNN fan their queries out in
-// ForWorkers' chunks; the index is frozen before the fan-out, every worker
-// writes only its own queries' output rows and its own scratch slot, so the
-// result does not depend on the worker count. SampleSearch streams an SA
-// module's search beside its sampler: the sampler stays serial across
-// picks, and it publishes the pick count with an atomic store (release)
-// after writing each pick, which a searcher loads (acquire) before it reads
-// the pick. A pick is final once published, each row of the neighbor list
+// replica's coordinate planner), and ThreeNNInto runs on it. KNN fans its
+// queries out in ForWorkers' chunks; the index is frozen before the
+// fan-out, every worker writes only its own queries' output rows and its
+// own scratch slot, so the result does not depend on the worker count.
+// SampleSearch streams an SA module's search beside its sampler: the
+// sampler stays serial across picks, and it publishes the pick count with
+// an atomic store (release) after writing each pick, which a searcher loads
+// (acquire) before it reads the pick. A pick is final once published, each row of the neighbor list
 // is written once, by the worker that claimed its pick, and the level and
 // the index are frozen for the whole call — so a row is KNN's row for that
 // pick, whichever worker computes it and whenever.
@@ -121,7 +129,10 @@ type Index struct {
 	fps  sample.BucketFPS
 	work []scratch // one per worker of the widest fan-out so far
 	st   stream    // SampleSearch's hand-off, kept between calls
-	nn   threeNN   // ThreeNNInto's fan-out, kept between calls
+	// ThreeNNInto's targets binned into the grid and the counting sort's
+	// cell table (see bin), and its candidate block, kept between calls.
+	tord, tcnt []int32
+	blk        block
 }
 
 // scratch is one worker's buffers: a top-k, and the per-slab squared gaps of
@@ -524,42 +535,32 @@ func (ix *Index) KNN(queries []geom.Point3, k int) ([]int, error) {
 
 // ThreeNNInto writes into plan the inverse-distance interpolation plan from
 // the level (the sources) onto targets, with the indexes and weights
-// sample.ThreeNN{}.Plan(targets, pts) computes. It reuses plan's storage: a
-// caller that keeps the plan across calls allocates nothing once the index's
-// scratch has grown to the fan-out.
+// sample.ThreeNN{}.Plan(targets, pts) computes, as a join of the targets
+// with the level's grid (join.go). It reuses plan's storage: a caller that
+// keeps the plan across calls allocates nothing once the index's scratch has
+// grown to its largest block and target count.
+//
+// It runs on the calling goroutine. In a frame that is the coordinate
+// planner, beside the feature pass on the other core: a two-way split of the
+// join measured no faster there (DESIGN.md §16).
 func (ix *Index) ThreeNNInto(plan *sample.InterpPlan, targets []geom.Point3) error {
 	if len(ix.pts) == 0 {
 		return sample.ErrNoSources
 	}
 	ix.build()
 	plan.Resize(len(targets), min(3, len(ix.pts)))
-	workers := parallel.Workers(len(targets))
-	ix.grow(workers, plan.K)
-	j := &ix.nn
-	j.ix, j.targets, j.plan = ix, targets, plan
-	j.chunk = (len(targets) + workers - 1) / workers
-	parallel.Split(len(targets), workers, j)
-	j.targets, j.plan = nil, nil // the caller's, not ours to keep
-	return nil
-}
-
-// threeNN is ThreeNNInto's fan-out, kept in the Index so that it allocates
-// nothing: worker lo/chunk writes the plan rows of targets [lo, hi) from its
-// own scratch slot (Split's chunks are chunk targets wide).
-type threeNN struct {
-	ix      *Index
-	targets []geom.Point3
-	plan    *sample.InterpPlan
-	chunk   int
-}
-
-//edgepc:hotpath
-func (j *threeNN) Chunk(lo, hi int) {
-	s := &j.ix.work[lo/j.chunk]
-	k := j.plan.K
-	idx, d := s.idx[:k], s.d[:k]
-	for t := lo; t < hi; t++ {
-		j.ix.nearest(j.targets[t], s, idx, d)
-		j.plan.FillWeights(t, idx, d)
+	ix.grow(1, plan.K)
+	s := &ix.work[0]
+	switch {
+	case plan.K < 3 || ix.scan && !ix.cols.Finite:
+		for t, q := range targets {
+			ix.threeNNRow(plan, s, t, q)
+		}
+	case ix.scan:
+		ix.scanRows(plan, s, targets)
+	default:
+		ix.bin(targets)
+		ix.joinRows(plan, s, targets)
 	}
+	return nil
 }

@@ -342,10 +342,15 @@ func FuzzQueriesMatchOracles(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(8))
 	f.Add([]byte{1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 200, 0, 0}, uint8(2))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(5))
+	// Points on the lattice's corners and mid-lines, and a clump of
+	// duplicates with a few points at the far corner.
+	f.Add([]byte{0, 0, 0, 15, 15, 15, 4, 8, 12, 8, 4, 0, 12, 12, 4, 0, 15, 8, 15, 0, 4, 8, 8, 8}, uint8(3))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 15, 15, 15, 15, 15, 14, 14, 15, 15}, uint8(4))
 	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
 		if len(raw) < 3 || len(raw) > 3*400 {
 			return
 		}
+		shipped := scanBelow
 		forceGrid(t)
 		pts := make([]geom.Point3, len(raw)/3)
 		for i := range pts {
@@ -358,6 +363,20 @@ func FuzzQueriesMatchOracles(f *testing.F) {
 		var ix Index
 		if msg := agrees(&ix, pts, qs, 1+int(k)%12, 1+len(pts)/2); msg != "" {
 			t.Fatal(msg)
+		}
+		// The 3-NN join once more with best3's Go loop, and at the shipped
+		// cut-off, where these levels are one block each.
+		old := best3Vec
+		best3Vec = false
+		msg := diffThreeNN(&ix, pts, qs)
+		best3Vec = old
+		if msg != "" {
+			t.Fatal("Go loop:", msg)
+		}
+		SetScanBelow(shipped)
+		ix.Reset(pts)
+		if msg := diffThreeNN(&ix, pts, qs); msg != "" {
+			t.Fatal("scan:", msg)
 		}
 	})
 }
@@ -433,5 +452,22 @@ func TestSteadyStateAllocations(t *testing.T) {
 	// plan is the caller's and the fan-out is kept in the index.
 	if got := testing.AllocsPerRun(5, frame); got > 2 {
 		t.Fatalf("steady-state frame allocates %v times, want ≤ 2 (KNN's result and closure only)", got)
+	}
+	// The 3-NN alone, over the grid join (with its target binning and
+	// blocks) and over a level small enough to take the scan: nothing.
+	small := clouds[0].gen(300, rng)
+	var tiny Index
+	threeNN := func() {
+		ix.Reset(pts)
+		tiny.Reset(small)
+		for _, x := range []*Index{&ix, &tiny} {
+			if err := x.ThreeNNInto(&plan, qs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	threeNN()
+	if got := testing.AllocsPerRun(5, threeNN); got != 0 {
+		t.Fatalf("steady-state 3-NN allocates %v times, want 0", got)
 	}
 }

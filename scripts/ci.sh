@@ -27,7 +27,8 @@ go build ./...
 echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
 # blocked, the backward products, the train-mode argmax pool, nn.BatchNorm's
 # sweeps forward and backward, Linear's gradient adds, model's featKNN,
-# sample.BucketFPS's refresh and sample.ApplyPlan have amd64 assembly behind *_amd64 files; every
+# sample.BucketFPS's refresh, sample.ApplyPlan and the spatial 3-NN join's
+# best-three selection have amd64 assembly behind *_amd64 files; every
 # other GOARCH must build and vet from the stubs beside them. A VFMADD would
 # round once where the Go kernels round twice and move every golden fixture;
 # the grep covers every *.s file in the tree.
@@ -172,11 +173,16 @@ go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|Te
 # from the training
 # arena, whose recycled buffers must not leak one step into the next. Exact
 # FPS's vector refresh is compared with its Go loops, whole samplings and
-# kernel by kernel, and so is ApplyPlan's interpolation kernel.
+# kernel by kernel, and so is ApplyPlan's interpolation kernel. The 3-NN
+# join's best-three kernel is compared with its Go loop, the Go loop with a
+# sort, and the join under either with sample.ThreeNN's plans; every
+# assembly file is held to VEX-only instructions (TestAssemblyIsVEXOnly).
 go test -race -run 'TestTrainFoldMatchesLayerByLayer|TestVectorBackward|TestVectorLinearGradientsMatchReference' ./internal/nn/
 go test -race -run 'TestGradientsIndependentOfTrainingHistory|TestBackwardAfterEvalForwardFails' ./internal/pipeline/
 go test -race -run 'TestFeatKNNMatchesScalarOracle|TestFeatKNNScheduleIndependent|TestKNNScan|TestKNNSym' ./internal/model/
 go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS|TestApplyPlan' ./internal/sample/
+go test -race -run 'TestBest3|TestJoin' ./internal/spatial/
+go test -run 'TestAssemblyIsVEXOnly' .
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
