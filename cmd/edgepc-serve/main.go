@@ -1,9 +1,8 @@
-// Command edgepc-serve runs the concurrent batched inference engine
-// (internal/serve) against a Table 1 workload: it builds a pool of
-// weight-sharing model replicas, drives synthetic frames through the bounded
-// queue from concurrent clients, and reports the serving metrics — latency
-// quantiles, mean micro-batch size, throughput, and the backpressure /
-// deadline counters.
+// Command edgepc-serve runs the concurrent inference engine (internal/serve)
+// against a Table 1 workload: it builds a pool of weight-sharing model
+// replicas, drives synthetic frames through the bounded queue from
+// concurrent clients, and reports the serving metrics — latency quantiles,
+// throughput, and the backpressure / deadline counters.
 //
 // Usage:
 //
@@ -60,8 +59,6 @@ func main() {
 		config   = flag.String("config", "S+N", "execution config: baseline | S+N | S+N+F")
 		workers  = flag.Int("workers", 2, "worker pool size (one model replica each)")
 		queue    = flag.Int("queue", 0, "submission queue depth (0: 4x workers)")
-		batch    = flag.Int("batch", 8, "max frames per micro-batch (1 disables batching)")
-		window   = flag.Duration("window", 500*time.Microsecond, "micro-batch straggler wait")
 		timeout  = flag.Duration("timeout", 0, "per-frame deadline (0: none)")
 		frames   = flag.Int("frames", 32, "total frames to serve")
 		clients  = flag.Int("clients", 4, "concurrent submitting clients")
@@ -90,7 +87,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "edgepc-serve: unexpected argument %q (the command takes flags only; -degrade takes no value)\n", flag.Arg(0))
 		os.Exit(1)
 	}
-	if err := run(*workload, *config, *workers, *queue, *batch, *window, *timeout,
+	if err := run(*workload, *config, *workers, *queue, *timeout,
 		*frames, *clients, *seed, *quick, *degrade, *chaosPanic, *chaosCorrupt, *chaosStall, *chaosSeed,
 		*stallTimeout, *retries, *checkpoint,
 		*engines, *tenants, *qosRate, *qosBurst); err != nil {
@@ -111,7 +108,7 @@ func parseConfig(s string) (pipeline.ConfigKind, error) {
 	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
 }
 
-func run(workload, config string, workers, queue, batch int, window, timeout time.Duration,
+func run(workload, config string, workers, queue int, timeout time.Duration,
 	frames, clients int, seed int64, quick, degrade bool, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
 	stallTimeout time.Duration, retries int, checkpoint string,
 	engines, tenants int, qosRate, qosBurst float64) error {
@@ -156,7 +153,7 @@ func run(workload, config string, workers, queue, batch int, window, timeout tim
 		}
 	}
 	if engines > 1 {
-		return runFleet(w, kind, opts, tierOpts, engines, workers, queue, batch, window, timeout,
+		return runFleet(w, kind, opts, tierOpts, engines, workers, queue, timeout,
 			frames, clients, seed, chaosPanic, chaosCorrupt, chaosStall, chaosSeed,
 			stallTimeout, retries, checkpoint, tenants, qosRate, qosBurst)
 	}
@@ -172,8 +169,6 @@ func run(workload, config string, workers, queue, batch int, window, timeout tim
 	}
 	cfg := serve.Config{
 		QueueDepth:     queue,
-		MaxBatch:       batch,
-		BatchWindow:    window,
 		DefaultTimeout: timeout,
 		StallTimeout:   stallTimeout,
 		Rebuild: func(worker, tier int) (pipeline.Net, error) {
@@ -281,8 +276,7 @@ func run(workload, config string, workers, queue, batch int, window, timeout tim
 	fmt.Printf("latency p50 %v p90 %v p99 %v max %v (window of %d)\n",
 		s.Latency.P50.Round(time.Microsecond), s.Latency.P90.Round(time.Microsecond),
 		s.Latency.P99.Round(time.Microsecond), s.Latency.Max.Round(time.Microsecond), s.Latency.Window)
-	fmt.Printf("batches: %d (mean %.2f frames/batch), throughput %.0f frames/s\n",
-		s.Batches, s.MeanBatch, float64(okCount.Load())/elapsed.Seconds())
+	fmt.Printf("throughput %.0f frames/s\n", float64(okCount.Load())/elapsed.Seconds())
 	fmt.Printf("resilience: %d panics (%d quarantines, %d breaker trips), %d stalls / %d respawns, %d invalid, %d step-downs / %d step-ups\n",
 		s.Panics, s.Quarantines, s.BreakerTrips, s.Stalls, s.Respawns, s.Invalid, s.StepDowns, s.StepUps)
 	if n := stalledCount.Load(); n > 0 {
@@ -301,7 +295,7 @@ func run(workload, config string, workers, queue, batch int, window, timeout tim
 // (pipeline.FleetReplicas), per-tenant QoS token buckets, priority load
 // shedding and spillover, with clients cycling tenant/stream identities.
 func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Options, tierOpts []pipeline.Options,
-	engines, workers, queue, batch int, window, timeout time.Duration,
+	engines, workers, queue int, timeout time.Duration,
 	frames, clients int, seed int64, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
 	stallTimeout time.Duration, retryMax int, checkpoint string,
 	tenants int, qosRate, qosBurst float64) error {
@@ -320,8 +314,6 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 	for e := range pool {
 		cfg := serve.Config{
 			QueueDepth:     queue,
-			MaxBatch:       batch,
-			BatchWindow:    window,
 			DefaultTimeout: timeout,
 			StallTimeout:   stallTimeout,
 			Rebuild: func(worker, tier int) (pipeline.Net, error) {

@@ -13,7 +13,7 @@ import (
 // degradation ladder together; this smoke test runs the whole command
 // in-process at laptop scale.
 func TestRunFleetSmoke(t *testing.T) {
-	err := run("W1", "S+N", 1, 0, 1, 100*time.Microsecond, 0,
+	err := run("W1", "S+N", 1, 0, 0,
 		24, 4, 1, true, true, 0, 0, 0, 1,
 		0, 0, "",
 		2, 3, 500, 0)
@@ -26,7 +26,7 @@ func TestRunFleetSmoke(t *testing.T) {
 // watchdog armed, retries live on the router. The command must
 // complete with the router's conservation law intact (run checks it).
 func TestRunSurvivabilitySmoke(t *testing.T) {
-	err := run("W1", "S+N", 1, 0, 1, 100*time.Microsecond, 0,
+	err := run("W1", "S+N", 1, 0, 0,
 		24, 4, 1, true, false, 0, 0, 0.1, 1,
 		250*time.Millisecond, 2, "",
 		3, 3, 0, 0)
@@ -59,7 +59,7 @@ func TestRunCheckpointRestore(t *testing.T) {
 	if err := pipeline.SaveCheckpoint(path, quickNet(t)); err != nil {
 		t.Fatal(err)
 	}
-	err := run("W1", "S+N", 1, 0, 1, 100*time.Microsecond, 0,
+	err := run("W1", "S+N", 1, 0, 0,
 		4, 1, 1, true, false, 0, 0, 0, 1,
 		0, 0, path,
 		1, 4, 0, 0)
@@ -80,7 +80,7 @@ func TestRunFleetValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("W1", "S+N", 1, 0, 1, 100*time.Microsecond, 0,
+			err := run("W1", "S+N", 1, 0, 0,
 				1, 1, 1, true, false, 0, 0, 0, 1,
 				0, 0, "",
 				tc.engines, tc.tenants, tc.qosRate, 0)
@@ -109,7 +109,7 @@ func TestRunSurvivabilityValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("W1", "S+N", 1, 0, 1, 100*time.Microsecond, 0,
+			err := run("W1", "S+N", 1, 0, 0,
 				1, 1, 1, true, false, 0, 0, 0, 1,
 				tc.stallTimeout, tc.retries, tc.checkpoint,
 				tc.engines, 4, 0, 0)

@@ -61,6 +61,10 @@ func TestCommandSmokeFailures(t *testing.T) {
 		// There is one compute path and no -backend flag: a script that still
 		// passes one is refused, not served the only kernel.
 		{"edgepc-serve-removed-backend-flag", []string{"run", "./cmd/edgepc-serve", "-backend", "int8"}, "flag provided but not defined: -backend"},
+		// A worker takes one frame per pickup: there is no micro-batch to size
+		// or wait for, and a script that still tunes one is refused.
+		{"edgepc-serve-removed-batch-flag", []string{"run", "./cmd/edgepc-serve", "-batch", "4"}, "flag provided but not defined: -batch"},
+		{"edgepc-serve-removed-window-flag", []string{"run", "./cmd/edgepc-serve", "-window", "1ms"}, "flag provided but not defined: -window"},
 	}
 	for _, c := range cases {
 		c := c

@@ -31,7 +31,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform draw in [0, 1) with 53 bits of precision.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // IntN returns a uniform draw in [0, n).

@@ -17,9 +17,10 @@ import (
 // engine's serve.Ladder decides when to step a tier down or up, and
 // serve.RetryPolicy decides whether a retry may launch and after what
 // backoff. What is modelled here is only frame *execution*: a bounded
-// reject-don't-block FIFO per engine, Workers service slots, a per-tier
-// service time drawn from calibration or the spec, and batches of one — so
-// Ladder.BatchDone fires per frame.
+// reject-don't-block FIFO per engine, Workers service slots, and a per-tier
+// service time drawn from calibration or the spec. A slot serves one frame
+// at a time and Ladder.Done observes after each, as serve.Engine's workers
+// do.
 //
 // With StallFrac > 0 the survivability layer engages (DESIGN.md §15): a
 // seeded per-dispatch draw wedges the attempt's worker until the modelled
@@ -386,7 +387,7 @@ func (s *sim) rampMult(t int64) float64 {
 						m = r[i].Mult
 					} else {
 						f := (x - r[i-1].At) / span
-						m = r[i-1].Mult + f*(r[i].Mult-r[i-1].Mult)
+						m = r[i-1].Mult + float64(f*(r[i].Mult-r[i-1].Mult))
 					}
 					break
 				}
@@ -499,7 +500,7 @@ func (s *sim) dispatch(id int) {
 		it := e.popq()
 		if s.spec.Deadline > 0 && s.now-it.arr > int64(s.spec.Deadline) {
 			s.failFrame(it.fid, it.prio, &s.counts.FailedDeadline)
-			e.ladder.BatchDone(e.n)
+			e.ladder.Done(e.n)
 			continue
 		}
 		e.free--
@@ -595,7 +596,7 @@ func (s *sim) retryFire(ev event) {
 }
 
 // complete finishes one attempt: latency accounting, the ladder's
-// batch-done observation, next dispatch. A frame's one attempt in flight is
+// frame-done observation, next dispatch. A frame's one attempt in flight is
 // the only one that can complete it, so every completion counts.
 func (s *sim) complete(ev event) {
 	e := &s.engines[ev.eng]
@@ -608,7 +609,7 @@ func (s *sim) complete(ev event) {
 	s.tDone[ev.tenant]++
 	s.classes[ev.prio].Completed++
 	delete(s.frames, ev.fid) // a no-op with the survivability layer off
-	e.ladder.BatchDone(e.n)
+	e.ladder.Done(e.n)
 	s.dispatch(int(ev.eng))
 }
 
@@ -695,7 +696,7 @@ func latSummary(lat []int64) (p50, p99, mean, max time.Duration) {
 		sum += v
 	}
 	rank := func(q float64) time.Duration {
-		r := int(q*float64(len(sorted)) + 0.5)
+		r := int(float64(q*float64(len(sorted))) + 0.5)
 		if r < 1 {
 			r = 1
 		}

@@ -87,7 +87,7 @@ func quantileDur(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(q*float64(len(sorted)) + 0.5)
+	rank := int(float64(q*float64(len(sorted))) + 0.5)
 	if rank < 1 {
 		rank = 1
 	}

@@ -185,7 +185,7 @@ func Summarize(xs []float64) Summary {
 	s.Mean /= float64(len(xs))
 	for _, x := range xs {
 		d := x - s.Mean
-		s.Std += d * d
+		s.Std += float64(d * d)
 	}
 	s.Std = math.Sqrt(s.Std / float64(len(xs)))
 	return s

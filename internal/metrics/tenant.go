@@ -151,7 +151,7 @@ func JainFairness(xs []float64) float64 {
 	var sum, sq float64
 	for _, x := range xs {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq <= 0 {
 		return 1

@@ -67,6 +67,11 @@ type Exec struct {
 	// the feature pass, which waits on its entries.
 	plan *plan
 
+	// lead is the frame's head not yet charged to a span — the input check,
+	// and the input-feature matrix — which the next span (structurize, or
+	// the first stage) carries, so the spans cover the frame.
+	lead time.Duration
+
 	// chain is the activation flowing from stage to stage.
 	chain *tensor.Matrix
 
@@ -286,7 +291,17 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	if cloud.Len() == 0 {
 		return nil, fmt.Errorf("model: empty cloud")
 	}
+	// A non-finite coordinate poisons every distance the searches compare,
+	// and a squared distance at their 1e300 sentinel is never taken: a
+	// neighbor list or a 3-NN plan would keep index −1 for such a point.
+	// The check's time is charged to the frame's first span (x.lead).
+	t0 := time.Now()
+	box, err := geom.CheckSpan(cloud.Points)
+	if err != nil {
+		return nil, fmt.Errorf("model: cloud: %w", err)
+	}
 	x := &g.x
+	x.lead = time.Since(t0)
 	g.trained = false
 	x.ws = g.workspace(train)
 	x.arena = g.trainArena(train)
@@ -313,22 +328,30 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 			//edgepc:lint-ignore hotpathalloc deliberate: the Output contract requires Labels to outlive the frame
 			labels = make([]int32, cloud.Len())
 		}
-		var err error
-		pts, feat, err = g.st.Into(cloud, *g.spec.Structurize, perm, labels)
+		opts := *g.spec.Structurize
+		if opts.Bounds == nil {
+			opts.Bounds = &box // the check's box is the cloud's own: no second bounds pass
+		}
+		pts, feat, err = g.st.Into(cloud, opts, perm, labels)
 		if err != nil {
 			return nil, err
 		}
-		dur := time.Since(start)
+		// The check computed the bounds the structurization would have:
+		// the stage's record and span both carry it.
+		dur := x.lead + time.Since(start)
+		x.lead = 0
 		trace.Add(StageRecord{Stage: StageStructurize, Layer: 0, Algo: "morton", N: cloud.Len(), Dur: dur})
 		if trace != nil {
 			trace.AddSpan(Span{Node: "structurize", Layer: -1, Dur: dur, Rec0: len(trace.Records) - 1, Rec1: len(trace.Records)})
 		}
 		sorted = true
 	}
+	t1 := time.Now()
 	feats, err := inputFeatures(x.scratch(), pts, feat, featDim, g.spec.ExtraFeatDim)
 	if err != nil {
 		return nil, err
 	}
+	x.lead += time.Since(t1)
 	lv := x.pushLevel()
 	lv.pts, lv.feats, lv.mortonSorted = pts, feats, sorted
 	x.chain = feats
@@ -375,8 +398,9 @@ func (g *Graph) features() error {
 			return err
 		}
 		if trace != nil {
-			trace.AddSpan(Span{Node: s.Name(), Layer: stageLayer(s), Dur: time.Since(start), Rec0: rec0, Rec1: len(trace.Records)})
+			trace.AddSpan(Span{Node: s.Name(), Layer: stageLayer(s), Dur: x.lead + time.Since(start), Rec0: rec0, Rec1: len(trace.Records)})
 		}
+		x.lead = 0
 	}
 	return nil
 }

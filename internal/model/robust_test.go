@@ -445,7 +445,7 @@ func TestBackwardFailureJoinsGradWorker(t *testing.T) {
 
 // TestPlannerRejectsOverflowingSpan: a finite cloud so wide that its squared
 // distances reach the searches' 1e300 sentinel used to reach the SA grouping
-// with neighbor index −1; the planner's span check stops it first, under
+// with neighbor index −1; the span check at the top of Forward stops it, under
 // Baseline and S+N, inline and run ahead, and the next frame is served as a
 // fresh net serves it.
 func TestPlannerRejectsOverflowingSpan(t *testing.T) {
@@ -471,7 +471,7 @@ func TestPlannerRejectsOverflowingSpan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := forwardWithin(t, net, wide, 30*time.Second); err == nil || !strings.Contains(err.Error(), "diagonal") {
-				t.Fatalf("GOMAXPROCS %d morton=%v: got %v, want the planner's span error", procs, morton, err)
+				t.Fatalf("GOMAXPROCS %d morton=%v: got %v, want the span error naming the diagonal", procs, morton, err)
 			}
 			got, err := net.Forward(good, nil, false)
 			if err != nil {

@@ -55,7 +55,7 @@ func TestSubmitOutcomesCloseClean(t *testing.T) {
 	// stays queued.
 	occupy := func(t *testing.T, e *Engine, park parkFunc) {
 		park(bg, Request{Cloud: cloud})
-		waitUntil(t, "worker to pick up the first frame", func() bool { return e.Stats().Batches == 1 })
+		waitUntil(t, "worker to pick up the first frame", func() bool { return e.Stats().Frames == 1 })
 	}
 	cases := []struct {
 		name  string
@@ -106,7 +106,7 @@ func TestSubmitOutcomesCloseClean(t *testing.T) {
 				gate := make(chan struct{})
 				release := sync.OnceFunc(func() { close(gate) })
 				t.Cleanup(release)
-				e := newStubEngine(t, gate, Config{QueueDepth: 1, MaxBatch: 1, StallTimeout: stall})
+				e := newStubEngine(t, gate, Config{QueueDepth: 1, StallTimeout: stall})
 				var parked sync.WaitGroup
 				park := func(ctx context.Context, req Request) <-chan error {
 					res := make(chan error, 1)

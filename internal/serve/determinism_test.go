@@ -71,7 +71,7 @@ func TestServeDeterministicLogits(t *testing.T) {
 
 	// Engine-level: many concurrent submissions of the frame land on both
 	// workers; every result must match the reference bits.
-	e, err := New(nets, nil, edgesim.Config{}, Config{QueueDepth: 16, MaxBatch: 4})
+	e, err := New(nets, nil, edgesim.Config{}, Config{QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,15 @@ import "sync/atomic"
 // Ladder is the degradation-ladder state machine (DESIGN.md §11): tier 0 is
 // full fidelity, each step down serves a cheaper rung. An enqueue that fills
 // the queue to the high watermark steps one tier down; Hysteresis consecutive
-// batches that finish with the queue at or below the low watermark step one
+// frames that finish with the queue at or below the low watermark step one
 // back up. It holds no queue and no clock — callers report queue lengths — so
 // serve.Engine and the loadgen simulator drive the identical code. Tier moves
 // are CAS-guarded: concurrent observers of the same pressure step once.
 type Ladder struct {
 	tiers int // rungs, tier 0 included
 	highN int // queue length that steps the ladder down
-	lowN  int // queue length at or below which a batch counts as calm
-	hyst  int // consecutive calm batches per step up
+	lowN  int // queue length at or below which a finished frame counts as calm
+	hyst  int // consecutive calm frames per step up
 
 	tier      atomic.Int32
 	calm      atomic.Int32
@@ -36,7 +36,7 @@ func NewLadder(tiers, depth int, high, low float64, hysteresis int) *Ladder {
 	}
 	l := &Ladder{
 		tiers: tiers,
-		highN: int(high*float64(depth) + 0.5),
+		highN: int(float64(high*float64(depth)) + 0.5),
 		lowN:  int(low * float64(depth)),
 		hyst:  hysteresis,
 	}
@@ -63,10 +63,10 @@ func (l *Ladder) Enqueued(qlen int) {
 	}
 }
 
-// BatchDone observes the queue length after a batch finishes. The gap
-// between the watermarks plus the consecutive-calm requirement keeps the
-// ladder from oscillating when load hovers at a watermark.
-func (l *Ladder) BatchDone(qlen int) {
+// Done observes the queue length after a frame finishes. The gap between
+// the watermarks plus the consecutive-calm requirement keeps the ladder from
+// oscillating when load hovers at a watermark.
+func (l *Ladder) Done(qlen int) {
 	if qlen > l.lowN {
 		l.calm.Store(0)
 		return

@@ -11,7 +11,7 @@ import (
 
 // ladderSteps pins the queue lengths at which the degradation ladder moves:
 // it steps down on the enqueue that makes the queue `down` long and steps up
-// on the batch that finishes with `up` frames still queued. These are the
+// on the frame that finishes with `up` frames still queued. These are the
 // engine's integer thresholds — int(high·depth + 0.5) and int(low·depth) —
 // and internal/loadgen pins the same table against the simulator, so the two
 // cannot drift apart again (at depths 3, 7 and 11 a float fill comparison
@@ -44,9 +44,9 @@ func TestLadderStepsAtPinnedQueueLengths(t *testing.T) {
 			}
 		}
 		for q := tc.depth; q >= 0 && l.Tier() == 1; q-- {
-			l.BatchDone(q)
+			l.Done(q)
 			if stepped := l.Tier() == 0; stepped != (q == tc.up) {
-				t.Fatalf("depth %d low %g: tier %d after a batch leaving %d queued, want the step up at %d", tc.depth, tc.low, l.Tier(), q, tc.up)
+				t.Fatalf("depth %d low %g: tier %d after a frame leaving %d queued, want the step up at %d", tc.depth, tc.low, l.Tier(), q, tc.up)
 			}
 		}
 		if downs, ups := l.Steps(); downs != 1 || ups != 1 {
@@ -62,7 +62,7 @@ func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
 	for _, tc := range ladderSteps {
 		gate := make(chan struct{})
 		e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, Config{
-			QueueDepth: tc.depth, MaxBatch: 1, Hysteresis: 1,
+			QueueDepth: tc.depth, Hysteresis: 1,
 			HighWatermark: tc.high, LowWatermark: tc.low,
 			Degrade: []Tier{{Nets: []pipeline.Net{&stubNet{gate: gate}}}},
 		})
@@ -81,7 +81,7 @@ func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
 			}()
 		}
 		submit()
-		waitUntil(t, "worker to pick up the first frame", func() bool { return e.Stats().Batches == 1 })
+		waitUntil(t, "worker to pick up the first frame", func() bool { return e.Stats().Frames == 1 })
 		for q := 1; q <= tc.depth; q++ {
 			submit()
 			waitUntil(t, "frame to queue", func() bool { return e.Stats().QueueLen == q })
@@ -95,16 +95,16 @@ func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
 			}
 		}
 		for q := tc.depth; q >= 0; q-- {
-			gate <- struct{}{} // one batch finishes with q frames queued
+			gate <- struct{}{} // one frame finishes with q frames queued
 			if q > 0 {
-				// The next pickup follows the ladder's batch-done observation.
-				waitUntil(t, "next pickup", func() bool { return e.Stats().Batches == uint64(tc.depth-q+2) })
+				// The next pickup follows the ladder's frame-done observation.
+				waitUntil(t, "next pickup", func() bool { return e.Stats().Frames == uint64(tc.depth-q+2) })
 			} else {
 				wg.Wait()
 				e.Close()
 			}
 			if up := e.Stats().StepUps; (up == 1) != (q <= tc.up) {
-				t.Fatalf("depth %d low %g: %d step-ups after a batch leaving %d queued, want the step at %d", tc.depth, tc.low, up, q, tc.up)
+				t.Fatalf("depth %d low %g: %d step-ups after a frame leaving %d queued, want the step at %d", tc.depth, tc.low, up, q, tc.up)
 			}
 		}
 	}

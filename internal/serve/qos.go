@@ -182,7 +182,7 @@ func (q *QoS) Admit(tenant string) (Priority, error) {
 		return b.limit.Priority, nil
 	}
 	if el := now.Sub(b.last); el > 0 {
-		b.tokens += el.Seconds() * b.limit.Rate
+		b.tokens += float64(el.Seconds() * b.limit.Rate)
 		if b.tokens > b.limit.Burst {
 			b.tokens = b.limit.Burst
 		}

@@ -27,9 +27,7 @@ func TestServeRaceStress(t *testing.T) {
 	// (read-only by contract — the race detector holds it to that).
 	dev := edgesim.JetsonAGXXavier()
 	e, err := New(nets, dev, pipeline.SimConfig(w, pipeline.SN, opts), Config{
-		QueueDepth:  8,
-		MaxBatch:    3,
-		BatchWindow: 200 * time.Microsecond,
+		QueueDepth: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +121,7 @@ func TestServeRaceStress(t *testing.T) {
 // admission/close handshake without forward-pass time dominating.
 func TestServeStubShutdownRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		e := newStubEngine(t, nil, Config{QueueDepth: 4, MaxBatch: 2})
+		e := newStubEngine(t, nil, Config{QueueDepth: 4})
 		cloud := testCloud()
 		var wg sync.WaitGroup
 		for c := 0; c < 4; c++ {

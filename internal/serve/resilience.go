@@ -13,34 +13,15 @@ import (
 // continues. The captured stack is available via Stats().LastPanic.
 var ErrPanic = errors.New("serve: worker panicked")
 
-// runProtected runs one frame under the panic barrier and reports whether it
-// panicked. The recover guard is open-coded (a single deferred func literal,
-// no closure state beyond the loop variables) so the steady-state no-panic
-// path adds zero allocations to runFrame — the defer is stack-allocated.
-//
-//edgepc:hotpath
-func (e *Engine) runProtected(w *worker, r *request, batchSize, tier int) (panicked bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			panicked = true
-			e.panics.Add(1)
-			e.notePanic(w.id, v)
-			e.failRequest(w, r, batchSize, tier, fmt.Errorf("%w: worker %d: %v", ErrPanic, w.id, v))
-		}
-	}()
-	e.runFrame(w, r, batchSize, tier)
-	return false
-}
-
 // failRequest delivers a failure for a request that has not yet received a
 // result. The deliver CAS makes it safe to call from recover paths and
 // concurrently with the stall watchdog: whoever claims the request first
 // wins, so the cap-1 reply channel can never wedge on a second send.
-func (e *Engine) failRequest(w *worker, r *request, batchSize, tier int, err error) {
+func (e *Engine) failRequest(w *worker, r *request, tier int, err error) {
 	if r == nil {
 		return
 	}
-	r.deliver(Result{Err: err, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)})
+	r.deliver(Result{Err: err, Worker: w.id, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)})
 }
 
 // notePanic records the most recent panic's worker, value and stack for
@@ -85,7 +66,7 @@ func (e *Engine) quarantine(w *worker, tier int) {
 // draining engine never waits out a backoff.
 func (e *Engine) trip(w *worker) {
 	e.trips.Add(1)
-	d := breakerBackoff(e.cfg.BackoffBase, e.cfg.BackoffMax, int(w.trips.Load()), e.cfg.BackoffJitterSeed, w.id)
+	d := breakerBackoff(e.cfg.BackoffBase, e.cfg.BackoffMax, int(w.trips.Load()), backoffJitterSeed, w.id)
 	w.trips.Add(1)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -94,6 +75,10 @@ func (e *Engine) trip(w *worker) {
 	case <-e.closing:
 	}
 }
+
+// backoffJitterSeed seeds the breaker-backoff jitter: a fixed seed
+// reproduces exact park schedules (TestBreakerBackoffJitterPinned).
+const backoffJitterSeed = 1
 
 // breakerBackoff is the park duration for a worker's trip-th consecutive
 // breaker trip: the jittered doubling of jitteredBackoff keyed by worker, so
@@ -130,12 +115,12 @@ func jitteredBackoff(base, max time.Duration, n int, seed, id uint64) time.Durat
 // wrappers cannot contain, and respawning it forever would spin.
 const maxRespawns = 8
 
-// lastResort is the outermost guard on a worker goroutine: runProtected
+// lastResort is the outermost guard on a worker goroutine: endFrame
 // contains per-frame panics, so any panic arriving here escaped the
-// engine's own machinery (a panic in coalesce, the batcher, or the
-// resilience code itself). It fails the batch in flight, then respawns the
-// pool slot with a fresh worker incarnation so the pool keeps its capacity
-// — bounded by maxRespawns to avoid a crash-loop. Deliberately minimal: no
+// engine's own machinery (a panic in the resilience code itself, such as a
+// Rebuild hook during quarantine). It fails the frame in flight, then
+// respawns the pool slot with a fresh worker incarnation so the pool keeps
+// its capacity — bounded by maxRespawns to avoid a crash-loop. Deliberately minimal: no
 // rebuild, no breaker, just "do not take the process down and do not lose
 // requests".
 //
@@ -157,19 +142,14 @@ func (e *Engine) lastResort(w *worker) {
 	e.panics.Add(1)
 	e.notePanic(w.id, v)
 	err := fmt.Errorf("%w: worker %d (outside frame execution): %v", ErrPanic, w.id, v)
-	for i, r := range w.batch {
-		if r != nil {
-			e.failRequest(w, r, len(w.batch), e.ladder.Tier(), err)
-			w.batch[i] = nil
-		}
-	}
+	e.failRequest(w, w.live.Load(), e.ladder.Tier(), err)
 	if int(w.respawns.Load()) >= maxRespawns {
 		e.slots[w.id].CompareAndSwap(w, nil) // retire the slot for the watchdog
 		return
 	}
 	// Fresh incarnation: same replicas (no rebuild here), fresh
 	// deposed/heartbeat state, breaker streak carried over.
-	nw := &worker{id: w.id, nets: w.nets, trace: w.trace, batch: make([]*request, 0, e.cfg.MaxBatch)}
+	nw := &worker{id: w.id, nets: w.nets, trace: w.trace}
 	nw.consec.Store(w.consec.Load())
 	nw.trips.Store(w.trips.Load())
 	nw.respawns.Store(w.respawns.Load() + 1)

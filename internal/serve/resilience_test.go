@@ -80,7 +80,6 @@ func TestChaosPanicIsolationSerial(t *testing.T) {
 	plan := &faultinject.Plan{Seed: 17, PanicFrac: 0.1}
 	var rebuilds atomic.Uint64
 	cfg := Config{
-		MaxBatch:  1,
 		PanicTrip: 1 << 30, // breaker off: this test isolates per-frame recovery
 		Faults:    plan,
 		Rebuild: func(worker, tier int) (pipeline.Net, error) {
@@ -192,7 +191,6 @@ func TestChaosPanicIsolationConcurrent(t *testing.T) {
 func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 	plan := &faultinject.Plan{Seed: 1, PanicFrames: []uint64{0, 1}}
 	e := newStubEngine(t, nil, Config{
-		MaxBatch:    1,
 		PanicTrip:   2,
 		BackoffBase: 50 * time.Millisecond,
 		BackoffMax:  time.Second,
@@ -233,7 +231,6 @@ func TestCloseDoesNotWaitOutBreakerPark(t *testing.T) {
 	plan := &faultinject.Plan{Seed: 1, PanicFrames: []uint64{0}}
 	e := newStubEngine(t, nil, Config{
 		QueueDepth:  4,
-		MaxBatch:    1,
 		PanicTrip:   1,
 		BackoffBase: 30 * time.Second, // would dwarf the test timeout if awaited
 		BackoffMax:  time.Minute,
@@ -282,7 +279,6 @@ func TestLastResortRespawnsWorker(t *testing.T) {
 	// contain it and respawn the worker so the pool keeps serving.
 	plan := &faultinject.Plan{Seed: 3, PanicFrames: []uint64{0}}
 	e := newStubEngine(t, nil, Config{
-		MaxBatch:  1,
 		PanicTrip: 1 << 30,
 		Faults:    plan,
 		Rebuild: func(worker, tier int) (pipeline.Net, error) {
@@ -319,7 +315,6 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	tier1 := Tier{Name: "half-window", Nets: []pipeline.Net{&stubNet{gate: gate}}}
 	e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, Config{
 		QueueDepth:    4,
-		MaxBatch:      1,
 		Degrade:       []Tier{tier1},
 		HighWatermark: 0.5,  // steps down at queue length 2
 		LowWatermark:  0.25, // calm at queue length ≤ 1
@@ -345,7 +340,7 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	// A occupies the worker at tier 0 (sampled before any pressure).
 	wg.Add(1)
 	go submit()
-	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Batches == 1 })
+	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Frames == 1 })
 	// B then C fill the queue to the high watermark; the crossing submit
 	// steps the ladder down.
 	wg.Add(1)
@@ -381,9 +376,9 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	if zeros != 1 || ones != 2 {
 		t.Fatalf("tiers %v, want one full-fidelity and two degraded", got)
 	}
-	// Draining B and C left the queue calm for two consecutive batches —
+	// Draining B and C left the queue calm for two consecutive frames —
 	// hysteresis satisfied, ladder stepped back up. The worker tells the
-	// ladder a batch is done after it has delivered the batch's results.
+	// ladder a frame is done after it has delivered the frame's result.
 	waitUntil(t, "ladder to step back up", func() bool { return e.Stats().StepUps == 1 })
 	s := e.Stats()
 	if s.Tier != 0 || s.StepUps != 1 {
@@ -418,7 +413,7 @@ func TestDelayAndStallInjection(t *testing.T) {
 		{"stall", &faultinject.Plan{Seed: 5, StallFrac: 1, Stall: pause}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newStubEngine(t, nil, Config{MaxBatch: 1, Faults: tc.plan})
+			e := newStubEngine(t, nil, Config{Faults: tc.plan})
 			defer e.Close()
 			res, err := e.Submit(context.Background(), Request{Cloud: cloud})
 			if err != nil {

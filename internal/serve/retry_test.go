@@ -46,15 +46,15 @@ func TestRetryReRoutesPanicToNextCandidate(t *testing.T) {
 		owner  Config
 		stalls uint64 // router-observed ErrStalled attempts
 	}{
-		{name: "panic", owner: Config{MaxBatch: 1, PanicTrip: 100,
+		{name: "panic", owner: Config{PanicTrip: 100,
 			Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}}},
-		{name: "stall", owner: Config{MaxBatch: 1, PanicTrip: 100, StallTimeout: 5 * time.Millisecond,
+		{name: "stall", owner: Config{PanicTrip: 100, StallTimeout: 5 * time.Millisecond,
 			Faults: &faultinject.Plan{Seed: 3, StallFrac: 1, Stall: 50 * time.Millisecond}},
 			stalls: 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rt := newMixedFleet(t, []Config{c.owner, {MaxBatch: 1}},
+			rt := newMixedFleet(t, []Config{c.owner, {}},
 				RouterConfig{
 					Spill: -1, // isolate retry re-routing from spillover
 					Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: time.Millisecond},
@@ -96,7 +96,7 @@ func TestExpiredDeadlineFailsWithOrWithoutRetries(t *testing.T) {
 	for _, retry := range []*RetryPolicy{nil, {Max: 2}} {
 		for _, budget := range []string{"expired-ctx", "timeout-1ns"} {
 			t.Run(fmt.Sprintf("retry=%v/%s", retry != nil, budget), func(t *testing.T) {
-				rt := newMixedFleet(t, []Config{{MaxBatch: 1}, {MaxBatch: 1}}, RouterConfig{Retry: retry})
+				rt := newMixedFleet(t, []Config{{}, {}}, RouterConfig{Retry: retry})
 				ctx := context.Background()
 				req := FleetRequest{Request: Request{Cloud: testCloud()}, Tenant: "t"}
 				if budget == "expired-ctx" {
@@ -127,7 +127,7 @@ func TestExpiredDeadlineFailsWithOrWithoutRetries(t *testing.T) {
 // full Max=5 schedule.
 func TestRetryRespectsDeadlineBudget(t *testing.T) {
 	rt := newMixedFleet(t,
-		[]Config{{MaxBatch: 1, PanicTrip: 100, Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}}},
+		[]Config{{PanicTrip: 100, Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}}},
 		RouterConfig{Retry: &RetryPolicy{Max: 5, BackoffBase: 20 * time.Millisecond, BackoffMax: 40 * time.Millisecond}})
 	start := time.Now()
 	_, err := rt.Submit(context.Background(), FleetRequest{
@@ -154,7 +154,7 @@ func TestRetryRespectsDeadlineBudget(t *testing.T) {
 // no engine will ever accept it, so the retry policy must not spend budget
 // on it.
 func TestRetryNeverRetriesTerminalErrors(t *testing.T) {
-	rt := newMixedFleet(t, []Config{{MaxBatch: 1}},
+	rt := newMixedFleet(t, []Config{{}},
 		RouterConfig{Retry: &RetryPolicy{Max: 3, BackoffBase: time.Millisecond}})
 	_, err := rt.Submit(context.Background(), FleetRequest{Tenant: "t"}) // nil cloud
 	if !errors.Is(err, ErrInvalidInput) {
@@ -178,7 +178,7 @@ func TestRouterSurvivabilityConcurrentConservation(t *testing.T) {
 		goroutines = 8
 		perG       = 25
 	)
-	cfg := Config{MaxBatch: 1, QueueDepth: 64, PanicTrip: 1000,
+	cfg := Config{QueueDepth: 64, PanicTrip: 1000,
 		Faults: &faultinject.Plan{Seed: 5, PanicFrac: 0.08}}
 	rt := newMixedFleet(t, []Config{cfg, cfg, cfg}, RouterConfig{
 		Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: 2 * time.Millisecond},

@@ -166,7 +166,7 @@ func TestRouterShedsLowPriorityWhileServingHigh(t *testing.T) {
 	})
 	const inflight = 14 // 2 workers busy + 12 queued of 16 slots: fill 0.75
 	rt, gates := newStubFleet(t, 2, true,
-		Config{QueueDepth: 8, MaxBatch: 1},
+		Config{QueueDepth: 8},
 		RouterConfig{QoS: qos})
 	cloud := testCloud()
 	var wg sync.WaitGroup
@@ -278,7 +278,7 @@ func fillEngine(t *testing.T, rt *Router, stream string, n int, wg *sync.WaitGro
 }
 
 func TestRouterSpillsToRingSuccessor(t *testing.T) {
-	rt, gates := newStubFleet(t, 2, true, Config{QueueDepth: 1, MaxBatch: 1}, RouterConfig{})
+	rt, gates := newStubFleet(t, 2, true, Config{QueueDepth: 1}, RouterConfig{})
 	stream := pinStream(t, rt, 0)
 	var wg sync.WaitGroup
 	fillEngine(t, rt, stream, 2, &wg) // worker + depth-1 queue of engine 0
@@ -304,7 +304,7 @@ func TestRouterSpillsToRingSuccessor(t *testing.T) {
 }
 
 func TestRouterQueueFullWithoutSpill(t *testing.T) {
-	rt, gates := newStubFleet(t, 2, true, Config{QueueDepth: 1, MaxBatch: 1}, RouterConfig{Spill: -1})
+	rt, gates := newStubFleet(t, 2, true, Config{QueueDepth: 1}, RouterConfig{Spill: -1})
 	stream := pinStream(t, rt, 0)
 	var wg sync.WaitGroup
 	fillEngine(t, rt, stream, 2, &wg)
@@ -376,12 +376,12 @@ func TestRouterThreadsCallerContext(t *testing.T) {
 		busy []int                    // engines whose worker holds the frame at cancel
 		path func(RouterStats) uint64 // the counter that shows the path was taken
 	}{
-		{name: "walk", cfg: Config{MaxBatch: 1}, busy: []int{0}},
-		{name: "spill", cfg: Config{QueueDepth: 1, MaxBatch: 1}, prep: fill, busy: []int{1},
+		{name: "walk", cfg: Config{}, busy: []int{0}},
+		{name: "spill", cfg: Config{QueueDepth: 1}, prep: fill, busy: []int{1},
 			path: func(s RouterStats) uint64 { return s.Spills }},
-		{name: "fail-open", cfg: Config{MaxBatch: 1}, prep: quarantineAll, busy: []int{0},
+		{name: "fail-open", cfg: Config{}, prep: quarantineAll, busy: []int{0},
 			path: func(s RouterStats) uint64 { return s.FailOpen }},
-		{name: "retry", cfg: Config{QueueDepth: 1, MaxBatch: 1}, prep: fill, busy: []int{1},
+		{name: "retry", cfg: Config{QueueDepth: 1}, prep: fill, busy: []int{1},
 			rcfg: RouterConfig{Spill: -1, Retry: &RetryPolicy{Max: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}},
 			path: func(s RouterStats) uint64 { return s.Retries }},
 	}
@@ -402,7 +402,7 @@ func TestRouterThreadsCallerContext(t *testing.T) {
 			}()
 			for _, i := range c.busy {
 				waitUntil(t, fmt.Sprintf("engine %d to hold the frame", i), func() bool {
-					return rt.Engine(i).Stats().Batches == 1
+					return rt.Engine(i).Stats().Frames == 1
 				})
 			}
 			cancel()

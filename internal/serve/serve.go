@@ -1,8 +1,8 @@
-// Package serve is the concurrent batched inference engine: the layer that
-// turns the one-frame-at-a-time pipeline of internal/pipeline into a
-// sustained-traffic server, the deployment shape EdgePC targets (streaming
-// frames on a constrained device, where queueing, deadlines and graceful
-// overload behavior matter as much as per-frame latency).
+// Package serve is the concurrent inference engine: the layer that turns the
+// one-frame-at-a-time pipeline of internal/pipeline into a sustained-traffic
+// server, the deployment shape EdgePC targets (streaming frames on a
+// constrained device, where queueing, deadlines and graceful overload
+// behavior matter as much as per-frame latency).
 //
 // Architecture (DESIGN.md §9, fault model §11):
 //
@@ -20,12 +20,9 @@
 //     burned — see admission.go.
 //   - Per-request deadlines: a frame whose deadline passed while queued is
 //     dropped with ErrDeadline instead of wasting a worker on a stale result.
-//   - An adaptive micro-batcher: a worker that dequeues a frame coalesces
-//     whatever compatible frames (same Key) are already pending, up to
-//     MaxBatch; if batch-mates were found — evidence of queued load — it
-//     waits up to BatchWindow for stragglers. At low load frames run
-//     immediately with zero added latency; under load batches grow and
-//     amortize per-dispatch overhead.
+//   - One frame per pickup: a worker takes the next queued frame, runs it,
+//     and only then takes another, so a frame queued while one worker is
+//     busy goes to the next worker that frees up.
 //   - Panic isolation: every frame runs under a recover wrapper; a panic
 //     fails that one request with ErrPanic (stack captured in Stats), the
 //     worker's replica is quarantined and rebuilt via Config.Rebuild, and
@@ -33,7 +30,7 @@
 //     backoff — see resilience.go.
 //   - A stall watchdog: every worker stamps an atomic frame-start heartbeat;
 //     a watchdog goroutine detects a worker wedged past Config.StallTimeout,
-//     fails its in-flight batch with ErrStalled (exactly-once delivery via a
+//     fails its in-flight frame with ErrStalled (exactly-once delivery via a
 //     per-request CAS), counts the stall toward the circuit breaker, and
 //     respawns the pool slot with rebuilt replicas — see watchdog.go.
 //   - A degradation ladder: when queue depth crosses the high watermark the
@@ -101,19 +98,19 @@ type Config struct {
 	// QueueDepth bounds the submission queue; a full queue rejects with
 	// ErrQueueFull. Default: 4× the worker count.
 	QueueDepth int
-	// MaxBatch caps how many frames one worker coalesces into a micro-batch.
-	// Default 8; 1 disables batching.
+	// MaxBatch is read by nothing: a worker takes one frame per pickup.
+	//
+	// Deprecated: the benchmark under bench/ is its only setter; ROADMAP
+	// item 2(b)/(c) removes it together with that use.
 	MaxBatch int
-	// BatchWindow is the longest a worker waits for batch stragglers once at
-	// least two frames are in hand. Default 500µs; negative disables the
-	// wait (batches still form from already-pending frames).
+	// BatchWindow is read by nothing: a worker never waits for more frames.
+	//
+	// Deprecated: the benchmark under bench/ is its only setter; ROADMAP
+	// item 2(b)/(c) removes it together with that use.
 	BatchWindow time.Duration
 	// DefaultTimeout is applied to requests that carry no timeout of their
 	// own. Zero means no deadline.
 	DefaultTimeout time.Duration
-	// LatencyWindow is the sample capacity of the latency quantile window
-	// (metrics.DefaultLatencyWindow when zero).
-	LatencyWindow int
 
 	// MaxPoints is the admission cap on cloud size; larger frames are
 	// rejected with ErrInvalidInput. Default DefaultMaxPoints.
@@ -126,11 +123,11 @@ type Config struct {
 	// HighWatermark is the queue-fill fraction at which the engine steps one
 	// tier down. Default 0.75.
 	HighWatermark float64
-	// LowWatermark is the queue-fill fraction at or below which a batch
-	// counts as calm; Hysteresis consecutive calm batches step one tier back
-	// up. Default HighWatermark/3.
+	// LowWatermark is the queue-fill fraction at or below which a finished
+	// frame counts as calm; Hysteresis consecutive calm frames step one tier
+	// back up. Default HighWatermark/3.
 	LowWatermark float64
-	// Hysteresis is the number of consecutive calm batches required before
+	// Hysteresis is the number of consecutive calm frames required before
 	// stepping a tier back up. Default 4.
 	Hysteresis int
 
@@ -138,19 +135,17 @@ type Config struct {
 	// its circuit breaker. Default 3.
 	PanicTrip int
 	// BackoffBase is the first breaker park duration; it doubles on every
-	// consecutive trip up to BackoffMax, with seeded jitter spreading each
-	// park across the upper half of its doubled value so workers tripped by
-	// the same fault storm do not re-probe in lockstep. Defaults 100ms / 5s.
+	// consecutive trip up to BackoffMax, with jitter from a fixed seed (so
+	// park schedules are reproducible) spreading each park across the upper
+	// half of its doubled value so workers tripped by the same fault storm do
+	// not re-probe in lockstep. Defaults 100ms / 5s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// BackoffJitterSeed seeds the deterministic breaker-backoff jitter;
-	// fixed seeds reproduce exact park schedules. Default 1.
-	BackoffJitterSeed uint64
 	// StallTimeout arms the stall watchdog: a worker whose frame-start
-	// heartbeat is older than this is declared wedged — its in-flight batch
+	// heartbeat is older than this is declared wedged — its in-flight frame
 	// fails with ErrStalled, the stall counts toward the worker's circuit
 	// breaker, and the pool slot is respawned with replicas rebuilt through
-	// Rebuild (without a Rebuild hook the batch still fails but the wedged
+	// Rebuild (without a Rebuild hook the frame still fails but the wedged
 	// worker keeps its slot, since its replica cannot be replaced). Zero —
 	// the default — disables the watchdog. See watchdog.go.
 	StallTimeout time.Duration
@@ -171,15 +166,6 @@ func (c *Config) defaults(workers int) {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * workers
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 500 * time.Microsecond
-	}
-	if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.MaxPoints <= 0 {
 		c.MaxPoints = DefaultMaxPoints
 	}
@@ -195,9 +181,6 @@ func (c *Config) defaults(workers int) {
 			c.BackoffMax = c.BackoffBase
 		}
 	}
-	if c.BackoffJitterSeed == 0 {
-		c.BackoffJitterSeed = 1
-	}
 	if c.StallTimeout < 0 {
 		c.StallTimeout = 0
 	}
@@ -208,10 +191,6 @@ type Request struct {
 	// Cloud is the input frame. It must not be mutated until Submit returns:
 	// the forward pass reads it concurrently with the caller.
 	Cloud *geom.Cloud
-	// Key is the batch-compatibility tag: only frames with equal keys share
-	// a micro-batch (frames of the same model/config stream). Callers with a
-	// single stream leave it empty.
-	Key string
 	// Timeout, when positive, is how long the frame may wait for a worker:
 	// one that picks it up later fails it with ErrDeadline instead of
 	// running it. Zero inherits Config.DefaultTimeout. It does not bound
@@ -231,9 +210,6 @@ type Result struct {
 	Err error
 	// Worker is the pool slot that ran the frame.
 	Worker int
-	// BatchSize is the number of frames in the micro-batch this frame rode
-	// in.
-	BatchSize int
 	// Tier is the degradation rung the frame was served at: 0 is full
 	// fidelity, i ≥ 1 indexes Config.Degrade[i-1].
 	Tier int
@@ -246,7 +222,6 @@ type Result struct {
 // request is the queued form of a Request.
 type request struct {
 	cloud    *geom.Cloud
-	key      string
 	seq      uint64 // admission sequence number (fault-plan domain)
 	ctx      context.Context
 	deadline time.Time // zero: no deadline
@@ -259,7 +234,7 @@ type request struct {
 // won the claim. Exactly one deliverer ever wins — the serving worker, the
 // stall watchdog, or a recover path — which is what keeps the cap-1 reply
 // channel from wedging and guarantees no request is double-completed when a
-// watchdog fails a batch a zombie worker later finishes.
+// watchdog fails a frame a zombie worker later finishes.
 //
 //edgepc:hotpath
 func (r *request) deliver(res Result, counted ...*atomic.Uint64) bool {
@@ -276,17 +251,15 @@ func (r *request) deliver(res Result, counted ...*atomic.Uint64) bool {
 }
 
 // worker is one goroutine incarnation of a pool slot: a private net replica
-// per ladder tier (shared weights, private workspace and caches), a
-// reusable trace, and a reusable batch slice. A respawn — lastResort after
-// an escaped panic, or the stall watchdog deposing a wedged incarnation —
-// builds a fresh worker for the slot, so deposed/beat/live state is never
-// shared between the dying goroutine and its replacement.
+// per ladder tier (shared weights, private workspace and caches) and a
+// reusable trace. A respawn — lastResort after an escaped panic, or the
+// stall watchdog deposing a wedged incarnation — builds a fresh worker for
+// the slot, so deposed/beat/live state is never shared between the dying
+// goroutine and its replacement.
 type worker struct {
 	id    int
 	nets  []pipeline.Net // nets[tier]; index 0 is the full-fidelity replica
 	trace model.Trace
-	batch []*request
-	carry *request // dequeued frame with a mismatched key, runs next batch
 
 	// Circuit-breaker state. Written only by the owning goroutine (and the
 	// constructor of a replacement incarnation); atomic because the stall
@@ -295,16 +268,14 @@ type worker struct {
 	trips    atomic.Int32 // consecutive breaker trips (backoff exponent)
 	respawns atomic.Int32 // consecutive respawns of this slot's lineage
 
-	pendingTrip bool // replacement must serve a breaker park before batch 1
+	pendingTrip bool // replacement must serve a breaker park before its first frame
 
-	beat    atomic.Int64 // frame-start heartbeat (unix ns); 0 while idle
-	deposed atomic.Bool  // incarnation claimed (watchdog or own exit); claimant runs wg.Done
-	stalled atomic.Bool  // watchdog already failed the current batch in place
-	liveMu  sync.Mutex   // guards live
-	live    []*request   // in-flight batch published for the watchdog
+	beat    atomic.Int64            // frame-start heartbeat (unix ns); 0 while idle
+	deposed atomic.Bool             // incarnation claimed (watchdog or own exit); claimant runs wg.Done
+	live    atomic.Pointer[request] // in-flight frame published for the watchdog
 }
 
-// Engine is the concurrent batched inference engine. Create with New; all
+// Engine is the concurrent inference engine. Create with New; all
 // methods are safe for concurrent use.
 type Engine struct {
 	cfg     Config
@@ -329,8 +300,7 @@ type Engine struct {
 	timedOut  atomic.Uint64
 	canceled  atomic.Uint64
 	invalid   atomic.Uint64
-	batches   atomic.Uint64
-	frames    atomic.Uint64
+	frames    atomic.Uint64 // frames picked up by a worker
 
 	degraded    []atomic.Uint64 // completed frames per tier
 	panics      atomic.Uint64
@@ -388,7 +358,7 @@ func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Confi
 		faults:   cfg.Faults,
 		ladder:   NewLadder(numTiers, cfg.QueueDepth, cfg.HighWatermark, cfg.LowWatermark, cfg.Hysteresis),
 		degraded: make([]atomic.Uint64, numTiers),
-		latency:  metrics.NewLatencyWindow(cfg.LatencyWindow),
+		latency:  metrics.NewLatencyWindow(metrics.DefaultLatencyWindow),
 	}
 	e.slots = make([]atomic.Pointer[worker], len(nets))
 	for i, n := range nets {
@@ -397,7 +367,7 @@ func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Confi
 		for _, t := range cfg.Degrade {
 			tiers = append(tiers, t.Nets[i])
 		}
-		w := &worker{id: i, nets: tiers, batch: make([]*request, 0, cfg.MaxBatch)}
+		w := &worker{id: i, nets: tiers}
 		e.slots[i].Store(w)
 		e.wg.Add(1)
 		go e.workerLoop(w)
@@ -459,7 +429,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	}
 	r := &request{
 		cloud: cloud,
-		key:   req.Key,
 		seq:   seq,
 		ctx:   ctx,
 		enq:   time.Now(),
@@ -504,10 +473,12 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 	}
 }
 
-// workerLoop is one pool goroutine: dequeue, coalesce, run, repeat until the
-// queue is closed and drained. The leading deferred guard keeps a panic from
-// escaping the goroutine and killing the process; TestLastResortRespawnsWorker
-// fails without it.
+// workerLoop is one pool goroutine: take the next frame, run it, repeat
+// until the queue is closed and drained. A worker holds one frame at a time,
+// so a frame queued while it is busy goes to whichever worker frees up
+// first. The leading deferred guard keeps a panic from escaping the
+// goroutine and killing the process; TestLastResortRespawnsWorker fails
+// without it.
 func (e *Engine) workerLoop(w *worker) {
 	defer e.lastResort(w) // recovers; also balances the incarnation's wg slot
 	if w.pendingTrip {
@@ -517,174 +488,99 @@ func (e *Engine) workerLoop(w *worker) {
 		w.pendingTrip = false
 		e.trip(w)
 	}
-	for {
-		if w.deposed.Load() {
-			// The watchdog declared this incarnation wedged, failed its
-			// batch and respawned the slot. If we got here the stall
-			// resolved late — bow out without touching the queue.
+	// A deposed incarnation was declared wedged by the watchdog, which
+	// failed its frame and respawned the slot; the stall resolved late, so
+	// it bows out without touching the queue.
+	for !w.deposed.Load() {
+		r, ok := <-e.queue
+		if !ok {
 			return
 		}
-		first := w.carry
-		w.carry = nil
-		if first == nil {
-			var ok bool
-			first, ok = <-e.queue
-			if !ok {
-				return
-			}
-		}
-		w.batch = append(w.batch[:0], first)
-		e.coalesce(w)
-		e.runBatch(w)
+		e.runFrame(w, r)
 	}
 }
 
-// coalesce grows w.batch with compatible pending frames. Phase 1 drains
-// whatever is immediately queued (no waiting). Phase 2 — only entered when
-// phase 1 found batch-mates, the adaptivity rule — waits up to BatchWindow
-// for stragglers. A frame with a different key ends the batch and is carried
-// into the next one.
-func (e *Engine) coalesce(w *worker) {
-	key := w.batch[0].key
-	for len(w.batch) < e.cfg.MaxBatch {
-		select {
-		case r, ok := <-e.queue:
-			if !ok {
-				return
-			}
-			if r.key != key {
-				w.carry = r
-				return
-			}
-			w.batch = append(w.batch, r)
-		default:
-			if len(w.batch) < 2 || e.cfg.BatchWindow <= 0 {
-				return
-			}
-			e.coalesceWindow(w, key)
-			return
-		}
-	}
-}
-
-// coalesceWindow is coalesce's phase 2: blocking receives under a shared
-// BatchWindow timer.
-func (e *Engine) coalesceWindow(w *worker, key string) {
-	timer := time.NewTimer(e.cfg.BatchWindow)
-	defer timer.Stop()
-	for len(w.batch) < e.cfg.MaxBatch {
-		select {
-		case r, ok := <-e.queue:
-			if !ok {
-				return
-			}
-			if r.key != key {
-				w.carry = r
-				return
-			}
-			w.batch = append(w.batch, r)
-		case <-timer.C:
-			return
-		}
-	}
-}
-
-// runBatch executes every frame of the worker's batch in submission order.
-// Frames run individually through the replica (the batch amortizes dispatch,
-// not compute — each forward already parallelizes internally), so one bad
-// frame fails alone. The serving tier is sampled once per batch; a panicked
-// frame quarantines the replica before the next frame runs (resilience.go).
+// runFrame is the per-frame worker hot path: publish the frame for the stall
+// watchdog, sample the serving tier, pass the deadline/cancellation gate,
+// then run the reentrant pipeline entry point against the worker's private
+// replica and trace. The deferred endFrame is the panic barrier — a frame
+// that panics fails alone — and observes the ladder. The steady-state
+// allocation profile is the single-frame pipeline's (see
+// BenchmarkServeSteadyState): the request, its reply channel and the
+// detached Output header are the only serve-layer additions.
 //
 //edgepc:hotpath
-func (e *Engine) runBatch(w *worker) {
-	n := len(w.batch)
-	e.batches.Add(1)
-	e.frames.Add(uint64(n))
+func (e *Engine) runFrame(w *worker, r *request) {
+	e.frames.Add(1)
 	tier := e.ladder.Tier()
-	// Publish the in-flight batch and start the heartbeat so the stall
-	// watchdog can see (and fail) exactly these requests if we wedge. The
-	// publish copies into a private slice under liveMu: the worker keeps
-	// mutating w.batch lock-free on the hot path.
-	w.stalled.Store(false)
-	w.liveMu.Lock()
-	w.live = append(w.live[:0], w.batch...)
-	w.liveMu.Unlock()
-	w.beat.Store(time.Now().UnixNano())
-	if e.faults != nil {
-		if d := e.faults.Frame(w.batch[0].seq); d.Op == faultinject.OpStall {
-			time.Sleep(d.Sleep)
-		}
+	w.live.Store(r)
+	defer e.endFrame(w, r, tier)
+	d := e.faults.Frame(r.seq) // zero Decision without a plan
+	if d.Op == faultinject.OpStall {
+		w.beat.Store(time.Now().UnixNano()) // the watchdog times the stall
+		time.Sleep(d.Sleep)
 	}
-	for i, r := range w.batch {
-		if w.deposed.Load() {
-			// The watchdog already failed every published request and
-			// respawned the slot; running the rest of the batch would be
-			// wasted compute on a zombie.
-			break
-		}
-		if e.runProtected(w, r, n, tier) {
-			e.quarantine(w, tier)
-			if w.consec.Add(1) >= int32(e.cfg.PanicTrip) {
-				w.consec.Store(0)
-				w.beat.Store(0) // a breaker park is not a stall
-				e.trip(w)
-				w.beat.Store(time.Now().UnixNano())
-			}
-		} else {
-			w.consec.Store(0)
-			w.trips.Store(0)
-			w.respawns.Store(0)
-		}
-		w.batch[i] = nil // release the request for GC; the slice is reused
-	}
-	w.beat.Store(0)
-	w.liveMu.Lock()
-	w.live = w.live[:0]
-	w.liveMu.Unlock()
-	e.ladder.BatchDone(len(e.queue))
-}
-
-// runFrame is the per-frame worker hot loop: deadline/cancellation gate,
-// then the reentrant pipeline entry point against the worker's private
-// replica and trace. The steady-state allocation profile is the single-frame
-// pipeline's (see BenchmarkServeSteadyState): the request, its reply channel
-// and the detached Output header are the only serve-layer additions.
-//
-//edgepc:hotpath
-func (e *Engine) runFrame(w *worker, r *request, batchSize, tier int) {
 	now := time.Now()
 	w.beat.Store(now.UnixNano()) // frame-start heartbeat for the watchdog
 	if r.ctx.Err() != nil {
 		// Submitter is gone (counted in canceled at Submit); deliver into
 		// the buffered channel for the record and move on.
-		r.deliver(Result{Err: r.ctx.Err(), Worker: w.id, BatchSize: batchSize, Tier: tier})
+		r.deliver(Result{Err: r.ctx.Err(), Worker: w.id, Tier: tier})
 		return
 	}
 	if !r.deadline.IsZero() && now.After(r.deadline) {
-		e.finish(r, Result{Err: ErrDeadline, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.timedOut)
+		e.finish(r, Result{Err: ErrDeadline, Worker: w.id, Tier: tier, Wait: now.Sub(r.enq)}, &e.timedOut)
 		return
 	}
-	if e.faults != nil {
-		switch d := e.faults.Frame(r.seq); d.Op {
-		case faultinject.OpPanic:
-			panic(fmt.Sprintf("faultinject: frame %d", r.seq))
-		case faultinject.OpDelay:
-			time.Sleep(d.Sleep)
-		}
+	switch d.Op {
+	case faultinject.OpPanic:
+		panic(fmt.Sprintf("faultinject: frame %d", r.seq))
+	case faultinject.OpDelay:
+		time.Sleep(d.Sleep)
 	}
 	rep, out, err := pipeline.RunInto(w.nets[tier], r.cloud, &w.trace, e.dev, e.sim)
 	if err != nil {
-		e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.failed)
+		e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, Tier: tier, Wait: now.Sub(r.enq)}, &e.failed)
 		return
 	}
-	e.finish(r, Result{Output: out, Report: rep, Worker: w.id, BatchSize: batchSize, Tier: tier, Wait: now.Sub(r.enq)}, &e.completed, &e.degraded[tier])
+	e.finish(r, Result{Output: out, Report: rep, Worker: w.id, Tier: tier, Wait: now.Sub(r.enq)}, &e.completed, &e.degraded[tier])
+}
+
+// endFrame is runFrame's deferred exit. As the panic barrier it recovers a
+// panicking frame, fails that request with ErrPanic, quarantines the replica
+// before the next frame runs (resilience.go) and trips the circuit breaker
+// after PanicTrip consecutive panics; a clean frame resets the streaks. It
+// then clears the watchdog's view of the worker and reports the queue length
+// to the ladder. The recover is open-coded (a deferred call with no closure
+// state), so the no-panic path adds zero allocations to runFrame.
+//
+//edgepc:hotpath
+func (e *Engine) endFrame(w *worker, r *request, tier int) {
+	if v := recover(); v != nil {
+		e.panics.Add(1)
+		e.notePanic(w.id, v)
+		e.failRequest(w, r, tier, fmt.Errorf("%w: worker %d: %v", ErrPanic, w.id, v))
+		e.quarantine(w, tier)
+		if w.consec.Add(1) >= int32(e.cfg.PanicTrip) {
+			w.consec.Store(0)
+			w.beat.Store(0) // a breaker park is not a stall
+			e.trip(w)
+		}
+	} else {
+		w.consec.Store(0)
+		w.trips.Store(0)
+		w.respawns.Store(0)
+	}
+	w.beat.Store(0)
+	w.live.Store(nil)
+	e.ladder.Done(len(e.queue))
 }
 
 // finish stamps the end-to-end latency and delivers the result (never
 // blocking: the reply channel is buffered and read at most once), moving
 // the given counters if this caller won the delivery — only the winner's
-// may move, so a zombie worker finishing a batch the watchdog already
-// failed cannot double-count frames.
+// may move, so a zombie worker finishing a frame the watchdog already
+// failed cannot double-count it.
 //
 //edgepc:hotpath
 func (e *Engine) finish(r *request, res Result, counted ...*atomic.Uint64) {
@@ -740,9 +636,12 @@ type Stats struct {
 	StepUps   uint64   // ladder step-up (recovery) events
 	Degraded  []uint64 // completed frames per tier; index 0 = full fidelity
 
-	Batches   uint64  // micro-batches executed
-	Frames    uint64  // frames across all batches
-	MeanBatch float64 // Frames / Batches
+	Frames uint64 // frames picked up by a worker
+	// Batches equals Frames: a worker runs one frame per pickup.
+	//
+	// Deprecated: kept for the benchmark under bench/, whose
+	// mean_batch row divides Frames by it; ROADMAP item 2(b)/(c) removes it.
+	Batches uint64
 
 	Latency metrics.LatencySnapshot // end-to-end submit→completion
 }
@@ -766,7 +665,6 @@ func (e *Engine) Stats() Stats {
 		Stalls:       e.stalls.Load(),
 		Respawns:     e.respawns.Load(),
 		Tier:         e.ladder.Tier(),
-		Batches:      e.batches.Load(),
 		Frames:       e.frames.Load(),
 		Latency:      e.latency.Snapshot(),
 	}
@@ -778,8 +676,6 @@ func (e *Engine) Stats() Stats {
 	e.panicMu.Lock()
 	s.LastPanic = e.lastPanic
 	e.panicMu.Unlock()
-	if s.Batches > 0 {
-		s.MeanBatch = float64(s.Frames) / float64(s.Batches)
-	}
+	s.Batches = s.Frames
 	return s
 }

@@ -18,7 +18,7 @@ import (
 
 // stubNet is a pipeline.Net whose Forward blocks on gate (when non-nil)
 // until the test releases it — the lever that makes queue-full, deadline and
-// batching scenarios deterministic instead of timing-dependent.
+// scheduling scenarios deterministic instead of timing-dependent.
 type stubNet struct {
 	gate chan struct{}
 }
@@ -75,8 +75,8 @@ func TestSubmitServes(t *testing.T) {
 		if res.Output == nil || res.Output.Logits == nil {
 			t.Fatalf("submit %d: no logits", i)
 		}
-		if res.Worker != 0 || res.BatchSize != 1 {
-			t.Fatalf("submit %d: worker=%d batch=%d", i, res.Worker, res.BatchSize)
+		if res.Worker != 0 {
+			t.Fatalf("submit %d: worker=%d", i, res.Worker)
 		}
 		if res.Total < res.Wait || res.Total <= 0 {
 			t.Fatalf("submit %d: total=%v wait=%v", i, res.Total, res.Wait)
@@ -104,7 +104,7 @@ func TestSubmitEmptyCloud(t *testing.T) {
 
 func TestBackpressureRejectsWhenFull(t *testing.T) {
 	gate := make(chan struct{})
-	e := newStubEngine(t, gate, Config{QueueDepth: 2, MaxBatch: 1})
+	e := newStubEngine(t, gate, Config{QueueDepth: 2})
 	cloud := testCloud()
 	var wg sync.WaitGroup
 	results := make(chan error, 3)
@@ -116,7 +116,7 @@ func TestBackpressureRejectsWhenFull(t *testing.T) {
 	// A occupies the worker (blocked in Forward).
 	wg.Add(1)
 	go submit()
-	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Batches == 1 })
+	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Frames == 1 })
 	// B and C fill the depth-2 queue.
 	wg.Add(2)
 	go submit()
@@ -152,7 +152,7 @@ func TestBackpressureRejectsWhenFull(t *testing.T) {
 
 func TestDeadlineDropsStaleFrame(t *testing.T) {
 	gate := make(chan struct{})
-	e := newStubEngine(t, gate, Config{QueueDepth: 4, MaxBatch: 1})
+	e := newStubEngine(t, gate, Config{QueueDepth: 4})
 	cloud := testCloud()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -162,7 +162,7 @@ func TestDeadlineDropsStaleFrame(t *testing.T) {
 			t.Errorf("frame A: %v", err)
 		}
 	}()
-	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Batches == 1 })
+	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Frames == 1 })
 	errB := make(chan error, 1)
 	wg.Add(1)
 	go func() {
@@ -188,7 +188,7 @@ func TestDeadlineDropsStaleFrame(t *testing.T) {
 
 func TestContextCancelAbandonsFrame(t *testing.T) {
 	gate := make(chan struct{})
-	e := newStubEngine(t, gate, Config{QueueDepth: 4, MaxBatch: 1})
+	e := newStubEngine(t, gate, Config{QueueDepth: 4})
 	cloud := testCloud()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -198,7 +198,7 @@ func TestContextCancelAbandonsFrame(t *testing.T) {
 			t.Errorf("frame A: %v", err)
 		}
 	}()
-	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Batches == 1 })
+	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Frames == 1 })
 	ctx, cancel := context.WithCancel(context.Background())
 	errB := make(chan error, 1)
 	wg.Add(1)
@@ -223,108 +223,62 @@ func TestContextCancelAbandonsFrame(t *testing.T) {
 	}
 }
 
-func TestMicroBatchCoalesces(t *testing.T) {
-	gate := make(chan struct{})
-	e := newStubEngine(t, gate, Config{QueueDepth: 8, MaxBatch: 4, BatchWindow: -1})
-	cloud := testCloud()
-	var wg sync.WaitGroup
-	sizes := make(chan int, 4)
-	submit := func() {
-		defer wg.Done()
-		res, err := e.Submit(context.Background(), Request{Cloud: cloud})
-		if err != nil {
-			t.Errorf("submit: %v", err)
-			sizes <- -1
-			return
-		}
-		sizes <- res.BatchSize
-	}
-	wg.Add(1)
-	go submit() // A occupies the worker
-	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Batches == 1 })
-	wg.Add(3)
-	go submit()
-	go submit()
-	go submit()
-	waitUntil(t, "B,C,D to queue", func() bool { return e.Stats().QueueLen == 3 })
-	for i := 0; i < 4; i++ {
-		gate <- struct{}{}
-	}
-	wg.Wait()
-	close(sizes)
-	var got []int
-	for s := range sizes {
-		got = append(got, s)
-	}
-	// A ran alone; B, C and D were coalesced into one batch of 3.
-	ones, threes := 0, 0
-	for _, s := range got {
-		switch s {
-		case 1:
-			ones++
-		case 3:
-			threes++
-		default:
-			t.Fatalf("unexpected batch size %d in %v", s, got)
-		}
-	}
-	if ones != 1 || threes != 3 {
-		t.Fatalf("batch sizes %v, want one 1 and three 3s", got)
-	}
-	s := e.Stats()
-	if s.Batches != 2 || s.Frames != 4 || s.MeanBatch != 2 {
-		t.Fatalf("batches=%d frames=%d mean=%v, want 2/4/2", s.Batches, s.Frames, s.MeanBatch)
-	}
-	if err := e.Close(); err != nil {
+// TestQueuedFramesGoToEveryFreeWorker pins one frame per pickup: with both
+// workers of a two-worker engine busy, frames C and D queue; when worker 0
+// frees up it takes C alone, so D goes to worker 1 as soon as that frees up,
+// instead of waiting behind C on worker 0 while worker 1 idles.
+func TestQueuedFramesGoToEveryFreeWorker(t *testing.T) {
+	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	e, err := New([]pipeline.Net{&stubNet{gate: gates[0]}, &stubNet{gate: gates[1]}}, nil, edgesim.Config{}, Config{QueueDepth: 8})
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestKeyMismatchSplitsBatch(t *testing.T) {
-	gate := make(chan struct{})
-	e := newStubEngine(t, gate, Config{QueueDepth: 8, MaxBatch: 4, BatchWindow: -1})
+	open := []bool{true, true}
+	release := func(i int) {
+		if open[i] {
+			open[i] = false
+			close(gates[i])
+		}
+	}
+	defer func() {
+		release(0) // a failure may leave a worker parked
+		release(1)
+		e.Close()
+	}()
 	cloud := testCloud()
-	var wg sync.WaitGroup
-	sizes := make(chan int, 4)
-	submit := func(key string) {
-		defer wg.Done()
-		res, err := e.Submit(context.Background(), Request{Cloud: cloud, Key: key})
-		if err != nil {
-			t.Errorf("submit %q: %v", key, err)
-			sizes <- -1
-			return
-		}
-		sizes <- res.BatchSize
+	workers := make([]chan int, 4)
+	submit := func(i int) {
+		workers[i] = make(chan int, 1)
+		go func() {
+			res, err := e.Submit(context.Background(), Request{Cloud: cloud})
+			if err != nil {
+				t.Errorf("frame %c: %v", 'A'+i, err)
+			}
+			workers[i] <- res.Worker
+		}()
 	}
-	wg.Add(1)
-	go submit("a") // occupies the worker
-	waitUntil(t, "worker busy", func() bool { return e.Stats().Batches == 1 })
-	// Queue a, then x, then a: the x boundary forces three separate batches
-	// even though MaxBatch would fit them all.
-	wg.Add(1)
-	go submit("a")
-	waitUntil(t, "first queued", func() bool { return e.Stats().QueueLen == 1 })
-	wg.Add(1)
-	go submit("x")
-	waitUntil(t, "second queued", func() bool { return e.Stats().QueueLen == 2 })
-	wg.Add(1)
-	go submit("a")
-	waitUntil(t, "third queued", func() bool { return e.Stats().QueueLen == 3 })
-	for i := 0; i < 4; i++ {
-		gate <- struct{}{}
+	// A and B occupy both workers; C then D queue behind them.
+	submit(0)
+	submit(1)
+	waitUntil(t, "both workers to pick up A and B", func() bool { return e.Stats().Frames == 2 })
+	submit(2)
+	waitUntil(t, "C to queue", func() bool { return e.Stats().QueueLen == 1 })
+	submit(3)
+	waitUntil(t, "D to queue", func() bool { return e.Stats().QueueLen == 2 })
+	gates[0] <- struct{}{} // worker 0 finishes its frame and takes the next
+	waitUntil(t, "worker 0 to pick up C", func() bool { return e.Stats().Frames >= 3 })
+	release(1) // worker 1 finishes and serves whatever is still queued
+	waitUntil(t, "every frame to be picked up", func() bool { return e.Stats().Frames == 4 })
+	release(0)
+	got := make([]int, len(workers))
+	for i, c := range workers {
+		got[i] = <-c
 	}
-	wg.Wait()
-	close(sizes)
-	for s := range sizes {
-		if s != 1 {
-			t.Fatalf("batch size %d, want 1 (keys must never share a batch)", s)
-		}
+	if got[2] != 0 || got[3] != 1 {
+		t.Fatalf("C served by worker %d and D by worker %d, want 0 and 1: a frame queued behind a busy worker must go to the next free one", got[2], got[3])
 	}
-	if s := e.Stats(); s.Batches != 4 || s.Frames != 4 {
-		t.Fatalf("batches=%d frames=%d, want 4/4", s.Batches, s.Frames)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
+	if s := e.Stats(); s.Frames != 4 || s.Batches != s.Frames {
+		t.Fatalf("frames=%d batches=%d, want 4 each (one frame per pickup)", s.Frames, s.Batches)
 	}
 }
 

@@ -29,7 +29,6 @@ func TestChaosStallStorm(t *testing.T) {
 		frames  = clients * perC
 	)
 	e, err := New([]pipeline.Net{&stubNet{}}, nil, edgesim.Config{}, Config{
-		MaxBatch:       1,
 		QueueDepth:     frames + 8, // never ErrQueueFull: isolate stall/panic classes
 		StallTimeout:   8 * time.Millisecond,
 		PanicTrip:      100000, // no breaker parks: isolate the watchdog path
@@ -89,7 +88,7 @@ func TestChaosStallStorm(t *testing.T) {
 	if s.Respawns == 0 {
 		t.Fatal("no worker respawns: the watchdog never recovered a slot")
 	}
-	// Zombies that unstick may still panic after their batch was stall-failed,
+	// Zombies that unstick may still panic after their frame was stall-failed,
 	// so the panic counter bounds the caller-visible ErrPanic count from above.
 	if s.Panics < panicN.Load() {
 		t.Fatalf("engine counted %d panics, callers saw %d ErrPanic", s.Panics, panicN.Load())
@@ -110,7 +109,6 @@ func TestFleetChaosStallStorm(t *testing.T) {
 	engines := make([]*Engine, fleet)
 	for i := range engines {
 		e, err := New([]pipeline.Net{&stubNet{}}, nil, edgesim.Config{}, Config{
-			MaxBatch:     1,
 			QueueDepth:   64,
 			StallTimeout: 8 * time.Millisecond,
 			PanicTrip:    100000,

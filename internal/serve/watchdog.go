@@ -10,7 +10,7 @@ import (
 
 // ErrStalled reports a frame abandoned by the stall watchdog: its worker
 // was stuck on one frame past Config.StallTimeout (a wedged forward pass, a
-// hung allocator, injected faultinject.OpStall chaos), so the batch was
+// hung allocator, injected faultinject.OpStall chaos), so the frame was
 // failed in place rather than letting the requests — and, with a Rebuild
 // hook, the pool slot — wedge forever. Stalls count toward the same
 // circuit breaker as panics.
@@ -53,24 +53,22 @@ func (e *Engine) watchdog() {
 // depose handles one wedged incarnation. With a Rebuild hook the slot is
 // fully recovered: claim the incarnation (the deposed CAS — the same claim
 // its own exit path uses, so exactly one side wins), fail its published
-// batch with ErrStalled, release its wg slot on its behalf (Close must
+// frame with ErrStalled, release its wg slot on its behalf (Close must
 // never wait out a goroutine that may be stuck forever), and respawn the
 // slot with freshly rebuilt replicas — the wedged ones are unrecoverable,
 // still pinned by the zombie goroutine. The stall counts toward the circuit
 // breaker exactly like a panic streak: the replacement inherits the
-// consecutive-failure count and parks before its first batch once the
+// consecutive-failure count and parks before its first frame once the
 // streak crosses PanicTrip. A Rebuild that panics is a failed rebuild:
 // deposeRecover contains it, and the slot retires.
 //
 // Without a Rebuild hook the replicas cannot be replaced, so the watchdog
-// only fails the batch in place (once per batch, via the stalled latch) and
-// leaves the worker to unstick on its own — requests are unblocked either
-// way, which is the contract that matters.
+// only fails the frame in place — later sweeps lose the request's delivery
+// CAS — and leaves the worker to unstick on its own: requests are unblocked
+// either way, which is the contract that matters.
 func (e *Engine) depose(w *worker) {
 	if e.cfg.Rebuild == nil {
-		if w.stalled.CompareAndSwap(false, true) {
-			e.failStalledBatch(w)
-		}
+		e.failStalled(w)
 		return
 	}
 	if !w.deposed.CompareAndSwap(false, true) {
@@ -78,7 +76,7 @@ func (e *Engine) depose(w *worker) {
 	}
 	defer e.wg.Done() // release the wedged incarnation's slot
 	defer e.deposeRecover(w)
-	e.failStalledBatch(w)
+	e.failStalled(w)
 	replaced := false
 	if int(w.respawns.Load()) < maxRespawns {
 		nets := make([]pipeline.Net, len(w.nets))
@@ -92,7 +90,7 @@ func (e *Engine) depose(w *worker) {
 			nets[t] = n
 		}
 		if ok {
-			nw := &worker{id: w.id, nets: nets, batch: make([]*request, 0, e.cfg.MaxBatch)}
+			nw := &worker{id: w.id, nets: nets}
 			nw.consec.Store(w.consec.Load() + 1)
 			nw.trips.Store(w.trips.Load())
 			nw.respawns.Store(w.respawns.Load() + 1)
@@ -129,20 +127,15 @@ func (e *Engine) deposeRecover(w *worker) {
 	}
 }
 
-// failStalledBatch fails every request the wedged worker published for its
-// current batch. Delivery goes through the per-request CAS, so a zombie
-// that unsticks mid-loop cannot double-complete anything and the stall
-// counter moves only for requests this call actually claimed.
-func (e *Engine) failStalledBatch(w *worker) {
-	err := fmt.Errorf("%w: worker %d stuck past %v", ErrStalled, w.id, e.cfg.StallTimeout)
-	tier := e.ladder.Tier()
-	w.liveMu.Lock()
-	n := len(w.live)
-	for _, r := range w.live {
-		if r == nil {
-			continue
-		}
-		r.deliver(Result{Err: err, Worker: w.id, BatchSize: n, Tier: tier, Wait: time.Since(r.enq), Total: time.Since(r.enq)}, &e.stalls)
+// failStalled fails the request the wedged worker published as its current
+// frame, if any. Delivery goes through the request's CAS, so a zombie that
+// unsticks and finishes the frame cannot double-complete it, and the stall
+// counter moves only if this call claimed the request.
+func (e *Engine) failStalled(w *worker) {
+	r := w.live.Load()
+	if r == nil {
+		return
 	}
-	w.liveMu.Unlock()
+	err := fmt.Errorf("%w: worker %d stuck past %v", ErrStalled, w.id, e.cfg.StallTimeout)
+	r.deliver(Result{Err: err, Worker: w.id, Tier: e.ladder.Tier(), Wait: time.Since(r.enq), Total: time.Since(r.enq)}, &e.stalls)
 }

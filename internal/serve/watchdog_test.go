@@ -22,7 +22,6 @@ func TestStallWatchdogDetectsAndRespawns(t *testing.T) {
 	gate := make(chan struct{})
 	t.Cleanup(func() { close(gate) }) // unstick the zombie after Close
 	e := newStubEngine(t, gate, Config{
-		MaxBatch:     1,
 		StallTimeout: 10 * time.Millisecond,
 		Rebuild:      func(worker, tier int) (pipeline.Net, error) { return &stubNet{}, nil },
 	})
@@ -61,12 +60,11 @@ func TestStallWatchdogDetectsAndRespawns(t *testing.T) {
 
 // TestStallWithoutRebuildFailsBatchInPlace covers the degraded watchdog mode:
 // with no Rebuild hook the wedged replica cannot be replaced, but the
-// in-flight batch must still fail with ErrStalled so callers are never
+// in-flight frame must still fail with ErrStalled so callers are never
 // wedged. Once the worker unsticks on its own it keeps serving — no respawn.
 func TestStallWithoutRebuildFailsBatchInPlace(t *testing.T) {
 	gate := make(chan struct{})
 	e := newStubEngine(t, gate, Config{
-		MaxBatch:     1,
 		StallTimeout: 10 * time.Millisecond,
 	})
 	defer e.Close()
@@ -101,10 +99,9 @@ func TestStallWithoutRebuildFailsBatchInPlace(t *testing.T) {
 // TestStallCountsTowardBreaker drives two injected stalls (faultinject
 // StallFrames) through a PanicTrip=2 engine and asserts stalls feed the same
 // circuit breaker as panics: the second replacement inherits the streak and
-// parks before its first batch, after which serving resumes.
+// parks before its first frame, after which serving resumes.
 func TestStallCountsTowardBreaker(t *testing.T) {
 	e := newStubEngine(t, nil, Config{
-		MaxBatch:     1,
 		StallTimeout: 6 * time.Millisecond,
 		PanicTrip:    2,
 		BackoffBase:  20 * time.Millisecond,
@@ -160,7 +157,6 @@ func TestStallRebuildPanicRetiresSlot(t *testing.T) {
 				stallFrames[i] = uint64(i)
 			}
 			e, err := New(nets, nil, edgesim.Config{}, Config{
-				MaxBatch:     1,
 				StallTimeout: 5 * time.Millisecond,
 				Rebuild: func(worker, tier int) (pipeline.Net, error) {
 					panic("rebuild exploded")

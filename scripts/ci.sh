@@ -39,7 +39,7 @@ if grep -rniE 'vfn?m(add|sub)' --include='*.s' .; then
 	exit 1
 fi
 
-echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model, dataset, morton, core) =="
+echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor, nn, model, dataset, morton, core, serve, loadgen, metrics) =="
 # The Go spec lets a compiler fuse x*y + z, and the arm64 one does. The
 # geometry the exact stages run on and the network's kernels, forward,
 # backward and optimizer, and the generators behind every golden input, round
@@ -48,14 +48,18 @@ echo "== no compiler-fused multiply-add on arm64 (geom, sample, spatial, tensor,
 # spatial index's pruning bounds, the FPS picks, the logits, the gradients and
 # the golden fixtures would differ between amd64 and arm64. The Morton
 # encoder and the structurization decide the order every S+N logit is
-# computed in. A warm build cache replays the compiler output, so no -a is
-# needed.
+# computed in. The serving policies (the ladder's watermarks, the token
+# bucket), the simulator's draws and the latency quantiles feed the
+# count lines that two same-seed simulator runs must print byte-equal, on
+# either architecture. A warm build cache replays the compiler output, so no
+# -a is needed.
 fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/geom/ ./internal/sample/ ./internal/spatial/ \
-	./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/dataset/ ./internal/morton/ ./internal/core/ 2>&1 |
+	./internal/tensor/ ./internal/nn/ ./internal/model/ ./internal/dataset/ ./internal/morton/ ./internal/core/ \
+	./internal/serve/ ./internal/loadgen/ ./internal/metrics/ 2>&1 |
 	grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' || true)
 if [ -n "$fused" ]; then
 	printf '%s\n' "$fused" >&2
-	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn, model, dataset, morton or core; round the product with an explicit conversion" >&2
+	echo "the arm64 compiler fused a multiply-add in geom, sample, spatial, tensor, nn, model, dataset, morton, core, serve, loadgen or metrics; round the product with an explicit conversion" >&2
 	exit 1
 fi
 
