@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/metrics"
@@ -185,7 +184,7 @@ func run(workload, config string, workers, queue int, timeout time.Duration,
 	if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
 		cfg.Faults = &faultinject.Plan{Seed: chaosSeed, PanicFrac: chaosPanic, CorruptFrac: chaosCorrupt, StallFrac: chaosStall}
 	}
-	engine, err := serve.New(rows[0], edgesim.JetsonAGXXavier(), pipeline.SimConfig(w, kind, opts), cfg)
+	engine, err := serve.NewEngine(rows[0], cfg)
 	if err != nil {
 		return err
 	}
@@ -331,7 +330,7 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 			cfg.Faults = &faultinject.Plan{Seed: chaosSeed + uint64(e),
 				PanicFrac: chaosPanic, CorruptFrac: chaosCorrupt, StallFrac: chaosStall}
 		}
-		eng, err := serve.New(fleet[e][0], edgesim.JetsonAGXXavier(), pipeline.SimConfig(w, kind, opts), cfg)
+		eng, err := serve.NewEngine(fleet[e][0], cfg)
 		if err != nil {
 			return err
 		}

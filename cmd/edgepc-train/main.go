@@ -31,17 +31,16 @@ func main() {
 	epochs := flag.Int("epochs", 20, "training epochs")
 	width := flag.Int("width", 12, "network base width")
 	seed := flag.Int64("seed", 1, "seed")
-	save := flag.String("save", "", "write the retrained EdgePC model's weights to this file")
 	checkpoint := flag.String("checkpoint", "", "write a crash-safe checkpoint here after every retraining epoch")
 	flag.Parse()
 
-	if err := run(*task, *items, *points, *epochs, *width, *seed, *save, *checkpoint); err != nil {
+	if err := run(*task, *items, *points, *epochs, *width, *seed, *checkpoint); err != nil {
 		fmt.Fprintln(os.Stderr, "edgepc-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run(task string, items, points, epochs, width int, seed int64, save, checkpoint string) error {
+func run(task string, items, points, epochs, width int, seed int64, checkpoint string) error {
 	if checkpoint != "" {
 		// Fail a bad -checkpoint before any training time is spent: the
 		// atomic write needs the directory to exist.
@@ -129,11 +128,5 @@ func run(task string, items, points, epochs, width int, seed int64, save, checkp
 	fmt.Printf("EdgePC accuracy %.3f (mIoU %.3f)\n", edgeRes.TestAcc, edgeRes.TestIoU)
 	fmt.Printf("accuracy drop vs baseline: %.1f%% (paper: within 2%% after retraining)\n",
 		100*(baseRes.TestAcc-edgeRes.TestAcc))
-	if save != "" {
-		if err := edgepc.SaveNet(save, edgeNet); err != nil {
-			return err
-		}
-		fmt.Printf("saved retrained weights to %s\n", save)
-	}
 	return nil
 }

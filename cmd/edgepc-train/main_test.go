@@ -13,7 +13,7 @@ import (
 // architecture it trained.
 func TestRunTrainCheckpointSmoke(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "train.epck")
-	if err := run("cls", 8, 32, 1, 4, 1, "", path); err != nil {
+	if err := run("cls", 8, 32, 1, 4, 1, path); err != nil {
 		t.Fatalf("train run: %v", err)
 	}
 	// Rebuild the same architecture the command trained and restore into it.
@@ -34,7 +34,7 @@ func TestRunTrainCheckpointSmoke(t *testing.T) {
 // A -checkpoint pointing into a missing directory must fail before any
 // training time is spent, with an error naming the problem.
 func TestRunTrainCheckpointBadDir(t *testing.T) {
-	err := run("cls", 8, 32, 1, 4, 1, "", "/definitely/not/a/dir/ck.epck")
+	err := run("cls", 8, 32, 1, 4, 1, "/definitely/not/a/dir/ck.epck")
 	if err == nil {
 		t.Fatal("run accepted a checkpoint in a missing directory")
 	}

@@ -65,6 +65,9 @@ func TestCommandSmokeFailures(t *testing.T) {
 		// or wait for, and a script that still tunes one is refused.
 		{"edgepc-serve-removed-batch-flag", []string{"run", "./cmd/edgepc-serve", "-batch", "4"}, "flag provided but not defined: -batch"},
 		{"edgepc-serve-removed-window-flag", []string{"run", "./cmd/edgepc-serve", "-window", "1ms"}, "flag provided but not defined: -window"},
+		// Weights have one format, the checksummed checkpoint: -checkpoint
+		// writes the final weights, and the unchecked -save stream is gone.
+		{"edgepc-train-removed-save-flag", []string{"run", "./cmd/edgepc-train", "-save", "model.epnn"}, "flag provided but not defined: -save"},
 	}
 	for _, c := range cases {
 		c := c

@@ -31,7 +31,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/neighbor"
-	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/train"
@@ -246,9 +245,16 @@ func NewSimConfig(w Workload, kind ConfigKind, opts Options) SimConfig {
 	return pipeline.SimConfig(w, kind, opts)
 }
 
-// RunFrame executes one frame through a network and prices its trace.
+// RunFrame executes one inference frame through a network and prices its
+// trace on dev: net.Forward, then dev.PriceTrace. dev must not be nil; a
+// caller that wants only the logits calls net.Forward.
 func RunFrame(net Net, cloud *Cloud, dev *Device, cfg SimConfig) (*Trace, Report, *Output, error) {
-	return pipeline.Run(net, cloud, dev, cfg)
+	trace := &Trace{}
+	out, err := net.Forward(cloud, trace, false)
+	if err != nil {
+		return nil, Report{}, nil, err
+	}
+	return trace, dev.PriceTrace(trace, cfg), out, nil
 }
 
 // TuneWindow picks the largest search window (multiple of the workload's k,
@@ -318,27 +324,6 @@ func DefaultAugment() func(*Cloud, *rand.Rand) *Cloud {
 	return func(c *Cloud, rng *rand.Rand) *Cloud {
 		return geom.Augment(c, opts, rng)
 	}
-}
-
-// SaveNet writes a network's trained parameters to a file.
-func SaveNet(path string, net Net) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return nn.SaveParams(f, net.Params())
-}
-
-// LoadNet reads parameters saved by SaveNet into an architecturally
-// identical network (names and shapes are verified).
-func LoadNet(path string, net Net) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return nn.LoadParams(f, net.Params())
 }
 
 // SaveCheckpoint writes a crash-safe checkpoint of the network's

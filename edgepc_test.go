@@ -141,6 +141,9 @@ func TestPublicAPIFileIO(t *testing.T) {
 	}
 }
 
+// TestPublicAPISaveLoadNet: a net saved with SaveCheckpoint and loaded into
+// a differently seeded net of the same shape gives the saved net's logits,
+// and a net of another width refuses the file.
 func TestPublicAPISaveLoadNet(t *testing.T) {
 	w := edgepc.Workload{
 		Arch: edgepc.ArchDGCNN, Task: edgepc.TaskClassification, Classes: 3, K: 4,
@@ -150,15 +153,15 @@ func TestPublicAPISaveLoadNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.epnn")
-	if err := edgepc.SaveNet(path, src); err != nil {
+	path := filepath.Join(t.TempDir(), "model.epck")
+	if err := edgepc.SaveCheckpoint(path, src); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := edgepc.BuildNet(w, edgepc.SN, edgepc.Options{BaseWidth: 4, Modules: 2, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := edgepc.LoadNet(path, dst); err != nil {
+	if err := edgepc.LoadCheckpoint(path, dst); err != nil {
 		t.Fatal(err)
 	}
 	// Same weights → identical logits on the same cloud.
@@ -179,7 +182,7 @@ func TestPublicAPISaveLoadNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := edgepc.LoadNet(path, other); err == nil {
+	if err := edgepc.LoadCheckpoint(path, other); err == nil {
 		t.Fatal("mismatched width: want error")
 	}
 }

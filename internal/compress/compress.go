@@ -132,9 +132,9 @@ func Decode(data []byte) (*geom.Cloud, error) {
 		}
 		x, y, z := morton.Decode3(code)
 		cloud.Points[i] = geom.Point3{
-			X: min.X + (float64(x)+0.5)*r,
-			Y: min.Y + (float64(y)+0.5)*r,
-			Z: min.Z + (float64(z)+0.5)*r,
+			X: min.X + float64((float64(x)+0.5)*r),
+			Y: min.Y + float64((float64(y)+0.5)*r),
+			Z: min.Z + float64((float64(z)+0.5)*r),
 		}
 	}
 	return cloud, nil

@@ -108,7 +108,7 @@ func (d *Device) StageLatency(r model.StageRecord, cfg Config) time.Duration {
 			sec = b * float64(r.N) * float64(r.Q) / d.DistThroughput
 		}
 	case model.StageGroup:
-		bytes := b * float64(r.Q) * float64(r.K) * float64(r.CIn) * 4 * 2 // read + write
+		bytes := float64(b*float64(r.Q)*float64(r.K)*float64(r.CIn)*4) * 2 // read + write
 		if cfg.SortedGrouping {
 			bytes *= sortedGroupingTrafficFactor
 		}

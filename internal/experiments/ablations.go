@@ -49,10 +49,11 @@ func runAblationReuse(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, rep, _, err := pipeline.Run(net, frame, cfg.Device, pipeline.SimConfig(w, pipeline.SN, o))
-		if err != nil {
+		trace := &model.Trace{}
+		if _, err := net.Forward(frame, trace, false); err != nil {
 			return nil, err
 		}
+		rep := cfg.Device.PriceTrace(trace, pipeline.SimConfig(w, pipeline.SN, o))
 		var nsLat time.Duration
 		computed := 0
 		for _, r := range rep.Records {

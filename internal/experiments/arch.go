@@ -103,8 +103,8 @@ func mergeSplitError(cfg RunConfig, t int) (mortonErr, rawErr float64, err error
 			for j := 0; j < t; j++ {
 				for c, v := range direct.Row(g*t + j) {
 					d := float64(v - mean[c])
-					num += d * d
-					den += float64(v) * float64(v)
+					num += float64(d * d)
+					den += float64(float64(v) * float64(v))
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/edgesim"
+	"repro/internal/model"
 	"repro/internal/pipeline"
 )
 
@@ -37,12 +38,11 @@ func runDevices(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseTrace, _, _, err := pipeline.Run(baseNet, frame, cfg.Device, pipeline.SimConfig(w, pipeline.Baseline, opts))
-	if err != nil {
+	baseTrace, snTrace := &model.Trace{}, &model.Trace{}
+	if _, err := baseNet.Forward(frame, baseTrace, false); err != nil {
 		return nil, err
 	}
-	snTrace, _, _, err := pipeline.Run(snNet, frame, cfg.Device, pipeline.SimConfig(w, pipeline.SN, opts))
-	if err != nil {
+	if _, err := snNet.Forward(frame, snTrace, false); err != nil {
 		return nil, err
 	}
 

@@ -43,11 +43,11 @@ func runWorkload(cfg RunConfig, w pipeline.Workload, kind pipeline.ConfigKind, o
 	if err != nil {
 		return edgesim.Report{}, err
 	}
-	_, rep, _, err := pipeline.Run(net, frame, cfg.Device, pipeline.SimConfig(w, kind, opts))
-	if err != nil {
+	trace := &model.Trace{}
+	if _, err := net.Forward(frame, trace, false); err != nil {
 		return edgesim.Report{}, fmt.Errorf("%s/%s: %w", w.ID, kind, err)
 	}
-	return rep, nil
+	return cfg.Device.PriceTrace(trace, pipeline.SimConfig(w, kind, opts)), nil
 }
 
 func runFig3(cfg RunConfig) (*Result, error) {
@@ -200,10 +200,11 @@ func runSec64(cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	simCfg := pipeline.SimConfig(w, pipeline.Baseline, opts)
-	baseTrace, baseRep, _, err := pipeline.Run(net, frame, cfg.Device, simCfg)
-	if err != nil {
+	baseTrace := &model.Trace{}
+	if _, err := net.Forward(frame, baseTrace, false); err != nil {
 		return nil, err
 	}
+	baseRep := cfg.Device.PriceTrace(baseTrace, simCfg)
 	daRep := cfg.Device.PriceTrace(pipeline.DelayedAggregation(baseTrace), simCfg)
 	edgeRep, err := runWorkload(cfg, w, pipeline.SN, opts)
 	if err != nil {

@@ -130,8 +130,8 @@ func runFig9(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, _, _, err := pipeline.Run(net, frame, cfg.Device, pipeline.SimConfig(w, kind, opts))
-		if err != nil {
+		tr := &model.Trace{}
+		if _, err := net.Forward(frame, tr, false); err != nil {
 			return nil, err
 		}
 		traces[kind] = tr

@@ -72,8 +72,8 @@ func collectSpans(cfg RunConfig, w pipeline.Workload, kind pipeline.ConfigKind, 
 	}
 	var traces []*model.Trace
 	for i := 0; i < stagesFrames+1; i++ {
-		tr, _, _, err := pipeline.Run(net, frame, cfg.Device, pipeline.SimConfig(w, kind, opts))
-		if err != nil {
+		tr := &model.Trace{}
+		if _, err := net.Forward(frame, tr, false); err != nil {
 			return nil, fmt.Errorf("%s/%s frame %d: %w", w.ID, kind, i, err)
 		}
 		if i > 0 { // skip the cold-workspace frame

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/pipeline"
 )
 
@@ -49,10 +50,11 @@ func runValidate(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			trace, rep, _, err := pipeline.Run(net, frame, cfg.Device, pipeline.SimConfig(w, kind, opts))
-			if err != nil {
+			trace := &model.Trace{}
+			if _, err := net.Forward(frame, trace, false); err != nil {
 				return nil, err
 			}
+			rep := cfg.Device.PriceTrace(trace, pipeline.SimConfig(w, kind, opts))
 			var local []latPair
 			for i, r := range trace.Records {
 				if r.Dur < 10*time.Microsecond {
@@ -111,9 +113,9 @@ func spearman(pairs []latPair) float64 {
 	var cov, varA, varB float64
 	for i := 0; i < n; i++ {
 		da, db := ra[i]-meanA, rb[i]-meanB
-		cov += da * db
-		varA += da * da
-		varB += db * db
+		cov += float64(da * db)
+		varA += float64(da * da)
+		varB += float64(db * db)
 	}
 	if varA == 0 || varB == 0 {
 		return 0

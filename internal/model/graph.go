@@ -373,9 +373,14 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 	logits := x.chain
 	if ws := x.scratch(); ws != nil && ws.Owns(logits) {
 		// Detach the result from the workspace or arena so the Output
-		// survives the next frame's Reset.
+		// survives the next frame's Reset. The copy is the frame's tail:
+		// its time is charged to the last span, as x.lead is to the first.
+		start := time.Now()
 		//edgepc:lint-ignore hotpathalloc deliberate: the Output contract requires logits to outlive the frame
 		logits = logits.Clone()
+		if trace != nil && len(trace.Spans) > 0 {
+			trace.Spans[len(trace.Spans)-1].Dur += time.Since(start)
+		}
 	}
 	g.trained = train
 	return &Output{Logits: logits, Labels: labels, Perm: perm}, nil

@@ -13,11 +13,11 @@ import (
 	"path/filepath"
 )
 
-// Crash-safe checkpoints: the corruption-detecting sibling of the plain
-// SaveParams/LoadParams stream. A checkpoint survives the two failure modes
-// plain parameter files do not: a torn write (process or machine dies
-// mid-write, leaving a prefix on disk) and silent byte corruption (bad
-// sector, truncated copy, bit rot). Format (little-endian):
+// Crash-safe checkpoints, the one weights format: trained models survive
+// process restarts (train once with cmd/edgepc-train, deploy into the
+// inference pipeline), and a checkpoint also survives a torn write (process
+// or machine dies mid-write, leaving a prefix on disk) and silent byte
+// corruption (bad sector, truncated copy, bit rot). Format (little-endian):
 //
 //	magic   [4]byte "EPCK"
 //	version byte    1

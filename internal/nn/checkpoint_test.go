@@ -165,7 +165,7 @@ func TestCheckpointWrongNetworkRejected(t *testing.T) {
 	}
 }
 
-// FuzzReadCheckpoint mirrors FuzzLoadParams: the decoder must reject
+// FuzzReadCheckpoint: the decoder must reject
 // arbitrary bytes with a typed error, never a panic or unbounded allocation,
 // and any stream it accepts must round-trip bit-exactly through
 // WriteCheckpointTo∘ReadCheckpointFrom.

@@ -3,14 +3,15 @@ package pipeline
 import (
 	"testing"
 
-	"repro/internal/edgesim"
 	"repro/internal/model"
 )
 
-// Per-frame allocation benchmarks for the inference hot path. Run with
-// -benchmem (scripts/ci.sh gates them; bash bench/run.sh tracks allocs_per_op
-// end to end): the allocs/op column is the regression metric — steady-state frames reuse the previous frame's
-// workspace buffers, so it must stay small and independent of network depth.
+// Per-frame allocation benchmarks for the inference hot path: the frame a
+// serving worker runs (trace.Reset + net.Forward on a kept trace). Run with
+// -benchmem (scripts/ci.sh gates them; bash bench/run.sh tracks
+// allocs_per_op end to end): the allocs/op column is the regression metric —
+// steady-state frames reuse the previous frame's workspace buffers, so it
+// must stay small and independent of network depth.
 
 func benchFrameAllocs(b *testing.B, arch Arch, kind ConfigKind, points int) {
 	b.Helper()
@@ -27,17 +28,18 @@ func benchFrameAllocs(b *testing.B, arch Arch, kind ConfigKind, points int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev := edgesim.JetsonAGXXavier()
-	cfg := SimConfig(w, kind, opts)
+	// The engine's frame: a kept trace, reset and refilled by net.Forward.
+	var trace model.Trace
 	// Warm-up frame: populates the workspace so the loop below measures the
 	// steady state.
-	if _, _, _, err := Run(net, frame, dev, cfg); err != nil {
+	if _, err := net.Forward(frame, &trace, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := Run(net, frame, dev, cfg); err != nil {
+		trace.Reset()
+		if _, err := net.Forward(frame, &trace, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,7 +44,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunInto(got, frame, &model.Trace{}, nil, SimConfig(w, SN, Options{})); err != nil {
+	if _, err := got.Forward(frame, &model.Trace{}, false); err != nil {
 		t.Fatalf("restored replica forward: %v", err)
 	}
 }

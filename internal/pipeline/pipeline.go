@@ -1,12 +1,12 @@
 // Package pipeline assembles the end-to-end PC inference pipelines the paper
 // evaluates: the six workloads of Table 1, the three execution
-// configurations (Baseline, S+N, S+N+F), and the per-frame run/price loop
-// that feeds the experiment harness.
+// configurations (Baseline, S+N, S+N+F), and the edgesim pricing
+// configuration (SimConfig) the experiment harness prices a frame's trace
+// under.
 package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/edgesim"
@@ -194,34 +194,14 @@ func SimConfig(w Workload, kind ConfigKind, opts Options) edgesim.Config {
 	}
 }
 
-// Run executes one frame through a freshly traced forward pass and prices it.
+// RunInto is trace.Reset, net.Forward(cloud, trace, false) and
+// dev.PriceTrace(trace, cfg) on the caller's kept Trace; a nil dev skips the
+// pricing and returns a zero Report.
 //
-// Inference forwards (train=false) serve intermediate activations from a
-// per-network workspace that is recycled between frames, so the steady-state
-// per-frame allocation count is small and independent of network depth. The
-// returned Output is detached from the workspace (logits are cloned out) and
-// stays valid across subsequent Run calls on the same net.
-//
-//edgepc:hotpath
-func Run(net Net, cloud *geom.Cloud, dev *edgesim.Device, cfg edgesim.Config) (*model.Trace, edgesim.Report, *model.Output, error) {
-	trace := &model.Trace{}
-	rep, out, err := RunInto(net, cloud, trace, dev, cfg)
-	if err != nil {
-		return nil, edgesim.Report{}, nil, err
-	}
-	return trace, rep, out, nil
-}
-
-// RunInto is the reentrant per-worker form of Run: the caller owns the Trace
-// and reuses it across frames (it is Reset here), so a long-lived serving
-// worker appends stage records into the same backing array every frame
-// instead of growing a fresh one. A nil dev skips the cost model and returns
-// a zero Report — the mode for serving paths that only want logits.
-//
-// Reentrancy contract: distinct (net, trace) pairs may call RunInto
-// concurrently — each net owns its workspace and caches — but a single net or
-// trace must never be shared between goroutines (see internal/serve, which
-// pins one replica per worker).
+// Deprecated: bench/ is its only caller. A frame that wants logits calls
+// trace.Reset and net.Forward (the serving engine does); an experiment that
+// wants the Xavier price then calls dev.PriceTrace itself. ROADMAP item
+// 2(b)/(c) moves bench/ off it and deletes it.
 //
 //edgepc:hotpath
 func RunInto(net Net, cloud *geom.Cloud, trace *model.Trace, dev *edgesim.Device, cfg edgesim.Config) (edgesim.Report, *model.Output, error) {
@@ -234,37 +214,4 @@ func RunInto(net Net, cloud *geom.Cloud, trace *model.Trace, dev *edgesim.Device
 		return edgesim.Report{}, out, nil
 	}
 	return dev.PriceTrace(trace, cfg), out, nil
-}
-
-// BatchResult aggregates a RunBatch stream.
-type BatchResult struct {
-	Outputs []*model.Output
-	// Total sums the per-frame modelled latency; Energy the per-frame
-	// energy. Frames are priced individually (cfg.Batch is forced to 1 —
-	// the batch here is materialized as real frames, so the analytic batch
-	// multiplier must not double-count).
-	Total   time.Duration
-	EnergyJ float64
-}
-
-// RunBatch executes several real frames through the network, pricing each
-// and aggregating — the streaming counterpart of the analytic batch model
-// (see edgesim.Config.Batch). Frame N+1 reuses frame N's workspace buffers,
-// so the loop allocates little beyond the Outputs it returns.
-//
-//edgepc:hotpath
-func RunBatch(net Net, frames []*geom.Cloud, dev *edgesim.Device, cfg edgesim.Config) (BatchResult, error) {
-	cfg.Batch = 1
-	var res BatchResult
-	for i, frame := range frames {
-		_, rep, out, err := Run(net, frame, dev, cfg)
-		if err != nil {
-			return res, fmt.Errorf("pipeline: frame %d: %w", i, err)
-		}
-		//edgepc:lint-ignore hotpathalloc the accumulated Outputs are the function's result, one header per frame
-		res.Outputs = append(res.Outputs, out)
-		res.Total += rep.Total
-		res.EnergyJ += rep.EnergyJ
-	}
-	return res, nil
 }

@@ -40,6 +40,18 @@ func smallWorkload(w Workload) Workload {
 	return w
 }
 
+// runPriced runs one inference frame through net and prices its trace on
+// dev: the two calls an experiment that reads a Report makes.
+func runPriced(t *testing.T, net Net, cloud *geom.Cloud, dev *edgesim.Device, cfg edgesim.Config) (*model.Trace, edgesim.Report, *model.Output) {
+	t.Helper()
+	trace := &model.Trace{}
+	out, err := net.Forward(cloud, trace, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace, dev.PriceTrace(trace, cfg), out
+}
+
 func TestBuildAndRunAllWorkloadsAllConfigs(t *testing.T) {
 	dev := edgesim.JetsonAGXXavier()
 	for _, wl := range Workloads {
@@ -53,10 +65,7 @@ func TestBuildAndRunAllWorkloadsAllConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: build: %v", w.ID, kind, err)
 			}
-			trace, rep, out, err := Run(net, cloud, dev, SimConfig(w, kind, smallOpts()))
-			if err != nil {
-				t.Fatalf("%s/%s: run: %v", w.ID, kind, err)
-			}
+			trace, rep, out := runPriced(t, net, cloud, dev, SimConfig(w, kind, smallOpts()))
 			if len(trace.Records) == 0 || rep.Total <= 0 {
 				t.Fatalf("%s/%s: empty trace or zero latency", w.ID, kind)
 			}
@@ -89,14 +98,8 @@ func TestSNFasterThanBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repB, _, err := Run(base, cloud, dev, SimConfig(w, Baseline, smallOpts()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, repS, _, err := Run(sn, cloud, dev, SimConfig(w, SN, smallOpts()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, repB, _ := runPriced(t, base, cloud, dev, SimConfig(w, Baseline, smallOpts()))
+	_, repS, _ := runPriced(t, sn, cloud, dev, SimConfig(w, SN, smallOpts()))
 	if repS.SampleNeighbor >= repB.SampleNeighbor {
 		t.Fatalf("S+N sample+NS %v not faster than baseline %v", repS.SampleNeighbor, repB.SampleNeighbor)
 	}
@@ -121,18 +124,12 @@ func TestSNFBeatsOrMatchesSN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repSN, _, err := Run(sn, cloud, dev, SimConfig(w, SN, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, repSN, _ := runPriced(t, sn, cloud, dev, SimConfig(w, SN, opts))
 	snf, err := Build(w, SNF, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, repSNF, _, err := Run(snf, cloud, dev, SimConfig(w, SNF, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, repSNF, _ := runPriced(t, snf, cloud, dev, SimConfig(w, SNF, opts))
 	if repSNF.Total > repSN.Total {
 		t.Fatalf("S+N+F (%v) slower than S+N (%v)", repSNF.Total, repSN.Total)
 	}
@@ -219,40 +216,6 @@ func TestDelayedAggregationTransform(t *testing.T) {
 	}
 	if daGroup <= baseGroup {
 		t.Fatalf("DA did not slow down grouping: %v → %v", baseGroup, daGroup)
-	}
-}
-
-func TestRunBatch(t *testing.T) {
-	dev := edgesim.JetsonAGXXavier()
-	w := smallWorkload(Workloads[2]) // DGCNN classification
-	net, err := Build(w, SN, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frames []*geom.Cloud
-	for i := int64(0); i < 3; i++ {
-		f, err := Frame(w, 10+i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, f)
-	}
-	// Batch in cfg must be ignored (forced to 1): the frames are real.
-	res, err := RunBatch(net, frames, dev, edgesim.Config{Batch: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outputs) != 3 || res.Total <= 0 || res.EnergyJ <= 0 {
-		t.Fatalf("batch result %+v", res)
-	}
-	// Per-frame total must equal a single-frame run ×3 (same workload
-	// shape, deterministic model).
-	_, rep, _, err := Run(net, frames[0], dev, edgesim.Config{Batch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total < 2*rep.Total || res.Total > 4*rep.Total {
-		t.Fatalf("aggregate %v vs single %v", res.Total, rep.Total)
 	}
 }
 

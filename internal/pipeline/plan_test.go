@@ -29,11 +29,7 @@ func capturePlanFrame(t *testing.T, net Net, w Workload, kind ConfigKind, opts O
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &model.Trace{}
-	rep, out, err := RunInto(net, cloud, tr, edgesim.JetsonAGXXavier(), SimConfig(w, kind, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, rep, out := runPriced(t, net, cloud, edgesim.JetsonAGXXavier(), SimConfig(w, kind, opts))
 	f := planFrame{logits: bitsOf(out.Logits.Data), report: rep}
 	for _, r := range tr.Records {
 		r.Dur = 0

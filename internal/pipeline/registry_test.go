@@ -53,7 +53,7 @@ func TestMortonLayersPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 		trace := &model.Trace{}
-		if _, _, err := RunInto(net, frame, trace, nil, SimConfig(w, kind, opts)); err != nil {
+		if _, err := net.Forward(frame, trace, false); err != nil {
 			t.Fatal(err)
 		}
 		got := map[string][]string{}

@@ -17,7 +17,7 @@ import (
 // replica, which is exactly the split concurrent serving needs: one replica
 // per worker goroutine, zero cross-worker synchronization on the hot path.
 //
-// Loading trained weights into replica 0 (nn.LoadParams writes in place)
+// Loading trained weights into replica 0 (LoadCheckpoint writes in place)
 // updates every replica; do it before serving starts. Training any replica
 // while others serve would race on the shared values — replicas are for
 // inference.

@@ -54,7 +54,7 @@ func TestRebuildReplicaSharesParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunInto(reb, frame, &model.Trace{}, nil, SimConfig(w, SN, Options{})); err != nil {
+	if _, err := reb.Forward(frame, &model.Trace{}, false); err != nil {
 		t.Fatalf("rebuilt replica forward: %v", err)
 	}
 	if _, err := RebuildReplica(nil, w, SN, Options{}); err == nil {
@@ -103,7 +103,7 @@ func TestDegradeTiersOneRungForPointNetPPNoneForDGCNN(t *testing.T) {
 func featureWork(t *testing.T, n Net, frame *geom.Cloud, w Workload, kind ConfigKind) int {
 	t.Helper()
 	trace := &model.Trace{}
-	if _, _, err := RunInto(n, frame, trace, nil, SimConfig(w, kind, Options{})); err != nil {
+	if _, err := n.Forward(frame, trace, false); err != nil {
 		t.Fatal(err)
 	}
 	work := 0
@@ -166,7 +166,7 @@ func TestSampleArchReachesBucketFPS(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := &model.Trace{}
-	if _, _, err := RunInto(net, frame, trace, nil, SimConfig(w, Baseline, opts)); err != nil {
+	if _, err := net.Forward(frame, trace, false); err != nil {
 		t.Fatal(err)
 	}
 	samples := 0
@@ -220,7 +220,7 @@ func TestTieredReplicasShareOneParamSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []Net{rows[0][0], rows[len(rows)-1][workers-1]} {
-		if _, _, err := RunInto(n, frame, &model.Trace{}, nil, SimConfig(w, SN, Options{})); err != nil {
+		if _, err := n.Forward(frame, &model.Trace{}, false); err != nil {
 			t.Fatalf("tiered replica forward: %v", err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestFleetReplicasShareOneParamSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := fleet[engines-1][len(tiers)][workers-1]
-	if _, _, err := RunInto(last, frame, &model.Trace{}, nil, SimConfig(w, SN, Options{})); err != nil {
+	if _, err := last.Forward(frame, &model.Trace{}, false); err != nil {
 		t.Fatalf("fleet replica forward: %v", err)
 	}
 	if _, err := FleetReplicas(w, SN, Options{}, 0, workers, tiers); err == nil {

@@ -4,14 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/edgesim"
+	"repro/internal/model"
 )
 
 // TestForwardRejectsOverflowingSpan: a W3 (DGCNN) cloud scaled by 1e150 is
 // finite, but its squared distances reach the searches' 1e300 sentinel, so
 // an unchecked forward would group a neighbor index −1. The span check at
-// the top of the model's forward rejects it by name through pipeline.Run and
-// through a train-mode forward, under Baseline and S+N, and the net serves
+// the top of the model's forward rejects it by name in an inference forward
+// and in a train-mode forward, under Baseline and S+N, and the net serves
 // the next frame as a fresh net does.
 func TestForwardRejectsOverflowingSpan(t *testing.T) {
 	w, err := WorkloadByID("W3")
@@ -26,13 +26,12 @@ func TestForwardRejectsOverflowingSpan(t *testing.T) {
 	for i := range wide.Points {
 		wide.Points[i] = wide.Points[i].Scale(1e150)
 	}
-	dev := edgesim.JetsonAGXXavier()
 	for _, kind := range []ConfigKind{Baseline, SN} {
 		fresh, err := Build(w, kind, smallOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, want, err := Run(fresh, good, dev, SimConfig(w, kind, smallOpts()))
+		want, err := fresh.Forward(good, &model.Trace{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,13 +39,13 @@ func TestForwardRejectsOverflowingSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := Run(net, wide, dev, SimConfig(w, kind, smallOpts())); err == nil || !strings.Contains(err.Error(), "diagonal") {
-			t.Fatalf("%s: Run got %v, want the span error naming the diagonal", kind, err)
+		if _, err := net.Forward(wide, &model.Trace{}, false); err == nil || !strings.Contains(err.Error(), "diagonal") {
+			t.Fatalf("%s: inference Forward got %v, want the span error naming the diagonal", kind, err)
 		}
 		if _, err := net.Forward(wide, nil, true); err == nil || !strings.Contains(err.Error(), "diagonal") {
 			t.Fatalf("%s: train-mode Forward got %v, want the span error naming the diagonal", kind, err)
 		}
-		_, _, got, err := Run(net, good, dev, SimConfig(w, kind, smallOpts()))
+		got, err := net.Forward(good, &model.Trace{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/edgesim"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 )
@@ -28,8 +27,7 @@ func BenchmarkServeSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev := edgesim.JetsonAGXXavier()
-	e, err := New(nets, dev, pipeline.SimConfig(w, pipeline.Baseline, opts), Config{QueueDepth: 4})
+	e, err := NewEngine(nets, Config{QueueDepth: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

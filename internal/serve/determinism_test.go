@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/edgesim"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
@@ -52,11 +51,11 @@ func TestServeDeterministicLogits(t *testing.T) {
 	}
 
 	// Replica-level: two weight-sharing nets, same frame, same bits.
-	_, _, outA, err := pipeline.Run(nets[0], frame, nil, edgesim.Config{})
+	outA, err := nets[0].Forward(frame, &model.Trace{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, outB, err := pipeline.Run(nets[1], frame, nil, edgesim.Config{})
+	outB, err := nets[1].Forward(frame, &model.Trace{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestServeDeterministicLogits(t *testing.T) {
 
 	// Engine-level: many concurrent submissions of the frame land on both
 	// workers; every result must match the reference bits.
-	e, err := New(nets, nil, edgesim.Config{}, Config{QueueDepth: 16})
+	e, err := NewEngine(nets, Config{QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/pipeline"
 )
@@ -68,7 +67,7 @@ func FuzzSubmitFrame(f *testing.F) {
 	}
 	f.Add(valid)
 
-	e, err := New([]pipeline.Net{&strictStubNet{id: 0}, &strictStubNet{id: 1}}, nil, edgesim.Config{}, Config{QueueDepth: 64})
+	e, err := NewEngine([]pipeline.Net{&strictStubNet{id: 0}, &strictStubNet{id: 1}}, Config{QueueDepth: 64})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/edgesim"
 	"repro/internal/pipeline"
 )
 
@@ -61,7 +60,7 @@ func TestLadderStepsAtPinnedQueueLengths(t *testing.T) {
 func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
 	for _, tc := range ladderSteps {
 		gate := make(chan struct{})
-		e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, Config{
+		e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, Config{
 			QueueDepth: tc.depth, Hysteresis: 1,
 			HighWatermark: tc.high, LowWatermark: tc.low,
 			Degrade: []Tier{{Nets: []pipeline.Net{&stubNet{gate: gate}}}},

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/pipeline"
 )
 
@@ -25,8 +24,7 @@ func TestServeRaceStress(t *testing.T) {
 	}
 	// A real device exercises PriceTrace concurrently from both workers
 	// (read-only by contract — the race detector holds it to that).
-	dev := edgesim.JetsonAGXXavier()
-	e, err := New(nets, dev, pipeline.SimConfig(w, pipeline.SN, opts), Config{
+	e, err := NewEngine(nets, Config{
 		QueueDepth: 8,
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/model"
@@ -144,7 +143,7 @@ func TestChaosPanicIsolationConcurrent(t *testing.T) {
 		t.Fatal("vacuous plan")
 	}
 	nets := []pipeline.Net{&stubNet{}, &stubNet{}, &stubNet{}, &stubNet{}}
-	e, err := New(nets, nil, edgesim.Config{}, Config{
+	e, err := NewEngine(nets, Config{
 		QueueDepth: frames,
 		PanicTrip:  1 << 30,
 		Faults:     plan,
@@ -313,7 +312,7 @@ func TestLastResortRespawnsWorker(t *testing.T) {
 func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	gate := make(chan struct{})
 	tier1 := Tier{Name: "half-window", Nets: []pipeline.Net{&stubNet{gate: gate}}}
-	e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, Config{
+	e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, Config{
 		QueueDepth:    4,
 		Degrade:       []Tier{tier1},
 		HighWatermark: 0.5,  // steps down at queue length 2

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
 )
@@ -21,7 +20,7 @@ func newMixedFleet(t *testing.T, cfgs []Config, rcfg RouterConfig) *Router {
 	t.Helper()
 	engines := make([]*Engine, len(cfgs))
 	for i, c := range cfgs {
-		e, err := New([]pipeline.Net{&stubNet{}}, nil, edgesim.Config{}, c)
+		e, err := NewEngine([]pipeline.Net{&stubNet{}}, c)
 		if err != nil {
 			t.Fatal(err)
 		}

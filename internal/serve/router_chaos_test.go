@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
 )
@@ -36,7 +35,7 @@ func TestFleetChaosPanicStorm(t *testing.T) {
 		if i == victim {
 			cfg.Faults = &faultinject.Plan{Seed: 7, PanicFrac: 1} // every frame panics
 		}
-		e, err := New([]pipeline.Net{&stubNet{}}, nil, edgesim.Config{}, cfg)
+		e, err := NewEngine([]pipeline.Net{&stubNet{}}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

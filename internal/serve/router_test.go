@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/pipeline"
 )
 
@@ -30,7 +29,7 @@ func newStubFleet(t *testing.T, n int, gated bool, cfg Config, rcfg RouterConfig
 			gate = make(chan struct{})
 		}
 		gates[i] = gate
-		e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, cfg)
+		e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

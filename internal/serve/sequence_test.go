@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/pipeline"
@@ -74,7 +73,7 @@ func TestLogitsInvariantToMicroBatchComposition(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			e, err := New([]pipeline.Net{net}, nil, edgesim.Config{}, Config{QueueDepth: 16})
+			e, err := NewEngine([]pipeline.Net{net}, Config{QueueDepth: 16})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,7 +60,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/metrics"
@@ -203,9 +202,6 @@ type Result struct {
 	// Output holds the logits, detached from the worker's workspace (valid
 	// indefinitely). Nil when Err is set.
 	Output *model.Output
-	// Report is the modelled edge-device cost of the frame (zero when the
-	// engine was built with a nil device).
-	Report edgesim.Report
 	// Err is the per-frame failure, also returned by Submit.
 	Err error
 	// Worker is the pool slot that ran the frame.
@@ -275,12 +271,10 @@ type worker struct {
 	live    atomic.Pointer[request] // in-flight frame published for the watchdog
 }
 
-// Engine is the concurrent inference engine. Create with New; all
+// Engine is the concurrent inference engine. Create with NewEngine; all
 // methods are safe for concurrent use.
 type Engine struct {
 	cfg     Config
-	dev     *edgesim.Device
-	sim     edgesim.Config
 	workers int
 	queue   chan *request
 	closing chan struct{} // closed when Close starts; wakes parked workers
@@ -317,14 +311,26 @@ type Engine struct {
 	latency *metrics.LatencyWindow
 }
 
-// New starts an engine with one worker per net. The nets must be independent
-// replicas (pipeline.Replicas builds weight-sharing ones); a single net must
-// never be given twice — each worker assumes exclusive ownership of its
-// replica's workspace and caches. The same holds across cfg.Degrade tiers:
-// every tier needs one exclusive replica per worker
-// (pipeline.TieredReplicas builds the whole matrix). dev may be nil to skip
-// per-frame cost modelling.
-func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Config) (*Engine, error) {
+// New starts an engine as NewEngine does. Its second and third arguments
+// once carried an edgesim device and pricing config; they are ignored, since
+// the engine prices no frame, and typed any so that serve need not import
+// edgesim.
+//
+// Deprecated: the benchmark under bench/ is its only caller; ROADMAP item
+// 2(b)/(c) moves it to NewEngine and removes New.
+func New(nets []pipeline.Net, _, _ any, cfg Config) (*Engine, error) {
+	return NewEngine(nets, cfg)
+}
+
+// NewEngine starts an engine with one worker per net. The nets must be
+// independent replicas (pipeline.Replicas builds weight-sharing ones); a
+// single net must never be given twice — each worker assumes exclusive
+// ownership of its replica's workspace and caches. The same holds across
+// cfg.Degrade tiers: every tier needs one exclusive replica per worker
+// (pipeline.TieredReplicas builds the whole matrix). A worker runs each frame
+// through net.Forward and nothing else: the engine does not price frames
+// against the edgesim device model.
+func NewEngine(nets []pipeline.Net, cfg Config) (*Engine, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("serve: need at least one net replica")
 	}
@@ -350,8 +356,6 @@ func New(nets []pipeline.Net, dev *edgesim.Device, sim edgesim.Config, cfg Confi
 	numTiers := 1 + len(cfg.Degrade)
 	e := &Engine{
 		cfg:      cfg,
-		dev:      dev,
-		sim:      sim,
 		workers:  len(nets),
 		queue:    make(chan *request, cfg.QueueDepth),
 		closing:  make(chan struct{}),
@@ -538,12 +542,13 @@ func (e *Engine) runFrame(w *worker, r *request) {
 	case faultinject.OpDelay:
 		time.Sleep(d.Sleep)
 	}
-	rep, out, err := pipeline.RunInto(w.nets[tier], r.cloud, &w.trace, e.dev, e.sim)
+	w.trace.Reset()
+	out, err := w.nets[tier].Forward(r.cloud, &w.trace, false)
 	if err != nil {
 		e.finish(r, Result{Err: fmt.Errorf("serve: worker %d: %w", w.id, err), Worker: w.id, Tier: tier, Wait: now.Sub(r.enq)}, &e.failed)
 		return
 	}
-	e.finish(r, Result{Output: out, Report: rep, Worker: w.id, Tier: tier, Wait: now.Sub(r.enq)}, &e.completed, &e.degraded[tier])
+	e.finish(r, Result{Output: out, Worker: w.id, Tier: tier, Wait: now.Sub(r.enq)}, &e.completed, &e.degraded[tier])
 }
 
 // endFrame is runFrame's deferred exit. As the panic barrier it recovers a

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/geom"
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -56,7 +55,7 @@ func testCloud() *geom.Cloud {
 
 func newStubEngine(t *testing.T, gate chan struct{}, cfg Config) *Engine {
 	t.Helper()
-	e, err := New([]pipeline.Net{&stubNet{gate: gate}}, nil, edgesim.Config{}, cfg)
+	e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestContextCancelAbandonsFrame(t *testing.T) {
 // instead of waiting behind C on worker 0 while worker 1 idles.
 func TestQueuedFramesGoToEveryFreeWorker(t *testing.T) {
 	gates := []chan struct{}{make(chan struct{}), make(chan struct{})}
-	e, err := New([]pipeline.Net{&stubNet{gate: gates[0]}, &stubNet{gate: gates[1]}}, nil, edgesim.Config{}, Config{QueueDepth: 8})
+	e, err := NewEngine([]pipeline.Net{&stubNet{gate: gates[0]}, &stubNet{gate: gates[1]}}, Config{QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +324,14 @@ func TestCloseDrainsAndRejectsNewWork(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil, edgesim.Config{}, Config{}); err == nil {
+	if _, err := NewEngine(nil, Config{}); err == nil {
 		t.Fatal("empty replica list accepted")
 	}
-	if _, err := New([]pipeline.Net{nil}, nil, edgesim.Config{}, Config{}); err == nil {
+	if _, err := NewEngine([]pipeline.Net{nil}, Config{}); err == nil {
 		t.Fatal("nil replica accepted")
 	}
 	n := &stubNet{}
-	if _, err := New([]pipeline.Net{n, n}, nil, edgesim.Config{}, Config{}); err == nil {
+	if _, err := NewEngine([]pipeline.Net{n, n}, Config{}); err == nil {
 		t.Fatal("duplicate replica accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
 )
@@ -28,7 +27,7 @@ func TestChaosStallStorm(t *testing.T) {
 		perC    = 15
 		frames  = clients * perC
 	)
-	e, err := New([]pipeline.Net{&stubNet{}}, nil, edgesim.Config{}, Config{
+	e, err := NewEngine([]pipeline.Net{&stubNet{}}, Config{
 		QueueDepth:     frames + 8, // never ErrQueueFull: isolate stall/panic classes
 		StallTimeout:   8 * time.Millisecond,
 		PanicTrip:      100000, // no breaker parks: isolate the watchdog path
@@ -108,7 +107,7 @@ func TestFleetChaosStallStorm(t *testing.T) {
 	)
 	engines := make([]*Engine, fleet)
 	for i := range engines {
-		e, err := New([]pipeline.Net{&stubNet{}}, nil, edgesim.Config{}, Config{
+		e, err := NewEngine([]pipeline.Net{&stubNet{}}, Config{
 			QueueDepth:   64,
 			StallTimeout: 8 * time.Millisecond,
 			PanicTrip:    100000,

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgesim"
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
 )
@@ -156,7 +155,7 @@ func TestStallRebuildPanicRetiresSlot(t *testing.T) {
 				nets[i] = &stubNet{}
 				stallFrames[i] = uint64(i)
 			}
-			e, err := New(nets, nil, edgesim.Config{}, Config{
+			e, err := NewEngine(nets, Config{
 				StallTimeout: 5 * time.Millisecond,
 				Rebuild: func(worker, tier int) (pipeline.Net, error) {
 					panic("rebuild exploded")

@@ -24,7 +24,7 @@ import "repro/internal/parallel"
 // between frames — but weight matrices live for the process, and
 // nn.ShareParams/retraining swap in fresh *Matrix values, which miss the
 // cache and re-calibrate naturally. Call Invalidate after mutating weight
-// values in place (nn.LoadParams on an already-warm net).
+// values in place (a checkpoint loaded into an already-warm net).
 //
 // Concurrency: per-instance scratch — one Int8Backend per replica/goroutine
 // (tensor.NewBackend returns a fresh instance per call for exactly this
