@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/loadgen"
@@ -150,15 +149,17 @@ func pct(a, b uint64) float64 {
 // calibrateSvc measures the per-tier service time by running frames through
 // the real pipeline at each degradation rung: tier 0 is the base config,
 // tiers 1+ whatever pipeline.DegradeTiers derives for the workload (nothing
-// for DGCNN, which then simulates without a ladder). The minimum over
-// cal-frames forwards is taken (least-noise estimate). The measured times
-// then become spec *inputs*, so the simulation itself stays bit-reproducible.
+// for DGCNN, which then simulates without a ladder). Every tier is warmed
+// first, then timed one forward per tier per round, so a slow spell on the
+// host lands on every tier rather than on one; the minimum over the rounds
+// is taken (least-noise estimate). The measured times then become spec
+// *inputs*, so the simulation itself stays bit-reproducible.
 func calibrateSvc(workload, config string, quick bool, frames int) (*loadgen.Calibration, []time.Duration, error) {
 	w, err := pipeline.WorkloadByID(workload)
 	if err != nil {
 		return nil, nil, err
 	}
-	kind, err := parseConfig(config)
+	kind, err := pipeline.ParseConfig(config)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,54 +168,47 @@ func calibrateSvc(workload, config string, quick bool, frames int) (*loadgen.Cal
 	}
 	opts := pipeline.Options{Seed: 1}
 	if quick {
-		w.Points, w.Batch = 256, 1
-		opts.BaseWidth, opts.Depth, opts.Modules = 8, 2, 2
+		w, opts = pipeline.Quick(w, opts)
 	}
-	rows, err := pipeline.TieredReplicas(w, kind, opts, 1, pipeline.DegradeTiers(w, opts, 1))
+	fleet, err := pipeline.FleetReplicas(w, kind, opts, 1, 1, pipeline.DegradeTiers(w, opts, 1))
 	if err != nil {
 		return nil, nil, err
 	}
+	rows := fleet[0]
 	frame, err := pipeline.Frame(w, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	cal := &loadgen.Calibration{Workload: w.ID, Config: kind.String(), Frames: frames}
+	forward := func(ti int) (time.Duration, error) {
+		start := time.Now()
+		if _, err := rows[ti][0].Forward(frame, nil, false); err != nil {
+			return 0, fmt.Errorf("calibrate tier %d: %w", ti, err)
+		}
+		return time.Since(start), nil
+	}
 	svc := make([]time.Duration, len(rows))
-	for ti, row := range rows {
-		net := row[0]
-		if _, err := net.Forward(frame, nil, false); err != nil { // warm caches
-			return nil, nil, fmt.Errorf("calibrate tier %d: %w", ti, err)
+	for ti := range rows {
+		if _, err := forward(ti); err != nil { // warm caches
+			return nil, nil, err
 		}
-		best := time.Duration(1<<63 - 1)
-		for f := 0; f < frames; f++ {
-			start := time.Now()
-			if _, err := net.Forward(frame, nil, false); err != nil {
-				return nil, nil, fmt.Errorf("calibrate tier %d: %w", ti, err)
+		svc[ti] = time.Duration(1<<63 - 1)
+	}
+	for f := 0; f < frames; f++ {
+		for ti := range rows {
+			d, err := forward(ti)
+			if err != nil {
+				return nil, nil, err
 			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+			svc[ti] = min(svc[ti], d)
 		}
-		if best < time.Microsecond {
-			best = time.Microsecond
-		}
-		svc[ti] = best
-		cal.SvcNsTier = append(cal.SvcNsTier, best.Nanoseconds())
+	}
+	cal := &loadgen.Calibration{Workload: w.ID, Config: kind.String(), Frames: frames}
+	for ti := range svc {
+		svc[ti] = max(svc[ti], time.Microsecond)
+		cal.SvcNsTier = append(cal.SvcNsTier, svc[ti].Nanoseconds())
 	}
 	for _, d := range svc {
 		cal.Speedup = append(cal.Speedup, float64(svc[0])/float64(d))
 	}
 	return cal, svc, nil
-}
-
-func parseConfig(s string) (pipeline.ConfigKind, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return pipeline.Baseline, nil
-	case "s+n", "sn":
-		return pipeline.SN, nil
-	case "s+n+f", "snf":
-		return pipeline.SNF, nil
-	}
-	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
 }

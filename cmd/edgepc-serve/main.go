@@ -21,8 +21,9 @@
 // rejecting; -chaos-* thread a deterministic fault-injection plan
 // (internal/faultinject) through the engine to demonstrate panic isolation
 // and admission rejection live.
-// -engines N (N > 1) switches to fleet mode: requests carry tenant/stream
-// identities and route through the consistent-hash fleet router
+// -engines N builds N engines over one weight set; one engine takes frames
+// through Engine.Submit, and N > 1 is fleet mode: requests carry
+// tenant/stream identities and route through the consistent-hash fleet router
 // (serve.Router) with optional per-tenant QoS token buckets (-qos-rate,
 // -qos-burst), priority load shedding, spillover, and quarantine.
 //
@@ -40,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,33 +52,52 @@ import (
 	"repro/internal/serve"
 )
 
+// options is one invocation's flags.
+type options struct {
+	workload, config string
+	workers, queue   int
+	timeout          time.Duration
+	frames, clients  int
+	seed             int64
+	quick, degrade   bool
+
+	chaosPanic, chaosCorrupt, chaosStall float64
+	chaosSeed                            uint64
+
+	stallTimeout time.Duration
+	retries      int
+	checkpoint   string
+
+	engines, tenants  int
+	qosRate, qosBurst float64
+}
+
 func main() {
-	var (
-		workload = flag.String("workload", "W1", "Table 1 workload id (W1..W6)")
-		config   = flag.String("config", "S+N", "execution config: baseline | S+N | S+N+F")
-		workers  = flag.Int("workers", 2, "worker pool size (one model replica each)")
-		queue    = flag.Int("queue", 0, "submission queue depth (0: 4x workers)")
-		timeout  = flag.Duration("timeout", 0, "per-frame deadline (0: none)")
-		frames   = flag.Int("frames", 32, "total frames to serve")
-		clients  = flag.Int("clients", 4, "concurrent submitting clients")
-		seed     = flag.Int64("seed", 1, "model and frame seed")
-		quick    = flag.Bool("quick", false, "laptop-scale model and clouds (smoke mode)")
+	var o options
+	flag.StringVar(&o.workload, "workload", "W1", "Table 1 workload id (W1..W6)")
+	flag.StringVar(&o.config, "config", "S+N", "execution config: baseline | S+N | S+N+F")
+	flag.IntVar(&o.workers, "workers", 2, "worker pool size (one model replica each)")
+	flag.IntVar(&o.queue, "queue", 0, "submission queue depth (0: 4x workers)")
+	flag.DurationVar(&o.timeout, "timeout", 0, "per-frame deadline (0: none)")
+	flag.IntVar(&o.frames, "frames", 32, "total frames to serve")
+	flag.IntVar(&o.clients, "clients", 4, "concurrent submitting clients")
+	flag.Int64Var(&o.seed, "seed", 1, "model and frame seed")
+	flag.BoolVar(&o.quick, "quick", false, "laptop-scale model and clouds (smoke mode)")
 
-		degrade      = flag.Bool("degrade", false, "arm the degradation ladder (PointNet++ workloads: "+pipeline.DegradeTierName+")")
-		chaosPanic   = flag.Float64("chaos-panic", 0, "fault injection: fraction of frames that panic a worker")
-		chaosCorrupt = flag.Float64("chaos-corrupt", 0, "fault injection: fraction of frames corrupted before admission")
-		chaosStall   = flag.Float64("chaos-stall", 0, "fault injection: fraction of frames that wedge their worker")
-		chaosSeed    = flag.Uint64("chaos-seed", 1, "fault-injection plan seed")
+	flag.BoolVar(&o.degrade, "degrade", false, "arm the degradation ladder (PointNet++ workloads: "+pipeline.DegradeTierName+")")
+	flag.Float64Var(&o.chaosPanic, "chaos-panic", 0, "fault injection: fraction of frames that panic a worker")
+	flag.Float64Var(&o.chaosCorrupt, "chaos-corrupt", 0, "fault injection: fraction of frames corrupted before admission")
+	flag.Float64Var(&o.chaosStall, "chaos-stall", 0, "fault injection: fraction of frames that wedge their worker")
+	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 1, "fault-injection plan seed")
 
-		stallTimeout = flag.Duration("stall-timeout", 0, "stall watchdog: fail a worker wedged past this on one frame (0: off)")
-		retries      = flag.Int("retries", 0, "fleet mode: deadline-budgeted retry attempts for transient failures (0: off)")
-		checkpoint   = flag.String("checkpoint", "", "restore weights from this crash-safe checkpoint before serving")
+	flag.DurationVar(&o.stallTimeout, "stall-timeout", 0, "stall watchdog: fail a worker wedged past this on one frame (0: off)")
+	flag.IntVar(&o.retries, "retries", 0, "fleet mode: deadline-budgeted retry attempts for transient failures (0: off)")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "restore weights from this crash-safe checkpoint before serving")
 
-		engines  = flag.Int("engines", 1, "fleet size; >1 routes via the consistent-hash fleet router")
-		tenants  = flag.Int("tenants", 4, "fleet mode: distinct tenant ids the clients cycle through")
-		qosRate  = flag.Float64("qos-rate", 0, "fleet mode: per-tenant token-bucket rate, frames/s (0: unlimited)")
-		qosBurst = flag.Float64("qos-burst", 0, "fleet mode: per-tenant burst capacity (0: max(rate,1))")
-	)
+	flag.IntVar(&o.engines, "engines", 1, "fleet size; >1 routes via the consistent-hash fleet router")
+	flag.IntVar(&o.tenants, "tenants", 4, "fleet mode: distinct tenant ids the clients cycle through")
+	flag.Float64Var(&o.qosRate, "qos-rate", 0, "fleet mode: per-tenant token-bucket rate, frames/s (0: unlimited)")
+	flag.Float64Var(&o.qosBurst, "qos-burst", 0, "fleet mode: per-tenant burst capacity (0: max(rate,1))")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// A boolean flag takes no value: "-degrade 2" would end flag parsing
@@ -86,172 +105,201 @@ func main() {
 		fmt.Fprintf(os.Stderr, "edgepc-serve: unexpected argument %q (the command takes flags only; -degrade takes no value)\n", flag.Arg(0))
 		os.Exit(1)
 	}
-	if err := run(*workload, *config, *workers, *queue, *timeout,
-		*frames, *clients, *seed, *quick, *degrade, *chaosPanic, *chaosCorrupt, *chaosStall, *chaosSeed,
-		*stallTimeout, *retries, *checkpoint,
-		*engines, *tenants, *qosRate, *qosBurst); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "edgepc-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func parseConfig(s string) (pipeline.ConfigKind, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return pipeline.Baseline, nil
-	case "s+n", "sn":
-		return pipeline.SN, nil
-	case "s+n+f", "snf":
-		return pipeline.SNF, nil
-	}
-	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
-}
-
-func run(workload, config string, workers, queue int, timeout time.Duration,
-	frames, clients int, seed int64, quick, degrade bool, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
-	stallTimeout time.Duration, retries int, checkpoint string,
-	engines, tenants int, qosRate, qosBurst float64) error {
-	w, err := pipeline.WorkloadByID(workload)
-	if err != nil {
-		return err
-	}
-	kind, err := parseConfig(config)
-	if err != nil {
-		return err
-	}
-	if workers < 1 || clients < 1 || frames < 1 {
+func (o options) validate() error {
+	if o.workers < 1 || o.clients < 1 || o.frames < 1 {
 		return fmt.Errorf("workers, clients and frames must be positive")
 	}
-	if chaosPanic < 0 || chaosPanic > 1 || chaosCorrupt < 0 || chaosCorrupt > 1 || chaosStall < 0 || chaosStall > 1 {
+	if o.chaosPanic < 0 || o.chaosPanic > 1 || o.chaosCorrupt < 0 || o.chaosCorrupt > 1 || o.chaosStall < 0 || o.chaosStall > 1 {
 		return fmt.Errorf("chaos fractions must be in [0,1]")
 	}
-	if engines < 1 || engines > 64 {
+	if o.engines < 1 || o.engines > 64 {
 		return fmt.Errorf("engines must be 1..64")
 	}
-	if stallTimeout < 0 {
-		return fmt.Errorf("-stall-timeout must be non-negative, got %v (0 disables the watchdog)", stallTimeout)
+	if o.stallTimeout < 0 {
+		return fmt.Errorf("-stall-timeout must be non-negative, got %v (0 disables the watchdog)", o.stallTimeout)
 	}
-	if retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d (0 disables retries)", retries)
+	if o.retries < 0 {
+		return fmt.Errorf("-retries must be non-negative, got %d (0 disables retries)", o.retries)
 	}
-	if engines == 1 && retries > 0 {
+	if o.engines == 1 && o.retries > 0 {
 		return fmt.Errorf("-retries re-routes across a fleet: set -engines > 1 to use it")
 	}
-	if tenants < 1 || qosRate < 0 || qosBurst < 0 {
+	if o.tenants < 1 || o.qosRate < 0 || o.qosBurst < 0 {
 		return fmt.Errorf("tenants must be positive, qos-rate/qos-burst non-negative")
 	}
-	opts := pipeline.Options{Seed: seed}
-	if quick {
-		w.Points, w.Batch = 256, 1
-		opts.BaseWidth, opts.Depth, opts.Modules = 8, 2, 2
+	return nil
+}
+
+// tally counts the clients' view of their frames' outcomes.
+type tally struct{ ok, backoffs, shed, deadline, stalled, failed atomic.Int64 }
+
+// run serves o.frames frames on o.engines engines that share one weight set.
+// One engine takes them straight through Engine.Submit, where a full queue
+// is backpressure; a fleet routes them through serve.Router, whose QoS and
+// shed controller may drop them.
+func run(o options) error {
+	w, err := pipeline.WorkloadByID(o.workload)
+	if err != nil {
+		return err
+	}
+	kind, err := pipeline.ParseConfig(o.config)
+	if err != nil {
+		return err
+	}
+	if err := o.validate(); err != nil {
+		return err
+	}
+	opts := pipeline.Options{Seed: o.seed}
+	if o.quick {
+		w, opts = pipeline.Quick(w, opts)
 	}
 	var tierOpts []pipeline.Options
-	if degrade {
+	if o.degrade {
 		if tierOpts = pipeline.DegradeTiers(w, opts, 1); len(tierOpts) == 0 {
 			fmt.Printf("degradation ladder: no rung relieves load on %s (%s); serving without a ladder\n", w.ID, w.Model)
 		}
 	}
-	if engines > 1 {
-		return runFleet(w, kind, opts, tierOpts, engines, workers, queue, timeout,
-			frames, clients, seed, chaosPanic, chaosCorrupt, chaosStall, chaosSeed,
-			stallTimeout, retries, checkpoint, tenants, qosRate, qosBurst)
-	}
-	rows, err := pipeline.TieredReplicas(w, kind, opts, workers, tierOpts)
+	fleet, err := pipeline.FleetReplicas(w, kind, opts, o.engines, o.workers, tierOpts)
 	if err != nil {
 		return err
 	}
-	if checkpoint != "" {
-		// Replicas share weights: restoring into the first propagates to all.
-		if err := pipeline.LoadCheckpoint(checkpoint, rows[0][0]); err != nil {
-			return fmt.Errorf("-checkpoint %q: %w", checkpoint, err)
+	ref := fleet[0][0][0]
+	if o.checkpoint != "" {
+		// Every replica shares ref's weights: restoring into it restores all.
+		if err := pipeline.LoadCheckpoint(o.checkpoint, ref); err != nil {
+			return fmt.Errorf("-checkpoint %q: %w", o.checkpoint, err)
 		}
 	}
-	cfg := serve.Config{
-		QueueDepth:     queue,
-		DefaultTimeout: timeout,
-		StallTimeout:   stallTimeout,
-		Rebuild: func(worker, tier int) (pipeline.Net, error) {
-			o := opts
-			if tier > 0 {
-				o = tierOpts[tier-1]
-			}
-			return pipeline.RebuildReplica(rows[0][0], w, kind, o)
-		},
+	rebuild := func(worker, tier int) (pipeline.Net, error) {
+		topt := opts
+		if tier > 0 {
+			topt = tierOpts[tier-1]
+		}
+		return pipeline.RebuildReplica(ref, w, kind, topt)
 	}
-	for _, row := range rows[1:] {
-		cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: pipeline.DegradeTierName, Nets: row})
+	chaos := o.chaosPanic > 0 || o.chaosCorrupt > 0 || o.chaosStall > 0
+	engines := make([]*serve.Engine, o.engines)
+	for e := range engines {
+		cfg := serve.Config{QueueDepth: o.queue, DefaultTimeout: o.timeout, StallTimeout: o.stallTimeout, Rebuild: rebuild}
+		for _, row := range fleet[e][1:] {
+			cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: pipeline.DegradeTierName, Nets: row})
+		}
+		if chaos {
+			cfg.Faults = &faultinject.Plan{Seed: o.chaosSeed + uint64(e),
+				PanicFrac: o.chaosPanic, CorruptFrac: o.chaosCorrupt, StallFrac: o.chaosStall}
+		}
+		if engines[e], err = serve.NewEngine(fleet[e][0], cfg); err != nil {
+			return err
+		}
 	}
-	if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
-		cfg.Faults = &faultinject.Plan{Seed: chaosSeed, PanicFrac: chaosPanic, CorruptFrac: chaosCorrupt, StallFrac: chaosStall}
-	}
-	engine, err := serve.NewEngine(rows[0], cfg)
-	if err != nil {
+	ctx := context.Background()
+	submit := func(req serve.FleetRequest) error {
+		_, err := engines[0].Submit(ctx, req.Request)
 		return err
+	}
+	closeAll := engines[0].Close
+	var router *serve.Router
+	if o.engines > 1 {
+		rcfg := serve.RouterConfig{}
+		if o.qosRate > 0 {
+			rcfg.QoS = serve.NewQoS(serve.QoSConfig{Default: serve.TenantLimit{Rate: o.qosRate, Burst: o.qosBurst}})
+		}
+		if o.retries > 0 {
+			rcfg.Retry = &serve.RetryPolicy{Max: o.retries}
+		}
+		if router, err = serve.NewRouter(engines, rcfg); err != nil {
+			return err
+		}
+		submit = func(req serve.FleetRequest) error {
+			_, err := router.Submit(ctx, req)
+			return err
+		}
+		closeAll = router.Close
 	}
 
 	// A small pool of distinct frames, reused round-robin: frame generation is
 	// not what this harness measures.
-	nPool := frames
-	if nPool > 8 {
-		nPool = 8
-	}
-	pool := make([]*geom.Cloud, nPool)
+	pool := make([]*geom.Cloud, min(o.frames, 8))
 	for i := range pool {
-		if pool[i], err = pipeline.Frame(w, seed+int64(i)); err != nil {
+		if pool[i], err = pipeline.Frame(w, o.seed+int64(i)); err != nil {
 			return err
 		}
 	}
 
-	fmt.Printf("edgepc-serve: %s %s, %d workers, %d clients, %d frames (%d points each)\n",
-		w.ID, kind, workers, clients, frames, w.Points)
+	if router == nil {
+		fmt.Printf("edgepc-serve: %s %s, %d workers, %d clients, %d frames (%d points each)\n",
+			w.ID, kind, o.workers, o.clients, o.frames, w.Points)
+	} else {
+		fmt.Printf("edgepc-serve: %s %s fleet, %d engines x %d workers, %d clients, %d frames over %d tenants\n",
+			w.ID, kind, o.engines, o.workers, o.clients, o.frames, o.tenants)
+	}
 	if len(tierOpts) > 0 {
 		fmt.Printf("degradation ladder: armed (%s)\n", pipeline.DegradeTierName)
 	}
-	if cfg.Faults != nil {
+	if chaos {
 		fmt.Printf("chaos: panic %.0f%%, corrupt %.0f%%, stall %.0f%% (seed %d)\n",
-			chaosPanic*100, chaosCorrupt*100, chaosStall*100, chaosSeed)
+			o.chaosPanic*100, o.chaosCorrupt*100, o.chaosStall*100, o.chaosSeed)
 	}
-	if checkpoint != "" {
-		fmt.Printf("restored weights from checkpoint %s\n", checkpoint)
+	if o.qosRate > 0 && router != nil {
+		fmt.Printf("qos: %.3g frames/s per tenant (burst %.3g)\n", o.qosRate, o.qosBurst)
 	}
-	if stallTimeout > 0 {
-		fmt.Printf("stall watchdog armed at %v\n", stallTimeout)
+	if o.checkpoint != "" {
+		fmt.Printf("restored weights from checkpoint %s\n", o.checkpoint)
+	}
+	if o.stallTimeout > 0 {
+		fmt.Printf("stall watchdog armed at %v\n", o.stallTimeout)
+	}
+	if o.retries > 0 {
+		fmt.Printf("survivability: %d retries (stall watchdog %v)\n", o.retries, o.stallTimeout)
 	}
 
-	var next, okCount, deadlineCount, panicCount, stalledCount, invalidCount, backoffs atomic.Int64
+	var t tally
+	var next atomic.Int64
 	var firstErr atomic.Value
 	start := time.Now()
 	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
+	for c := 0; c < o.clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := next.Add(1) - 1
-				if i >= int64(frames) {
+				if i >= int64(o.frames) {
 					return
 				}
-				req := serve.Request{Cloud: pool[i%int64(nPool)]}
+				tenant := fmt.Sprintf("tenant-%d", i%int64(o.tenants))
+				req := serve.FleetRequest{
+					Request: serve.Request{Cloud: pool[i%int64(len(pool))]},
+					Tenant:  tenant,
+					Stream:  fmt.Sprintf("%s-cam%d", tenant, i%2),
+				}
 				for {
-					_, err := engine.Submit(context.Background(), req)
+					err := submit(req)
 					switch {
 					case err == nil:
-						okCount.Add(1)
+						t.ok.Add(1)
 					case errors.Is(err, serve.ErrQueueFull):
-						// Backpressure: yield briefly and resubmit.
-						backoffs.Add(1)
+						// Backpressure (on a fleet: the owner and every spill
+						// candidate full): yield briefly and resubmit.
+						t.backoffs.Add(1)
 						time.Sleep(200 * time.Microsecond)
 						continue
+					case errors.Is(err, serve.ErrThrottled), errors.Is(err, serve.ErrShed):
+						t.shed.Add(1)
 					case errors.Is(err, serve.ErrDeadline):
-						deadlineCount.Add(1)
-					case errors.Is(err, serve.ErrPanic):
-						// Isolated: the frame failed but the engine serves on.
-						panicCount.Add(1)
+						t.deadline.Add(1)
 					case errors.Is(err, serve.ErrStalled):
 						// Watchdog-failed: the wedged worker was deposed.
-						stalledCount.Add(1)
-					case errors.Is(err, serve.ErrInvalidInput):
-						invalidCount.Add(1)
+						t.stalled.Add(1)
+					case errors.Is(err, serve.ErrPanic), errors.Is(err, serve.ErrInvalidInput):
+						// Isolated: the frame failed but the engine serves on.
+						t.failed.Add(1)
 					default:
 						firstErr.CompareAndSwap(nil, err)
 					}
@@ -262,23 +310,30 @@ func run(workload, config string, workers, queue int, timeout time.Duration,
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if err := engine.Close(); err != nil {
+	if err := closeAll(); err != nil {
 		return err
 	}
 	if e, ok := firstErr.Load().(error); ok {
 		return e
 	}
+	if router == nil {
+		reportEngine(engines[0], &t, elapsed)
+		return nil
+	}
+	return reportFleet(router.Stats(), &t, elapsed)
+}
 
+func reportEngine(engine *serve.Engine, t *tally, elapsed time.Duration) {
 	s := engine.Stats()
 	fmt.Printf("served %d frames: %d ok, %d deadline-dropped (%d backpressure retries)\n",
-		okCount.Load()+deadlineCount.Load(), okCount.Load(), deadlineCount.Load(), backoffs.Load())
+		t.ok.Load()+t.deadline.Load(), t.ok.Load(), t.deadline.Load(), t.backoffs.Load())
 	fmt.Printf("latency p50 %v p90 %v p99 %v max %v (window of %d)\n",
 		s.Latency.P50.Round(time.Microsecond), s.Latency.P90.Round(time.Microsecond),
 		s.Latency.P99.Round(time.Microsecond), s.Latency.Max.Round(time.Microsecond), s.Latency.Window)
-	fmt.Printf("throughput %.0f frames/s\n", float64(okCount.Load())/elapsed.Seconds())
+	fmt.Printf("throughput %.0f frames/s\n", float64(t.ok.Load())/elapsed.Seconds())
 	fmt.Printf("resilience: %d panics (%d quarantines, %d breaker trips), %d stalls / %d respawns, %d invalid, %d step-downs / %d step-ups\n",
 		s.Panics, s.Quarantines, s.BreakerTrips, s.Stalls, s.Respawns, s.Invalid, s.StepDowns, s.StepUps)
-	if n := stalledCount.Load(); n > 0 {
+	if n := t.stalled.Load(); n > 0 {
 		fmt.Printf("  %d frames failed by the stall watchdog\n", n)
 	}
 	for tier, n := range s.Degraded {
@@ -286,143 +341,9 @@ func run(workload, config string, workers, queue int, timeout time.Duration,
 			fmt.Printf("  tier %d (%s): %d frames\n", tier, engine.TierName(tier), n)
 		}
 	}
-	return nil
 }
 
-// runFleet drives a multi-engine fleet through the consistent-hash router
-// (internal/serve.Router): weight-sharing replicas fleet-wide
-// (pipeline.FleetReplicas), per-tenant QoS token buckets, priority load
-// shedding and spillover, with clients cycling tenant/stream identities.
-func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Options, tierOpts []pipeline.Options,
-	engines, workers, queue int, timeout time.Duration,
-	frames, clients int, seed int64, chaosPanic, chaosCorrupt, chaosStall float64, chaosSeed uint64,
-	stallTimeout time.Duration, retryMax int, checkpoint string,
-	tenants int, qosRate, qosBurst float64) error {
-	fleet, err := pipeline.FleetReplicas(w, kind, opts, engines, workers, tierOpts)
-	if err != nil {
-		return err
-	}
-	if checkpoint != "" {
-		// The whole fleet shares weights: restoring into the first replica of
-		// the first engine propagates everywhere.
-		if err := pipeline.LoadCheckpoint(checkpoint, fleet[0][0][0]); err != nil {
-			return fmt.Errorf("-checkpoint %q: %w", checkpoint, err)
-		}
-	}
-	pool := make([]*serve.Engine, engines)
-	for e := range pool {
-		cfg := serve.Config{
-			QueueDepth:     queue,
-			DefaultTimeout: timeout,
-			StallTimeout:   stallTimeout,
-			Rebuild: func(worker, tier int) (pipeline.Net, error) {
-				o := opts
-				if tier > 0 {
-					o = tierOpts[tier-1]
-				}
-				return pipeline.RebuildReplica(fleet[0][0][0], w, kind, o)
-			},
-		}
-		for _, row := range fleet[e][1:] {
-			cfg.Degrade = append(cfg.Degrade, serve.Tier{Name: pipeline.DegradeTierName, Nets: row})
-		}
-		if chaosPanic > 0 || chaosCorrupt > 0 || chaosStall > 0 {
-			cfg.Faults = &faultinject.Plan{Seed: chaosSeed + uint64(e),
-				PanicFrac: chaosPanic, CorruptFrac: chaosCorrupt, StallFrac: chaosStall}
-		}
-		eng, err := serve.NewEngine(fleet[e][0], cfg)
-		if err != nil {
-			return err
-		}
-		pool[e] = eng
-	}
-	rcfg := serve.RouterConfig{}
-	if qosRate > 0 {
-		rcfg.QoS = serve.NewQoS(serve.QoSConfig{Default: serve.TenantLimit{Rate: qosRate, Burst: qosBurst}})
-	}
-	if retryMax > 0 {
-		rcfg.Retry = &serve.RetryPolicy{Max: retryMax}
-	}
-	router, err := serve.NewRouter(pool, rcfg)
-	if err != nil {
-		return err
-	}
-
-	nPool := frames
-	if nPool > 8 {
-		nPool = 8
-	}
-	cloudPool := make([]*geom.Cloud, nPool)
-	for i := range cloudPool {
-		if cloudPool[i], err = pipeline.Frame(w, seed+int64(i)); err != nil {
-			return err
-		}
-	}
-
-	fmt.Printf("edgepc-serve: %s %s fleet, %d engines x %d workers, %d clients, %d frames over %d tenants\n",
-		w.ID, kind, engines, workers, clients, frames, tenants)
-	if qosRate > 0 {
-		fmt.Printf("qos: %.3g frames/s per tenant (burst %.3g)\n", qosRate, qosBurst)
-	}
-	if checkpoint != "" {
-		fmt.Printf("restored weights from checkpoint %s\n", checkpoint)
-	}
-	if retryMax > 0 {
-		fmt.Printf("survivability: %d retries (stall watchdog %v)\n", retryMax, stallTimeout)
-	}
-
-	var next, okCount, shedCount, failCount, retries atomic.Int64
-	var firstErr atomic.Value
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(frames) {
-					return
-				}
-				tenant := fmt.Sprintf("tenant-%d", i%int64(tenants))
-				req := serve.FleetRequest{
-					Request: serve.Request{Cloud: cloudPool[i%int64(nPool)]},
-					Tenant:  tenant,
-					Stream:  fmt.Sprintf("%s-cam%d", tenant, i%2),
-				}
-				for {
-					_, err := router.Submit(context.Background(), req)
-					switch {
-					case err == nil:
-						okCount.Add(1)
-					case errors.Is(err, serve.ErrQueueFull):
-						// Owner and spill candidates all full: yield, resubmit.
-						retries.Add(1)
-						time.Sleep(200 * time.Microsecond)
-						continue
-					case errors.Is(err, serve.ErrThrottled), errors.Is(err, serve.ErrShed):
-						shedCount.Add(1)
-					case errors.Is(err, serve.ErrDeadline), errors.Is(err, serve.ErrPanic),
-						errors.Is(err, serve.ErrStalled), errors.Is(err, serve.ErrInvalidInput):
-						failCount.Add(1)
-					default:
-						firstErr.CompareAndSwap(nil, err)
-					}
-					break
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	s := router.Stats()
-	if err := router.Close(); err != nil {
-		return err
-	}
-	if e, ok := firstErr.Load().(error); ok {
-		return e
-	}
-
+func reportFleet(s serve.RouterStats, t *tally, elapsed time.Duration) error {
 	fmt.Printf("fleet: %d offered, %d completed, %d failed, shed %d/%d/%d (throttle/overload/queue), %d spills, %d quarantines\n",
 		s.Offered, s.Completed, s.Failed, s.ShedThrottled, s.ShedOverload, s.ShedQueueFull, s.Spills, s.Quarantines)
 	if s.Retries > 0 || s.Stalls > 0 {
@@ -433,7 +354,7 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 	}
 	fmt.Printf("fleet latency p50 %v p90 %v p99 %v, throughput %.0f frames/s (%d backpressure retries)\n",
 		s.Latency.P50.Round(time.Microsecond), s.Latency.P90.Round(time.Microsecond),
-		s.Latency.P99.Round(time.Microsecond), float64(okCount.Load())/elapsed.Seconds(), retries.Load())
+		s.Latency.P99.Round(time.Microsecond), float64(t.ok.Load())/elapsed.Seconds(), t.backoffs.Load())
 	shares := make([]float64, 0, len(s.Tenants))
 	for _, ts := range s.Tenants {
 		shares = append(shares, float64(ts.Completed))
@@ -442,8 +363,8 @@ func runFleet(w pipeline.Workload, kind pipeline.ConfigKind, opts pipeline.Optio
 	for i, es := range s.EngineStats {
 		fmt.Printf("  engine %d: %d completed, %d step-downs, quarantined=%v\n", i, es.Completed, es.StepDowns, s.Quarantined[i])
 	}
-	if shed := shedCount.Load(); shed > 0 {
-		fmt.Printf("clients saw %d sheds, %d frame failures\n", shed, failCount.Load())
+	if shed := t.shed.Load(); shed > 0 {
+		fmt.Printf("clients saw %d sheds, %d frame failures\n", shed, t.deadline.Load()+t.stalled.Load()+t.failed.Load())
 	}
 	return nil
 }

@@ -9,14 +9,22 @@ import (
 	"repro/internal/pipeline"
 )
 
+// quickOptions is "-quick -workload W1 -config S+N -seed 1" with one worker,
+// one client, one frame, one engine and four tenants; each test sets what it
+// exercises on top.
+func quickOptions() options {
+	return options{workload: "W1", config: "S+N", workers: 1, frames: 1, clients: 1, seed: 1,
+		quick: true, chaosSeed: 1, engines: 1, tenants: 4}
+}
+
 // The fleet path (-engines > 1) wires FleetReplicas, the router, QoS and the
 // degradation ladder together; this smoke test runs the whole command
 // in-process at laptop scale.
 func TestRunFleetSmoke(t *testing.T) {
-	err := run("W1", "S+N", 1, 0, 0,
-		24, 4, 1, true, true, 0, 0, 0, 1,
-		0, 0, "",
-		2, 3, 500, 0)
+	o := quickOptions()
+	o.frames, o.clients, o.degrade = 24, 4, true
+	o.engines, o.tenants, o.qosRate = 2, 3, 500
+	err := run(o)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
@@ -26,10 +34,11 @@ func TestRunFleetSmoke(t *testing.T) {
 // watchdog armed, retries live on the router. The command must
 // complete with the router's conservation law intact (run checks it).
 func TestRunSurvivabilitySmoke(t *testing.T) {
-	err := run("W1", "S+N", 1, 0, 0,
-		24, 4, 1, true, false, 0, 0, 0.1, 1,
-		250*time.Millisecond, 2, "",
-		3, 3, 0, 0)
+	o := quickOptions()
+	o.frames, o.clients, o.chaosStall = 24, 4, 0.1
+	o.stallTimeout, o.retries = 250*time.Millisecond, 2
+	o.engines, o.tenants = 3, 3
+	err := run(o)
 	if err != nil {
 		t.Fatalf("survivability run: %v", err)
 	}
@@ -43,8 +52,7 @@ func quickNet(t *testing.T) pipeline.Net {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Points, w.Batch = 256, 1
-	opts := pipeline.Options{Seed: 1, BaseWidth: 8, Depth: 2, Modules: 2}
+	w, opts := pipeline.Quick(w, pipeline.Options{Seed: 1})
 	net, err := pipeline.Build(w, pipeline.SN, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -59,10 +67,9 @@ func TestRunCheckpointRestore(t *testing.T) {
 	if err := pipeline.SaveCheckpoint(path, quickNet(t)); err != nil {
 		t.Fatal(err)
 	}
-	err := run("W1", "S+N", 1, 0, 0,
-		4, 1, 1, true, false, 0, 0, 0, 1,
-		0, 0, path,
-		1, 4, 0, 0)
+	o := quickOptions()
+	o.frames, o.checkpoint = 4, path
+	err := run(o)
 	if err != nil {
 		t.Fatalf("checkpoint run: %v", err)
 	}
@@ -80,10 +87,9 @@ func TestRunFleetValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("W1", "S+N", 1, 0, 0,
-				1, 1, 1, true, false, 0, 0, 0, 1,
-				0, 0, "",
-				tc.engines, tc.tenants, tc.qosRate, 0)
+			o := quickOptions()
+			o.engines, o.tenants, o.qosRate = tc.engines, tc.tenants, tc.qosRate
+			err := run(o)
 			if err == nil {
 				t.Fatal("run accepted bad fleet flags")
 			}
@@ -109,10 +115,9 @@ func TestRunSurvivabilityValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run("W1", "S+N", 1, 0, 0,
-				1, 1, 1, true, false, 0, 0, 0, 1,
-				tc.stallTimeout, tc.retries, tc.checkpoint,
-				tc.engines, 4, 0, 0)
+			o := quickOptions()
+			o.stallTimeout, o.retries, o.checkpoint, o.engines = tc.stallTimeout, tc.retries, tc.checkpoint, tc.engines
+			err := run(o)
 			if err == nil {
 				t.Fatal("run accepted a bad survivability flag")
 			}

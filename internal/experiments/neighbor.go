@@ -215,14 +215,6 @@ func runFig11(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-func selectPoints(pts []geom.Point3, pos []int) []geom.Point3 {
-	out := make([]geom.Point3, len(pos))
-	for i, p := range pos {
-		out[i] = pts[p]
-	}
-	return out
-}
-
 func runFig15a(cfg RunConfig) (*Result, error) {
 	cfg.defaults()
 	w, err := pipeline.WorkloadByID("W2")

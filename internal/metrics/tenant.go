@@ -1,22 +1,19 @@
 package metrics
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// Per-tenant serving metrics for the fleet layer: each tenant gets its own
-// sliding latency window plus outcome counters, with bounded cardinality —
-// a serving tier facing millions of tenant ids must not let the metrics map
-// grow without limit, so past the cap all further unknown tenants aggregate
-// into one overflow bucket under OverflowTenant.
+// Per-tenant serving counters for the fleet layer: each tenant gets its own
+// outcome counts, with bounded cardinality — a serving tier facing millions
+// of tenant ids must not let the map grow without limit, so past the cap all
+// further unknown tenants aggregate into one overflow bucket under
+// OverflowTenant. Latency is kept fleet-wide, not per tenant.
 
 // OverflowTenant is the snapshot key holding the aggregate of every tenant
 // beyond the cardinality cap.
 const OverflowTenant = "~other"
 
-// DefaultMaxTenants is the cap on tenants with windows of their own when none
-// is given.
+// DefaultMaxTenants is the cap on tenants with counters of their own when
+// none is given.
 const DefaultMaxTenants = 4096
 
 // TenantOutcome classifies one counted request outcome.
@@ -33,59 +30,24 @@ const (
 	numTenantOutcomes
 )
 
-// tenantEntry is one tenant's window and counters; guarded by TenantWindows.mu.
-type tenantEntry struct {
-	win    *LatencyWindow
-	counts [numTenantOutcomes]uint64
-}
+// tenantCounts is one tenant's outcome counters; guarded by TenantWindows.mu.
+type tenantCounts [numTenantOutcomes]uint64
 
-// TenantWindows maps tenant ids to latency windows and outcome counters.
-// Safe for concurrent use.
+// TenantWindows maps tenant ids to outcome counters. Safe for concurrent use.
 type TenantWindows struct {
 	mu       sync.Mutex
-	capacity int // per-window sample capacity
 	maxT     int // tenant cardinality cap
-	m        map[string]*tenantEntry
-	overflow *tenantEntry
+	m        map[string]*tenantCounts
+	overflow *tenantCounts
 }
 
-// NewTenantWindows builds the registry. capacity sizes each tenant's latency
-// window (DefaultLatencyWindow when <= 0); maxTenants bounds cardinality
+// NewTenantWindows builds the registry; maxTenants bounds cardinality
 // (DefaultMaxTenants when <= 0).
-func NewTenantWindows(capacity, maxTenants int) *TenantWindows {
+func NewTenantWindows(maxTenants int) *TenantWindows {
 	if maxTenants <= 0 {
 		maxTenants = DefaultMaxTenants
 	}
-	return &TenantWindows{
-		capacity: capacity,
-		maxT:     maxTenants,
-		m:        make(map[string]*tenantEntry),
-	}
-}
-
-// entry returns the tenant's entry, creating it (or falling back to the
-// overflow bucket) as needed. Caller holds mu.
-func (t *TenantWindows) entry(tenant string) *tenantEntry {
-	if e, ok := t.m[tenant]; ok {
-		return e
-	}
-	if len(t.m) >= t.maxT {
-		if t.overflow == nil {
-			t.overflow = &tenantEntry{win: NewLatencyWindow(t.capacity)}
-		}
-		return t.overflow
-	}
-	e := &tenantEntry{win: NewLatencyWindow(t.capacity)}
-	t.m[tenant] = e
-	return e
-}
-
-// Observe records one completion latency for a tenant.
-func (t *TenantWindows) Observe(tenant string, d time.Duration) {
-	t.mu.Lock()
-	e := t.entry(tenant)
-	t.mu.Unlock()
-	e.win.Observe(d)
+	return &TenantWindows{maxT: maxTenants, m: make(map[string]*tenantCounts)}
 }
 
 // Count records one request outcome for a tenant.
@@ -94,50 +56,53 @@ func (t *TenantWindows) Count(tenant string, o TenantOutcome) {
 		return
 	}
 	t.mu.Lock()
-	t.entry(tenant).counts[o]++
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	c, ok := t.m[tenant]
+	switch {
+	case ok:
+	case len(t.m) < t.maxT:
+		c = new(tenantCounts)
+		t.m[tenant] = c
+	default:
+		if t.overflow == nil {
+			t.overflow = new(tenantCounts)
+		}
+		c = t.overflow
+	}
+	c[o]++
 }
 
-// Len reports the number of tenants holding private windows.
+// Len reports the number of tenants holding counters of their own.
 func (t *TenantWindows) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.m)
 }
 
-// TenantSnapshot is one tenant's point-in-time metrics.
+// TenantSnapshot is one tenant's point-in-time counts.
 type TenantSnapshot struct {
 	Completed uint64
 	Shed      uint64
 	Failed    uint64
-	Latency   LatencySnapshot
 }
 
-// Snapshot returns every tenant's metrics; the overflow aggregate, if any
+// Snapshot returns every tenant's counts; the overflow aggregate, if any
 // traffic landed there, appears under OverflowTenant.
 func (t *TenantWindows) Snapshot() map[string]TenantSnapshot {
 	t.mu.Lock()
-	entries := make(map[string]*tenantEntry, len(t.m)+1)
-	for k, e := range t.m {
-		entries[k] = e
+	defer t.mu.Unlock()
+	out := make(map[string]TenantSnapshot, len(t.m)+1)
+	for k, c := range t.m {
+		out[k] = c.snapshot()
 	}
 	if t.overflow != nil {
-		entries[OverflowTenant] = t.overflow
-	}
-	t.mu.Unlock()
-	out := make(map[string]TenantSnapshot, len(entries))
-	for k, e := range entries {
-		t.mu.Lock()
-		counts := e.counts
-		t.mu.Unlock()
-		out[k] = TenantSnapshot{
-			Completed: counts[TenantCompleted],
-			Shed:      counts[TenantShed],
-			Failed:    counts[TenantFailed],
-			Latency:   e.win.Snapshot(),
-		}
+		out[OverflowTenant] = t.overflow.snapshot()
 	}
 	return out
+}
+
+func (c *tenantCounts) snapshot() TenantSnapshot {
+	return TenantSnapshot{Completed: c[TenantCompleted], Shed: c[TenantShed], Failed: c[TenantFailed]}
 }
 
 // JainFairness is Jain's fairness index over per-tenant allocations:

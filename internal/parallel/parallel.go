@@ -16,23 +16,6 @@ import (
 // Below this, scheduling overhead dominates and we run serially.
 const minParallelWork = 2048
 
-// For runs body(i) for every i in [0, n) using up to GOMAXPROCS workers.
-// Iterations must be independent. For small n the loop runs serially.
-func For(n int, body func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < minParallelWork || workers <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	ForChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // ForChunks splits [0, n) into contiguous chunks, one per worker, and runs
 // body(lo, hi) on each chunk concurrently. Chunked iteration amortizes the
 // per-call overhead when the body is only a few instructions (e.g. one Morton
@@ -147,9 +130,9 @@ func ForWorkers(n int, body func(worker, lo, hi int)) {
 	ForSplit(n, workers, func(lo, hi int) { body(lo/chunk, lo, hi) })
 }
 
-// Workers reports the number of workers For would use for a loop of length n.
-// Exposed so the edge-device cost model can charge the same parallel split
-// the real code executes.
+// Workers reports the number of workers ForChunks would use for a loop of
+// length n. Exposed so the edge-device cost model can charge the same
+// parallel split the real code executes.
 func Workers(n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if n < minParallelWork {

@@ -7,6 +7,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/edgesim"
@@ -39,6 +40,29 @@ func (c ConfigKind) String() string {
 		return "unknown"
 	}
 	return configNames[c]
+}
+
+// ParseConfig reads a configuration name as the commands' -config flag takes
+// it, in any case: "baseline", "S+N" or "SN", "S+N+F" or "SNF".
+func ParseConfig(s string) (ConfigKind, error) {
+	switch strings.ToLower(s) {
+	case "baseline":
+		return Baseline, nil
+	case "s+n", "sn":
+		return SN, nil
+	case "s+n+f", "snf":
+		return SNF, nil
+	}
+	return 0, fmt.Errorf("unknown config %q (want baseline, S+N or S+N+F)", s)
+}
+
+// Quick is the laptop-scale preset behind the commands' -quick flag: one
+// 256-point cloud per frame and a narrow, shallow net (width 8, depth 2, two
+// DGCNN modules), far below the paper's scale so a run completes in seconds.
+func Quick(w Workload, opts Options) (Workload, Options) {
+	w.Points, w.Batch = 256, 1
+	opts.BaseWidth, opts.Depth, opts.Modules = 8, 2, 2
+	return w, opts
 }
 
 // Arch selects the network architecture.

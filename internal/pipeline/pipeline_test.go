@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/edgesim"
@@ -225,5 +226,51 @@ func TestConfigKindString(t *testing.T) {
 	}
 	if ConfigKind(9).String() != "unknown" {
 		t.Fatal("unknown config name")
+	}
+}
+
+// ParseConfig accepts every spelling the commands' -config flag has taken,
+// in any case, and names the valid ones when it refuses.
+func TestParseConfig(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want ConfigKind
+	}{
+		{"baseline", Baseline}, {"Baseline", Baseline}, {"BASELINE", Baseline},
+		{"S+N", SN}, {"s+n", SN}, {"SN", SN}, {"sn", SN},
+		{"S+N+F", SNF}, {"s+n+f", SNF}, {"SNF", SNF}, {"snf", SNF},
+	} {
+		got, err := ParseConfig(c.in)
+		if err != nil || got != c.want {
+			t.Fatalf("ParseConfig(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+		// Every config's own name parses back to it.
+		if back, err := ParseConfig(got.String()); err != nil || back != got {
+			t.Fatalf("ParseConfig(%q) = %v, %v", got.String(), back, err)
+		}
+	}
+	for _, bad := range []string{"", "turbo", "s+", "s n", "S+N+", "snff", "unknown"} {
+		_, err := ParseConfig(bad)
+		if err == nil {
+			t.Fatalf("ParseConfig(%q) accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "unknown config") || !strings.Contains(err.Error(), "baseline, S+N or S+N+F") {
+			t.Fatalf("ParseConfig(%q): %v", bad, err)
+		}
+	}
+}
+
+// Quick shrinks the cloud and the net and leaves everything else alone.
+func TestQuickPreset(t *testing.T) {
+	w, err := WorkloadByID("W3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qw, qo := Quick(w, Options{Seed: 7, WindowW: 5})
+	if qw.Points != 256 || qw.Batch != 1 || qw.ID != w.ID || qw.K != w.K {
+		t.Fatalf("quick workload %+v", qw)
+	}
+	if qo != (Options{Seed: 7, WindowW: 5, BaseWidth: 8, Depth: 2, Modules: 2}) {
+		t.Fatalf("quick options %+v", qo)
 	}
 }

@@ -22,23 +22,11 @@ import (
 // while others serve would race on the shared values — replicas are for
 // inference.
 func Replicas(w Workload, kind ConfigKind, opts Options, n int) ([]Net, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("pipeline: need at least 1 replica, got %d", n)
+	fleet, err := FleetReplicas(w, kind, opts, 1, n, nil)
+	if err != nil {
+		return nil, err
 	}
-	nets := make([]Net, n)
-	for i := range nets {
-		net, err := Build(w, kind, opts)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: replica %d: %w", i, err)
-		}
-		if i > 0 {
-			if err := nn.ShareParams(net.Params(), nets[0].Params()); err != nil {
-				return nil, fmt.Errorf("pipeline: replica %d: %w", i, err)
-			}
-		}
-		nets[i] = net
-	}
-	return nets, nil
+	return fleet[0][0], nil
 }
 
 // RebuildReplica constructs a fresh net for the workload/configuration and
@@ -80,7 +68,7 @@ const DegradeTierName = "budget/2+bucketfps@0.5"
 // them without a ladder.
 //
 // The rung never changes parameter shapes, so its replicas share weights
-// with the base net (TieredReplicas).
+// with the base net (FleetReplicas).
 func DegradeTiers(w Workload, opts Options, n int) []Options {
 	if n < 1 || w.Arch != ArchPointNetPP {
 		return nil
@@ -92,25 +80,27 @@ func DegradeTiers(w Workload, opts Options, n int) []Options {
 	return []Options{opts}
 }
 
-// FleetReplicas builds the replica tensor for a multi-engine fleet:
-// result[e] is a TieredReplicas-shaped matrix (row 0 full fidelity, row 1+i
-// tier i) for engine e, and every net across every engine, tier and worker
-// shares one set of trainable parameters with result[0][0][0]. The weights
-// therefore exist once per process however wide the fleet scales — the
-// construction serve.NewRouter expects: one serve.New engine per
-// result[e], wired into one Router.
+// FleetReplicas builds the replica tensor for a fleet of engines serving one
+// workload: result[e][0] holds engine e's workers full-fidelity replicas of
+// the base options and result[e][1+i] its workers replicas built with
+// tiers[i] (serve wires row 0 into NewEngine and the rest into
+// Config.Degrade). Every net across every engine, tier and worker shares one
+// set of trainable parameters with result[0][0][0] (as Replicas describes),
+// so the weights exist once per process however wide the fleet scales. One
+// engine (engines = 1) is the single-engine serving set.
 func FleetReplicas(w Workload, kind ConfigKind, opts Options, engines, workers int, tiers []Options) ([][][]Net, error) {
 	if engines < 1 {
 		return nil, fmt.Errorf("pipeline: need at least 1 engine, got %d", engines)
 	}
-	fleet := make([][][]Net, engines)
-	rows, err := TieredReplicas(w, kind, opts, workers, tiers)
-	if err != nil {
-		return nil, err
+	if workers < 1 {
+		return nil, fmt.Errorf("pipeline: need at least 1 replica, got %d", workers)
 	}
-	fleet[0] = rows
-	ref := rows[0][0]
-	for e := 1; e < engines; e++ {
+	ref, err := Build(w, kind, opts)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: replica 0: %w", err)
+	}
+	fleet := make([][][]Net, engines)
+	for e := range fleet {
 		rows := make([][]Net, 1+len(tiers))
 		for ti := range rows {
 			topt := opts
@@ -119,41 +109,17 @@ func FleetReplicas(w Workload, kind ConfigKind, opts Options, engines, workers i
 			}
 			row := make([]Net, workers)
 			for wi := range row {
-				net, err := RebuildReplica(ref, w, kind, topt)
-				if err != nil {
+				if e == 0 && ti == 0 && wi == 0 {
+					row[wi] = ref
+					continue
+				}
+				if row[wi], err = RebuildReplica(ref, w, kind, topt); err != nil {
 					return nil, fmt.Errorf("pipeline: engine %d tier %d replica %d: %w", e, ti, wi, err)
 				}
-				row[wi] = net
 			}
 			rows[ti] = row
 		}
 		fleet[e] = rows
 	}
 	return fleet, nil
-}
-
-// TieredReplicas builds the replica matrix for a degraded serving ladder:
-// row 0 holds workers full-fidelity replicas of the base options, and row
-// 1+i holds workers replicas built with tiers[i] — every net in every row
-// sharing one set of trainable parameters with the base replica. serve wires
-// row 0 into New and the remaining rows into Config.Degrade.
-func TieredReplicas(w Workload, kind ConfigKind, opts Options, workers int, tiers []Options) ([][]Net, error) {
-	base, err := Replicas(w, kind, opts, workers)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]Net, 1, 1+len(tiers))
-	rows[0] = base
-	for ti, topt := range tiers {
-		row := make([]Net, workers)
-		for i := range row {
-			net, err := RebuildReplica(base[0], w, kind, topt)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: tier %d replica %d: %w", ti+1, i, err)
-			}
-			row[i] = net
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

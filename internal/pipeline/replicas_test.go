@@ -130,10 +130,11 @@ func TestDegradeRungCutsFeatureWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []ConfigKind{SN, Baseline} {
-		rows, err := TieredReplicas(w, kind, Options{}, 1, DegradeTiers(w, Options{}, 1))
+		fleet, err := FleetReplicas(w, kind, Options{}, 1, 1, DegradeTiers(w, Options{}, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows := fleet[0]
 		if len(rows) != 2 {
 			t.Fatalf("%s: got %d rows, want full fidelity and one rung", kind, len(rows))
 		}
@@ -184,14 +185,20 @@ func TestSampleArchReachesBucketFPS(t *testing.T) {
 	}
 }
 
-func TestTieredReplicasShareOneParamSet(t *testing.T) {
+// One engine is the single-engine serving set: a full-fidelity row and one
+// row per tier, every net distinct and sharing the base replica's weights.
+func TestSingleEngineReplicasShareOneParamSet(t *testing.T) {
 	w := tinyWorkload()
 	const workers = 2
 	tiers := DegradeTiers(w, Options{}, 2)
-	rows, err := TieredReplicas(w, SN, Options{}, workers, tiers)
+	fleet, err := FleetReplicas(w, SN, Options{}, 1, workers, tiers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(fleet) != 1 {
+		t.Fatalf("got %d engines, want 1", len(fleet))
+	}
+	rows := fleet[0]
 	if len(rows) != 1+len(tiers) {
 		t.Fatalf("got %d rows, want %d", len(rows), 1+len(tiers))
 	}
@@ -272,5 +279,8 @@ func TestFleetReplicasShareOneParamSet(t *testing.T) {
 	}
 	if _, err := FleetReplicas(w, SN, Options{}, 0, workers, tiers); err == nil {
 		t.Fatal("zero engines accepted")
+	}
+	if _, err := FleetReplicas(w, SN, Options{}, engines, 0, tiers); err == nil {
+		t.Fatal("zero workers accepted")
 	}
 }

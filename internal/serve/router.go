@@ -25,6 +25,14 @@ import (
 // holds at all times — the conservation law the chaos tests assert (see
 // RouterStats.Conservation). Retries rides alongside as an attempt counter.
 
+// Quarantine: failThreshold consecutive panic or stall failures from one
+// engine take it out of routing for quarantineCooloff, after which it is
+// probed again.
+const (
+	failThreshold     = 3
+	quarantineCooloff = 2 * time.Second
+)
+
 // RouterConfig tunes the fleet layer. The zero value selects defaults.
 type RouterConfig struct {
 	// VNodes is the virtual-node count per engine on the hash ring
@@ -39,12 +47,6 @@ type RouterConfig struct {
 	// engine's queue is full before the frame counts as shed. Default 1;
 	// negative disables spillover.
 	Spill int
-	// FailThreshold is the number of consecutive panic-failures from one
-	// engine that quarantine it. Default 3.
-	FailThreshold int
-	// Cooloff is how long a quarantined engine is skipped by routing before
-	// it is probed again. Default 2s.
-	Cooloff time.Duration
 	// Retry, when non-nil, re-routes transient failures (panicked, stalled
 	// or queue-full attempts) to further ring candidates under the request's
 	// deadline budget. Nil — the default — keeps Submit single-attempt.
@@ -63,12 +65,6 @@ func (c *RouterConfig) defaults() {
 	if c.Spill < 0 {
 		c.Spill = 0
 	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.Cooloff <= 0 {
-		c.Cooloff = 2 * time.Second
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -78,7 +74,7 @@ func (c *RouterConfig) defaults() {
 type FleetRequest struct {
 	Request
 	// Tenant is the accounting and QoS identity: token bucket, priority
-	// class, per-tenant latency window. Also the routing key when Stream is
+	// class, per-tenant outcome counts. Also the routing key when Stream is
 	// empty.
 	Tenant string
 	// Stream, when set, is the routing key: all frames of one stream land on
@@ -155,7 +151,7 @@ func NewRouter(engines []*Engine, cfg RouterConfig) (*Router, error) {
 		consecFail: make([]atomic.Int32, len(engines)),
 		downUntil:  make([]atomic.Int64, len(engines)),
 		latency:    metrics.NewLatencyWindow(metrics.DefaultLatencyWindow),
-		tenants:    metrics.NewTenantWindows(metrics.DefaultLatencyWindow, metrics.DefaultMaxTenants),
+		tenants:    metrics.NewTenantWindows(metrics.DefaultMaxTenants),
 	}
 	if cfg.Retry != nil {
 		p := *cfg.Retry
@@ -247,7 +243,6 @@ func (rt *Router) Submit(ctx context.Context, req FleetRequest) (Result, error) 
 	case err == nil:
 		rt.completed.Add(1)
 		rt.latency.Observe(res.Total)
-		rt.tenants.Observe(req.Tenant, res.Total)
 		rt.tenants.Count(req.Tenant, metrics.TenantCompleted)
 	case errors.Is(err, ErrQueueFull):
 		rt.shedQueueFull.Add(1)
@@ -319,11 +314,11 @@ func (rt *Router) noteOutcome(id int, err error) {
 		rt.consecFail[id].Store(0)
 		return
 	}
-	if int(rt.consecFail[id].Add(1)) < rt.cfg.FailThreshold {
+	if rt.consecFail[id].Add(1) < failThreshold {
 		return
 	}
 	rt.consecFail[id].Store(0)
-	rt.downUntil[id].Store(rt.now().Add(rt.cfg.Cooloff).UnixNano())
+	rt.downUntil[id].Store(rt.now().Add(quarantineCooloff).UnixNano())
 	rt.quarantines.Add(1)
 }
 
@@ -367,7 +362,7 @@ type RouterStats struct {
 	Quarantined []bool // per-engine quarantine state
 
 	Latency metrics.LatencySnapshot           // fleet-wide completion latency
-	Tenants map[string]metrics.TenantSnapshot // per-tenant windows + counters
+	Tenants map[string]metrics.TenantSnapshot // per-tenant outcome counters
 
 	EngineStats []Stats // per-engine counters
 }

@@ -41,7 +41,7 @@ func TestFleetChaosPanicStorm(t *testing.T) {
 		}
 		engines[i] = e
 	}
-	rt, err := NewRouter(engines, RouterConfig{Clock: clock, FailThreshold: 3})
+	rt, err := NewRouter(engines, RouterConfig{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestRouterServesAndRoutesByAffinity(t *testing.T) {
 		t.Fatalf("engine completions sum %d, want %d", engineTotal, frames)
 	}
 	if len(s.Tenants) != 3 {
-		t.Fatalf("tenant windows = %d, want 3", len(s.Tenants))
+		t.Fatalf("tenant counters = %d, want 3", len(s.Tenants))
 	}
 }
 

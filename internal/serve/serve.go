@@ -81,7 +81,7 @@ var (
 )
 
 // Tier is one degraded rung of the serving ladder: a named set of cheaper
-// replica nets, one per worker. pipeline.TieredReplicas builds weight-sharing
+// replica nets, one per worker. pipeline.FleetReplicas builds weight-sharing
 // rows ready to be wired here.
 type Tier struct {
 	// Name labels the tier in stats output (e.g. "W/2+budget/2").
@@ -327,7 +327,7 @@ func New(nets []pipeline.Net, _, _ any, cfg Config) (*Engine, error) {
 // single net must never be given twice — each worker assumes exclusive
 // ownership of its replica's workspace and caches. The same holds across
 // cfg.Degrade tiers: every tier needs one exclusive replica per worker
-// (pipeline.TieredReplicas builds the whole matrix). A worker runs each frame
+// (pipeline.FleetReplicas builds the whole matrix). A worker runs each frame
 // through net.Forward and nothing else: the engine does not price frames
 // against the edgesim device model.
 func NewEngine(nets []pipeline.Net, cfg Config) (*Engine, error) {

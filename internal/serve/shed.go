@@ -39,11 +39,11 @@ type ShedConfig struct {
 	// Hysteresis is the number of consecutive calm observations required to
 	// un-shed one class. Default 8.
 	Hysteresis int
-	// MaxLevel caps the shed depth. Default (and maximum) NumPriorities-1:
-	// the top class is never shed — overload degrades it via the ladder
-	// instead of dropping it.
-	MaxLevel int
 }
+
+// maxShedLevel caps the shed depth at NumPriorities-1: the top class is never
+// shed — overload degrades it via the ladder instead of dropping it.
+const maxShedLevel = NumPriorities - 1
 
 func (c *ShedConfig) defaults() {
 	if c.HighWatermark <= 0 || c.HighWatermark > 1 {
@@ -54,9 +54,6 @@ func (c *ShedConfig) defaults() {
 	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 8
-	}
-	if c.MaxLevel <= 0 || c.MaxLevel > NumPriorities-1 {
-		c.MaxLevel = NumPriorities - 1
 	}
 }
 
@@ -86,7 +83,7 @@ func (s *ShedController) Observe(fill float64) {
 	if fill >= s.cfg.HighWatermark {
 		s.calm.Store(0)
 		l := s.level.Load()
-		if int(l) >= s.cfg.MaxLevel {
+		if l >= maxShedLevel {
 			return
 		}
 		if s.level.CompareAndSwap(l, l+1) {
@@ -117,8 +114,7 @@ func (s *ShedController) Level() int { return int(s.level.Load()) }
 
 // Sheds reports whether priority class p is dropped at the current level.
 // Classes are shed lowest-priority-first: level 1 sheds PriorityLow, level
-// 2 adds PriorityNormal; PriorityHigh is only shed if MaxLevel was raised
-// to NumPriorities (it is not, by default).
+// 2 adds PriorityNormal; PriorityHigh is never shed (maxShedLevel).
 func (s *ShedController) Sheds(p Priority) bool {
 	return int(p) >= NumPriorities-int(s.level.Load())
 }

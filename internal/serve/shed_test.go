@@ -24,7 +24,7 @@ func TestShedLevelsDropLowestFirst(t *testing.T) {
 	if !s.Sheds(PriorityLow) || !s.Sheds(PriorityNormal) || s.Sheds(PriorityHigh) {
 		t.Fatal("level 2 must shed low+normal, never high")
 	}
-	// MaxLevel default NumPriorities-1: further pressure cannot shed high.
+	// maxShedLevel is NumPriorities-1: further pressure cannot shed high.
 	for i := 0; i < 10; i++ {
 		s.Observe(1.0)
 	}

@@ -135,52 +135,26 @@ if [ "$(ladder_speedups W3 S+N | wc -l)" -ne 1 ]; then
 	exit 1
 fi
 
-echo "== fuzz smoke (seed corpus only) =="
-# Plain `go test` already runs every f.Add seed through the fuzz targets;
-# this stage just pins the targets by name so a renamed/deleted one fails
-# loudly instead of silently shrinking coverage.
-go test -run '^Fuzz' ./internal/compress/ ./internal/dataset/ ./internal/nn/ ./internal/serve/ ./internal/loadgen/ ./internal/spatial/
-
-echo "== chaos smoke (fault injection under -race; see DESIGN.md §11, §15) =="
-# The resilience layer's promises — panics isolated and quarantined, invalid
-# input rejected at admission, Close never hung by a parked breaker, the
-# degradation ladder stepping both ways, stalled workers detected and
-# respawned, retries conserving the accounting under a stall storm,
-# every Submit exit leaving Close clean, the caller's context reaching the
-# engine on every router path — exercised under the race detector.
-go test -race -run 'TestChaos|TestCircuitBreaker|TestCloseDoesNotWaitOutBreakerPark|TestLastResort|TestDegradation|TestAdmission|TestCorruptInjection|TestDelayAndStall|TestFleetChaos|TestStall|TestBreakerBackoffJitterPinned|TestRetry|TestExpiredDeadline|TestRouterSurvivability|TestSubmitOutcomesCloseClean|TestRouterThreadsCallerContext' ./internal/serve/
+echo "== fuzz (five seconds per target; see DESIGN.md §11, §15) =="
+# Plain `go test` runs every f.Add seed; these search past them. The serving
+# layer's chaos tests (panics, stalls, retries, Close) run under the race
+# detector in the race stage, which covers ./internal/serve/... whole.
 go test -run '^$' -fuzz '^FuzzSubmitFrame$' -fuzztime 5s ./internal/serve/
 go test -run '^$' -fuzz '^FuzzLoadgenConfig$' -fuzztime 5s ./internal/loadgen/
 go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzQueriesMatchOracles$' -fuzztime 5s ./internal/spatial/
 
-echo "== kernel parity (golden suite; blocked against the reference loops at the models' shapes) =="
-# Every layer runs blocked's kernels. Run the golden-logit suite (blocked
-# against bit-exact fixtures) and, under the race detector, the check that
-# blocked's MatMulBiasInto is bit-equal to the scalar reference loops at every
-# feature-stage GEMM shape the golden workloads trace. The tensor tests below
-# cover the blocked property and concurrency tests, the per-block parallel
-# MatMul, and the name switch and int8 kernel that bench/'s
-# tensor.matmul.*_ms probes still call.
-go test -run 'TestGolden' ./internal/pipeline/
-go test -race -run 'TestGoldenBackendParity' ./internal/pipeline/
-go test -race -run 'TestQuickBlockedMatMulMatchesNaive|TestQuickInt8RoundTrip|TestInt8MatMulWithinAnalyticBound|TestBlockedBackendConcurrent|TestBackendRegistry|TestInt8WeightCacheReuse|TestBackendValidationMatchesReference|TestMatMulBiasIntoIsMatMulIntoPlusBias|TestVectorGEMM|TestVectorATBT|TestZeroTimesInfIsNaNEverywhere|TestVectorPool|TestPoolTiesKeepTheLowestRow' ./internal/tensor/
-# Training runs the same kernels: the backward products above, the argmax
-# pool, the folded train-mode BatchNorm → ReLU forward and backward, Linear's
-# gradient adds and featKNN's two lane scans and its tile schedule, all of it
-# from the training
-# arena, whose recycled buffers must not leak one step into the next. Exact
-# FPS's vector refresh is compared with its Go loops, whole samplings and
-# kernel by kernel, and so is ApplyPlan's interpolation kernel. The 3-NN
-# join's best-three kernel is compared with its Go loop, the Go loop with a
-# sort, and the join under either with sample.ThreeNN's plans; every
-# assembly file is held to VEX-only instructions (TestAssemblyIsVEXOnly).
+echo "== kernel parity under -race (the packages the race stage runs short or not at all) =="
+# The race stage runs tensor, pipeline, model and spatial whole, and the full
+# pass runs the golden suite and TestAssemblyIsVEXOnly. What is left: nn's
+# kernel comparisons (the race stage runs nn with -short) — the folded
+# train-mode BatchNorm → ReLU forward and backward against the layers one by
+# one, the backward products and Linear's gradient adds against their Go
+# loops — and sample, which the race stage does not run: exact FPS's vector
+# refresh against its Go loops, whole samplings and kernel by kernel, and
+# ApplyPlan's interpolation kernel.
 go test -race -run 'TestTrainFoldMatchesLayerByLayer|TestVectorBackward|TestVectorLinearGradientsMatchReference' ./internal/nn/
-go test -race -run 'TestGradientsIndependentOfTrainingHistory|TestBackwardAfterEvalForwardFails' ./internal/pipeline/
-go test -race -run 'TestFeatKNNMatchesScalarOracle|TestFeatKNNScheduleIndependent|TestKNNScan|TestKNNSym' ./internal/model/
 go test -race -run 'TestVectorRefreshMatchesGoLoops|TestVectorKernels|TestBucketFPS|TestApplyPlan' ./internal/sample/
-go test -race -run 'TestBest3|TestJoin' ./internal/spatial/
-go test -run 'TestAssemblyIsVEXOnly' .
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMatMulAT' -benchtime=1x -benchmem ./internal/tensor/
