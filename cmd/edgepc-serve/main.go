@@ -69,6 +69,7 @@ type options struct {
 	checkpoint   string
 
 	engines, tenants  int
+	tenantsSet        bool // -tenants given on the command line
 	qosRate, qosBurst float64
 }
 
@@ -99,6 +100,7 @@ func main() {
 	flag.Float64Var(&o.qosRate, "qos-rate", 0, "fleet mode: per-tenant token-bucket rate, frames/s (0: unlimited)")
 	flag.Float64Var(&o.qosBurst, "qos-burst", 0, "fleet mode: per-tenant burst capacity (0: max(rate,1))")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { o.tenantsSet = o.tenantsSet || f.Name == "tenants" })
 	if flag.NArg() > 0 {
 		// A boolean flag takes no value: "-degrade 2" would end flag parsing
 		// at "2" and silently drop every flag after it.
@@ -127,8 +129,19 @@ func (o options) validate() error {
 	if o.retries < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d (0 disables retries)", o.retries)
 	}
-	if o.engines == 1 && o.retries > 0 {
-		return fmt.Errorf("-retries re-routes across a fleet: set -engines > 1 to use it")
+	// One engine takes frames straight through Engine.Submit: the router's
+	// flags would be ignored there, so they are refused.
+	if o.engines == 1 {
+		switch {
+		case o.retries > 0:
+			return fmt.Errorf("-retries re-routes across a fleet: set -engines > 1 to use it")
+		case o.qosRate != 0:
+			return fmt.Errorf("-qos-rate throttles tenants at the fleet router: set -engines > 1 to use it")
+		case o.qosBurst != 0:
+			return fmt.Errorf("-qos-burst sizes the fleet router's tenant buckets: set -engines > 1 to use it")
+		case o.tenantsSet:
+			return fmt.Errorf("-tenants names the fleet router's tenants: set -engines > 1 to use it")
+		}
 	}
 	if o.tenants < 1 || o.qosRate < 0 || o.qosBurst < 0 {
 		return fmt.Errorf("tenants must be positive, qos-rate/qos-burst non-negative")
@@ -246,7 +259,7 @@ func run(o options) error {
 		fmt.Printf("chaos: panic %.0f%%, corrupt %.0f%%, stall %.0f%% (seed %d)\n",
 			o.chaosPanic*100, o.chaosCorrupt*100, o.chaosStall*100, o.chaosSeed)
 	}
-	if o.qosRate > 0 && router != nil {
+	if o.qosRate > 0 {
 		fmt.Printf("qos: %.3g frames/s per tenant (burst %.3g)\n", o.qosRate, o.qosBurst)
 	}
 	if o.checkpoint != "" {

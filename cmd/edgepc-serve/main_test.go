@@ -75,23 +75,35 @@ func TestRunCheckpointRestore(t *testing.T) {
 	}
 }
 
+// Bad fleet flags, and fleet flags on one engine (which takes frames
+// straight through Engine.Submit and would ignore them), must fail fast with
+// errors that name the flag, before any replicas are built.
 func TestRunFleetValidation(t *testing.T) {
 	cases := []struct {
-		name             string
-		engines, tenants int
-		qosRate          float64
+		name              string
+		engines, tenants  int
+		tenantsSet        bool
+		qosRate, qosBurst float64
+		wantSubstr        string
 	}{
-		{"too many engines", 65, 4, 0},
-		{"zero tenants", 2, 0, 0},
-		{"negative qos", 2, 4, -1},
+		{"too many engines", 65, 4, false, 0, 0, "engines"},
+		{"zero tenants", 2, 0, true, 0, 0, "tenants"},
+		{"negative qos", 2, 4, false, -1, 0, "qos-rate"},
+		{"qos-rate without fleet", 1, 4, false, 50, 0, "-qos-rate"},
+		{"qos-burst without fleet", 1, 4, false, 0, 10, "-qos-burst"},
+		{"tenants without fleet", 1, 8, true, 0, 0, "-tenants"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := quickOptions()
-			o.engines, o.tenants, o.qosRate = tc.engines, tc.tenants, tc.qosRate
+			o.engines, o.tenants, o.tenantsSet = tc.engines, tc.tenants, tc.tenantsSet
+			o.qosRate, o.qosBurst = tc.qosRate, tc.qosBurst
 			err := run(o)
 			if err == nil {
 				t.Fatal("run accepted bad fleet flags")
+			}
+			if !strings.Contains(err.Error(), tc.wantSubstr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSubstr)
 			}
 		})
 	}

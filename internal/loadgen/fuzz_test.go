@@ -17,7 +17,7 @@ func FuzzLoadgenConfig(f *testing.F) {
 		"mix=0.2,0.5,0.3;svc=2ms,1ms,700us",
 		"ramp=0:1,0.5:3,1:0.2;zipf=1.1;tenants=1000",
 		"qos-rate=50;qos-burst=10;deadline=5ms",
-		"shed-high=0.55;shed-low=0.1;shed-hyst=8",
+		"queue=12;workers=3;engines=2;svc=1ms,400us",
 		"rate=NaN",
 		"rate=+Inf;alpha=-1",
 		"unknown=1",

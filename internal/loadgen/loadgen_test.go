@@ -252,29 +252,24 @@ func TestRunRetryRespectsDeadlineBudget(t *testing.T) {
 // The simulator's engines step their ladder at the queue lengths serve.Engine
 // does — the table internal/serve pins in TestLadderStepsAtPinnedQueueLengths
 // — not where a float fill comparison would: one busy worker, a burst that
-// fills the queue one arrival at a time, then a lull that drains it one
-// completion at a time.
+// fills the queue one arrival at a time, then a lull in which the queue
+// drains. A completion that leaves `up` or fewer frames queued is calm, and
+// the calmRun-th calm completion in a row steps the ladder up.
 func TestRunLadderStepsAtEngineQueueLengths(t *testing.T) {
+	const calmRun = 4 // serve's consecutive calm frames per step up
 	for _, tc := range []struct {
-		depth     int
-		high, low float64
-		down, up  int
+		depth    int
+		down, up int
 	}{
-		{3, 0.75, 0.25, 2, 0},
-		{4, 0.75, 0.25, 3, 1},
-		{7, 0.75, 0.25, 5, 1},
-		{8, 0.75, 0.25, 6, 2},
-		{11, 0.75, 0.25, 8, 2},
-		{3, 0.5, 0.25, 2, 0},
-		{7, 0.5, 0.25, 4, 1},
-		{11, 0.5, 0.25, 6, 2},
-		{7, 0, 0, 5, 1},
+		{3, 2, 0},
+		{4, 3, 1},
+		{7, 5, 1},
+		{8, 6, 2},
+		{11, 8, 2},
 	} {
 		spec := Quick()
 		spec.Engines, spec.Workers, spec.Queue = 1, 1, tc.depth
-		spec.LadderHigh, spec.LadderLow, spec.LadderHyst = tc.high, tc.low, 1
-		spec.ShedHigh = 1 // keep the shed controller out of the way
-		spec.Ramp = []RampPoint{{At: 0, Mult: 20}, {At: 0.1, Mult: 20}, {At: 0.1, Mult: 0}, {At: 1, Mult: 0}}
+		spec.Ramp = []RampPoint{{At: 0, Mult: 20}, {At: 0.1, Mult: 20}, {At: 0.1, Mult: 0.3}, {At: 1, Mult: 0.3}}
 		if m, err := Run(spec, 1); err != nil || m.StepDowns == 0 || m.StepUps == 0 {
 			t.Fatalf("depth %d: run stepped %d down %d up (err %v); want both", tc.depth, m.StepDowns, m.StepUps, err)
 		}
@@ -284,21 +279,35 @@ func TestRunLadderStepsAtEngineQueueLengths(t *testing.T) {
 		}
 		e := &s.engines[0]
 		s.scheduleArrival()
-		down, up := -1, -1
-		for len(s.events) > 0 && up < 0 {
+		down := -1
+		var done []int // queue lengths completions left since the step down
+		for len(s.events) > 0 {
 			ev := s.events.pop()
 			tier, queued := e.ladder.Tier(), e.n
 			s.step(ev)
-			switch {
-			case e.ladder.Tier() > tier && down < 0:
+			if ev.kind == evComplete && down >= 0 {
+				done = append(done, queued) // a completion observes the queue before the next pickup
+			}
+			if e.ladder.Tier() > tier && down < 0 {
 				down = e.n // the worker is busy, so the enqueued frame is still queued
-			case e.ladder.Tier() < tier:
-				up = queued // a completion observes the queue before the next pickup
+			}
+			if e.ladder.Tier() < tier {
+				break
 			}
 		}
-		if down != tc.down || up != tc.up {
-			t.Fatalf("depth %d high %g low %g: stepped down at %d queued and up at %d, engine steps at %d and %d",
-				tc.depth, tc.high, tc.low, down, up, tc.down, tc.up)
+		if down != tc.down {
+			t.Fatalf("depth %d: stepped down at %d queued, engine steps at %d", tc.depth, down, tc.down)
+		}
+		// The step up ends a run of calm completions. A completion leaves at
+		// most one frame fewer queued than the one before it, so the busy one
+		// before the run left exactly up+1.
+		calm := len(done)
+		for calm > 0 && done[calm-1] <= tc.up {
+			calm--
+		}
+		if run := len(done) - calm; run != calmRun || calm == 0 || done[calm-1] != tc.up+1 {
+			t.Fatalf("depth %d: stepped up after completions leaving %v queued, engine steps on the %dth in a row leaving at most %d",
+				tc.depth, done, calmRun, tc.up)
 		}
 	}
 }
@@ -414,30 +423,39 @@ func TestParseSpecTable(t *testing.T) {
 		t.Fatal("empty override changed the base spec")
 	}
 
-	bad := []struct{ in, field string }{
-		{"bogus=1", "bogus"},
-		{"seed", "spec"}, // missing '=': the pair itself is the offender
-		{"seed=x", "seed"},
-		{"engines=0", "engines"},
-		{"engines=9999", "engines"},
-		{"rate=NaN", "rate"},
-		{"rate=+Inf", "rate"},
-		{"alpha=1", "alpha"},
-		{"mix=1,2", "mix"},
-		{"mix=-1,1,1", "mix"},
-		{"svc=", "svc"},
-		{"svc=2ms,nope", "svc"},
-		{"ramp=5", "ramp"},
-		{"ramp=0.9:1,0.1:1", "ramp"},
-		{"duration=-1s", "duration"},
-		{"duration=2h", "duration"},
-		{"zipf=99", "zipf"},
-		{"shed-high=2", "shed-high"},
-		{"rate=1e7;duration=1h", "rate"}, // > 5e7 arrivals
-		{"stall-frac=2", "stall-frac"},
-		{"stall-frac=NaN", "stall-frac"},
-		{"stall-timeout=-1ms", "stall-timeout"},
-		{"retries=9", "retries"},
+	bad := []struct{ in, field, reason string }{
+		{"bogus=1", "bogus", "unknown key"},
+		// serve's constants, not spec inputs: a fleet no edgepc-serve flag
+		// can configure must not be simulated.
+		{"ladder-high=0.5", "ladder-high", "unknown key"},
+		{"ladder-low=0.1", "ladder-low", "unknown key"},
+		{"ladder-hyst=1", "ladder-hyst", "unknown key"},
+		{"shed-high=0.55", "shed-high", "unknown key"},
+		{"shed-low=0.1", "shed-low", "unknown key"},
+		{"shed-hyst=8", "shed-hyst", "unknown key"},
+		{"vnodes=128", "vnodes", "unknown key"},
+		{"spill=1", "spill", "unknown key"},
+		{"seed", "spec", ""}, // missing '=': the pair itself is the offender
+		{"seed=x", "seed", ""},
+		{"engines=0", "engines", ""},
+		{"engines=9999", "engines", ""},
+		{"rate=NaN", "rate", ""},
+		{"rate=+Inf", "rate", ""},
+		{"alpha=1", "alpha", ""},
+		{"mix=1,2", "mix", ""},
+		{"mix=-1,1,1", "mix", ""},
+		{"svc=", "svc", ""},
+		{"svc=2ms,nope", "svc", ""},
+		{"ramp=5", "ramp", ""},
+		{"ramp=0.9:1,0.1:1", "ramp", ""},
+		{"duration=-1s", "duration", ""},
+		{"duration=2h", "duration", ""},
+		{"zipf=99", "zipf", ""},
+		{"rate=1e7;duration=1h", "rate", ""}, // > 5e7 arrivals
+		{"stall-frac=2", "stall-frac", ""},
+		{"stall-frac=NaN", "stall-frac", ""},
+		{"stall-timeout=-1ms", "stall-timeout", ""},
+		{"retries=9", "retries", ""},
 	}
 	for _, tc := range bad {
 		_, err := ParseSpec(tc.in, Quick())
@@ -447,6 +465,9 @@ func TestParseSpecTable(t *testing.T) {
 		}
 		if se.Field != tc.field {
 			t.Fatalf("%q: field = %q, want %q", tc.in, se.Field, tc.field)
+		}
+		if tc.reason != "" && se.Reason != tc.reason {
+			t.Fatalf("%q: reason = %q, want %q", tc.in, se.Reason, tc.reason)
 		}
 		if !strings.Contains(se.Error(), tc.field) {
 			t.Fatalf("%q: message %q does not name the field", tc.in, se.Error())

@@ -41,17 +41,9 @@ type SpecSummary struct {
 	Workers     int         `json:"workers"`
 	QueueDepth  int         `json:"queue_depth"`
 	SvcUsTiers  []float64   `json:"svc_us_tiers"`
-	LadderHigh  float64     `json:"ladder_high"`
-	LadderLow   float64     `json:"ladder_low"`
-	LadderHyst  int         `json:"ladder_hyst"`
-	ShedHigh    float64     `json:"shed_high"`
-	ShedLow     float64     `json:"shed_low"`
-	ShedHyst    int         `json:"shed_hyst"`
 	QoSRate     float64     `json:"qos_rate"`
 	QoSBurst    float64     `json:"qos_burst"`
 	DeadlineMs  float64     `json:"deadline_ms"`
-	VNodes      int         `json:"vnodes"`
-	Spill       int         `json:"spill"`
 
 	StallFrac      float64 `json:"stall_frac"`
 	StallTimeoutMs float64 `json:"stall_timeout_ms"`
@@ -116,17 +108,9 @@ func Summarize(spec Spec) SpecSummary {
 		Workers:     spec.Workers,
 		QueueDepth:  spec.queueDepth(),
 		SvcUsTiers:  svc,
-		LadderHigh:  spec.LadderHigh,
-		LadderLow:   spec.LadderLow,
-		LadderHyst:  spec.LadderHyst,
-		ShedHigh:    spec.ShedHigh,
-		ShedLow:     spec.ShedLow,
-		ShedHyst:    spec.ShedHyst,
 		QoSRate:     spec.QoSRate,
 		QoSBurst:    spec.QoSBurst,
 		DeadlineMs:  float64(spec.Deadline) / float64(time.Millisecond),
-		VNodes:      spec.VNodes,
-		Spill:       spec.Spill,
 
 		StallFrac:      spec.StallFrac,
 		StallTimeoutMs: float64(spec.StallTimeout) / float64(time.Millisecond),

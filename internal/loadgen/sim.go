@@ -270,7 +270,7 @@ func Run(spec Spec, mult float64) (Metrics, error) {
 }
 
 func newSim(spec Spec, mult float64) (*sim, error) {
-	ring, err := serve.NewRing(spec.Engines, spec.VNodes)
+	ring, err := serve.NewRing(spec.Engines, serve.DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +284,7 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 		cand:     make([]int, 0, spec.Engines),
 		rateBase: spec.EffectiveRate() * mult,
 		alpha:    spec.ParetoAlpha,
-		wantCand: 1 + spec.Spill,
+		wantCand: 1 + serve.Spill,
 		prio:     make([]serve.Priority, spec.Tenants),
 		tOffered: make([]uint32, spec.Tenants),
 		tDone:    make([]uint32, spec.Tenants),
@@ -293,14 +293,10 @@ func newSim(spec Spec, mult float64) (*sim, error) {
 	for i := range s.engines {
 		s.engines[i] = simEngine{
 			q: make([]qItem, depth), depth: depth, free: spec.Workers,
-			ladder: serve.NewLadder(len(spec.SvcTiers), depth, spec.LadderHigh, spec.LadderLow, spec.LadderHyst),
+			ladder: serve.NewLadder(len(spec.SvcTiers), depth),
 		}
 	}
-	s.shed = serve.NewShedController(serve.ShedConfig{
-		HighWatermark: spec.ShedHigh,
-		LowWatermark:  spec.ShedLow,
-		Hysteresis:    spec.ShedHyst,
-	})
+	s.shed = serve.NewShedController()
 	// Priority classes: each tenant draws its class from the mix by a pure
 	// hash of (seed, tenant) — stable across scenarios of one spec.
 	var cum [numPriorities]float64
@@ -459,12 +455,12 @@ func (s *sim) arrive() {
 	}
 	h := serve.Mix64(serve.Mix64(s.spec.Seed^0x726f757465) ^ uint64(tenant)<<10 ^ uint64(stream))
 	s.cand = s.ring.CandidatesHash(h, s.wantCand, s.cand)
-	// Initial admission only spills over the first 1+Spill candidates — the
-	// rest of the walk is reserved for retries, exactly like the
+	// Initial admission only spills over the first 1+serve.Spill candidates —
+	// the rest of the walk is reserved for retries, exactly like the
 	// router's wider Candidates request.
 	adm := s.cand
-	if spill := 1 + s.spec.Spill; len(adm) > spill {
-		adm = adm[:spill]
+	if span := 1 + serve.Spill; len(adm) > span {
+		adm = adm[:span]
 	}
 	for i, id := range adm {
 		e := &s.engines[id]

@@ -76,27 +76,15 @@ type Spec struct {
 
 	// Service model: SvcTiers[t] is the per-frame service time at
 	// degradation tier t (t = 0 full fidelity). len(SvcTiers) fixes the
-	// ladder depth.
+	// ladder depth; when each engine steps is serve.Ladder's fixed policy,
+	// and when the fleet sheds serve.ShedController's.
 	SvcTiers []time.Duration
-
-	// Engine degradation ladder: the serve.NewLadder arguments (which also
-	// supplies the defaults: 0.75, high/3, 4).
-	LadderHigh float64 // queue-fill step-down watermark
-	LadderLow  float64 // calm watermark
-	LadderHyst int     // consecutive calm completions to step up
-
-	// Fleet shed controller (serve.ShedConfig fields).
-	ShedHigh float64
-	ShedLow  float64
-	ShedHyst int
 
 	// Per-tenant QoS token buckets; QoSRate <= 0 disables throttling.
 	QoSRate  float64
 	QoSBurst float64
 
 	Deadline time.Duration // per-frame deadline at service start; 0: none
-	VNodes   int           // ring vnodes per engine
-	Spill    int           // extra ring candidates on queue-full
 
 	// Survivability model (DESIGN.md §15). StallFrac > 0 injects worker
 	// stalls: a stalled attempt wedges its worker until the modelled watchdog
@@ -128,13 +116,8 @@ func Defaults() Spec {
 		Engines:     4,
 		Workers:     2,
 		SvcTiers:    []time.Duration{2 * time.Millisecond, 900 * time.Microsecond},
-		LadderHigh:  0.75,
-		LadderLow:   0.25,
-		LadderHyst:  4,
 		QoSRate:     0,
 		QoSBurst:    0,
-		VNodes:      128,
-		Spill:       1,
 	}
 }
 
@@ -215,24 +198,6 @@ func (s *Spec) Validate() error {
 			return specErr("svc", d.String(), "tier service times must be in (0, 1m]")
 		}
 	}
-	if !(s.LadderHigh >= 0) || s.LadderHigh > 1 {
-		return specErr("ladder-high", fmt.Sprint(s.LadderHigh), "watermark must be in [0, 1]")
-	}
-	if !(s.LadderLow >= 0) || (s.LadderHigh > 0 && s.LadderLow >= s.LadderHigh) {
-		return specErr("ladder-low", fmt.Sprint(s.LadderLow), "must be >= 0 and below ladder-high")
-	}
-	if s.LadderHyst < 0 || s.LadderHyst > 1<<20 {
-		return specErr("ladder-hyst", fmt.Sprint(s.LadderHyst), "must be in [0, 1048576]")
-	}
-	if !(s.ShedHigh >= 0) || s.ShedHigh > 1 {
-		return specErr("shed-high", fmt.Sprint(s.ShedHigh), "watermark must be in [0, 1]")
-	}
-	if !(s.ShedLow >= 0) || (s.ShedHigh > 0 && s.ShedLow >= s.ShedHigh) {
-		return specErr("shed-low", fmt.Sprint(s.ShedLow), "must be >= 0 and below shed-high")
-	}
-	if s.ShedHyst < 0 || s.ShedHyst > 1<<20 {
-		return specErr("shed-hyst", fmt.Sprint(s.ShedHyst), "must be in [0, 1048576]")
-	}
 	if !(s.QoSRate >= 0) || s.QoSRate > 1e7 {
 		return specErr("qos-rate", fmt.Sprint(s.QoSRate), "must be in [0, 1e7]")
 	}
@@ -241,12 +206,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Deadline < 0 || s.Deadline > time.Hour {
 		return specErr("deadline", s.Deadline.String(), "must be in [0, 1h]")
-	}
-	if s.VNodes < 0 || s.VNodes > 1<<16 {
-		return specErr("vnodes", fmt.Sprint(s.VNodes), "must be in [0, 65536]")
-	}
-	if s.Spill < 0 || s.Spill > 256 {
-		return specErr("spill", fmt.Sprint(s.Spill), "must be in [0, 256]")
 	}
 	if !(s.StallFrac >= 0) || s.StallFrac > 1 {
 		return specErr("stall-frac", fmt.Sprint(s.StallFrac), "stalled-attempt fraction must be in [0, 1]")
@@ -300,10 +259,11 @@ func (s *Spec) queueDepth() int {
 //	"rate=500;mult-independent fields...;ramp=0:1,0.5:2,1:1;svc=2ms,1ms;mix=0.2,0.5,0.3"
 //
 // Recognized keys: seed, duration, rate, alpha, ramp, tenants, zipf,
-// streams, mix, engines, workers, queue, svc, ladder-high, ladder-low,
-// ladder-hyst, shed-high, shed-low, shed-hyst, qos-rate, qos-burst,
-// deadline, vnodes, spill, stall-frac, stall-timeout, retries. Every failure
-// is a *SpecError.
+// streams, mix, engines, workers, queue, svc, qos-rate, qos-burst,
+// deadline, stall-frac, stall-timeout, retries. The fleet's policy
+// thresholds — ladder and shed watermarks, ring vnodes, spillover — are
+// internal/serve's constants, so no key sets them. Every failure is a
+// *SpecError.
 func ParseSpec(s string, base Spec) (Spec, error) {
 	out := base
 	for _, pair := range strings.Split(s, ";") {
@@ -371,28 +331,12 @@ func (s *Spec) set(k, v string) error {
 			return err
 		}
 		s.SvcTiers = tiers
-	case "ladder-high":
-		return parseFloatField(k, v, &s.LadderHigh)
-	case "ladder-low":
-		return parseFloatField(k, v, &s.LadderLow)
-	case "ladder-hyst":
-		return parseIntField(k, v, &s.LadderHyst)
-	case "shed-high":
-		return parseFloatField(k, v, &s.ShedHigh)
-	case "shed-low":
-		return parseFloatField(k, v, &s.ShedLow)
-	case "shed-hyst":
-		return parseIntField(k, v, &s.ShedHyst)
 	case "qos-rate":
 		return parseFloatField(k, v, &s.QoSRate)
 	case "qos-burst":
 		return parseFloatField(k, v, &s.QoSBurst)
 	case "deadline":
 		return parseDurField(k, v, &s.Deadline)
-	case "vnodes":
-		return parseIntField(k, v, &s.VNodes)
-	case "spill":
-		return parseIntField(k, v, &s.Spill)
 	case "stall-frac":
 		return parseFloatField(k, v, &s.StallFrac)
 	case "stall-timeout":

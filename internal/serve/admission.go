@@ -15,10 +15,9 @@ import (
 // errors.Is(err, ErrInvalidInput).
 var ErrInvalidInput = errors.New("serve: invalid input")
 
-// DefaultMaxPoints is the admission cap on points per frame when
-// Config.MaxPoints is unset — far above every Table 1 workload (≤ 8192) but
-// low enough to stop a malformed length from committing gigabytes of
-// workspace.
+// DefaultMaxPoints is the admission cap on points per frame — far above
+// every Table 1 workload (≤ 8192) but low enough to stop a malformed length
+// from committing gigabytes of workspace.
 const DefaultMaxPoints = 1 << 20
 
 // validateFrame is the admission gate: every check a worker would otherwise
@@ -27,7 +26,7 @@ const DefaultMaxPoints = 1 << 20
 // indexing out of bounds) runs here on the submitter's goroutine, so a bad
 // frame costs its caller a scan instead of burning a worker replica. The
 // valid path allocates nothing.
-func validateFrame(c *geom.Cloud, maxPoints int) error {
+func validateFrame(c *geom.Cloud) error {
 	if c == nil {
 		return fmt.Errorf("%w: nil cloud", ErrInvalidInput)
 	}
@@ -35,8 +34,8 @@ func validateFrame(c *geom.Cloud, maxPoints int) error {
 	if n == 0 {
 		return fmt.Errorf("%w: empty cloud", ErrInvalidInput)
 	}
-	if n > maxPoints {
-		return fmt.Errorf("%w: %d points exceeds cap %d", ErrInvalidInput, n, maxPoints)
+	if n > DefaultMaxPoints {
+		return fmt.Errorf("%w: %d points exceeds cap %d", ErrInvalidInput, n, DefaultMaxPoints)
 	}
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidInput, err)

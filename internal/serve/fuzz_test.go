@@ -77,7 +77,7 @@ func FuzzSubmitFrame(f *testing.F) {
 		res, err := e.Submit(context.Background(), Request{Cloud: c})
 		switch {
 		case err == nil:
-			if verr := validateFrame(c, DefaultMaxPoints); verr != nil {
+			if verr := validateFrame(c); verr != nil {
 				t.Fatalf("Submit admitted a frame validateFrame rejects: %v", verr)
 			}
 			if res.Output == nil {

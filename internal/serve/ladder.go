@@ -2,47 +2,83 @@ package serve
 
 import "sync/atomic"
 
+// The degradation ladder's thresholds (DESIGN.md §11): an enqueue that fills
+// the queue to ladderHigh of its depth steps one tier down, and
+// ladderHysteresis consecutive frames that finish with the queue at or below
+// ladderLow of its depth step one back up. ladderHigh sits above the shed
+// controller's shedHigh so the fleet sheds low-priority traffic before any
+// engine degrades the traffic it kept.
+const (
+	ladderHigh       = 0.75
+	ladderLow        = ladderHigh / 3
+	ladderHysteresis = 4
+)
+
+// hysteresis is the level-with-hysteresis state machine the Ladder and the
+// ShedController share. Level 0 is calm and top the deepest response: raise
+// steps one level up at once; busy breaks the calm streak; calm counts one
+// calm observation, and the hyst-th in a row steps one level down. Level
+// moves are CAS-guarded, so concurrent observers of the same pressure move
+// the level once. Each owner keeps its own thresholds and units and only
+// tells the machine which of the three an observation was.
+type hysteresis struct {
+	top, hyst int32
+
+	level  atomic.Int32
+	streak atomic.Int32
+	raises atomic.Uint64
+	drops  atomic.Uint64
+}
+
+func (h *hysteresis) raise() {
+	l := h.level.Load()
+	if l >= h.top {
+		return
+	}
+	if h.level.CompareAndSwap(l, l+1) {
+		h.raises.Add(1)
+		h.streak.Store(0)
+	}
+}
+
+func (h *hysteresis) busy() { h.streak.Store(0) }
+
+func (h *hysteresis) calm() {
+	l := h.level.Load()
+	if l == 0 {
+		return
+	}
+	if h.streak.Add(1) < h.hyst {
+		return
+	}
+	if h.level.CompareAndSwap(l, l-1) {
+		h.drops.Add(1)
+	}
+	h.streak.Store(0)
+}
+
 // Ladder is the degradation-ladder state machine (DESIGN.md §11): tier 0 is
-// full fidelity, each step down serves a cheaper rung. An enqueue that fills
-// the queue to the high watermark steps one tier down; Hysteresis consecutive
-// frames that finish with the queue at or below the low watermark step one
-// back up. It holds no queue and no clock — callers report queue lengths — so
-// serve.Engine and the loadgen simulator drive the identical code. Tier moves
-// are CAS-guarded: concurrent observers of the same pressure step once.
+// full fidelity, each step down serves a cheaper rung. It holds no queue and
+// no clock — callers report queue lengths — so serve.Engine and the loadgen
+// simulator drive the identical code.
 type Ladder struct {
-	tiers int // rungs, tier 0 included
 	highN int // queue length that steps the ladder down
 	lowN  int // queue length at or below which a finished frame counts as calm
-	hyst  int // consecutive calm frames per step up
-
-	tier      atomic.Int32
-	calm      atomic.Int32
-	stepDowns atomic.Uint64
-	stepUps   atomic.Uint64
+	h     hysteresis
 }
 
 // NewLadder builds a ladder of tiers rungs over a queue of the given depth.
-// high and low are queue-fill fractions; out-of-range values select the
-// defaults: high 0.75, low high/3, hysteresis 4.
-func NewLadder(tiers, depth int, high, low float64, hysteresis int) *Ladder {
-	if high <= 0 || high > 1 {
-		high = 0.75
-	}
-	if low <= 0 || low >= high {
-		low = high / 3
-	}
-	if hysteresis <= 0 {
-		hysteresis = 4
-	}
+// The watermarks are integer queue lengths — at depth 3, 7 or 11 a float
+// fill comparison would step one frame later.
+func NewLadder(tiers, depth int) *Ladder {
 	l := &Ladder{
-		tiers: tiers,
-		highN: int(float64(high*float64(depth)) + 0.5),
-		lowN:  int(low * float64(depth)),
-		hyst:  hysteresis,
+		highN: int(float64(ladderHigh*float64(depth)) + 0.5),
+		lowN:  int(ladderLow * float64(depth)),
 	}
 	if l.highN < 1 {
 		l.highN = 1
 	}
+	l.h.top, l.h.hyst = int32(tiers-1), ladderHysteresis
 	return l
 }
 
@@ -50,16 +86,8 @@ func NewLadder(tiers, depth int, high, low float64, hysteresis int) *Ladder {
 // past the high watermark the ladder steps one tier down, so workers start
 // draining faster instead of the next submitter hitting a full queue.
 func (l *Ladder) Enqueued(qlen int) {
-	if qlen < l.highN {
-		return
-	}
-	t := l.tier.Load()
-	if int(t) >= l.tiers-1 {
-		return
-	}
-	if l.tier.CompareAndSwap(t, t+1) {
-		l.stepDowns.Add(1)
-		l.calm.Store(0)
+	if qlen >= l.highN {
+		l.h.raise()
 	}
 }
 
@@ -68,26 +96,16 @@ func (l *Ladder) Enqueued(qlen int) {
 // oscillating when load hovers at a watermark.
 func (l *Ladder) Done(qlen int) {
 	if qlen > l.lowN {
-		l.calm.Store(0)
+		l.h.busy()
 		return
 	}
-	t := l.tier.Load()
-	if t == 0 {
-		return
-	}
-	if int(l.calm.Add(1)) < l.hyst {
-		return
-	}
-	if l.tier.CompareAndSwap(t, t-1) {
-		l.stepUps.Add(1)
-	}
-	l.calm.Store(0)
+	l.h.calm()
 }
 
 // Tier is the current rung.
 //
 //edgepc:hotpath
-func (l *Ladder) Tier() int { return int(l.tier.Load()) }
+func (l *Ladder) Tier() int { return int(l.h.level.Load()) }
 
 // Steps counts the step-down and step-up (recovery) events so far.
-func (l *Ladder) Steps() (downs, ups uint64) { return l.stepDowns.Load(), l.stepUps.Load() }
+func (l *Ladder) Steps() (downs, ups uint64) { return l.h.raises.Load(), l.h.drops.Load() }

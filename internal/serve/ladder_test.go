@@ -9,43 +9,43 @@ import (
 )
 
 // ladderSteps pins the queue lengths at which the degradation ladder moves:
-// it steps down on the enqueue that makes the queue `down` long and steps up
-// on the frame that finishes with `up` frames still queued. These are the
-// engine's integer thresholds — int(high·depth + 0.5) and int(low·depth) —
-// and internal/loadgen pins the same table against the simulator, so the two
-// cannot drift apart again (at depths 3, 7 and 11 a float fill comparison
-// steps one frame later than the engine does).
+// it steps down on the enqueue that makes the queue `down` long, and a frame
+// that finishes with `up` or fewer frames still queued is calm, so the
+// ladderHysteresis-th such frame in a row steps it back up. These are the
+// engine's integer thresholds — int(ladderHigh·depth + 0.5) and
+// int(ladderLow·depth) — and internal/loadgen pins the same table against the
+// simulator, so the two cannot drift apart again (at depths 3, 7 and 11 a
+// float fill comparison steps one frame later than the engine does).
 var ladderSteps = []struct {
-	depth     int
-	high, low float64
-	down, up  int
+	depth    int
+	down, up int
 }{
-	{3, 0.75, 0.25, 2, 0},
-	{4, 0.75, 0.25, 3, 1},
-	{7, 0.75, 0.25, 5, 1},
-	{8, 0.75, 0.25, 6, 2},
-	{11, 0.75, 0.25, 8, 2},
-	{3, 0.5, 0.25, 2, 0},
-	{4, 0.5, 0.25, 2, 1},
-	{7, 0.5, 0.25, 4, 1},
-	{8, 0.5, 0.25, 4, 2},
-	{11, 0.5, 0.25, 6, 2},
-	{7, 0, 0, 5, 1}, // zero selects the defaults: high 0.75, low high/3
+	{3, 2, 0},
+	{4, 3, 1},
+	{7, 5, 1},
+	{8, 6, 2},
+	{11, 8, 2},
 }
 
 func TestLadderStepsAtPinnedQueueLengths(t *testing.T) {
 	for _, tc := range ladderSteps {
-		l := NewLadder(2, tc.depth, tc.high, tc.low, 1)
+		l := NewLadder(2, tc.depth)
 		for q := 1; q <= tc.depth && l.Tier() == 0; q++ {
 			l.Enqueued(q)
 			if stepped := l.Tier() == 1; stepped != (q == tc.down) {
-				t.Fatalf("depth %d high %g: tier %d after enqueue to %d, want the step down at %d", tc.depth, tc.high, l.Tier(), q, tc.down)
+				t.Fatalf("depth %d: tier %d after enqueue to %d, want the step down at %d", tc.depth, l.Tier(), q, tc.down)
 			}
 		}
+		// Each queue length is observed ladderHysteresis times in a row: a
+		// calm length steps the ladder up on the last of them, a busy one
+		// never does.
 		for q := tc.depth; q >= 0 && l.Tier() == 1; q-- {
-			l.Done(q)
-			if stepped := l.Tier() == 0; stepped != (q == tc.up) {
-				t.Fatalf("depth %d low %g: tier %d after a frame leaving %d queued, want the step up at %d", tc.depth, tc.low, l.Tier(), q, tc.up)
+			for k := 1; k <= ladderHysteresis; k++ {
+				l.Done(q)
+				if stepped := l.Tier() == 0; stepped != (q == tc.up && k == ladderHysteresis) {
+					t.Fatalf("depth %d: tier %d after frame %d of %d leaving %d queued, want the step up on the last frame at %d",
+						tc.depth, l.Tier(), k, ladderHysteresis, q, tc.up)
+				}
 			}
 		}
 		if downs, ups := l.Steps(); downs != 1 || ups != 1 {
@@ -55,16 +55,21 @@ func TestLadderStepsAtPinnedQueueLengths(t *testing.T) {
 }
 
 // TestEngineLadderStepsAtPinnedQueueLengths drives the same table through a
-// real engine: one gated worker holds a frame while the queue is filled one
-// frame at a time, then the gate releases one frame at a time.
+// real engine of ladderHysteresis gated workers: every worker holds a frame
+// while the queue is filled one frame at a time, then the gate releases one
+// frame at a time. After each release but a queue length's last, one more
+// frame refills the queue behind the pickup that follows, so each length is
+// observed ladderHysteresis times; the last observations, at length 0, are
+// the workers' final frames.
 func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
+	const workers = ladderHysteresis
 	for _, tc := range ladderSteps {
 		gate := make(chan struct{})
-		e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, Config{
-			QueueDepth: tc.depth, Hysteresis: 1,
-			HighWatermark: tc.high, LowWatermark: tc.low,
-			Degrade: []Tier{{Nets: []pipeline.Net{&stubNet{gate: gate}}}},
-		})
+		nets, tier1 := make([]pipeline.Net, workers), make([]pipeline.Net, workers)
+		for i := range nets {
+			nets[i], tier1[i] = &stubNet{gate: gate}, &stubNet{gate: gate}
+		}
+		e, err := NewEngine(nets, Config{QueueDepth: tc.depth, Degrade: []Tier{{Nets: tier1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +84,11 @@ func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
 				}
 			}()
 		}
-		submit()
-		waitUntil(t, "worker to pick up the first frame", func() bool { return e.Stats().Frames == 1 })
+		picked := uint64(0)
+		for ; picked < workers; picked++ {
+			submit()
+			waitUntil(t, "a worker to pick up a frame", func() bool { return e.Stats().Frames == picked+1 })
+		}
 		for q := 1; q <= tc.depth; q++ {
 			submit()
 			waitUntil(t, "frame to queue", func() bool { return e.Stats().QueueLen == q })
@@ -90,21 +98,33 @@ func TestEngineLadderStepsAtPinnedQueueLengths(t *testing.T) {
 			if q >= tc.down {
 				waitUntil(t, "ladder to step down", func() bool { return e.Stats().StepDowns == 1 })
 			} else if down := e.Stats().StepDowns; down != 0 {
-				t.Fatalf("depth %d high %g: %d step-downs with %d queued, want the step at %d", tc.depth, tc.high, down, q, tc.down)
+				t.Fatalf("depth %d: %d step-downs with %d queued, want the step at %d", tc.depth, down, q, tc.down)
 			}
 		}
-		for q := tc.depth; q >= 0; q-- {
-			gate <- struct{}{} // one frame finishes with q frames queued
-			if q > 0 {
-				// The next pickup follows the ladder's frame-done observation.
-				waitUntil(t, "next pickup", func() bool { return e.Stats().Frames == uint64(tc.depth-q+2) })
-			} else {
-				wg.Wait()
-				e.Close()
+		for q := tc.depth; q >= 1; q-- {
+			for k := 1; k <= ladderHysteresis; k++ {
+				gate <- struct{}{} // one frame finishes with q frames queued
+				picked++
+				// The pickup follows the ladder's frame-done observation.
+				waitUntil(t, "next pickup", func() bool { return e.Stats().Frames == picked })
+				want := q < tc.up || q == tc.up && k == ladderHysteresis
+				if up := e.Stats().StepUps; (up == 1) != want {
+					t.Fatalf("depth %d: %d step-ups after frame %d of %d leaving %d queued, want the step on the last frame at %d",
+						tc.depth, up, k, ladderHysteresis, q, tc.up)
+				}
+				if k < ladderHysteresis {
+					submit()
+					waitUntil(t, "frame to refill the queue", func() bool { return e.Stats().QueueLen == q })
+				}
 			}
-			if up := e.Stats().StepUps; (up == 1) != (q <= tc.up) {
-				t.Fatalf("depth %d low %g: %d step-ups after a frame leaving %d queued, want the step at %d", tc.depth, tc.low, up, q, tc.up)
-			}
+		}
+		for i := 0; i < workers; i++ {
+			gate <- struct{}{} // the workers' last frames finish with none queued
+		}
+		wg.Wait()
+		e.Close() // returns after the workers' last frame-done observations
+		if up := e.Stats().StepUps; up != 1 {
+			t.Fatalf("depth %d: %d step-ups after %d frames left none queued, want 1", tc.depth, up, workers)
 		}
 	}
 }

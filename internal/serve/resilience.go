@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"runtime/debug"
 	"time"
+
+	"repro/internal/model"
+	"repro/internal/pipeline"
 )
 
 // ErrPanic reports a frame whose forward pass panicked inside a worker. The
@@ -57,16 +60,25 @@ func (e *Engine) quarantine(w *worker, tier int) {
 	w.nets[tier] = n
 }
 
-// trip parks the worker for the circuit-breaker backoff: PanicTrip
+// The worker circuit breaker: breakerTrip consecutive failed frames (panics
+// and stall deposals alike) park the worker for a jittered doubling of
+// breakerBase per consecutive trip, capped at breakerMax.
+const (
+	breakerTrip = 3
+	breakerBase = 100 * time.Millisecond
+	breakerMax  = 5 * time.Second
+)
+
+// trip parks the worker for the circuit-breaker backoff: breakerTrip
 // consecutive failures mean the problem is not frame-local (poisoned
 // weights, a deterministic bug, injected chaos), and hammering the replica
 // with fresh requests at full rate just burns rebuilds. The park doubles
-// per consecutive trip (BackoffBase up to BackoffMax) with seeded jitter —
-// see breakerBackoff — and is interrupted immediately by Close so a
-// draining engine never waits out a backoff.
+// per consecutive trip with seeded jitter — see breakerBackoff — and is
+// interrupted immediately by Close so a draining engine never waits out a
+// backoff.
 func (e *Engine) trip(w *worker) {
 	e.trips.Add(1)
-	d := breakerBackoff(e.cfg.BackoffBase, e.cfg.BackoffMax, int(w.trips.Load()), backoffJitterSeed, w.id)
+	d := breakerBackoff(breakerBase, breakerMax, int(w.trips.Load()), backoffJitterSeed, w.id)
 	w.trips.Add(1)
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -147,10 +159,23 @@ func (e *Engine) lastResort(w *worker) {
 		e.slots[w.id].CompareAndSwap(w, nil) // retire the slot for the watchdog
 		return
 	}
-	// Fresh incarnation: same replicas (no rebuild here), fresh
-	// deposed/heartbeat state, breaker streak carried over.
-	nw := &worker{id: w.id, nets: w.nets, trace: w.trace}
-	nw.consec.Store(w.consec.Load())
+	// Same replicas and trace (no rebuild here: the goroutine that used them
+	// is gone), breaker streak carried over as it stands.
+	e.respawn(w, w.nets, w.trace, w.consec.Load())
+}
+
+// respawn starts the next incarnation of w's pool slot on nets and trace —
+// the one respawn path of lastResort and the stall watchdog's depose. The
+// incarnation starts with fresh deposed/heartbeat state and inherits the
+// lineage's breaker state: consec consecutive failures (one that reaches the
+// trip count makes it park before its first frame), w's trip count, and one
+// more spent respawn.
+func (e *Engine) respawn(w *worker, nets []pipeline.Net, trace model.Trace, consec int32) {
+	nw := &worker{id: w.id, nets: nets, trace: trace}
+	if consec >= e.tripAt {
+		consec, nw.pendingTrip = 0, true
+	}
+	nw.consec.Store(consec)
 	nw.trips.Store(w.trips.Load())
 	nw.respawns.Store(w.respawns.Load() + 1)
 	e.respawns.Add(1)

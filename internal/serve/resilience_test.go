@@ -26,7 +26,7 @@ func badCloud(poison float64) *geom.Cloud {
 }
 
 func TestAdmissionRejectsInvalidFrames(t *testing.T) {
-	e := newStubEngine(t, nil, Config{MaxPoints: 64})
+	e := newStubEngine(t, nil, Config{})
 	defer e.Close()
 	degenerate := geom.NewCloud(5, 0)
 	for i := range degenerate.Points {
@@ -45,7 +45,7 @@ func TestAdmissionRejectsInvalidFrames(t *testing.T) {
 	}{
 		{"nil", nil},
 		{"empty", geom.NewCloud(0, 0)},
-		{"oversized", geom.NewCloud(65, 0)},
+		{"oversized", geom.NewCloud(DefaultMaxPoints+1, 0)},
 		{"nan-coord", badCloud(math.NaN())},
 		{"pos-inf-coord", badCloud(math.Inf(1))},
 		{"neg-inf-coord", badCloud(math.Inf(-1))},
@@ -79,8 +79,7 @@ func TestChaosPanicIsolationSerial(t *testing.T) {
 	plan := &faultinject.Plan{Seed: 17, PanicFrac: 0.1}
 	var rebuilds atomic.Uint64
 	cfg := Config{
-		PanicTrip: 1 << 30, // breaker off: this test isolates per-frame recovery
-		Faults:    plan,
+		Faults: plan,
 		Rebuild: func(worker, tier int) (pipeline.Net, error) {
 			rebuilds.Add(1)
 			return &stubNet{}, nil
@@ -90,22 +89,29 @@ func TestChaosPanicIsolationSerial(t *testing.T) {
 	defer e.Close()
 	cloud := testCloud()
 	const frames = 200
-	wantPanics := uint64(0)
+	wantPanics, wantTrips, streak := uint64(0), uint64(0), 0
 	for i := 0; i < frames; i++ {
 		// Serial submission: admission seq == i, so the plan predicts each
-		// frame's fate exactly.
+		// frame's fate exactly, and with it every run of breakerTrip panics
+		// in a row that trips the breaker.
 		want := plan.Frame(uint64(i)).Op
 		res, err := e.Submit(context.Background(), Request{Cloud: cloud})
 		if want == faultinject.OpPanic {
 			wantPanics++
+			if streak++; streak == breakerTrip {
+				streak, wantTrips = 0, wantTrips+1
+			}
 			if !errors.Is(err, ErrPanic) {
 				t.Fatalf("frame %d: got %v, want ErrPanic", i, err)
 			}
 			if res.Err == nil {
 				t.Fatalf("frame %d: result not annotated with the failure", i)
 			}
-		} else if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		} else {
+			streak = 0
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
 		}
 	}
 	if wantPanics == 0 {
@@ -118,8 +124,8 @@ func TestChaosPanicIsolationSerial(t *testing.T) {
 	if s.Completed != frames-wantPanics {
 		t.Fatalf("completed=%d, want %d", s.Completed, frames-wantPanics)
 	}
-	if s.BreakerTrips != 0 {
-		t.Fatalf("breaker tripped %d times with PanicTrip disabled", s.BreakerTrips)
+	if s.BreakerTrips != wantTrips {
+		t.Fatalf("breaker tripped %d times, the plan's panic streaks predict %d", s.BreakerTrips, wantTrips)
 	}
 	if !strings.Contains(s.LastPanic, "faultinject: frame") {
 		t.Fatalf("LastPanic missing injected panic value: %q", s.LastPanic)
@@ -145,7 +151,6 @@ func TestChaosPanicIsolationConcurrent(t *testing.T) {
 	nets := []pipeline.Net{&stubNet{}, &stubNet{}, &stubNet{}, &stubNet{}}
 	e, err := NewEngine(nets, Config{
 		QueueDepth: frames,
-		PanicTrip:  1 << 30,
 		Faults:     plan,
 	})
 	if err != nil {
@@ -188,21 +193,16 @@ func TestChaosPanicIsolationConcurrent(t *testing.T) {
 }
 
 func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
-	plan := &faultinject.Plan{Seed: 1, PanicFrames: []uint64{0, 1}}
-	e := newStubEngine(t, nil, Config{
-		PanicTrip:   2,
-		BackoffBase: 50 * time.Millisecond,
-		BackoffMax:  time.Second,
-		Faults:      plan,
-	})
+	plan := &faultinject.Plan{Seed: 1, PanicFrames: []uint64{0, 1, 2}}
+	e := newStubEngine(t, nil, Config{Faults: plan})
 	defer e.Close()
 	cloud := testCloud()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		if _, err := e.Submit(context.Background(), Request{Cloud: cloud}); !errors.Is(err, ErrPanic) {
 			t.Fatalf("frame %d: got %v, want ErrPanic", i, err)
 		}
 	}
-	// The second panic tripped the breaker; frame 2 must wait out the park
+	// The third panic tripped the breaker; frame 3 must wait out the park
 	// but then succeed on the recovered worker.
 	start := time.Now()
 	res, err := e.Submit(context.Background(), Request{Cloud: cloud})
@@ -212,14 +212,14 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 	if res.Output == nil {
 		t.Fatal("post-trip frame returned no output")
 	}
-	// The first park is jittered into [25ms, 50ms) of the 50ms base
+	// The first park is jittered into [50ms, 100ms) of breakerBase
 	// (breakerBackoff), so assert against the jitter floor with margin.
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("post-trip frame served in %v; breaker park (≥25ms jittered) not applied", elapsed)
+	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
+		t.Fatalf("post-trip frame served in %v; breaker park (≥50ms jittered) not applied", elapsed)
 	}
 	s := e.Stats()
-	if s.BreakerTrips != 1 || s.Panics != 2 {
-		t.Fatalf("trips=%d panics=%d, want 1/2", s.BreakerTrips, s.Panics)
+	if s.BreakerTrips != 1 || s.Panics != breakerTrip {
+		t.Fatalf("trips=%d panics=%d, want 1/%d", s.BreakerTrips, s.Panics, breakerTrip)
 	}
 }
 
@@ -227,19 +227,16 @@ func TestCircuitBreakerTripsAndRecovers(t *testing.T) {
 // regression: Close must interrupt a breaker backoff immediately, serve
 // what is queued, and return — not sleep the backoff out.
 func TestCloseDoesNotWaitOutBreakerPark(t *testing.T) {
-	plan := &faultinject.Plan{Seed: 1, PanicFrames: []uint64{0}}
-	e := newStubEngine(t, nil, Config{
-		QueueDepth:  4,
-		PanicTrip:   1,
-		BackoffBase: 30 * time.Second, // would dwarf the test timeout if awaited
-		BackoffMax:  time.Minute,
-		Faults:      plan,
-	})
+	plan := &faultinject.Plan{Seed: 1, PanicFrames: []uint64{0, 1, 2}}
+	e := newStubEngine(t, nil, Config{QueueDepth: 4, Faults: plan})
 	cloud := testCloud()
-	if _, err := e.Submit(context.Background(), Request{Cloud: cloud}); !errors.Is(err, ErrPanic) {
-		t.Fatalf("fault frame: %v, want ErrPanic", err)
+	for i := 0; i < breakerTrip; i++ {
+		if _, err := e.Submit(context.Background(), Request{Cloud: cloud}); !errors.Is(err, ErrPanic) {
+			t.Fatalf("fault frame %d: %v, want ErrPanic", i, err)
+		}
 	}
-	// The worker is now parked for 30s. Queue two frames behind the park.
+	// The third panic tripped the breaker: the worker is parked for at
+	// least breakerBase/2 (breakerBackoff). Queue two frames behind the park.
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -257,8 +254,8 @@ func TestCloseDoesNotWaitOutBreakerPark(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Close took %v; it must interrupt the breaker park", elapsed)
+	if elapsed := time.Since(start); elapsed >= breakerBase/2 {
+		t.Fatalf("Close took %v, no less than the shortest breaker park; it must interrupt the park", elapsed)
 	}
 	wg.Wait()
 	close(errs)
@@ -278,8 +275,7 @@ func TestLastResortRespawnsWorker(t *testing.T) {
 	// contain it and respawn the worker so the pool keeps serving.
 	plan := &faultinject.Plan{Seed: 3, PanicFrames: []uint64{0}}
 	e := newStubEngine(t, nil, Config{
-		PanicTrip: 1 << 30,
-		Faults:    plan,
+		Faults: plan,
 		Rebuild: func(worker, tier int) (pipeline.Net, error) {
 			panic("rebuild exploded")
 		},
@@ -312,12 +308,11 @@ func TestLastResortRespawnsWorker(t *testing.T) {
 func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	gate := make(chan struct{})
 	tier1 := Tier{Name: "half-window", Nets: []pipeline.Net{&stubNet{gate: gate}}}
+	// Depth 4: the ladder steps down at queue length 3 and a frame that
+	// finishes with at most 1 queued is calm.
 	e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, Config{
-		QueueDepth:    4,
-		Degrade:       []Tier{tier1},
-		HighWatermark: 0.5,  // steps down at queue length 2
-		LowWatermark:  0.25, // calm at queue length ≤ 1
-		Hysteresis:    2,
+		QueueDepth: 4,
+		Degrade:    []Tier{tier1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +320,7 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	defer e.Close()
 	cloud := testCloud()
 	var wg sync.WaitGroup
-	tiers := make(chan int, 3)
+	tiers := make(chan int, 6)
 	submit := func() {
 		defer wg.Done()
 		res, err := e.Submit(context.Background(), Request{Cloud: cloud})
@@ -340,18 +335,25 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	wg.Add(1)
 	go submit()
 	waitUntil(t, "worker to pick up frame A", func() bool { return e.Stats().Frames == 1 })
-	// B then C fill the queue to the high watermark; the crossing submit
+	// B, C and D fill the queue to the high watermark; the crossing submit
 	// steps the ladder down.
-	wg.Add(1)
-	go submit()
-	waitUntil(t, "B to queue", func() bool { return e.Stats().QueueLen == 1 })
-	wg.Add(1)
-	go submit()
+	for q := 1; q <= 3; q++ {
+		wg.Add(1)
+		go submit()
+		waitUntil(t, "frame to queue", func() bool { return e.Stats().QueueLen == q })
+	}
 	waitUntil(t, "ladder to step down", func() bool { return e.Stats().StepDowns == 1 })
 	if e.Stats().Tier != 1 {
 		t.Fatalf("tier = %d after step-down, want 1", e.Stats().Tier)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
+		gate <- struct{}{}
+	}
+	// A and B finished with 3 and 2 queued, C and D calm with 1 and 0: two
+	// more calm frames, E and F, complete the ladderHysteresis streak.
+	for i := 0; i < ladderHysteresis-2; i++ {
+		wg.Add(1)
+		go submit()
 		gate <- struct{}{}
 	}
 	wg.Wait()
@@ -360,7 +362,7 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 	for tr := range tiers {
 		got = append(got, tr)
 	}
-	// A ran at full fidelity; B and C were served degraded.
+	// A ran at full fidelity; B to F were served degraded.
 	zeros, ones := 0, 0
 	for _, tr := range got {
 		switch tr {
@@ -372,19 +374,18 @@ func TestDegradationLadderStepsDownAndRecovers(t *testing.T) {
 			t.Fatalf("unexpected tier %d in %v", tr, got)
 		}
 	}
-	if zeros != 1 || ones != 2 {
-		t.Fatalf("tiers %v, want one full-fidelity and two degraded", got)
+	if zeros != 1 || ones != 5 {
+		t.Fatalf("tiers %v, want one full-fidelity and five degraded", got)
 	}
-	// Draining B and C left the queue calm for two consecutive frames —
-	// hysteresis satisfied, ladder stepped back up. The worker tells the
+	// The calm streak stepped the ladder back up. The worker tells the
 	// ladder a frame is done after it has delivered the frame's result.
 	waitUntil(t, "ladder to step back up", func() bool { return e.Stats().StepUps == 1 })
 	s := e.Stats()
 	if s.Tier != 0 || s.StepUps != 1 {
 		t.Fatalf("tier=%d stepUps=%d after drain, want 0/1", s.Tier, s.StepUps)
 	}
-	if s.Degraded[0] != 1 || s.Degraded[1] != 2 {
-		t.Fatalf("Degraded = %v, want [1 2]", s.Degraded)
+	if s.Degraded[0] != 1 || s.Degraded[1] != 5 {
+		t.Fatalf("Degraded = %v, want [1 5]", s.Degraded)
 	}
 	// Recovery is live: the next frame serves at full fidelity again.
 	done := make(chan Result, 1)
@@ -474,7 +475,7 @@ func (s *strictStubNet) Params() []*nn.Param                { return nil }
 // invalid input, rejected at admission with the planner's own check; one
 // just inside the bound is admitted.
 func TestAdmissionRejectsOverflowingSpan(t *testing.T) {
-	e := newStubEngine(t, nil, Config{MaxPoints: 64})
+	e := newStubEngine(t, nil, Config{})
 	defer e.Close()
 	scaled := func(s float64) *geom.Cloud {
 		c := testCloud()

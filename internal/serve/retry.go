@@ -24,30 +24,23 @@ import (
 type RetryPolicy struct {
 	// Max is the number of re-attempts after the first (default 2).
 	Max int
-	// BackoffBase is the first retry's backoff; it doubles per attempt up to
-	// BackoffMax, jittered into [d/2, d) like the worker circuit breaker.
-	// Defaults 1ms / 50ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Seed fixes the jitter schedule (default 1): a fixed seed makes retry
 	// timing reproducible in tests.
 	Seed uint64
 }
+
+// The retry backoff: retryBase doubled per attempt, capped at retryMax and
+// jittered into [d/2, d) like the worker circuit breaker's park.
+const (
+	retryBase = time.Millisecond
+	retryMax  = 50 * time.Millisecond
+)
 
 // Normalize fills the documented defaults in place. NewRouter normalizes its
 // private copy; any other caller of Next normalizes first.
 func (p *RetryPolicy) Normalize() {
 	if p.Max <= 0 {
 		p.Max = 2
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = time.Millisecond
-	}
-	if p.BackoffMax < p.BackoffBase {
-		p.BackoffMax = 50 * time.Millisecond
-		if p.BackoffMax < p.BackoffBase {
-			p.BackoffMax = p.BackoffBase
-		}
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -66,7 +59,7 @@ func (p *RetryPolicy) Next(retried int, seq uint64, remaining time.Duration) (wa
 	if p == nil || retried >= p.Max {
 		return 0, false
 	}
-	wait = jitteredBackoff(p.BackoffBase, p.BackoffMax, retried, p.Seed, seq)
+	wait = jitteredBackoff(retryBase, retryMax, retried, p.Seed, seq)
 	return wait, remaining > wait
 }
 
@@ -97,9 +90,8 @@ func (rt *Router) attempts(ctx context.Context, cand []int, req FleetRequest) (R
 			deadline = d
 		}
 	}
-	span := 1 + rt.cfg.Spill
 	for a := 0; ; a++ {
-		res, err := rt.trySubmitFrom(ctx, cand, a, span, req)
+		res, err := rt.trySubmitFrom(ctx, cand, a, req)
 		if err == nil || !retryable(err) {
 			return res, err
 		}

@@ -45,19 +45,17 @@ func TestRetryReRoutesPanicToNextCandidate(t *testing.T) {
 		owner  Config
 		stalls uint64 // router-observed ErrStalled attempts
 	}{
-		{name: "panic", owner: Config{PanicTrip: 100,
+		{name: "panic", owner: Config{
 			Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}}},
-		{name: "stall", owner: Config{PanicTrip: 100, StallTimeout: 5 * time.Millisecond,
+		{name: "stall", owner: Config{StallTimeout: 5 * time.Millisecond,
 			Faults: &faultinject.Plan{Seed: 3, StallFrac: 1, Stall: 50 * time.Millisecond}},
 			stalls: 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rt := newMixedFleet(t, []Config{c.owner, {}},
-				RouterConfig{
-					Spill: -1, // isolate retry re-routing from spillover
-					Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: time.Millisecond},
-				})
+			// The owner's queue is never full, so its attempt never spills:
+			// only the retry can reach the successor.
+			rt := newMixedFleet(t, []Config{c.owner, {}}, RouterConfig{Retry: &RetryPolicy{Max: 2}})
 			stream := pinStream(t, rt, 0)
 			res, err := rt.Submit(context.Background(), FleetRequest{
 				Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream,
@@ -120,24 +118,29 @@ func TestExpiredDeadlineFailsWithOrWithoutRetries(t *testing.T) {
 }
 
 // TestRetryRespectsDeadlineBudget gives a hopeless request (every engine
-// attempt panics) a 30ms budget against 20ms-doubling backoffs: the policy
-// must stop retrying the moment the next backoff would cross the remaining
-// budget, returning the transient error promptly instead of burning the
-// full Max=5 schedule.
+// attempt panics) a 20ms budget against the retry backoffs, which for this
+// submission are 0.54, 1.98, 3.09, 6.80 and 13.38ms: the policy must stop
+// retrying the moment the next backoff would cross the remaining budget —
+// the fifth would end past 25.7ms — returning the transient error promptly
+// instead of burning the full Max=5 schedule. The engine's breaker is off,
+// so every attempt reaches a worker instead of queueing behind a park.
 func TestRetryRespectsDeadlineBudget(t *testing.T) {
-	rt := newMixedFleet(t,
-		[]Config{{PanicTrip: 100, Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}}},
-		RouterConfig{Retry: &RetryPolicy{Max: 5, BackoffBase: 20 * time.Millisecond, BackoffMax: 40 * time.Millisecond}})
+	e := newBreakerOffEngine(t, Config{Faults: &faultinject.Plan{Seed: 3, PanicFrac: 1}})
+	rt, err := NewRouter([]*Engine{e}, RouterConfig{Retry: &RetryPolicy{Max: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
 	start := time.Now()
-	_, err := rt.Submit(context.Background(), FleetRequest{
-		Request: Request{Cloud: testCloud(), Timeout: 30 * time.Millisecond}, Tenant: "t",
+	_, err = rt.Submit(context.Background(), FleetRequest{
+		Request: Request{Cloud: testCloud(), Timeout: 20 * time.Millisecond}, Tenant: "t",
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrPanic) {
 		t.Fatalf("err = %v, want the transient ErrPanic the budget cut off", err)
 	}
 	if elapsed > 500*time.Millisecond {
-		t.Fatalf("submit took %v; retries ran past the 30ms budget", elapsed)
+		t.Fatalf("submit took %v; retries ran past the 20ms budget", elapsed)
 	}
 	s := rt.Stats()
 	conserve(t, s)
@@ -154,7 +157,7 @@ func TestRetryRespectsDeadlineBudget(t *testing.T) {
 // on it.
 func TestRetryNeverRetriesTerminalErrors(t *testing.T) {
 	rt := newMixedFleet(t, []Config{{}},
-		RouterConfig{Retry: &RetryPolicy{Max: 3, BackoffBase: time.Millisecond}})
+		RouterConfig{Retry: &RetryPolicy{Max: 3}})
 	_, err := rt.Submit(context.Background(), FleetRequest{Tenant: "t"}) // nil cloud
 	if !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("err = %v, want ErrInvalidInput", err)
@@ -177,11 +180,8 @@ func TestRouterSurvivabilityConcurrentConservation(t *testing.T) {
 		goroutines = 8
 		perG       = 25
 	)
-	cfg := Config{QueueDepth: 64, PanicTrip: 1000,
-		Faults: &faultinject.Plan{Seed: 5, PanicFrac: 0.08}}
-	rt := newMixedFleet(t, []Config{cfg, cfg, cfg}, RouterConfig{
-		Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: 2 * time.Millisecond},
-	})
+	cfg := Config{QueueDepth: 64, Faults: &faultinject.Plan{Seed: 5, PanicFrac: 0.08}}
+	rt := newMixedFleet(t, []Config{cfg, cfg, cfg}, RouterConfig{Retry: &RetryPolicy{Max: 2}})
 	var ok, failed atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

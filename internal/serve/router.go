@@ -33,41 +33,24 @@ const (
 	quarantineCooloff = 2 * time.Second
 )
 
-// RouterConfig tunes the fleet layer. The zero value selects defaults.
+// Spill is how many ring successors after the owner an attempt tries when
+// the engines before them have full queues; past them the frame fails with
+// ErrQueueFull. The loadgen simulator spills by the same constant.
+const Spill = 1
+
+// RouterConfig tunes the fleet layer. The zero value selects defaults; the
+// ring's vnodes (DefaultVNodes), the spillover (Spill) and the shed
+// controller's thresholds (shed.go) are constants.
 type RouterConfig struct {
-	// VNodes is the virtual-node count per engine on the hash ring
-	// (DefaultVNodes when zero).
-	VNodes int
 	// QoS, when non-nil, runs per-tenant token-bucket admission and supplies
 	// each tenant's priority class. Nil admits everything at PriorityNormal.
 	QoS *QoS
-	// Shed configures the fleet shed controller (defaults documented there).
-	Shed ShedConfig
-	// Spill is how many additional ring successors are tried when an
-	// engine's queue is full before the frame counts as shed. Default 1;
-	// negative disables spillover.
-	Spill int
 	// Retry, when non-nil, re-routes transient failures (panicked, stalled
 	// or queue-full attempts) to further ring candidates under the request's
 	// deadline budget. Nil — the default — keeps Submit single-attempt.
 	Retry *RetryPolicy
 	// Clock injects a time source for quarantine bookkeeping; nil: time.Now.
 	Clock Clock
-}
-
-func (c *RouterConfig) defaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.Spill == 0 {
-		c.Spill = 1
-	}
-	if c.Spill < 0 {
-		c.Spill = 0
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 }
 
 // FleetRequest is a Request plus the fleet routing identity.
@@ -86,7 +69,6 @@ type FleetRequest struct {
 // Router fans Submit calls out across a fleet of engines. Create with
 // NewRouter; all methods are safe for concurrent use.
 type Router struct {
-	cfg     RouterConfig
 	engines []*Engine
 	ring    *Ring
 	qos     *QoS
@@ -136,17 +118,18 @@ func NewRouter(engines []*Engine, cfg RouterConfig) (*Router, error) {
 			}
 		}
 	}
-	cfg.defaults()
-	ring, err := NewRing(len(engines), cfg.VNodes)
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
+	}
+	ring, err := NewRing(len(engines), DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
 	rt := &Router{
-		cfg:        cfg,
 		engines:    engines,
 		ring:       ring,
 		qos:        cfg.QoS,
-		shed:       NewShedController(cfg.Shed),
+		shed:       NewShedController(),
 		now:        cfg.Clock,
 		consecFail: make([]atomic.Int32, len(engines)),
 		downUntil:  make([]atomic.Int64, len(engines)),
@@ -230,7 +213,7 @@ func (rt *Router) Submit(ctx context.Context, req FleetRequest) (Result, error) 
 	if key == "" {
 		key = req.Tenant
 	}
-	want := 1 + rt.cfg.Spill
+	want := 1 + Spill
 	if rt.retry != nil {
 		want += rt.retry.Max // each re-attempt rotates one candidate further
 	}
@@ -254,7 +237,7 @@ func (rt *Router) Submit(ctx context.Context, req FleetRequest) (Result, error) 
 	return res, err
 }
 
-// trySubmitFrom walks span candidate engines starting at ring position
+// trySubmitFrom walks 1+Spill candidate engines starting at ring position
 // start (wrapping): quarantined engines are skipped (unless every walked
 // candidate is quarantined, in which case the router fails open and uses
 // the walk's first engine anyway — a fully-down fleet should surface engine
@@ -262,14 +245,12 @@ func (rt *Router) Submit(ctx context.Context, req FleetRequest) (Result, error) 
 // candidate. The first engine that admits the frame decides the outcome.
 // The first attempt walks from 0; re-attempts rotate start so a retry lands
 // on fresh engines first.
-func (rt *Router) trySubmitFrom(ctx context.Context, cand []int, start, span int, req FleetRequest) (Result, error) {
+func (rt *Router) trySubmitFrom(ctx context.Context, cand []int, start int, req FleetRequest) (Result, error) {
 	now := rt.now().UnixNano()
 	var res Result
 	err := error(ErrQueueFull)
 	tried := 0
-	if span > len(cand) {
-		span = len(cand)
-	}
+	span := min(1+Spill, len(cand))
 	first := cand[start%len(cand)]
 	for i := 0; i < span; i++ {
 		id := cand[(start+i)%len(cand)]

@@ -31,7 +31,7 @@ func TestFleetChaosPanicStorm(t *testing.T) {
 
 	engines := make([]*Engine, fleet)
 	for i := range engines {
-		cfg := Config{QueueDepth: 64, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}
+		cfg := Config{QueueDepth: 64}
 		if i == victim {
 			cfg.Faults = &faultinject.Plan{Seed: 7, PanicFrac: 1} // every frame panics
 		}

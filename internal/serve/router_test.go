@@ -244,43 +244,46 @@ func pinStream(t *testing.T, rt *Router, engine int) string {
 	return ""
 }
 
-// fillEngine blocks the stream owner's worker and queue with background
-// submits. It submits to the engine directly, not through the router: a
-// router submit that races with an earlier filler still sitting in the
-// depth-1 queue would spill to the successor instead of filling the owner.
-func fillEngine(t *testing.T, rt *Router, stream string, n int, wg *sync.WaitGroup) {
+// fillCandidates blocks the worker and the depth-1 queue of each of the
+// stream's first k ring candidates, owner first, with background submits.
+// It submits to the engines directly, not through the router: a router
+// submit that races with an earlier filler still sitting in a depth-1 queue
+// would spill to the successor instead of filling its engine.
+func fillCandidates(t *testing.T, rt *Router, stream string, k int, wg *sync.WaitGroup) {
 	t.Helper()
 	cloud := testCloud()
-	eng := rt.Engine(rt.EngineFor(stream))
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				_, err := eng.Submit(context.Background(), Request{Cloud: cloud})
-				if errors.Is(err, ErrQueueFull) {
-					// Lost the enqueue race to a sibling filler: retry until
-					// the worker+queue steady state absorbs every filler.
-					time.Sleep(100 * time.Microsecond)
-					continue
+	for _, id := range rt.ring.Candidates(stream, k, nil) {
+		eng := rt.Engine(id)
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					_, err := eng.Submit(context.Background(), Request{Cloud: cloud})
+					if errors.Is(err, ErrQueueFull) {
+						// Lost the enqueue race to a sibling filler: retry until
+						// the worker+queue steady state absorbs every filler.
+						time.Sleep(100 * time.Microsecond)
+						continue
+					}
+					if err != nil {
+						t.Errorf("filler: %v", err)
+					}
+					return
 				}
-				if err != nil {
-					t.Errorf("filler: %v", err)
-				}
-				return
-			}
-		}()
+			}()
+		}
+		waitUntil(t, "engine to fill", func() bool {
+			return eng.QueueFill() >= 1
+		})
 	}
-	waitUntil(t, "engine to fill", func() bool {
-		return eng.QueueFill() >= 1
-	})
 }
 
 func TestRouterSpillsToRingSuccessor(t *testing.T) {
 	rt, gates := newStubFleet(t, 2, true, Config{QueueDepth: 1}, RouterConfig{})
 	stream := pinStream(t, rt, 0)
 	var wg sync.WaitGroup
-	fillEngine(t, rt, stream, 2, &wg) // worker + depth-1 queue of engine 0
+	fillCandidates(t, rt, stream, 1, &wg) // worker + depth-1 queue of engine 0
 	// Engine 1 is idle: mean fill 0.5 stays under the shed watermark, and
 	// the next frame for engine 0's stream spills to engine 1 and completes
 	// even though its owner is saturated.
@@ -302,16 +305,18 @@ func TestRouterSpillsToRingSuccessor(t *testing.T) {
 	}
 }
 
-func TestRouterQueueFullWithoutSpill(t *testing.T) {
-	rt, gates := newStubFleet(t, 2, true, Config{QueueDepth: 1}, RouterConfig{Spill: -1})
+func TestRouterQueueFullWhenSpillExhausted(t *testing.T) {
+	rt, gates := newStubFleet(t, 4, true, Config{QueueDepth: 1}, RouterConfig{})
 	stream := pinStream(t, rt, 0)
 	var wg sync.WaitGroup
-	fillEngine(t, rt, stream, 2, &wg)
-	// Spillover disabled: the same overflow frame is shed as queue-full.
+	// The owner and its Spill successors full: mean fill 2/4 stays under
+	// the shed watermark, so the overflow frame reaches the ring walk, spills
+	// once and is shed as queue-full.
+	fillCandidates(t, rt, stream, 1+Spill, &wg)
 	if _, err := rt.Submit(context.Background(), FleetRequest{
 		Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream,
 	}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow with spill disabled: %v, want ErrQueueFull", err)
+		t.Fatalf("overflow past the spill candidates: %v, want ErrQueueFull", err)
 	}
 	for _, g := range gates {
 		close(g)
@@ -319,8 +324,8 @@ func TestRouterQueueFullWithoutSpill(t *testing.T) {
 	wg.Wait()
 	s := rt.Stats()
 	conserve(t, s)
-	if s.ShedQueueFull != 1 || s.Spills != 0 {
-		t.Fatalf("shedQueueFull=%d spills=%d, want 1/0", s.ShedQueueFull, s.Spills)
+	if s.ShedQueueFull != 1 || s.Spills != Spill {
+		t.Fatalf("shedQueueFull=%d spills=%d, want 1/%d", s.ShedQueueFull, s.Spills, Spill)
 	}
 }
 
@@ -359,8 +364,10 @@ func TestRouterConstructionAndClose(t *testing.T) {
 // abandonment; a path that handed the engine a context of its own would wait
 // on the gate instead.
 func TestRouterThreadsCallerContext(t *testing.T) {
-	fill := func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup) {
-		fillEngine(t, rt, stream, 2, fillers) // worker + depth-1 queue of the owner
+	fill := func(k int) func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup) {
+		return func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup) {
+			fillCandidates(t, rt, stream, k, fillers)
+		}
 	}
 	quarantineAll := func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup) {
 		for i := range rt.downUntil {
@@ -372,22 +379,29 @@ func TestRouterThreadsCallerContext(t *testing.T) {
 		cfg  Config
 		rcfg RouterConfig
 		prep func(t *testing.T, rt *Router, stream string, fillers *sync.WaitGroup)
-		busy []int                    // engines whose worker holds the frame at cancel
+		busy []int                    // ring positions whose engine's worker holds the frame at cancel
 		path func(RouterStats) uint64 // the counter that shows the path was taken
 	}{
 		{name: "walk", cfg: Config{}, busy: []int{0}},
-		{name: "spill", cfg: Config{QueueDepth: 1}, prep: fill, busy: []int{1},
+		{name: "spill", cfg: Config{QueueDepth: 1}, prep: fill(1), busy: []int{1},
 			path: func(s RouterStats) uint64 { return s.Spills }},
 		{name: "fail-open", cfg: Config{}, prep: quarantineAll, busy: []int{0},
 			path: func(s RouterStats) uint64 { return s.FailOpen }},
-		{name: "retry", cfg: Config{QueueDepth: 1}, prep: fill, busy: []int{1},
-			rcfg: RouterConfig{Spill: -1, Retry: &RetryPolicy{Max: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond}},
+		// The owner and its successor full: the first attempt's walk ends in
+		// ErrQueueFull and the retry rotates on to the third engine.
+		{name: "retry", cfg: Config{QueueDepth: 1}, prep: fill(2), busy: []int{2},
+			rcfg: RouterConfig{Retry: &RetryPolicy{Max: 1}},
 			path: func(s RouterStats) uint64 { return s.Retries }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rt, gates := newStubFleet(t, 2, true, c.cfg, c.rcfg)
+			rt, gates := newStubFleet(t, 3, true, c.cfg, c.rcfg)
 			stream := pinStream(t, rt, 0)
+			cand := rt.ring.Candidates(stream, 3, nil)
+			var busy []int
+			for _, pos := range c.busy {
+				busy = append(busy, cand[pos])
+			}
 			var fillers sync.WaitGroup
 			if c.prep != nil {
 				c.prep(t, rt, stream, &fillers)
@@ -399,7 +413,7 @@ func TestRouterThreadsCallerContext(t *testing.T) {
 				_, err := rt.Submit(ctx, FleetRequest{Request: Request{Cloud: testCloud()}, Tenant: "t", Stream: stream})
 				done <- err
 			}()
-			for _, i := range c.busy {
+			for _, i := range busy {
 				waitUntil(t, fmt.Sprintf("engine %d to hold the frame", i), func() bool {
 					return rt.Engine(i).Stats().Frames == 1
 				})
@@ -419,7 +433,7 @@ func TestRouterThreadsCallerContext(t *testing.T) {
 			}
 			for i, es := range s.EngineStats {
 				want := uint64(0)
-				if slices.Contains(c.busy, i) {
+				if slices.Contains(busy, i) {
 					want = 1
 				}
 				if es.Canceled != want {

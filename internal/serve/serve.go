@@ -92,7 +92,9 @@ type Tier struct {
 }
 
 // Config tunes the engine. The zero value selects sane defaults for every
-// field.
+// field. The overload and recovery thresholds are not fields: the ladder's
+// watermarks (ladder.go), the circuit breaker's trip count and parks
+// (resilience.go) and the admission cap DefaultMaxPoints are constants.
 type Config struct {
 	// QueueDepth bounds the submission queue; a full queue rejects with
 	// ErrQueueFull. Default: 4× the worker count.
@@ -111,35 +113,12 @@ type Config struct {
 	// own. Zero means no deadline.
 	DefaultTimeout time.Duration
 
-	// MaxPoints is the admission cap on cloud size; larger frames are
-	// rejected with ErrInvalidInput. Default DefaultMaxPoints.
-	MaxPoints int
-
 	// Degrade is the degradation ladder: Degrade[i] serves tier i+1 (tier 0
 	// is the full-fidelity replica set given to New). Empty disables
-	// degradation — overload then rejects with ErrQueueFull as before.
+	// degradation — overload then rejects with ErrQueueFull as before. When
+	// to step is the Ladder's fixed policy (ladder.go).
 	Degrade []Tier
-	// HighWatermark is the queue-fill fraction at which the engine steps one
-	// tier down. Default 0.75.
-	HighWatermark float64
-	// LowWatermark is the queue-fill fraction at or below which a finished
-	// frame counts as calm; Hysteresis consecutive calm frames step one tier
-	// back up. Default HighWatermark/3.
-	LowWatermark float64
-	// Hysteresis is the number of consecutive calm frames required before
-	// stepping a tier back up. Default 4.
-	Hysteresis int
 
-	// PanicTrip is the number of consecutive panics on one worker that trip
-	// its circuit breaker. Default 3.
-	PanicTrip int
-	// BackoffBase is the first breaker park duration; it doubles on every
-	// consecutive trip up to BackoffMax, with jitter from a fixed seed (so
-	// park schedules are reproducible) spreading each park across the upper
-	// half of its doubled value so workers tripped by the same fault storm do
-	// not re-probe in lockstep. Defaults 100ms / 5s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// StallTimeout arms the stall watchdog: a worker whose frame-start
 	// heartbeat is older than this is declared wedged — its in-flight frame
 	// fails with ErrStalled, the stall counts toward the worker's circuit
@@ -164,21 +143,6 @@ type Config struct {
 func (c *Config) defaults(workers int) {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * workers
-	}
-	if c.MaxPoints <= 0 {
-		c.MaxPoints = DefaultMaxPoints
-	}
-	if c.PanicTrip <= 0 {
-		c.PanicTrip = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 100 * time.Millisecond
-	}
-	if c.BackoffMax < c.BackoffBase {
-		c.BackoffMax = 5 * time.Second
-		if c.BackoffMax < c.BackoffBase {
-			c.BackoffMax = c.BackoffBase
-		}
 	}
 	if c.StallTimeout < 0 {
 		c.StallTimeout = 0
@@ -279,6 +243,7 @@ type Engine struct {
 	queue   chan *request
 	closing chan struct{} // closed when Close starts; wakes parked workers
 	faults  *faultinject.Plan
+	tripAt  int32 // consecutive failures that trip the circuit breaker (resilience.go)
 
 	ladder *Ladder // degradation ladder over the queue; 1 + len(cfg.Degrade) rungs
 
@@ -331,6 +296,13 @@ func New(nets []pipeline.Net, _, _ any, cfg Config) (*Engine, error) {
 // through net.Forward and nothing else: the engine does not price frames
 // against the edgesim device model.
 func NewEngine(nets []pipeline.Net, cfg Config) (*Engine, error) {
+	return newEngine(nets, cfg, breakerTrip)
+}
+
+// newEngine is NewEngine with the circuit breaker's trip count as a
+// parameter: NewEngine passes breakerTrip, and the package's own tests pass
+// breakerOff to isolate another recovery path from the breaker's parks.
+func newEngine(nets []pipeline.Net, cfg Config, tripAt int32) (*Engine, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("serve: need at least one net replica")
 	}
@@ -360,7 +332,8 @@ func NewEngine(nets []pipeline.Net, cfg Config) (*Engine, error) {
 		queue:    make(chan *request, cfg.QueueDepth),
 		closing:  make(chan struct{}),
 		faults:   cfg.Faults,
-		ladder:   NewLadder(numTiers, cfg.QueueDepth, cfg.HighWatermark, cfg.LowWatermark, cfg.Hysteresis),
+		tripAt:   tripAt,
+		ladder:   NewLadder(numTiers, cfg.QueueDepth),
 		degraded: make([]atomic.Uint64, numTiers),
 		latency:  metrics.NewLatencyWindow(metrics.DefaultLatencyWindow),
 	}
@@ -427,7 +400,7 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 			cloud = faultinject.Corrupt(cloud, e.faults.Seed, seq)
 		}
 	}
-	if err := validateFrame(cloud, e.cfg.MaxPoints); err != nil {
+	if err := validateFrame(cloud); err != nil {
 		e.invalid.Add(1)
 		return Result{}, err
 	}
@@ -486,8 +459,8 @@ func (e *Engine) Submit(ctx context.Context, req Request) (Result, error) {
 func (e *Engine) workerLoop(w *worker) {
 	defer e.lastResort(w) // recovers; also balances the incarnation's wg slot
 	if w.pendingTrip {
-		// This incarnation replaced one whose failure streak crossed
-		// PanicTrip (stall deposals count like panics): serve the breaker
+		// This incarnation replaced one whose failure streak crossed the
+		// breaker's trip count (stall deposals count like panics): serve the breaker
 		// park before touching the queue.
 		w.pendingTrip = false
 		e.trip(w)
@@ -554,7 +527,7 @@ func (e *Engine) runFrame(w *worker, r *request) {
 // endFrame is runFrame's deferred exit. As the panic barrier it recovers a
 // panicking frame, fails that request with ErrPanic, quarantines the replica
 // before the next frame runs (resilience.go) and trips the circuit breaker
-// after PanicTrip consecutive panics; a clean frame resets the streaks. It
+// after breakerTrip consecutive panics; a clean frame resets the streaks. It
 // then clears the watchdog's view of the worker and reports the queue length
 // to the ladder. The recover is open-coded (a deferred call with no closure
 // state), so the no-panic path adds zero allocations to runFrame.
@@ -566,7 +539,7 @@ func (e *Engine) endFrame(w *worker, r *request, tier int) {
 		e.notePanic(w.id, v)
 		e.failRequest(w, r, tier, fmt.Errorf("%w: worker %d: %v", ErrPanic, w.id, v))
 		e.quarantine(w, tier)
-		if w.consec.Add(1) >= int32(e.cfg.PanicTrip) {
+		if w.consec.Add(1) >= e.tripAt {
 			w.consec.Store(0)
 			w.beat.Store(0) // a breaker park is not a stall
 			e.trip(w)

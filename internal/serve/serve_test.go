@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,21 @@ func testCloud() *geom.Cloud {
 func newStubEngine(t *testing.T, gate chan struct{}, cfg Config) *Engine {
 	t.Helper()
 	e, err := NewEngine([]pipeline.Net{&stubNet{gate: gate}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// breakerOff is a circuit-breaker trip count no failure streak reaches, for
+// tests that isolate another recovery path from the breaker's parks.
+const breakerOff = math.MaxInt32
+
+// newBreakerOffEngine is newStubEngine (ungated) with the circuit breaker
+// switched off.
+func newBreakerOffEngine(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	e, err := newEngine([]pipeline.Net{&stubNet{}}, cfg, breakerOff)
 	if err != nil {
 		t.Fatal(err)
 	}

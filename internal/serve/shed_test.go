@@ -6,7 +6,7 @@ import "testing"
 // observation sequences. Pure virtual — the controller has no clock.
 
 func TestShedLevelsDropLowestFirst(t *testing.T) {
-	s := NewShedController(ShedConfig{})
+	s := NewShedController()
 	if s.Level() != 0 || s.Sheds(PriorityLow) {
 		t.Fatal("fresh controller sheds")
 	}
@@ -37,7 +37,12 @@ func TestShedLevelsDropLowestFirst(t *testing.T) {
 }
 
 func TestShedHysteresisRecovery(t *testing.T) {
-	s := NewShedController(ShedConfig{HighWatermark: 0.5, LowWatermark: 0.1, Hysteresis: 3})
+	s := NewShedController()
+	calm := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Observe(0.05) // at or below the low watermark, 0.55/4
+		}
+	}
 	s.Observe(0.6)
 	s.Observe(0.6)
 	if s.Level() != 2 {
@@ -45,21 +50,17 @@ func TestShedHysteresisRecovery(t *testing.T) {
 	}
 	// Mid-band samples (above low, below high) are neither hot nor calm:
 	// they reset the calm streak and hold the level.
-	s.Observe(0.05)
-	s.Observe(0.05)
+	calm(shedHysteresis - 1)
 	s.Observe(0.3) // resets calm
-	s.Observe(0.05)
-	s.Observe(0.05)
+	calm(shedHysteresis - 1)
 	if s.Level() != 2 {
 		t.Fatalf("level dropped after interrupted calm streak: %d", s.Level())
 	}
-	s.Observe(0.05) // third consecutive calm sample: drop one class
+	calm(1) // the shedHysteresis-th consecutive calm sample: drop one class
 	if s.Level() != 1 {
 		t.Fatalf("level = %d after full calm streak, want 1", s.Level())
 	}
-	s.Observe(0.0)
-	s.Observe(0.0)
-	s.Observe(0.0)
+	calm(shedHysteresis)
 	if s.Level() != 0 {
 		t.Fatalf("level = %d, want full recovery", s.Level())
 	}
@@ -74,13 +75,13 @@ func TestShedEngagesBelowLadderWatermark(t *testing.T) {
 	// watermark sits below the engine ladder's 0.75 step-down watermark, so
 	// fleet shedding of low classes engages before any engine degrades
 	// high-priority work.
-	s := NewShedController(ShedConfig{})
+	s := NewShedController()
 	s.Observe(0.6) // hot for the shed controller...
 	if s.Level() != 1 {
 		t.Fatal("0.6 fill must engage shedding")
 	}
-	l := NewLadder(2, 100, 0, 0, 0) // default watermarks
-	l.Enqueued(60)                  // ...but not for the ladder
+	l := NewLadder(2, 100)
+	l.Enqueued(60) // ...but not for the ladder
 	if l.Tier() != 0 {
 		t.Fatal("default ladder steps down at the shed onset 0.6; mechanisms would fight")
 	}

@@ -27,10 +27,10 @@ func TestChaosStallStorm(t *testing.T) {
 		perC    = 15
 		frames  = clients * perC
 	)
-	e, err := NewEngine([]pipeline.Net{&stubNet{}}, Config{
+	// No breaker parks: isolate the watchdog path.
+	e := newBreakerOffEngine(t, Config{
 		QueueDepth:     frames + 8, // never ErrQueueFull: isolate stall/panic classes
 		StallTimeout:   8 * time.Millisecond,
-		PanicTrip:      100000, // no breaker parks: isolate the watchdog path
 		DefaultTimeout: 5 * time.Second,
 		Rebuild:        func(worker, tier int) (pipeline.Net, error) { return &stubNet{}, nil },
 		Faults: &faultinject.Plan{
@@ -40,9 +40,6 @@ func TestChaosStallStorm(t *testing.T) {
 			PanicFrac: 0.10,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer e.Close()
 
 	var okN, panicN, stalledN, deadlineN atomic.Uint64
@@ -107,10 +104,9 @@ func TestFleetChaosStallStorm(t *testing.T) {
 	)
 	engines := make([]*Engine, fleet)
 	for i := range engines {
-		e, err := NewEngine([]pipeline.Net{&stubNet{}}, Config{
+		engines[i] = newBreakerOffEngine(t, Config{
 			QueueDepth:   64,
 			StallTimeout: 8 * time.Millisecond,
-			PanicTrip:    100000,
 			Rebuild:      func(worker, tier int) (pipeline.Net, error) { return &stubNet{}, nil },
 			Faults: &faultinject.Plan{
 				Seed:      uint64(11 + i), // decorrelated storms per engine
@@ -119,14 +115,8 @@ func TestFleetChaosStallStorm(t *testing.T) {
 				PanicFrac: 0.10,
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[i] = e
 	}
-	rt, err := NewRouter(engines, RouterConfig{
-		Retry: &RetryPolicy{Max: 2, BackoffBase: 200 * time.Microsecond, BackoffMax: 2 * time.Millisecond},
-	})
+	rt, err := NewRouter(engines, RouterConfig{Retry: &RetryPolicy{Max: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

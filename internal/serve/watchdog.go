@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/pipeline"
 )
 
@@ -59,7 +60,7 @@ func (e *Engine) watchdog() {
 // still pinned by the zombie goroutine. The stall counts toward the circuit
 // breaker exactly like a panic streak: the replacement inherits the
 // consecutive-failure count and parks before its first frame once the
-// streak crosses PanicTrip. A Rebuild that panics is a failed rebuild:
+// streak reaches breakerTrip. A Rebuild that panics is a failed rebuild:
 // deposeRecover contains it, and the slot retires.
 //
 // Without a Rebuild hook the replicas cannot be replaced, so the watchdog
@@ -90,18 +91,8 @@ func (e *Engine) depose(w *worker) {
 			nets[t] = n
 		}
 		if ok {
-			nw := &worker{id: w.id, nets: nets}
-			nw.consec.Store(w.consec.Load() + 1)
-			nw.trips.Store(w.trips.Load())
-			nw.respawns.Store(w.respawns.Load() + 1)
-			if nw.consec.Load() >= int32(e.cfg.PanicTrip) {
-				nw.consec.Store(0)
-				nw.pendingTrip = true
-			}
-			e.respawns.Add(1)
-			e.slots[w.id].Store(nw)
-			e.wg.Add(1)
-			go e.workerLoop(nw)
+			// Fresh trace: the zombie may still write its own.
+			e.respawn(w, nets, model.Trace{}, w.consec.Load()+1)
 			replaced = true
 		}
 	}

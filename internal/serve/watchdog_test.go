@@ -95,31 +95,28 @@ func TestStallWithoutRebuildFailsBatchInPlace(t *testing.T) {
 	}
 }
 
-// TestStallCountsTowardBreaker drives two injected stalls (faultinject
-// StallFrames) through a PanicTrip=2 engine and asserts stalls feed the same
-// circuit breaker as panics: the second replacement inherits the streak and
-// parks before its first frame, after which serving resumes.
+// TestStallCountsTowardBreaker drives breakerTrip injected stalls
+// (faultinject StallFrames) through an engine and asserts stalls feed the
+// same circuit breaker as panics: the last replacement inherits the streak
+// and parks before its first frame, after which serving resumes.
 func TestStallCountsTowardBreaker(t *testing.T) {
 	e := newStubEngine(t, nil, Config{
 		StallTimeout: 6 * time.Millisecond,
-		PanicTrip:    2,
-		BackoffBase:  20 * time.Millisecond,
-		BackoffMax:   100 * time.Millisecond,
 		Rebuild:      func(worker, tier int) (pipeline.Net, error) { return &stubNet{}, nil },
 		Faults: &faultinject.Plan{
-			StallFrames: []uint64{0, 1},
+			StallFrames: []uint64{0, 1, 2},
 			Stall:       time.Second, // far past StallTimeout: a genuine wedge
 		},
 	})
 	defer e.Close()
 	cloud := testCloud()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		if _, err := e.Submit(context.Background(), Request{Cloud: cloud}); !errors.Is(err, ErrStalled) {
 			t.Fatalf("stalled frame %d: err = %v, want ErrStalled", i, err)
 		}
 	}
-	// Frame 2 is clean; it waits out the inherited breaker park, then serves.
+	// Frame 3 is clean; it waits out the inherited breaker park, then serves.
 	res, err := e.Submit(context.Background(), Request{Cloud: cloud})
 	if err != nil {
 		t.Fatalf("post-park frame: %v", err)
@@ -129,14 +126,14 @@ func TestStallCountsTowardBreaker(t *testing.T) {
 	}
 
 	s := e.Stats()
-	if s.Stalls != 2 {
-		t.Fatalf("Stalls = %d, want 2", s.Stalls)
+	if s.Stalls != breakerTrip {
+		t.Fatalf("Stalls = %d, want %d", s.Stalls, breakerTrip)
 	}
-	if s.Respawns != 2 {
-		t.Fatalf("Respawns = %d, want 2", s.Respawns)
+	if s.Respawns != breakerTrip {
+		t.Fatalf("Respawns = %d, want %d", s.Respawns, breakerTrip)
 	}
-	if s.BreakerTrips < 1 {
-		t.Fatalf("BreakerTrips = %d, want >= 1 (stall streak must trip the breaker)", s.BreakerTrips)
+	if s.BreakerTrips != 1 {
+		t.Fatalf("BreakerTrips = %d, want 1 (the stall streak must trip the breaker once)", s.BreakerTrips)
 	}
 }
 

@@ -107,11 +107,20 @@ for procs in 1 2 4 8; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/model/ ./internal/train/
 done
 
-echo "== one policy core (no ladder/backoff arithmetic in internal/loadgen) =="
-# The simulator calls serve.Ladder and serve.RetryPolicy;
-# a hand-written copy of their rules coming back is a regression.
+echo "== one policy core (no ladder/backoff arithmetic or policy knobs in internal/loadgen) =="
+# The simulator calls serve.Ladder, serve.ShedController and serve.RetryPolicy;
+# a hand-written copy of their rules coming back is a regression. So is a
+# Spec field or ParseSpec key for a ladder or shed threshold, the ring's
+# vnodes or the spillover: those are serve's constants, and a simulated fleet
+# no edgepc-serve flag can configure models nothing. The tests are left out
+# of the second check: they hold the removed keys as rejection rows.
 if grep -nE 'ladder(High|Low|Hyst)|mirror' internal/loadgen/*.go; then
 	echo "internal/loadgen re-implements serve policy; call internal/serve instead" >&2
+	exit 1
+fi
+if grep -nE '^[[:space:]]+((Ladder|Shed)(High|Low|Hyst)|VNodes|Spill)[[:space:]:]|"((ladder|shed)-(high|low|hyst)|vnodes|spill)"' \
+	$(ls internal/loadgen/*.go | grep -v '_test\.go$'); then
+	echo "internal/loadgen sets a serve policy threshold; serve's constants decide it" >&2
 	exit 1
 fi
 
@@ -119,18 +128,28 @@ echo "== ladder (every rung relieves load; DGCNN gets none) =="
 # A rung that is not clearly cheaper than full fidelity makes overload worse.
 # Wall-clock, min of the calibration frames: each rung above tier 0 must
 # measure >= 1.5x faster on W1 under both configs, and W3 must get one tier.
-ladder_speedups() {
+# A trip prints the calibrated per-tier frame times it judged.
+ladder_calibrate() {
 	go run ./cmd/edgepc-loadgen -calibrate -workload "$1" -config "$2" -cal-frames 5 \
 		-mults 1 -crossover 1 -out .ladder_cal.json >/dev/null
-	awk '/"tier_speedup"/ { on = 1; next } on && /\]/ { exit } on { gsub(/[ ,]/, ""); print }' .ladder_cal.json
-	rm -f .ladder_cal.json
+}
+ladder_list() { # one JSON list of .ladder_cal.json, an element a line
+	awk -v key="\"$1\"" 'index($0, key) { on = 1; next } on && /\]/ { exit } on { gsub(/[ ,]/, ""); print }' .ladder_cal.json
 }
 for cfg in S+N baseline; do
-	ladder_speedups W1 "$cfg" | awk -v cfg="$cfg" '
+	ladder_calibrate W1 "$cfg"
+	if ! ladder_list tier_speedup | awk -v cfg="$cfg" '
 		NR > 1 && $1 + 0 < 1.5 { printf "ladder: W1 %s tier %d is only %sx faster than tier 0\n", cfg, NR - 1, $1; bad = 1 }
-		END { if (NR < 2) { printf "ladder: W1 %s has no rung\n", cfg; exit 1 } exit bad }'
+		END { if (NR < 2) { printf "ladder: W1 %s has no rung\n", cfg; exit 1 } exit bad }'; then
+		echo "ladder: W1 $cfg calibrated svc/tier (ns, min of 5 frames): $(ladder_list svc_ns_tier | tr '\n' ' ')" >&2
+		rm -f .ladder_cal.json
+		exit 1
+	fi
 done
-if [ "$(ladder_speedups W3 S+N | wc -l)" -ne 1 ]; then
+ladder_calibrate W3 S+N
+w3_tiers=$(ladder_list tier_speedup | wc -l)
+rm -f .ladder_cal.json
+if [ "$w3_tiers" -ne 1 ]; then
 	echo "ladder: W3 (DGCNN) must serve without a ladder" >&2
 	exit 1
 fi
