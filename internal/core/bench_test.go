@@ -47,6 +47,42 @@ func BenchmarkSearchWindowW32(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchWindow is an S+N SA0 window search at the model's shape
+// (W = 2k = 16, k = 8, a query at every fourth position): fleet_burst's
+// 1024-point clouds, pp_sn_stream's 8192, and a 1024-point cloud that
+// stores 512 points twice, so that every window holds tied distances.
+//
+//	go test -run '^$' -bench SearchWindow/ -cpu 1 ./internal/core/
+func BenchmarkSearchWindow(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		n     int
+		twice bool
+	}{{"1024", 1024, false}, {"8192", 8192, false}, {"1024dup", 512, true}} {
+		cloud := geom.GenerateScene(geom.SceneOptions{N: c.n, Seed: 77})
+		if c.twice {
+			cloud.Points = append(cloud.Points, cloud.Points...)
+			cloud.Labels = append(cloud.Labels, cloud.Labels...)
+		}
+		s, err := Structurize(cloud, StructurizeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries := make([]int, 0, s.Len()/4)
+		for p := 0; p < s.Len(); p += 4 {
+			queries = append(queries, p)
+		}
+		b.Run("W16/"+c.name, func(b *testing.B) {
+			var out []int
+			for i := 0; i < b.N; i++ {
+				if out, err = (WindowSearcher{W: 16}).SearchPositionsInto(out, s.Cloud.Points, queries, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSearchBruteBall(b *testing.B) {
 	s, pos := benchStructurized(b, 4096)
 	_ = pos

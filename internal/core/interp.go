@@ -80,27 +80,26 @@ func (mi MortonInterp) PlanStructurizedInto(plan *sample.InterpPlan, points []ge
 	return nil
 }
 
-// bestOfCandidates fills idx/d with the k nearest samples (by true distance)
-// among sample ranks [lo, hi).
+// bestOfCandidates fills idx/d with the k nearest samples among sample
+// ranks [lo, hi) under (DistSq, rank), ascending: geom.InsertTopK's order,
+// NaN never taken, written out for ranks that ascend — a candidate goes
+// after an equal distance, so it displaces a larger one or an empty slot
+// (+Inf, −1) and needs no tie test. The plan's four-candidate rows ran
+// 1.1–1.2× slower through InsertTopK, in an inlined form and in its own
+// (EXPERIMENTS.md).
 func bestOfCandidates(p geom.Point3, points []geom.Point3, samplePos []int, lo, hi int, idx []int, d []float64) {
 	k := len(idx)
-	const inf = 1e300
-	for i := range d {
-		d[i] = inf
-		idx[i] = -1
-	}
+	geom.ClearTopK(idx, d)
 	for r := lo; r < hi; r++ {
 		dist := p.DistSq(points[samplePos[r]])
-		if dist >= d[k-1] {
+		if !(dist < d[k-1] || idx[k-1] < 0 && dist <= d[k-1]) {
 			continue
 		}
 		j := k - 1
-		for j > 0 && d[j-1] > dist {
-			d[j] = d[j-1]
-			idx[j] = idx[j-1]
+		for j > 0 && (d[j-1] > dist || idx[j-1] < 0) {
+			d[j], idx[j] = d[j-1], idx[j-1]
 			j--
 		}
-		d[j] = dist
-		idx[j] = r
+		d[j], idx[j] = dist, r
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/neighbor"
 	"repro/internal/parallel"
+	"repro/internal/spatial"
 )
 
 // WindowSearcher is the paper's index-based neighbor searcher (§5.2.2): on a
@@ -17,7 +18,12 @@ import (
 // computations, the pure index pick of §4.3 (Fig. 10(b) uses W = k+1). With
 // W > k the k nearest-by-distance points inside the window are selected,
 // costing O(W) per query instead of the SOTA's O(N); the window size trades
-// false-neighbor ratio against speed (Fig. 15a).
+// false-neighbor ratio against speed (Fig. 15a). The selection is
+// spatial.NearestK over the window's points as they are stored, the query
+// itself skipped: the k smallest (DistSq, position) pairs, ascending, which
+// is what a scan of the window in position order keeps — an AVX2 kernel
+// where the host has it, that scan where it does not or where the kernel
+// declines (a NaN, k > 16, more than 64 points at or below its bound).
 type WindowSearcher struct {
 	// W is the search window size, clamped to [k, N]. Zero means W = k
 	// (pure index selection).
@@ -36,7 +42,7 @@ func (w WindowSearcher) SearchPositions(points []geom.Point3, queryPos []int, k 
 }
 
 // SearchPositionsInto is SearchPositions writing the list into out, which it
-// reuses like append. It allocates nothing else for k ≤ maxStackK.
+// reuses like append. It allocates nothing else once warm.
 func (w WindowSearcher) SearchPositionsInto(out []int, points []geom.Point3, queryPos []int, k int) ([]int, error) {
 	return w.searchInto(out, points, queryPos, len(queryPos), k)
 }
@@ -70,8 +76,20 @@ func (w WindowSearcher) searchInto(out []int, points []geom.Point3, queryPos []i
 	return out, nil
 }
 
-// maxStackK is the largest k whose ranked-window scratch lives on the stack.
-const maxStackK = 64
+// maxStackWin is the largest window, and so the largest k, whose selection
+// scratch lives on the stack; a wider one takes a pooled windowScratch.
+const maxStackWin = 64
+
+// windowScratch is a chunk's selection scratch for a window past
+// maxStackWin, pooled so that a search of any W allocates nothing once warm.
+type windowScratch struct {
+	idx  []int
+	d    []float64
+	dist []float64
+	hit  []int32
+}
+
+var windowScratches = sync.Pool{New: func() any { return new(windowScratch) }}
 
 // windowJob is one window search fanned out over its queries, pooled so
 // that a search allocates nothing once warm.
@@ -108,18 +126,30 @@ func (j *windowJob) Chunk(lo, hi int) {
 	// query point itself is excluded, matching the paper's Fig. 10(b)
 	// worked example (W = k+1 around P2 selects P1, P4 and P0, not P2) —
 	// spending a neighbor slot on the zero-distance self would waste it.
-	var idxBuf [maxStackK]int
-	var dBuf [maxStackK]float64
-	idx, d := idxBuf[:], dBuf[:]
-	if k > maxStackK {
-		idx, d = make([]int, k), make([]float64, k)
+	var idxBuf [maxStackWin]int
+	var dBuf, distBuf [maxStackWin]float64
+	var hitBuf [maxStackWin]int32
+	idx, d, dist, hit := idxBuf[:], dBuf[:], distBuf[:], hitBuf[:]
+	if win4 := (win + 3) &^ 3; win4 > maxStackWin {
+		s := windowScratches.Get().(*windowScratch)
+		defer windowScratches.Put(s)
+		if len(s.dist) < win4 {
+			s.idx, s.d = make([]int, win4), make([]float64, win4)
+			s.dist, s.hit = make([]float64, win4), make([]int32, win4)
+		}
+		idx, d, dist, hit = s.idx, s.d, s.dist, s.hit
 	}
 	idx, d = idx[:k], d[:k]
 	for q := lo; q < hi; q++ {
+		// The window's W points as they are stored, the query skipped: the
+		// k smallest (DistSq, position) pairs, what a scan of the window in
+		// position order keeps.
 		p := pos(q)
 		start := clampWindow(p, win, n)
-		topKWindow(j.points[p], j.points, start, start+win, p, idx, d)
-		copy(j.out[q*k:(q+1)*k], idx)
+		spatial.NearestK(&j.points[p], j.points[start:start+win], p-start, dist, hit, idx, d)
+		for i, w := range idx {
+			j.out[q*k+i] = start + w
+		}
 	}
 }
 
@@ -134,34 +164,6 @@ func clampWindow(pos, size, n int) int {
 		start = n - size
 	}
 	return start
-}
-
-// topKWindow fills idx/d with the k nearest points to p among positions
-// [lo, hi) of points (skipping position self), ascending by distance.
-func topKWindow(p geom.Point3, points []geom.Point3, lo, hi, self int, idx []int, d []float64) {
-	k := len(idx)
-	const inf = 1e300
-	for i := range d {
-		d[i] = inf
-		idx[i] = -1
-	}
-	for s := lo; s < hi; s++ {
-		if s == self {
-			continue
-		}
-		dist := p.DistSq(points[s])
-		if dist >= d[k-1] {
-			continue
-		}
-		j := k - 1
-		for j > 0 && d[j-1] > dist {
-			d[j] = d[j-1]
-			idx[j] = idx[j-1]
-			j--
-		}
-		d[j] = dist
-		idx[j] = s
-	}
 }
 
 // SearchAll finds k neighbors for every point of the structurized cloud (the

@@ -205,12 +205,43 @@ func BoundsOf(pts []Point3) AABB {
 }
 
 // MaxSpanSq is the bound a cloud's squared bounding-box diagonal must stay
-// under. The nearest-neighbor searches, exact and approximate, start their
-// top-k lists at a finite 1e300 "nothing found yet" distance and never take
-// a candidate at or beyond it; below the bound no two points of the cloud
-// are that far apart, so every list fills. (Finite coordinates overflow a
+// under. The coordinate searches start their top-k lists empty and take any
+// distance into an empty slot, +Inf included (see InsertTopK); DGCNN's
+// feature-space kNN starts at a finite 1e300 and never takes a distance at
+// or beyond it. Below the bound no two points of the cloud are that far
+// apart, and every distance is finite. (Finite coordinates overflow a
 // squared distance to +Inf from about 1e154 apart.)
 const MaxSpanSq = 1e300
+
+// InsertTopK offers candidate (id, dist) to a top-k list kept ascending
+// under (distance, index), the lower index first among equal distances, in
+// which an empty slot holds (+Inf, −1): the −1 compares, as an unsigned
+// number, above every index, so a candidate at +Inf still takes an empty
+// slot. The order is lexicographic, so a list fed any candidate order holds
+// what a scan in index order keeps. A NaN distance is below no slot and is
+// never taken. A candidate that does not go before the last slot returns at
+// once; one that does walks up, shifting down what it goes before. (Too
+// large to inline; the forms that inline ran the index's scan-level 3-NN
+// about 10 % slower.)
+func InsertTopK(idx []int, d []float64, id int, dist float64) {
+	j := len(idx) - 1
+	//edgepc:lint-ignore floateq the order is lexicographic on (DistSq, index): equal means bit-equal, as in the scan it reproduces
+	if !(d[j] > dist || d[j] == dist && uint(idx[j]) > uint(id)) {
+		return
+	}
+	//edgepc:lint-ignore floateq same lexicographic order
+	for ; j > 0 && (d[j-1] > dist || d[j-1] == dist && uint(idx[j-1]) > uint(id)); j-- {
+		d[j], idx[j] = d[j-1], idx[j-1]
+	}
+	d[j], idx[j] = dist, id
+}
+
+// ClearTopK empties a top-k list for InsertTopK: every slot (+Inf, −1).
+func ClearTopK(idx []int, d []float64) {
+	for i := range d {
+		d[i], idx[i] = math.Inf(1), -1
+	}
+}
 
 // CheckSpan returns the bounding box of pts and an error when the cloud is
 // outside what the searches compare: a non-finite coordinate, or a squared

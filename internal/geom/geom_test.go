@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -309,6 +310,46 @@ func TestCheckSpan(t *testing.T) {
 		}
 		if want := BoundsOf(tc.pts); err == nil && box != want {
 			t.Fatalf("%s: box %v, want BoundsOf's %v", tc.name, box, want)
+		}
+	}
+}
+
+// TestInsertTopKMatchesSort holds InsertTopK, fed candidates in any order,
+// to a sort of the non-NaN ones under (distance, index): ties, +Inf and NaN
+// distances, k from 1 past the candidate count.
+func TestInsertTopKMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	values := []float64{0, 1, 1, 2, math.Inf(1), math.NaN()}
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(10)
+		k := 1 + rng.Intn(n+2)
+		dist := make([]float64, n)
+		for i := range dist {
+			dist[i] = values[rng.Intn(len(values))]
+		}
+		idx, d := make([]int, k), make([]float64, k)
+		ClearTopK(idx, d)
+		for _, i := range rng.Perm(n) {
+			InsertTopK(idx, d, i, dist[i])
+		}
+		var want []int
+		for i, v := range dist {
+			if !math.IsNaN(v) {
+				want = append(want, i)
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			x, y := dist[want[a]], dist[want[b]]
+			return x < y || x == y && want[a] < want[b]
+		})
+		for j := range idx {
+			wi, wd := -1, math.Inf(1)
+			if j < len(want) {
+				wi, wd = want[j], dist[want[j]]
+			}
+			if idx[j] != wi || d[j] != wd {
+				t.Fatalf("distances %v, k=%d: slot %d is (%v, %d), want (%v, %d)", dist, k, j, d[j], idx[j], wd, wi)
+			}
 		}
 	}
 }

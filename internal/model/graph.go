@@ -292,8 +292,9 @@ func (g *Graph) Forward(cloud *geom.Cloud, trace *Trace, train bool) (*Output, e
 		return nil, fmt.Errorf("model: empty cloud")
 	}
 	// A non-finite coordinate poisons every distance the searches compare,
-	// and a squared distance at their 1e300 sentinel is never taken: a
-	// neighbor list or a 3-NN plan would keep index −1 for such a point.
+	// an overflowing one ties every candidate at +Inf, and DGCNN's feature
+	// kNN never takes a distance at its 1e300 sentinel: a neighbor list
+	// would keep index −1 for such a point.
 	// The check's time is charged to the frame's first span (x.lead).
 	t0 := time.Now()
 	box, err := geom.CheckSpan(cloud.Points)

@@ -10,6 +10,7 @@ package neighbor
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -69,30 +70,14 @@ func (BruteKNN) Search(points, queries []geom.Point3, k int) ([]int, error) {
 	return out, nil
 }
 
-// topK fills idx/d with the k nearest points to p, ascending by distance.
+// topK fills idx/d with the k nearest points to p under (DistSq, index),
+// ascending.
 func topK(p geom.Point3, points []geom.Point3, idx []int, d []float64) {
-	k := len(idx)
-	for i := range d {
-		d[i] = inf
-		idx[i] = -1
-	}
+	geom.ClearTopK(idx, d)
 	for s := range points {
-		dist := p.DistSq(points[s])
-		if dist >= d[k-1] {
-			continue
-		}
-		j := k - 1
-		for j > 0 && d[j-1] > dist {
-			d[j] = d[j-1]
-			idx[j] = idx[j-1]
-			j--
-		}
-		d[j] = dist
-		idx[j] = s
+		geom.InsertTopK(idx, d, s, p.DistSq(points[s]))
 	}
 }
-
-const inf = 1e300
 
 // writePadded copies found into dst, repeating the first element to fill any
 // remaining slots.
@@ -176,7 +161,7 @@ func (b BallQuery) Search(points, queries []geom.Point3, k int) ([]int, error) {
 		for q := lo; q < hi; q++ {
 			found = found[:0]
 			p := queries[q]
-			nearest, nearestD := 0, inf
+			nearest, nearestD := 0, math.Inf(1)
 			for s := range points {
 				dist := p.DistSq(points[s])
 				if dist < nearestD {

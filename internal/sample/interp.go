@@ -90,32 +90,14 @@ func (ThreeNN) Plan(targets, sources []geom.Point3) (*InterpPlan, error) {
 	return plan, nil
 }
 
-// nearestK fills idx/d with the k nearest sources to p (ascending distance).
-// idx and d must have length k.
+// nearestK fills idx/d with the k nearest sources to p under (DistSq,
+// index), ascending. idx and d must have length k.
 func nearestK(p geom.Point3, sources []geom.Point3, idx []int, d []float64) {
-	k := len(idx)
-	for i := range d {
-		d[i] = inf
-		idx[i] = -1
-	}
+	geom.ClearTopK(idx, d)
 	for s, q := range sources {
-		dist := p.DistSq(q)
-		if dist >= d[k-1] {
-			continue
-		}
-		// Insert into the sorted top-k.
-		j := k - 1
-		for j > 0 && d[j-1] > dist {
-			d[j] = d[j-1]
-			idx[j] = idx[j-1]
-			j--
-		}
-		d[j] = dist
-		idx[j] = s
+		geom.InsertTopK(idx, d, s, p.DistSq(q))
 	}
 }
-
-const inf = 1e300
 
 // FillWeights writes target t's row of the plan: sources idx (plan.K of
 // them) weighted by the inverse of their squared distances d, normalized. If

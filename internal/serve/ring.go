@@ -10,8 +10,7 @@ import (
 // remaps only the key fraction that consistent hashing promises (~1/N on
 // add; exactly the removed engine's keys on removal) instead of reshuffling
 // the whole fleet. Stream affinity — equal keys always landing on the same
-// engine — is what keeps a stream's frames hitting one engine's warm caches
-// (ROADMAP item 3's StreamKey hook).
+// engine — is what keeps a stream's frames hitting one engine's warm caches.
 
 // DefaultVNodes is the virtual-node count per engine when a Ring or Router
 // is built with zero. 128 vnodes bound the per-engine load imbalance over

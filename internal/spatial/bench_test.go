@@ -148,3 +148,45 @@ func BenchmarkFPSOrder(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScanBelow times an SA module's exact sites on one small level at
+// W1's sizes — SampleSearch (FPS of N/4 picks, each with its k = 8 list)
+// and the 3-NN from 4N targets — with the level in cell (Morton) order, as
+// S+N holds it, and in scene order, once through the scan and once through
+// the grid, the cut-off forced either way: scanBelow is where the grid
+// starts to win.
+//
+//	go test -run '^$' -bench ScanBelow -cpu 1 ./internal/spatial/
+func BenchmarkScanBelow(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 512, 1024} {
+		raw, _ := benchScene(n)
+		old := SetScanBelow(0)
+		var ix Index
+		ix.Reset(raw)
+		ix.build()
+		sorted := cellOrder(&ix)
+		SetScanBelow(old)
+		targets := geom.GenerateScene(geom.SceneOptions{N: 4 * n, Seed: 2}).Points
+		for _, order := range []struct {
+			name  string
+			level []geom.Point3
+		}{{"sorted", sorted}, {"raw", raw}} {
+			for _, form := range []struct {
+				name string
+				cut  int
+			}{{"scan", 1 << 30}, {"grid", 0}} {
+				b.Run(fmt.Sprintf("%s/%s/%d", order.name, form.name, n), func(b *testing.B) {
+					defer SetScanBelow(SetScanBelow(form.cut))
+					var ix Index
+					var sel, nbr []int
+					var plan sample.InterpPlan
+					for i := 0; i < b.N; i++ {
+						ix.Reset(order.level)
+						sel, nbr, _, _ = ix.SampleSearch(sample.ArchFPS, 0, n/4, 8, sel, nbr)
+						_ = ix.ThreeNNInto(&plan, targets)
+					}
+				})
+			}
+		}
+	}
+}

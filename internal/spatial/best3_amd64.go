@@ -2,7 +2,7 @@ package spatial
 
 import "repro/internal/geom"
 
-// best3AVX2 is the join's AVX2 kernel (best3_amd64.s): best3Go over n ≥ 1
+// best3AVX2 is the join's AVX2 kernel (nearestk_amd64.s): best3Go over n ≥ 1
 // candidates, with hit room for n rounded up to a multiple of 4.
 //
 //go:noescape

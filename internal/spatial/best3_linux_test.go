@@ -14,7 +14,7 @@ import (
 // (atEnd) or start: a kernel that reads or writes one element past the edge
 // faults, which neither bounds checks nor the race detector can see inside
 // assembly.
-func guarded[T float64 | int32](t *testing.T, n int, atEnd bool) []T {
+func guarded[T float64 | int32 | int | geom.Point3](t *testing.T, n int, atEnd bool) []T {
 	t.Helper()
 	size := int(unsafe.Sizeof(*new(T)))
 	page := syscall.Getpagesize()

@@ -78,15 +78,13 @@ func best3Go(q geom.Point3, x, y, z, dist []float64, hit []int32) (third float64
 //
 //edgepc:hotpath
 func pick(idx []int, d []float64, dist []float64, hit []int32, id []int32) {
-	for i := range d {
-		d[i], idx[i] = far, -1
-	}
+	geom.ClearTopK(idx, d)
 	for _, h := range hit {
 		l := int(h)
 		if id != nil {
 			l = int(id[h])
 		}
-		insert(idx, d, l, dist[h])
+		geom.InsertTopK(idx, d, l, dist[h])
 	}
 }
 
@@ -117,11 +115,10 @@ func (b *block) reserve(n int) {
 // none) and the smallest of any in a slab above it (+Inf).
 type fence [3][2]float64
 
-// bound is a lower bound on q.DistSq of every source outside the block,
-// capped at far: a one-axis squared gap, as the walk's shell bounds are.
+// bound is a lower bound on q.DistSq of every source outside the block: a
+// one-axis squared gap, as the walk's shell bounds are.
 func (f *fence) bound(q geom.Point3) float64 {
-	return min(far,
-		sq(q.X-f[0][0]), sq(f[0][1]-q.X),
+	return min(sq(q.X-f[0][0]), sq(f[0][1]-q.X),
 		sq(q.Y-f[1][0]), sq(f[1][1]-q.Y),
 		sq(q.Z-f[2][0]), sq(f[2][1]-q.Z))
 }
@@ -231,11 +228,10 @@ func (ix *Index) scanRows(plan *sample.InterpPlan, s *scratch, targets []geom.Po
 	idx, d := s.idx[:3], s.d[:3]
 	for t, q := range targets {
 		if q.IsFinite() {
-			if third, hits := best3(&q, cols.X, cols.Y, cols.Z, b.dist, b.hit); third < far {
-				pick(idx, d, b.dist, b.hit[:hits], nil)
-				plan.FillWeights(t, idx, d)
-				continue
-			}
+			_, hits := best3(&q, cols.X, cols.Y, cols.Z, b.dist, b.hit)
+			pick(idx, d, b.dist, b.hit[:hits], nil)
+			plan.FillWeights(t, idx, d)
+			continue
 		}
 		ix.threeNNRow(plan, s, t, q)
 	}

@@ -41,11 +41,14 @@
 // the same geom.Point3.DistSq calls on the same values.
 //
 // Below scanBelow points a level is not worth a grid and the same entry
-// points run the linear scan in place — the same comparisons in level
-// order, which is what the oracles are; the choice is made from the level
-// size alone. The 3-NN scans with the join's kernel, the whole level one
-// block. A level or a query with a non-finite coordinate takes the plain
-// scan.
+// points run the linear scan in place; the choice is made from the level
+// size alone. A scan-level search is NearestK over the level as it is
+// stored: an AVX2 kernel that computes every distance, bounds the k-th from
+// each lane's few smallest, and ranks the few candidates under the bound —
+// the oracles' top-k, ties by position, which its Go loop (the fallback on
+// a NaN and without AVX2) computes the oracles' way. The 3-NN scans
+// with the join's kernel, the whole level one block. A query with a
+// non-finite coordinate over a grid takes the plain scan.
 //
 // Concurrency and determinism: an Index is owned by one goroutine (a
 // replica's coordinate planner), and ThreeNNInto runs on it. KNN fans its
@@ -77,18 +80,15 @@ const (
 	// is 128 KiB, the most a level of any size spends on it.
 	maxBits = 5
 	maxSide = 1 << maxBits
-
-	// far is the oracles' "no candidate yet" distance: a point at DistSq ≥
-	// far is never a neighbor, here as there.
-	far = 1e300
 )
 
 // scanBelow is the level size under which queries run the linear scan.
-// Measured on this host over an SA module's three sites (N → N/4 picks, N/4
-// queries of k=8, 3-NN from 4N targets): the scan is 1.5–2× faster at 64
-// points and below, the two tie at 128 and 256, the grid is 2× faster at 512
-// and 3–5× at 1024 and 2048. A variable only so tests can force small
-// fixtures through the grid; see SetScanBelow.
+// Measured over an SA module's sites (N → N/4 picks with k = 8 lists, 3-NN
+// from 4N targets; BenchmarkScanBelow) with NearestK's scan: the scan is
+// 1.6× faster at 64 points, 1.1× at 128 and 1.8× at 256, the grid 1.3×
+// faster at 512 and 2.8× at 1024, in Morton and in scene order alike. A
+// variable only so tests can force small fixtures through the grid; see
+// SetScanBelow.
 var scanBelow = 512
 
 // SetScanBelow replaces the scan cut-off and returns the previous value. It
@@ -115,7 +115,7 @@ type Index struct {
 	n    [3]int  // slabs in use along each axis, 1 on an axis of zero extent
 	perm []int32 // position in cell order → level index
 	// cols is the level's points in cell order, or in level order when scan
-	// is set (only FPS reads them then).
+	// is set (FPS and the 3-NN's best3 read them then).
 	cols  sample.Coords
 	start []int32 // cell c (Morton id) holds positions start[c]..start[c+1]
 	// lo[a][c] is the smallest coordinate on axis a of any point in a cell
@@ -135,16 +135,18 @@ type Index struct {
 	blk        block
 }
 
-// scratch is one worker's buffers: a top-k, and the per-slab squared gaps of
-// the query being walked. Every query writes both, so no two workers'
-// scratch may share a cache line: the struct is a whole number of 64-byte
-// lines (a test holds it to that), and grow gives each top-k lines of its
-// own.
+// scratch is one worker's buffers: a top-k, the per-slab squared gaps of
+// the query being walked, and NearestK's distances and hits over a scan
+// level. Every query writes them, so no two workers' scratch may share a
+// cache line: the struct is a whole number of 64-byte lines (a test holds it
+// to that), and grow gives each slice lines of its own.
 type scratch struct {
-	idx []int
-	d   []float64
-	gap [3][maxSide]float64
-	_   [16]byte
+	idx  []int
+	d    []float64
+	dist []float64
+	hit  []int32
+	gap  [3][maxSide]float64
+	_    [32]byte
 }
 
 // Reset binds the index to a level. It does no work; the grid is built by
@@ -299,7 +301,7 @@ func sq(t float64) float64 {
 }
 
 // probe is one query's state while it walks the grid: a top-k under
-// (DistSq, level index), ascending, far / −1 where nothing was found yet.
+// (DistSq, level index), ascending, +Inf / −1 where nothing was found yet.
 type probe struct {
 	q   geom.Point3
 	s   *scratch
@@ -405,28 +407,10 @@ func (ix *Index) offer(p *probe, s, e int32) float64 {
 	last := len(d) - 1
 	for pos := s; pos < e; pos++ {
 		if dist := p.q.DistSq(ix.cols.At(int(pos))); !(dist > d[last]) {
-			insert(idx, d, int(ix.perm[pos]), dist)
+			geom.InsertTopK(idx, d, int(ix.perm[pos]), dist)
 		}
 	}
 	return d[last]
-}
-
-// insert offers candidate (id, dist) to a top-k kept ascending under
-// (dist, id). Fed candidates in level order it is the oracles' topK /
-// nearestK; the explicit index comparison makes it order-independent.
-func insert(idx []int, d []float64, id int, dist float64) {
-	k := len(idx)
-	//edgepc:lint-ignore floateq the order is lexicographic on (DistSq, index): equal means bit-equal, as in the scan it reproduces
-	if dist > d[k-1] || (dist == d[k-1] && id > idx[k-1]) {
-		return
-	}
-	j := k - 1
-	//edgepc:lint-ignore floateq same lexicographic order
-	for j > 0 && (d[j-1] > dist || (d[j-1] == dist && idx[j-1] > id)) {
-		d[j], idx[j] = d[j-1], idx[j-1]
-		j--
-	}
-	d[j], idx[j] = dist, id
 }
 
 // nearest fills idx and d (same length, at most the level's) with the nearest
@@ -434,15 +418,14 @@ func insert(idx []int, d []float64, id int, dist float64) {
 //
 //edgepc:hotpath
 func (ix *Index) nearest(q geom.Point3, s *scratch, idx []int, d []float64) {
-	for i := range d {
-		d[i], idx[i] = far, -1
+	if ix.scan {
+		NearestK(&q, ix.pts, -1, s.dist, s.hit, idx, d)
+		return
 	}
-	if ix.scan || !q.IsFinite() {
-		last := len(d) - 1
+	geom.ClearTopK(idx, d)
+	if !q.IsFinite() {
 		for i, p := range ix.pts {
-			if dist := q.DistSq(p); !(dist > d[last]) {
-				insert(idx, d, i, dist)
-			}
+			geom.InsertTopK(idx, d, i, q.DistSq(p))
 		}
 		return
 	}
@@ -450,8 +433,9 @@ func (ix *Index) nearest(q geom.Point3, s *scratch, idx []int, d []float64) {
 }
 
 // grow makes sure there are scratch slots for workers workers, each with
-// room for a top-k of k: the searches' only allocation besides their result,
-// and only when a fan-out is wider or a k larger than any before.
+// room for a top-k of k and, on a scan level, for NearestK over the level:
+// the searches' only allocation besides their result, and only when a
+// fan-out is wider, a k larger or a scan level longer than any before.
 func (ix *Index) grow(workers, k int) {
 	if cap(ix.work) < workers {
 		w := make([]scratch, workers)
@@ -459,15 +443,22 @@ func (ix *Index) grow(workers, k int) {
 		ix.work = w
 	}
 	ix.work = ix.work[:cap(ix.work)]
+	scan := 0
+	if ix.scan {
+		scan = len(ix.pts)
+	}
+	// Whole lines: the allocator's size classes of 64-byte multiples start
+	// every object on a line. At k = 3 two 24-byte lists would be
+	// neighbors, and two workers' inserts would write one line.
 	for i := range ix.work[:workers] {
-		if s := &ix.work[i]; cap(s.idx) < k {
-			// Whole lines: the allocator's size classes of 64-byte
-			// multiples start every object on a line. At k = 3 two 24-byte
-			// lists would be neighbors, and two workers' inserts would
-			// write one line.
-			n := (k + 7) &^ 7
-			s.idx = make([]int, n)
-			s.d = make([]float64, n)
+		s := &ix.work[i]
+		if cap(s.idx) < k {
+			s.idx = make([]int, (k+7)&^7)
+			s.d = make([]float64, (k+7)&^7)
+		}
+		if cap(s.dist) < scan {
+			s.dist = make([]float64, (scan+7)&^7)
+			s.hit = make([]int32, (scan+15)&^15)
 		}
 	}
 }

@@ -346,8 +346,16 @@ func FuzzQueriesMatchOracles(f *testing.F) {
 	// duplicates with a few points at the far corner.
 	f.Add([]byte{0, 0, 0, 15, 15, 15, 4, 8, 12, 8, 4, 0, 12, 12, 4, 0, 15, 8, 15, 0, 4, 8, 8, 8}, uint8(3))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 15, 15, 15, 15, 15, 14, 14, 15, 15}, uint8(4))
+	// Levels one point either side of the scan cut-off.
+	for _, n := range []int{scanBelow - 1, scanBelow + 1} {
+		raw := make([]byte, 3*n)
+		for i := range raw {
+			raw[i] = byte(i * 7 % 251)
+		}
+		f.Add(raw, uint8(7))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
-		if len(raw) < 3 || len(raw) > 3*400 {
+		if len(raw) < 3 || len(raw) > 3*(scanBelow+1) {
 			return
 		}
 		shipped := scanBelow
@@ -374,8 +382,7 @@ func FuzzQueriesMatchOracles(f *testing.F) {
 			t.Fatal("Go loop:", msg)
 		}
 		SetScanBelow(shipped)
-		ix.Reset(pts)
-		if msg := diffThreeNN(&ix, pts, qs); msg != "" {
+		if msg := agrees(&ix, pts, qs, 1+int(k)%12, 1+len(pts)/2); msg != "" {
 			t.Fatal("scan:", msg)
 		}
 	})
@@ -469,5 +476,20 @@ func TestSteadyStateAllocations(t *testing.T) {
 	threeNN()
 	if got := testing.AllocsPerRun(5, threeNN); got != 0 {
 		t.Fatalf("steady-state 3-NN allocates %v times, want 0", got)
+	}
+	// An SA module's sampling and k = 8 search over the scan level, into
+	// kept lists (one worker under streamGrain): NearestK's scratch is the
+	// index's, so nothing either.
+	var ssel, snbr []int
+	saScan := func() {
+		tiny.Reset(small)
+		var err error
+		if ssel, snbr, _, err = tiny.SampleSearch(sample.ArchFPS, 0, 75, 8, ssel, snbr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saScan()
+	if got := testing.AllocsPerRun(5, saScan); got != 0 {
+		t.Fatalf("steady-state scan-level search allocates %v times, want 0", got)
 	}
 }

@@ -27,9 +27,11 @@ go build ./...
 echo "== other platforms (pure-Go fallback builds; no fused multiply-add in the assembly) =="
 # blocked, the backward products, the train-mode argmax pool, nn.BatchNorm's
 # sweeps forward and backward, Linear's gradient adds, model's featKNN,
-# sample.BucketFPS's refresh, sample.ApplyPlan and the spatial 3-NN join's
-# best-three selection have amd64 assembly behind *_amd64 files; every
-# other GOARCH must build and vet from the stubs beside them. A VFMADD would
+# sample.BucketFPS's refresh, sample.ApplyPlan, the spatial 3-NN join's
+# best-three selection and spatial.NearestK (the Morton window's and the
+# scan levels' nearest-k) have amd64 assembly behind *_amd64 files; every
+# other GOARCH must build and vet from the stubs beside them. The vet line
+# names every package with an _amd64.s file. A VFMADD would
 # round once where the Go kernels round twice and move every golden fixture;
 # the grep covers every *.s file in the tree.
 GOARCH=arm64 go build ./...
@@ -90,7 +92,7 @@ echo "== bench driver (its own module, outside ./...) =="
 # calls can change under it without `go test ./...` noticing.
 (cd bench && go vet . && go test -race .)
 
-echo "== numerics independent of core count (golden + history + spatial + tensor + nn + parallel + model + train, GOMAXPROCS 1/2/4/8) =="
+echo "== numerics independent of core count (golden + history + spatial + tensor + nn + parallel + model + train + core, GOMAXPROCS 1/2/4/8) =="
 # Trained weights and logits are a function of the inputs and the seed, not of
 # how many goroutines a kernel split into: the bit-exact golden fixtures must
 # hold at every worker count (-count=1: the test cache does not key on
@@ -101,10 +103,11 @@ echo "== numerics independent of core count (golden + history + spatial + tensor
 # internal/nn is where the fused bias/BatchNorm/ReLU/max-pool epilogue is
 # compared with the layers one by one, internal/parallel the fan-out it and
 # every other kernel split over, internal/model where featKNN's lanes and early
-# exit are compared with the full scalar scan.
+# exit are compared with the full scalar scan, internal/core where the window
+# searcher's fan-out and its nearest-k kernel are compared with the scan.
 for procs in 1 2 4 8; do
 	GOMAXPROCS=$procs go test -count=1 -run 'TestGolden|TestOutputIndependentOfServingHistory|TestGradientsIndependentOfTrainingHistory' ./internal/pipeline/
-	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/model/ ./internal/train/
+	GOMAXPROCS=$procs go test -count=1 ./internal/spatial/ ./internal/tensor/ ./internal/nn/ ./internal/parallel/ ./internal/model/ ./internal/train/ ./internal/core/
 done
 
 echo "== one policy core (no ladder/backoff arithmetic or policy knobs in internal/loadgen) =="
@@ -164,8 +167,10 @@ go test -run '^$' -fuzz '^FuzzReadCheckpoint$' -fuzztime 5s ./internal/nn/
 go test -run '^$' -fuzz '^FuzzQueriesMatchOracles$' -fuzztime 5s ./internal/spatial/
 
 echo "== kernel parity under -race (the packages the race stage runs short or not at all) =="
-# The race stage runs tensor, pipeline, model and spatial whole, and the full
-# pass runs the golden suite and TestAssemblyIsVEXOnly. What is left: nn's
+# The race stage runs tensor, pipeline, model, spatial and core whole — the
+# nearest-k kernel's tests (TestNearestK* in spatial, the window searcher's
+# against its scan in core) with them — and the full pass runs the golden
+# suite and TestAssemblyIsVEXOnly. What is left: nn's
 # kernel comparisons (the race stage runs nn with -short) — the folded
 # train-mode BatchNorm → ReLU forward and backward against the layers one by
 # one, the backward products and Linear's gradient adds against their Go
